@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
     Config base{"base (extra=2, bdd, span=3, pack)", FlowOptions{}};
     base.options.num_threads = cli.threads;
     base.options.budget = cli.budget;
-    base.options.incremental = cli.incremental;
     base.options.collect_artifacts = audit;
     base.options.trace = cli.trace();
     configs.push_back(base);

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
     FlowOptions opt;
     opt.num_threads = cli.threads;
     opt.budget = cli.budget;
-    opt.incremental = cli.incremental;
     opt.k = 3;
     opt.collect_artifacts = audit;
     opt.trace = cli.trace();
@@ -49,7 +48,6 @@ int main(int argc, char** argv) {
     FlowOptions opt;
     opt.num_threads = cli.threads;
     opt.budget = cli.budget;
-    opt.incremental = cli.incremental;
     opt.collect_artifacts = audit;
     opt.trace = cli.trace();
     const FlowResult tm = run_turbomap(c, opt);

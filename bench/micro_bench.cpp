@@ -199,16 +199,13 @@ void BM_LabelEngineWarmProbe(benchmark::State& state) {
 BENCHMARK(BM_LabelEngineWarmProbe)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 // A descending multi-probe suite through one warm engine — the φ-search
-// pattern the dirty-set incremental path accelerates (each probe seeds from
-// the previous fixpoint and re-touches only nodes whose bound can move).
-// Arg: 1 = incremental (default), 0 = cold full sweeps. The deterministic
-// node_updates / nodes_skipped / dirty_rounds counters feed the bench gate;
-// the incremental variant must stay well under the cold one's updates.
+// pattern the cross-φ warm start serves (each probe seeds from the previous
+// fixpoint, a valid lower bound, and sweeps to the new least fixpoint). The
+// deterministic node_updates counter feeds the bench gate.
 void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
   LabelOptions lo;
   lo.num_threads = 1;
-  lo.incremental = state.range(0) != 0;
   LabelStats stats;
   for (auto _ : state) {
     LabelEngine engine(c, lo);
@@ -222,12 +219,8 @@ void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   }
   state.counters["node_updates"] =
       benchmark::Counter(static_cast<double>(stats.node_updates));
-  state.counters["nodes_skipped"] =
-      benchmark::Counter(static_cast<double>(stats.nodes_skipped));
-  state.counters["dirty_rounds"] =
-      benchmark::Counter(static_cast<double>(stats.dirty_rounds));
 }
-BENCHMARK(BM_LabelEngineDescendingProbes)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LabelEngineDescendingProbes)->Unit(benchmark::kMillisecond);
 
 // Scaling-suite labeling: the large-circuit regime the parallel engine
 // targets (one infeasible + one feasible probe, as a binary search sees).
@@ -260,10 +253,6 @@ void set_flow_counters(benchmark::State& state, const FlowResult& r) {
   state.counters["phi"] = benchmark::Counter(static_cast<double>(r.phi));
   state.counters["labels_computed"] =
       benchmark::Counter(static_cast<double>(r.stats.node_updates));
-  state.counters["nodes_skipped"] =
-      benchmark::Counter(static_cast<double>(r.stats.nodes_skipped));
-  state.counters["dirty_rounds"] =
-      benchmark::Counter(static_cast<double>(r.stats.dirty_rounds));
   state.counters["flow_seconds"] = benchmark::Counter(r.seconds);
 }
 

@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
   FlowOptions opt;
   opt.num_threads = cli.threads;
   opt.budget = cli.budget;
-  opt.incremental = cli.incremental;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();
   bool audits_ok = true;

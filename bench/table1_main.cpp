@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   FlowOptions opt;  // K = 5, PLD on, as in the paper
   opt.num_threads = cli.threads;
   opt.budget = cli.budget;
-  opt.incremental = cli.incremental;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();
   bool audits_ok = true;

@@ -143,17 +143,15 @@ int main(int argc, char** argv) {
     if (demo && cache_dir.empty()) cache_dir = (demo_dir / "cache").string();
     if (!cache_dir.empty()) {
       cache.emplace(cache_dir);
-      // Crash recovery before the first lookup: GC stray tmp files, torn
-      // entries and dangling near-miss sidecars a killed run left behind.
+      // Crash recovery before the first lookup: GC stray tmp files and torn
+      // entries a killed run left behind.
       const FlowCache::RecoveryStats rec = cache->recover();
       if (rec.total() > 0) {
         std::cout << "cache recovery: " << rec.stray_tmp << " stray tmp, "
-                  << rec.torn_entries << " torn entries, " << rec.dangling_sidecars
-                  << " dangling sidecars removed\n";
+                  << rec.torn_entries << " torn entries removed\n";
       }
     }
     options.flow.budget = cli.budget;
-    options.flow.incremental = cli.incremental;
     options.flow.trace = cli.trace();
     options.cache = cache ? &*cache : nullptr;
     options.cancel = &global_cancel_token();  // Ctrl-C drains the batch

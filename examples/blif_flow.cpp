@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
     FlowOptions options;
     options.k = k;
     options.budget = cli.budget;
-    options.incremental = cli.incremental;
     options.collect_artifacts = cli.audit;
     options.trace = cli.trace();
     std::optional<FlowCache> cache;

@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   options.k = 4;
   options.num_threads = cli.threads;  // 0 = use every core for the label engine
   options.budget = cli.budget;        // unlimited unless budget flags were given
-  options.incremental = cli.incremental;
   options.collect_artifacts = cli.audit;
   options.trace = cli.trace();  // nullptr unless --trace-json was given
   std::optional<FlowCache> cache;  // --cache-dir: persistent artifact store

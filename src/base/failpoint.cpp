@@ -246,8 +246,6 @@ std::vector<std::string> known_sites() {
       "cache.entry.read",    // cache/flow_cache.cpp: entry load
       "cache.entry.write",   // cache/flow_cache.cpp: tmp-file body write
       "cache.entry.rename",  // cache/flow_cache.cpp: tmp -> final publish
-      "cache.sidecar.read",  // cache/flow_cache.cpp: near-miss index load
-      "cache.sidecar.write", // cache/flow_cache.cpp: near-miss index publish
       "driver.stage",        // core/driver.cpp: every stage boundary
                              // (driver.stage.<name> targets one stage)
       "batch.job",           // service/batch_runner.cpp: per-circuit boundary

@@ -80,10 +80,6 @@ FlowCli flow_cli_from_args(int argc, char** argv) {
       cli.quick = true;
     } else if (a == "--full") {
       cli.full = true;
-    } else if (a == "--incremental") {
-      cli.incremental = true;
-    } else if (a == "--no-incremental") {
-      cli.incremental = false;
     } else if (a.rfind("--trace-json=", 0) == 0) {
       cli.trace_json_path = a.substr(std::string("--trace-json=").size());
     } else if (a == "--trace-json" && i + 1 < argc) {
@@ -122,7 +118,6 @@ FlowCli flow_cli_from_args(int argc, char** argv) {
 std::string flow_cli_help() {
   std::string help =
       "[--threads N] (0 = all cores, 1 = sequential) [--audit] [--quick | --full]\n"
-      "[--incremental | --no-incremental] (dirty-set warm-start label reuse; default on)\n"
       "[--trace-json=PATH] (per-stage/per-probe trace of the run)\n"
       "[--cache-dir=PATH] (persistent flow-artifact cache)\n"
       "[--failpoints=SPEC] (deterministic fault injection, e.g. "

@@ -20,11 +20,6 @@
 //                        "--failpoints SPEC". The TS_FAILPOINTS environment
 //                        variable is applied first, so a flag can override
 //                        individual sites of an env-armed schedule.
-//   --incremental / --no-incremental
-//                        dirty-set incremental label recomputation for
-//                        warm-seeded plain-update probes, plus near-miss
-//                        cache warm starts (default on; results are
-//                        bit-identical either way)
 //   --deadline-ms N and the other run-budget ceilings (base/budget_cli.hpp);
 //   a SIGINT handler is installed so Ctrl-C cancels cooperatively.
 //
@@ -52,7 +47,6 @@ class FlowCli {
   bool audit = false;
   bool quick = false;
   bool full = false;
-  bool incremental = true;  // assign to FlowOptions::incremental
   /// --engines-list was given: the main should print the engine registry
   /// (engine_list_text() in core/engines.hpp) and exit 0. Collected here as
   /// a flag because this library sits below core and cannot see the

@@ -6,8 +6,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,174 +53,6 @@ void remap_entry_to_input_order(CacheEntry& entry, const Circuit& c) {
   }
 }
 
-/// One node of a parsed canonical text: its name plus a descriptor covering
-/// everything local to the node — kind, truth table, and the fanin slots
-/// with driver *names* (not positions) and register weights. Two nodes with
-/// equal descriptors whose transitive fanins also all match have isomorphic
-/// fanin cones, which is the near-miss label-transfer criterion.
-struct CanonNode {
-  std::string name;
-  std::string desc;
-};
-
-/// Parses the body of a canonical form (canonical_circuit_form() minus the
-/// leading options line of the cache key). Returns nodes in canonical order,
-/// or nullopt on any malformed input — a bad donor is just "no seed".
-std::optional<std::vector<CanonNode>> parse_canonical(std::string_view text) {
-  std::vector<std::vector<std::string>> lines;  // tokenized node lines
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    std::vector<std::string> tokens;
-    std::size_t t = 0;
-    while (t < line.size()) {
-      while (t < line.size() && line[t] == ' ') ++t;
-      std::size_t end = t;
-      while (end < line.size() && line[end] != ' ') ++end;
-      if (end > t) tokens.emplace_back(line.substr(t, end - t));
-      t = end;
-    }
-    if (!tokens.empty()) lines.push_back(std::move(tokens));
-  }
-  if (lines.size() < 2 || lines[0] != std::vector<std::string>{"canon", "1"}) {
-    return std::nullopt;
-  }
-  const std::size_t n = lines.size() - 2;  // header + count line
-  if (lines[1].size() != 1 || lines[1][0] != std::to_string(n)) return std::nullopt;
-
-  // Pass 1: node names by canonical position (fanins reference positions).
-  std::vector<CanonNode> nodes(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<std::string>& tok = lines[i + 2];
-    if (tok.size() < 2) return std::nullopt;
-    nodes[i].name = tok[1];
-  }
-
-  // Pass 2: descriptors with positions resolved to names.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<std::string>& tok = lines[i + 2];
-    std::string desc = tok[0];
-    std::size_t fanin_at = 0;
-    if (tok[0] == "pi") {
-      if (tok.size() != 2) return std::nullopt;
-    } else if (tok[0] == "gate") {
-      if (tok.size() < 5) return std::nullopt;
-      desc += ' ' + tok[2] + ' ' + tok[3];  // truth-table arity + bits
-      fanin_at = 4;
-    } else if (tok[0] == "po") {
-      if (tok.size() < 3) return std::nullopt;
-      fanin_at = 2;
-    } else {
-      return std::nullopt;
-    }
-    if (fanin_at != 0) {
-      std::size_t nf = 0;
-      try {
-        nf = std::stoul(tok[fanin_at]);
-      } catch (...) {
-        return std::nullopt;
-      }
-      if (tok.size() != fanin_at + 1 + 2 * nf) return std::nullopt;
-      for (std::size_t f = 0; f < nf; ++f) {
-        std::size_t src = 0;
-        try {
-          src = std::stoul(tok[fanin_at + 1 + 2 * f]);
-        } catch (...) {
-          return std::nullopt;
-        }
-        if (src >= n) return std::nullopt;
-        desc += " (";
-        desc += nodes[src].name;
-        desc += ' ';
-        desc += tok[fanin_at + 2 + 2 * f];  // register weight
-        desc += ')';
-      }
-    }
-    nodes[i].desc = std::move(desc);
-  }
-  return nodes;
-}
-
-/// Builds the warm seed a near-miss donor justifies for circuit `c`, or
-/// nullptr when nothing useful transfers. Soundness (DESIGN.md §12): a node
-/// is *tainted* iff it is absent from the donor, its descriptor differs, or
-/// any transitive fanin is tainted (forward propagation below). An untainted
-/// node's fanin cone is isomorphic to the donor's, so the donor's converged
-/// plain-mode label at φ* equals this circuit's least fixpoint there;
-/// tainted nodes fall back to the base label. The resulting vector is
-/// pointwise ≤ the least fixpoint at any probed φ ≤ φ* (labels are antitone
-/// in φ), i.e. a valid monotone seed — and never a certificate.
-std::shared_ptr<const WarmImport> derive_near_miss_seed(const Circuit& c,
-                                                        std::string_view current_canon,
-                                                        const FlowCache::NearMiss& near) {
-  if (near.entry.mode != LabelMode::kPlain || near.entry.phi < 1) return nullptr;
-  const std::optional<std::vector<CanonNode>> cur = parse_canonical(current_canon);
-  const std::optional<std::vector<CanonNode>> donor = parse_canonical(near.canonical_text);
-  if (!cur.has_value() || !donor.has_value()) return nullptr;
-  if (near.entry.winning_labels.size() != donor->size()) return nullptr;
-  const std::vector<NodeId> order = canonical_node_order(c);
-  if (order.size() != cur->size()) return nullptr;
-
-  std::unordered_map<std::string_view, std::size_t> donor_by_name;
-  donor_by_name.reserve(donor->size());
-  for (std::size_t i = 0; i < donor->size(); ++i) {
-    donor_by_name.emplace((*donor)[i].name, i);
-  }
-
-  const std::size_t n = static_cast<std::size_t>(c.num_nodes());
-  std::vector<char> tainted(n, 0);
-  auto seed = std::make_shared<WarmImport>();
-  seed->phi = near.entry.phi;
-  seed->labels.assign(n, 0);
-  std::vector<NodeId> frontier;
-  for (std::size_t i = 0; i < cur->size(); ++i) {
-    const NodeId v = order[i];
-    const auto it = donor_by_name.find((*cur)[i].name);
-    if (it == donor_by_name.end() || (*donor)[it->second].desc != (*cur)[i].desc) {
-      tainted[static_cast<std::size_t>(v)] = 1;
-      frontier.push_back(v);
-    } else {
-      seed->labels[static_cast<std::size_t>(v)] =
-          near.entry.winning_labels[it->second];
-    }
-  }
-  if (frontier.empty()) return nullptr;  // identical circuit: exact path owns it
-
-  // Forward taint propagation: an edit invalidates every cone it feeds.
-  const CsrTopology& topo = c.topology();
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const NodeId v = frontier[head];
-    const auto begin = topo.fanout_offset[static_cast<std::size_t>(v)];
-    const auto end = topo.fanout_offset[static_cast<std::size_t>(v) + 1];
-    for (auto e = begin; e < end; ++e) {
-      const NodeId dst = topo.fanout_dst[static_cast<std::size_t>(e)];
-      if (!tainted[static_cast<std::size_t>(dst)]) {
-        tainted[static_cast<std::size_t>(dst)] = 1;
-        seed->labels[static_cast<std::size_t>(dst)] = 0;  // base; engine normalizes
-        frontier.push_back(dst);
-      }
-    }
-  }
-
-  // The seed is useful iff at least one updatable gate survived untainted:
-  // those gates keep the donor's converged label and stay off the incremental
-  // dirty set (the verification sweep still re-proves the fixpoint, so an
-  // imprecise hint costs time, never correctness).
-  bool transfers = false;
-  for (NodeId v = 0; v < c.num_nodes(); ++v) {
-    if (!topo.flag(v, CsrTopology::kUpdatableGate)) continue;
-    if (tainted[static_cast<std::size_t>(v)]) {
-      seed->dirty_hint.push_back(v);
-    } else {
-      transfers = true;
-    }
-  }
-  return transfers ? seed : nullptr;
-}
-
 /// Replays a hit's artifacts through the staged driver. `period_objective`
 /// selects the downstream config exactly as run_engine() would: mapgen caps
 /// relaxation at the PO labels and the timing tail retimes without
@@ -262,7 +92,6 @@ void trace_cache_counters(TraceSink* trace, const FlowCache& cache) {
   span.counter("cache_rejects", cache.rejects());
   span.counter("recovered_entries", cache.recovered_entries());
   span.counter("recovered_tmp", cache.recovered_tmp());
-  span.counter("recovered_sidecars", cache.recovered_sidecars());
   span.counter("retries", cache.retries());
   span.counter("hot_hits", cache.hot_hits());
   span.counter("hot_evictions", cache.hot_evictions());
@@ -270,28 +99,6 @@ void trace_cache_counters(TraceSink* trace, const FlowCache& cache) {
   // Counters are integral; retained wall time rides as whole milliseconds.
   span.counter("hot_cost_retained_ms",
                static_cast<std::int64_t>(cache.hot_cost_retained_seconds() * 1000.0));
-}
-
-/// Near-miss warm start, shared by the flow and portfolio miss paths: if a
-/// donor entry for the same options line ran on a structurally similar
-/// circuit, transfer its converged labels where the fanin cones still match
-/// (derive_near_miss_seed above). The seed only accelerates convergence —
-/// probes still prove their fixpoints, so the result stays bit-identical to
-/// a cold run.
-void maybe_warm_start(const Circuit& c, const CacheKey& key, const FlowCache& cache,
-                      const FlowOptions& options, FlowOptions& run_options,
-                      CacheRunInfo* info) {
-  if (!options.incremental || options.warm_import != nullptr) return;
-  const std::optional<FlowCache::NearMiss> near = cache.lookup_near(key);
-  if (!near.has_value()) return;
-  const std::size_t nl = key.text.find('\n');
-  if (nl == std::string::npos) return;
-  if (auto seed =
-          derive_near_miss_seed(c, std::string_view(key.text).substr(nl + 1), *near);
-      seed != nullptr) {
-    run_options.warm_import = std::move(seed);
-    if (info != nullptr) info->near_miss = true;
-  }
 }
 
 }  // namespace
@@ -355,7 +162,6 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
   // change the mapping — the fuzzer's bit-identity checks cover this).
   FlowOptions run_options = options;
   run_options.collect_artifacts = true;
-  maybe_warm_start(c, key, *cache, options, run_options, info);
   FlowResult result = run_flow(kind, c, run_options);
   const bool stored = cache->store_result(key, result, c);
   if (info != nullptr) info->stored = stored;
@@ -397,7 +203,6 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
 
   FlowOptions run_options = options;
   run_options.collect_artifacts = true;
-  maybe_warm_start(c, key, *cache, options, run_options, info);
   FlowResult result = run_portfolio(engines, c, run_options, popt);
   const bool stored = cache->store_result(key, result, c);
   if (info != nullptr) info->stored = stored;

@@ -24,9 +24,8 @@ namespace turbosyn {
 
 /// What run_flow_cached did, for logs and result records.
 struct CacheRunInfo {
-  bool hit = false;       // the run was replayed from the store
-  bool stored = false;    // the run populated the store
-  bool near_miss = false; // a miss that ran warm-seeded from a donor entry
+  bool hit = false;     // the run was replayed from the store
+  bool stored = false;  // the run populated the store
 };
 
 /// Runs `kind` on `c`, consulting `cache` (nullptr = plain run_flow).

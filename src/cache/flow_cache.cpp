@@ -169,7 +169,7 @@ struct ParsedEntry {
 /// Loads and validates one entry file: schema version, field ranges, the
 /// checksum trailer, and the internal certification tie between the winning
 /// labels and a feasible ledger record. Does NOT compare against any caller
-/// key — exact lookup and near-miss lookup apply their own checks on top.
+/// key — lookup() and recover() apply their own checks on top.
 /// nullopt on any defect. `existed` (optional) reports whether a file was
 /// there at all, so callers can tell a plain miss from a torn entry.
 std::optional<ParsedEntry> parse_entry_file(const std::string& path,
@@ -307,22 +307,11 @@ void append_option_fields(std::ostringstream& os, const FlowOptions& options) {
      << options.expansion.node_budget << '\n';
 }
 
-/// Finishes a key from its options line: full text, hash, near-miss sketch.
+/// Finishes a key from its options line: full text and hash.
 CacheKey finish_cache_key(const Circuit& c, const std::string& options_line) {
   CacheKey key;
   key.text = options_line + canonical_circuit_form(c).text;
   key.hash = fnv1a64(key.text);
-  // Near-miss sketch: options line + sorted interface names. Internal edits
-  // (gate logic, wiring, added/removed gates) keep the sketch, so the edited
-  // circuit's miss can still find this entry as a warm-start donor.
-  std::vector<std::string> interface_names;
-  interface_names.reserve(static_cast<std::size_t>(c.num_pis() + c.num_pos()));
-  for (const NodeId v : c.pis()) interface_names.push_back("i " + c.name(v));
-  for (const NodeId v : c.pos()) interface_names.push_back("o " + c.name(v));
-  std::sort(interface_names.begin(), interface_names.end());
-  std::uint64_t sketch = fnv1a64(options_line);
-  for (const std::string& name : interface_names) sketch = fnv1a64(name + "\n", sketch);
-  key.near_sketch = sketch;
   return key;
 }
 
@@ -506,10 +495,6 @@ std::string FlowCache::entry_path(const CacheKey& key) const {
   return dir_ + "/" + hex64(key.hash) + ".tsce";
 }
 
-std::string FlowCache::near_index_path(std::uint64_t sketch) const {
-  return dir_ + "/near_" + hex64(sketch) + ".tsni";
-}
-
 bool FlowCache::storable(const FlowResult& result) {
   return result.status == Status::kOk && !result.timed_out && result.artifacts.valid &&
          result.artifacts.labels.feasible && !result.probes.empty();
@@ -522,8 +507,7 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit&
   entry.mode = result.artifacts.mode;
   entry.max_po_label = result.artifacts.labels.max_po_label;
   // Schema v2: labels are persisted in canonical order so they survive
-  // parses that assigned different input ids and can be matched by name
-  // during near-miss transfers.
+  // parses that assigned different input ids.
   const std::vector<NodeId> order = canonical_node_order(input);
   const std::vector<int>& by_id = result.artifacts.labels.labels;
   if (by_id.size() == order.size()) {
@@ -535,7 +519,6 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit&
   const std::uint64_t canon_hash = hash_labels(std::span<const int>(entry.winning_labels));
   entry.probes.reserve(result.probes.size());
   for (const ProbeRecord& rec : result.probes) {
-    if (rec.seed_only) continue;  // provenance of this run, not a verdict
     CachedProbe p;
     p.engine = rec.engine;
     p.phi = rec.phi;
@@ -605,55 +588,6 @@ std::optional<CacheEntry> FlowCache::lookup(const CacheKey& key) const {
   hits_.fetch_add(1, std::memory_order_relaxed);
   hot_insert(key, parsed->entry);  // the next lookup skips the file entirely
   return std::move(parsed->entry);
-}
-
-std::optional<FlowCache::NearMiss> FlowCache::lookup_near(const CacheKey& key) const {
-  if (read_fault("cache.sidecar.read")) return std::nullopt;
-  // The index file holds the hash of the newest entry stored under this
-  // sketch (last-writer-wins; a stale or corrupt pointer is just no donor).
-  std::ifstream in(near_index_path(key.near_sketch), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string content;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  content = buffer.str();
-  EntryReader r(std::move(content));
-  r.expect("turbosyn-near");
-  const bool header_ok = r.ok() && r.integer() == 1;
-  const std::uint64_t donor_hash = header_ok ? r.hex() : 0;
-  if (!header_ok || !r.ok()) {
-    // Truncated or garbage sidecar: no donor, and never a poisoned import —
-    // the warm seed is only ever derived from a fully validated entry.
-    recovered_sidecars_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  // The donor being this exact key means lookup() already tried (and
-  // rejected) the entry; there is nothing more to transfer from.
-  if (donor_hash == key.hash) return std::nullopt;
-
-  bool donor_existed = false;
-  std::optional<ParsedEntry> parsed =
-      parse_entry_file(dir_ + "/" + hex64(donor_hash) + ".tsce", &donor_existed);
-  if (!parsed.has_value()) {
-    if (donor_existed) recovered_entries_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  if (parsed->hash != donor_hash) return std::nullopt;
-  // Donor and requester must agree on the options line (flow kind and every
-  // result-relevant option) — only the circuit itself may differ. The sketch
-  // hash suggests this, the byte comparison proves it.
-  const std::size_t donor_nl = parsed->key_text.find('\n');
-  const std::size_t key_nl = key.text.find('\n');
-  if (donor_nl == std::string::npos || key_nl == std::string::npos ||
-      parsed->key_text.compare(0, donor_nl + 1, key.text, 0, key_nl + 1) != 0) {
-    return std::nullopt;
-  }
-
-  NearMiss near;
-  near.entry = std::move(parsed->entry);
-  near.canonical_text = parsed->key_text.substr(donor_nl + 1);
-  near_hits_.fetch_add(1, std::memory_order_relaxed);
-  return near;
 }
 
 bool FlowCache::store_result(const CacheKey& key, const FlowResult& result,
@@ -786,34 +720,6 @@ bool FlowCache::store(const CacheKey& key, const CacheEntry& entry) {
   // Write-through admission: the entry just certified storable is exactly
   // what a repeat request will ask for.
   hot_insert(key, entry);
-
-  // Near-miss index: point this key's sketch at the entry just written.
-  // Best-effort and last-writer-wins — a lost or stale pointer only costs a
-  // warm start, never correctness (lookup_near re-validates the entry) — so
-  // unlike the entry itself it is not worth a retry.
-  if (key.near_sketch != 0) {
-    try {
-      if (failpoint::enabled() &&
-          failpoint::check("cache.sidecar.write").action == failpoint::Action::kError) {
-        return true;  // injected sidecar fault: entry stored, index skipped
-      }
-    } catch (...) {
-      return true;
-    }
-    const std::string index_path = near_index_path(key.near_sketch);
-    const std::string index_tmp =
-        index_path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(tmp_seq.fetch_add(1, std::memory_order_relaxed));
-    std::ofstream out(index_tmp, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << "turbosyn-near 1\n" << hex64(key.hash) << '\n';
-      out.flush();
-      const bool good = out.good();
-      out.close();
-      if (good) std::filesystem::rename(index_tmp, index_path, ec);
-      if (!good || ec) std::filesystem::remove(index_tmp, ec);
-    }
-  }
   return true;
 }
 
@@ -823,12 +729,10 @@ FlowCache::RecoveryStats FlowCache::recover() {
   std::filesystem::directory_iterator it(dir_, ec);
   if (ec) return stats;  // no directory yet: nothing to recover
 
-  // One scan, three buckets. Tmp files go first, then torn entries, then
-  // sidecars — so a sidecar pointing at an entry GC'd this very pass is seen
-  // as dangling and removed with it.
+  // One scan, two buckets. Files the cache does not own (including the
+  // near-miss index sidecars older versions wrote) are left alone.
   std::vector<std::filesystem::path> tmps;
   std::vector<std::filesystem::path> entries;
-  std::vector<std::filesystem::path> sidecars;
   for (const auto& de : it) {
     if (!de.is_regular_file(ec)) continue;
     const std::string name = de.path().filename().string();
@@ -836,8 +740,6 @@ FlowCache::RecoveryStats FlowCache::recover() {
       tmps.push_back(de.path());
     } else if (name.ends_with(".tsce")) {
       entries.push_back(de.path());
-    } else if (name.rfind("near_", 0) == 0 && name.ends_with(".tsni")) {
-      sidecars.push_back(de.path());
     }
   }
 
@@ -860,28 +762,6 @@ FlowCache::RecoveryStats FlowCache::recover() {
     if (std::filesystem::remove(path, ec) && !ec) {
       ++stats.torn_entries;
       recovered_entries_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  for (const auto& path : sidecars) {
-    bool dangling = false;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) continue;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    EntryReader r(buffer.str());
-    r.expect("turbosyn-near");
-    if (!r.ok() || r.integer() != 1) {
-      dangling = true;
-    } else {
-      const std::uint64_t donor_hash = r.hex();
-      dangling = !r.ok() ||
-                 !std::filesystem::is_regular_file(
-                     dir_ + "/" + hex64(donor_hash) + ".tsce", ec);
-    }
-    if (!dangling) continue;
-    if (std::filesystem::remove(path, ec) && !ec) {
-      ++stats.dangling_sidecars;
-      recovered_sidecars_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return stats;

@@ -34,14 +34,15 @@
 // ("sum <n> <hex64>", FNV-1a over the first n bytes); lookup() verifies it,
 // so a torn entry — even one that still tokenizes — demotes to a clean miss
 // and is counted in recovered_entries(). recover() garbage-collects stray
-// tmp files, unparseable entries and dangling near-miss sidecars; store()
-// retries transient write/rename failures with a short deterministic
-// backoff (reads never retry: a miss is already sound and cheap).
+// tmp files and unparseable entries; store() retries transient write/rename
+// failures with a short deterministic backoff (reads never retry: a miss is
+// already sound and cheap). Files the cache does not own, such as the
+// near-miss index sidecars older versions wrote, are ignored.
 //
-// Fault injection: the read/write/rename/sidecar paths are failpoint sites
-// ("cache.entry.read", "cache.entry.write", "cache.entry.rename",
-// "cache.sidecar.read", "cache.sidecar.write" — see base/failpoint.hpp).
-// With no failpoint armed every site is a single relaxed atomic load.
+// Fault injection: the read/write/rename paths are failpoint sites
+// ("cache.entry.read", "cache.entry.write", "cache.entry.rename" — see
+// base/failpoint.hpp). With no failpoint armed every site is a single
+// relaxed atomic load.
 //
 // The on-disk format is a versioned, line-oriented text schema (one file per
 // key, named <16-hex-hash>.tsce) chosen for debuggability; entries are a few
@@ -101,11 +102,6 @@ std::optional<HotPolicy> parse_hot_policy(std::string_view name);
 struct CacheKey {
   std::uint64_t hash = 0;
   std::string text;
-  /// Structural sketch for the near-miss secondary index: a hash of the
-  /// options line plus the sorted PI and PO name sets. Circuits that differ
-  /// by a small internal edit keep the same sketch, so a miss can still
-  /// retrieve the old entry as a warm-start donor (never as a result).
-  std::uint64_t near_sketch = 0;
 };
 
 /// Canonical key for running `kind` on `c` under `options`. Covers exactly
@@ -153,8 +149,7 @@ struct CacheEntry {
   /// Converged labels at `phi`, in CANONICAL node order (schema v2): entry i
   /// belongs to the node at canonical_node_order(c)[i]. Canonical order is
   /// parse-order independent, so a differently-ordered parse of the same
-  /// netlist replays correctly, and near-miss transfers can match labels to
-  /// a different circuit's nodes by name. Callers remap to input ids.
+  /// netlist replays correctly. Callers remap to input ids.
   std::vector<int> winning_labels;
   // Final-result record (diagnostics and replay cross-checks; the mapped
   // network is regenerated from the labels on a hit, not parsed from here).
@@ -181,9 +176,8 @@ class FlowCache {
   /// v5: entries record the originating run's probe wall time ("cost"
   /// line), the input the cost-aware hot tier scores by (v4 named the
   /// winning engine and tagged every probe record with its engine; v3 added
-  /// the length + checksum trailer; v2 canonical-order labels and the
-  /// near-miss index). Older entries parse as a schema mismatch, i.e. a
-  /// clean miss.
+  /// the length + checksum trailer; v2 canonical-order labels). Older
+  /// entries parse as a schema mismatch, i.e. a clean miss.
   static constexpr int kSchemaVersion = 5;
 
   /// The complete, validated entry for `key`, or nullopt (miss). Collision-
@@ -213,24 +207,8 @@ class FlowCache {
   void set_hot_policy(HotPolicy policy);
   HotPolicy hot_policy() const;
 
-  /// A validated donor entry found through the near-miss index: the stored
-  /// run's artifacts plus the canonical text of the circuit it ran on.
-  /// Usable ONLY to derive a warm seed — its labels certify nothing for the
-  /// requesting circuit.
-  struct NearMiss {
-    CacheEntry entry;
-    std::string canonical_text;  // the donor circuit's canonical form
-  };
-
-  /// Donor entry for `key`'s structural sketch, or nullopt. Only consulted
-  /// after lookup() missed; requires the donor to share the exact options
-  /// line (flow kind and all result-relevant options) and to pass the same
-  /// schema/certification validation as an exact hit.
-  std::optional<NearMiss> lookup_near(const CacheKey& key) const;
-
-  /// Atomically persists `entry` under `key` and updates the near-miss
-  /// index. Returns false without writing when the entry is unstorable (see
-  /// rejects_ below) or the write failed.
+  /// Atomically persists `entry` under `key`. Returns false without writing
+  /// when the entry is unstorable (see rejects_ below) or the write failed.
   bool store(const CacheKey& key, const CacheEntry& entry);
 
   /// storable() + entry_from_result() + store() in one step; a quarantined
@@ -248,20 +226,18 @@ class FlowCache {
 
   /// What one recover() pass cleaned out of the cache directory.
   struct RecoveryStats {
-    std::int64_t stray_tmp = 0;          // *.tmp.* files from crashed writers
-    std::int64_t torn_entries = 0;       // .tsce files failing parse/checksum
-    std::int64_t dangling_sidecars = 0;  // .tsni files malformed or pointing
-                                         // at a missing donor entry
-    std::int64_t total() const { return stray_tmp + torn_entries + dangling_sidecars; }
+    std::int64_t stray_tmp = 0;     // *.tmp.* files from crashed writers
+    std::int64_t torn_entries = 0;  // .tsce files failing parse/checksum
+    std::int64_t total() const { return stray_tmp + torn_entries; }
   };
 
-  /// Crash recovery: scans the cache directory and deletes stray tmp files,
-  /// entries that fail parse or checksum validation, and near-miss sidecars
-  /// that are malformed or point at a donor entry that no longer exists.
-  /// Never throws; a missing directory is an empty pass. Call at startup —
-  /// running it concurrently with an active writer can GC that writer's
-  /// live tmp file, which the writer then absorbs as a retried store.
-  /// Everything removed also counts into the recovered_* counters.
+  /// Crash recovery: scans the cache directory and deletes stray tmp files
+  /// and entries that fail parse or checksum validation; files the cache
+  /// does not own are left alone. Never throws; a missing directory is an
+  /// empty pass. Call at startup — running it concurrently with an active
+  /// writer can GC that writer's live tmp file, which the writer then
+  /// absorbs as a retried store. Everything removed also counts into the
+  /// recovered_* counters.
   RecoveryStats recover();
 
   const std::string& dir() const { return dir_; }
@@ -272,7 +248,6 @@ class FlowCache {
   std::int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   std::int64_t stores() const { return stores_.load(std::memory_order_relaxed); }
   std::int64_t rejects() const { return rejects_.load(std::memory_order_relaxed); }
-  std::int64_t near_hits() const { return near_hits_.load(std::memory_order_relaxed); }
   /// Torn/corrupt entries demoted to misses (lookup paths) or GC'd
   /// (recover()) — every one was detected, none was ever served.
   std::int64_t recovered_entries() const {
@@ -281,11 +256,6 @@ class FlowCache {
   /// Stray tmp files garbage-collected by recover().
   std::int64_t recovered_tmp() const {
     return recovered_tmp_.load(std::memory_order_relaxed);
-  }
-  /// Near-miss sidecars dropped: truncated/garbage on read, dangling on
-  /// recover(). A dropped sidecar only costs a warm start.
-  std::int64_t recovered_sidecars() const {
-    return recovered_sidecars_.load(std::memory_order_relaxed);
   }
   /// Store attempts re-run after a transient write/rename failure.
   std::int64_t retries() const { return retries_.load(std::memory_order_relaxed); }
@@ -312,8 +282,6 @@ class FlowCache {
   std::int64_t hot_bytes() const;
 
  private:
-  std::string near_index_path(std::uint64_t sketch) const;
-
   /// One resident entry: the full key text rides along for the collision
   /// check, `bytes` is the admission-time size estimate eviction accounts,
   /// `cost` and `last_use` feed the kCostAware score (last_use is a logical
@@ -356,10 +324,8 @@ class FlowCache {
   mutable std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> stores_{0};
   std::atomic<std::int64_t> rejects_{0};
-  mutable std::atomic<std::int64_t> near_hits_{0};
   mutable std::atomic<std::int64_t> recovered_entries_{0};
   std::atomic<std::int64_t> recovered_tmp_{0};
-  mutable std::atomic<std::int64_t> recovered_sidecars_{0};
   std::atomic<std::int64_t> retries_{0};
 };
 

@@ -124,8 +124,6 @@ void FlowDriver::run(Stage& stage) {
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
   add_counter(metric, "decomp_cache_hits", after.cache_hits - before.cache_hits);
-  add_counter(metric, "dirty_rounds", after.dirty_rounds - before.dirty_rounds);
-  add_counter(metric, "nodes_skipped", after.nodes_skipped - before.nodes_skipped);
   for (const auto& [name, value] : metric.counters) span.counter(name, value);
   // A failed stage provides nothing: downstream consumes-contracts stay
   // unsatisfied, so even a caller that ignores the status cannot run the
@@ -174,9 +172,6 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   rec.feasible = r.feasible;
   rec.label_hash = r.feasible ? hash_labels(r.labels) : 0;
   rec.max_po_label = r.max_po_label;
-  // Nonzero dirty-set counters are the engine's signature that this probe
-  // ran (or shortcut) the incremental path rather than full cold sweeps.
-  rec.incremental = r.stats.dirty_rounds > 0 || r.stats.nodes_skipped > 0;
   rec.stats = r.stats;
   rec.seconds = seconds_since(start);
   span.counter("labels_computed", r.stats.node_updates);
@@ -184,9 +179,6 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("flow_augmentations", r.stats.flow_augmentations);
   span.counter("decomp_attempts", r.stats.decomp_attempts);
   span.counter("decomp_cache_hits", r.stats.cache_hits);
-  span.counter("dirty_rounds", r.stats.dirty_rounds);
-  span.counter("nodes_skipped", r.stats.nodes_skipped);
-  span.counter("incremental", rec.incremental ? 1 : 0);
   ctx.ledger.record(std::move(rec));
   ctx.count("probes", 1);
   return r;

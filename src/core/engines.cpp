@@ -59,7 +59,6 @@ FlowResult run_search_engine(const EngineSpec& spec, const Circuit& c,
                              const FlowOptions& options) {
   const auto start = Clock::now();
   TraceSpan span(options.trace, spec.trace_label);
-  span.counter("incremental", options.incremental ? 1 : 0);
   FlowDriver driver(c, options);
   driver.run(search_stages(spec));
   FlowResult result = driver.finish();
@@ -71,7 +70,6 @@ FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
                                     const FlowOptions& options) {
   const auto start = Clock::now();
   TraceSpan flow_span(options.trace, spec.trace_label);
-  flow_span.counter("incremental", options.incremental ? 1 : 0);
   // One no-reprobe scope across both phases: plain-mode probes from phase A
   // and `spec.mode` probes from phase B share the ledger.
   ProbeLedger ledger;

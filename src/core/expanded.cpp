@@ -37,7 +37,6 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   height_limit_ = height_limit;
   options_ = options;
   viable_ = true;
-  has_weighted_copy_ = false;
   flow_budget_hit_ = false;
   augmentations_ = 0;
   num_nodes_ = 0;
@@ -100,7 +99,6 @@ int ExpandedNetwork::intern(SeqCutNode id) {
     i = (i + 1) & mask;
   }
   const int value = static_cast<int>(num_nodes_);
-  if (id.w > 0) has_weighted_copy_ = true;
   index_slots_[i] = IndexSlot{key, value, index_epoch_};
   ++index_size_;
   if (num_nodes_ == nodes_.size()) {

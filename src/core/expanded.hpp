@@ -111,17 +111,6 @@ class ExpandedNetwork {
 
   int num_expanded_nodes() const { return static_cast<int>(num_nodes_); }
 
-  /// The i-th copy of the current query (0 <= i < num_expanded_nodes()).
-  /// The base nodes of these copies are exactly the labels the query read:
-  /// expansion and capacity decisions depend on no other label.
-  SeqCutNode copy(int i) const { return nodes_[static_cast<std::size_t>(i)].id; }
-
-  /// True iff the current query interned a register-crossed copy (w > 0).
-  /// When false, every effective height equals a plain label, so the whole
-  /// network — and any cut verdict on it — is independent of phi as long as
-  /// the labels it read are unchanged.
-  bool has_weighted_copy() const { return has_weighted_copy_; }
-
  private:
   struct ExpNode {
     SeqCutNode id;
@@ -151,7 +140,6 @@ class ExpandedNetwork {
   int height_limit_ = 0;
   ExpandedOptions options_;
   bool viable_ = true;
-  bool has_weighted_copy_ = false;
   bool flow_budget_hit_ = false;
   std::int64_t augmentations_ = 0;
 

@@ -19,7 +19,6 @@ LabelOptions FlowOptions::label_options(bool enable_decomposition) const {
   l.use_pld = use_pld;
   l.use_bdd = use_bdd;
   l.num_threads = num_threads;
-  l.incremental = incremental;
   l.budget = budget;  // copies share state: one budget governs the whole flow
   l.expansion = expansion;
   l.expansion.flow_augment_budget = budget.flow_augment_budget();

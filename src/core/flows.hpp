@@ -15,7 +15,6 @@
 // ratio, and the clock period achieved after pipelining + retiming.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,19 +31,6 @@ namespace turbosyn {
 
 class TraceSink;
 
-/// Externally derived warm seed for the plain-mode label search, typically a
-/// near-miss cache transfer (cache/cached_flow.cpp): the converged labels of
-/// a structurally similar circuit, with every node whose fanin cone changed
-/// reset to its base label. Soundness contract: `labels` must be a pointwise
-/// lower bound of the least fixpoint at `phi` — the engine still proves the
-/// fixpoint (and every verdict) itself, so the seed is never a certificate
-/// and results stay bit-identical to a cold run.
-struct WarmImport {
-  int phi = 0;                      // donor fixpoint's φ; seeds probes at φ' <= φ
-  std::vector<int> labels;          // by input node id
-  std::vector<NodeId> dirty_hint;   // gates reset below the donor fixpoint
-};
-
 struct FlowOptions {
   int k = 5;
   int cmax = 15;
@@ -57,15 +43,6 @@ struct FlowOptions {
   bool pack = true;              // mpack/flowpack-style packing
   bool pipeline = true;          // post-process with pipelining + retiming
   int num_threads = 0;           // label engine: 0 = hardware, 1 = sequential
-  /// Dirty-set incremental label recomputation for warm-seeded plain-update
-  /// probes (see LabelOptions::incremental). Default on; converged labels
-  /// and all mapped results are bit-identical either way, so this is
-  /// excluded from the flow-cache key (like num_threads).
-  bool incremental = true;
-  /// Optional near-miss warm seed applied to the plain-mode search engine
-  /// (never a certificate — see WarmImport). Shared, not owned; excluded
-  /// from the cache key for the same reason as `incremental`.
-  std::shared_ptr<const WarmImport> warm_import;
   /// Record the winning labels and per-node realizations in
   /// FlowResult::artifacts so the invariant auditor (verify/audit.hpp) can
   /// independently re-check the run. Off by default: the artifacts hold a

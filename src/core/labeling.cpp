@@ -355,31 +355,6 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
     }
   }
 
-  // φ-sensitive gates: a probe at a new φ can only move the fanin bound of a
-  // gate with a registered fanin edge (w > 0), since φ enters L(v) solely as
-  // -φ·w. These seed the incremental dirty set; everything else becomes
-  // dirty only transitively, or is caught by the verification sweep.
-  phi_sensitive_.resize(static_cast<std::size_t>(num_comps));
-  for (int comp = 0; comp < num_comps; ++comp) {
-    for (const NodeId v : plans_[static_cast<std::size_t>(comp)].gates) {
-      for (const EdgeId e : c.fanin_edges(v)) {
-        if (c.edge(e).weight > 0) {
-          phi_sensitive_[static_cast<std::size_t>(comp)].push_back(v);
-          break;
-        }
-      }
-    }
-  }
-  dirty_.assign(n, 0);
-  // Cone-dependency metadata starts conservative: empty read-sets with zero
-  // eval stamps mean "never recorded", which the freshness check treats as
-  // stale, and the exposure bits force a first evaluation per gate.
-  cone_reads_.resize(n);
-  cone_phi_floor_.assign(n, std::numeric_limits<int>::max());
-  eval_stamp_.assign(n, 0);
-  raise_stamp_.assign(n, 0);
-  read_mark_.assign(n, 0);
-
   // Condensation wavefronts by longest-path depth: every condensation edge
   // strictly increases depth, so components of one wave share no path and
   // all their external fanins converged in earlier waves. Component indices
@@ -438,8 +413,6 @@ void LabelStats::accumulate(const LabelStats& from) {
   decomp_successes += from.decomp_successes;
   cache_hits += from.cache_hits;
   flow_augmentations += from.flow_augmentations;
-  nodes_skipped += from.nodes_skipped;
-  dirty_rounds += from.dirty_rounds;
   bdd_budget_hits += from.bdd_budget_hits;
   decomp_budget_hits += from.decomp_budget_hits;
   flow_budget_hits += from.flow_budget_hits;
@@ -454,70 +427,11 @@ void LabelEngine::merge_worker_stats(LabelStats& into) {
   }
 }
 
-int LabelEngine::eval_update_recorded(NodeId v, int phi, std::span<const int> labels,
-                                      LabelStats& stats, CutScratch& scratch) {
-  const std::int64_t tests_before = stats.cut_tests;
-  const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch);
-  eval_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
-  std::vector<NodeId>& reads = cone_reads_[static_cast<std::size_t>(v)];
-  if (stats.cut_tests == tests_before) {
-    // Early exit (l >= L(v)+1): no network was built, the verdict depends on
-    // the direct fanin labels alone (covered by fanout dirty propagation)
-    // and on φ only through a registered direct fanin (covered by the
-    // φ-sensitive seed) — so the cone metadata reduces to nothing.
-    reads.clear();
-    cone_phi_floor_[static_cast<std::size_t>(v)] = 0;
-    return updated;
-  }
-  // A cut test ran: the verdict read exactly the labels of the copies the
-  // expanded network interned (expansion, capacities and the flow all derive
-  // from those). φ enters only through the allowed bits of register-crossed
-  // copies, and lowering φ can only flip allowed -> mandatory, first at
-  // φ < (l(u)+1-H)/w — record the largest such threshold as the gate's
-  // φ-floor: above it, the identical network yields the identical verdict.
-  const ExpandedNetwork& net = scratch.net;
-  reads.clear();
-  const std::int64_t height = fanin_bound(c_, labels, phi, v);  // the query's H
-  int phi_floor = 0;
-  const int m = net.num_expanded_nodes();
-  for (int i = 0; i < m; ++i) {
-    const SeqCutNode id = net.copy(i);
-    if (read_mark_[static_cast<std::size_t>(id.node)] == 0) {
-      read_mark_[static_cast<std::size_t>(id.node)] = 1;
-      reads.push_back(id.node);
-    }
-    if (id.w > 0) {
-      const std::int64_t l = labels[static_cast<std::size_t>(id.node)];
-      const std::int64_t eff = l - static_cast<std::int64_t>(phi) * id.w;
-      if (eff + 1 <= height) {  // allowed now; may flip mandatory below the floor
-        const std::int64_t t = l + 1 - height;
-        if (t > 0) {
-          const std::int64_t f = (t + id.w - 1) / id.w;  // smallest safe φ
-          phi_floor = static_cast<int>(std::max<std::int64_t>(phi_floor, f));
-        }
-      }
-    }
-  }
-  for (const NodeId u : reads) read_mark_[static_cast<std::size_t>(u)] = 0;
-  cone_phi_floor_[static_cast<std::size_t>(v)] = phi_floor;
-  return updated;
-}
-
-bool LabelEngine::cone_reads_fresh(NodeId v) const {
-  const std::uint64_t at = eval_stamp_[static_cast<std::size_t>(v)];
-  if (at == 0) return false;  // never recorded
-  for (const NodeId u : cone_reads_[static_cast<std::size_t>(v)]) {
-    if (raise_stamp_[static_cast<std::size_t>(u)] > at) return false;
-  }
-  return true;
-}
-
 LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
                                                               std::vector<int>& labels,
                                                               LabelStats& stats,
                                                               CutScratch& scratch,
-                                                              std::int64_t sweep_budget,
-                                                              bool record_meta) {
+                                                              std::int64_t sweep_budget) {
   const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
   // PLD: the theorem's 6n bound with n = SCC size. Without PLD: the prior
   // criterion of n^2 iterations with n = circuit size (paper Section 4).
@@ -533,12 +447,9 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
     bool changed = false;
     for (const NodeId v : plan.gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      const int updated =
-          record_meta ? eval_update_recorded(v, phi, labels, stats, scratch)
-                      : label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch);
+      const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
-        if (record_meta) raise_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
         changed = true;
       }
     }
@@ -698,209 +609,6 @@ LabelEngine::CompOutcome LabelEngine::process_comp_parallel(int comp, int phi,
                                  options_.sweep_budget);
 }
 
-LabelEngine::CompOutcome LabelEngine::process_comp_incremental(int comp, int phi,
-                                                               std::vector<int>& labels,
-                                                               LabelStats& stats,
-                                                               CutScratch& scratch, bool meta_fast,
-                                                               bool hint_seeded) {
-  const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
-  const CsrTopology& topo = c_.topology();
-  const std::int64_t n = static_cast<std::int64_t>(plan.gates.size());
-  const int label_bound = c_.num_gates() + 1;
-
-  // Seed: gates whose fanin bound depends on φ directly, gates whose
-  // recorded φ-floor this probe undercuts (their cut network can change
-  // shape with φ even when no label they read did), plus any marks the
-  // caller placed from a dirty hint or cross-component propagation. A gate
-  // already at L(v)+1 under the new φ is exempt: its update is the early
-  // exit, a provable no-op, so hoisting that check out of the worklist
-  // skips the call entirely. A cut test also reads labels deeper in the
-  // expanded cone than the direct fanins, so fanout-only propagation can
-  // quiesce early on a reconvergent cone — the verification below closes
-  // exactly that gap.
-  const auto seed = [&](const NodeId v) {
-    const std::int64_t bound = fanin_bound(c_, labels, phi, v);
-    if (labels[static_cast<std::size_t>(v)] < bound + 1) {
-      dirty_[static_cast<std::size_t>(v)] = 1;
-    }
-  };
-  for (const NodeId v : phi_sensitive_[static_cast<std::size_t>(comp)]) seed(v);
-  if (meta_fast) {
-    for (const NodeId v : plan.gates) {
-      if (phi < cone_phi_floor_[static_cast<std::size_t>(v)]) seed(v);
-    }
-  }
-
-  // Worklist grinding pays only when the dirty frontier is small (adjacent-φ
-  // reseeds, one-gate mutations) AND the rounds can stand in for sweep work:
-  // under meta_fast the filtered verification sweep skips everything the
-  // rounds settled, and under a donor hint the rounds localize the mutation
-  // before the one full sweep the fallback needs. A metadata-less re-seed
-  // without a hint (a bisection probing after an infeasible verdict) gets
-  // neither discount — the fallback re-evaluates every gate regardless, so
-  // any round there is a duplicated warm-up; likewise a frontier covering a
-  // large share of the SCC (a multi-φ jump, or a diverging SCC where every
-  // gate keeps rising) is a near-cold iteration the sweeps run at strictly
-  // lower bookkeeping cost. Skipping the rounds is always sound: the marks
-  // stay for the filtered sweep's skip test (or are cleared ahead of the
-  // full-sweep fallback).
-  std::int64_t initial_dirty = 0;
-  for (const NodeId v : plan.gates) {
-    initial_dirty += dirty_[static_cast<std::size_t>(v)];
-  }
-  const bool grind = (meta_fast || hint_seeded) && 4 * initial_dirty <= n;
-
-  const std::int64_t round_cap = 6 * n + 2;  // same shape as the PLD sweep cap
-  int isolated_streak = 0;
-  for (std::int64_t round = 0; grind && round < round_cap; ++round) {
-    bool any_dirty = false;
-    for (const NodeId v : plan.gates) {
-      if (dirty_[static_cast<std::size_t>(v)] != 0) {
-        any_dirty = true;
-        break;
-      }
-    }
-    if (!any_dirty) break;  // quiescent; hand over to the verification sweep
-    ++stats.dirty_rounds;
-    std::int64_t processed = 0;
-    bool changed = false;
-    for (const NodeId v : plan.gates) {
-      if (dirty_[static_cast<std::size_t>(v)] == 0) continue;
-      dirty_[static_cast<std::size_t>(v)] = 0;
-      if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      // Hoisted early exit: a gate already at L(v)+1 cannot improve, so the
-      // update is the identity and the invocation itself is skipped. The
-      // bound is recomputed from the live labels, so this is exactly the
-      // callee's first branch and the trajectory is unchanged.
-      if (labels[static_cast<std::size_t>(v)] >= fanin_bound(c_, labels, phi, v) + 1) continue;
-      ++processed;
-      const int updated = eval_update_recorded(v, phi, labels, stats, scratch);
-      if (updated > labels[static_cast<std::size_t>(v)]) {
-        labels[static_cast<std::size_t>(v)] = updated;
-        raise_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
-        changed = true;
-        // The state-only divergence certificate (see process_comp_sequential)
-        // is a property of the labels alone, so it applies verbatim here.
-        if (updated > label_bound) return CompOutcome::kInfeasible;
-        const std::int32_t begin = topo.fanout_offset[static_cast<std::size_t>(v)];
-        const std::int32_t end = topo.fanout_offset[static_cast<std::size_t>(v) + 1];
-        for (std::int32_t s = begin; s < end; ++s) {
-          const NodeId t = topo.fanout_dst[static_cast<std::size_t>(s)];
-          if (topo.flag(t, CsrTopology::kUpdatableGate)) {
-            dirty_[static_cast<std::size_t>(t)] = 1;  // may land in a later comp
-          }
-        }
-      }
-    }
-    stats.nodes_skipped += n - processed;
-    // Advisory divergence probe: a still-rising SCC that is isolated from
-    // its support on consecutive rounds is almost surely diverging, so stop
-    // grinding cheap dirty rounds and hand over to the full-sweep loop,
-    // whose isolation criterion is proven for its sweep order. Never a
-    // certificate by itself — the worklist order differs from the theorem's.
-    if (changed) {
-      const bool isolated =
-          scc_isolated(topo, labels, phi, scc_.components[static_cast<std::size_t>(comp)],
-                       scc_.component_of, comp, scratch);
-      if (isolated) {
-        if (++isolated_streak >= 2) break;
-      } else {
-        isolated_streak = 0;
-      }
-    }
-  }
-  if (!meta_fast) {
-    // Residual marks (round cap or advisory exit) are superseded by the full
-    // sweeps; clear them so a later probe's seed is exact.
-    for (const NodeId v : plan.gates) dirty_[static_cast<std::size_t>(v)] = 0;
-    // Fixpoint verification and fallback in one: the full-sweep loop's first
-    // unchanged sweep proves convergence, and anything the fanout propagation
-    // missed is simply re-raised by regular sweeps. The labels entering here
-    // are valid lower bounds (monotone updates from a valid seed), so the
-    // least fixpoint — and every certificate — is unchanged. Recording along
-    // the way re-synchronizes the cone metadata: the final unchanged sweep
-    // evaluates every gate at the fixpoint, so the metadata describes exactly
-    // that state and the next warm probe may verify by freshness instead.
-    return process_comp_sequential(comp, phi, labels, stats, scratch, /*sweep_budget=*/0,
-                                   /*record_meta=*/true);
-  }
-
-  // Metadata-verified convergence: the same loop as process_comp_sequential,
-  // except that a gate that is not dirty and none of whose recorded reads
-  // rose since its last evaluation is skipped — its update is provably the
-  // identity (same labels read, and φ cannot move its verdict: φ-exposed and
-  // φ-sensitive gates were seeded, and a prefiltered gate early-exits before
-  // any cut test). Skipped updates are exact no-ops, so the label trajectory
-  // equals the full sweep's sweep by sweep, and the PLD divergence bound,
-  // isolation criterion and 6n cap all transfer unchanged. An all-skip sweep
-  // is therefore the same certificate as an unchanged full sweep.
-  const std::int64_t criterion_cap = 6 * n + 2;
-  bool isolated_last = false;
-  for (std::int64_t sweep = 0;; ++sweep) {
-    ++stats.sweeps;
-    bool changed = false;
-    for (const NodeId v : plan.gates) {
-      if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      if (dirty_[static_cast<std::size_t>(v)] == 0 && cone_reads_fresh(v)) {
-        ++stats.nodes_skipped;
-        continue;
-      }
-      dirty_[static_cast<std::size_t>(v)] = 0;
-      // Same hoisted early exit as the dirty rounds: an unimprovable gate's
-      // update is the identity, no invocation needed.
-      if (labels[static_cast<std::size_t>(v)] >= fanin_bound(c_, labels, phi, v) + 1) {
-        ++stats.nodes_skipped;
-        continue;
-      }
-      const int updated = eval_update_recorded(v, phi, labels, stats, scratch);
-      if (updated > labels[static_cast<std::size_t>(v)]) {
-        labels[static_cast<std::size_t>(v)] = updated;
-        raise_stamp_[static_cast<std::size_t>(v)] = ++meta_clock_;
-        changed = true;
-        if (updated > label_bound) return CompOutcome::kInfeasible;
-        const std::int32_t begin = topo.fanout_offset[static_cast<std::size_t>(v)];
-        const std::int32_t end = topo.fanout_offset[static_cast<std::size_t>(v) + 1];
-        for (std::int32_t s = begin; s < end; ++s) {
-          const NodeId t = topo.fanout_dst[static_cast<std::size_t>(s)];
-          if (topo.flag(t, CsrTopology::kUpdatableGate)) {
-            dirty_[static_cast<std::size_t>(t)] = 1;  // may land in a later comp
-          }
-        }
-      }
-    }
-    if (!changed) return CompOutcome::kConverged;
-    const bool isolated =
-        scc_isolated(topo, labels, phi, scc_.components[static_cast<std::size_t>(comp)],
-                     scc_.component_of, comp, scratch);
-    if (isolated && isolated_last) return CompOutcome::kInfeasible;  // positive loop
-    isolated_last = isolated;
-    if (sweep + 1 >= criterion_cap) return CompOutcome::kInfeasible;
-  }
-}
-
-void LabelEngine::import_warm(int phi, std::vector<int> labels, std::vector<NodeId> dirty_hint) {
-  TS_CHECK(phi >= 1, "imported warm seed requires phi >= 1");
-  TS_CHECK(!options_.enable_decomposition, "warm imports are plain-update only");
-  TS_CHECK(static_cast<std::int64_t>(labels.size()) == c_.num_nodes(),
-           "imported warm seed size mismatch");
-  // A genuinely converged entry at this phi is strictly better than any
-  // imported lower bound; keep it.
-  if (warm_.find(phi) != warm_.end()) return;
-  // Normalize to the base initialization: sources stay 0 and updatable gates
-  // start at 1, so a caller that left non-gate entries stale cannot poison
-  // the iteration's invariants.
-  const CsrTopology& topo = c_.topology();
-  for (NodeId v = 0; v < c_.num_nodes(); ++v) {
-    if (topo.flag(v, CsrTopology::kUpdatableGate)) {
-      labels[static_cast<std::size_t>(v)] = std::max(1, labels[static_cast<std::size_t>(v)]);
-    } else {
-      labels[static_cast<std::size_t>(v)] = 0;
-    }
-  }
-  warm_[phi] = std::move(labels);
-  warm_hint_[phi] = std::move(dirty_hint);
-}
-
 LabelResult LabelEngine::compute(int phi) {
   TS_CHECK(phi >= 1, "target ratio must be >= 1");
 
@@ -935,30 +643,10 @@ LabelResult LabelEngine::compute(int phi) {
   // pure functions of (cut, effective labels, height), independent of phi
   // and of the label trajectory.
   const bool warm_ok = !options_.enable_decomposition;
-  bool incremental = false;
-  int seed_phi = -1;
-  const std::vector<NodeId>* dirty_hint = nullptr;
+  bool seeded = false;
   if (const auto it = warm_.lower_bound(phi); warm_ok && it != warm_.end()) {
-    seed_phi = it->first;
-    const auto hint_it = warm_hint_.find(it->first);
-    if (incremental_active() && it->first == phi && hint_it == warm_hint_.end()) {
-      // Exact replay: warm entries at their own phi are stored only from
-      // clean feasible probes, so they ARE the least fixpoint (PO labels
-      // included) — the monotone iteration cannot move a single label.
-      result.labels = it->second;
-      result.feasible = true;
-      for (const NodeId po : c_.pos()) {
-        result.max_po_label =
-            std::max(result.max_po_label, result.labels[static_cast<std::size_t>(po)]);
-      }
-      result.stats.nodes_skipped = c_.num_gates();
-      return result;
-    }
     result.labels = it->second;
-    if (incremental_active()) {
-      incremental = true;
-      if (hint_it != warm_hint_.end()) dirty_hint = &hint_it->second;
-    }
+    seeded = true;
   } else {
     result.labels.assign(static_cast<std::size_t>(c_.num_nodes()), 0);
     for (NodeId v = 0; v < c_.num_nodes(); ++v) {
@@ -968,47 +656,17 @@ LabelResult LabelEngine::compute(int phi) {
     }
   }
 
-  // Cone-dependency metadata only certifies skips when it describes exactly
-  // the fixpoint this probe is seeded from (same warm entry, no imported
-  // hint). Any recorded probe rewrites the metadata, so it is invalidated up
-  // front and re-certified only on clean convergence below; unrecorded
-  // probes (parallel sweeps, non-incremental modes) never touch it.
-  const bool recorded = incremental || (threads_ == 1 && incremental_active());
-  const bool meta_fast =
-      incremental && meta_valid_ && dirty_hint == nullptr && seed_phi == meta_phi_;
-  if (recorded) meta_valid_ = false;
-
-  if (incremental) {
-    // Warm-seeded plain-update probe: dirty-set iteration per component,
-    // sequentially in condensation order even when threads_ > 1 — cross-
-    // component dirty propagation needs the shared dirty_ array, and the
-    // converged labels are thread-count independent anyway (unique least
-    // fixpoint), so only per-run stats would differ.
-    const CsrTopology& topo = c_.topology();
-    std::fill(dirty_.begin(), dirty_.end(), 0);
-    if (dirty_hint != nullptr) {
-      for (const NodeId v : *dirty_hint) {
-        if (v >= 0 && v < c_.num_nodes() && topo.flag(v, CsrTopology::kUpdatableGate)) {
-          dirty_[static_cast<std::size_t>(v)] = 1;
-        }
-      }
-    }
-    CutScratch& scratch = scratch_[static_cast<std::size_t>(caller_lane_)];
+  // A warm-seeded probe starts next to its fixpoint, where the in-place
+  // sequential sweep settles in fewer updates than the batched Jacobi order
+  // (which only sees a batch's updates after the batch), so it runs
+  // sequentially at any thread count. The least fixpoint is unique, so the
+  // labels do not depend on this choice.
+  if (threads_ == 1 || seeded) {
     for (int comp = 0; comp < static_cast<int>(scc_.components.size()); ++comp) {
       if (plans_[static_cast<std::size_t>(comp)].gates.empty()) continue;
-      const CompOutcome out = process_comp_incremental(comp, phi, result.labels, result.stats,
-                                                       scratch, meta_fast, dirty_hint != nullptr);
-      if (out != CompOutcome::kConverged) {
-        finish(out);
-        return result;
-      }
-    }
-  } else if (threads_ == 1) {
-    for (int comp = 0; comp < static_cast<int>(scc_.components.size()); ++comp) {
-      if (plans_[static_cast<std::size_t>(comp)].gates.empty()) continue;
-      const CompOutcome out = process_comp_sequential(comp, phi, result.labels, result.stats,
-                                                      scratch_[0], options_.sweep_budget,
-                                                      /*record_meta=*/recorded);
+      const CompOutcome out = process_comp_sequential(
+          comp, phi, result.labels, result.stats,
+          scratch_[static_cast<std::size_t>(caller_lane_)], options_.sweep_budget);
       if (out != CompOutcome::kConverged) {
         finish(out);
         return result;
@@ -1081,20 +739,8 @@ LabelResult LabelEngine::compute(int phi) {
   }
   finish(CompOutcome::kConverged);
   // Degraded labels are valid for this probe but not proven least-fixpoint
-  // lower bounds, so only clean probes seed future warm starts. A converged
-  // fixpoint supersedes any imported seed at the same phi.
-  if (warm_ok && result.status == Status::kOk) {
-    warm_[phi] = result.labels;
-    warm_hint_.erase(phi);
-    // A cleanly converged recorded probe leaves every gate's cone metadata
-    // describing its evaluation at this very fixpoint (the last sweep — full
-    // or all-skip — touched or certified every gate), so the next probe
-    // seeded from warm_[phi] may verify by read-set freshness alone.
-    if (recorded) {
-      meta_valid_ = true;
-      meta_phi_ = phi;
-    }
-  }
+  // lower bounds, so only clean probes seed future warm starts.
+  if (warm_ok && result.status == Status::kOk) warm_[phi] = result.labels;
   return result;
 }
 

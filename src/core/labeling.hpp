@@ -21,13 +21,14 @@
 // LabelEngine is the production entry point: one engine amortizes the graph
 // analysis (SCCs, condensation wavefronts, zero-weight levels), shares the
 // decomposition cache across probes, warm-starts each probe from the nearest
-// previously feasible phi, and runs label updates in parallel (independent
-// SCCs of a condensation wavefront concurrently; within an SCC, the gates of
-// one zero-weight topological level as a batch). Updates are computed against
-// the batch-start label snapshot and applied afterwards, so the iteration is
-// race-free and its trajectory is identical for every thread count > 1;
-// because labels form a monotone lower-bound iteration with a unique least
-// fixpoint, converged labels are identical to the sequential engine's.
+// previously feasible phi, and runs the updates of cold probes in parallel
+// (independent SCCs of a condensation wavefront concurrently; within an SCC,
+// the gates of one zero-weight topological level as a batch). Updates are
+// computed against the batch-start label snapshot and applied afterwards, so
+// the iteration is race-free and its trajectory is identical for every thread
+// count > 1; because labels form a monotone lower-bound iteration with a
+// unique least fixpoint, converged labels are identical to the sequential
+// engine's.
 
 #include <cstdint>
 #include <map>
@@ -56,20 +57,6 @@ struct LabelOptions {
   /// Concurrency of the label engine: 0 = hardware concurrency, 1 = the
   /// sequential legacy sweep order, N > 1 = at most N concurrent updates.
   int num_threads = 0;
-  /// Dirty-set incremental recomputation across φ probes: a warm-seeded
-  /// probe re-runs only nodes whose label bound can actually move (seeded
-  /// from the φ-sensitive and φ-exposed gates, propagated along fanouts),
-  /// then proves the fixpoint with a verification sweep. When the engine's
-  /// cone-dependency metadata matches the seed (the common descending-probe
-  /// case), the verification skips every gate whose recorded read-set is
-  /// untouched — quiescence itself certifies the fixpoint; otherwise one
-  /// full sweep closes the gap. Converged labels are bit-identical to a
-  /// cold run (the plain update is monotone with a unique least fixpoint).
-  /// Only active for the plain update rule with PLD on and no sweep budget —
-  /// decomposition probes always start cold and run full sweeps (the PR 1
-  /// warm-start rule), and the n²-criterion/sweep-budget ablation modes
-  /// keep their exact legacy sweep accounting.
-  bool incremental = true;
   /// Deadline / cancellation / resource ceilings; default is unlimited, and
   /// an unlimited budget leaves results bit-identical to the budget-free
   /// code. Copies share state, so the same budget governs the whole run.
@@ -85,11 +72,6 @@ struct LabelStats {
   std::int64_t decomp_successes = 0;
   std::int64_t cache_hits = 0;           // decomposition-memo hits
   std::int64_t flow_augmentations = 0;   // augmenting paths across all cut tests
-  // Incremental-recomputation counters (zero on cold/full-sweep probes).
-  std::int64_t nodes_skipped = 0;  // gates proven quiescent and skipped
-                                   // (dirty rounds, metadata-verified
-                                   // sweeps, hoisted early exits)
-  std::int64_t dirty_rounds = 0;   // dirty-worklist rounds run
   // Budget interference counters (all zero on an unlimited run).
   std::int64_t bdd_budget_hits = 0;     // attempts cut short by the BDD node ceiling
   std::int64_t decomp_budget_hits = 0;  // attempts refused by the attempt ceiling
@@ -126,13 +108,14 @@ struct DecompCache {
   std::vector<std::unordered_map<std::uint64_t, bool>> per_node;
 };
 
-/// Incremental, parallel label computation for a fixed circuit and options.
+/// Warm-started, parallel label computation for a fixed circuit and options.
 /// Construction precomputes the SCC condensation, its wavefronts and the
 /// zero-weight level batches; compute() may then be called for any sequence
 /// of target ratios. All probes of one engine share the decomposition cache,
 /// and each probe warm-starts from the converged labels of the nearest
 /// previously feasible phi >= the probe (labels are antitone in phi, so
 /// those labels are valid lower bounds that shortcut the iteration).
+/// Warm-seeded probes sweep sequentially; cold probes use the thread pool.
 class LabelEngine {
  public:
   LabelEngine(const Circuit& c, const LabelOptions& options);
@@ -141,17 +124,6 @@ class LabelEngine {
   /// engine and phi the result is deterministic, and converged labels are
   /// identical for every num_threads setting.
   LabelResult compute(int phi);
-
-  /// Imports externally derived labels as a warm seed for probes at
-  /// phi <= `phi` (plain update rule only). Caller contract: `labels` must
-  /// be a pointwise lower bound of the least fixpoint at `phi` — e.g. a
-  /// near-miss cache transfer where every node with a structurally changed
-  /// fanin cone was reset to its base label. The seed is never a
-  /// certificate: the iteration still proves the fixpoint (and any verdict)
-  /// itself, so results stay bit-identical to a cold run. `dirty_hint`
-  /// lists the gates reset below the donor fixpoint; incremental probes add
-  /// them to the initial dirty set.
-  void import_warm(int phi, std::vector<int> labels, std::vector<NodeId> dirty_hint);
 
  private:
   struct Batch {
@@ -170,37 +142,8 @@ class LabelEngine {
 
   CompOutcome process_comp_sequential(int comp, int phi, std::vector<int>& labels,
                                       LabelStats& stats, CutScratch& scratch,
-                                      std::int64_t sweep_budget, bool record_meta = false);
+                                      std::int64_t sweep_budget);
   CompOutcome process_comp_parallel(int comp, int phi, LabelResult& result);
-  /// Dirty-worklist iteration for a warm-seeded plain-update probe, followed
-  /// by the verification sweep. With `meta_fast` (cone-dependency metadata
-  /// matches the seed) the verification skips gates whose recorded read-set
-  /// is untouched since their last evaluation; otherwise it falls back to
-  /// the full-sweep loop (whose first unchanged sweep proves the fixpoint).
-  /// `hint_seeded` marks a donor-import probe whose caller pre-marked the
-  /// mutated gates; together with meta_fast it gates whether the dirty
-  /// rounds run at all (a metadata-less, hint-less re-seed goes straight to
-  /// the fallback, which costs exactly the cold iteration).
-  CompOutcome process_comp_incremental(int comp, int phi, std::vector<int>& labels,
-                                       LabelStats& stats, CutScratch& scratch, bool meta_fast,
-                                       bool hint_seeded);
-  /// label_update plus cone-dependency bookkeeping: stamps the evaluation,
-  /// and when a cut test ran, refreshes the gate's recorded read-set and
-  /// φ-floor from the expanded network it built. An early-exit evaluation
-  /// (l >= L+1, no network) depends on direct fanins only, so it clears
-  /// both.
-  int eval_update_recorded(NodeId v, int phi, std::span<const int> labels, LabelStats& stats,
-                           CutScratch& scratch);
-  /// True iff no label in v's recorded read-set has risen since v's last
-  /// recorded evaluation (so re-evaluating v is provably a no-op as long as
-  /// v is not dirty, φ-sensitive or φ-exposed).
-  bool cone_reads_fresh(NodeId v) const;
-  /// True iff warm-seeded probes may use the dirty-set machinery (see
-  /// LabelOptions::incremental for the gating rationale).
-  bool incremental_active() const {
-    return options_.incremental && !options_.enable_decomposition && options_.use_pld &&
-           options_.sweep_budget == 0;
-  }
   void merge_worker_stats(LabelStats& into);
 
   const Circuit& c_;
@@ -216,35 +159,6 @@ class LabelEngine {
   std::vector<LabelStats> lane_stats_;
   std::vector<int> batch_result_;        // Jacobi buffer for one level batch
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
-  /// Imported (near-miss) warm entries, keyed like warm_: their labels are
-  /// valid lower bounds but NOT converged fixpoints, so the exact-φ replay
-  /// shortcut must skip them; the value is the dirty hint for the seed.
-  std::map<int, std::vector<NodeId>> warm_hint_;
-  std::vector<std::vector<NodeId>> phi_sensitive_;  // per comp: gates with a registered fanin
-  std::vector<std::uint8_t> dirty_;                 // per-node dirty flags (incremental probes)
-
-  // Cone-dependency metadata for verification-free incremental probes. A cut
-  // test reads exactly the labels of the copies its expanded network interned
-  // (cone_reads_), and its verdict depends on φ only through the allowed bits
-  // of register-crossed copies: copy (u, w) is allowed iff l(u) - φ·w + 1 <=
-  // H, which as φ decreases can only flip allowed -> mandatory, and only once
-  // φ < (l(u)+1-H)/w. cone_phi_floor_ stores the largest such threshold over
-  // the recorded network, so the verdict is provably φ-independent for every
-  // probe φ >= floor as long as the labels it read are unchanged. Evaluations
-  // and raises are stamped on a shared monotone clock, so "no read label rose
-  // since my last evaluation" is one comparison per read. Recording runs only
-  // on the single-threaded sequential/incremental paths; meta_valid_
-  // certifies that every gate's metadata describes its evaluation at the
-  // fixpoint stored in warm_[meta_phi_] — only then may a probe seeded from
-  // that entry replace the full verification sweep with freshness checks.
-  std::vector<std::vector<NodeId>> cone_reads_;   // per gate: labels its last cut test read
-  std::vector<int> cone_phi_floor_;               // verdict φ-independent for φ >= floor
-  std::vector<std::uint64_t> eval_stamp_;         // meta clock at last recorded evaluation
-  std::vector<std::uint64_t> raise_stamp_;        // meta clock at last label raise
-  std::vector<std::uint8_t> read_mark_;           // harvest dedupe scratch
-  std::uint64_t meta_clock_ = 0;
-  bool meta_valid_ = false;
-  int meta_phi_ = 0;
 };
 
 /// Runs the label computation for target ratio phi (>= 1). One-shot

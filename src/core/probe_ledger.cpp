@@ -56,17 +56,13 @@ bool ProbeLedger::contains(const std::string& engine, LabelMode mode, int phi) c
 const ProbeRecord* ProbeLedger::find(const std::string& engine, LabelMode mode,
                                      int phi) const {
   for (const ProbeRecord& r : records_) {
-    // Seed-only records are provenance, not verdicts: they never answer a
-    // (mode, phi) query, so a genuine probe at the seed's phi still runs.
-    if (r.engine == engine && r.mode == mode && r.phi == phi && !r.seed_only) return &r;
+    if (r.engine == engine && r.mode == mode && r.phi == phi) return &r;
   }
   return nullptr;
 }
 
 void ProbeLedger::record(ProbeRecord r) {
-  // The no-reprobe rule keys on genuine verdicts; seed-only records may
-  // coexist with a later probe at the same (engine, mode, phi).
-  TS_CHECK(r.seed_only || !contains(r.engine, r.mode, r.phi),
+  TS_CHECK(!contains(r.engine, r.mode, r.phi),
            "phi=" + std::to_string(r.phi) + " (" + label_mode_name(r.mode) +
                (r.engine.empty() ? std::string() : ", engine " + r.engine) +
                ") probed twice in one run");

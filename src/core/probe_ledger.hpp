@@ -76,16 +76,6 @@ struct ProbeRecord {
   /// here (e.g. TurboMap's UB labels seeding the TurboSYN scan). Imported
   /// records carry no stats and no wall time — the originating probe does.
   bool imported = false;
-  /// Provenance-only record of a warm seed (near-miss cache transfer): the
-  /// labels were used purely as a lower-bound starting point, never as a
-  /// certificate. Seed-only records are invisible to find()/contains() — a
-  /// genuine probe at the same (mode, φ) may still run and be recorded —
-  /// and the auditor excludes them from the uniqueness, certification and
-  /// rejection-witness checks. Always has `imported` set and feasible=false.
-  bool seed_only = false;
-  /// The probe ran the dirty-set incremental iteration (warm-seeded plain
-  /// update); converged labels are bit-identical either way.
-  bool incremental = false;
   std::uint64_t label_hash = 0;  // hash_labels() when feasible, else 0
   int max_po_label = 0;
   LabelStats stats;

@@ -13,27 +13,6 @@ void PhiSearchStage::run(FlowContext& ctx) {
   LabelEngine engine(ctx.input, lopts);
   FlowResult& result = ctx.result;
 
-  // Near-miss warm seed: valid lower bounds at some φ*, plain mode only.
-  // The engine treats them exactly like its own cross-φ warm starts — probes
-  // at φ <= φ* seed from them and still prove the fixpoint — and the ledger
-  // keeps a seed-only provenance record (never a verdict: a genuine probe at
-  // φ* may still run and be recorded).
-  if (const WarmImport* wi = ctx.options.warm_import.get();
-      wi != nullptr && config_.mode == LabelMode::kPlain && wi->phi >= 1 &&
-      static_cast<int>(wi->labels.size()) == static_cast<int>(ctx.input.num_nodes())) {
-    engine.import_warm(wi->phi, wi->labels, wi->dirty_hint);
-    ProbeRecord seed_rec;
-    seed_rec.phi = wi->phi;
-    seed_rec.mode = LabelMode::kPlain;
-    seed_rec.outcome = ProbeOutcome::kOk;
-    seed_rec.feasible = false;  // a seed certifies nothing
-    seed_rec.imported = true;
-    seed_rec.seed_only = true;
-    seed_rec.label_hash = hash_labels(wi->labels);
-    ctx.ledger.record(std::move(seed_rec));
-    ctx.count("warm_imports", 1);
-  }
-
   const auto interrupted_before_probe = [&] {
     if (!lopts.budget.interrupted()) return false;
     result.status = combine_status(result.status, lopts.budget.check());

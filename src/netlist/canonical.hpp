@@ -44,8 +44,7 @@ CanonicalForm canonical_circuit_form(const Circuit& c);
 /// name) with PIs first, then gates, then POs. Position i of the result is
 /// the input NodeId serialized at canonical index i. The flow cache stores
 /// per-node payloads (label vectors) in this order so they survive parses
-/// that assigned different input ids, and so near-miss transfers can match
-/// nodes of two different circuits by name.
+/// that assigned different input ids.
 std::vector<NodeId> canonical_node_order(const Circuit& c);
 
 }  // namespace turbosyn

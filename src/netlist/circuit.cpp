@@ -138,9 +138,8 @@ const CsrTopology& Circuit::topology() const {
     }
     std::uint8_t flags = 0;
     if (is_pi(v)) flags |= CsrTopology::kIsPi;
-    if (is_gate(v) && !fanin_edges(v).empty()) {
-      flags |= CsrTopology::kUpdatableGate;
-      if (node(v).finished && node(v).func.bit(0)) flags |= CsrTopology::kZeroUnsafe;
+    if (is_gate(v) && !fanin_edges(v).empty() && node(v).finished && node(v).func.bit(0)) {
+      flags |= CsrTopology::kZeroUnsafe;
     }
     topo->node_flags[static_cast<std::size_t>(v)] = flags;
   }

@@ -31,9 +31,8 @@ enum class NodeKind : std::uint8_t { kPi, kPo, kGate };
 /// drivers and weights in one contiguous run. `node_flags` folds the
 /// per-node predicates those loops branch on into a single byte load.
 struct CsrTopology {
-  static constexpr std::uint8_t kIsPi = 1;            // source: no fanins
-  static constexpr std::uint8_t kUpdatableGate = 2;   // gate with >= 1 fanin
-  static constexpr std::uint8_t kZeroUnsafe = 4;      // gate, f(0..0) == 1
+  static constexpr std::uint8_t kIsPi = 1;        // source: no fanins
+  static constexpr std::uint8_t kZeroUnsafe = 4;  // gate with fanins, f(0..0) == 1
 
   std::vector<std::int32_t> fanin_offset;   // num_nodes + 1
   std::vector<NodeId> fanin_src;            // driver per fanin slot, slot order

@@ -919,10 +919,8 @@ StatsSnapshot MappingServer::snapshot() const {
     snap.cache_misses = cache.misses();
     snap.cache_stores = cache.stores();
     snap.cache_rejects = cache.rejects();
-    snap.cache_near_hits = cache.near_hits();
     snap.cache_recovered_entries = cache.recovered_entries();
     snap.cache_recovered_tmp = cache.recovered_tmp();
-    snap.cache_recovered_sidecars = cache.recovered_sidecars();
     snap.cache_store_retries = cache.retries();
     snap.hot_hits = cache.hot_hits();
     snap.hot_evictions = cache.hot_evictions();
@@ -1004,7 +1002,6 @@ std::string render_stats_json(const StatsSnapshot& snap) {
     s += ",\"near_hits\":" + std::to_string(snap.cache_near_hits);
     s += ",\"recovered_entries\":" + std::to_string(snap.cache_recovered_entries);
     s += ",\"recovered_tmp\":" + std::to_string(snap.cache_recovered_tmp);
-    s += ",\"recovered_sidecars\":" + std::to_string(snap.cache_recovered_sidecars);
     s += ",\"store_retries\":" + std::to_string(snap.cache_store_retries);
     s += ",\"hot_hits\":" + std::to_string(snap.hot_hits);
     s += ",\"hot_evictions\":" + std::to_string(snap.hot_evictions);
@@ -1179,15 +1176,13 @@ std::string render_prometheus(const StatsSnapshot& snap) {
     prom_counter(out, "ts_cache_stores_total", "Entries persisted.", snap.cache_stores);
     prom_counter(out, "ts_cache_rejects_total",
                  "Unstorable (quarantined/degraded) results refused.", snap.cache_rejects);
-    prom_counter(out, "ts_cache_near_hits_total", "Near-miss warm-start donors served.",
-                 snap.cache_near_hits);
+    prom_counter(out, "ts_cache_near_hits_total",
+                 "Near-miss warm-start donors served (always 0).", snap.cache_near_hits);
     prom_counter(out, "ts_cache_recovered_entries_total",
                  "Torn or corrupt entries detected and absorbed.",
                  snap.cache_recovered_entries);
     prom_counter(out, "ts_cache_recovered_tmp_total",
                  "Stray tmp files garbage-collected.", snap.cache_recovered_tmp);
-    prom_counter(out, "ts_cache_recovered_sidecars_total",
-                 "Near-miss sidecars dropped.", snap.cache_recovered_sidecars);
     prom_counter(out, "ts_cache_store_retries_total",
                  "Store attempts re-run after transient failures.",
                  snap.cache_store_retries);

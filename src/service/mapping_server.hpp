@@ -113,10 +113,9 @@ struct StatsSnapshot {
   std::int64_t cache_misses = 0;
   std::int64_t cache_stores = 0;
   std::int64_t cache_rejects = 0;
-  std::int64_t cache_near_hits = 0;
+  std::int64_t cache_near_hits = 0;  // always 0: the cache keeps no near-miss index
   std::int64_t cache_recovered_entries = 0;
   std::int64_t cache_recovered_tmp = 0;
-  std::int64_t cache_recovered_sidecars = 0;
   std::int64_t cache_store_retries = 0;
   std::int64_t hot_hits = 0;
   std::int64_t hot_evictions = 0;

@@ -620,28 +620,14 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
         "flow recorded no probe ledger (FlowSYN-s, or a pre-pipeline result)");
   } else {
     std::optional<std::string> failure;
-    // Seed-only records are provenance (a warm-start import), not verdicts:
-    // they certify nothing, reject nothing, and may coexist with a genuine
-    // probe at the same (mode, phi) — every verdict check skips them.
     const auto find_probe = [&result](LabelMode mode, int phi) -> const ProbeRecord* {
       for (const ProbeRecord& rec : result.probes) {
-        if (!rec.seed_only && rec.engine == result.engine && rec.mode == mode &&
-            rec.phi == phi) {
-          return &rec;
-        }
+        if (rec.engine == result.engine && rec.mode == mode && rec.phi == phi) return &rec;
       }
       return nullptr;
     };
     std::map<std::tuple<std::string, int, int>, int> seen;
     for (const ProbeRecord& rec : result.probes) {
-      if (rec.seed_only) {
-        if (!rec.imported || rec.feasible) {
-          failure = "seed-only record at phi=" + std::to_string(rec.phi) +
-                    " claims a verdict (must be imported and infeasible)";
-          break;
-        }
-        continue;
-      }
       if (++seen[{rec.engine, static_cast<int>(rec.mode), rec.phi}] > 1) {
         failure = "phi=" + std::to_string(rec.phi) + " (" + label_mode_name(rec.mode) +
                   (rec.engine.empty() ? std::string() : ", engine " + rec.engine) +
@@ -783,7 +769,6 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
     if (!failure.has_value() && winner_pos != table.size()) {
       const bool po_limited = specs[winner_pos]->period_objective;
       for (const ProbeRecord& rec : result.probes) {
-        if (rec.seed_only) continue;
         bool known = false;
         for (const EngineRun& row : table) known = known || row.name == rec.engine;
         if (!known) {

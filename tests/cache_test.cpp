@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -175,105 +176,59 @@ TEST(FlowCacheRun, DistinctOptionsMissAndNullCachePassesThrough) {
 }
 
 // ---------------------------------------------------------------------------
-// Near-miss warm starts: a small edit retrieves the old entry as a seed
+// Legacy directories: files the cache does not own are left alone
 
-namespace {
-
-/// counter3 with gate n2's function edited (one minterm dropped): same PIs
-/// and POs, so the near-miss sketch matches the unedited circuit's.
-std::string counter3_edited_blif() {
-  std::string blif = counter3_blif();
-  const std::string cube = "0111 1\n";
-  const auto pos = blif.find(cube);
-  TS_CHECK(pos != std::string::npos, "sample drifted: expected n2 cube missing");
-  blif.erase(pos, cube.size());
-  return blif;
-}
-
-}  // namespace
-
-TEST(FlowCacheNearMiss, EditedCircuitWarmStartsAndStaysBitIdentical) {
-  const fs::path dir = test_dir("near");
-  const Circuit donor = read_blif_string(counter3_blif());
-  FlowOptions opt = small_options();
-  opt.collect_artifacts = true;
-
-  FlowCache cache(dir.string());
-  CacheRunInfo donor_info;
-  (void)run_flow_cached(FlowKind::kTurboMap, donor, opt, &cache, &donor_info);
-  ASSERT_TRUE(donor_info.stored);
-  EXPECT_FALSE(donor_info.near_miss);  // empty cache: nothing to seed from
-
-  const Circuit edited = read_blif_string(counter3_edited_blif());
-  ASSERT_NE(canonical_circuit_form(edited).hash, canonical_circuit_form(donor).hash);
-  ASSERT_EQ(make_cache_key(edited, opt, FlowKind::kTurboMap).near_sketch,
-            make_cache_key(donor, opt, FlowKind::kTurboMap).near_sketch);
-
-  const FlowResult cold = run_turbomap(edited, opt);
-
-  CacheRunInfo near_info;
-  const FlowResult seeded =
-      run_flow_cached(FlowKind::kTurboMap, edited, opt, &cache, &near_info);
-  EXPECT_FALSE(near_info.hit);
-  EXPECT_TRUE(near_info.near_miss);
-  EXPECT_TRUE(near_info.stored);
-  EXPECT_EQ(cache.near_hits(), 1);
-
-  // Bit-identical to the cold run: the seed accelerates, never decides.
-  EXPECT_EQ(fingerprint(seeded), fingerprint(cold));
-  EXPECT_EQ(write_blif_string(seeded.mapped, "m"), write_blif_string(cold.mapped, "m"));
-
-  // The import leaves a seed-only provenance record — never a verdict.
-  bool saw_seed = false;
-  for (const ProbeRecord& rec : seeded.probes) {
-    if (!rec.seed_only) continue;
-    saw_seed = true;
-    EXPECT_TRUE(rec.imported);
-    EXPECT_FALSE(rec.feasible);
+TEST(FlowCacheLegacyDir, StraySidecarIsIgnored) {
+  const fs::path dir = test_dir("legacy_sidecar");
+  const Circuit c = read_blif_string(counter3_blif());
+  const FlowOptions opt = small_options();
+  {
+    FlowCache cache(dir.string());
+    CacheRunInfo info;
+    (void)run_flow_cached(FlowKind::kTurboMap, c, opt, &cache, &info);
+    ASSERT_TRUE(info.stored);
   }
-  EXPECT_TRUE(saw_seed);
-  AuditOptions audit;
-  audit.seq_cycles = 64;
-  audit.seq_runs = 2;
-  const AuditReport report = audit_flow(edited, seeded, opt, audit);
-  EXPECT_TRUE(report.passed()) << report.breakdown();
-
-  // The seeded run stored its own entry; the replayed hit carries no
-  // seed-only records (they are provenance of one run, not artifacts).
-  CacheRunInfo hit_info;
-  const FlowResult replay =
-      run_flow_cached(FlowKind::kTurboMap, edited, opt, &cache, &hit_info);
-  EXPECT_TRUE(hit_info.hit);
-  EXPECT_FALSE(hit_info.near_miss);
-  EXPECT_EQ(fingerprint(replay), fingerprint(cold));
-  for (const ProbeRecord& rec : replay.probes) EXPECT_FALSE(rec.seed_only);
-  const AuditReport replay_report = audit_flow(edited, replay, opt, audit);
-  EXPECT_TRUE(replay_report.passed()) << replay_report.breakdown();
-}
-
-TEST(FlowCacheNearMiss, DisabledIncrementalAndForeignSketchSkipSeeding) {
-  const fs::path dir = test_dir("near_gate");
-  const Circuit donor = read_blif_string(counter3_blif());
-  FlowOptions opt = small_options();
+  // An old-format near-miss index sidecar pointing at the entry just stored,
+  // as older versions wrote next to every entry.
+  const CacheKey key = make_cache_key(c, opt, FlowKind::kTurboMap);
+  const fs::path sidecar = dir / "near_0123456789abcdef.tsni";
+  {
+    std::ofstream out(sidecar);
+    char hash[17];
+    std::snprintf(hash, sizeof(hash), "%016llx", static_cast<unsigned long long>(key.hash));
+    out << "turbosyn-near 1\n" << hash << '\n';
+  }
 
   FlowCache cache(dir.string());
+  const FlowCache::RecoveryStats rec = cache.recover();
+  EXPECT_EQ(rec.total(), 0);
+  EXPECT_TRUE(fs::exists(sidecar));  // not ours: neither read nor deleted
+  EXPECT_TRUE(fs::exists(cache.entry_path(key)));
+
+  // Exact hits still replay bit-identically.
+  const FlowResult cold = run_turbomap(c, opt);
   CacheRunInfo info;
-  (void)run_flow_cached(FlowKind::kTurboMap, donor, opt, &cache, &info);
-  ASSERT_TRUE(info.stored);
+  const FlowResult hit = run_flow_cached(FlowKind::kTurboMap, c, opt, &cache, &info);
+  EXPECT_TRUE(info.hit);
+  EXPECT_EQ(fingerprint(hit), fingerprint(cold));
 
-  // --no-incremental turns near-miss seeding off with it.
-  const Circuit edited = read_blif_string(counter3_edited_blif());
-  FlowOptions no_inc = opt;
-  no_inc.incremental = false;
-  (void)run_flow_cached(FlowKind::kTurboMap, edited, no_inc, &cache, &info);
-  EXPECT_FALSE(info.near_miss);
-  EXPECT_EQ(cache.near_hits(), 0);
+  // New entries store next to the stray file.
+  FlowOptions k5 = opt;
+  k5.k = 5;
+  (void)run_flow_cached(FlowKind::kTurboMap, c, k5, &cache, &info);
+  EXPECT_FALSE(info.hit);
+  EXPECT_TRUE(info.stored);
+  (void)run_flow_cached(FlowKind::kTurboMap, c, k5, &cache, &info);
+  EXPECT_TRUE(info.hit);
 
-  // A different interface is a different sketch: no donor.
-  const Circuit foreign = bounded_sample(gray_counter_blif());
-  (void)run_flow_cached(FlowKind::kTurboMap, foreign, opt, &cache, &info);
-  EXPECT_FALSE(info.near_miss);
-  EXPECT_EQ(cache.near_hits(), 0);
+  // A second recovery pass still finds nothing torn, and leaves no tmp file.
+  EXPECT_EQ(cache.recover().total(), 0);
+  for (const auto& de : fs::directory_iterator(dir)) {
+    EXPECT_EQ(de.path().filename().string().find(".tmp."), std::string::npos)
+        << de.path();
+  }
+  EXPECT_EQ(cache.recovered_entries(), 0);
+  EXPECT_EQ(cache.recovered_tmp(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -138,8 +138,6 @@ const std::vector<SitePolicy>& flow_site_pool() {
       {"cache.entry.read", {"error", "throw", "delay:0"}},
       {"cache.entry.write", {"error", "throw", "partial:64", "delay:0"}},
       {"cache.entry.rename", {"error", "throw", "delay:0"}},
-      {"cache.sidecar.read", {"error", "throw", "delay:0"}},
-      {"cache.sidecar.write", {"error", "throw", "delay:0"}},
       {"driver.stage", {"error", "throw", "delay:0"}},
       {"driver.stage.ub-probe", {"error", "throw"}},
       {"driver.stage.phi-search", {"error", "throw"}},

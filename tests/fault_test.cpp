@@ -236,8 +236,7 @@ TEST(FailpointRegistry, EnvVariableArmsAndRejectsMalformed) {
 TEST(FailpointRegistry, KnownSitesCatalogCoversTheInstrumentedPaths) {
   const std::vector<std::string> sites = failpoint::known_sites();
   for (const char* expected : {"blif.read", "cache.entry.read", "cache.entry.write",
-                               "cache.entry.rename", "cache.sidecar.read",
-                               "cache.sidecar.write", "driver.stage", "batch.job",
+                               "cache.entry.rename", "driver.stage", "batch.job",
                                "batch.jsonl.write"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
         << "catalog is missing site " << expected;
@@ -403,54 +402,7 @@ TEST(FlowCacheFaults, HashCollisionIsACleanMissEvenUnderReadFault) {
   EXPECT_TRUE(cache.lookup(crafted.key).has_value());
 }
 
-TEST(FlowCacheFaults, GarbageSidecarIsACleanMissNeverAPoisonedImport) {
-  const fs::path dir = test_dir("sidecar");
-  const Crafted crafted = crafted_entry();
-  FlowCache cache(dir.string());
-  const fs::path sidecar = dir / ("near_" + hex16(crafted.key.near_sketch) + ".tsni");
-  write_file(sidecar, "!! not a sidecar at all \x01\x02\x03");
-  EXPECT_FALSE(cache.lookup_near(crafted.key).has_value());
-  EXPECT_EQ(cache.recovered_sidecars(), 1);
-  // Truncated header (magic but no donor hash): same clean outcome.
-  write_file(sidecar, "turbosyn-near 1\n");
-  EXPECT_FALSE(cache.lookup_near(crafted.key).has_value());
-  EXPECT_EQ(cache.recovered_sidecars(), 2);
-}
-
-TEST(FlowCacheFaults, SidecarPointingAtTornDonorNeverImports) {
-  const fs::path dir = test_dir("torndonor");
-  const Crafted crafted = crafted_entry();
-  FlowCache cache(dir.string());
-  // A well-formed sidecar whose donor entry file is garbage.
-  const std::uint64_t donor_hash = 0x1234567890abcdefull;
-  write_file(dir / ("near_" + hex16(crafted.key.near_sketch) + ".tsni"),
-             "turbosyn-near 1\n" + hex16(donor_hash) + "\n");
-  write_file(dir / (hex16(donor_hash) + ".tsce"), "turbosyn-cache 3\ngarbage");
-  EXPECT_FALSE(cache.lookup_near(crafted.key).has_value());
-  EXPECT_EQ(cache.recovered_entries(), 1);  // the torn donor was detected
-}
-
-TEST(FlowCacheFaults, SidecarReadFaultMeansNoDonor) {
-  const fs::path dir = test_dir("sidecarread");
-  const Crafted crafted = crafted_entry();
-  FlowCache cache(dir.string());
-  failpoint::Scoped scoped("cache.sidecar.read=error");
-  EXPECT_FALSE(cache.lookup_near(crafted.key).has_value());
-  EXPECT_GE(failpoint::triggers("cache.sidecar.read"), 1);
-}
-
-TEST(FlowCacheFaults, SidecarWriteFaultStoresTheEntryWithoutTheIndex) {
-  const fs::path dir = test_dir("sidecarwrite");
-  const Crafted crafted = crafted_entry();
-  FlowCache cache(dir.string());
-  failpoint::Scoped scoped("cache.sidecar.write=error*1");
-  ASSERT_TRUE(cache.store(crafted.key, crafted.entry));
-  EXPECT_TRUE(cache.lookup(crafted.key).has_value());
-  EXPECT_FALSE(
-      fs::exists(dir / ("near_" + hex16(crafted.key.near_sketch) + ".tsni")));
-}
-
-TEST(FlowCacheFaults, RecoverGCsStrayTmpTornEntriesAndDanglingSidecars) {
+TEST(FlowCacheFaults, RecoverGCsStrayTmpAndTornEntries) {
   const fs::path dir = test_dir("recover");
   const Crafted crafted = crafted_entry();
   FlowCache cache(dir.string());
@@ -458,21 +410,16 @@ TEST(FlowCacheFaults, RecoverGCsStrayTmpTornEntriesAndDanglingSidecars) {
 
   write_file(dir / (hex16(0) + ".tsce.tmp.123.4"), "half-written entry");
   write_file(dir / (hex16(0xffffffffffffffffull) + ".tsce"), "turbosyn-cache 3 torn");
-  write_file(dir / ("near_" + hex16(0x42) + ".tsni"),
-             "turbosyn-near 1\n" + hex16(0xdeadbeef) + "\n");  // donor missing
 
   const FlowCache::RecoveryStats stats = cache.recover();
   EXPECT_EQ(stats.stray_tmp, 1);
   EXPECT_EQ(stats.torn_entries, 1);
-  EXPECT_EQ(stats.dangling_sidecars, 1);
-  EXPECT_EQ(stats.total(), 3);
+  EXPECT_EQ(stats.total(), 2);
   EXPECT_EQ(cache.recovered_tmp(), 1);
   EXPECT_EQ(cache.recovered_entries(), 1);
-  EXPECT_EQ(cache.recovered_sidecars(), 1);
 
-  // The healthy entry and its sidecar survived, and a second pass is clean.
+  // The healthy entry survived, and a second pass is clean.
   EXPECT_TRUE(cache.lookup(crafted.key).has_value());
-  EXPECT_TRUE(fs::exists(dir / ("near_" + hex16(crafted.key.near_sketch) + ".tsni")));
   EXPECT_EQ(cache.recover().total(), 0);
 }
 

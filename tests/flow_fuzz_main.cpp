@@ -18,6 +18,11 @@
 //   - deadline-interrupted runs (every 5th seed: 0 ms deadline) still audit
 //     clean — the identity fallback must stay equivalent;
 //   - TurboMap and TurboSYN mappings are pairwise bounded-equivalent;
+//   - warm-start oracle: one LabelEngine driven through each flow's probe
+//     sequence (plain mode from TurboMap, decomposition mode from TurboSYN,
+//     at 1 and 4 threads) returns, at every φ, the same verdict, status and
+//     labels as a fresh compute_labels at that φ, and reproduces the verdict
+//     and label hash the flow's ledger recorded;
 //   - with --through-cache, every seed also replays TurboSYN through a fresh
 //     flow-artifact cache (src/cache): the populate run and the cache-hit run
 //     must both be bit-identical with the uncached run, the hit's probe
@@ -56,6 +61,7 @@
 #include "cache/cached_flow.hpp"
 #include "core/engines.hpp"
 #include "core/flows.hpp"
+#include "core/labeling.hpp"
 #include "core/portfolio.hpp"
 #include "netlist/blif.hpp"
 #include "verify/audit.hpp"
@@ -164,8 +170,8 @@ std::string fingerprint(const FlowResult& r) {
          std::to_string(r.pipeline_stages) + "|" + write_blif_string(r.mapped, "fp");
 }
 
-/// A copy of `c` with one gate's function complemented: the smallest
-/// near-miss edit — same interface and wiring, one local logic change.
+/// A copy of `c` with one gate's function complemented: the smallest edit —
+/// same interface and wiring, one local logic change.
 Circuit mutate_one_gate(const Circuit& c, std::uint64_t seed) {
   std::vector<NodeId> gates;
   for (NodeId v = 0; v < c.num_nodes(); ++v) {
@@ -196,6 +202,46 @@ Circuit mutate_one_gate(const Circuit& c, std::uint64_t seed) {
   }
   m.validate();
   return m;
+}
+
+/// Warm-start oracle for one label mode. The engine's cross-φ warm start
+/// (seeding each probe from the nearest feasible φ' >= φ) must never change
+/// a result: driven through the flow's own probe order, every probe has to
+/// match a fresh single-probe engine bit for bit, and the ledger the flow
+/// recorded. Imported ledger records (certificates carried over from another
+/// search) were never probed, so they are not part of the sequence.
+void check_warm_start(SeedOutcome& out, const Circuit& c, const FlowOptions& opt,
+                      const FlowResult& flow, LabelMode mode, const std::string& tag) {
+  std::vector<const ProbeRecord*> sequence;
+  for (const ProbeRecord& rec : flow.probes) {
+    if (rec.mode == mode && !rec.imported) sequence.push_back(&rec);
+  }
+  for (const int threads : {1, 4}) {
+    LabelOptions lopts = opt.label_options(mode == LabelMode::kDecomp);
+    lopts.num_threads = threads;
+    LabelEngine engine(c, lopts);
+    const std::string where = tag + " warm-start oracle (" + std::to_string(threads) + " threads)";
+    for (const ProbeRecord* rec : sequence) {
+      const std::string at = where + " at phi=" + std::to_string(rec->phi);
+      const LabelResult warm = engine.compute(rec->phi);
+      const LabelResult fresh = compute_labels(c, rec->phi, lopts);
+      expect(out, warm.feasible == fresh.feasible, at + ": verdict differs from a fresh run");
+      expect(out, warm.status == fresh.status, at + ": status differs from a fresh run");
+      if (warm.feasible && fresh.feasible) {
+        expect(out, warm.labels == fresh.labels, at + ": labels differ from a fresh run");
+        expect(out, warm.max_po_label == fresh.max_po_label,
+               at + ": max PO label differs from a fresh run");
+      }
+      // The flow ran single-threaded; decomposition labels may legitimately
+      // settle elsewhere under the batched parallel order, so the ledger tie
+      // is checked on the matching thread count.
+      if (threads == opt.num_threads) {
+        expect(out, warm.feasible == rec->feasible, at + ": verdict differs from the ledger");
+        expect(out, !warm.feasible || hash_labels(warm.labels) == rec->label_hash,
+               at + ": labels differ from the ledger's hash");
+      }
+    }
+  }
 }
 
 SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache) {
@@ -235,25 +281,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     expect(out, fingerprint(replay) == fingerprint(ts), "turbosyn replay is not bit-identical");
   }
 
-  // Incremental-vs-cold bit-identity: dirty-set warm starts must change the
-  // work counters only — phi, labels and the mapping stay identical. (The
-  // runs above used the default, incremental path.)
-  {
-    FlowOptions cold_opt = opt;
-    cold_opt.incremental = false;
-    const FlowResult tm_cold = run_turbomap(c, cold_opt);
-    expect(out, fingerprint(tm_cold) == fingerprint(tm),
-           "turbomap incremental and cold runs differ");
-    expect(out, tm_cold.artifacts.labels.labels == tm.artifacts.labels.labels,
-           "turbomap incremental and cold label vectors differ");
-    if (seed % 2 == 1) {
-      const FlowResult ts_cold = run_turbosyn(c, cold_opt);
-      expect(out, fingerprint(ts_cold) == fingerprint(ts),
-             "turbosyn incremental and cold runs differ");
-      expect(out, ts_cold.artifacts.labels.labels == ts.artifacts.labels.labels,
-             "turbosyn incremental and cold label vectors differ");
-    }
-  }
+  check_warm_start(out, c, opt, tm, LabelMode::kPlain, "turbomap");
+  check_warm_start(out, c, opt, ts, LabelMode::kDecomp, "turbosyn");
 
   // Tight resource ceilings: the run may degrade, but the result must still
   // audit clean and can only be worse than the unlimited run.
@@ -297,34 +326,11 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
            "through-cache: cache-hit probe ledger has non-imported records");
     if (warm_info.hit) audit_into(out, c, warm, opt, "turbosyn/through-cache", seed, cfg.verbose);
 
-    // Near-miss warm start: a one-gate edit of the same circuit retrieves
-    // the stored TurboMap entry as a donor seed; the seeded run must match
-    // its own cold (no-incremental) run bit for bit, the seed must never
-    // certify anything, and the result must still audit clean.
+    // TurboMap through the same store: its populate run must match too.
     if (seed % 2 == 0) {
-      CacheRunInfo tm_info;
-      const FlowResult tm_cached =
-          run_flow_cached(FlowKind::kTurboMap, c, opt, cache, &tm_info);
+      const FlowResult tm_cached = run_flow_cached(FlowKind::kTurboMap, c, opt, cache);
       expect(out, fingerprint(tm_cached) == fingerprint(tm),
              "through-cache: turbomap populate run differs from the uncached run");
-      const Circuit edited = mutate_one_gate(c, seed);
-      FlowOptions cold_opt = opt;
-      cold_opt.incremental = false;
-      const FlowResult edited_cold = run_turbomap(edited, cold_opt);
-      CacheRunInfo near_info;
-      const FlowResult seeded =
-          run_flow_cached(FlowKind::kTurboMap, edited, opt, cache, &near_info);
-      expect(out, !near_info.hit, "near-miss: edited circuit hit the exact cache");
-      expect(out, fingerprint(seeded) == fingerprint(edited_cold),
-             "near-miss: seeded run differs from the cold run");
-      bool seed_certifies = false;
-      for (const ProbeRecord& rec : seeded.probes) {
-        if (rec.seed_only && rec.feasible) seed_certifies = true;
-      }
-      expect(out, !seed_certifies, "near-miss: seed-only record claims a verdict");
-      if (near_info.near_miss) {
-        audit_into(out, edited, seeded, opt, "turbomap/near-miss", seed, cfg.verbose);
-      }
     }
   }
 
@@ -335,9 +341,7 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   // baselines), with audit-clean imported ledgers on the hits.
   if (cfg.hot_policy) {
     const Circuit edited = mutate_one_gate(c, seed);
-    FlowOptions cold_opt = opt;
-    cold_opt.incremental = false;
-    const FlowResult edited_baseline = run_turbosyn(edited, cold_opt);
+    const FlowResult edited_baseline = run_turbosyn(edited, opt);
 
     struct PolicyRun {
       std::string populate, populate_tm, populate_edited, hit, hit_edited;

@@ -160,7 +160,6 @@ TEST(Portfolio, MergedLedgerUniqueTaggedAndSound) {
   ASSERT_FALSE(race.probes.empty());
   for (const ProbeRecord& rec : race.probes) {
     EXPECT_TRUE(rec.engine == "turbomap" || rec.engine == "turbosyn") << rec.engine;
-    if (rec.seed_only) continue;
     const std::string key = rec.engine + "|" + std::to_string(static_cast<int>(rec.mode)) +
                             "|" + std::to_string(rec.phi);
     EXPECT_TRUE(keys.insert(key).second) << "duplicate probe " << key;

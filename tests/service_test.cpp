@@ -773,7 +773,6 @@ CacheKey synthetic_key(std::uint64_t n) {
   CacheKey key;
   key.text = "synthetic key " + std::to_string(n);
   key.hash = fnv1a64(key.text);  // lookup re-derives and checks this tie
-  key.near_sketch = key.hash ^ 0x5555555555555555ull;
   return key;
 }
 

@@ -189,7 +189,6 @@ STATS_MAP = {
     'ts_cache_near_hits_total': ('cache', 'near_hits'),
     'ts_cache_recovered_entries_total': ('cache', 'recovered_entries'),
     'ts_cache_recovered_tmp_total': ('cache', 'recovered_tmp'),
-    'ts_cache_recovered_sidecars_total': ('cache', 'recovered_sidecars'),
     'ts_cache_store_retries_total': ('cache', 'store_retries'),
     'ts_cache_hot_hits_total': ('cache', 'hot_hits'),
     'ts_cache_hot_evictions_total': ('cache', 'hot_evictions'),
