@@ -6,10 +6,12 @@
 //
 // BM_Flow* additionally time the four public flows end to end and attach
 // the per-stage StageMetrics breakdown as counters; see the comment above
-// set_flow_counters for the BENCH_flow.json invocation.
+// set_flow_counters for the BENCH_flow.json invocation. BM_PipelineRetime
+// times the pipeline + retime tail with its W/D-table work counters.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -26,6 +28,8 @@
 #include "core/portfolio.hpp"
 #include "decomp/roth_karp.hpp"
 #include "graph/max_flow.hpp"
+#include "retime/cycle_ratio.hpp"
+#include "retime/pipeline.hpp"
 #include "netlist/blif.hpp"
 #include "service/batch_runner.hpp"
 #include "sim/simulator.hpp"
@@ -303,6 +307,30 @@ void BM_FlowTurboMapPeriod(benchmark::State& state) {
   set_flow_counters(state, r);
 }
 BENCHMARK(BM_FlowTurboMapPeriod)->Unit(benchmark::kMillisecond);
+
+// The pipeline + retime tail alone on the largest Table-1 shape after
+// TurboMap: one W/D table build per iteration, then every (target, depth)
+// configuration solved from it.
+void BM_PipelineRetime(benchmark::State& state) {
+  const std::vector<BenchmarkSpec> suite = table1_suite();
+  const BenchmarkSpec& spec = *std::max_element(
+      suite.begin(), suite.end(),
+      [](const BenchmarkSpec& a, const BenchmarkSpec& b) { return a.num_gates < b.num_gates; });
+  FlowOptions opt;
+  opt.pipeline = false;
+  const Circuit mapped = run_turbomap(generate_fsm_circuit(spec), opt).mapped;
+  const Rational mdr = circuit_mdr(mapped).ratio;
+  PipelineResult p;
+  for (auto _ : state) {
+    Circuit c = mapped;
+    p = pipeline_and_retime(c, mdr);
+    benchmark::DoNotOptimize(p);
+  }
+  state.counters["wd_builds"] = benchmark::Counter(static_cast<double>(p.work.wd_builds));
+  state.counters["configs"] = benchmark::Counter(static_cast<double>(p.configs_tried));
+  state.counters["constraints"] = benchmark::Counter(static_cast<double>(p.work.constraints));
+}
+BENCHMARK(BM_PipelineRetime)->Unit(benchmark::kMillisecond);
 
 // Portfolio race over the registry engines, sequential (Arg 0: engines run
 // in list order, dominated engines are skipped) vs concurrent (Arg 1: lanes

@@ -17,11 +17,17 @@ void PipelineRetimeStage::run(FlowContext& ctx) {
       // so it is cycle-accurate equivalent to the input from the all-zero
       // state.
       Circuit pipelined = mapped;
-      const PipelineResult p = pipeline_and_retime(pipelined, 64, &ctx.options.budget);
+      // PackStage measured the MDR of this very network.
+      const PipelineResult p =
+          pipeline_and_retime(pipelined, result.exact_mdr, 64, &ctx.options.budget);
       result.period = p.period;
       result.pipeline_stages = p.stages;
       result.status = combine_status(result.status, p.status);
       ctx.count("retime_configs", p.configs_tried);
+      ctx.count("retime_wd_builds", p.work.wd_builds);
+      ctx.count("retime_constraints", p.work.constraints);
+      ctx.count("retime_bf_rounds", p.work.bf_rounds);
+      ctx.count("retime_conservative", p.exact ? 0 : 1);
       ctx.count("pipeline_stages", p.stages);
     }
     result.mapped = std::move(mapped);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/check.hpp"
-#include "retime/cycle_ratio.hpp"
 #include "retime/retiming.hpp"
 
 namespace turbosyn {
@@ -28,56 +27,48 @@ void pipeline_outputs(Circuit& c, int stages) {
   }
 }
 
-PipelineResult pipeline_and_retime(Circuit& c, int max_stages, const RunBudget* budget) {
-  const Rational mdr = circuit_mdr(c).ratio;
+PipelineResult pipeline_and_retime(Circuit& c, const Rational& mdr, int max_stages,
+                                   const RunBudget* budget) {
   const std::int64_t floor_target = std::max<std::int64_t>(1, mdr.ceil());
 
   std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
   for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
   std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
   pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
+  // One W/D table answers the fallback and every (target, depth) below.
+  RetimingTable table(c.to_digraph(), delay, pinned, c.pis(), c.pos(), max_stages);
 
   // Try the MDR bound first, then relax the target period; for each target,
   // grow the pipeline depth geometrically. The fallback (no pipelining,
   // plain min-period retiming) always succeeds.
-  Status status = Status::kOk;
+  PipelineResult result;
+  result.exact = table.exact();
   const auto stopped = [&] {
     if (budget == nullptr || !budget->interrupted()) return false;
-    status = budget->check();
+    result.status = budget->check();
     return true;
   };
-  const std::int64_t fallback =
-      min_period_retiming(c.to_digraph(), delay, pinned).period;
-  std::int64_t configs = 0;
-  for (std::int64_t target = floor_target; target < fallback && status == Status::kOk;
-       ++target) {
-    int stages = 1;
-    while (stages <= max_stages) {
+  const RetimeResult fallback = table.min_period();
+  for (std::int64_t target = floor_target;
+       target < fallback.period && result.status == Status::kOk; ++target) {
+    for (int stages = 1; stages <= max_stages; stages *= 2) {
       if (stopped()) break;
-      ++configs;
-      Digraph g = c.to_digraph();
-      for (const NodeId pi : c.pis()) {
-        for (const EdgeId e : g.fanout_edges(pi)) {
-          g.set_weight(e, g.edge(e).weight + stages);
-        }
-      }
-      for (const NodeId po : c.pos()) {
-        for (const EdgeId e : g.fanin_edges(po)) {
-          g.set_weight(e, g.edge(e).weight + stages);
-        }
-      }
-      if (auto r = feasible_retiming(g, delay, target, pinned)) {
+      ++result.configs_tried;
+      if (auto r = table.feasible(target, stages)) {
         pipeline_inputs(c, stages);
         pipeline_outputs(c, stages);
         apply_retiming(c, *r);
-        return PipelineResult{target, stages, configs, Status::kOk};
+        result.period = target;
+        result.stages = stages;
+        result.work = table.work();
+        return result;
       }
-      stages *= 2;
     }
   }
-  const RetimeResult best = min_period_retiming(c.to_digraph(), delay, pinned);
-  apply_retiming(c, best.r);
-  return PipelineResult{best.period, 0, configs, status};
+  apply_retiming(c, fallback.r);
+  result.period = fallback.period;
+  result.work = table.work();
+  return result;
 }
 
 }  // namespace turbosyn

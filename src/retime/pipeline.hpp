@@ -9,8 +9,10 @@
 
 #include <cstdint>
 
+#include "base/rational.hpp"
 #include "base/run_budget.hpp"
 #include "netlist/circuit.hpp"
+#include "retime/retiming.hpp"
 
 namespace turbosyn {
 
@@ -27,17 +29,23 @@ struct PipelineResult {
   /// (target period, depth) configurations tested by feasible retiming —
   /// the search's work metric, surfaced through trace/StageMetrics.
   std::int64_t configs_tried = 0;
+  /// False when the circuit was too large for exact retiming and the
+  /// conservative solver, which may miss the minimum period, decided.
+  bool exact = true;
+  /// W/D builds, constraints and Bellman–Ford rounds behind the result.
+  RetimeWork work;
   /// kOk unless the search was stopped by `budget` before it finished; the
   /// result is then the always-valid no-pipelining fallback.
   Status status = Status::kOk;
 };
 
 /// Minimizes the clock period using input pipelining + retiming. Searches
-/// target periods from max(1, ceil(MDR)) upward and pipeline depths up to
+/// target periods from max(1, ceil(mdr)) upward, where `mdr` is the
+/// circuit's MDR ratio (circuit_mdr(c).ratio), and pipeline depths up to
 /// max_stages; mutates the circuit to the winning configuration. `budget`
 /// (optional) is polled between candidate configurations: once it fires, the
 /// search stops and the plain min-period retiming fallback is applied.
-PipelineResult pipeline_and_retime(Circuit& c, int max_stages = 64,
+PipelineResult pipeline_and_retime(Circuit& c, const Rational& mdr, int max_stages = 64,
                                    const RunBudget* budget = nullptr);
 
 }  // namespace turbosyn

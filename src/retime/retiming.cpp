@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <tuple>
+#include <utility>
 
 #include "base/check.hpp"
 #include "graph/scc.hpp"
@@ -50,59 +52,93 @@ std::int64_t clock_period(const Digraph& g, std::span<const int> delay) {
 
 namespace {
 
-/// Exact retiming feasibility via Leiserson–Saxe difference constraints:
-/// W(u,v)/D(u,v) from per-source lexicographic Dijkstra, then Bellman–Ford
-/// on   r(u) - r(v) <= w(e)              (legality)
-///      r(u) - r(v) <= W(u,v) - 1        (whenever D(u,v) > c)
-///      r(p) = r(q)                      (pinned nodes share a lag)
-/// O(V E log V + V^2) building + O(V * #constraints) solving — used below
-/// for graphs small enough to afford it.
-std::optional<std::vector<int>> feasible_retiming_exact(const Digraph& g,
-                                                        std::span<const int> delay,
-                                                        std::int64_t c,
-                                                        std::span<const NodeId> pinned) {
-  const int n = g.num_nodes();
+/// Largest graph the exact solver is applied to; beyond it the conservative
+/// increment-only FEAS takes over (it never returns an illegal retiming, but
+/// may miss solutions that need lags below the pinned I/O). At the limit the
+/// int32 W/D pairs take about 27 MB.
+constexpr int kExactRetimingLimit = 1500;
+
+}  // namespace
+
+RetimingTable::RetimingTable(Digraph g, std::span<const int> delay,
+                             std::span<const NodeId> pinned, std::span<const NodeId> pis,
+                             std::span<const NodeId> pos, int max_stages)
+    : g_(std::move(g)),
+      delay_(delay.begin(), delay.end()),
+      pinned_(pinned.begin(), pinned.end()),
+      is_pi_(static_cast<std::size_t>(g_.num_nodes()), 0),
+      is_po_(static_cast<std::size_t>(g_.num_nodes()), 0),
+      max_stages_(max_stages),
+      exact_(g_.num_nodes() <= kExactRetimingLimit) {
+  TS_CHECK(static_cast<int>(delay_.size()) == g_.num_nodes(), "one delay per node required");
+  TS_CHECK(max_stages >= 0, "pipeline stage count must be non-negative");
+  for (const NodeId v : pis) {
+    TS_CHECK(g_.fanin_count(v) == 0, "a pipelined input has fanin");
+    is_pi_[static_cast<std::size_t>(v)] = 1;
+  }
+  for (const NodeId v : pos) {
+    TS_CHECK(g_.fanout_count(v) == 0, "a pipelined output has fanout");
+    is_po_[static_cast<std::size_t>(v)] = 1;
+  }
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    const auto& edge = g_.edge(e);
+    const int ends = is_pi_[static_cast<std::size_t>(edge.from)] +
+                     is_po_[static_cast<std::size_t>(edge.to)];
+    if (ends > 0) io_edges_.push_back({e, edge.weight, ends});
+  }
+}
+
+void RetimingTable::set_stages(int stages) {
+  TS_CHECK(stages >= 0 && stages <= max_stages_, "pipeline depth outside the table's range");
+  if (stages == stages_) return;
+  for (const IoEdge& io : io_edges_) g_.set_weight(io.e, io.base + std::int64_t{stages} * io.ends);
+  stages_ = stages;
+}
+
+std::optional<std::vector<int>> RetimingTable::feasible(std::int64_t c, int stages) {
+  TS_CHECK(c >= 0, "target period must be non-negative");
+  set_stages(stages);
+  for (const int d : delay_) {
+    if (d > c) return std::nullopt;  // a single node already exceeds the period
+  }
+  return exact_ ? solve_exact(c) : solve_conservative(c);
+}
+
+/// W(u,v)/D(u,v) of the un-pipelined graph from per-source lexicographic
+/// Dijkstra: O(V E log V + V^2), once per table.
+void RetimingTable::build() {
+  const int n = g_.num_nodes();
+  const int stages = stages_;
+  set_stages(0);
   // Lexicographic distance: (registers, -delay-sum-of-heads).
   struct Dist {
     std::int64_t w;
     std::int64_t neg_d;
-    bool operator>(const Dist& o) const {
-      return w != o.w ? w > o.w : neg_d > o.neg_d;
-    }
   };
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-
-  // Difference-constraint edges: r(u) - r(v) <= bound  ==  arc v -> u, bound.
-  struct Constraint {
-    NodeId u;
-    NodeId v;
-    std::int64_t bound;
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  const std::int64_t max_shift = 2 * std::int64_t{max_stages_};
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    TS_CHECK(g_.edge(e).weight + max_shift <= kInt32Max, "retiming edge weight exceeds int32");
+  }
+  rows_.resize(static_cast<std::size_t>(n));
+  std::vector<Dist> dist(static_cast<std::size_t>(n));
+  using Entry = std::tuple<std::int64_t, std::int64_t, NodeId>;  // (w, -d, node)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+  const auto offer = [&](NodeId to, std::int64_t w, std::int64_t neg_d) {
+    Dist& best = dist[static_cast<std::size_t>(to)];
+    if (w < best.w || (w == best.w && neg_d < best.neg_d)) {
+      best = Dist{w, neg_d};
+      queue.emplace(w, neg_d, to);
+    }
   };
-  std::vector<Constraint> constraints;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    constraints.push_back({g.edge(e).from, g.edge(e).to, g.edge(e).weight});
-  }
-  for (std::size_t i = 1; i < pinned.size(); ++i) {
-    constraints.push_back({pinned[i - 1], pinned[i], 0});
-    constraints.push_back({pinned[i], pinned[i - 1], 0});
-  }
-
   for (NodeId u = 0; u < n; ++u) {
     // Dijkstra from u; the source distance stays "unvisited" so that cycles
     // back to u produce a genuine W(u,u)/D(u,u).
-    std::vector<Dist> dist(static_cast<std::size_t>(n), Dist{kInf, 0});
-    using Entry = std::tuple<std::int64_t, std::int64_t, NodeId>;  // (w, -d, node)
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    const auto offer = [&](NodeId to, std::int64_t w, std::int64_t neg_d) {
-      Dist& best = dist[static_cast<std::size_t>(to)];
-      if (w < best.w || (w == best.w && neg_d < best.neg_d)) {
-        best = Dist{w, neg_d};
-        queue.emplace(w, neg_d, to);
-      }
-    };
-    for (const EdgeId e : g.fanout_edges(u)) {
-      const auto& edge = g.edge(e);
-      offer(edge.to, edge.weight, -static_cast<std::int64_t>(delay[static_cast<std::size_t>(edge.to)]));
+    std::fill(dist.begin(), dist.end(), Dist{kInf, 0});
+    for (const EdgeId e : g_.fanout_edges(u)) {
+      const auto& edge = g_.edge(e);
+      offer(edge.to, edge.weight, -static_cast<std::int64_t>(delay_[static_cast<std::size_t>(edge.to)]));
     }
     while (!queue.empty()) {
       const auto [w, neg_d, v] = queue.top();
@@ -111,25 +147,78 @@ std::optional<std::vector<int>> feasible_retiming_exact(const Digraph& g,
           dist[static_cast<std::size_t>(v)].neg_d != neg_d) {
         continue;  // stale entry
       }
-      for (const EdgeId e : g.fanout_edges(v)) {
-        const auto& edge = g.edge(e);
+      for (const EdgeId e : g_.fanout_edges(v)) {
+        const auto& edge = g_.edge(e);
         offer(edge.to, w + edge.weight,
-              neg_d - static_cast<std::int64_t>(delay[static_cast<std::size_t>(edge.to)]));
+              neg_d - static_cast<std::int64_t>(delay_[static_cast<std::size_t>(edge.to)]));
       }
     }
+    std::vector<Pair>& row = rows_[static_cast<std::size_t>(u)];
+    row.reserve(static_cast<std::size_t>(
+        std::count_if(dist.begin(), dist.end(), [&](const Dist& d) { return d.w < kInf; })));
     for (NodeId v = 0; v < n; ++v) {
-      if (dist[static_cast<std::size_t>(v)].w >= kInf) continue;
-      const std::int64_t total_delay =
-          -dist[static_cast<std::size_t>(v)].neg_d + delay[static_cast<std::size_t>(u)];
-      if (total_delay > c) {
-        constraints.push_back({u, v, dist[static_cast<std::size_t>(v)].w - 1});
+      const Dist& d = dist[static_cast<std::size_t>(v)];
+      if (d.w >= kInf) continue;
+      const std::int64_t total_delay = -d.neg_d + delay_[static_cast<std::size_t>(u)];
+      TS_CHECK(d.w + max_shift <= kInt32Max && total_delay <= kInt32Max,
+               "retiming W/D exceed int32");
+      row.push_back({v, static_cast<std::int32_t>(d.w), static_cast<std::int32_t>(total_delay)});
+    }
+  }
+  ++work_.wd_builds;
+  set_stages(stages);
+}
+
+/// Exact retiming feasibility via Leiserson–Saxe difference constraints,
+/// Bellman–Ford on
+///   r(u) - r(v) <= w(e)                                    (legality)
+///   r(p) = r(q)                                            (pinned nodes share a lag)
+///   r(u) - r(v) <= W(u,v) + stages·([u∈PI] + [v∈PO]) - 1   (whenever D(u,v) > c)
+/// with w and W of the graph pipelined by `stages`: O(V * #constraints).
+std::optional<std::vector<int>> RetimingTable::solve_exact(std::int64_t c) {
+  const int n = g_.num_nodes();
+  if (work_.wd_builds == 0) build();
+
+  // Difference-constraint edges: r(u) - r(v) <= bound  ==  arc v -> u, bound.
+  // The order (edges, pinned pairs, then W/D pairs by u then v) fixes the
+  // Bellman–Ford lags. The vector is reserved to its exact size: growing it
+  // would double the solve's peak memory.
+  struct Constraint {
+    NodeId u;
+    NodeId v;
+    std::int32_t bound;
+  };
+  std::size_t count = static_cast<std::size_t>(g_.num_edges()) +
+                      2 * (pinned_.empty() ? 0 : pinned_.size() - 1);
+  for (const std::vector<Pair>& row : rows_) {
+    count += static_cast<std::size_t>(
+        std::count_if(row.begin(), row.end(), [&](const Pair& p) { return p.d > c; }));
+  }
+  std::vector<Constraint> constraints;
+  constraints.reserve(count);
+  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+    const auto& edge = g_.edge(e);
+    constraints.push_back({edge.from, edge.to, static_cast<std::int32_t>(edge.weight)});
+  }
+  for (std::size_t i = 1; i < pinned_.size(); ++i) {
+    constraints.push_back({pinned_[i - 1], pinned_[i], 0});
+    constraints.push_back({pinned_[i], pinned_[i - 1], 0});
+  }
+  for (NodeId u = 0; u < n; ++u) {
+    const int u_shift = is_pi_[static_cast<std::size_t>(u)] * stages_;
+    for (const Pair& p : rows_[static_cast<std::size_t>(u)]) {
+      if (p.d > c) {
+        const int shift = u_shift + is_po_[static_cast<std::size_t>(p.v)] * stages_;
+        constraints.push_back({u, p.v, p.w + shift - 1});
       }
     }
   }
+  work_.constraints += static_cast<std::int64_t>(constraints.size());
 
   // Bellman–Ford from a virtual all-zero source; negative cycle = infeasible.
   std::vector<std::int64_t> r(static_cast<std::size_t>(n), 0);
   for (int round = 0; round <= n; ++round) {
+    ++work_.bf_rounds;
     bool relaxed = false;
     for (const Constraint& cst : constraints) {
       const std::int64_t cand = r[static_cast<std::size_t>(cst.v)] + cst.bound;
@@ -139,13 +228,13 @@ std::optional<std::vector<int>> feasible_retiming_exact(const Digraph& g,
       }
     }
     if (!relaxed) {
-      const std::int64_t base = pinned.empty() ? 0 : r[static_cast<std::size_t>(pinned[0])];
+      const std::int64_t base = pinned_.empty() ? 0 : r[static_cast<std::size_t>(pinned_[0])];
       std::vector<int> result(static_cast<std::size_t>(n));
       for (NodeId v = 0; v < n; ++v) {
         result[static_cast<std::size_t>(v)] = static_cast<int>(r[static_cast<std::size_t>(v)] - base);
       }
       // Safety: the retimed graph must be legal and meet the period.
-      const auto at = arrival_times(g, delay, result);
+      const auto at = arrival_times(g_, delay_, result);
       if (!at.has_value()) return std::nullopt;
       for (const std::int64_t a : *at) {
         if (a > c) return std::nullopt;
@@ -156,25 +245,10 @@ std::optional<std::vector<int>> feasible_retiming_exact(const Digraph& g,
   return std::nullopt;
 }
 
-/// Largest graph the exact solver is applied to; beyond it the conservative
-/// increment-only FEAS below takes over (it never returns an illegal
-/// retiming, but may miss solutions that need lags below the pinned I/O).
-constexpr int kExactRetimingLimit = 1500;
-
-}  // namespace
-
-std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<const int> delay,
-                                                  std::int64_t c, std::span<const NodeId> pinned) {
-  TS_CHECK(c >= 0, "target period must be non-negative");
-  const int n = g.num_nodes();
-  TS_CHECK(static_cast<int>(delay.size()) == n, "one delay per node required");
-  for (const int d : delay) {
-    if (d > c) return std::nullopt;  // a single node already exceeds the period
-  }
-  if (n <= kExactRetimingLimit) return feasible_retiming_exact(g, delay, c, pinned);
-
+std::optional<std::vector<int>> RetimingTable::solve_conservative(std::int64_t c) const {
+  const int n = g_.num_nodes();
   std::vector<bool> is_pinned(static_cast<std::size_t>(n), false);
-  for (const NodeId v : pinned) is_pinned[static_cast<std::size_t>(v)] = true;
+  for (const NodeId v : pinned_) is_pinned[static_cast<std::size_t>(v)] = true;
 
   std::vector<int> r(static_cast<std::size_t>(n), 0);
   // FEAS with pinned I/O: violators increment their lag; pinned nodes never
@@ -185,7 +259,7 @@ std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<co
   // unreachable; pipelining — extra registers at the PI/PO boundary, see
   // pipeline.hpp — is the transformation that restores that headroom.)
   for (int round = 0; round <= n; ++round) {
-    const auto at = arrival_times(g, delay, r);
+    const auto at = arrival_times(g_, delay_, r);
     if (!at.has_value()) return std::nullopt;  // zero-weight cycle appeared
     bool violated = false;
     bool any_movable = false;
@@ -200,8 +274,8 @@ std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<co
     }
     if (!violated) return r;
     if (!any_movable) return std::nullopt;  // only pinned nodes violate
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& edge = g.edge(e);
+    for (EdgeId e = 0; e < g_.num_edges(); ++e) {
+      const auto& edge = g_.edge(e);
       if (edge.weight + r[static_cast<std::size_t>(edge.to)] -
               r[static_cast<std::size_t>(edge.from)] <
           0) {
@@ -212,15 +286,15 @@ std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<co
   return std::nullopt;
 }
 
-RetimeResult min_period_retiming(const Digraph& g, std::span<const int> delay,
-                                 std::span<const NodeId> pinned) {
-  std::int64_t hi = clock_period(g, delay);
+RetimeResult RetimingTable::min_period() {
+  set_stages(0);
+  std::int64_t hi = clock_period(g_, delay_);
   std::int64_t lo = 0;
-  for (const int d : delay) lo = std::max<std::int64_t>(lo, d);
-  RetimeResult best{hi, std::vector<int>(static_cast<std::size_t>(g.num_nodes()), 0)};
+  for (const int d : delay_) lo = std::max<std::int64_t>(lo, d);
+  RetimeResult best{hi, std::vector<int>(static_cast<std::size_t>(g_.num_nodes()), 0)};
   while (lo < hi) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    if (auto r = feasible_retiming(g, delay, mid, pinned)) {
+    if (auto r = feasible(mid)) {
       best = RetimeResult{mid, std::move(*r)};
       hi = mid;
     } else {
@@ -228,6 +302,16 @@ RetimeResult min_period_retiming(const Digraph& g, std::span<const int> delay,
     }
   }
   return best;
+}
+
+std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<const int> delay,
+                                                  std::int64_t c, std::span<const NodeId> pinned) {
+  return RetimingTable(g, delay, pinned).feasible(c);
+}
+
+RetimeResult min_period_retiming(const Digraph& g, std::span<const int> delay,
+                                 std::span<const NodeId> pinned) {
+  return RetimingTable(g, delay, pinned).min_period();
 }
 
 namespace {

@@ -2,11 +2,13 @@
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
+#include "core/flows.hpp"
 #include "netlist/gates.hpp"
 #include "retime/cycle_ratio.hpp"
 #include "retime/pipeline.hpp"
 #include "retime/retiming.hpp"
 #include "sim/simulator.hpp"
+#include "verify/audit.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
@@ -142,7 +144,7 @@ TEST(CycleRatio, CombinationalLoopThrows) {
 TEST(Pipelining, ReachesTheMdrBoundOnPipelines) {
   // Purely feed-forward circuit: MDR = 0, so pipelining reaches period 1.
   Circuit c = pipeline_chain(std::vector<int>{0, 0, 0, 0, 0});
-  const PipelineResult p = pipeline_and_retime(c);
+  const PipelineResult p = pipeline_and_retime(c, circuit_mdr(c).ratio);
   EXPECT_EQ(p.period, 1);
   EXPECT_GE(p.stages, 1);
   EXPECT_EQ(circuit_clock_period(c), 1);
@@ -163,10 +165,107 @@ TEST(Pipelining, SuiteCircuitsReachCeilOfMdr) {
   for (const auto& spec : tiny_suite()) {
     Circuit c = generate_fsm_circuit(spec);
     const Rational mdr = circuit_mdr(c).ratio;
-    const PipelineResult p = pipeline_and_retime(c);
+    const PipelineResult p = pipeline_and_retime(c, mdr);
     EXPECT_GE(Rational(p.period), mdr) << spec.name;          // theory lower bound
     EXPECT_EQ(circuit_clock_period(c), p.period) << spec.name;  // achieved
   }
+}
+
+// ---- shared W/D table ----
+
+std::vector<int> delays_of(const Circuit& c) {
+  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
+  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
+  return delay;
+}
+
+std::vector<NodeId> io_of(const Circuit& c) {
+  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
+  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
+  return pinned;
+}
+
+/// One table, solved for every (target, stages), against the one-shot FEAS
+/// on an explicitly pipelined copy: same verdict, same lags.
+void expect_table_matches_pipelined_copy(const Circuit& c, const std::string& name) {
+  const std::vector<int> delay = delays_of(c);
+  const std::vector<NodeId> pinned = io_of(c);
+  RetimingTable table(c.to_digraph(), delay, pinned, c.pis(), c.pos(), 64);
+  ASSERT_TRUE(table.exact()) << name;
+  const std::int64_t lo = std::max<std::int64_t>(1, circuit_mdr(c).ratio.ceil());
+  const std::int64_t hi = circuit_clock_period(c);
+  ASSERT_LE(lo, hi) << name;
+  for (const int stages : {0, 1, 2, 4, 64}) {
+    Circuit piped = c;
+    pipeline_inputs(piped, stages);
+    pipeline_outputs(piped, stages);
+    const Digraph g = piped.to_digraph();
+    for (std::int64_t target = lo; target <= hi; ++target) {
+      const auto shared = table.feasible(target, stages);
+      const auto one_shot = feasible_retiming(g, delay, target, pinned);
+      ASSERT_EQ(shared.has_value(), one_shot.has_value())
+          << name << " target " << target << " stages " << stages;
+      if (shared.has_value()) {
+        EXPECT_EQ(*shared, *one_shot) << name << " target " << target << " stages " << stages;
+      }
+    }
+  }
+  EXPECT_EQ(table.work().wd_builds, 1) << name;
+}
+
+TEST(RetimingTable, MatchesOneShotOnPipelinedCopies) {
+  for (const auto& spec : tiny_suite()) {
+    expect_table_matches_pipelined_copy(generate_fsm_circuit(spec), spec.name);
+  }
+  FlowOptions opt;
+  opt.pipeline = false;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    BenchmarkSpec spec;
+    spec.name = "oracle" + std::to_string(seed);
+    spec.seed = 9100 + seed;
+    spec.num_pis = 4;
+    spec.num_pos = 3;
+    spec.num_gates = 60;
+    spec.feedback = 0.08;
+    spec.locality = 10;
+    const FlowResult r = run_turbomap(generate_fsm_circuit(spec), opt);
+    expect_table_matches_pipelined_copy(r.mapped, spec.name);
+  }
+}
+
+TEST(RetimingTable, PipelinedFlowBuildsTheTableOnce) {
+  FlowOptions opt;
+  const FlowResult r = run_turbomap(generate_fsm_circuit(tiny_suite()[2]), opt);
+  ASSERT_GT(r.pipeline_stages, 0);
+  const StageMetric* retime = r.stage_metrics.find("pipeline-retime");
+  ASSERT_NE(retime, nullptr);
+  EXPECT_GT(retime->counter("retime_configs"), 0);
+  EXPECT_EQ(retime->counter("retime_wd_builds"), 1);
+  EXPECT_GT(retime->counter("retime_constraints"), 0);
+  EXPECT_GT(retime->counter("retime_bf_rounds"), 0);
+  EXPECT_EQ(retime->counter("retime_conservative"), 0);
+}
+
+TEST(RetimingTable, ConservativeAboveTheExactLimitIsReported) {
+  // Wide I/O keeps the mapped network above the 1500-node exact limit.
+  BenchmarkSpec spec;
+  spec.name = "wide_io";
+  spec.seed = 4242;
+  spec.num_pis = 400;
+  spec.num_pos = 800;
+  spec.num_gates = 1200;
+  spec.max_fanin = 2;
+  spec.locality = 8;
+  const Circuit c = generate_fsm_circuit(spec);
+  FlowOptions opt;
+  const FlowResult r = run_turbomap(c, opt);
+  ASSERT_GT(r.mapped.num_nodes(), 1500);
+  const StageMetric* retime = r.stage_metrics.find("pipeline-retime");
+  ASSERT_NE(retime, nullptr);
+  EXPECT_EQ(retime->counter("retime_conservative"), 1);
+  EXPECT_EQ(retime->counter("retime_wd_builds"), 0);
+  const AuditReport report = audit_flow(c, r, opt, AuditOptions{});
+  EXPECT_TRUE(report.passed()) << report.breakdown();
 }
 
 }  // namespace
