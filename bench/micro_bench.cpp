@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the engineering-critical kernels:
-// truth-table composition, BDD construction and column multiplicity, the
-// Dinic K-cut test, Roth–Karp decomposition, the expanded-circuit build and
-// the sequential simulator. These are the inner loops that the per-sweep
+// truth-table composition, remap and cofactor, BDD construction from and
+// back to truth tables, column multiplicity, the Dinic K-cut test,
+// Roth–Karp decomposition, the expanded-circuit build and the sequential
+// simulator. These are the inner loops that the per-sweep
 // label computation cost (and hence every table) rests on.
 //
 // BM_Flow* additionally time the four public flows end to end and attach
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,6 +63,41 @@ void BM_TruthTableCompose(benchmark::State& state) {
 }
 BENCHMARK(BM_TruthTableCompose)->Arg(8)->Arg(12)->Arg(15);
 
+// The Roth–Karp reorder: a random permutation of all arity variables, and
+// (arg 1) a widening remap of arity-2 variables onto arity.
+void BM_TruthTableRemap(benchmark::State& state) {
+  const int arity = static_cast<int>(state.range(0));
+  const int from = state.range(1) != 0 ? arity - 2 : arity;
+  Rng rng(4);
+  const TruthTable t = random_tt(rng, from);
+  std::vector<int> var_map(static_cast<std::size_t>(arity));
+  std::iota(var_map.begin(), var_map.end(), 0);
+  for (int i = arity - 1; i > 0; --i) {
+    std::swap(var_map[static_cast<std::size_t>(i)],
+              var_map[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+  }
+  var_map.resize(static_cast<std::size_t>(from));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.remap(arity, var_map));
+  }
+}
+BENCHMARK(BM_TruthTableRemap)
+    ->Args({6, 0})
+    ->Args({10, 0})
+    ->Args({15, 0})
+    ->Args({15, 1});
+
+void BM_TruthTableCofactor(benchmark::State& state) {
+  Rng rng(5);
+  const TruthTable t = random_tt(rng, 13);
+  for (auto _ : state) {
+    for (int v = 0; v < t.num_vars(); ++v) {
+      benchmark::DoNotOptimize(t.cofactor(v, (v & 1) != 0));
+    }
+  }
+}
+BENCHMARK(BM_TruthTableCofactor);
+
 void BM_BddFromTruthTable(benchmark::State& state) {
   const int arity = static_cast<int>(state.range(0));
   Rng rng(2);
@@ -71,6 +108,18 @@ void BM_BddFromTruthTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddFromTruthTable)->Arg(10)->Arg(13)->Arg(15);
+
+void BM_BddToTruthTable(benchmark::State& state) {
+  const int arity = static_cast<int>(state.range(0));
+  Rng rng(6);
+  const TruthTable t = random_tt(rng, arity);
+  BddManager mgr(arity);
+  const BddRef f = mgr.from_truth_table(t);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mgr.to_truth_table(f, arity));
+  }
+}
+BENCHMARK(BM_BddToTruthTable)->Arg(10)->Arg(13);
 
 void BM_ColumnMultiplicityBdd(benchmark::State& state) {
   Rng rng(3);

@@ -16,6 +16,48 @@ void check_arity(int num_vars) {
            "truth table arity " << num_vars << " out of range [0, " << TruthTable::kMaxVars << "]");
 }
 
+// kProjection[v] is the in-word pattern of variable v < 6: bit i is set iff
+// bit v of i is. Every kernel below that acts on a variable inside a word
+// (projection, cofactor, swap, mux) is a shift and a mask by these.
+constexpr std::uint64_t kProjection[6] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
+};
+
+// Exchanges variables i < j of a table held in `words`, in place. Bits whose
+// i/j assignment is (1, 0) trade places with the matching (0, 1) bits:
+//  - both in-word: one delta-swap per word;
+//  - i in-word, j selecting words: a masked exchange between the word pair
+//    that differs in j;
+//  - both selecting words: whole-word swaps.
+void swap_vars(std::vector<std::uint64_t>& words, int i, int j) {
+  TS_ASSERT(i < j);
+  if (j < 6) {
+    const int shift = (1 << j) - (1 << i);
+    const std::uint64_t mask = kProjection[i] & ~kProjection[j];
+    for (auto& w : words) {
+      const std::uint64_t t = (w ^ (w >> shift)) & mask;
+      w ^= t | (t << shift);
+    }
+  } else if (i < 6) {
+    const int shift = 1 << i;
+    const std::uint64_t mask = ~kProjection[i];
+    const std::size_t step = std::size_t{1} << (j - 6);
+    for (std::size_t k = 0; k < words.size(); ++k) {
+      if (k & step) continue;
+      const std::uint64_t t = ((words[k] >> shift) ^ words[k | step]) & mask;
+      words[k | step] ^= t;
+      words[k] ^= t << shift;
+    }
+  } else {
+    const std::size_t lo = std::size_t{1} << (i - 6);
+    const std::size_t hi = std::size_t{1} << (j - 6);
+    for (std::size_t k = 0; k < words.size(); ++k) {
+      if ((k & lo) && !(k & hi)) std::swap(words[k], words[k - lo + hi]);
+    }
+  }
+}
+
 }  // namespace
 
 void TruthTable::mask_tail() {
@@ -39,12 +81,7 @@ TruthTable TruthTable::var(int num_vars, int index) {
   TS_CHECK(index >= 0 && index < num_vars, "variable index " << index << " out of range");
   TruthTable t(num_vars, word_count_for(num_vars));
   if (index < 6) {
-    // Periodic pattern within each word.
-    std::uint64_t pattern = 0;
-    for (int i = 0; i < 64; ++i) {
-      if ((i >> index) & 1) pattern |= std::uint64_t{1} << i;
-    }
-    std::fill(t.words_.begin(), t.words_.end(), pattern);
+    std::fill(t.words_.begin(), t.words_.end(), kProjection[index]);
   } else {
     // Whole words alternate in blocks of 2^(index-6).
     const std::size_t block = std::size_t{1} << (index - 6);
@@ -53,6 +90,24 @@ TruthTable TruthTable::var(int num_vars, int index) {
     }
   }
   t.mask_tail();
+  return t;
+}
+
+TruthTable TruthTable::mux(int var, const TruthTable& low, const TruthTable& high) {
+  TS_CHECK(low.num_vars_ == high.num_vars_, "arity mismatch in truth table mux");
+  TS_CHECK(var >= 0 && var < low.num_vars_, "mux variable out of range");
+  TruthTable t(low);
+  if (var < 6) {
+    const std::uint64_t sel = kProjection[var];
+    for (std::size_t k = 0; k < t.words_.size(); ++k) {
+      t.words_[k] = (low.words_[k] & ~sel) | (high.words_[k] & sel);
+    }
+  } else {
+    const std::size_t step = std::size_t{1} << (var - 6);
+    for (std::size_t k = 0; k < t.words_.size(); ++k) {
+      if (k & step) t.words_[k] = high.words_[k];
+    }
+  }
   return t;
 }
 
@@ -142,10 +197,7 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
   TruthTable t(*this);
   if (var < 6) {
     const int shift = 1 << var;
-    std::uint64_t keep = 0;
-    for (std::size_t i = 0; i < 64; ++i) {
-      if (((i >> var) & 1) == static_cast<std::size_t>(value)) keep |= std::uint64_t{1} << i;
-    }
+    const std::uint64_t keep = value ? kProjection[var] : ~kProjection[var];
     for (auto& w : t.words_) {
       const std::uint64_t sel = w & keep;
       w = value ? (sel | (sel >> shift)) : (sel | (sel << shift));
@@ -175,30 +227,60 @@ std::vector<int> TruthTable::support() const {
 TruthTable TruthTable::remap(int new_num_vars, std::span<const int> var_map) const {
   check_arity(new_num_vars);
   TS_CHECK(static_cast<int>(var_map.size()) == num_vars_, "remap needs one entry per variable");
-  TruthTable t(new_num_vars, word_count_for(new_num_vars));
-  const std::uint32_t out_bits = static_cast<std::uint32_t>(t.num_bits());
-  for (std::uint32_t out = 0; out < out_bits; ++out) {
-    std::uint32_t in = 0;
-    for (int v = 0; v < num_vars_; ++v) {
-      const int nv = var_map[v];
-      TS_CHECK(nv >= 0 && nv < new_num_vars, "remap target out of range");
-      if ((out >> nv) & 1) in |= std::uint32_t{1} << v;
-    }
-    if (bit(in)) t.set_bit(out, true);
+  std::uint32_t targets = 0;
+  for (const int nv : var_map) {
+    TS_CHECK(nv >= 0 && nv < new_num_vars, "remap target out of range");
+    TS_CHECK(!((targets >> nv) & 1), "remap targets must be distinct");
+    targets |= std::uint32_t{1} << nv;
   }
+
+  // Widen: the new variables num_vars_..new_num_vars-1 are don't-cares, so
+  // replicate the table across them (within the word first, below 6).
+  TruthTable t(new_num_vars, word_count_for(new_num_vars));
+  std::uint64_t low = words_[0];
+  for (int v = num_vars_; v < 6; ++v) low |= low << (1 << v);
+  for (std::size_t k = 0; k < t.words_.size(); ++k) {
+    t.words_[k] = words_.size() == 1 ? low : words_[k % words_.size()];
+  }
+
+  // Complete var_map to a permutation (don't-cares take the unused targets
+  // in order), then sort variables into place with one swap per position.
+  // at[p] is the source variable currently sitting at position p.
+  int dest[kMaxVars] = {};
+  int at[kMaxVars] = {};
+  for (int v = 0, free_target = 0; v < new_num_vars; ++v) {
+    if (v < num_vars_) {
+      dest[v] = var_map[static_cast<std::size_t>(v)];
+    } else {
+      while ((targets >> free_target) & 1) ++free_target;
+      dest[v] = free_target++;
+    }
+    at[v] = v;
+  }
+  for (int p = 0; p < new_num_vars; ++p) {
+    int q = p;
+    while (dest[at[q]] != p) ++q;
+    if (q == p) continue;
+    swap_vars(t.words_, p, q);
+    std::swap(at[p], at[q]);
+  }
+  t.mask_tail();
   return t;
 }
 
 TruthTable TruthTable::drop_var(int var) const {
   TS_CHECK(var >= 0 && var < num_vars_, "drop_var variable out of range");
   TS_CHECK(!depends_on(var), "cannot drop a variable in the support");
-  TruthTable t(num_vars_ - 1, word_count_for(num_vars_ - 1));
-  const std::uint32_t out_bits = static_cast<std::uint32_t>(t.num_bits());
-  for (std::uint32_t out = 0; out < out_bits; ++out) {
-    const std::uint32_t low = out & ((std::uint32_t{1} << var) - 1);
-    const std::uint32_t high = (out >> var) << (var + 1);
-    if (bit(high | low)) t.set_bit(out, true);
+  // Rotate var to the top (the others keep their order), then keep the low
+  // half: f does not depend on var, so that half is the whole function.
+  std::vector<int> var_map(static_cast<std::size_t>(num_vars_));
+  for (int v = 0; v < num_vars_; ++v) {
+    var_map[static_cast<std::size_t>(v)] = v < var ? v : (v == var ? num_vars_ - 1 : v - 1);
   }
+  TruthTable t = remap(num_vars_, var_map);
+  t.num_vars_ = num_vars_ - 1;
+  t.words_.resize(word_count_for(t.num_vars_));
+  t.mask_tail();
   return t;
 }
 

@@ -23,6 +23,9 @@ class TruthTable {
   static TruthTable constant(int num_vars, bool value);
   /// The projection function f = x_index over num_vars variables.
   static TruthTable var(int num_vars, int index);
+  /// The word-level multiplexer f = x_var ? high : low; both operands share
+  /// the result's arity.
+  static TruthTable mux(int var, const TruthTable& low, const TruthTable& high);
   /// From raw words; only the low 2^num_vars bits are used.
   static TruthTable from_words(int num_vars, std::span<const std::uint64_t> words);
   /// From a string of '0'/'1' of length 2^num_vars; character i is bit i.
@@ -58,6 +61,7 @@ class TruthTable {
 
   /// Re-expresses f over new_num_vars variables where old variable i becomes
   /// variable var_map[i]. var_map entries must be distinct and within range.
+  /// Word-level: about new_num_vars swaps of 2^(new_num_vars-6) words each.
   TruthTable remap(int new_num_vars, std::span<const int> var_map) const;
 
   /// Drops variable var (must not be in the support), shrinking arity by one;

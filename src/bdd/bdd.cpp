@@ -164,26 +164,18 @@ BddRef BddManager::cofactor_at(BddRef f, int boundary, std::uint32_t assignment)
   return f;
 }
 
-BddRef BddManager::from_tt_rec(const TruthTable& t, int msb_var, std::uint32_t offset,
-                               std::uint32_t len) {
-  // The table has been variable-reversed, so splitting the slice in half
-  // splits on reversed-variable msb_var, which corresponds to the original
-  // (= manager) variable t.num_vars()-1-msb_var; recursion therefore emits
-  // nodes top-down in manager order. Leaves read single bits.
-  if (len == 1) return t.bit(offset) ? one() : zero();
-  const BddRef lo = from_tt_rec(t, msb_var - 1, offset, len / 2);
-  const BddRef hi = from_tt_rec(t, msb_var - 1, offset + len / 2, len / 2);
-  return make_node(t.num_vars() - 1 - msb_var, lo, hi);
-}
-
 BddRef BddManager::from_truth_table(const TruthTable& t) {
   TS_CHECK(t.num_vars() <= num_vars_, "truth table has more variables than the manager");
-  const int m = t.num_vars();
-  if (m == 0) return t.bit(0) ? one() : zero();
-  std::vector<int> reverse(static_cast<std::size_t>(m));
-  for (int v = 0; v < m; ++v) reverse[static_cast<std::size_t>(v)] = m - 1 - v;
-  const TruthTable reversed = t.remap(m, reverse);
-  return from_tt_rec(reversed, m - 1, 0, static_cast<std::uint32_t>(reversed.num_bits()));
+  // Bottom-up over the table's own layout: after level v, sub[a] is the
+  // cofactor of t with variables 0..v-1 fixed to a. Every node made is a
+  // node of the final ROBDD, and each is made once.
+  std::vector<BddRef> sub(t.num_bits());
+  for (std::uint32_t a = 0; a < sub.size(); ++a) sub[a] = t.bit(a) ? one() : zero();
+  for (int v = t.num_vars() - 1; v >= 0; --v) {
+    const std::size_t half = std::size_t{1} << v;
+    for (std::size_t a = 0; a < half; ++a) sub[a] = make_node(v, sub[a], sub[a | half]);
+  }
+  return sub[0];
 }
 
 TruthTable BddManager::to_truth_table(BddRef f, int arity) const {
@@ -192,13 +184,12 @@ TruthTable BddManager::to_truth_table(BddRef f, int arity) const {
   auto build = [&](auto&& self, BddRef x) -> const TruthTable& {
     const auto it = memo.find(x);
     if (it != memo.end()) return it->second;
-    TruthTable result = TruthTable::constant(arity, false);
-    if (x == one()) {
-      result = TruthTable::constant(arity, true);
-    } else if (x != zero()) {
+    TruthTable result;
+    if (is_const(x)) {
+      result = TruthTable::constant(arity, x == one());
+    } else {
       TS_CHECK(var_of(x) < arity, "BDD depends on a variable beyond the requested arity");
-      const TruthTable v = TruthTable::var(arity, var_of(x));
-      result = (~v & self(self, low(x))) | (v & self(self, high(x)));
+      result = TruthTable::mux(var_of(x), self(self, low(x)), self(self, high(x)));
     }
     return memo.emplace(x, std::move(result)).first->second;
   };

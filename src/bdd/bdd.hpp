@@ -83,6 +83,10 @@ class BddManager {
   /// `assignment` give variables 0..boundary-1).
   BddRef cofactor_at(BddRef f, int boundary, std::uint32_t assignment) const;
 
+  /// The ROBDD of t (table variable i is level i), built bottom-up from the
+  /// table's natural layout, one level per pass. It makes exactly the nodes
+  /// of the result, so a node budget fires on the same tables whatever the
+  /// build order.
   BddRef from_truth_table(const TruthTable& t);
   /// Truth table of f over variables 0..arity-1; arity must cover support(f).
   TruthTable to_truth_table(BddRef f, int arity) const;
@@ -95,7 +99,6 @@ class BddManager {
   };
 
   BddRef make_node(int var, BddRef low, BddRef high);
-  BddRef from_tt_rec(const TruthTable& t, int msb_var, std::uint32_t offset, std::uint32_t len);
 
   int num_vars_;
   std::size_t node_budget_;

@@ -127,6 +127,52 @@ TEST(Bdd, CofactorAtWalksBoundAssignments) {
   EXPECT_EQ(mgr.to_truth_table(c11, 3), ~TruthTable::var(3, 2));
 }
 
+// The ROBDD of t by Shannon expansion through ite, top level first.
+BddRef shannon(BddManager& mgr, const TruthTable& t, int level) {
+  if (level == t.num_vars()) return t.bit(0) ? mgr.one() : mgr.zero();
+  const BddRef hi = shannon(mgr, t.cofactor(level, true), level + 1);
+  const BddRef lo = shannon(mgr, t.cofactor(level, false), level + 1);
+  return mgr.ite(mgr.var(level), hi, lo);
+}
+
+TEST(Bdd, FromTruthTableEqualsShannonBuild) {
+  Rng rng(23);
+  for (int vars = 0; vars <= 10; ++vars) {
+    BddManager mgr(vars);
+    for (int trial = 0; trial < 3; ++trial) {
+      const TruthTable t = random_tt(rng, vars);
+      EXPECT_EQ(mgr.from_truth_table(t), shannon(mgr, t, 0)) << "vars=" << vars;
+    }
+    if (vars > 0) {
+      EXPECT_EQ(mgr.from_truth_table(tt_xor(vars)), shannon(mgr, tt_xor(vars), 0));
+    }
+  }
+}
+
+TEST(Bdd, SaturationVerdictIsBuildOrderFree) {
+  // from_truth_table makes only the result's nodes, so a saturating budget
+  // of exactly that many nodes suffices and one fewer exhausts, whatever
+  // order the build visits them in.
+  Rng rng(29);
+  std::vector<TruthTable> tables{tt_xor(9), tt_and(7)};
+  for (const int vars : {3, 6, 9, 12}) tables.push_back(random_tt(rng, vars));
+  for (const TruthTable& t : tables) {
+    const int vars = t.num_vars();
+    BddManager exact(vars);
+    const BddRef root = exact.from_truth_table(t);
+    const std::size_t needed = exact.num_nodes();
+    EXPECT_EQ(needed, 2 + exact.dag_size(root));
+
+    BddManager enough(vars, needed, BddManager::OnBudget::kSaturate);
+    EXPECT_EQ(enough.to_truth_table(enough.from_truth_table(t), vars), t);
+    EXPECT_FALSE(enough.exhausted());
+
+    BddManager short_one(vars, needed - 1, BddManager::OnBudget::kSaturate);
+    (void)short_one.from_truth_table(t);
+    EXPECT_TRUE(short_one.exhausted()) << "vars=" << vars;
+  }
+}
+
 TEST(Bdd, NodeBudgetIsEnforced) {
   BddManager mgr(16, /*node_budget=*/8);
   EXPECT_THROW(

@@ -107,6 +107,92 @@ TEST(TruthTable, RemapCanWidenArity) {
   EXPECT_EQ(g, TruthTable::var(5, 4) ^ TruthTable::var(5, 1));
 }
 
+TruthTable random_words(Rng& rng, int vars) {
+  std::vector<std::uint64_t> words(vars <= 6 ? 1 : std::size_t{1} << (vars - 6));
+  for (auto& w : words) w = rng.next_u64();
+  return TruthTable::from_words(vars, words);
+}
+
+// The definition of remap, one output bit at a time: the oracle for the
+// word-level kernel.
+bool remap_bit(const TruthTable& f, std::span<const int> var_map, std::uint32_t out) {
+  std::uint32_t in = 0;
+  for (int v = 0; v < f.num_vars(); ++v) {
+    if ((out >> var_map[static_cast<std::size_t>(v)]) & 1) in |= std::uint32_t{1} << v;
+  }
+  return f.bit(in);
+}
+
+TEST(TruthTable, RemapMatchesBitwiseDefinition) {
+  Rng rng(2406);
+  for (int n = 0; n <= TruthTable::kMaxVars; ++n) {
+    for (int wide = n; wide <= TruthTable::kMaxVars; ++wide) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const TruthTable f = random_words(rng, n);
+        // A random injective map: the first n entries of a shuffled 0..wide-1.
+        std::vector<int> targets(static_cast<std::size_t>(wide));
+        for (int i = 0; i < wide; ++i) targets[static_cast<std::size_t>(i)] = i;
+        for (int i = wide - 1; i > 0; --i) {
+          std::swap(targets[static_cast<std::size_t>(i)],
+                    targets[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+        }
+        const std::span<const int> var_map(targets.data(), static_cast<std::size_t>(n));
+        const TruthTable g = f.remap(wide, var_map);
+        ASSERT_EQ(g.num_vars(), wide);
+        const bool exhaustive = wide <= 12;
+        const std::uint32_t checks = exhaustive ? static_cast<std::uint32_t>(g.num_bits()) : 4096;
+        for (std::uint32_t i = 0; i < checks; ++i) {
+          const std::uint32_t out =
+              exhaustive ? i : static_cast<std::uint32_t>(rng.next_below(g.num_bits()));
+          ASSERT_EQ(g.bit(out), remap_bit(f, var_map, out))
+              << "n=" << n << " wide=" << wide << " trial=" << trial << " out=" << out;
+        }
+        // Bits past 2^wide stay clear (mask_tail).
+        if (wide < 6) {
+          EXPECT_EQ(g.word(0) >> g.num_bits(), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(TruthTable, RemapRejectsDuplicateTargets) {
+  const TruthTable f = TruthTable::var(3, 0) & TruthTable::var(3, 1);
+  const int dup[3] = {0, 2, 2};
+  EXPECT_THROW((void)f.remap(3, dup), Error);
+  const int out_of_range[3] = {0, 1, 3};
+  EXPECT_THROW((void)f.remap(3, out_of_range), Error);
+}
+
+TEST(TruthTable, DropVarInvertsAWideningRemap) {
+  Rng rng(5);
+  for (int n = 1; n <= 10; ++n) {
+    for (int var = 0; var < n; ++var) {
+      // Random over the other variables, independent of var.
+      const TruthTable g = random_words(rng, n - 1);
+      std::vector<int> lift;
+      for (int v = 0; v < n; ++v) {
+        if (v != var) lift.push_back(v);
+      }
+      const TruthTable f = g.remap(n, lift);
+      EXPECT_FALSE(f.depends_on(var));
+      EXPECT_EQ(f.drop_var(var), g) << "n=" << n << " var=" << var;
+    }
+  }
+}
+
+TEST(TruthTable, MuxSelectsOnTheVariable) {
+  Rng rng(9);
+  for (int n : {1, 4, 6, 7, 10}) {
+    const TruthTable lo = random_words(rng, n);
+    const TruthTable hi = random_words(rng, n);
+    for (int v = 0; v < n; ++v) {
+      const TruthTable x = TruthTable::var(n, v);
+      EXPECT_EQ(TruthTable::mux(v, lo, hi), (~x & lo) | (x & hi)) << "n=" << n << " v=" << v;
+    }
+  }
+}
+
 TEST(TruthTable, ComposeAppliesInnerFunctions) {
   // g(u, v) = u AND v; u = x0 XOR x1, v = x2 => overall (x0^x1) & x2.
   const TruthTable g = tt_and(2);
