@@ -8,7 +8,8 @@
 // BM_Flow* additionally time the four public flows end to end and attach
 // the per-stage StageMetrics breakdown as counters; see the comment above
 // set_flow_counters for the BENCH_flow.json invocation. BM_PipelineRetime
-// times the pipeline + retime tail with its W/D-table work counters.
+// times the pipeline + retime tail with its W/D-table work counters, and
+// BM_CacheHit a flow-cache hit served as a summary vs replayed for artifacts.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,7 @@
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
+#include "cache/cached_flow.hpp"
 #include "core/engines.hpp"
 #include "core/expanded.hpp"
 #include "core/flows.hpp"
@@ -381,6 +383,34 @@ void BM_PipelineRetime(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineRetime)->Unit(benchmark::kMillisecond);
 
+// One flow-cache hit on the first Table-1 shape under TurboMap, from the hot
+// tier: Arg 0 serves the stored summary (what the batch runner and the
+// daemon ask for), Arg 1 collects artifacts and so replays mapgen → pack →
+// pipeline-retime from the cached labels. hit_stages counts the stages the
+// hit ran (1 vs 4).
+void BM_CacheHit(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const Circuit c = generate_fsm_circuit(table1_suite()[0]);
+  const fs::path dir = fs::temp_directory_path() / "turbosyn_bench_cache_hit";
+  fs::remove_all(dir);
+  FlowCache cache(dir.string());
+  cache.enable_hot_tier(std::size_t{16} << 20);
+  FlowOptions opt;
+  (void)run_flow_cached(FlowKind::kTurboMap, c, opt, &cache);  // populate
+  opt.collect_artifacts = state.range(0) == 1;
+  CacheRunInfo info;
+  FlowResult r;
+  for (auto _ : state) {
+    r = run_flow_cached(FlowKind::kTurboMap, c, opt, &cache, &info);
+    benchmark::DoNotOptimize(r);
+  }
+  TS_CHECK(info.hit, "BM_CacheHit: the populated entry missed");
+  state.counters["hit_stages"] =
+      benchmark::Counter(static_cast<double>(r.stage_metrics.stages.size()));
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_CacheHit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 // Portfolio race over the registry engines, sequential (Arg 0: engines run
 // in list order, dominated engines are skipped) vs concurrent (Arg 1: lanes
 // race over the shared pool with first-to-certificate cancellation). Emit
@@ -422,7 +452,7 @@ BENCHMARK(BM_Portfolio)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 
 // Batch multi-circuit scheduler, cold (Arg 0: every iteration starts from an
 // empty artifact cache and populates it) vs warm (Arg 1: the cache is
-// pre-populated once, so every circuit replays its probe ledger). Emit
+// pre-populated once, so every circuit is a cache hit). Emit
 // machine-readable results with
 //   micro_bench --benchmark_filter=BM_Batch --benchmark_out=BENCH_batch.json
 //               --benchmark_out_format=json

@@ -86,7 +86,9 @@ int main(int argc, char** argv) {
     FlowOptions options;
     options.k = k;
     options.budget = cli.budget;
-    options.collect_artifacts = cli.audit;
+    // The mapped network is always written below, and a cache hit only
+    // regenerates it for a caller that collects artifacts.
+    options.collect_artifacts = true;
     options.trace = cli.trace();
     std::optional<FlowCache> cache;
     if (!cli.cache_dir.empty()) {

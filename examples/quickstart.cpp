@@ -39,7 +39,9 @@ int main(int argc, char** argv) {
   options.k = 4;
   options.num_threads = cli.threads;  // 0 = use every core for the label engine
   options.budget = cli.budget;        // unlimited unless budget flags were given
-  options.collect_artifacts = cli.audit;
+  // Step 5 prints the mapped network, which a cache hit only regenerates for
+  // a caller that collects artifacts.
+  options.collect_artifacts = true;
   options.trace = cli.trace();  // nullptr unless --trace-json was given
   std::optional<FlowCache> cache;  // --cache-dir: persistent artifact store
   if (!cli.cache_dir.empty()) {

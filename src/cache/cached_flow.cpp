@@ -53,27 +53,35 @@ void remap_entry_to_input_order(CacheEntry& entry, const Circuit& c) {
   }
 }
 
-/// Replays a hit's artifacts through the staged driver. `period_objective`
-/// selects the downstream config exactly as run_engine() would: mapgen caps
-/// relaxation at the PO labels and the timing tail retimes without
-/// pipelining. mapgen → pack → retime are deterministic functions of
-/// (circuit, labels, φ, options), so the replay is bit-identical to the
-/// stored run.
-FlowResult replay_from_entry(const std::string& trace_label, bool period_objective,
-                             const Circuit& c, const FlowOptions& options,
-                             const CacheEntry& entry) {
+/// Serves a hit. The cached-search stage imports the ledger either way (one
+/// stage span, one StageMetric). Without artifacts the entry's summary is the
+/// result and `mapped` stays empty; with them mapgen → pack → retime replay
+/// from the labels, bit-identical to the stored run. `period_objective` picks
+/// the replay config as run_engine() would (PO-capped relaxation, retiming
+/// without pipelining).
+FlowResult serve_hit(const std::string& trace_label, bool period_objective,
+                     const Circuit& c, const FlowOptions& options, const CacheEntry& entry) {
   const auto start = Clock::now();
   TraceSpan span(options.trace, trace_label + " (cache hit)");
   FlowDriver driver(c, options);
   StageList stages;
   stages.push_back(std::make_unique<CachedSearchStage>(entry));
-  stages.push_back(std::make_unique<MapGenStage>(/*po_label_limit=*/period_objective));
-  stages.push_back(std::make_unique<PackStage>());
-  stages.push_back(std::make_unique<PipelineRetimeStage>(
-      period_objective ? PipelineRetimeStage::Kind::kRetimeOnly
-                       : PipelineRetimeStage::Kind::kPipelineRetime));
+  if (options.collect_artifacts) {
+    stages.push_back(std::make_unique<MapGenStage>(/*po_label_limit=*/period_objective));
+    stages.push_back(std::make_unique<PackStage>());
+    stages.push_back(std::make_unique<PipelineRetimeStage>(
+        period_objective ? PipelineRetimeStage::Kind::kRetimeOnly
+                         : PipelineRetimeStage::Kind::kPipelineRetime));
+  }
   driver.run(stages);
   FlowResult result = driver.finish();
+  if (!options.collect_artifacts && result.status == Status::kOk) {
+    result.luts = entry.luts;
+    result.ffs = entry.ffs;
+    result.exact_mdr = Rational(entry.mdr_num, entry.mdr_den);
+    result.period = entry.period;
+    result.pipeline_stages = entry.pipeline_stages;
+  }
   result.seconds = seconds_since(start);
   return result;
 }
@@ -148,10 +156,8 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
   if (std::optional<CacheEntry> entry = cache->lookup(key);
       entry.has_value() && entry_fits(*entry, c) && entry->winner.empty()) {
     remap_entry_to_input_order(*entry, c);
-    FlowResult result =
-        replay_from_entry(std::string("flow:") + flow_kind_name(kind),
-                          kind == FlowKind::kTurboMapPeriod, c, options, *entry);
-    if (!options.collect_artifacts) result.artifacts = FlowArtifacts{};
+    FlowResult result = serve_hit(std::string("flow:") + flow_kind_name(kind),
+                                  kind == FlowKind::kTurboMapPeriod, c, options, *entry);
     if (info != nullptr) info->hit = true;
     trace_cache_counters(options.trace, *cache);
     return result;
@@ -190,11 +196,10 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
     if (winner != nullptr) {
       remap_entry_to_input_order(*entry, c);
       // The winner's option deltas governed the stored run; resolve them
-      // before replay so the regenerated mapping matches bit for bit.
-      FlowResult result = replay_from_entry("flow:portfolio", winner->period_objective, c,
-                                            winner->apply(options), *entry);
+      // before a replay so the regenerated mapping matches bit for bit.
+      FlowResult result = serve_hit("flow:portfolio", winner->period_objective, c,
+                                    winner->apply(options), *entry);
       result.engine = entry->winner;
-      if (!options.collect_artifacts) result.artifacts = FlowArtifacts{};
       if (info != nullptr) info->hit = true;
       trace_cache_counters(options.trace, *cache);
       return result;

@@ -1,18 +1,20 @@
 #pragma once
-// Cache-aware flow execution: replay a stored run without label probes.
+// Cache-aware flow execution: a stored run is a certified lookup.
 //
 // run_flow_cached() is a drop-in for run_flow() that consults a FlowCache.
 // On a miss it runs the flow normally and populates the store (exact runs
-// only — see FlowCache::storable). On a hit it replays the run through the
-// same staged FlowDriver, with the search stage replaced by a
+// only — see FlowCache::storable). On a hit the staged FlowDriver runs one
 // CachedSearchStage: every cached probe outcome re-enters the ProbeLedger as
 // an imported record (keeping its original verdict and provenance rules —
 // the ledger shows only imported entries, and a φ-1 rejection witness stays
-// available to the auditor), the winning labels are published directly, and
-// the driver proceeds straight to mapgen → pack → pipeline/retime. Those
-// stages are deterministic functions of (circuit, labels, φ, options), so a
-// hit is bit-identical to the uncached run — the flow-fuzz --through-cache
-// replay asserts exactly that.
+// available to the auditor) and the winning labels are published. Without
+// FlowOptions::collect_artifacts (the batch runner, the daemon) the entry's
+// validated summary is the result and FlowResult::mapped stays empty. With
+// it (the audit, blif_flow) the driver replays mapgen → pack →
+// pipeline/retime from the labels: deterministic functions of (circuit,
+// labels, φ, options), so that hit is bit-identical to the uncached run and
+// is the only way a hit produces `mapped`. The flow-fuzz --through-cache
+// lane checks both kinds of hit against the uncached run.
 //
 // FlowSYN-s runs no label search; it passes through uncached.
 
@@ -24,7 +26,7 @@ namespace turbosyn {
 
 /// What run_flow_cached did, for logs and result records.
 struct CacheRunInfo {
-  bool hit = false;     // the run was replayed from the store
+  bool hit = false;     // the run was served from the store
   bool stored = false;  // the run populated the store
 };
 
@@ -35,10 +37,10 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
 /// Cache-aware portfolio racing: run_portfolio() with a FlowCache in front.
 /// The key covers the ordered engine list with per-spec fingerprints
 /// (make_portfolio_cache_key). A hit resolves the stored winner against the
-/// requested engines, applies that spec's option deltas, and replays the
-/// winner's artifacts through the staged driver — bit-identical to re-racing,
+/// requested engines and serves it like run_flow_cached (an artifact replay
+/// runs under that spec's option deltas) — bit-identical to re-racing,
 /// because the race itself is bit-identical to running every engine and
-/// selecting with the shared comparator. The replayed result carries
+/// selecting with the shared comparator. The hit's result carries
 /// FlowResult::engine and the merged engine-tagged ledger but an empty
 /// portfolio table (no race happened, so there is nothing for the
 /// "portfolio" audit to re-verify). A race won by an engine without label

@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "base/failpoint.hpp"
-#include "netlist/blif.hpp"
 #include "netlist/canonical.hpp"
 
 namespace turbosyn {
@@ -210,7 +209,7 @@ std::optional<ParsedEntry> parse_entry_file(const std::string& path,
   entry.luts = static_cast<int>(r.integer());
   entry.ffs = r.integer();
   entry.mdr_num = r.integer();
-  entry.mdr_den = r.integer();
+  entry.mdr_den = r.integer();  // > 0: a summary hit builds Rational(num, den)
   entry.period = r.integer();
   entry.pipeline_stages = static_cast<int>(r.integer());
   r.expect("cost");
@@ -218,7 +217,7 @@ std::optional<ParsedEntry> parse_entry_file(const std::string& path,
 
   r.expect("probes");
   const std::int64_t num_probes = r.integer();
-  if (!r.ok() || !in_range(num_probes, 1, 1 << 20)) return std::nullopt;
+  if (!r.ok() || entry.mdr_den < 1 || !in_range(num_probes, 1, 1 << 20)) return std::nullopt;
   entry.probes.reserve(static_cast<std::size_t>(num_probes));
   for (std::int64_t i = 0; i < num_probes && r.ok(); ++i) {
     CachedProbe p;
@@ -251,8 +250,6 @@ std::optional<ParsedEntry> parse_entry_file(const std::string& path,
     entry.winning_labels.push_back(static_cast<int>(r.integer()));
   }
 
-  r.expect("blif");
-  entry.mapped_blif = r.raw(r.integer());
   r.expect("end");
   if (!r.ok()) return std::nullopt;
 
@@ -353,13 +350,12 @@ FlowCache::FlowCache(std::string dir) : dir_(std::move(dir)) {}
 namespace {
 
 /// Estimated resident size of one hot-tier entry: the dominant heap blocks
-/// (key text, mapped BLIF, labels, probes) plus the bookkeeping structs.
+/// (key text, labels, probes) plus the bookkeeping structs.
 /// An estimate is enough — the cap bounds memory to the right order, it is
 /// not an allocator ledger.
 std::size_t hot_entry_size(const std::string& key_text, const CacheEntry& entry) {
   return sizeof(CacheEntry) + 2 * sizeof(void*) + key_text.size() +
-         entry.mapped_blif.size() + entry.winning_labels.size() * sizeof(int) +
-         entry.probes.size() * sizeof(CachedProbe);
+         entry.winning_labels.size() * sizeof(int) + entry.probes.size() * sizeof(CachedProbe);
 }
 
 }  // namespace
@@ -529,7 +525,7 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit&
     p.label_hash = rec.label_hash;
     p.max_po_label = rec.max_po_label;
     // The winning record's hash certifies the labels as stored, i.e. in
-    // canonical order; replay recomputes it over the remapped vector. The
+    // canonical order; a hit recomputes it over the remapped vector. The
     // engine clause keeps a losing engine's record at the same (mode, φ)
     // from masquerading as the certificate.
     if (p.engine == entry.winner && p.mode == entry.mode && p.phi == entry.phi) {
@@ -552,7 +548,6 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit&
     if (rec.seconds > 0.0 && std::isfinite(rec.seconds)) cost += rec.seconds;
   }
   entry.flow_wall_seconds = cost;
-  entry.mapped_blif = write_blif_string(result.mapped, "mapped");
   return entry;
 }
 
@@ -633,7 +628,6 @@ bool FlowCache::store(const CacheKey& key, const CacheEntry& entry) {
   for (std::size_t i = 0; i < entry.winning_labels.size(); ++i) {
     os << entry.winning_labels[i] << (i + 1 == entry.winning_labels.size() ? '\n' : ' ');
   }
-  os << "blif " << entry.mapped_blif.size() << '\n' << entry.mapped_blif << '\n';
   os << "end\n";
 
   // Schema v3 trailer: length + FNV-1a checksum over the whole payload, so a

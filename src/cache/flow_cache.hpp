@@ -3,13 +3,13 @@
 //
 // A FlowCache maps a canonical key — the circuit's canonical structural form
 // (netlist/canonical.hpp) plus a fingerprint of every result-relevant flow
-// option — to the artifacts a finished run produced: the probe ledger, the
-// winning per-φ label vector, and the final FlowResult metrics and mapped
-// network. On a later run of the same (circuit, options, flow) the search
-// stage is replaced wholesale: cached probe outcomes re-enter the ledger as
-// imported records and the driver proceeds straight to mapping generation
-// (src/cache/cached_flow.hpp), which is deterministic from the labels, so
-// the cached run is bit-identical to the uncached one.
+// option — to what a finished run certified: the probe ledger, the winning
+// per-φ label vector and the result summary (φ, LUTs, FFs, exact MDR, period,
+// pipeline stages). A later run of the same (circuit, options, flow) is a
+// lookup: cached probes re-enter the ledger as imported records and the
+// summary is the result (src/cache/cached_flow.hpp). The mapped network is
+// not stored; a caller collecting artifacts gets it regenerated from the
+// labels, deterministically, so that hit is bit-identical to the uncached run.
 //
 // Soundness rules (DESIGN.md §11):
 //   - Only exact runs are stored. store() refuses any result whose status is
@@ -65,7 +65,7 @@
 // counts hot-tier accesses since the entry was last touched — so cheap
 // entries leave first and an expensive entry must idle for several
 // half-lives before a cheap-but-fresh one outranks it. The policy decides
-// only WHAT stays resident: a hit replays the identical validated entry
+// only WHAT stays resident: a hit serves the identical validated entry
 // either way (and an eviction only demotes to the disk path), so results
 // are bit-identical across policies — only hit rates differ.
 
@@ -136,11 +136,11 @@ struct CachedProbe {
   int max_po_label = 0;
 };
 
-/// Everything a hit needs to replay the flow without label probes.
+/// Everything a hit returns, plus the labels an artifact-collecting hit replays.
 struct CacheEntry {
   /// Winning engine of a portfolio run (schema v4; empty for standalone
   /// flows). A portfolio hit resolves this name against the requested
-  /// engine list and replays under the winner's option deltas.
+  /// engine list; a replay runs under the winner's option deltas.
   std::string winner;
   int phi = 0;                     // the ratio/period the run settled on
   LabelMode mode = LabelMode::kPlain;  // update rule of the winning labels
@@ -151,8 +151,8 @@ struct CacheEntry {
   /// parse-order independent, so a differently-ordered parse of the same
   /// netlist replays correctly. Callers remap to input ids.
   std::vector<int> winning_labels;
-  // Final-result record (diagnostics and replay cross-checks; the mapped
-  // network is regenerated from the labels on a hit, not parsed from here).
+  // Result summary, returned as-is by a hit that collects no artifacts. The
+  // mapped network is not stored (schema v6): only the labels rebuild it.
   int luts = 0;
   std::int64_t ffs = 0;
   std::int64_t mdr_num = 0;
@@ -162,9 +162,8 @@ struct CacheEntry {
   /// Wall time the originating run spent in its label probes (summed from
   /// the probe ledger, schema v5) — the compute this entry saves on a hit,
   /// and the cost the kCostAware hot tier scores by. Diagnostics only:
-  /// never affects the replayed result.
+  /// never affects a hit's result.
   double flow_wall_seconds = 0.0;
-  std::string mapped_blif;
 };
 
 class FlowCache {
@@ -173,12 +172,12 @@ class FlowCache {
   /// are created on the first store.
   explicit FlowCache(std::string dir);
 
-  /// v5: entries record the originating run's probe wall time ("cost"
-  /// line), the input the cost-aware hot tier scores by (v4 named the
-  /// winning engine and tagged every probe record with its engine; v3 added
-  /// the length + checksum trailer; v2 canonical-order labels). Older
-  /// entries parse as a schema mismatch, i.e. a clean miss.
-  static constexpr int kSchemaVersion = 5;
+  /// v6: entries no longer carry the mapped BLIF (v5 recorded the probe
+  /// wall time the cost-aware hot tier scores by; v4 named the winning
+  /// engine and tagged every probe record with its engine; v3 added the
+  /// length + checksum trailer; v2 canonical-order labels). Older entries
+  /// parse as a schema mismatch, i.e. a clean miss.
+  static constexpr int kSchemaVersion = 6;
 
   /// The complete, validated entry for `key`, or nullopt (miss). Collision-
   /// checked against key.text; never throws on malformed files. With the hot

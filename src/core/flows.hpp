@@ -46,7 +46,8 @@ struct FlowOptions {
   /// Record the winning labels and per-node realizations in
   /// FlowResult::artifacts so the invariant auditor (verify/audit.hpp) can
   /// independently re-check the run. Off by default: the artifacts hold a
-  /// full label vector plus one realization per mapped LUT.
+  /// full label vector plus one realization per mapped LUT. A cache hit
+  /// regenerates FlowResult::mapped only when this is set.
   bool collect_artifacts = false;
   /// Deadline / cancellation / resource ceilings governing the whole flow.
   /// Default-constructed = unlimited; an unlimited budget leaves every result
@@ -117,7 +118,9 @@ struct EngineRun {
 
 struct FlowResult {
   int phi = 0;               // minimum integer ratio/period the flow achieved
-  Circuit mapped;            // final LUT network
+  /// Final LUT network. Empty on a cache hit served without artifacts
+  /// (cache/cached_flow.hpp): set collect_artifacts to get it from a hit.
+  Circuit mapped;
   int luts = 0;
   std::int64_t ffs = 0;      // register bits in `mapped` (before pipelining)
   Rational exact_mdr;        // exact MDR ratio of `mapped`

@@ -121,7 +121,7 @@ struct BatchRecord {
   std::string engine;
   /// The race table of a portfolio job (FlowResult::portfolio): one row per
   /// engine, for service-level win counts and wall-time-saved rollups.
-  /// Empty for standalone flows and cache-replayed portfolio hits.
+  /// Empty for standalone flows and cache-served portfolio hits.
   std::vector<EngineRun> portfolio;
   int phi = 0;
   int luts = 0;
@@ -137,7 +137,7 @@ struct BatchRecord {
   // Ledger/stage aggregates of the final attempt, for service-level STATS
   // rollups (not serialized into the JSONL record).
   int probes = 0;            // probe-ledger records of the run
-  int imported_probes = 0;   // of those, replayed from the cache
+  int imported_probes = 0;   // of those, imported from the cache
   StageMetrics stage_metrics;
 };
 

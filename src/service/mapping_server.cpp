@@ -745,6 +745,7 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
     total_probes_ += record.probes;
     imported_probes_ += record.imported_probes;
     flow_seconds_ += record.seconds;
+    if (record.cache_hit) hit_flow_seconds_ += record.seconds;
     for (const StageMetric& stage : record.stage_metrics.stages) {
       stage_seconds_[stage.name] += stage.seconds;
       stage_runs_[stage.name] += 1;
@@ -939,6 +940,7 @@ StatsSnapshot MappingServer::snapshot() const {
     snap.total_probes = total_probes_;
     snap.imported_probes = imported_probes_;
     snap.flow_seconds = flow_seconds_;
+    snap.hit_flow_seconds = hit_flow_seconds_;
     for (const auto& [name, seconds] : stage_seconds_) {
       const auto runs = stage_runs_.find(name);
       snap.stages[name] =
@@ -1028,6 +1030,7 @@ std::string render_stats_json(const StatsSnapshot& snap) {
   s += ",\"ledger\":{\"probes\":" + std::to_string(snap.total_probes);
   s += ",\"imported_probes\":" + std::to_string(snap.imported_probes);
   s += "},\"flow_seconds\":" + json_double(snap.flow_seconds);
+  s += ",\"hit_flow_seconds\":" + json_double(snap.hit_flow_seconds);
   s += ",\"stages\":{";
   bool first = true;
   for (const auto& [name, stage] : snap.stages) {
@@ -1224,10 +1227,13 @@ std::string render_prometheus(const StatsSnapshot& snap) {
   prom_counter(out, "ts_ledger_probes_total", "Probe-ledger records across requests.",
                snap.total_probes);
   prom_counter(out, "ts_ledger_imported_probes_total",
-               "Ledger records imported from cache replays.", snap.imported_probes);
+               "Ledger records imported from cache hits.", snap.imported_probes);
   prom_family(out, "ts_flow_seconds_total", "Flow wall seconds across requests.",
               "counter");
   prom_sample(out, "ts_flow_seconds_total", snap.flow_seconds);
+  prom_family(out, "ts_hit_flow_seconds_total",
+              "Flow wall seconds of requests served from the cache.", "counter");
+  prom_sample(out, "ts_hit_flow_seconds_total", snap.hit_flow_seconds);
   prom_family(out, "ts_stage_seconds_total", "Stage wall seconds, per stage.", "counter");
   for (const auto& [name, stage] : snap.stages) {
     out += "ts_stage_seconds_total{stage=\"" + prom_label_escape(name) + "\"} " +

@@ -133,6 +133,8 @@ struct StatsSnapshot {
   std::int64_t total_probes = 0;
   std::int64_t imported_probes = 0;
   double flow_seconds = 0.0;
+  /// The share of flow_seconds spent on requests served from the cache.
+  double hit_flow_seconds = 0.0;
   struct StageStat {
     double seconds = 0.0;
     std::int64_t runs = 0;
@@ -461,6 +463,7 @@ class MappingServer {
   std::int64_t total_probes_ = 0;
   std::int64_t imported_probes_ = 0;
   double flow_seconds_ = 0.0;
+  double hit_flow_seconds_ = 0.0;
   // Portfolio rollups (guarded by stats_mu_): wins per engine, and wall
   // time saved by cancelled engines — per cancelled row, the slowest
   // finisher's seconds minus the row's seconds (how much longer the row

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "base/check.hpp"
+#include "base/trace.hpp"
 #include "cache/cached_flow.hpp"
 #include "cache/flow_cache.hpp"
 #include "decomp/gate_decomp.hpp"
@@ -21,6 +22,7 @@
 #include "netlist/canonical.hpp"
 #include "service/batch_runner.hpp"
 #include "verify/audit.hpp"
+#include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
 namespace turbosyn {
@@ -39,6 +41,14 @@ fs::path test_dir(const std::string& leaf) {
 std::string fingerprint(const FlowResult& r) {
   return std::to_string(r.phi) + "|" + std::to_string(r.period) + "|" +
          std::to_string(r.pipeline_stages) + "|" + write_blif_string(r.mapped, "fp");
+}
+
+/// What a hit served without artifacts must reproduce: the result summary.
+std::string summary_fingerprint(const FlowResult& r) {
+  std::ostringstream os;
+  os << r.phi << '|' << r.period << '|' << r.pipeline_stages << '|' << r.luts << '|' << r.ffs
+     << '|' << r.exact_mdr;
+  return os.str();
 }
 
 FlowOptions small_options() {
@@ -175,6 +185,122 @@ TEST(FlowCacheRun, DistinctOptionsMissAndNullCachePassesThrough) {
   EXPECT_GT(plain.luts, 0);
 }
 
+TEST(FlowCacheRun, SummaryHitRunsNoMappingStages) {
+  const fs::path dir = test_dir("summary_hit");
+  const Circuit c = bounded_sample(gray_counter_blif());
+  const FlowOptions opt = small_options();
+  FlowCache cache(dir.string());
+  CacheRunInfo info;
+  const FlowResult cold = run_flow_cached(FlowKind::kTurboSyn, c, opt, &cache, &info);
+  ASSERT_TRUE(info.stored);
+
+  TraceSink trace;
+  FlowOptions traced = opt;
+  traced.trace = &trace;
+  const FlowResult hit = run_flow_cached(FlowKind::kTurboSyn, c, traced, &cache, &info);
+  ASSERT_TRUE(info.hit);
+  EXPECT_EQ(hit.status, Status::kOk);
+  EXPECT_EQ(summary_fingerprint(hit), summary_fingerprint(cold));
+  EXPECT_EQ(hit.mapped.num_nodes(), 0);
+  EXPECT_FALSE(hit.artifacts.valid);
+
+  // The only stage is the cached search, and it still reports its imports —
+  // on the StageMetric and on its trace span alike.
+  ASSERT_EQ(hit.stage_metrics.stages.size(), 1u);
+  const StageMetric& stage = hit.stage_metrics.stages.front();
+  EXPECT_EQ(stage.name, "cached-search");
+  EXPECT_EQ(stage.counter("imported_probes"), static_cast<std::int64_t>(cold.probes.size()));
+  int cached_spans = 0;
+  for (const TraceEvent& e : trace.events()) {
+    EXPECT_TRUE(e.name != "stage:mapgen" && e.name != "stage:pack" &&
+                e.name != "stage:pipeline-retime")
+        << e.name;
+    if (e.name != "stage:cached-search") continue;
+    ++cached_spans;
+    std::int64_t imported = 0;
+    for (const auto& [name, value] : e.counters) {
+      if (name == "imported_probes") imported = value;
+    }
+    EXPECT_EQ(imported, static_cast<std::int64_t>(cold.probes.size()));
+  }
+  EXPECT_EQ(cached_spans, 1);
+
+  // The ledger is record for record the one an artifact-collecting hit
+  // imports, including the input-order hash on the winning record.
+  FlowOptions artifacts = opt;
+  artifacts.collect_artifacts = true;
+  const FlowResult replay = run_flow_cached(FlowKind::kTurboSyn, c, artifacts, &cache, &info);
+  ASSERT_TRUE(info.hit);
+  ASSERT_EQ(hit.probes.size(), replay.probes.size());
+  for (std::size_t i = 0; i < hit.probes.size(); ++i) {
+    const ProbeRecord& a = hit.probes[i];
+    const ProbeRecord& b = replay.probes[i];
+    EXPECT_TRUE(a.imported);
+    EXPECT_EQ(a.engine, b.engine);
+    EXPECT_EQ(a.phi, b.phi);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.outcome, b.outcome);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.label_hash, b.label_hash);
+    EXPECT_EQ(a.max_po_label, b.max_po_label);
+    EXPECT_EQ(a.label_hash, cold.probes[i].label_hash);
+  }
+}
+
+TEST(FlowCacheRun, ArtifactHitAfterSummaryPopulateReplaysBitIdentically) {
+  // Entries stored by callers that never asked for artifacts still let a
+  // later artifact-collecting caller regenerate the exact mapped network,
+  // for both objectives (pipelined MDR and retime-only period).
+  const Circuit c = bounded_sample(traffic_light_blif());
+  for (const FlowKind kind : {FlowKind::kTurboMap, FlowKind::kTurboMapPeriod}) {
+    const fs::path dir = test_dir(std::string("artifact_hit_") + flow_kind_name(kind));
+    FlowCache cache(dir.string());
+    CacheRunInfo info;
+    (void)run_flow_cached(kind, c, small_options(), &cache, &info);
+    ASSERT_TRUE(info.stored);
+
+    FlowOptions artifacts = small_options();
+    artifacts.collect_artifacts = true;
+    const FlowResult uncached = run_flow(kind, c, artifacts);
+    const FlowResult hit = run_flow_cached(kind, c, artifacts, &cache, &info);
+    ASSERT_TRUE(info.hit);
+    EXPECT_EQ(fingerprint(hit), fingerprint(uncached)) << flow_kind_name(kind);
+    EXPECT_EQ(summary_fingerprint(hit), summary_fingerprint(uncached));
+    EXPECT_TRUE(hit.artifacts.valid);
+    AuditOptions audit;
+    audit.seq_cycles = 64;
+    audit.seq_runs = 2;
+    const AuditReport report = audit_flow(c, hit, artifacts, audit);
+    EXPECT_TRUE(report.passed()) << flow_kind_name(kind) << '\n' << report.breakdown();
+  }
+}
+
+TEST(FlowCacheHotTier, ResidentSizeIgnoresTheMappedNetwork) {
+  // Entries keep no mapped network, so the hot-tier size estimate of an
+  // entry cannot depend on how large the result's network was.
+  const Circuit c = bounded_sample(gray_counter_blif());
+  FlowOptions opt = small_options();
+  opt.collect_artifacts = true;
+  const FlowResult result = run_turbosyn(c, opt);
+  ASSERT_TRUE(FlowCache::storable(result));
+  FlowResult bigger = result;
+  bigger.mapped = generate_fsm_circuit(table1_suite()[0]);
+  ASSERT_GT(bigger.mapped.num_nodes(), 4 * result.mapped.num_nodes());
+
+  const CacheKey key = make_cache_key(c, opt, FlowKind::kTurboSyn);
+  FlowCache small_cache(test_dir("hot_size_small").string());
+  FlowCache big_cache(test_dir("hot_size_big").string());
+  small_cache.enable_hot_tier(16u << 20);
+  big_cache.enable_hot_tier(16u << 20);
+  ASSERT_TRUE(small_cache.store_result(key, result, c));
+  ASSERT_TRUE(big_cache.store_result(key, bigger, c));
+  EXPECT_EQ(small_cache.hot_entries(), 1);
+  EXPECT_GT(small_cache.hot_bytes(), 0);
+  EXPECT_EQ(big_cache.hot_bytes(), small_cache.hot_bytes());
+  EXPECT_EQ(fs::file_size(big_cache.entry_path(key)), fs::file_size(small_cache.entry_path(key)));
+}
+
 // ---------------------------------------------------------------------------
 // Legacy directories: files the cache does not own are left alone
 
@@ -205,12 +331,18 @@ TEST(FlowCacheLegacyDir, StraySidecarIsIgnored) {
   EXPECT_TRUE(fs::exists(sidecar));  // not ours: neither read nor deleted
   EXPECT_TRUE(fs::exists(cache.entry_path(key)));
 
-  // Exact hits still replay bit-identically.
+  // Exact hits still serve the cold summary, and an artifact-collecting hit
+  // replays the mapped network bit-identically.
   const FlowResult cold = run_turbomap(c, opt);
   CacheRunInfo info;
   const FlowResult hit = run_flow_cached(FlowKind::kTurboMap, c, opt, &cache, &info);
   EXPECT_TRUE(info.hit);
-  EXPECT_EQ(fingerprint(hit), fingerprint(cold));
+  EXPECT_EQ(summary_fingerprint(hit), summary_fingerprint(cold));
+  FlowOptions artifacts = opt;
+  artifacts.collect_artifacts = true;
+  const FlowResult replay = run_flow_cached(FlowKind::kTurboMap, c, artifacts, &cache, &info);
+  EXPECT_TRUE(info.hit);
+  EXPECT_EQ(fingerprint(replay), fingerprint(cold));
 
   // New entries store next to the stray file.
   FlowOptions k5 = opt;
@@ -288,6 +420,37 @@ TEST_F(FlowCacheEntryFile, SchemaVersionMismatchIsACleanMiss) {
   EXPECT_FALSE(info.hit);
   EXPECT_TRUE(info.stored);
   EXPECT_TRUE(cache_->lookup(key_).has_value());
+}
+
+TEST_F(FlowCacheEntryFile, SchemaV5EntryIsACleanMissThatRepopulates) {
+  // Rewrite the stored entry in the v5 layout — a mapped BLIF section before
+  // "end" — with a valid checksum trailer, as a v5 writer would have left it.
+  const std::string bytes = read_entry();
+  const std::string header = "turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion);
+  const std::size_t sum = bytes.rfind("\nsum ");
+  ASSERT_EQ(bytes.rfind(header, 0), 0u);
+  ASSERT_NE(sum, std::string::npos);
+  std::string v5 = "turbosyn-cache 5" + bytes.substr(header.size(), sum + 1 - header.size());
+  const std::string end = "end\n";
+  ASSERT_TRUE(v5.ends_with(end));
+  const std::string blif = ".model mapped\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n";
+  v5.insert(v5.size() - end.size(), "blif " + std::to_string(blif.size()) + '\n' + blif + '\n');
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(v5)));
+  write_entry(v5 + "sum " + std::to_string(v5.size()) + ' ' + checksum + '\n');
+  EXPECT_FALSE(cache_->lookup(key_).has_value());
+
+  // The miss repopulates in the current schema, and the next run hits.
+  CacheRunInfo info;
+  (void)run_flow_cached(FlowKind::kTurboSyn, circuit_, options_, cache_.get(), &info);
+  EXPECT_FALSE(info.hit);
+  EXPECT_TRUE(info.stored);
+  const std::string fresh = read_entry();
+  EXPECT_EQ(fresh.rfind(header, 0), 0u);
+  EXPECT_EQ(fresh.find("\nblif "), std::string::npos);
+  (void)run_flow_cached(FlowKind::kTurboSyn, circuit_, options_, cache_.get(), &info);
+  EXPECT_TRUE(info.hit);
 }
 
 TEST_F(FlowCacheEntryFile, TruncatedEntryIsACleanMiss) {
@@ -438,8 +601,12 @@ TEST(FlowCacheConcurrency, HotTierRacingLookupsStayCoherent) {
   // Many threads hammering a two-entry hot tier with three circuits: splices
   // and evictions race, but every result must stay bit-identical to the
   // single-threaded baseline and the tier must respect its caps throughout.
+  // Rounds alternate summary hits (compared on the summary) and
+  // artifact-collecting hits (compared on the mapped BLIF too).
   const fs::path dir = test_dir("hot_race");
   FlowOptions opt = small_options();
+  FlowOptions artifacts = opt;
+  artifacts.collect_artifacts = true;
   FlowCache cache(dir.string());
   cache.enable_hot_tier(8u << 20, 2);
 
@@ -448,8 +615,11 @@ TEST(FlowCacheConcurrency, HotTierRacingLookupsStayCoherent) {
   circuits.push_back(bounded_sample(traffic_light_blif()));
   circuits.push_back(bounded_sample(gray_counter_blif()));
   std::vector<std::string> baseline;
+  std::vector<std::string> baseline_summary;
   for (const Circuit& c : circuits) {
-    baseline.push_back(fingerprint(run_flow_cached(FlowKind::kTurboSyn, c, opt, &cache)));
+    const FlowResult cold = run_flow_cached(FlowKind::kTurboSyn, c, opt, &cache);
+    baseline.push_back(fingerprint(cold));
+    baseline_summary.push_back(summary_fingerprint(cold));
   }
 
   const int kThreads = 4;
@@ -460,9 +630,15 @@ TEST(FlowCacheConcurrency, HotTierRacingLookupsStayCoherent) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t i = static_cast<std::size_t>(t + round) % circuits.size();
-        const FlowResult result =
-            run_flow_cached(FlowKind::kTurboSyn, circuits[i], opt, &cache);
-        ASSERT_EQ(fingerprint(result), baseline[i]);
+        if (round % 2 == 0) {
+          const FlowResult result =
+              run_flow_cached(FlowKind::kTurboSyn, circuits[i], opt, &cache);
+          ASSERT_EQ(summary_fingerprint(result), baseline_summary[i]);
+        } else {
+          const FlowResult result =
+              run_flow_cached(FlowKind::kTurboSyn, circuits[i], artifacts, &cache);
+          ASSERT_EQ(fingerprint(result), baseline[i]);
+        }
       }
     });
   }

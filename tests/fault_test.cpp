@@ -116,7 +116,6 @@ Crafted crafted_entry() {
   e.mdr_den = 2;
   e.period = 4;
   e.pipeline_stages = 1;
-  e.mapped_blif = ".model mapped\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n";
   return out;
 }
 
@@ -255,7 +254,12 @@ TEST(FlowCacheFaults, RoundTripSurvivesTheChecksumTrailer) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->phi, crafted.entry.phi);
   EXPECT_EQ(hit->winning_labels, crafted.entry.winning_labels);
-  EXPECT_EQ(hit->mapped_blif, crafted.entry.mapped_blif);
+  EXPECT_EQ(hit->luts, crafted.entry.luts);
+  EXPECT_EQ(hit->ffs, crafted.entry.ffs);
+  EXPECT_EQ(hit->mdr_num, crafted.entry.mdr_num);
+  EXPECT_EQ(hit->mdr_den, crafted.entry.mdr_den);
+  EXPECT_EQ(hit->period, crafted.entry.period);
+  EXPECT_EQ(hit->pipeline_stages, crafted.entry.pipeline_stages);
   EXPECT_EQ(cache.recovered_entries(), 0);
 }
 
@@ -283,12 +287,12 @@ TEST(FlowCacheFaults, ChecksumCatchesMidFileCorruptionThatStillTokenizes) {
   ASSERT_TRUE(cache.store(crafted.key, crafted.entry));
   const fs::path path = cache.entry_path(crafted.key);
   std::string content = read_file(path);
-  // Flip one byte inside the BLIF body: same length, still tokenizes, and no
-  // certification field (labels, probe hashes) changes — only the checksum
-  // trailer can catch this.
-  const std::size_t at = content.find(".model mapped");
+  // Flip one digit of the stored LUT count, a summary field a hit returns
+  // as-is: same length, still tokenizes, and no certification field (labels,
+  // probe hashes) changes — only the checksum trailer can catch this.
+  const std::size_t at = content.find("\nresult 3 ");
   ASSERT_NE(at, std::string::npos);
-  content[at + std::string(".model ").size()] = 'x';
+  content[at + std::string("\nresult ").size()] = '9';
   write_file(path, content);
 
   EXPECT_FALSE(cache.lookup(crafted.key).has_value());

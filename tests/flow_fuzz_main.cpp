@@ -27,7 +27,9 @@
 //     flow-artifact cache (src/cache): the populate run and the cache-hit run
 //     must both be bit-identical with the uncached run, the hit's probe
 //     ledger must contain only imported records, and the hit must pass the
-//     full audit;
+//     full audit; a further hit with collect_artifacts off must serve the
+//     uncached run's summary (φ, period, stages, LUTs, FFs, exact MDR) over
+//     an all-imported ledger, without regenerating the mapping;
 //   - with --portfolio, every seed also races a rotating engine portfolio
 //     (core/portfolio) in both sequential and concurrent modes: the race
 //     must be bit-identical to the best standalone engine under the shared
@@ -38,8 +40,9 @@
 //     small enough to churn, one under the recency policy and one under
 //     cost-aware: every run must be bit-identical across the two policies
 //     (and to the uncached run), hits must still import-only their ledgers,
-//     and the hit must pass the full audit — the eviction policy may change
-//     WHAT stays resident, never a result.
+//     the hit must pass the full audit, and a summary hit must match the
+//     uncached summary — the eviction policy may change WHAT stays resident,
+//     never a result.
 //
 // Exits nonzero on the first failing seed's summary. --time-budget stops
 // early once the budget is spent; with --require-all, not finishing every
@@ -54,6 +57,7 @@
 #include <iostream>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -168,6 +172,34 @@ void audit_into(SeedOutcome& out, const Circuit& input, const FlowResult& result
 std::string fingerprint(const FlowResult& r) {
   return std::to_string(r.phi) + "|" + std::to_string(r.period) + "|" +
          std::to_string(r.pipeline_stages) + "|" + write_blif_string(r.mapped, "fp");
+}
+
+/// What a cache hit served without artifacts must reproduce: the summary.
+std::string summary_fingerprint(const FlowResult& r) {
+  std::ostringstream os;
+  os << r.phi << '|' << r.period << '|' << r.pipeline_stages << '|' << r.luts << '|' << r.ffs
+     << '|' << r.exact_mdr;
+  return os.str();
+}
+
+/// A non-empty ledger of imported records only: a hit probed nothing.
+bool all_imported(const FlowResult& r) {
+  bool all = !r.probes.empty();
+  for (const ProbeRecord& probe : r.probes) all = all && probe.imported;
+  return all;
+}
+
+/// A cache hit with collect_artifacts off must serve the uncached run's
+/// summary over the same all-imported ledger, with no mapped network.
+void expect_summary_hit(SeedOutcome& out, const FlowResult& hit, const CacheRunInfo& info,
+                        const FlowResult& uncached, const std::string& tag) {
+  expect(out, info.hit, tag + ": summary run missed the cache");
+  expect(out, summary_fingerprint(hit) == summary_fingerprint(uncached),
+         tag + ": summary hit differs from the uncached run");
+  expect(out, all_imported(hit) && hit.probes.size() == uncached.probes.size(),
+         tag + ": summary hit ledger is not the imported uncached ledger");
+  expect(out, hit.mapped.num_nodes() == 0 && !hit.artifacts.valid,
+         tag + ": summary hit regenerated the mapping");
 }
 
 /// A copy of `c` with one gate's function complemented: the smallest edit —
@@ -308,7 +340,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
 
   // Through-cache replay: populating the flow-artifact cache and replaying
   // the hit must both reproduce the uncached run, bit for bit, and the hit's
-  // imported probe ledger must still satisfy the auditor.
+  // imported probe ledger must still satisfy the auditor. A hit without
+  // artifacts must serve the same summary.
   if (cache != nullptr) {
     CacheRunInfo cold_info;
     const FlowResult cold = run_flow_cached(FlowKind::kTurboSyn, c, opt, cache, &cold_info);
@@ -320,11 +353,15 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     expect(out, warm_info.hit, "through-cache: second run missed the cache");
     expect(out, fingerprint(warm) == fingerprint(ts),
            "through-cache: cache-hit run differs from the uncached run");
-    bool all_imported = !warm.probes.empty();
-    for (const ProbeRecord& probe : warm.probes) all_imported = all_imported && probe.imported;
-    expect(out, !warm_info.hit || all_imported,
+    expect(out, !warm_info.hit || all_imported(warm),
            "through-cache: cache-hit probe ledger has non-imported records");
     if (warm_info.hit) audit_into(out, c, warm, opt, "turbosyn/through-cache", seed, cfg.verbose);
+    FlowOptions summary_opt = opt;
+    summary_opt.collect_artifacts = false;
+    CacheRunInfo summary_info;
+    const FlowResult summary =
+        run_flow_cached(FlowKind::kTurboSyn, c, summary_opt, cache, &summary_info);
+    expect_summary_hit(out, summary, summary_info, ts, "through-cache");
 
     // TurboMap through the same store: its populate run must match too.
     if (seed % 2 == 0) {
@@ -338,7 +375,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   // fresh caches — recency vs cost-aware eviction, tiers capped at two
   // entries so the three distinct circuits below force eviction churn —
   // must produce bit-identical results run for run (and match the uncached
-  // baselines), with audit-clean imported ledgers on the hits.
+  // baselines), with audit-clean imported ledgers on the hits and the
+  // uncached summary on a hit without artifacts.
   if (cfg.hot_policy) {
     const Circuit edited = mutate_one_gate(c, seed);
     const FlowResult edited_baseline = run_turbosyn(edited, opt);
@@ -382,10 +420,14 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
              tag + ": turbomap populate differs from uncached");
       expect(out, r.hit_hit, tag + ": replay of the stored circuit missed");
       expect(out, r.hit_edited_hit, tag + ": replay of the edited circuit missed");
-      bool all_imported = !hit.probes.empty();
-      for (const ProbeRecord& probe : hit.probes) all_imported = all_imported && probe.imported;
-      expect(out, !r.hit_hit || all_imported, tag + ": hit ledger has non-imported records");
+      expect(out, !r.hit_hit || all_imported(hit), tag + ": hit ledger has non-imported records");
       if (r.hit_hit) audit_into(out, c, hit, opt, tag, seed, cfg.verbose);
+      FlowOptions summary_opt = opt;
+      summary_opt.collect_artifacts = false;
+      CacheRunInfo summary_info;
+      const FlowResult summary =
+          run_flow_cached(FlowKind::kTurboSyn, c, summary_opt, &hot_cache, &summary_info);
+      expect_summary_hit(out, summary, summary_info, ts, tag);
       std::filesystem::remove_all(dir);
     }
     expect(out, runs[0].populate_edited == runs[1].populate_edited,

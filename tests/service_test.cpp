@@ -202,6 +202,14 @@ std::string fingerprint(const FlowResult& r) {
          std::to_string(r.pipeline_stages) + "|" + write_blif_string(r.mapped, "fp");
 }
 
+/// What a hit served without artifacts must reproduce: the result summary.
+std::string summary_fingerprint(const FlowResult& r) {
+  std::ostringstream os;
+  os << r.phi << '|' << r.period << '|' << r.pipeline_stages << '|' << r.luts << '|' << r.ffs
+     << '|' << r.exact_mdr;
+  return os.str();
+}
+
 // ---------------------------------------------------------------------------
 // SIGTERM drain drill (fork: keep first, before any test spawns threads)
 
@@ -680,7 +688,8 @@ TEST(HotTier, LruEvictionAndDiskFallback) {
   const Circuit second = bounded_sample(traffic_light_blif());
   const Circuit third = bounded_sample(gray_counter_blif());
 
-  const std::string cold = fingerprint(run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache));
+  const FlowResult cold_result = run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache);
+  const std::string cold = summary_fingerprint(cold_result);
   run_flow_cached(FlowKind::kTurboSyn, second, opt, &cache);
   run_flow_cached(FlowKind::kTurboSyn, third, opt, &cache);
 
@@ -694,18 +703,26 @@ TEST(HotTier, LruEvictionAndDiskFallback) {
   // The evicted entry is still a disk hit, and the hit re-admits it hot.
   CacheRunInfo info;
   const std::string warm =
-      fingerprint(run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache, &info));
+      summary_fingerprint(run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache, &info));
   EXPECT_TRUE(info.hit);
   EXPECT_EQ(cache.hot_hits(), 0);  // that one came from disk
   const std::string hot =
-      fingerprint(run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache, &info));
+      summary_fingerprint(run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache, &info));
   EXPECT_TRUE(info.hit);
   EXPECT_EQ(cache.hot_hits(), 1);  // this one never touched disk
   EXPECT_EQ(cache.hot_entries(), 2);
 
-  // Hot, disk, and cold runs are bit-identical.
+  // Hot, disk, and cold runs serve the same summary.
   EXPECT_EQ(cold, warm);
   EXPECT_EQ(cold, hot);
+
+  // An artifact-collecting hot hit replays the mapped network bit-identically.
+  FlowOptions artifacts = opt;
+  artifacts.collect_artifacts = true;
+  const FlowResult replay = run_flow_cached(FlowKind::kTurboSyn, first, artifacts, &cache, &info);
+  EXPECT_TRUE(info.hit);
+  EXPECT_EQ(cache.hot_hits(), 2);
+  EXPECT_EQ(fingerprint(replay), fingerprint(cold_result));
 }
 
 TEST(HotTier, ByteCapAndReconfiguration) {
@@ -765,7 +782,6 @@ CacheEntry costed_entry(double flow_wall_seconds) {
   probe.max_po_label = entry.max_po_label;
   entry.probes.push_back(probe);
   entry.flow_wall_seconds = flow_wall_seconds;
-  entry.mapped_blif = ".model synthetic\n.end\n";
   return entry;
 }
 
@@ -956,6 +972,13 @@ TEST(MappingServerTest, MapMissThenHotTierRepeat) {
   EXPECT_TRUE(contains(line, "\"hot_hits\":1")) << line;
   EXPECT_TRUE(contains(line, "\"hot_entries\":1")) << line;
   EXPECT_TRUE(contains(line, "\"completed\":2")) << line;
+  EXPECT_TRUE(contains(line, "\"hit_flow_seconds\":")) << line;
+
+  // Flow seconds split by path: the hit's share is counted, the miss's not.
+  const StatsSnapshot snap = server.snapshot();
+  EXPECT_GT(snap.hit_flow_seconds, 0.0);
+  EXPECT_LT(snap.hit_flow_seconds, snap.flow_seconds);
+  EXPECT_TRUE(contains(render_prometheus(snap), "\nts_hit_flow_seconds_total "));
 
   server.request_shutdown();
   server.wait();

@@ -203,6 +203,7 @@ STATS_MAP = {
     'ts_ledger_probes_total': ('ledger', 'probes'),
     'ts_ledger_imported_probes_total': ('ledger', 'imported_probes'),
     'ts_flow_seconds_total': ('flow_seconds',),
+    'ts_hit_flow_seconds_total': ('hit_flow_seconds',),
 }
 
 # Labeled families: metric -> (label key, path prefix, optional leaf).
