@@ -35,6 +35,7 @@ class TruthTable {
   std::size_t num_bits() const { return std::size_t{1} << num_vars_; }
   std::size_t num_words() const { return words_.size(); }
   std::uint64_t word(std::size_t i) const { return words_[i]; }
+  std::span<const std::uint64_t> words() const { return words_; }
 
   bool bit(std::uint32_t assignment) const;
   void set_bit(std::uint32_t assignment, bool value);

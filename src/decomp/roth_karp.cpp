@@ -78,6 +78,16 @@ ClassInfo classify_tt(const TruthTable& f, int boundary) {
   return info;
 }
 
+/// The index of the `r`-th bound assignment in the classifier's visiting
+/// order: r read with bound variable 0 as its most significant bit.
+std::uint32_t visit_order_assignment(std::uint32_t r, int bound) {
+  std::uint32_t a = 0;
+  for (int j = 0; j < bound; ++j) {
+    if ((r >> (bound - 1 - j)) & 1) a |= std::uint32_t{1} << j;
+  }
+  return a;
+}
+
 int ceil_log2(std::size_t x) {
   TS_ASSERT(x >= 1);
   return x == 1 ? 0 : std::bit_width(x - 1);
@@ -96,6 +106,56 @@ std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary) {
 
 std::size_t column_multiplicity_tt(const TruthTable& f, int boundary) {
   return classify_tt(f, boundary).multiplicity;
+}
+
+ColumnClasses classify_columns(const TruthTable& f, int bound) {
+  TS_CHECK(bound >= 0 && bound <= f.num_vars(), "bound set larger than the function");
+  const int free_vars = f.num_vars() - bound;
+  const std::span<const std::uint64_t> words = f.words();
+  // Whole words per column when F >= 6; otherwise one 2^F-bit field.
+  const std::size_t per_column = free_vars >= 6 ? std::size_t{1} << (free_vars - 6) : 1;
+  const std::uint64_t field_mask =
+      free_vars >= 6 ? ~std::uint64_t{0} : (std::uint64_t{1} << (1u << free_vars)) - 1;
+  ColumnClasses out;
+  out.code_of.resize(std::size_t{1} << bound);
+  std::uint64_t field = 0;
+  for (std::uint32_t r = 0; r < out.code_of.size(); ++r) {
+    const std::uint32_t a = visit_order_assignment(r, bound);
+    std::span<const std::uint64_t> column;
+    if (free_vars >= 6) {
+      column = words.subspan(a * per_column, per_column);
+    } else {
+      const std::size_t first_bit = std::size_t{a} << free_vars;
+      field = (words[first_bit >> 6] >> (first_bit & 63)) & field_mask;
+      column = std::span<const std::uint64_t>(&field, 1);
+    }
+    std::size_t code = 0;
+    while (code < out.class_tt.size() &&
+           !std::ranges::equal(out.class_tt[code].words(), column)) {
+      ++code;
+    }
+    if (code == out.class_tt.size()) out.class_tt.push_back(TruthTable::from_words(free_vars, column));
+    out.code_of[a] = static_cast<std::uint32_t>(code);
+  }
+  return out;
+}
+
+ColumnClasses classify_columns_bdd(const TruthTable& f, int bound) {
+  // Move the bound set to variables 0..bound-1 for the OBDD, keeping the free
+  // variables in order behind it.
+  const int m = f.num_vars();
+  const int free_vars = m - bound;
+  std::vector<int> var_map(static_cast<std::size_t>(m));
+  for (int v = 0; v < m; ++v) var_map[static_cast<std::size_t>(v)] = v < free_vars ? v + bound : v - free_vars;
+  const ClassInfo info = classify_bdd(f.remap(m, var_map), bound, 0);
+  ColumnClasses out;
+  out.code_of = info.code_of;
+  for (const TruthTable& t : info.class_tt) {
+    TruthTable c = t;
+    for (int v = bound - 1; v >= 0; --v) c = c.drop_var(v);
+    out.class_tt.push_back(std::move(c));
+  }
+  return out;
 }
 
 namespace {

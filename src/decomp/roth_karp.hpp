@@ -69,11 +69,32 @@ struct DecompOptions {
 DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
                                  int target_label, const DecompOptions& options);
 
+/// The column classes of one Roth–Karp step. The bound set occupies the top
+/// `bound` variables of f (bound variable j is variable F + j, F = the number
+/// of free variables), so the column of bound assignment a is the contiguous
+/// slice [a << F, (a + 1) << F) of f's table.
+struct ColumnClasses {
+  /// Class code per bound assignment a (bit j of a = bound variable j).
+  /// Codes are numbered by first appearance over the bound assignments
+  /// visited with bound variable 0 as the most significant bit — the DFS
+  /// order of an OBDD built bound-set-first.
+  std::vector<std::uint32_t> code_of;
+  /// One table per class over the F free variables: the column itself.
+  std::vector<TruthTable> class_tt;
+
+  /// The column multiplicity mu.
+  std::size_t multiplicity() const { return class_tt.size(); }
+};
+
+ColumnClasses classify_columns(const TruthTable& f, int bound);
+
 /// Column multiplicity of f for the bound set = variables 0..boundary-1
 /// (inputs already ordered bound-first). Exposed for tests/benchmarks; both
 /// engines must agree.
 std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary);
 std::size_t column_multiplicity_tt(const TruthTable& f, int boundary);
+/// classify_columns computed on the OBDD of f (same layout and numbering).
+ColumnClasses classify_columns_bdd(const TruthTable& f, int bound);
 
 /// Evaluates a DecompResult on a full input assignment (bit i = input i).
 bool evaluate_decomposition(const DecompResult& result, std::uint32_t assignment);

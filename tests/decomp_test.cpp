@@ -32,14 +32,77 @@ TEST(ColumnMultiplicity, KnownValues) {
   EXPECT_EQ(column_multiplicity_bdd(mux, 2), column_multiplicity_tt(mux, 2));
 }
 
-TEST(ColumnMultiplicity, EnginesAgreeOnRandomFunctions) {
+// The column of bound assignment a (bound set on the top `bound` variables),
+// read bit by bit.
+std::vector<bool> column_of(const TruthTable& f, int bound, std::uint32_t a) {
+  const int free_vars = f.num_vars() - bound;
+  std::vector<bool> column(std::size_t{1} << free_vars);
+  for (std::uint32_t y = 0; y < column.size(); ++y) column[y] = f.bit(y | (a << free_vars));
+  return column;
+}
+
+// Checks a classification against the definition: equal codes iff equal
+// columns, each class table is its first column, and codes are numbered by
+// first appearance with bound variable 0 as the most significant bit.
+void expect_definitional(const ColumnClasses& classes, const TruthTable& f, int bound) {
+  const std::uint32_t assignments = std::uint32_t{1} << bound;
+  ASSERT_EQ(classes.code_of.size(), assignments);
+  for (std::uint32_t a = 0; a < assignments; ++a) {
+    for (std::uint32_t b = 0; b < assignments; ++b) {
+      EXPECT_EQ(classes.code_of[a] == classes.code_of[b],
+                column_of(f, bound, a) == column_of(f, bound, b))
+          << "a=" << a << " b=" << b;
+    }
+  }
+  std::uint32_t next_code = 0;
+  for (std::uint32_t r = 0; r < assignments; ++r) {
+    std::uint32_t a = 0;
+    for (int j = 0; j < bound; ++j) a |= ((r >> (bound - 1 - j)) & 1) << j;
+    const std::uint32_t code = classes.code_of[a];
+    if (code < next_code) continue;
+    ASSERT_EQ(code, next_code) << "class numbered out of first-appearance order";
+    ASSERT_LT(code, classes.class_tt.size());
+    const TruthTable& table = classes.class_tt[code];
+    ASSERT_EQ(table.num_vars(), f.num_vars() - bound);
+    const std::vector<bool> column = column_of(f, bound, a);
+    for (std::uint32_t y = 0; y < column.size(); ++y) {
+      EXPECT_EQ(table.bit(y), column[y]) << "class " << code << " bit " << y;
+    }
+    ++next_code;
+  }
+  EXPECT_EQ(next_code, classes.multiplicity());
+}
+
+// A function over free_vars + bound variables whose columns are drawn from
+// `distinct` random tables, so classes with several members occur.
+TruthTable function_with_columns(Rng& rng, int bound, int free_vars, int distinct) {
+  std::vector<TruthTable> pool;
+  for (int i = 0; i < distinct; ++i) pool.push_back(random_tt(rng, free_vars));
+  TruthTable f = TruthTable::constant(free_vars + bound, false);
+  for (std::uint32_t a = 0; a < (std::uint32_t{1} << bound); ++a) {
+    const TruthTable& column = pool[rng.next_below(pool.size())];
+    for (std::uint32_t y = 0; y < column.num_bits(); ++y) {
+      if (column.bit(y)) f.set_bit(y | (a << free_vars), true);
+    }
+  }
+  return f;
+}
+
+TEST(ColumnMultiplicity, ClassifierMatchesColumnDefinition) {
   Rng rng(23);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int vars = static_cast<int>(rng.next_in(3, 11));
-    const int boundary = static_cast<int>(rng.next_in(1, vars - 1));
-    const TruthTable f = random_tt(rng, vars);
-    EXPECT_EQ(column_multiplicity_bdd(f, boundary), column_multiplicity_tt(f, boundary))
-        << "vars=" << vars << " boundary=" << boundary;
+  for (int bound = 2; bound <= 5; ++bound) {
+    for (int free_vars = 0; free_vars <= 10; ++free_vars) {
+      for (const int distinct : {1, 3, 1 << bound}) {
+        const TruthTable f = function_with_columns(rng, bound, free_vars, distinct);
+        SCOPED_TRACE("bound=" + std::to_string(bound) + " free=" + std::to_string(free_vars) +
+                     " distinct=" + std::to_string(distinct));
+        const ColumnClasses classes = classify_columns(f, bound);
+        expect_definitional(classes, f, bound);
+        const ColumnClasses bdd = classify_columns_bdd(f, bound);
+        expect_definitional(bdd, f, bound);
+        EXPECT_EQ(classes.code_of, bdd.code_of);
+      }
+    }
   }
 }
 
