@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   const bool audit = cli.audit;
   std::vector<Config> configs;
   {
-    Config base{"base (extra=2, bdd, span=3, pack)", FlowOptions{}};
+    Config base{"base (extra=2, span=3, pack)", FlowOptions{}};
     base.options.num_threads = cli.threads;
     base.options.budget = cli.budget;
     base.options.collect_artifacts = audit;
@@ -52,10 +52,6 @@ int main(int argc, char** argv) {
     e4.name = "expansion extra=4";
     e4.options.expansion.extra_levels = 4;
     configs.push_back(e4);
-    Config tt = base;
-    tt.name = "multiplicity via truth tables";
-    tt.options.use_bdd = false;
-    configs.push_back(tt);
     Config span1 = base;
     span1.name = "height span=1";
     span1.options.height_span = 1;

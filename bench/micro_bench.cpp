@@ -23,7 +23,6 @@
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
-#include "bdd/bdd.hpp"
 #include "cache/cached_flow.hpp"
 #include "core/engines.hpp"
 #include "core/expanded.hpp"
@@ -100,46 +99,14 @@ void BM_TruthTableCofactor(benchmark::State& state) {
 }
 BENCHMARK(BM_TruthTableCofactor);
 
-void BM_BddFromTruthTable(benchmark::State& state) {
-  const int arity = static_cast<int>(state.range(0));
-  Rng rng(2);
-  const TruthTable t = random_tt(rng, arity);
-  for (auto _ : state) {
-    BddManager mgr(arity);
-    benchmark::DoNotOptimize(mgr.from_truth_table(t));
-  }
-}
-BENCHMARK(BM_BddFromTruthTable)->Arg(10)->Arg(13)->Arg(15);
-
-void BM_BddToTruthTable(benchmark::State& state) {
-  const int arity = static_cast<int>(state.range(0));
-  Rng rng(6);
-  const TruthTable t = random_tt(rng, arity);
-  BddManager mgr(arity);
-  const BddRef f = mgr.from_truth_table(t);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mgr.to_truth_table(f, arity));
-  }
-}
-BENCHMARK(BM_BddToTruthTable)->Arg(10)->Arg(13);
-
-void BM_ColumnMultiplicityBdd(benchmark::State& state) {
+void BM_ColumnMultiplicity(benchmark::State& state) {
   Rng rng(3);
   const TruthTable t = random_tt(rng, 13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(column_multiplicity_bdd(t, 5));
+    benchmark::DoNotOptimize(classify_columns(t, 5).multiplicity());
   }
 }
-BENCHMARK(BM_ColumnMultiplicityBdd);
-
-void BM_ColumnMultiplicityTt(benchmark::State& state) {
-  Rng rng(3);
-  const TruthTable t = random_tt(rng, 13);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(column_multiplicity_tt(t, 5));
-  }
-}
-BENCHMARK(BM_ColumnMultiplicityTt);
+BENCHMARK(BM_ColumnMultiplicity);
 
 void BM_RothKarpDecompose(benchmark::State& state) {
   // A decomposable function: tree of ANDs/XORs over 12 inputs.

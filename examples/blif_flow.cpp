@@ -10,7 +10,7 @@
 //               [--cache-dir=PATH]  (persistent flow-artifact cache: a repeat
 //                                    run of an unchanged circuit replays its
 //                                    probe ledger instead of recomputing)
-//               [--deadline-ms N] [--bdd-node-budget N] ...  (run budgets)
+//               [--deadline-ms N] [--decomp-attempt-budget N] ...  (run budgets)
 //
 // Reads a SIS-style BLIF netlist, decomposes wide gates to make it
 // K-bounded, runs the selected flow, reports the metrics and writes the

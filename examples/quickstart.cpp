@@ -5,7 +5,7 @@
 //                  [--audit]       (re-verify every invariant of the result)
 //                  [--trace-json=PATH]  (per-stage/per-probe trace of the run)
 //                  [--cache-dir=PATH]   (reuse flow artifacts across runs)
-//                  [--deadline-ms N] [--bdd-node-budget N] ...  (run budgets)
+//                  [--deadline-ms N] [--decomp-attempt-budget N] ...  (run budgets)
 //
 // The circuit is a 3-bit counter with enable (embedded as a string); the
 // same code works for any SIS-style BLIF file via read_blif_file().

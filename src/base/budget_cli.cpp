@@ -13,8 +13,6 @@ RunBudget budget_from_cli(int argc, char** argv) {
     const std::string flag = argv[i];
     if (flag == "--deadline-ms") {
       budget.set_deadline_after_ms(std::atoll(argv[++i]));
-    } else if (flag == "--bdd-node-budget") {
-      budget.set_bdd_node_budget(static_cast<std::size_t>(std::atoll(argv[++i])));
     } else if (flag == "--decomp-attempt-budget") {
       budget.set_decomp_attempt_budget(std::atoll(argv[++i]));
     } else if (flag == "--flow-augment-budget") {
@@ -25,8 +23,8 @@ RunBudget budget_from_cli(int argc, char** argv) {
 }
 
 const char* budget_cli_help() {
-  return "[--deadline-ms N] [--bdd-node-budget N] [--decomp-attempt-budget N] "
-         "[--flow-augment-budget N]  (Ctrl-C cancels cooperatively)";
+  return "[--deadline-ms N] [--decomp-attempt-budget N] [--flow-augment-budget N]  "
+         "(Ctrl-C cancels cooperatively)";
 }
 
 }  // namespace turbosyn

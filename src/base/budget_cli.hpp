@@ -3,7 +3,6 @@
 //
 // Every main that runs a flow accepts the same knobs:
 //   --deadline-ms N           wall-clock budget for each flow invocation
-//   --bdd-node-budget N       BDD node ceiling per decomposition attempt
 //   --decomp-attempt-budget N total decomposition attempts per run
 //   --flow-augment-budget N   augmenting paths per flow-based cut test
 // and a SIGINT handler is installed so Ctrl-C cancels cooperatively (the

@@ -60,8 +60,6 @@ void RunBudget::set_deadline_after(std::chrono::milliseconds ms) {
 
 void RunBudget::set_cancel_token(const CancelToken* token) { mutable_state().cancel = token; }
 
-void RunBudget::set_bdd_node_budget(std::size_t nodes) { mutable_state().bdd_nodes = nodes; }
-
 void RunBudget::set_decomp_attempt_budget(std::int64_t attempts) {
   mutable_state().decomp_attempts = attempts;
 }
@@ -98,7 +96,6 @@ RunBudget RunBudget::fork() const {
   cs.has_deadline = s->has_deadline;
   cs.deadline = s->deadline;
   cs.cancel = s->cancel;
-  cs.bdd_nodes = s->bdd_nodes;
   cs.flow_augments = s->flow_augments;
   cs.decomp_attempts = s->decomp_attempts;
   return child;

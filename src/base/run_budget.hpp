@@ -2,8 +2,8 @@
 // Run budgets and cooperative cancellation for the solver stack.
 //
 // A RunBudget bundles a wall-clock deadline, a cancellation token and a set
-// of resource ceilings (BDD nodes per decomposition attempt, decomposition
-// attempts per run, flow augmentations per cut test). Solvers poll check()
+// of two resource ceilings (decomposition attempts per run, flow
+// augmentations per cut test). Solvers poll check()
 // at natural boundaries (sweeps, probes, batch items) and wind down
 // gracefully instead of throwing; resource ceilings degrade the affected
 // node to its plain K-cut label, which is always a sound fallback because
@@ -110,11 +110,9 @@ class RunBudget {
   /// The token check() polls (nullptr when none was set).
   const CancelToken* cancel_token() const { return state_ ? state_->cancel : nullptr; }
 
-  /// Per-attempt BDD node ceiling for decomposition (0 = library default).
-  void set_bdd_node_budget(std::size_t nodes);
-
-  /// Total decomposition attempts per run (0 = unlimited); consumed via
-  /// try_consume_decomp_attempt().
+  /// Total decomposition attempts of the label search per run (0 =
+  /// unlimited); consumed via try_consume_decomp_attempt(). Mapping
+  /// generation's rebuild of the converged labels is not metered.
   void set_decomp_attempt_budget(std::int64_t attempts);
 
   /// Max augmenting paths per flow-based cut test (0 = unlimited). A test
@@ -124,7 +122,6 @@ class RunBudget {
   /// True iff any knob is configured; the fast "no budget" test.
   bool limited() const { return state_ != nullptr; }
 
-  std::size_t bdd_node_budget() const { return state_ ? state_->bdd_nodes : 0; }
   std::int64_t flow_augment_budget() const { return state_ ? state_->flow_augments : 0; }
 
   /// Cooperative poll: kCancelled, kDeadlineExceeded, or kOk. Cheap enough
@@ -157,7 +154,6 @@ class RunBudget {
     std::chrono::steady_clock::time_point deadline{};
     mutable std::atomic<bool> deadline_hit{false};
     const CancelToken* cancel = nullptr;
-    std::size_t bdd_nodes = 0;
     std::int64_t flow_augments = 0;
     std::int64_t decomp_attempts = 0;
     mutable std::atomic<std::int64_t> decomp_attempts_used{0};

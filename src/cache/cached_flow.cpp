@@ -195,10 +195,8 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
     }
     if (winner != nullptr) {
       remap_entry_to_input_order(*entry, c);
-      // The winner's option deltas governed the stored run; resolve them
-      // before a replay so the regenerated mapping matches bit for bit.
-      FlowResult result = serve_hit("flow:portfolio", winner->period_objective, c,
-                                    winner->apply(options), *entry);
+      FlowResult result =
+          serve_hit("flow:portfolio", winner->period_objective, c, options, *entry);
       result.engine = entry->winner;
       if (info != nullptr) info->hit = true;
       trace_cache_counters(options.trace, *cache);

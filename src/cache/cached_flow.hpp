@@ -37,10 +37,9 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
 /// Cache-aware portfolio racing: run_portfolio() with a FlowCache in front.
 /// The key covers the ordered engine list with per-spec fingerprints
 /// (make_portfolio_cache_key). A hit resolves the stored winner against the
-/// requested engines and serves it like run_flow_cached (an artifact replay
-/// runs under that spec's option deltas) — bit-identical to re-racing,
-/// because the race itself is bit-identical to running every engine and
-/// selecting with the shared comparator. The hit's result carries
+/// requested engines and serves it like run_flow_cached — bit-identical to
+/// re-racing, because the race itself is bit-identical to running every
+/// engine and selecting with the shared comparator. The hit's result carries
 /// FlowResult::engine and the merged engine-tagged ledger but an empty
 /// portfolio table (no race happened, so there is nothing for the
 /// "portfolio" audit to re-verify). A race won by an engine without label

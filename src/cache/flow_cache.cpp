@@ -297,11 +297,11 @@ namespace {
 /// num_threads / budgets / observability knobs (see make_cache_key docs).
 void append_option_fields(std::ostringstream& os, const FlowOptions& options) {
   os << " k " << options.k << " cmax " << options.cmax << " height_span "
-     << options.height_span << " pld " << options.use_pld << " bdd " << options.use_bdd
-     << " relax " << options.label_relaxation << " lowcost " << options.low_cost_cuts
-     << " dedupe " << options.dedupe << " pack " << options.pack << " pipeline "
-     << options.pipeline << " exp " << options.expansion.extra_levels << ' '
-     << options.expansion.node_budget << '\n';
+     << options.height_span << " pld " << options.use_pld << " relax "
+     << options.label_relaxation << " lowcost " << options.low_cost_cuts << " dedupe "
+     << options.dedupe << " pack " << options.pack << " pipeline " << options.pipeline
+     << " exp " << options.expansion.extra_levels << ' ' << options.expansion.node_budget
+     << '\n';
 }
 
 /// Finishes a key from its options line: full text and hash.
@@ -324,8 +324,9 @@ CacheKey make_cache_key(const Circuit& c, const FlowOptions& options, FlowKind k
 CacheKey make_portfolio_cache_key(const Circuit& c, const FlowOptions& options,
                                   const std::vector<const EngineSpec*>& engines) {
   // The ordered engine list with per-spec fingerprints: order matters (it is
-  // the selection tie-break), and the fingerprint covers every spec-side
-  // delta, so editing a registry engine invalidates its portfolios' entries.
+  // the selection tie-break), and the fingerprint covers every spec field
+  // that shapes the run, so editing a registry engine invalidates its
+  // portfolios' entries.
   std::ostringstream os;
   os << "portfolio";
   for (const EngineSpec* spec : engines) {

@@ -115,8 +115,8 @@ CacheKey make_cache_key(const Circuit& c, const FlowOptions& options, FlowKind k
 /// Key for racing `engines` (a validated portfolio, core/portfolio.hpp) on
 /// `c`. The options line replaces the flow name with the ordered engine
 /// list, each entry carrying its spec fingerprint — so a portfolio hit is
-/// only served to the exact same race (same engines, same order, same spec
-/// deltas), and reordering or swapping an engine is a clean miss.
+/// only served to the exact same race (same engines, same order), and
+/// reordering or swapping an engine is a clean miss.
 CacheKey make_portfolio_cache_key(const Circuit& c, const FlowOptions& options,
                                   const std::vector<const EngineSpec*>& engines);
 
@@ -140,7 +140,7 @@ struct CachedProbe {
 struct CacheEntry {
   /// Winning engine of a portfolio run (schema v4; empty for standalone
   /// flows). A portfolio hit resolves this name against the requested
-  /// engine list; a replay runs under the winner's option deltas.
+  /// engine list and replays it under the caller's options.
   std::string winner;
   int phi = 0;                     // the ratio/period the run settled on
   LabelMode mode = LabelMode::kPlain;  // update rule of the winning labels
@@ -172,12 +172,13 @@ class FlowCache {
   /// are created on the first store.
   explicit FlowCache(std::string dir);
 
-  /// v6: entries no longer carry the mapped BLIF (v5 recorded the probe
-  /// wall time the cost-aware hot tier scores by; v4 named the winning
-  /// engine and tagged every probe record with its engine; v3 added the
-  /// length + checksum trailer; v2 canonical-order labels). Older entries
-  /// parse as a schema mismatch, i.e. a clean miss.
-  static constexpr int kSchemaVersion = 6;
+  /// v7: keys no longer name a multiplicity engine (v6 dropped the mapped
+  /// BLIF from entries; v5 recorded the probe wall time the cost-aware hot
+  /// tier scores by; v4 named the winning engine and tagged every probe
+  /// record with its engine; v3 added the length + checksum trailer; v2
+  /// canonical-order labels). Older entries parse as a schema mismatch, i.e.
+  /// a clean miss.
+  static constexpr int kSchemaVersion = 7;
 
   /// The complete, validated entry for `key`, or nullopt (miss). Collision-
   /// checked against key.text; never throws on malformed files. With the hot

@@ -160,11 +160,6 @@ const char* shape_name(EngineSpec::Shape shape) {
   return "?";
 }
 
-void append_delta(std::ostringstream& out, const char* key,
-                  const std::optional<bool>& value) {
-  out << ' ' << key << '=' << (value.has_value() ? (*value ? "1" : "0") : "-");
-}
-
 std::vector<EngineSpec> build_registry() {
   std::vector<EngineSpec> specs;
 
@@ -216,61 +211,22 @@ std::vector<EngineSpec> build_registry() {
   ts_bisect.trace_label = "flow:turbosyn_bisect";
   specs.push_back(ts_bisect);
 
-  EngineSpec tm_nopld;
-  tm_nopld.name = "turbomap_nopld";
-  tm_nopld.summary = "TurboMap with the n^2 cycle criterion instead of PLD";
-  tm_nopld.shape = EngineSpec::Shape::kSearch;
-  tm_nopld.mode = LabelMode::kPlain;
-  tm_nopld.strength = 1;
-  tm_nopld.use_pld = false;
-  tm_nopld.trace_label = "flow:turbomap_nopld";
-  specs.push_back(tm_nopld);
-
-  EngineSpec ts_tt;
-  ts_tt.name = "turbosyn_tt";
-  ts_tt.summary = "TurboSYN with the truth-table multiplicity engine (no OBDDs)";
-  ts_tt.shape = EngineSpec::Shape::kSeededSearch;
-  ts_tt.mode = LabelMode::kDecomp;
-  ts_tt.strength = 2;
-  ts_tt.use_bdd = false;
-  ts_tt.trace_label = "flow:turbosyn_tt";
-  ts_tt.phase_ub_label = "phase:turbosyn_tt-ub";
-  ts_tt.phase_search_label = "phase:turbosyn_tt-search";
-  specs.push_back(ts_tt);
-
   return specs;
 }
 
 }  // namespace
-
-FlowOptions EngineSpec::apply(const FlowOptions& base) const {
-  FlowOptions out = base;
-  if (use_bdd.has_value()) out.use_bdd = *use_bdd;
-  if (use_pld.has_value()) out.use_pld = *use_pld;
-  if (label_relaxation.has_value()) out.label_relaxation = *label_relaxation;
-  if (low_cost_cuts.has_value()) out.low_cost_cuts = *low_cost_cuts;
-  if (cmax.has_value()) out.cmax = *cmax;
-  return out;
-}
 
 std::string EngineSpec::fingerprint() const {
   std::ostringstream out;
   out << "engine " << name << " shape=" << shape_name(shape)
       << " mode=" << label_mode_name(mode) << " period=" << (period_objective ? 1 : 0)
       << " strength=" << strength;
-  append_delta(out, "bdd", use_bdd);
-  append_delta(out, "pld", use_pld);
-  append_delta(out, "relax", label_relaxation);
-  append_delta(out, "lcc", low_cost_cuts);
-  out << " cmax=" << (cmax.has_value() ? std::to_string(*cmax) : "-");
   return out.str();
 }
 
 std::string EngineSpec::quality_key() const {
   std::ostringstream out;
-  out << label_mode_name(mode) << '/' << (period_objective ? "period" : "mdr") << "/cmax="
-      << (cmax.has_value() ? std::to_string(*cmax) : "-") << "/bdd="
-      << (use_bdd.has_value() ? (*use_bdd ? "1" : "0") : "-");
+  out << label_mode_name(mode) << '/' << (period_objective ? "period" : "mdr");
   return out.str();
 }
 
@@ -315,8 +271,7 @@ bool portfolio_prefers(int phi_a, int strength_a, std::size_t pos_a, int phi_b,
   return pos_a < pos_b;
 }
 
-FlowResult run_engine(const EngineSpec& spec, const Circuit& c, const FlowOptions& base) {
-  const FlowOptions options = spec.apply(base);
+FlowResult run_engine(const EngineSpec& spec, const Circuit& c, const FlowOptions& options) {
   switch (spec.shape) {
     case EngineSpec::Shape::kSearch:
       return run_search_engine(spec, c, options);

@@ -1,13 +1,14 @@
 #pragma once
 // Engine registry: every synthesis flow as a data-driven EngineSpec.
 //
-// The four paper flows (and their variants) differ only in which probe
-// schedule, label-update rule and timing tail they run — the DAC'97
-// machinery underneath is shared. An EngineSpec captures exactly those
-// degrees of freedom: the pipeline shape, the label mode, the φ schedule,
-// the objective, and a handful of FlowOptions deltas. run_engine() expands a
-// spec into the stage list the FlowDriver executes, so "add a fifth engine"
-// is one registry entry, not a fifth hand-written pipeline.
+// The four paper flows (and the one-phase TurboSYN variant) differ only in
+// which probe schedule, label-update rule and timing tail they run — the
+// DAC'97 machinery underneath is shared. An EngineSpec captures exactly those
+// degrees of freedom: the pipeline shape, the label mode, the φ schedule and
+// the objective; every engine runs on the caller's FlowOptions as given.
+// run_engine() expands a spec into the stage list the FlowDriver executes,
+// so "add another engine" is one registry entry, not another hand-written
+// pipeline.
 //
 // The registry is also the soundness basis of portfolio racing
 // (core/portfolio.hpp): each spec carries a dominance `strength`, and
@@ -26,7 +27,6 @@
 // finishes with a certificate: the race's outcome is bit-identical to
 // running every engine to completion and picking the best.
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,15 +64,6 @@ struct EngineSpec {
   /// larger φ (see the file comment).
   int strength = 0;
 
-  // FlowOptions deltas (unset = inherit the caller's options). These are
-  // what makes a registry variant a different engine: e.g. a truth-table
-  // multiplicity engine (use_bdd=false) or a tighter cmax.
-  std::optional<bool> use_bdd;
-  std::optional<bool> use_pld;
-  std::optional<bool> label_relaxation;
-  std::optional<bool> low_cost_cuts;
-  std::optional<int> cmax;
-
   /// Root trace span. The four original flows keep their historical
   /// spellings ("flow:turbomap", ...); variants use "flow:<name>".
   std::string trace_label;
@@ -81,26 +72,24 @@ struct EngineSpec {
   std::string phase_ub_label;
   std::string phase_search_label;
 
-  /// The caller's options with this engine's deltas applied. A spec with no
-  /// deltas returns the options unchanged, so the four canonical engines
-  /// stay bit-identical to the pre-registry flows.
-  FlowOptions apply(const FlowOptions& base) const;
+  /// The options this engine runs with: the caller's, unchanged (no engine
+  /// overrides a FlowOptions field). Kept so callers that rebuild a winner's
+  /// options, such as an auditor, need not special-case engines.
+  FlowOptions apply(const FlowOptions& base) const { return base; }
 
   /// Canonical text of everything spec-side that can change this engine's
   /// result for a fixed circuit and caller options — cache-key material.
   std::string fingerprint() const;
 
   /// The quality-relevant part of the fingerprint: the knobs that determine
-  /// the certified φ (mode, objective, cmax, multiplicity engine), with
-  /// speed-only knobs (use_pld) and mapping-structure knobs
-  /// (label_relaxation, low_cost_cuts) excluded. Equal strength + equal
+  /// the certified φ (label mode and objective). Equal strength + equal
   /// quality key ⇒ identical certified φ: the basis of tie cancellation.
   std::string quality_key() const;
 };
 
 /// The built-in engines, in registry order: the four paper flows first
-/// (turbomap, turbosyn, flowsyn_s, turbomap_period), then the variants
-/// (turbosyn_bisect, turbomap_nopld, turbosyn_tt).
+/// (turbomap, turbosyn, flowsyn_s, turbomap_period), then the one-phase
+/// variant turbosyn_bisect.
 const std::vector<EngineSpec>& engine_registry();
 
 /// Lookup by CLI name; nullptr when unknown.

@@ -36,7 +36,6 @@ struct FlowOptions {
   int cmax = 15;
   int height_span = 3;
   bool use_pld = true;           // positive loop detection (vs n^2 criterion)
-  bool use_bdd = true;           // decomposition multiplicity engine
   bool label_relaxation = true;  // LUT-reduction in mapping generation
   bool low_cost_cuts = true;     // min-size, max-sharing cut selection
   bool dedupe = true;            // structural LUT deduplication

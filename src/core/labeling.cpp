@@ -27,14 +27,6 @@ std::int64_t fanin_bound(const Circuit& c, std::span<const int> labels, int phi,
   return best;
 }
 
-DecompOptions decomp_options(const LabelOptions& options) {
-  DecompOptions d;
-  d.k = options.k;
-  d.use_bdd = options.use_bdd;
-  d.bdd_node_budget = options.budget.bdd_node_budget();
-  return d;
-}
-
 /// Signature of one decomposition attempt: the cut, the inputs' effective
 /// labels, and the target height fully determine the (deterministic) outcome
 /// of decompose_for_label, so verdicts memoized under this key stay valid
@@ -53,11 +45,6 @@ std::uint64_t attempt_signature(std::span<const SeqCutNode> cut, std::span<const
   return h;
 }
 
-/// Tries resynthesis at min-cut heights `height`, height-1, ... Returns the
-/// realization on success. With `existence_only`, a memoized success returns
-/// an empty realization without re-running the decomposition: the label
-/// iteration only needs the verdict, and mapping generation (which needs the
-/// LUTs) always runs with existence_only = false.
 /// Records v as degraded (fell back to its plain K-cut label under a
 /// resource ceiling). Consecutive duplicates are skipped; full deduping
 /// happens when the run's diagnostics are assembled.
@@ -67,6 +54,11 @@ void record_degraded(LabelStats& stats, NodeId v) {
   }
 }
 
+/// Tries resynthesis at min-cut heights `height`, height-1, ... Returns the
+/// realization on success. With `existence_only` (the label iteration), a
+/// memoized success returns an empty realization without re-running the
+/// decomposition, since the iteration only needs the verdict. Mapping
+/// generation, which needs the LUTs, runs with existence_only = false.
 std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<const int> labels,
                                                  int phi, NodeId v, int height,
                                                  const LabelOptions& options, LabelStats& stats,
@@ -92,7 +84,6 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
     }
     std::unordered_map<std::uint64_t, bool>* memo = nullptr;
     std::uint64_t key = 0;
-    bool memoized_success = false;
     if (cache != nullptr) {
       memo = &cache->per_node[static_cast<std::size_t>(v)];
       key = attempt_signature(*cut, eff, height);
@@ -100,23 +91,20 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
         ++stats.cache_hits;
         if (!it->second) continue;  // this exact attempt already failed
         if (existence_only) return NodeRealization{};
-        memoized_success = true;  // re-running a known success; exempt from
-                                  // the attempt ceiling so mapping generation
-                                  // can always rebuild what labeling proved
       }
     }
-    if (!memoized_success && !options.budget.try_consume_decomp_attempt()) {
+    // The attempt ceiling meters the label iteration only. Mapping generation
+    // re-derives the realizations that justified the converged labels; were
+    // it metered too, a ceiling spent by the search would leave it unable to
+    // rebuild them, and the mapping would miss the phi the search proved.
+    if (existence_only && !options.budget.try_consume_decomp_attempt()) {
       ++stats.decomp_budget_hits;
       degraded = true;
       break;  // the ceiling is per-run: further heights would be refused too
     }
     ++stats.decomp_attempts;
     const TruthTable f = net.cut_function(*cut);
-    DecompResult d = decompose_for_label(f, eff, height, decomp_options(options));
-    if (d.budget_limited) {
-      ++stats.bdd_budget_hits;
-      if (!d.success) degraded = true;
-    }
+    DecompResult d = decompose_for_label(f, eff, height, DecompOptions{.k = options.k});
     if (memo != nullptr) memo->emplace(key, d.success);
     if (d.success) {
       ++stats.decomp_successes;
@@ -413,7 +401,6 @@ void LabelStats::accumulate(const LabelStats& from) {
   decomp_successes += from.decomp_successes;
   cache_hits += from.cache_hits;
   flow_augmentations += from.flow_augmentations;
-  bdd_budget_hits += from.bdd_budget_hits;
   decomp_budget_hits += from.decomp_budget_hits;
   flow_budget_hits += from.flow_budget_hits;
   degraded_nodes.insert(degraded_nodes.end(), from.degraded_nodes.begin(),
@@ -624,9 +611,7 @@ LabelResult LabelEngine::compute(int phi) {
     } else if (out == CompOutcome::kBudgetExhausted) {
       result.status = combine_status(result.status, Status::kDegraded);
     }
-    if (result.stats.bdd_budget_hits + result.stats.decomp_budget_hits +
-            result.stats.flow_budget_hits >
-        0) {
+    if (result.stats.decomp_budget_hits + result.stats.flow_budget_hits > 0) {
       result.status = combine_status(result.status, Status::kDegraded);
     }
   };

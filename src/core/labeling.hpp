@@ -48,7 +48,6 @@ struct LabelOptions {
   int cmax = 15;                      // max resynthesis cut width (paper: 15)
   int height_span = 3;                // decomposition min-cut heights L(v)..L(v)-span+1
   bool use_pld = true;                // false: fall back to the n^2 stopping criterion
-  bool use_bdd = true;                // decomposition multiplicity engine
   /// Extra cap on per-SCC sweeps (0 = only the criterion's own bound). Used
   /// by the PLD ablation bench to bound the n^2 baseline's runtime; when the
   /// cap fires the result reports infeasible with Status::kDegraded (a
@@ -73,7 +72,6 @@ struct LabelStats {
   std::int64_t cache_hits = 0;           // decomposition-memo hits
   std::int64_t flow_augmentations = 0;   // augmenting paths across all cut tests
   // Budget interference counters (all zero on an unlimited run).
-  std::int64_t bdd_budget_hits = 0;     // attempts cut short by the BDD node ceiling
   std::int64_t decomp_budget_hits = 0;  // attempts refused by the attempt ceiling
   std::int64_t flow_budget_hits = 0;    // cut tests cut short by the augmentation ceiling
   /// Nodes whose decomposition was abandoned under a resource ceiling, i.e.
@@ -92,7 +90,7 @@ struct LabelResult {
   bool feasible = false;
   std::vector<int> labels;  // per node; meaningful when feasible
   int max_po_label = 0;     // for the clock-period (no pipelining) check
-  /// kOk: exact. kDegraded: a resource ceiling (sweep/BDD/decomposition/
+  /// kOk: exact. kDegraded: a resource ceiling (sweep/decomposition/
   /// flow budget) altered the computation — feasible results are still valid
   /// mappings, infeasible verdicts are no longer certificates.
   /// kDeadlineExceeded / kCancelled: the run was interrupted; labels did not

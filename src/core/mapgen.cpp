@@ -107,9 +107,9 @@ class Generator {
     auto real = realize_node(c_, labels_.labels, phi_, v, height, lopts_, stats_, nullptr,
                              opts_.low_cost_cuts ? &shared : nullptr, &scratch_);
     if (!real.has_value() && lopts_.budget.limited()) {
-      // A resource ceiling can make the realization that justified this label
-      // during labeling unavailable now (the BDD/flow/attempt budget fires at
-      // a different point of a different traversal). Climb the height until
+      // The flow-augmentation ceiling can make the realization that justified
+      // this label during labeling unavailable now (it fires at a different
+      // point of a different traversal). Climb the height until
       // something is realizable — the trivial fanin cut guarantees success
       // within num_gates extra levels, and any height is structurally valid
       // (just possibly slower).

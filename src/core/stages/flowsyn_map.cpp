@@ -22,7 +22,6 @@ void FlowSynMapStage::run(FlowContext& ctx) {
   fopts.enable_decomposition = true;
   fopts.cmax = ctx.options.cmax;
   fopts.min_cut_height_span = ctx.options.height_span;
-  fopts.use_bdd = ctx.options.use_bdd;
   const FlowMapResult mapping = flowmap(split.comb, fopts);
   const Circuit mapped_comb = generate_mapped_circuit(split.comb, mapping, fopts);
   Circuit merged = merge_registers(ctx.input, split, mapped_comb);

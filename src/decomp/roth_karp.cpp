@@ -2,81 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <numeric>
 
 #include "base/check.hpp"
-#include "bdd/bdd.hpp"
 
 namespace turbosyn {
 namespace {
-
-/// One Roth–Karp step on a function whose bound set already occupies
-/// variables 0..boundary-1: the per-bound-assignment class code and one
-/// representative truth table per class (over the full arity; classes do not
-/// depend on bound variables).
-struct ClassInfo {
-  std::size_t multiplicity = 0;
-  std::vector<std::uint32_t> code_of;   // size 2^boundary
-  std::vector<TruthTable> class_tt;     // size multiplicity
-  bool budget_exhausted = false;        // BDD node budget fired; info unusable
-};
-
-ClassInfo classify_bdd(const TruthTable& f, int boundary, std::size_t bdd_node_budget) {
-  // With a caller-imposed node ceiling the manager saturates instead of
-  // throwing; the only node-creating call is from_truth_table, so testing
-  // exhausted() right after it decides whether the classification is valid.
-  BddManager mgr(f.num_vars(), bdd_node_budget > 0 ? bdd_node_budget : (std::size_t{1} << 22),
-                 bdd_node_budget > 0 ? BddManager::OnBudget::kSaturate
-                                     : BddManager::OnBudget::kThrow);
-  const BddRef root = mgr.from_truth_table(f);
-  if (mgr.exhausted()) {
-    ClassInfo info;
-    info.budget_exhausted = true;
-    return info;
-  }
-  const std::vector<BddRef> classes = mgr.boundary_cofactors(root, boundary);
-  std::map<BddRef, std::uint32_t> index_of;
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    index_of.emplace(classes[i], static_cast<std::uint32_t>(i));
-  }
-  ClassInfo info;
-  info.multiplicity = classes.size();
-  info.code_of.resize(std::size_t{1} << boundary);
-  for (std::uint32_t a = 0; a < info.code_of.size(); ++a) {
-    info.code_of[a] = index_of.at(mgr.cofactor_at(root, boundary, a));
-  }
-  info.class_tt.reserve(classes.size());
-  for (const BddRef c : classes) {
-    info.class_tt.push_back(mgr.to_truth_table(c, f.num_vars()));
-  }
-  return info;
-}
-
-ClassInfo classify_tt(const TruthTable& f, int boundary) {
-  ClassInfo info;
-  info.code_of.resize(std::size_t{1} << boundary);
-  std::map<std::string, std::uint32_t> index_of;  // column signature -> class
-  const int free_vars = f.num_vars() - boundary;
-  const std::uint32_t free_count = std::uint32_t{1} << free_vars;
-  for (std::uint32_t a = 0; a < info.code_of.size(); ++a) {
-    std::string signature(free_count, '0');
-    for (std::uint32_t y = 0; y < free_count; ++y) {
-      if (f.bit(a | (y << boundary))) signature[y] = '1';
-    }
-    const auto [it, inserted] =
-        index_of.emplace(std::move(signature), static_cast<std::uint32_t>(info.class_tt.size()));
-    if (inserted) {
-      // Representative: f with the bound variables fixed to this assignment.
-      TruthTable rep = f;
-      for (int v = 0; v < boundary; ++v) rep = rep.cofactor(v, (a >> v) & 1);
-      info.class_tt.push_back(std::move(rep));
-    }
-    info.code_of[a] = it->second;
-  }
-  info.multiplicity = info.class_tt.size();
-  return info;
-}
 
 /// The index of the `r`-th bound assignment in the classifier's visiting
 /// order: r read with bound variable 0 as its most significant bit.
@@ -99,14 +30,6 @@ struct Signal {
 };
 
 }  // namespace
-
-std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary) {
-  return classify_bdd(f, boundary, /*bdd_node_budget=*/0).multiplicity;
-}
-
-std::size_t column_multiplicity_tt(const TruthTable& f, int boundary) {
-  return classify_tt(f, boundary).multiplicity;
-}
 
 ColumnClasses classify_columns(const TruthTable& f, int bound) {
   TS_CHECK(bound >= 0 && bound <= f.num_vars(), "bound set larger than the function");
@@ -134,26 +57,10 @@ ColumnClasses classify_columns(const TruthTable& f, int bound) {
            !std::ranges::equal(out.class_tt[code].words(), column)) {
       ++code;
     }
-    if (code == out.class_tt.size()) out.class_tt.push_back(TruthTable::from_words(free_vars, column));
+    if (code == out.class_tt.size()) {
+      out.class_tt.push_back(TruthTable::from_words(free_vars, column));
+    }
     out.code_of[a] = static_cast<std::uint32_t>(code);
-  }
-  return out;
-}
-
-ColumnClasses classify_columns_bdd(const TruthTable& f, int bound) {
-  // Move the bound set to variables 0..bound-1 for the OBDD, keeping the free
-  // variables in order behind it.
-  const int m = f.num_vars();
-  const int free_vars = m - bound;
-  std::vector<int> var_map(static_cast<std::size_t>(m));
-  for (int v = 0; v < m; ++v) var_map[static_cast<std::size_t>(v)] = v < free_vars ? v + bound : v - free_vars;
-  const ClassInfo info = classify_bdd(f.remap(m, var_map), bound, 0);
-  ColumnClasses out;
-  out.code_of = info.code_of;
-  for (const TruthTable& t : info.class_tt) {
-    TruthTable c = t;
-    for (int v = bound - 1; v >= 0; --v) c = c.drop_var(v);
-    out.class_tt.push_back(std::move(c));
   }
   return out;
 }
@@ -207,38 +114,29 @@ class DecompSearch {
   }
 
   int achieved() const { return achieved_; }
-  bool budget_limited() const { return budget_limited_; }
 
  private:
   bool try_step(const TruthTable& f, const std::vector<Signal>& signals,
                 std::span<const int> bound, std::vector<DecompLut>& luts) {
     const int m = static_cast<int>(signals.size());
     const int b = static_cast<int>(bound.size());
-    // Reorder: bound set to variables 0..b-1, the rest keep their order.
+    // Reorder: kept signals to variables 0..free_vars-1 in their order, bound
+    // signal j to variable free_vars + j, so each column is one table slice.
+    const int free_vars = m - b;
     std::vector<int> var_map(static_cast<std::size_t>(m), -1);
-    std::vector<bool> in_bound(static_cast<std::size_t>(m), false);
     for (int j = 0; j < b; ++j) {
-      var_map[static_cast<std::size_t>(bound[static_cast<std::size_t>(j)])] = j;
-      in_bound[static_cast<std::size_t>(bound[static_cast<std::size_t>(j)])] = true;
+      var_map[static_cast<std::size_t>(bound[static_cast<std::size_t>(j)])] = free_vars + j;
     }
-    int next = b;
-    std::vector<int> kept;  // signal indices, in var order b..m-1
+    int next = 0;
+    std::vector<int> kept;  // signal indices, in var order 0..free_vars-1
     for (int i = 0; i < m; ++i) {
-      if (!in_bound[static_cast<std::size_t>(i)]) {
+      if (var_map[static_cast<std::size_t>(i)] < 0) {
         var_map[static_cast<std::size_t>(i)] = next++;
         kept.push_back(i);
       }
     }
-    const TruthTable reordered = f.remap(m, var_map);
-
-    const ClassInfo info = options_.use_bdd
-                               ? classify_bdd(reordered, b, options_.bdd_node_budget)
-                               : classify_tt(reordered, b);
-    if (info.budget_exhausted) {
-      budget_limited_ = true;
-      return false;  // could not even classify: treat as no compression
-    }
-    const int t = std::max(1, ceil_log2(info.multiplicity));
+    const ColumnClasses classes = classify_columns(f.remap(m, var_map), b);
+    const int t = std::max(1, ceil_log2(classes.multiplicity()));
     if (t >= b) return false;  // no compression from this bound set
 
     // Encoder LUTs e_0..e_{t-1} over the bound signals.
@@ -251,8 +149,8 @@ class DecompSearch {
     for (int j = 0; j < t; ++j) {
       DecompLut lut;
       lut.func = TruthTable::constant(b, false);
-      for (std::uint32_t a = 0; a < info.code_of.size(); ++a) {
-        if ((info.code_of[a] >> j) & 1) lut.func.set_bit(a, true);
+      for (std::uint32_t a = 0; a < classes.code_of.size(); ++a) {
+        if ((classes.code_of[a] >> j) & 1) lut.func.set_bit(a, true);
       }
       for (const int i : bound) lut.fanins.push_back(signals[static_cast<std::size_t>(i)].ref);
       luts.push_back(std::move(lut));
@@ -262,16 +160,14 @@ class DecompSearch {
     for (const int i : kept) remaining.push_back(signals[static_cast<std::size_t>(i)]);
 
     // New function over (code vars, kept vars).
-    const int new_arity = t + (m - b);
+    const int new_arity = t + free_vars;
     TruthTable next_f = TruthTable::constant(new_arity, false);
     const std::uint32_t total = std::uint32_t{1} << new_arity;
     for (std::uint32_t x = 0; x < total; ++x) {
       std::uint32_t code = x & ((std::uint32_t{1} << t) - 1);
-      if (code >= info.multiplicity) code = 0;  // unreachable code: don't care
+      if (code >= classes.multiplicity()) code = 0;  // unreachable code: don't care
       const std::uint32_t kept_bits = x >> t;
-      // Class tables are over the reordered arity; bound bits are don't
-      // cares there, so place kept bits at positions b.. and zero-fill.
-      if (info.class_tt[code].bit(kept_bits << b)) next_f.set_bit(x, true);
+      if (classes.class_tt[code].bit(kept_bits)) next_f.set_bit(x, true);
     }
 
     if (solve(next_f, std::move(remaining), luts)) return true;
@@ -283,7 +179,6 @@ class DecompSearch {
   const DecompOptions& options_;
   int attempts_left_;
   int achieved_ = 0;
-  bool budget_limited_ = false;
 };
 
 }  // namespace
@@ -315,7 +210,6 @@ DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_l
   DecompSearch search(target_label, options);
   result.success = search.solve(current, std::move(signals), result.luts);
   result.achieved_label = search.achieved();
-  result.budget_limited = search.budget_limited();
   if (!result.success) result.luts.clear();
   return result;
 }

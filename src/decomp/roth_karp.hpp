@@ -11,10 +11,16 @@
 //
 // Strategy (following FlowSYN / the paper): sort inputs by increasing
 // effective label; repeatedly pick a bound set B of least-critical signals
-// with at least one level of slack, compute the column multiplicity mu via
-// the OBDD built with B ordered first (mu = #distinct cofactors across the
-// bound/free boundary), and replace B by t = ceil(log2 mu) encoder signals.
-// Succeeds when at most K signals remain and the achieved label is <= T.
+// with at least one level of slack, compute the column multiplicity mu (the
+// number of distinct columns of the bound/free decomposition chart), and
+// replace B by t = ceil(log2 mu) encoder signals. Succeeds when at most K
+// signals remain and the achieved label is <= T.
+//
+// The paper counts mu on an OBDD built bound-set-first. mu, the classes and
+// their codes are properties of the cut function, not of its representation:
+// with B moved onto the top variables of the truth table, each column is one
+// contiguous slice of the table, and numbering the classes in the OBDD's DFS
+// order keeps every encoder code bit-identical.
 
 #include <cstdint>
 #include <span>
@@ -48,20 +54,11 @@ struct DecompResult {
   /// max over inputs of (eff_label(i) + LUT levels from i to root);
   /// meaningful only on success.
   int achieved_label = 0;
-  /// True iff at least one Roth–Karp step was abandoned because the BDD node
-  /// budget fired; a failure with this flag set is not a proof that no
-  /// decomposition exists.
-  bool budget_limited = false;
 };
 
 struct DecompOptions {
-  int k = 5;               // LUT input count
-  bool use_bdd = true;     // mu via OBDD (paper); false = truth-table engine
-  int max_attempts = 64;   // bound-set selection attempts per round
-  /// BDD node ceiling per classification (0 = the manager's default). When
-  /// it fires, that bound set is treated as offering no compression and the
-  /// result is marked budget_limited instead of throwing.
-  std::size_t bdd_node_budget = 0;
+  int k = 5;              // LUT input count
+  int max_attempts = 64;  // bound-set selection attempts per round
 };
 
 /// Attempts to realize f as a DAG of K-LUTs meeting `target_label`.
@@ -86,15 +83,8 @@ struct ColumnClasses {
   std::size_t multiplicity() const { return class_tt.size(); }
 };
 
+/// Classifies the columns of f for the bound set = its top `bound` variables.
 ColumnClasses classify_columns(const TruthTable& f, int bound);
-
-/// Column multiplicity of f for the bound set = variables 0..boundary-1
-/// (inputs already ordered bound-first). Exposed for tests/benchmarks; both
-/// engines must agree.
-std::size_t column_multiplicity_bdd(const TruthTable& f, int boundary);
-std::size_t column_multiplicity_tt(const TruthTable& f, int boundary);
-/// classify_columns computed on the OBDD of f (same layout and numbering).
-ColumnClasses classify_columns_bdd(const TruthTable& f, int bound);
 
 /// Evaluates a DecompResult on a full input assignment (bit i = input i).
 bool evaluate_decomposition(const DecompResult& result, std::uint32_t assignment);

@@ -68,7 +68,6 @@ FlowMapResult flowmap(const Circuit& c, const FlowMapOptions& options) {
         }
         DecompOptions dopt;
         dopt.k = options.k;
-        dopt.use_bdd = options.use_bdd;
         DecompResult d = decompose_for_label(f, eff, p, dopt);
         if (d.success) {
           m.label = p;

@@ -1,6 +1,6 @@
 #pragma once
 // FlowMap (depth-optimal combinational K-LUT mapping, Cong–Ding '94) and
-// FlowSYN (FlowMap + OBDD functional decomposition to beat the combinational
+// FlowSYN (FlowMap + Roth–Karp functional decomposition to beat the combinational
 // depth limit, Cong–Ding '93).
 //
 // Both run on a purely combinational circuit (all edge weights 0). Labels:
@@ -23,7 +23,6 @@ struct FlowMapOptions {
   bool enable_decomposition = false;  // false = FlowMap, true = FlowSYN
   int cmax = 15;                    // max resynthesis cut width (paper: 15)
   int min_cut_height_span = 2;      // try min-cuts at heights p-1 .. p-span
-  bool use_bdd = true;              // decomposition multiplicity engine
 };
 
 struct NodeMapping {

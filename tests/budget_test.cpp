@@ -2,9 +2,10 @@
 //
 // The invariants checked here are the anytime contract:
 //   - an unconfigured budget never interferes (kOk, bit-identical results);
-//   - resource ceilings (BDD nodes, decomposition attempts, flow
-//     augmentations, sweep caps) degrade nodes to their plain K-cut labels
-//     and report Status::kDegraded — the mapping stays valid and equivalent;
+//   - resource ceilings (decomposition attempts, flow augmentations, sweep
+//     caps) degrade nodes to their plain K-cut labels and report
+//     Status::kDegraded — the mapping stays valid and equivalent;
+//   - a kOk flow's mapping reaches the phi it reports (exact MDR <= phi);
 //   - deadlines and cancellation stop the search cooperatively and still
 //     return an equivalent best-so-far (or identity-fallback) mapping;
 //   - a budget-imposed "infeasible" is distinguishable from a genuine
@@ -19,7 +20,6 @@
 #include "base/rng.hpp"
 #include "base/run_budget.hpp"
 #include "base/thread_pool.hpp"
-#include "bdd/bdd.hpp"
 #include "core/flows.hpp"
 #include "core/labeling.hpp"
 #include "netlist/blif.hpp"
@@ -46,12 +46,19 @@ void expect_equivalent(const Circuit& a, const Circuit& b, int cycles, std::uint
   }
 }
 
+// A kOk verdict promises the mapping reaches the reported phi.
+void expect_ok_reaches_phi(const FlowResult& r) {
+  if (r.status == Status::kOk) {
+    EXPECT_LE(r.exact_mdr, Rational(r.phi)) << "kOk with exact MDR " << r.exact_mdr.to_string()
+                                            << " above phi " << r.phi;
+  }
+}
+
 TEST(RunBudget, DefaultIsUnlimited) {
   const RunBudget b;
   EXPECT_FALSE(b.limited());
   EXPECT_EQ(b.check(), Status::kOk);
   EXPECT_FALSE(b.interrupted());
-  EXPECT_EQ(b.bdd_node_budget(), 0u);
   EXPECT_EQ(b.flow_augment_budget(), 0);
   // With no attempt ceiling every claim succeeds.
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(b.try_consume_decomp_attempt());
@@ -103,31 +110,22 @@ TEST(RunBudget, CombineStatusKeepsTheWorse) {
   EXPECT_EQ(combine_status(Status::kInvalidInput, Status::kDegraded), Status::kInvalidInput);
 }
 
-TEST(Bdd, SaturatingManagerLatchesExhaustionInsteadOfThrowing) {
-  BddManager mgr(4, /*node_budget=*/1, BddManager::OnBudget::kSaturate);
-  EXPECT_FALSE(mgr.exhausted());
-  // XOR over 4 vars cannot fit in one node beyond the terminals.
-  TruthTable f = TruthTable::var(4, 0);
-  for (int i = 1; i < 4; ++i) f = f ^ TruthTable::var(4, i);
-  EXPECT_NO_THROW((void)mgr.from_truth_table(f));
-  EXPECT_TRUE(mgr.exhausted());
-}
-
-TEST(Budget, BddStarvedTurboSynDegradesToPlainCutLabels) {
+TEST(Budget, AttemptStarvedTurboSynDegradesToPlainCutLabels) {
   // At K=3 the Figure-1 loop needs Roth-Karp decomposition to reach ratio 1;
-  // with a 1-node BDD ceiling every decomposition attempt saturates, so
-  // TurboSYN degrades to TurboMap's ratio 2 — and says so via the status.
+  // with a one-attempt ceiling the search cannot prove it, so TurboSYN
+  // degrades to TurboMap's ratio 2 — and says so via the status.
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
   opt.num_threads = 1;
-  opt.budget.set_bdd_node_budget(1);
+  opt.budget.set_decomp_attempt_budget(1);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.phi, 2);
   EXPECT_EQ(r.status, Status::kDegraded);
   EXPECT_FALSE(r.timed_out);
-  EXPECT_GT(r.stats.bdd_budget_hits, 0);
-  EXPECT_FALSE(r.degraded_nodes.empty());
+  EXPECT_EQ(r.stats.decomp_budget_hits, 4);
+  EXPECT_EQ(r.degraded_nodes.size(), 2u);
+  expect_ok_reaches_phi(r);
   expect_equivalent(c, r.mapped, 64, 21);
 }
 
@@ -141,7 +139,26 @@ TEST(Budget, DecompAttemptCeilingStillYieldsEquivalentMapping) {
   EXPECT_TRUE(r.phi == 1 || r.phi == 2);
   EXPECT_NE(r.status, Status::kDeadlineExceeded);
   EXPECT_NE(r.status, Status::kCancelled);
+  expect_ok_reaches_phi(r);
   expect_equivalent(c, r.mapped, 64, 22);
+}
+
+TEST(Budget, CeilingSpentBySearchStillLetsMappingReachPhi) {
+  // Three attempts are exactly what the search needs to prove ratio 1, so
+  // none are left when mapping generation rebuilds the proven realization.
+  // That rebuild is not metered: the mapping reaches phi 1 and the run is kOk.
+  const Circuit c = figure1_circuit();
+  FlowOptions opt;
+  opt.k = 3;
+  opt.num_threads = 1;
+  opt.budget.set_decomp_attempt_budget(3);
+  const FlowResult r = run_turbosyn(c, opt);
+  EXPECT_EQ(r.phi, 1);
+  EXPECT_EQ(r.status, Status::kOk);
+  EXPECT_EQ(r.stats.decomp_budget_hits, 0);
+  EXPECT_TRUE(r.degraded_nodes.empty());
+  EXPECT_EQ(r.exact_mdr, Rational(1));
+  expect_equivalent(c, r.mapped, 64, 27);
 }
 
 TEST(Budget, FlowAugmentCeilingFallsBackToIdentityMapping) {
@@ -182,6 +199,7 @@ TEST(Budget, PreCancelledTokenStopsTurboSynGracefully) {
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.status, Status::kCancelled);
   EXPECT_TRUE(r.timed_out);
+  expect_ok_reaches_phi(r);
   expect_equivalent(c, r.mapped, 64, 25);
 }
 
@@ -204,6 +222,7 @@ TEST(Budget, AsyncCancellationDrainsParallelEngine) {
   EXPECT_TRUE(r.status == Status::kOk || r.status == Status::kDegraded ||
               r.status == Status::kCancelled)
       << status_name(r.status);
+  expect_ok_reaches_phi(r);
   expect_equivalent(c, r.mapped, 64, 26);
 }
 
@@ -242,6 +261,7 @@ TEST(Budget, UnlimitedBudgetIsBitIdentical) {
   EXPECT_EQ(a.luts, b.luts);
   EXPECT_EQ(a.period, b.period);
   EXPECT_EQ(b.status, Status::kOk);
+  expect_ok_reaches_phi(b);
   EXPECT_EQ(write_blif_string(a.mapped), write_blif_string(b.mapped));
 }
 

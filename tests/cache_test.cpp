@@ -422,6 +422,25 @@ TEST_F(FlowCacheEntryFile, SchemaVersionMismatchIsACleanMiss) {
   EXPECT_TRUE(cache_->lookup(key_).has_value());
 }
 
+TEST_F(FlowCacheEntryFile, SchemaV6EntryIsACleanMiss) {
+  // v6 keys named the multiplicity engine; v7 keys do not. A v6 entry with
+  // an intact checksum trailer must still read as a miss.
+  const std::string bytes = read_entry();
+  const std::string header = "turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion);
+  const std::size_t sum = bytes.rfind("\nsum ");
+  ASSERT_EQ(FlowCache::kSchemaVersion, 7);
+  ASSERT_EQ(bytes.rfind(header, 0), 0u);
+  ASSERT_NE(sum, std::string::npos);
+  const std::string v6 =
+      "turbosyn-cache 6" + bytes.substr(header.size(), sum + 1 - header.size());
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(v6)));
+  write_entry(v6 + "sum " + std::to_string(v6.size()) + ' ' + checksum + '\n');
+  EXPECT_FALSE(cache_->lookup(key_).has_value());
+  EXPECT_EQ(key_.text.find(" bdd "), std::string::npos);
+}
+
 TEST_F(FlowCacheEntryFile, SchemaV5EntryIsACleanMissThatRepopulates) {
   // Rewrite the stored entry in the v5 layout — a mapped BLIF section before
   // "end" — with a valid checksum trailer, as a v5 writer would have left it.

@@ -21,15 +21,17 @@ TruthTable random_tt(Rng& rng, int vars) {
 // ---- Column multiplicity ----
 
 TEST(ColumnMultiplicity, KnownValues) {
-  // f = (x0 & x1) | x2 : cofactors over {x0, x1} are {x2, 1} -> mu = 2.
-  const TruthTable f = (TruthTable::var(3, 0) & TruthTable::var(3, 1)) | TruthTable::var(3, 2);
-  EXPECT_EQ(column_multiplicity_bdd(f, 2), 2u);
-  EXPECT_EQ(column_multiplicity_tt(f, 2), 2u);
-  // A 2-input mux selected by a free var has mu = 4 over its two data inputs
-  // (all four subfunctions of the select distinct... here: s? a : b with
-  // bound {a, b}: cofactors are {0, s, !s... } -> compute both engines agree).
-  const TruthTable mux = tt_mux().remap(3, std::vector<int>{2, 0, 1});  // data first
-  EXPECT_EQ(column_multiplicity_bdd(mux, 2), column_multiplicity_tt(mux, 2));
+  // f = (x1 & x2) | x0 with bound set {x1, x2}: the columns are {x0, 1}.
+  const TruthTable f = (TruthTable::var(3, 1) & TruthTable::var(3, 2)) | TruthTable::var(3, 0);
+  const ColumnClasses classes = classify_columns(f, 2);
+  EXPECT_EQ(classes.multiplicity(), 2u);
+  EXPECT_EQ(classes.code_of, (std::vector<std::uint32_t>{0, 0, 0, 1}));
+  EXPECT_EQ(classes.class_tt[0], TruthTable::var(1, 0));
+  EXPECT_EQ(classes.class_tt[1], TruthTable::constant(1, true));
+  // s ? a : b with bound set {a, b}: the columns over the select are
+  // 0, s, !s and 1, all distinct.
+  const TruthTable mux = tt_mux();  // variables: select, then the two data inputs
+  EXPECT_EQ(classify_columns(mux, 2).multiplicity(), 4u);
 }
 
 // The column of bound assignment a (bound set on the top `bound` variables),
@@ -96,11 +98,7 @@ TEST(ColumnMultiplicity, ClassifierMatchesColumnDefinition) {
         const TruthTable f = function_with_columns(rng, bound, free_vars, distinct);
         SCOPED_TRACE("bound=" + std::to_string(bound) + " free=" + std::to_string(free_vars) +
                      " distinct=" + std::to_string(distinct));
-        const ColumnClasses classes = classify_columns(f, bound);
-        expect_definitional(classes, f, bound);
-        const ColumnClasses bdd = classify_columns_bdd(f, bound);
-        expect_definitional(bdd, f, bound);
-        EXPECT_EQ(classes.code_of, bdd.code_of);
+        expect_definitional(classify_columns(f, bound), f, bound);
       }
     }
   }
@@ -109,7 +107,7 @@ TEST(ColumnMultiplicity, ClassifierMatchesColumnDefinition) {
 TEST(ColumnMultiplicity, XorChainIsAlwaysTwo) {
   for (int vars = 3; vars <= 12; ++vars) {
     for (int boundary = 1; boundary < vars; ++boundary) {
-      EXPECT_EQ(column_multiplicity_bdd(tt_xor(vars), boundary), 2u);
+      EXPECT_EQ(classify_columns(tt_xor(vars), boundary).multiplicity(), 2u);
     }
   }
 }
@@ -182,26 +180,6 @@ TEST(RothKarp, NonSupportInputsAreDropped) {
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.achieved_label, 1);
   EXPECT_TRUE(decomposition_matches(r, f));
-}
-
-TEST(RothKarp, BothEnginesProduceEquivalentResults) {
-  Rng rng(29);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int m = static_cast<int>(rng.next_in(6, 9));
-    const TruthTable f = random_tt(rng, m);
-    const std::vector<int> eff(static_cast<std::size_t>(m), 0);
-    DecompOptions bdd_opt;
-    bdd_opt.k = 5;
-    DecompOptions tt_opt = bdd_opt;
-    tt_opt.use_bdd = false;
-    const DecompResult a = decompose_for_label(f, eff, 3, bdd_opt);
-    const DecompResult b = decompose_for_label(f, eff, 3, tt_opt);
-    EXPECT_EQ(a.success, b.success);
-    if (a.success) {
-      EXPECT_TRUE(decomposition_matches(a, f));
-      EXPECT_TRUE(decomposition_matches(b, f));
-    }
-  }
 }
 
 class RothKarpRandomFunctions : public ::testing::TestWithParam<int> {};

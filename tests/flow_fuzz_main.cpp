@@ -450,8 +450,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     static const std::vector<std::vector<std::string>> kPortfolios = {
         {"turbomap", "turbosyn", "flowsyn_s"},
         {"turbosyn", "turbomap"},
-        {"turbomap_nopld", "turbosyn_bisect", "flowsyn_s"},
-        {"turbosyn_tt", "turbomap"},
+        {"turbomap", "turbosyn_bisect", "flowsyn_s"},
+        {"turbosyn_bisect", "turbosyn"},
     };
     const std::vector<std::string>& names = kPortfolios[seed % kPortfolios.size()];
     std::vector<const EngineSpec*> engines;

@@ -189,14 +189,5 @@ TEST(Flows, ParallelFlowMatchesSequentialFlow) {
   }
 }
 
-TEST(Flows, TruthTableEngineMatchesBddEngine) {
-  const Circuit c = figure1_circuit();
-  FlowOptions bdd_opt;
-  bdd_opt.k = 3;
-  FlowOptions tt_opt = bdd_opt;
-  tt_opt.use_bdd = false;
-  EXPECT_EQ(run_turbosyn(c, bdd_opt).phi, run_turbosyn(c, tt_opt).phi);
-}
-
 }  // namespace
 }  // namespace turbosyn
