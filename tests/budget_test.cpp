@@ -199,7 +199,6 @@ TEST(Budget, PreCancelledTokenStopsTurboSynGracefully) {
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.status, Status::kCancelled);
   EXPECT_TRUE(r.timed_out);
-  expect_ok_reaches_phi(r);
   expect_equivalent(c, r.mapped, 64, 25);
 }
 
