@@ -32,6 +32,7 @@
 #include "decomp/roth_karp.hpp"
 #include "graph/max_flow.hpp"
 #include "retime/cycle_ratio.hpp"
+#include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
 #include "netlist/blif.hpp"
 #include "service/batch_runner.hpp"
@@ -326,29 +327,44 @@ void BM_FlowTurboMapPeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTurboMapPeriod)->Unit(benchmark::kMillisecond);
 
-// The pipeline + retime tail alone on the largest Table-1 shape after
-// TurboMap: one W/D table build per iteration, then every (target, depth)
-// configuration solved from it.
-void BM_PipelineRetime(benchmark::State& state) {
+/// The largest Table-1 shape (scf) after TurboMap, un-pipelined.
+Circuit largest_table1_mapped() {
   const std::vector<BenchmarkSpec> suite = table1_suite();
   const BenchmarkSpec& spec = *std::max_element(
       suite.begin(), suite.end(),
       [](const BenchmarkSpec& a, const BenchmarkSpec& b) { return a.num_gates < b.num_gates; });
   FlowOptions opt;
   opt.pipeline = false;
-  const Circuit mapped = run_turbomap(generate_fsm_circuit(spec), opt).mapped;
-  const Rational mdr = circuit_mdr(mapped).ratio;
+  return run_turbomap(generate_fsm_circuit(spec), opt).mapped;
+}
+
+// The pipeline + retime tail alone on the largest Table-1 shape after
+// TurboMap: one longest-path label pass per iteration.
+void BM_PipelineRetime(benchmark::State& state) {
+  const Circuit mapped = largest_table1_mapped();
+  const Rational mdr = circuit_mdr_howard(mapped).ratio;
   PipelineResult p;
   for (auto _ : state) {
-    Circuit c = mapped;
-    p = pipeline_and_retime(c, mdr);
+    p = pipeline_and_retime(mapped, mdr);
     benchmark::DoNotOptimize(p);
   }
-  state.counters["wd_builds"] = benchmark::Counter(static_cast<double>(p.work.wd_builds));
-  state.counters["configs"] = benchmark::Counter(static_cast<double>(p.configs_tried));
-  state.counters["constraints"] = benchmark::Counter(static_cast<double>(p.work.constraints));
+  state.counters["configs"] = benchmark::Counter(1);
+  state.counters["label_rounds"] = benchmark::Counter(static_cast<double>(p.label_rounds));
 }
 BENCHMARK(BM_PipelineRetime)->Unit(benchmark::kMillisecond);
+
+// The exact MDR of the same network: Arg 0 is Howard's policy iteration (the
+// flows' solver), Arg 1 the binary search + Bellman–Ford (the auditor's).
+void BM_CycleRatio(benchmark::State& state) {
+  const Circuit mapped = largest_table1_mapped();
+  Rational ratio;
+  for (auto _ : state) {
+    ratio = state.range(0) == 0 ? circuit_mdr_howard(mapped).ratio : circuit_mdr(mapped).ratio;
+    benchmark::DoNotOptimize(ratio);
+  }
+  TS_CHECK(ratio == circuit_mdr(mapped).ratio, "BM_CycleRatio: the solvers disagree");
+}
+BENCHMARK(BM_CycleRatio)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One flow-cache hit on the first Table-1 shape under TurboMap, from the hot
 // tier: Arg 0 serves the stored summary (what the batch runner and the

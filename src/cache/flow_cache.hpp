@@ -172,13 +172,14 @@ class FlowCache {
   /// are created on the first store.
   explicit FlowCache(std::string dir);
 
-  /// v7: keys no longer name a multiplicity engine (v6 dropped the mapped
-  /// BLIF from entries; v5 recorded the probe wall time the cost-aware hot
-  /// tier scores by; v4 named the winning engine and tagged every probe
-  /// record with its engine; v3 added the length + checksum trailer; v2
-  /// canonical-order labels). Older entries parse as a schema mismatch, i.e.
-  /// a clean miss.
-  static constexpr int kSchemaVersion = 7;
+  /// v8: the stored pipeline depth is the minimum for the period, not a
+  /// power of two (v7 keys no longer named a multiplicity engine; v6 dropped
+  /// the mapped BLIF from entries; v5 recorded the probe wall time the
+  /// cost-aware hot tier scores by; v4 named the winning engine and tagged
+  /// every probe record with its engine; v3 added the length + checksum
+  /// trailer; v2 canonical-order labels). Older entries parse as a schema
+  /// mismatch, i.e. a clean miss.
+  static constexpr int kSchemaVersion = 8;
 
   /// The complete, validated entry for `key`, or nullopt (miss). Collision-
   /// checked against key.text; never throws on malformed files. With the hot

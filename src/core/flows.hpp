@@ -125,6 +125,11 @@ struct FlowResult {
   Rational exact_mdr;        // exact MDR ratio of `mapped`
   std::int64_t period = 0;   // clock period after pipelining + retiming
   int pipeline_stages = 0;
+  /// Witness for (period, pipeline_stages): one lag per node of `mapped`, a
+  /// legal retiming of `mapped` pipelined by `pipeline_stages` at its PIs and
+  /// POs whose clock period is `period` (PIs and POs at lag 0). Empty when no
+  /// period was claimed, and on a cache hit served without artifacts.
+  std::vector<int> retiming;
   LabelStats stats;          // accumulated across the binary search
   double seconds = 0.0;      // wall-clock of the whole flow
   /// kOk: exact run. kDegraded: a resource ceiling altered the computation;

@@ -5,7 +5,7 @@
 
 #include "mapping/dedupe.hpp"
 #include "mapping/pack.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "retime/howard.hpp"
 
 namespace turbosyn {
 
@@ -15,7 +15,7 @@ void PackStage::run(FlowContext& ctx) {
   if (ctx.options.pack) mapped = pack_luts(mapped, ctx.options.k);
   ctx.result.luts = mapped.num_gates();
   ctx.result.ffs = mapped.num_ffs_shared();
-  ctx.result.exact_mdr = circuit_mdr(mapped).ratio;
+  ctx.result.exact_mdr = circuit_mdr_howard(mapped).ratio;
   if (phi_from_mdr_) {
     // No ratio search ran; report the ceiling of the measured MDR, with
     // combinational circuits (MDR 0) reported as their pipelined period 1.

@@ -13,26 +13,22 @@ void PipelineRetimeStage::run(FlowContext& ctx) {
   ctx.mapped.reset();
   if (kind_ == Kind::kPipelineRetime) {
     if (ctx.options.pipeline) {
-      // Measure the achievable period on a copy: `mapped` stays un-retimed
-      // so it is cycle-accurate equivalent to the input from the all-zero
-      // state.
-      Circuit pipelined = mapped;
+      // The claim comes from labels over `mapped`, which stays un-retimed so
+      // it is cycle-accurate equivalent to the input from the all-zero state.
       // PackStage measured the MDR of this very network.
-      const PipelineResult p =
-          pipeline_and_retime(pipelined, result.exact_mdr, 64, &ctx.options.budget);
+      PipelineResult p = pipeline_and_retime(mapped, result.exact_mdr);
       result.period = p.period;
       result.pipeline_stages = p.stages;
-      result.status = combine_status(result.status, p.status);
-      ctx.count("retime_configs", p.configs_tried);
-      ctx.count("retime_wd_builds", p.work.wd_builds);
-      ctx.count("retime_constraints", p.work.constraints);
-      ctx.count("retime_bf_rounds", p.work.bf_rounds);
-      ctx.count("retime_conservative", p.exact ? 0 : 1);
+      result.retiming = std::move(p.retiming);
+      ctx.count("retime_configs", 1);
+      ctx.count("retime_label_rounds", p.label_rounds);
       ctx.count("pipeline_stages", p.stages);
     }
     result.mapped = std::move(mapped);
   } else {
     result.period = retime_min_period(mapped);
+    // `mapped` itself is retimed, so all-zero lags witness the period.
+    result.retiming.assign(static_cast<std::size_t>(mapped.num_nodes()), 0);
     result.mapped = std::move(mapped);
   }
   if (final_budget_check_) {

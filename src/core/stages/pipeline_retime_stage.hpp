@@ -10,10 +10,11 @@ namespace turbosyn {
 class PipelineRetimeStage final : public Stage {
  public:
   enum class Kind {
-    /// MDR mode: measure the achievable period with input pipelining +
-    /// retiming on a copy (gated by FlowOptions::pipeline); the published
-    /// network stays un-retimed, so it is cycle-accurate equivalent to the
-    /// input from the all-zero state.
+    /// MDR mode: derive the period and pipeline depth pipelining +
+    /// retiming reach, with a witness retiming, from one label pass (gated
+    /// by FlowOptions::pipeline); the published network stays un-retimed,
+    /// so it is cycle-accurate equivalent to the input from the all-zero
+    /// state.
     kPipelineRetime,
     /// Clock-period mode: min-period retiming applied in place, no
     /// pipelining (runs regardless of FlowOptions::pipeline).

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/check.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "retime/howard.hpp"
 #include "retime/retiming.hpp"
 
 namespace turbosyn {
@@ -13,7 +13,7 @@ void UbProbeStage::run(FlowContext& ctx) {
     case Kind::kIdentityMdr: {
       // The identity mapping (one LUT per gate) is always valid, so
       // ceil(MDR of the input) bounds the achievable ratio.
-      const Rational mdr = circuit_mdr(ctx.input).ratio;
+      const Rational mdr = circuit_mdr_howard(ctx.input).ratio;
       ctx.ub = static_cast<int>(std::max<std::int64_t>(1, mdr.ceil()));
       break;
     }

@@ -9,6 +9,8 @@
 // narrows the range, then a cycle-ratio-improvement loop (find a positive
 // cycle for the candidate ratio via Bellman–Ford on integer costs
 // q*d(v) - p*w(e), jump to that cycle's exact ratio) converges to the max.
+// The flows use Howard's policy iteration (howard.hpp) for the same ratio;
+// this solver is the auditor's independent recomputation.
 
 #include <span>
 #include <vector>

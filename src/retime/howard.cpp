@@ -179,4 +179,10 @@ CycleRatioResult max_cycle_ratio_howard(const Digraph& g, std::span<const int> d
   return best;
 }
 
+CycleRatioResult circuit_mdr_howard(const Circuit& c) {
+  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
+  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
+  return max_cycle_ratio_howard(c.to_digraph(), delay);
+}
+
 }  // namespace turbosyn

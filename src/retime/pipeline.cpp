@@ -3,9 +3,17 @@
 #include <algorithm>
 
 #include "base/check.hpp"
-#include "retime/retiming.hpp"
+#include "graph/scc.hpp"
 
 namespace turbosyn {
+namespace {
+
+/// ceil(a / b) for b > 0.
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return a >= 0 ? (a + b - 1) / b : -(-a / b);
+}
+
+}  // namespace
 
 void pipeline_inputs(Circuit& c, int stages) {
   TS_CHECK(stages >= 0, "pipeline stage count must be non-negative");
@@ -27,47 +35,59 @@ void pipeline_outputs(Circuit& c, int stages) {
   }
 }
 
-PipelineResult pipeline_and_retime(Circuit& c, const Rational& mdr, int max_stages,
-                                   const RunBudget* budget) {
-  const std::int64_t floor_target = std::max<std::int64_t>(1, mdr.ceil());
-
-  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
-  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
-  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
-  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
-  // One W/D table answers the fallback and every (target, depth) below.
-  RetimingTable table(c.to_digraph(), delay, pinned, c.pis(), c.pos(), max_stages);
-
-  // Try the MDR bound first, then relax the target period; for each target,
-  // grow the pipeline depth geometrically. The fallback (no pipelining,
-  // plain min-period retiming) always succeeds.
+PipelineResult pipeline_and_retime(const Circuit& c, const Rational& mdr) {
   PipelineResult result;
-  result.exact = table.exact();
-  const auto stopped = [&] {
-    if (budget == nullptr || !budget->interrupted()) return false;
-    result.status = budget->check();
-    return true;
-  };
-  const RetimeResult fallback = table.min_period();
-  for (std::int64_t target = floor_target;
-       target < fallback.period && result.status == Status::kOk; ++target) {
-    for (int stages = 1; stages <= max_stages; stages *= 2) {
-      if (stopped()) break;
-      ++result.configs_tried;
-      if (auto r = table.feasible(target, stages)) {
-        pipeline_inputs(c, stages);
-        pipeline_outputs(c, stages);
-        apply_retiming(c, *r);
-        result.period = target;
-        result.stages = stages;
-        result.work = table.work();
-        return result;
+  const std::int64_t period = std::max<std::int64_t>(1, mdr.ceil());
+  result.period = period;
+
+  // Longest paths from the PIs (label 0). Every other node starts at minus
+  // the total delay: no path from a node no PI reaches can then lift a label
+  // above 0, because with no positive-cost cycle a path gains at most the
+  // total delay. Gauss–Seidel rounds in topological order of the
+  // register-free subgraph settle every register-free path per round.
+  const Digraph g = c.to_digraph();
+  const int n = c.num_nodes();
+  std::int64_t total_delay = 0;
+  for (NodeId v = 0; v < n; ++v) total_delay += c.delay(v);
+  std::vector<std::int64_t> label(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    TS_CHECK(c.delay(v) <= period, "a node's delay exceeds the clock period");
+    label[static_cast<std::size_t>(v)] = c.is_pi(v) ? 0 : -total_delay;
+  }
+  const std::vector<NodeId> order =
+      topological_order(g, [&](EdgeId e) { return g.edge(e).weight != 0; });
+  for (bool changed = true; changed;) {
+    TS_CHECK(result.label_rounds <= n, "a cycle's delay-to-register ratio exceeds the period");
+    ++result.label_rounds;
+    changed = false;
+    for (const NodeId v : order) {
+      std::int64_t& lv = label[static_cast<std::size_t>(v)];
+      for (const EdgeId e : g.fanin_edges(v)) {
+        const Digraph::Edge& edge = g.edge(e);
+        const std::int64_t cand =
+            label[static_cast<std::size_t>(edge.from)] + c.delay(v) - period * edge.weight;
+        if (cand > lv) {
+          lv = cand;
+          changed = true;
+        }
       }
     }
   }
-  apply_retiming(c, fallback.r);
-  result.period = fallback.period;
-  result.work = table.work();
+
+  std::int64_t longest = 0;
+  for (const NodeId po : c.pos()) longest = std::max(longest, label[static_cast<std::size_t>(po)]);
+  result.stages = longest <= period ? 0 : static_cast<int>(ceil_div(longest - period, 2 * period));
+
+  // Pipelining lowers an internal label by c·s and a PO label by 2c·s; a
+  // node's lag is then ceil(label/c) - 1. PIs and POs take lag 0: raising a
+  // PO's lag (its label is <= c) only adds registers before it, and a PI at
+  // lag 0 still leaves every fanout edge legal because gates have delay >= 1.
+  result.retiming.assign(static_cast<std::size_t>(n), 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (c.is_pi(v) || c.is_po(v)) continue;
+    result.retiming[static_cast<std::size_t>(v)] =
+        static_cast<int>(ceil_div(label[static_cast<std::size_t>(v)], period) - 1 - result.stages);
+  }
   return result;
 }
 

@@ -1,18 +1,17 @@
 #pragma once
-// Pipelining: inserting flip-flop stages at the primary inputs.
+// Pipelining: inserting flip-flop stages at the primary inputs and outputs.
 //
-// Pipelining adds the same number of FFs on every PI fanout edge; combined
-// with retiming it eliminates critical I/O paths, so the clock period is
-// bounded only by the MDR ratio of the loops (paper refs [16, 22]). This is
-// the post-processing step that turns a minimum-MDR mapping into a
-// minimum-clock-period implementation.
+// Pipelining adds the same number of FFs on every PI fanout edge and every
+// PO fanin edge; combined with retiming it eliminates critical I/O paths, so
+// the clock period is bounded only by the MDR ratio of the loops (paper refs
+// [16, 22]). This is the post-processing step that turns a minimum-MDR
+// mapping into a minimum-clock-period implementation.
 
 #include <cstdint>
+#include <vector>
 
 #include "base/rational.hpp"
-#include "base/run_budget.hpp"
 #include "netlist/circuit.hpp"
-#include "retime/retiming.hpp"
 
 namespace turbosyn {
 
@@ -24,28 +23,24 @@ void pipeline_inputs(Circuit& c, int stages);
 void pipeline_outputs(Circuit& c, int stages);
 
 struct PipelineResult {
-  std::int64_t period = 0;  // achieved clock period
-  int stages = 0;           // pipeline stages inserted at the PIs
-  /// (target period, depth) configurations tested by feasible retiming —
-  /// the search's work metric, surfaced through trace/StageMetrics.
-  std::int64_t configs_tried = 0;
-  /// False when the circuit was too large for exact retiming and the
-  /// conservative solver, which may miss the minimum period, decided.
-  bool exact = true;
-  /// W/D builds, constraints and Bellman–Ford rounds behind the result.
-  RetimeWork work;
-  /// kOk unless the search was stopped by `budget` before it finished; the
-  /// result is then the always-valid no-pipelining fallback.
-  Status status = Status::kOk;
+  std::int64_t period = 0;  // max(1, ceil(MDR)): the best period pipelining reaches
+  int stages = 0;           // fewest stages at the PIs and at the POs reaching it
+  /// Witness: one lag per node, a legal retiming of the circuit pipelined by
+  /// `stages` (pipeline_inputs + pipeline_outputs) whose period is `period`.
+  /// Every PI and PO has lag 0.
+  std::vector<int> retiming;
+  std::int64_t label_rounds = 0;  // Bellman–Ford rounds of the label pass
 };
 
-/// Minimizes the clock period using input pipelining + retiming. Searches
-/// target periods from max(1, ceil(mdr)) upward, where `mdr` is the
-/// circuit's MDR ratio (circuit_mdr(c).ratio), and pipeline depths up to
-/// max_stages; mutates the circuit to the winning configuration. `budget`
-/// (optional) is polled between candidate configurations: once it fires, the
-/// search stops and the plain min-period retiming fallback is applied.
-PipelineResult pipeline_and_retime(Circuit& c, const Rational& mdr, int max_stages = 64,
-                                   const RunBudget* budget = nullptr);
+/// Minimum clock period under input/output pipelining + retiming, and the
+/// fewest stages that reach it, from one longest-path label pass.
+///
+/// With c = max(1, ceil(mdr)) (`mdr` is the circuit's MDR ratio), l(v) is the
+/// longest path from the PIs with edge cost d(to) - c·w(e); no cycle has
+/// positive cost, so the labels exist. A PI-to-PO path of cost L crosses
+/// w + 2s registers once pipelined and needs delay <= c·(w + 2s + 1), so
+/// s = ceil((L - c) / (2c)) stages (0 when L <= c) over the largest PO label
+/// L is the minimum; the lags ceil(l(v)/c) - 1 - s realize it (DESIGN.md §3).
+PipelineResult pipeline_and_retime(const Circuit& c, const Rational& mdr);
 
 }  // namespace turbosyn

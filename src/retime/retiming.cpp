@@ -52,64 +52,55 @@ std::int64_t clock_period(const Digraph& g, std::span<const int> delay) {
 
 namespace {
 
-/// Largest graph the exact solver is applied to; beyond it the conservative
-/// increment-only FEAS takes over (it never returns an illegal retiming, but
-/// may miss solutions that need lags below the pinned I/O). At the limit the
-/// int32 W/D pairs take about 27 MB.
-constexpr int kExactRetimingLimit = 1500;
-
-}  // namespace
-
-RetimingTable::RetimingTable(Digraph g, std::span<const int> delay,
-                             std::span<const NodeId> pinned, std::span<const NodeId> pis,
-                             std::span<const NodeId> pos, int max_stages)
-    : g_(std::move(g)),
-      delay_(delay.begin(), delay.end()),
-      pinned_(pinned.begin(), pinned.end()),
-      is_pi_(static_cast<std::size_t>(g_.num_nodes()), 0),
-      is_po_(static_cast<std::size_t>(g_.num_nodes()), 0),
-      max_stages_(max_stages),
-      exact_(g_.num_nodes() <= kExactRetimingLimit) {
-  TS_CHECK(static_cast<int>(delay_.size()) == g_.num_nodes(), "one delay per node required");
-  TS_CHECK(max_stages >= 0, "pipeline stage count must be non-negative");
-  for (const NodeId v : pis) {
-    TS_CHECK(g_.fanin_count(v) == 0, "a pipelined input has fanin");
-    is_pi_[static_cast<std::size_t>(v)] = 1;
+/// The Leiserson–Saxe W/D pairs of one retiming graph, built on the first
+/// exact solve and reused by every target period of a min-period search.
+/// Graphs above kExactRetimingLimit get no table: every solve then runs the
+/// conservative increment-only FEAS.
+class RetimingTable {
+ public:
+  RetimingTable(const Digraph& g, std::span<const int> delay, std::span<const NodeId> pinned)
+      : g_(g),
+        delay_(delay),
+        pinned_(pinned),
+        exact_(g.num_nodes() <= kExactRetimingLimit) {
+    TS_CHECK(static_cast<int>(delay_.size()) == g_.num_nodes(), "one delay per node required");
   }
-  for (const NodeId v : pos) {
-    TS_CHECK(g_.fanout_count(v) == 0, "a pipelined output has fanout");
-    is_po_[static_cast<std::size_t>(v)] = 1;
-  }
-  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-    const auto& edge = g_.edge(e);
-    const int ends = is_pi_[static_cast<std::size_t>(edge.from)] +
-                     is_po_[static_cast<std::size_t>(edge.to)];
-    if (ends > 0) io_edges_.push_back({e, edge.weight, ends});
-  }
-}
 
-void RetimingTable::set_stages(int stages) {
-  TS_CHECK(stages >= 0 && stages <= max_stages_, "pipeline depth outside the table's range");
-  if (stages == stages_) return;
-  for (const IoEdge& io : io_edges_) g_.set_weight(io.e, io.base + std::int64_t{stages} * io.ends);
-  stages_ = stages;
-}
+  std::optional<std::vector<int>> feasible(std::int64_t c);
+  RetimeResult min_period();
 
-std::optional<std::vector<int>> RetimingTable::feasible(std::int64_t c, int stages) {
+ private:
+  /// One reachable pair (u, v) of row u, int32 to halve the n² table.
+  struct Pair {
+    NodeId v;
+    std::int32_t w;  // W(u,v)
+    std::int32_t d;  // D(u,v)
+  };
+
+  void build();
+  std::optional<std::vector<int>> solve_exact(std::int64_t c);
+  std::optional<std::vector<int>> solve_conservative(std::int64_t c) const;
+
+  const Digraph& g_;
+  std::span<const int> delay_;
+  std::span<const NodeId> pinned_;
+  bool exact_ = false;
+  bool built_ = false;
+  std::vector<std::vector<Pair>> rows_;  // rows_[u]: v ascending
+};
+
+std::optional<std::vector<int>> RetimingTable::feasible(std::int64_t c) {
   TS_CHECK(c >= 0, "target period must be non-negative");
-  set_stages(stages);
   for (const int d : delay_) {
     if (d > c) return std::nullopt;  // a single node already exceeds the period
   }
   return exact_ ? solve_exact(c) : solve_conservative(c);
 }
 
-/// W(u,v)/D(u,v) of the un-pipelined graph from per-source lexicographic
-/// Dijkstra: O(V E log V + V^2), once per table.
+/// W(u,v)/D(u,v) from per-source lexicographic Dijkstra: O(V E log V + V^2),
+/// once per table.
 void RetimingTable::build() {
   const int n = g_.num_nodes();
-  const int stages = stages_;
-  set_stages(0);
   // Lexicographic distance: (registers, -delay-sum-of-heads).
   struct Dist {
     std::int64_t w;
@@ -117,10 +108,6 @@ void RetimingTable::build() {
   };
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
   constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
-  const std::int64_t max_shift = 2 * std::int64_t{max_stages_};
-  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-    TS_CHECK(g_.edge(e).weight + max_shift <= kInt32Max, "retiming edge weight exceeds int32");
-  }
   rows_.resize(static_cast<std::size_t>(n));
   std::vector<Dist> dist(static_cast<std::size_t>(n));
   using Entry = std::tuple<std::int64_t, std::int64_t, NodeId>;  // (w, -d, node)
@@ -160,24 +147,22 @@ void RetimingTable::build() {
       const Dist& d = dist[static_cast<std::size_t>(v)];
       if (d.w >= kInf) continue;
       const std::int64_t total_delay = -d.neg_d + delay_[static_cast<std::size_t>(u)];
-      TS_CHECK(d.w + max_shift <= kInt32Max && total_delay <= kInt32Max,
-               "retiming W/D exceed int32");
+      TS_CHECK(d.w <= kInt32Max && total_delay <= kInt32Max, "retiming W/D exceed int32");
       row.push_back({v, static_cast<std::int32_t>(d.w), static_cast<std::int32_t>(total_delay)});
     }
   }
-  ++work_.wd_builds;
-  set_stages(stages);
+  built_ = true;
 }
 
 /// Exact retiming feasibility via Leiserson–Saxe difference constraints,
 /// Bellman–Ford on
 ///   r(u) - r(v) <= w(e)                                    (legality)
 ///   r(p) = r(q)                                            (pinned nodes share a lag)
-///   r(u) - r(v) <= W(u,v) + stages·([u∈PI] + [v∈PO]) - 1   (whenever D(u,v) > c)
-/// with w and W of the graph pipelined by `stages`: O(V * #constraints).
+///   r(u) - r(v) <= W(u,v) - 1                              (whenever D(u,v) > c)
+/// in O(V * #constraints).
 std::optional<std::vector<int>> RetimingTable::solve_exact(std::int64_t c) {
   const int n = g_.num_nodes();
-  if (work_.wd_builds == 0) build();
+  if (!built_) build();
 
   // Difference-constraint edges: r(u) - r(v) <= bound  ==  arc v -> u, bound.
   // The order (edges, pinned pairs, then W/D pairs by u then v) fixes the
@@ -205,20 +190,14 @@ std::optional<std::vector<int>> RetimingTable::solve_exact(std::int64_t c) {
     constraints.push_back({pinned_[i], pinned_[i - 1], 0});
   }
   for (NodeId u = 0; u < n; ++u) {
-    const int u_shift = is_pi_[static_cast<std::size_t>(u)] * stages_;
     for (const Pair& p : rows_[static_cast<std::size_t>(u)]) {
-      if (p.d > c) {
-        const int shift = u_shift + is_po_[static_cast<std::size_t>(p.v)] * stages_;
-        constraints.push_back({u, p.v, p.w + shift - 1});
-      }
+      if (p.d > c) constraints.push_back({u, p.v, p.w - 1});
     }
   }
-  work_.constraints += static_cast<std::int64_t>(constraints.size());
 
   // Bellman–Ford from a virtual all-zero source; negative cycle = infeasible.
   std::vector<std::int64_t> r(static_cast<std::size_t>(n), 0);
   for (int round = 0; round <= n; ++round) {
-    ++work_.bf_rounds;
     bool relaxed = false;
     for (const Constraint& cst : constraints) {
       const std::int64_t cand = r[static_cast<std::size_t>(cst.v)] + cst.bound;
@@ -287,7 +266,6 @@ std::optional<std::vector<int>> RetimingTable::solve_conservative(std::int64_t c
 }
 
 RetimeResult RetimingTable::min_period() {
-  set_stages(0);
   std::int64_t hi = clock_period(g_, delay_);
   std::int64_t lo = 0;
   for (const int d : delay_) lo = std::max<std::int64_t>(lo, d);
@@ -303,6 +281,8 @@ RetimeResult RetimingTable::min_period() {
   }
   return best;
 }
+
+}  // namespace
 
 std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<const int> delay,
                                                   std::int64_t c, std::span<const NodeId> pinned) {

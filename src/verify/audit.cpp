@@ -13,7 +13,6 @@
 #include "decomp/roth_karp.hpp"
 #include "netlist/blif.hpp"
 #include "retime/cycle_ratio.hpp"
-#include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
 #include "retime/retiming.hpp"
 #include "verify/equiv.hpp"
@@ -383,52 +382,52 @@ std::optional<std::string> audit_mapping_record(const Circuit& c, std::span<cons
 
 std::optional<std::string> audit_mdr(const Circuit& mapped, int phi, const Rational& claimed) {
   const std::vector<int> delay = unit_delays(mapped);
-  CycleRatioResult howard;
+  CycleRatioResult mdr;
   try {
-    howard = max_cycle_ratio_howard(mapped.to_digraph(), delay);
+    mdr = max_delay_to_register_ratio(mapped.to_digraph(), delay);
   } catch (const Error& e) {
-    return std::string("Howard recomputation failed: ") + e.what();
+    return std::string("binary-search MDR recomputation failed: ") + e.what();
   }
-  if (howard.ratio != claimed) {
-    return "claimed exact MDR " + claimed.to_string() + " but Howard recomputes " +
-           howard.ratio.to_string();
+  if (mdr.ratio != claimed) {
+    return "claimed exact MDR " + claimed.to_string() + " but the binary search recomputes " +
+           mdr.ratio.to_string();
   }
-  if (howard.ratio > Rational(phi)) {
-    return "mapped MDR " + howard.ratio.to_string() + " exceeds the certified phi " +
+  if (mdr.ratio > Rational(phi)) {
+    return "mapped MDR " + mdr.ratio.to_string() + " exceeds the certified phi " +
            std::to_string(phi);
   }
   // Re-measure the critical-cycle witness edge by edge.
-  if (!howard.critical_cycle.empty()) {
+  if (!mdr.critical_cycle.empty()) {
     const Digraph g = mapped.to_digraph();
     std::int64_t total_delay = 0;
     std::int64_t total_weight = 0;
-    for (std::size_t i = 0; i < howard.critical_cycle.size(); ++i) {
-      const Digraph::Edge& e = g.edge(howard.critical_cycle[i]);
-      const Digraph::Edge& next =
-          g.edge(howard.critical_cycle[(i + 1) % howard.critical_cycle.size()]);
+    for (std::size_t i = 0; i < mdr.critical_cycle.size(); ++i) {
+      const Digraph::Edge& e = g.edge(mdr.critical_cycle[i]);
+      const Digraph::Edge& next = g.edge(mdr.critical_cycle[(i + 1) % mdr.critical_cycle.size()]);
       if (e.to != next.from) return "critical-cycle witness is not a closed cycle";
       total_delay += delay[static_cast<std::size_t>(e.to)];
       total_weight += e.weight;
     }
     if (total_weight <= 0) return "critical-cycle witness has no registers";
-    if (Rational(total_delay, total_weight) != howard.ratio) {
+    if (Rational(total_delay, total_weight) != mdr.ratio) {
       return "critical-cycle witness measures " +
              Rational(total_delay, total_weight).to_string() + ", not the claimed ratio " +
-             howard.ratio.to_string();
+             mdr.ratio.to_string();
     }
-  } else if (howard.ratio != Rational(0)) {
+  } else if (mdr.ratio != Rational(0)) {
     return "nonzero MDR reported without a critical-cycle witness";
   }
   return std::nullopt;
 }
 
-std::optional<std::string> audit_period(const Circuit& mapped, std::int64_t period, int stages) {
+std::optional<std::string> audit_period(const Circuit& mapped, std::int64_t period, int stages,
+                                        std::span<const int> witness) {
   if (period <= 0) return "claimed clock period " + std::to_string(period) + " is not positive";
   if (stages < 0) return "negative pipeline depth " + std::to_string(stages);
   const std::vector<int> delay = unit_delays(mapped);
   Rational mdr;
   try {
-    mdr = max_cycle_ratio_howard(mapped.to_digraph(), delay).ratio;
+    mdr = max_delay_to_register_ratio(mapped.to_digraph(), delay).ratio;
   } catch (const Error& e) {
     return std::string("MDR recomputation failed: ") + e.what();
   }
@@ -436,25 +435,53 @@ std::optional<std::string> audit_period(const Circuit& mapped, std::int64_t peri
     return "claimed period " + std::to_string(period) + " is below the MDR lower bound " +
            mdr.to_string();
   }
-  // Reproduce the claimed configuration and re-verify it end to end: the
-  // pipelined network must admit a retiming that is legal edge by edge and
-  // whose period, recomputed from scratch, meets the claim.
-  Circuit pipelined = mapped;
-  pipeline_inputs(pipelined, stages);
-  pipeline_outputs(pipelined, stages);
+  const std::string claim =
+      "period " + std::to_string(period) + " with " + std::to_string(stages) + " pipeline stage(s)";
+  const bool exact = mapped.num_nodes() <= kExactRetimingLimit;
+  if (witness.empty() && !exact) {
+    return "no retiming witness for " + claim + ", and the W/D check stops at " +
+           std::to_string(kExactRetimingLimit) + " nodes (the network has " +
+           std::to_string(mapped.num_nodes()) + ")";
+  }
+  // Reproduce the claimed configuration on an explicitly pipelined copy and
+  // re-verify each retiming end to end: legal edge by edge, and its period,
+  // recomputed from scratch, meets the claim.
+  const auto pipelined_by = [&mapped](int s) {
+    Circuit pipelined = mapped;
+    pipeline_inputs(pipelined, s);
+    pipeline_outputs(pipelined, s);
+    return pipelined;
+  };
+  const Circuit pipelined = pipelined_by(stages);
   std::vector<NodeId> pinned(pipelined.pis().begin(), pipelined.pis().end());
   pinned.insert(pinned.end(), pipelined.pos().begin(), pipelined.pos().end());
-  const auto r = feasible_retiming(pipelined.to_digraph(), delay, period, pinned);
-  if (!r.has_value()) {
-    return "no legal retiming achieves period " + std::to_string(period) + " with " +
-           std::to_string(stages) + " pipeline stage(s)";
+  const auto check = [&](std::span<const int> r,
+                         const std::string& what) -> std::optional<std::string> {
+    if (auto bad = audit_retiming_legality(pipelined, r, pinned)) return what + ": " + *bad;
+    Circuit retimed = pipelined;
+    apply_retiming(retimed, r);
+    const std::int64_t achieved = circuit_clock_period(retimed);
+    if (achieved > period) {
+      return what + " gives period " + std::to_string(achieved) + ", above the claimed " +
+             std::to_string(period);
+    }
+    return std::nullopt;
+  };
+  if (!witness.empty()) {
+    if (auto bad = check(witness, "the flow's retiming witness")) return bad;
   }
-  if (auto bad = audit_retiming_legality(pipelined, *r, pinned)) return bad;
-  apply_retiming(pipelined, *r);
-  const std::int64_t achieved = circuit_clock_period(pipelined);
-  if (achieved > period) {
-    return "retimed network has period " + std::to_string(achieved) +
-           ", above the claimed " + std::to_string(period);
+  if (exact) {
+    // Leiserson–Saxe FEAS on the W/D pairs: the claim is reachable, and one
+    // stage fewer is not.
+    const auto r = feasible_retiming(pipelined.to_digraph(), delay, period, pinned);
+    if (!r.has_value()) return "no legal retiming achieves " + claim;
+    if (auto bad = check(*r, "the FEAS retiming")) return bad;
+    if (stages > 0 &&
+        feasible_retiming(pipelined_by(stages - 1).to_digraph(), delay, period, pinned)) {
+      return "period " + std::to_string(period) + " is reachable with " +
+             std::to_string(stages - 1) + " pipeline stage(s): " + std::to_string(stages) +
+             " is not the minimum";
+    }
   }
   return std::nullopt;
 }
@@ -554,7 +581,8 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
     add_outcome("cuts", failure, std::to_string(checked) + " realization record(s)");
   }
 
-  // mdr: independent recomputation via Howard's policy iteration.
+  // mdr: independent recomputation by binary search + Bellman–Ford (the flows
+  // use Howard's policy iteration).
   add_outcome("mdr", audit_mdr(mapped, result.phi, result.exact_mdr),
               result.exact_mdr.to_string() + " <= phi=" + std::to_string(result.phi));
 
@@ -562,7 +590,8 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
   if (result.period <= 0) {
     add("period", AuditStatus::kSkipped, "flow reported no clock period (pipelining disabled)");
   } else {
-    add_outcome("period", audit_period(mapped, result.period, result.pipeline_stages),
+    add_outcome("period",
+                audit_period(mapped, result.period, result.pipeline_stages, result.retiming),
                 "period " + std::to_string(result.period) + " with " +
                     std::to_string(result.pipeline_stages) + " stage(s)");
   }

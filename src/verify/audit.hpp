@@ -22,13 +22,16 @@
 //                finite cone, is K-feasible, computes exactly the cone
 //                function, and its recomputed height respects the record;
 //   mdr          the mapped network's MDR ratio, recomputed from scratch
-//                with Howard's policy iteration (an engine independent of
-//                the flow's Bellman–Ford search), is <= the certified phi
-//                and equal to the claimed exact value;
+//                by binary search + Bellman–Ford (an engine independent of
+//                the flow's Howard iteration), is <= the certified phi and
+//                equal to the claimed exact value;
 //   period       the claimed (clock period, pipeline stages) pair is
-//                achievable: a legal retiming exists, re-checked edge by
-//                edge (w(e) + r(v) - r(u) >= 0, zero lags on PIs/POs), and
-//                the retimed period is independently recomputed;
+//                achievable on an explicitly pipelined copy: the flow's
+//                witness retiming is re-checked edge by edge
+//                (w(e) + r(v) - r(u) >= 0, zero lags on PIs/POs) and its
+//                period recomputed from scratch; up to 1500 nodes the
+//                Leiserson–Saxe FEAS also confirms the pair and proves one
+//                stage fewer infeasible;
 //   equivalence  the mapped network is zero-state equivalent to the input
 //                (BDD miter when both are register-free, bounded sequential
 //                co-simulation with warm-up otherwise);
@@ -114,16 +117,19 @@ std::optional<std::string> audit_mapping_record(const Circuit& c, std::span<cons
                                                 int phi, int k, const MappingRecord& record,
                                                 int cone_node_budget = 50000);
 
-/// MDR of `mapped` recomputed from scratch with Howard's policy iteration
+/// MDR of `mapped` recomputed from scratch by binary search + Bellman–Ford
 /// (and its critical-cycle witness re-measured edge by edge): must equal
 /// `claimed` and be <= phi.
 std::optional<std::string> audit_mdr(const Circuit& mapped, int phi, const Rational& claimed);
 
-/// Claimed (period, stages): pipelining `mapped` by `stages` input/output
-/// register stages must admit a legal retiming achieving `period`,
-/// re-checked edge by edge with the period independently recomputed, and
-/// `period` must respect the MDR lower bound.
-std::optional<std::string> audit_period(const Circuit& mapped, std::int64_t period, int stages);
+/// Claimed (period, stages) on `mapped` pipelined by `stages` input/output
+/// register stages. `period` must respect the MDR lower bound. A non-empty
+/// `witness` (one lag per node) must be legal edge by edge and reach
+/// `period`, recomputed from scratch. Up to kExactRetimingLimit nodes FEAS
+/// must also reach `period` with `stages` and fail with `stages` - 1; above
+/// it an empty witness fails the check.
+std::optional<std::string> audit_period(const Circuit& mapped, std::int64_t period, int stages,
+                                        std::span<const int> witness = {});
 
 /// Full post-flow audit of `result` for `input`. Stages whose artifacts are
 /// absent (FlowSYN-s, collect_artifacts off, pipelining disabled) report

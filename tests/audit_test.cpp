@@ -9,6 +9,8 @@
 #include "netlist/blif.hpp"
 #include "netlist/gates.hpp"
 #include "retime/cycle_ratio.hpp"
+#include "retime/pipeline.hpp"
+#include "retime/retiming.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
@@ -226,7 +228,7 @@ TEST(AuditMdr, CatchesPhiViolatingLoop) {
 
   const auto wrong_claim = audit_mdr(ring, 3, Rational(2));
   ASSERT_TRUE(wrong_claim.has_value());
-  EXPECT_NE(wrong_claim->find("Howard"), std::string::npos) << *wrong_claim;
+  EXPECT_NE(wrong_claim->find("binary search recomputes"), std::string::npos) << *wrong_claim;
 }
 
 TEST(AuditPeriod, CatchesPeriodBelowMdrBound) {
@@ -236,6 +238,40 @@ TEST(AuditPeriod, CatchesPeriodBelowMdrBound) {
   EXPECT_NE(failure->find("below the MDR lower bound"), std::string::npos) << *failure;
   // Period 3 with no pipelining is achievable (retiming spreads the ring).
   EXPECT_FALSE(audit_period(ring, 3, 0).has_value());
+}
+
+TEST(AuditPeriod, ChecksTheWitnessAndMinimality) {
+  const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
+  const PipelineResult p = pipeline_and_retime(c, circuit_mdr(c).ratio);
+  ASSERT_GT(p.stages, 0);
+  EXPECT_FALSE(audit_period(c, p.period, p.stages, p.retiming).has_value());
+
+  // One stage more than the minimum is reachable but not minimal.
+  const auto extra = audit_period(c, p.period, p.stages + 1);
+  ASSERT_TRUE(extra.has_value());
+  EXPECT_NE(extra->find("is not the minimum"), std::string::npos) << *extra;
+
+  // A witness that drives an edge negative is illegal.
+  std::vector<int> illegal = p.retiming;
+  for (NodeId v = 0; v < c.num_nodes(); ++v) {
+    if (c.is_gate(v) && c.delay(v) > 0) {
+      illegal[static_cast<std::size_t>(v)] += 1000;
+      break;
+    }
+  }
+  const auto bad_lag = audit_period(c, p.period, p.stages, illegal);
+  ASSERT_TRUE(bad_lag.has_value());
+  EXPECT_NE(bad_lag->find("negative weight"), std::string::npos) << *bad_lag;
+
+  // A legal witness that leaves the period above the claim.
+  Circuit piped = c;
+  pipeline_inputs(piped, p.stages);
+  pipeline_outputs(piped, p.stages);
+  ASSERT_GT(circuit_clock_period(piped), p.period);
+  const std::vector<int> zero(static_cast<std::size_t>(c.num_nodes()), 0);
+  const auto slow = audit_period(c, p.period, p.stages, zero);
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_NE(slow->find("above the claimed"), std::string::npos) << *slow;
 }
 
 TEST(AuditFlow, CatchesInequivalentMappedNetwork) {

@@ -393,6 +393,22 @@ class FlowCacheEntryFile : public ::testing::Test {
     out << bytes;
   }
 
+  /// The stored entry relabelled as schema `version`, with a valid checksum
+  /// trailer, as a writer of that version would have left it.
+  std::string with_schema(int version) const {
+    const std::string bytes = read_entry();
+    const std::string header = "turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion);
+    const std::size_t sum = bytes.rfind("\nsum ");
+    EXPECT_EQ(bytes.rfind(header, 0), 0u);
+    EXPECT_NE(sum, std::string::npos);
+    const std::string body = "turbosyn-cache " + std::to_string(version) +
+                             bytes.substr(header.size(), sum + 1 - header.size());
+    char checksum[17];
+    std::snprintf(checksum, sizeof(checksum), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(body)));
+    return body + "sum " + std::to_string(body.size()) + ' ' + checksum + '\n';
+  }
+
   fs::path dir_;
   Circuit circuit_;
   FlowOptions options_;
@@ -423,22 +439,21 @@ TEST_F(FlowCacheEntryFile, SchemaVersionMismatchIsACleanMiss) {
 }
 
 TEST_F(FlowCacheEntryFile, SchemaV6EntryIsACleanMiss) {
-  // v6 keys named the multiplicity engine; v7 keys do not. A v6 entry with
+  // v6 keys named the multiplicity engine; later keys do not. A v6 entry with
   // an intact checksum trailer must still read as a miss.
-  const std::string bytes = read_entry();
-  const std::string header = "turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion);
-  const std::size_t sum = bytes.rfind("\nsum ");
-  ASSERT_EQ(FlowCache::kSchemaVersion, 7);
-  ASSERT_EQ(bytes.rfind(header, 0), 0u);
-  ASSERT_NE(sum, std::string::npos);
-  const std::string v6 =
-      "turbosyn-cache 6" + bytes.substr(header.size(), sum + 1 - header.size());
-  char checksum[17];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(v6)));
-  write_entry(v6 + "sum " + std::to_string(v6.size()) + ' ' + checksum + '\n');
+  ASSERT_GT(FlowCache::kSchemaVersion, 6);
+  write_entry(with_schema(6));
   EXPECT_FALSE(cache_->lookup(key_).has_value());
   EXPECT_EQ(key_.text.find(" bdd "), std::string::npos);
+}
+
+TEST_F(FlowCacheEntryFile, SchemaV7EntryIsACleanMiss) {
+  // v7 entries could store a power-of-two pipeline depth where the flow now
+  // reports the minimum; an intact v7 entry must read as a miss, never serve
+  // the stale stage count.
+  ASSERT_EQ(FlowCache::kSchemaVersion, 8);
+  write_entry(with_schema(7));
+  EXPECT_FALSE(cache_->lookup(key_).has_value());
 }
 
 TEST_F(FlowCacheEntryFile, SchemaV5EntryIsACleanMissThatRepopulates) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "core/flows.hpp"
@@ -141,13 +143,36 @@ TEST(CycleRatio, CombinationalLoopThrows) {
 
 // ---- pipelining ----
 
+std::vector<NodeId> io_of(const Circuit& c) {
+  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
+  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
+  return pinned;
+}
+
+Circuit pipelined_copy(const Circuit& c, int stages) {
+  Circuit piped = c;
+  pipeline_inputs(piped, stages);
+  pipeline_outputs(piped, stages);
+  return piped;
+}
+
+/// `c` pipelined by the result's stages and retimed by its witness, which
+/// must keep every PI and PO at lag 0 (apply_retiming rejects an illegal one).
+Circuit realize(const Circuit& c, const PipelineResult& p) {
+  for (const NodeId v : io_of(c)) EXPECT_EQ(p.retiming[static_cast<std::size_t>(v)], 0);
+  Circuit piped = pipelined_copy(c, p.stages);
+  apply_retiming(piped, p.retiming);
+  return piped;
+}
+
 TEST(Pipelining, ReachesTheMdrBoundOnPipelines) {
   // Purely feed-forward circuit: MDR = 0, so pipelining reaches period 1.
-  Circuit c = pipeline_chain(std::vector<int>{0, 0, 0, 0, 0});
+  // Four gates need three registers on the path: two stages at each end.
+  const Circuit c = pipeline_chain(std::vector<int>{0, 0, 0, 0, 0});
   const PipelineResult p = pipeline_and_retime(c, circuit_mdr(c).ratio);
   EXPECT_EQ(p.period, 1);
-  EXPECT_GE(p.stages, 1);
-  EXPECT_EQ(circuit_clock_period(c), 1);
+  EXPECT_EQ(p.stages, 2);
+  EXPECT_EQ(circuit_clock_period(realize(c, p)), 1);
 }
 
 TEST(Pipelining, StagesShiftOutputsByStages) {
@@ -163,59 +188,51 @@ TEST(Pipelining, StagesShiftOutputsByStages) {
 
 TEST(Pipelining, SuiteCircuitsReachCeilOfMdr) {
   for (const auto& spec : tiny_suite()) {
-    Circuit c = generate_fsm_circuit(spec);
+    const Circuit c = generate_fsm_circuit(spec);
     const Rational mdr = circuit_mdr(c).ratio;
     const PipelineResult p = pipeline_and_retime(c, mdr);
-    EXPECT_GE(Rational(p.period), mdr) << spec.name;          // theory lower bound
-    EXPECT_EQ(circuit_clock_period(c), p.period) << spec.name;  // achieved
+    EXPECT_EQ(p.period, std::max<std::int64_t>(1, mdr.ceil())) << spec.name;
+    EXPECT_EQ(circuit_clock_period(realize(c, p)), p.period) << spec.name;
   }
 }
 
-// ---- shared W/D table ----
+// ---- the label formula against Leiserson–Saxe FEAS ----
 
-std::vector<int> delays_of(const Circuit& c) {
+/// For every period c from max(1, ceil(MDR)) to the un-retimed clock period:
+/// the formula's depth s(c) is feasible under one-shot FEAS on an explicitly
+/// pipelined copy, s(c) - 1 is not, and the witness is legal and meets c.
+void expect_formula_matches_feas(const Circuit& c, const std::string& name) {
+  ASSERT_LE(c.num_nodes(), kExactRetimingLimit) << name;
   std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
   for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
-  return delay;
-}
-
-std::vector<NodeId> io_of(const Circuit& c) {
-  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
-  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
-  return pinned;
-}
-
-/// One table, solved for every (target, stages), against the one-shot FEAS
-/// on an explicitly pipelined copy: same verdict, same lags.
-void expect_table_matches_pipelined_copy(const Circuit& c, const std::string& name) {
-  const std::vector<int> delay = delays_of(c);
   const std::vector<NodeId> pinned = io_of(c);
-  RetimingTable table(c.to_digraph(), delay, pinned, c.pis(), c.pos(), 64);
-  ASSERT_TRUE(table.exact()) << name;
   const std::int64_t lo = std::max<std::int64_t>(1, circuit_mdr(c).ratio.ceil());
   const std::int64_t hi = circuit_clock_period(c);
   ASSERT_LE(lo, hi) << name;
-  for (const int stages : {0, 1, 2, 4, 64}) {
-    Circuit piped = c;
-    pipeline_inputs(piped, stages);
-    pipeline_outputs(piped, stages);
-    const Digraph g = piped.to_digraph();
-    for (std::int64_t target = lo; target <= hi; ++target) {
-      const auto shared = table.feasible(target, stages);
-      const auto one_shot = feasible_retiming(g, delay, target, pinned);
-      ASSERT_EQ(shared.has_value(), one_shot.has_value())
-          << name << " target " << target << " stages " << stages;
-      if (shared.has_value()) {
-        EXPECT_EQ(*shared, *one_shot) << name << " target " << target << " stages " << stages;
-      }
+  for (std::int64_t period = lo; period <= hi; ++period) {
+    const PipelineResult p = pipeline_and_retime(c, Rational(period));
+    const std::string at = name + " period " + std::to_string(period);
+    ASSERT_EQ(p.period, period) << at;
+    EXPECT_TRUE(feasible_retiming(pipelined_copy(c, p.stages).to_digraph(), delay, period, pinned)
+                    .has_value())
+        << at << " stages " << p.stages;
+    if (p.stages > 0) {
+      EXPECT_FALSE(feasible_retiming(pipelined_copy(c, p.stages - 1).to_digraph(), delay, period,
+                                     pinned)
+                       .has_value())
+          << at << " stages " << p.stages - 1;
     }
+    EXPECT_LE(circuit_clock_period(realize(c, p)), period) << at;
   }
-  EXPECT_EQ(table.work().wd_builds, 1) << name;
 }
 
-TEST(RetimingTable, MatchesOneShotOnPipelinedCopies) {
+TEST(Pipelining, LabelFormulaMatchesFeasOnPipelinedCopies) {
+  // Long register-free and registered chains: depths up to 4 at period 1.
+  expect_formula_matches_feas(pipeline_chain(std::vector<int>(10, 0)), "chain9");
+  expect_formula_matches_feas(pipeline_chain(std::vector<int>{0, 0, 0, 1, 0, 0, 0, 0, 2, 0}),
+                              "registered_chain9");
   for (const auto& spec : tiny_suite()) {
-    expect_table_matches_pipelined_copy(generate_fsm_circuit(spec), spec.name);
+    expect_formula_matches_feas(generate_fsm_circuit(spec), spec.name);
   }
   FlowOptions opt;
   opt.pipeline = false;
@@ -228,26 +245,36 @@ TEST(RetimingTable, MatchesOneShotOnPipelinedCopies) {
     spec.num_gates = 60;
     spec.feedback = 0.08;
     spec.locality = 10;
-    const FlowResult r = run_turbomap(generate_fsm_circuit(spec), opt);
-    expect_table_matches_pipelined_copy(r.mapped, spec.name);
+    expect_formula_matches_feas(run_turbomap(generate_fsm_circuit(spec), opt).mapped, spec.name);
+  }
+  std::vector<BenchmarkSpec> table1 = table1_suite();
+  std::sort(table1.begin(), table1.end(), [](const BenchmarkSpec& a, const BenchmarkSpec& b) {
+    return a.num_gates < b.num_gates;
+  });
+  for (std::size_t i = 0; i < 6; ++i) {
+    expect_formula_matches_feas(run_turbomap(generate_fsm_circuit(table1[i]), opt).mapped,
+                                table1[i].name);
   }
 }
 
-TEST(RetimingTable, PipelinedFlowBuildsTheTableOnce) {
+TEST(Pipelining, PipelinedFlowRunsOneLabelPass) {
   FlowOptions opt;
   const FlowResult r = run_turbomap(generate_fsm_circuit(tiny_suite()[2]), opt);
   ASSERT_GT(r.pipeline_stages, 0);
   const StageMetric* retime = r.stage_metrics.find("pipeline-retime");
   ASSERT_NE(retime, nullptr);
-  EXPECT_GT(retime->counter("retime_configs"), 0);
-  EXPECT_EQ(retime->counter("retime_wd_builds"), 1);
-  EXPECT_GT(retime->counter("retime_constraints"), 0);
-  EXPECT_GT(retime->counter("retime_bf_rounds"), 0);
-  EXPECT_EQ(retime->counter("retime_conservative"), 0);
+  EXPECT_EQ(retime->counter("retime_configs"), 1);
+  EXPECT_GT(retime->counter("retime_label_rounds"), 0);
+  for (const auto& [name, value] : retime->counters) {
+    for (const char* wd : {"retime_wd_builds", "retime_constraints", "retime_bf_rounds",
+                           "retime_conservative"}) {
+      EXPECT_NE(name, wd);
+    }
+  }
 }
 
-TEST(RetimingTable, ConservativeAboveTheExactLimitIsReported) {
-  // Wide I/O keeps the mapped network above the 1500-node exact limit.
+TEST(Pipelining, ExactAboveTheWdLimitAndAuditedThroughTheWitness) {
+  // Wide I/O keeps the mapped network above the 1500-node W/D limit.
   BenchmarkSpec spec;
   spec.name = "wide_io";
   spec.seed = 4242;
@@ -259,13 +286,14 @@ TEST(RetimingTable, ConservativeAboveTheExactLimitIsReported) {
   const Circuit c = generate_fsm_circuit(spec);
   FlowOptions opt;
   const FlowResult r = run_turbomap(c, opt);
-  ASSERT_GT(r.mapped.num_nodes(), 1500);
-  const StageMetric* retime = r.stage_metrics.find("pipeline-retime");
-  ASSERT_NE(retime, nullptr);
-  EXPECT_EQ(retime->counter("retime_conservative"), 1);
-  EXPECT_EQ(retime->counter("retime_wd_builds"), 0);
+  ASSERT_GT(r.mapped.num_nodes(), kExactRetimingLimit);
+  EXPECT_EQ(r.period, std::max<std::int64_t>(1, circuit_mdr(r.mapped).ratio.ceil()));
   const AuditReport report = audit_flow(c, r, opt, AuditOptions{});
   EXPECT_TRUE(report.passed()) << report.breakdown();
+  // Without the witness the audit cannot confirm the claim, and says so.
+  const auto unwitnessed = audit_period(r.mapped, r.period, r.pipeline_stages);
+  ASSERT_TRUE(unwitnessed.has_value());
+  EXPECT_NE(unwitnessed->find("no retiming witness"), std::string::npos) << *unwitnessed;
 }
 
 }  // namespace
