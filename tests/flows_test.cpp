@@ -83,6 +83,31 @@ TEST(Flows, FlowSynSBaselineIsEquivalentAndMeasured) {
   expect_equivalent(c, r.mapped, 64, 14);
 }
 
+// FlowSYN-s (cone_cut's FlowMap cuts on the retimed-combinational network)
+// has no other regression guard: pin its phi and LUT count on the 16 Table-1
+// shapes at K = 5. The phi column is EXPERIMENTS.md's Table-1 "FS-s" column.
+TEST(Flows, FlowSynSTable1ColumnIsPinned) {
+  struct Pin {
+    const char* name;
+    int phi;
+    int luts;
+  };
+  const Pin pins[] = {
+      {"bbara", 2, 22},   {"bbsse", 4, 97},   {"cse", 8, 266},  {"dk16", 5, 160},
+      {"keyb", 11, 298},  {"kirkman", 7, 215}, {"planet", 7, 746}, {"pma", 8, 314},
+      {"s1", 7, 444},     {"sand", 7, 576},   {"scf", 7, 974},  {"styr", 10, 609},
+      {"s298", 4, 101},   {"s400", 5, 78},    {"s526", 5, 174}, {"s953", 8, 464},
+  };
+  const std::vector<BenchmarkSpec> suite = table1_suite();
+  ASSERT_EQ(suite.size(), std::size(pins));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    ASSERT_EQ(suite[i].name, pins[i].name);
+    const FlowResult r = run_flowsyn_s(generate_fsm_circuit(suite[i]), FlowOptions{});
+    EXPECT_EQ(r.phi, pins[i].phi) << pins[i].name;
+    EXPECT_EQ(r.luts, pins[i].luts) << pins[i].name;
+  }
+}
+
 class TinySuiteFlows : public ::testing::TestWithParam<int> {};
 
 TEST_P(TinySuiteFlows, AllThreeFlowsProduceValidEquivalentMappings) {
