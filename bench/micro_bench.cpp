@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the engineering-critical kernels:
 // truth-table composition, remap and cofactor, BDD construction from and
-// back to truth tables, column multiplicity, the Dinic K-cut test,
+// back to truth tables, column multiplicity, the node-cut K-cut test,
 // Roth–Karp decomposition, the expanded-circuit build and the sequential
 // simulator. These are the inner loops that the per-sweep
 // label computation cost (and hence every table) rests on.
@@ -30,7 +30,7 @@
 #include "core/labeling.hpp"
 #include "core/portfolio.hpp"
 #include "decomp/roth_karp.hpp"
-#include "graph/max_flow.hpp"
+#include "graph/node_cut.hpp"
 #include "retime/cycle_ratio.hpp"
 #include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
@@ -129,38 +129,41 @@ void BM_RothKarpDecompose(benchmark::State& state) {
 }
 BENCHMARK(BM_RothKarpDecompose);
 
-void BM_DinicKCutTest(benchmark::State& state) {
-  // Layered DAG flow network, the shape of a FlowMap cone test.
+void BM_KCutTest(benchmark::State& state) {
+  // Layered DAG node-cut network, the shape of a FlowMap cone test: 8 unit
+  // nodes per layer, layer 0 fed by the source, every later node reading
+  // two nodes of the layer below, the top layer feeding the sink. The cut
+  // test (limit 5) fails after 6 paths. One reused NodeCut, as in the label
+  // engine's per-thread scratch.
   const int layers = static_cast<int>(state.range(0));
+  const int n = 8 * layers + 1;
+  const int sink = n - 1;
+  std::vector<std::int32_t> fanin_offset{0};
+  std::vector<std::int32_t> fanins;
+  std::vector<std::int64_t> capacity(static_cast<std::size_t>(n), 1);
+  std::vector<std::uint8_t> flags(static_cast<std::size_t>(n), 0);
+  for (int v = 0; v < n; ++v) {
+    const int layer = v / 8;
+    if (v == sink) {
+      for (int i = 0; i < 8; ++i) fanins.push_back(8 * (layers - 1) + i);
+      flags[static_cast<std::size_t>(v)] = NodeCut::kSink;
+    } else if (layer == 0) {
+      flags[static_cast<std::size_t>(v)] = NodeCut::kFromSource;
+    } else {
+      fanins.push_back(8 * (layer - 1) + v % 8);
+      fanins.push_back(8 * (layer - 1) + (v + 1) % 8);
+    }
+    fanin_offset.push_back(static_cast<std::int32_t>(fanins.size()));
+  }
+  const NodeCut::Network net{std::span(fanin_offset).first(static_cast<std::size_t>(n)),
+                             std::span(fanin_offset).last(static_cast<std::size_t>(n)), fanins,
+                             capacity, flags};
+  NodeCut cut;
   for (auto _ : state) {
-    MaxFlow flow;
-    const int s = flow.add_node();
-    const int t = flow.add_node();
-    std::vector<int> prev;
-    for (int i = 0; i < 8; ++i) {
-      const int in = flow.add_node();
-      const int out = flow.add_node();
-      flow.add_arc(in, out, 1);
-      flow.add_arc(s, in, MaxFlow::kInfinity);
-      prev.push_back(out);
-    }
-    for (int l = 1; l < layers; ++l) {
-      std::vector<int> cur;
-      for (int i = 0; i < 8; ++i) {
-        const int in = flow.add_node();
-        const int out = flow.add_node();
-        flow.add_arc(in, out, 1);
-        flow.add_arc(prev[static_cast<std::size_t>(i)], in, MaxFlow::kInfinity);
-        flow.add_arc(prev[static_cast<std::size_t>((i + 1) % 8)], in, MaxFlow::kInfinity);
-        cur.push_back(out);
-      }
-      prev = cur;
-    }
-    for (const int out : prev) flow.add_arc(out, t, MaxFlow::kInfinity);
-    benchmark::DoNotOptimize(flow.compute(s, t, 5));
+    benchmark::DoNotOptimize(cut.run(net, 5));
   }
 }
-BENCHMARK(BM_DinicKCutTest)->Arg(4)->Arg(16);
+BENCHMARK(BM_KCutTest)->Arg(4)->Arg(16);
 
 void BM_ExpandedNetworkBuildAndCut(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);

@@ -64,10 +64,6 @@ void RunBudget::set_decomp_attempt_budget(std::int64_t attempts) {
   mutable_state().decomp_attempts = attempts;
 }
 
-void RunBudget::set_flow_augment_budget(std::int64_t augmentations) {
-  mutable_state().flow_augments = augmentations;
-}
-
 Status RunBudget::check() const {
   const State* s = state_.get();
   if (s == nullptr) return Status::kOk;
@@ -96,7 +92,6 @@ RunBudget RunBudget::fork() const {
   cs.has_deadline = s->has_deadline;
   cs.deadline = s->deadline;
   cs.cancel = s->cancel;
-  cs.flow_augments = s->flow_augments;
   cs.decomp_attempts = s->decomp_attempts;
   return child;
 }

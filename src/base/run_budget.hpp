@@ -1,11 +1,10 @@
 #pragma once
 // Run budgets and cooperative cancellation for the solver stack.
 //
-// A RunBudget bundles a wall-clock deadline, a cancellation token and a set
-// of two resource ceilings (decomposition attempts per run, flow
-// augmentations per cut test). Solvers poll check()
+// A RunBudget bundles a wall-clock deadline, a cancellation token and one
+// resource ceiling (decomposition attempts per run). Solvers poll check()
 // at natural boundaries (sweeps, probes, batch items) and wind down
-// gracefully instead of throwing; resource ceilings degrade the affected
+// gracefully instead of throwing; the attempt ceiling degrades the affected
 // node to its plain K-cut label, which is always a sound fallback because
 // decomposition is strictly label-improving.
 //
@@ -115,14 +114,8 @@ class RunBudget {
   /// generation's rebuild of the converged labels is not metered.
   void set_decomp_attempt_budget(std::int64_t attempts);
 
-  /// Max augmenting paths per flow-based cut test (0 = unlimited). A test
-  /// that hits the ceiling conservatively reports "no cut".
-  void set_flow_augment_budget(std::int64_t augmentations);
-
   /// True iff any knob is configured; the fast "no budget" test.
   bool limited() const { return state_ != nullptr; }
-
-  std::int64_t flow_augment_budget() const { return state_ ? state_->flow_augments : 0; }
 
   /// Cooperative poll: kCancelled, kDeadlineExceeded, or kOk. Cheap enough
   /// for per-item use (two relaxed loads; a clock read only until the
@@ -154,7 +147,6 @@ class RunBudget {
     std::chrono::steady_clock::time_point deadline{};
     mutable std::atomic<bool> deadline_hit{false};
     const CancelToken* cancel = nullptr;
-    std::int64_t flow_augments = 0;
     std::int64_t decomp_attempts = 0;
     mutable std::atomic<std::int64_t> decomp_attempts_used{0};
   };

@@ -37,7 +37,6 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   height_limit_ = height_limit;
   options_ = options;
   viable_ = true;
-  flow_budget_hit_ = false;
   augmentations_ = 0;
   num_nodes_ = 0;
   fanin_pool_.clear();
@@ -46,7 +45,6 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   slack_.reserve(hw_nodes_);
   bfs_queue_.reserve(hw_nodes_);
   fanin_pool_.reserve(hw_nodes_ * 2);
-  cut_side_.reserve(hw_cut_side_);
   // O(1) index clear; on epoch wrap-around the stale stamps must be wiped.
   if (++index_epoch_ == 0) {
     index_epoch_ = 1;
@@ -103,13 +101,15 @@ int ExpandedNetwork::intern(SeqCutNode id) {
   ++index_size_;
   if (num_nodes_ == nodes_.size()) {
     nodes_.emplace_back();
+    fanin_begin_.emplace_back();
+    fanin_end_.emplace_back();
   }
   ExpNode& n = nodes_[num_nodes_];
   n.id = id;
   n.allowed = allowed(id);
   n.expanded = false;
-  n.fanin_begin = 0;
-  n.fanin_end = 0;
+  fanin_begin_[num_nodes_] = 0;
+  fanin_end_[num_nodes_] = 0;
   ++num_nodes_;
   return value;
 }
@@ -167,65 +167,39 @@ void ExpandedNetwork::expand() {
         return;
       }
     }
-    nodes_[static_cast<std::size_t>(i)].fanin_begin = fanin_begin;
-    nodes_[static_cast<std::size_t>(i)].fanin_end =
-        static_cast<std::int32_t>(fanin_pool_.size());
+    fanin_begin_[static_cast<std::size_t>(i)] = fanin_begin;
+    fanin_end_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(fanin_pool_.size());
   }
   hw_nodes_ = std::max(hw_nodes_, num_nodes_);
 }
 
-std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(
-    std::int64_t value_limit, const std::function<std::int64_t(const ExpNode&)>& capacity_of) {
+template <class CapacityOf>
+std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64_t value_limit,
+                                                                      CapacityOf capacity_of) {
   if (!viable_) return std::nullopt;
 
-  flow_.reset();
-  const int source = flow_.add_node();
-  const int sink = flow_.add_node();
-  in_id_.resize(num_nodes_);
-  out_id_.resize(num_nodes_);
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (nodes_[i].id.node == root_ && nodes_[i].id.w == 0) {
-      in_id_[i] = out_id_[i] = sink;
-      continue;
-    }
-    in_id_[i] = flow_.add_node();
-    out_id_[i] = flow_.add_node();
-    flow_.add_arc(in_id_[i], out_id_[i],
-                  nodes_[i].allowed ? capacity_of(nodes_[i]) : MaxFlow::kInfinity);
-  }
+  // The root (interned first) is the sink; PI copies and unexpanded
+  // frontier copies feed from the source. An expanded constant gate has no
+  // fanins and no source arc: it is free inside the LUT.
+  capacity_.resize(num_nodes_);
+  flags_.resize(num_nodes_);
   for (std::size_t i = 0; i < num_nodes_; ++i) {
     const ExpNode& n = nodes_[i];
-    if (n.expanded && n.fanin_end > n.fanin_begin) {
-      for (std::int32_t s = n.fanin_begin; s < n.fanin_end; ++s) {
-        const int j = fanin_pool_[static_cast<std::size_t>(s)];
-        flow_.add_arc(out_id_[static_cast<std::size_t>(j)], in_id_[i], MaxFlow::kInfinity);
-      }
-    } else if (n.expanded) {
-      // Constant gate: no PI dependence, free inside the LUT — no flow demand.
-    } else {
-      // PI copy or unexpanded frontier: feeds from the flow source.
-      flow_.add_arc(source, in_id_[i], MaxFlow::kInfinity);
-    }
+    capacity_[i] = n.allowed ? capacity_of(n) : NodeCut::kUncuttable;
+    flags_[i] = static_cast<std::uint8_t>((n.expanded ? 0 : NodeCut::kFromSource) |
+                                          (i == 0 ? NodeCut::kSink : 0));
   }
-
   const std::int64_t value =
-      flow_.compute(source, sink, value_limit, options_.flow_augment_budget);
-  augmentations_ += flow_.last_augmentations();
-  if (value > value_limit) {
-    if (flow_.augment_budget_hit()) flow_budget_hit_ = true;
-    return std::nullopt;
-  }
+      cut_.run(NodeCut::Network{std::span(fanin_begin_).first(num_nodes_),
+                                std::span(fanin_end_).first(num_nodes_), fanin_pool_,
+                                capacity_, flags_},
+               value_limit);
+  augmentations_ += cut_.paths();
+  if (value > value_limit) return std::nullopt;
 
-  flow_.min_cut_source_side(cut_side_);
-  hw_cut_side_ = std::max(hw_cut_side_, cut_side_.size());
   std::vector<SeqCutNode> cut;
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (in_id_[i] == sink || !nodes_[i].allowed) continue;
-    if (cut_side_[static_cast<std::size_t>(in_id_[i])] &&
-        !cut_side_[static_cast<std::size_t>(out_id_[i])]) {
-      cut.push_back(nodes_[i].id);
-    }
-  }
+  cut.reserve(cut_.cut().size());
+  for (const std::int32_t i : cut_.cut()) cut.push_back(nodes_[static_cast<std::size_t>(i)].id);
   std::sort(cut.begin(), cut.end());
   return cut;
 }
@@ -256,16 +230,16 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const 
   for (int i = 0; i < arity; ++i) {
     memo.emplace(pack(cut[static_cast<std::size_t>(i)]), TruthTable::var(arity, i));
   }
-  auto eval = [&](auto&& self, const ExpNode& n) -> const TruthTable& {
+  auto eval = [&](auto&& self, std::size_t i) -> const TruthTable& {
+    const ExpNode& n = nodes_[i];
     const auto it = memo.find(pack(n.id));
     if (it != memo.end()) return it->second;
     TS_CHECK(circuit_->is_gate(n.id.node) && n.expanded,
              "cut does not cover every path to the root");
     std::vector<TruthTable> inputs;
-    inputs.reserve(static_cast<std::size_t>(n.fanin_end - n.fanin_begin));
-    for (std::int32_t s = n.fanin_begin; s < n.fanin_end; ++s) {
-      inputs.push_back(
-          self(self, nodes_[static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])]));
+    inputs.reserve(static_cast<std::size_t>(fanin_end_[i] - fanin_begin_[i]));
+    for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
+      inputs.push_back(self(self, static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])));
     }
     TruthTable result = inputs.empty()
                             ? circuit_->function(n.id.node).remap(arity, {})
@@ -274,7 +248,7 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const 
   };
   const int root_idx = find_index(pack(SeqCutNode{root_, 0}));
   TS_ASSERT(root_idx >= 0);
-  return eval(eval, nodes_[static_cast<std::size_t>(root_idx)]);
+  return eval(eval, static_cast<std::size_t>(root_idx));
 }
 
 }  // namespace turbosyn

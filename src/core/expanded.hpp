@@ -28,12 +28,17 @@
 // LUT boots to f(0..0) = 1 where the original read 0, and on loops that
 // never resynchronize the difference persists at every cycle.
 //
+// A cut test is a node-cut augmenting-path search (graph/node_cut.hpp) run
+// directly over the expansion's fanin runs: the root is the sink, and PI
+// copies and unexpanded frontier copies hang off the source. It stops after
+// at most size_limit + 1 paths, each one BFS over at most node_budget nodes.
+//
 // One ExpandedNetwork instance is rebuildable: build() re-targets it to a
 // new (root, height) query while keeping every internal buffer — the node
 // store, the open-addressing (node, w) index, the BFS worklist and the whole
-// Dinic state — so the label computation's per-gate cut test allocates
-// nothing in steady state. CutScratch bundles one such instance as the
-// per-thread arena of the parallel label engine.
+// augmenting-path state — so the label computation's per-gate cut test
+// allocates nothing in steady state. CutScratch bundles one such instance as
+// the per-thread arena of the parallel label engine.
 
 #include <cstdint>
 #include <functional>
@@ -42,7 +47,7 @@
 #include <vector>
 
 #include "base/truth_table.hpp"
-#include "graph/max_flow.hpp"
+#include "graph/node_cut.hpp"
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
@@ -60,9 +65,6 @@ struct SeqCutNode {
 struct ExpandedOptions {
   int extra_levels = 2;       // expansion past the first allowed frontier
   int node_budget = 20000;    // max E_v nodes per query
-  /// Max augmenting paths per cut test (0 = unlimited); when it fires the
-  /// test conservatively reports "no cut" and flow_budget_hit() is set.
-  std::int64_t flow_augment_budget = 0;
 };
 
 /// The partial flow network of E_v for one (root, height-limit) query.
@@ -86,10 +88,6 @@ class ExpandedNetwork {
   /// mandatory, or the node budget was exhausted).
   bool viable() const { return viable_; }
 
-  /// True iff a cut query since the last build() was cut short by the flow
-  /// augmentation budget — its "no cut" answer was imposed, not proven.
-  bool flow_budget_hit() const { return flow_budget_hit_; }
-
   /// Augmenting paths found by cut queries since the last build().
   std::int64_t augmentations() const { return augmentations_; }
 
@@ -101,7 +99,8 @@ class ExpandedNetwork {
   /// prefer one whose nodes satisfy `shared` (signals already used as LUT
   /// inputs elsewhere), maximizing input sharing. Implemented with weighted
   /// capacities (B per node + 1 penalty for non-shared), so the min cut is
-  /// lexicographically (size, #non-shared)-minimal.
+  /// lexicographically (size, #non-shared)-minimal, and a path may push
+  /// more than one unit.
   std::optional<std::vector<SeqCutNode>> find_low_cost_cut(
       int size_limit, const std::function<bool(const SeqCutNode&)>& shared);
 
@@ -116,11 +115,6 @@ class ExpandedNetwork {
     SeqCutNode id;
     bool allowed = false;   // may be a cut node
     bool expanded = false;  // fanins materialized
-    // Fanins as a contiguous [begin, end) run in fanin_pool_: nodes expand
-    // one at a time, so each node's child indices land in one run and the
-    // per-node std::vector (and its per-build clear/regrow) disappears.
-    std::int32_t fanin_begin = 0;
-    std::int32_t fanin_end = 0;
   };
 
   int intern(SeqCutNode id);
@@ -128,10 +122,11 @@ class ExpandedNetwork {
   void index_grow();
   bool allowed(SeqCutNode id) const;
   void expand();
-  /// Shared flow construction: per-node capacities from `capacity_of`,
-  /// acceptance threshold `value_limit` on the max-flow.
-  std::optional<std::vector<SeqCutNode>> find_cut_impl(
-      std::int64_t value_limit, const std::function<std::int64_t(const ExpNode&)>& capacity_of);
+  /// Shared cut test: capacity_of(node) for allowed nodes, acceptance
+  /// threshold `value_limit` on the flow.
+  template <class CapacityOf>
+  std::optional<std::vector<SeqCutNode>> find_cut_impl(std::int64_t value_limit,
+                                                       CapacityOf capacity_of);
 
   const Circuit* circuit_ = nullptr;
   std::span<const int> labels_;
@@ -140,18 +135,20 @@ class ExpandedNetwork {
   int height_limit_ = 0;
   ExpandedOptions options_;
   bool viable_ = true;
-  bool flow_budget_hit_ = false;
   std::int64_t augmentations_ = 0;
 
   // Node store: slots [0, num_nodes_) are live for the current query; the
-  // vector is never shrunk. Fanin indices live in the shared flat pool.
+  // vectors are never shrunk. Node i's fanins are the contiguous run
+  // fanin_pool_[fanin_begin_[i], fanin_end_[i]): nodes expand one at a
+  // time, so each node's child indices land in one run of the flat pool.
   std::vector<ExpNode> nodes_;
+  std::vector<std::int32_t> fanin_begin_;
+  std::vector<std::int32_t> fanin_end_;
   std::size_t num_nodes_ = 0;
   std::vector<std::int32_t> fanin_pool_;
-  // High-water marks of the scratch vectors across builds; build() reserves
-  // them up front so repeated cut tests stop reallocating mid-query.
+  // High-water mark of the node count across builds; build() reserves the
+  // scratch up front so repeated cut tests stop reallocating mid-query.
   std::size_t hw_nodes_ = 0;
-  std::size_t hw_cut_side_ = 0;
 
   // Open-addressing packed-(node, w) -> index map with O(1) epoch clearing.
   struct IndexSlot {
@@ -163,20 +160,19 @@ class ExpandedNetwork {
   std::uint32_t index_epoch_ = 0;
   std::size_t index_size_ = 0;  // live entries this epoch
 
-  // Reused expansion worklist and flow-network buffers.
+  // Reused expansion worklist and cut-test buffers.
   std::vector<int> slack_;
   std::vector<int> bfs_queue_;
-  MaxFlow flow_;
-  std::vector<int> in_id_;
-  std::vector<int> out_id_;
-  std::vector<bool> cut_side_;
+  std::vector<std::int64_t> capacity_;
+  std::vector<std::uint8_t> flags_;
+  NodeCut cut_;
 };
 
 /// Per-thread scratch arena for the label-computation hot path: a reusable
-/// ExpandedNetwork (node store, hash index, worklists, Dinic state) plus the
-/// epoch-cleared buffers of the PLD isolation check. Thread one through
-/// label_update()/realize_node() to make repeated cut tests allocation-free;
-/// each concurrent thread needs its own instance.
+/// ExpandedNetwork (node store, hash index, worklists, augmenting-path
+/// state) plus the epoch-cleared buffers of the PLD isolation check. Thread
+/// one through label_update()/realize_node() to make repeated cut tests
+/// allocation-free; each concurrent thread needs its own instance.
 struct CutScratch {
   ExpandedNetwork net;
   // scc_isolated() scratch (labeling.cpp): per-node grounded stamps with

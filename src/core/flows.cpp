@@ -20,7 +20,6 @@ LabelOptions FlowOptions::label_options(bool enable_decomposition) const {
   l.num_threads = num_threads;
   l.budget = budget;  // copies share state: one budget governs the whole flow
   l.expansion = expansion;
-  l.expansion.flow_augment_budget = budget.flow_augment_budget();
   return l;
 }
 

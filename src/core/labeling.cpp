@@ -71,13 +71,7 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
     net.build(c, labels, phi, v, height - h, options.expansion);
     const auto cut = net.find_cut(options.cmax);
     stats.flow_augmentations += net.augmentations();
-    if (!cut) {
-      if (net.flow_budget_hit()) {
-        ++stats.flow_budget_hits;
-        degraded = true;
-      }
-      break;  // stricter heights only widen the min-cut further
-    }
+    if (!cut) break;  // stricter heights only widen the min-cut further
     std::vector<int> eff(cut->size());
     for (std::size_t i = 0; i < cut->size(); ++i) {
       eff[i] = labels[static_cast<std::size_t>((*cut)[i].node)] - phi * (*cut)[i].w;
@@ -139,38 +133,8 @@ std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const in
     r.cut = std::move(*cut);
     return r;
   }
-  const bool budget_hit = net.flow_budget_hit();
-  if (budget_hit) ++stats.flow_budget_hits;
   if (options.enable_decomposition) {
-    if (auto d = try_decomposition(c, labels, phi, v, height, options, stats, cache, scratch)) {
-      return d;
-    }
-  }
-  if (budget_hit) {
-    // The cut test was cut short by the augmentation ceiling, so "no cut"
-    // is a budget verdict, not a fact. The trivial fanin cut needs no flow
-    // computation and justifies every label of the form L(v)+1 (the value
-    // the iteration assigns when its own cut tests are starved), so check
-    // it directly: each fanin copy (u, w) must fit under the height limit.
-    std::vector<SeqCutNode> cut;
-    bool fits = true;
-    for (const EdgeId e : c.fanin_edges(v)) {
-      const auto& edge = c.edge(e);
-      const std::int64_t eff =
-          static_cast<std::int64_t>(labels[static_cast<std::size_t>(edge.from)]) -
-          static_cast<std::int64_t>(phi) * edge.weight;
-      if (eff + 1 > height) {
-        fits = false;
-        break;
-      }
-      cut.push_back(SeqCutNode{edge.from, edge.weight});
-    }
-    if (fits && static_cast<int>(cut.size()) <= options.k) {
-      NodeRealization r;
-      r.func = c.function(v);  // defined over the fanins in edge order
-      r.cut = std::move(cut);
-      return r;
-    }
+    return try_decomposition(c, labels, phi, v, height, options, stats, cache, scratch);
   }
   return std::nullopt;
 }
@@ -194,7 +158,6 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
   const bool have_cut = net.find_cut(options.k).has_value();
   stats.flow_augmentations += net.augmentations();
   if (have_cut) return std::max(current, target);
-  if (net.flow_budget_hit()) ++stats.flow_budget_hits;
   if (options.enable_decomposition &&
       try_decomposition(c, labels, phi, v, target, options, stats, cache, scratch,
                         /*existence_only=*/true)
@@ -402,7 +365,6 @@ void LabelStats::accumulate(const LabelStats& from) {
   cache_hits += from.cache_hits;
   flow_augmentations += from.flow_augmentations;
   decomp_budget_hits += from.decomp_budget_hits;
-  flow_budget_hits += from.flow_budget_hits;
   degraded_nodes.insert(degraded_nodes.end(), from.degraded_nodes.begin(),
                         from.degraded_nodes.end());
 }
@@ -611,7 +573,7 @@ LabelResult LabelEngine::compute(int phi) {
     } else if (out == CompOutcome::kBudgetExhausted) {
       result.status = combine_status(result.status, Status::kDegraded);
     }
-    if (result.stats.decomp_budget_hits + result.stats.flow_budget_hits > 0) {
+    if (result.stats.decomp_budget_hits > 0) {
       result.status = combine_status(result.status, Status::kDegraded);
     }
   };

@@ -70,10 +70,12 @@ struct LabelStats {
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
   std::int64_t cache_hits = 0;           // decomposition-memo hits
-  std::int64_t flow_augmentations = 0;   // augmenting paths across all cut tests
-  // Budget interference counters (all zero on an unlimited run).
+  // Augmenting paths across all cut tests (NodeCut::paths): at most
+  // size_limit + 1 per unit-capacity test; a low-cost (weighted) path may
+  // push more than one unit.
+  std::int64_t flow_augmentations = 0;
+  // Budget interference counter (zero on an unlimited run).
   std::int64_t decomp_budget_hits = 0;  // attempts refused by the attempt ceiling
-  std::int64_t flow_budget_hits = 0;    // cut tests cut short by the augmentation ceiling
   /// Nodes whose decomposition was abandoned under a resource ceiling, i.e.
   /// the nodes that fell back to their plain K-cut label (sound, possibly
   /// weaker). May contain repeats across sweeps; dedupe before reporting.
@@ -90,8 +92,8 @@ struct LabelResult {
   bool feasible = false;
   std::vector<int> labels;  // per node; meaningful when feasible
   int max_po_label = 0;     // for the clock-period (no pipelining) check
-  /// kOk: exact. kDegraded: a resource ceiling (sweep/decomposition/
-  /// flow budget) altered the computation — feasible results are still valid
+  /// kOk: exact. kDegraded: a resource ceiling (sweep or decomposition
+  /// budget) altered the computation — feasible results are still valid
   /// mappings, infeasible verdicts are no longer certificates.
   /// kDeadlineExceeded / kCancelled: the run was interrupted; labels did not
   /// converge and must not be used for mapping generation.

@@ -102,24 +102,9 @@ class Generator {
                                  << 24) |
                                 static_cast<std::uint32_t>(n.w)) != 0;
     };
-    const int label = labels_.labels[static_cast<std::size_t>(v)];
-    int height = label;
+    const int height = labels_.labels[static_cast<std::size_t>(v)];
     auto real = realize_node(c_, labels_.labels, phi_, v, height, lopts_, stats_, nullptr,
                              opts_.low_cost_cuts ? &shared : nullptr, &scratch_);
-    if (!real.has_value() && lopts_.budget.limited()) {
-      // The flow-augmentation ceiling can make the realization that justified
-      // this label during labeling unavailable now (it fires at a different
-      // point of a different traversal). Climb the height until
-      // something is realizable — the trivial fanin cut guarantees success
-      // within num_gates extra levels, and any height is structurally valid
-      // (just possibly slower).
-      const int cap = label + c_.num_gates() + 2;
-      while (!real.has_value() && height < cap) {
-        ++height;
-        real = realize_node(c_, labels_.labels, phi_, v, height, lopts_, stats_, nullptr,
-                            opts_.low_cost_cuts ? &shared : nullptr, &scratch_);
-      }
-    }
     TS_CHECK(real.has_value(), "converged labels must be realizable at node '" << c_.name(v)
                                                                                << "'");
     return BaseReal{std::move(*real), height};

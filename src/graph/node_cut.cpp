@@ -1,0 +1,145 @@
+#include "graph/node_cut.hpp"
+
+#include <algorithm>
+
+#include "base/check.hpp"
+
+namespace turbosyn {
+
+std::int64_t NodeCut::run(const Network& net, std::int64_t limit) {
+  const std::size_t n = net.capacity.size();
+  TS_CHECK(net.fanin_begin.size() == n && net.fanin_end.size() == n && net.flags.size() == n,
+           "node cut network arrays disagree on the node count");
+  paths_ = 0;
+  cut_.clear();
+
+  // Fanout lists by counting sort: counts land at fanout_offset_[u + 2], so
+  // after the prefix sum and one fill pass [offset[u], offset[u + 1]) is u's
+  // run. A sink's fanout is never traversed, so it is left out.
+  fanout_offset_.assign(n + 2, 0);
+  slot_head_.resize(net.fanins.size());
+  sources_.clear();
+  for (std::size_t w = 0; w < n; ++w) {
+    if (net.flags[w] & kFromSource) sources_.push_back(static_cast<std::int32_t>(w));
+    for (std::int32_t s = net.fanin_begin[w]; s < net.fanin_end[w]; ++s) {
+      slot_head_[static_cast<std::size_t>(s)] = static_cast<std::int32_t>(w);
+      const auto u = static_cast<std::size_t>(net.fanins[static_cast<std::size_t>(s)]);
+      if (!(net.flags[u] & kSink)) ++fanout_offset_[u + 2];
+    }
+  }
+  for (std::size_t i = 1; i < n + 2; ++i) fanout_offset_[i] += fanout_offset_[i - 1];
+  fanout_slot_.resize(static_cast<std::size_t>(fanout_offset_[n + 1]));
+  for (std::size_t w = 0; w < n; ++w) {
+    for (std::int32_t s = net.fanin_begin[w]; s < net.fanin_end[w]; ++s) {
+      const auto u = static_cast<std::size_t>(net.fanins[static_cast<std::size_t>(s)]);
+      if (net.flags[u] & kSink) continue;
+      fanout_slot_[static_cast<std::size_t>(fanout_offset_[u + 1]++)] = s;
+    }
+  }
+
+  node_flow_.assign(n, 0);
+  edge_flow_.assign(net.fanins.size(), 0);
+  if (seen_.size() < 2 * n) seen_.resize(2 * n, 0);
+  parent_.resize(2 * n);
+  via_.resize(2 * n);
+
+  std::int64_t flow = 0;
+  while (find_path(net)) {
+    ++paths_;
+    const std::int64_t amount = bottleneck(net);
+    flow += amount;
+    if (flow > limit) return flow;
+    push(amount);
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!(net.flags[v] & kSink) && seen_[2 * v] == epoch_ && seen_[2 * v + 1] != epoch_) {
+      cut_.push_back(static_cast<std::int32_t>(v));
+    }
+  }
+  return flow;
+}
+
+bool NodeCut::find_path(const Network& net) {
+  if (++epoch_ == 0) {  // stamps wrapped: wipe the stale ones
+    std::fill(seen_.begin(), seen_.end(), 0);
+    epoch_ = 1;
+  }
+  queue_.clear();
+  const auto visit = [&](std::int32_t to, std::int32_t from, std::int32_t slot) {
+    const auto t = static_cast<std::size_t>(to);
+    if (seen_[t] == epoch_) return;
+    seen_[t] = epoch_;
+    parent_[t] = from;
+    via_[t] = slot;
+    queue_.push_back(to);
+  };
+  for (const std::int32_t v : sources_) {
+    if (net.flags[static_cast<std::size_t>(v)] & kSink) {  // source arc straight into the sink
+      sink_hit_ = 2 * v;
+      parent_[static_cast<std::size_t>(sink_hit_)] = -1;
+      return true;
+    }
+    visit(2 * v, -1, -1);
+  }
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::int32_t h = queue_[head];
+    const auto v = static_cast<std::size_t>(h >> 1);
+    if ((h & 1) == 0) {
+      // in(v): through v's own arc, or back against flow on a fanin edge.
+      if (node_flow_[v] < net.capacity[v]) visit(h + 1, h, -1);
+      for (std::int32_t s = net.fanin_begin[v]; s < net.fanin_end[v]; ++s) {
+        if (edge_flow_[static_cast<std::size_t>(s)] > 0) {
+          visit(2 * net.fanins[static_cast<std::size_t>(s)] + 1, h, s);
+        }
+      }
+    } else {
+      // out(v): back against v's own flow, or forward along a fanout edge.
+      if (node_flow_[v] > 0) visit(h - 1, h, -1);
+      for (std::int32_t k = fanout_offset_[v]; k < fanout_offset_[v + 1]; ++k) {
+        const std::int32_t s = fanout_slot_[static_cast<std::size_t>(k)];
+        const std::int32_t w = slot_head_[static_cast<std::size_t>(s)];
+        if (net.flags[static_cast<std::size_t>(w)] & kSink) {
+          sink_hit_ = 2 * w;
+          parent_[static_cast<std::size_t>(sink_hit_)] = h;
+          via_[static_cast<std::size_t>(sink_hit_)] = s;
+          return true;
+        }
+        visit(2 * w, h, s);
+      }
+    }
+  }
+  return false;
+}
+
+std::int64_t NodeCut::bottleneck(const Network& net) const {
+  std::int64_t amount = kUncuttable;
+  for (std::int32_t h = sink_hit_; parent_[static_cast<std::size_t>(h)] != -1;
+       h = parent_[static_cast<std::size_t>(h)]) {
+    const std::int32_t s = via_[static_cast<std::size_t>(h)];
+    const auto v = static_cast<std::size_t>(h >> 1);
+    std::int64_t residual = kUncuttable;  // a forward fanin edge
+    if (s < 0) {
+      residual = (h & 1) ? net.capacity[v] - node_flow_[v]  // in(v) -> out(v)
+                         : node_flow_[v];                   // out(v) -> in(v)
+    } else if (h & 1) {
+      residual = edge_flow_[static_cast<std::size_t>(s)];  // in(w) -> out(v), against s
+    }
+    amount = std::min(amount, residual);
+  }
+  return amount;
+}
+
+void NodeCut::push(std::int64_t amount) {
+  for (std::int32_t h = sink_hit_; parent_[static_cast<std::size_t>(h)] != -1;
+       h = parent_[static_cast<std::size_t>(h)]) {
+    const std::int32_t s = via_[static_cast<std::size_t>(h)];
+    const std::int64_t signed_amount = (h & 1) ? amount : -amount;
+    if (s < 0) {
+      node_flow_[static_cast<std::size_t>(h >> 1)] += signed_amount;
+    } else {
+      edge_flow_[static_cast<std::size_t>(s)] -= signed_amount;
+    }
+  }
+}
+
+}  // namespace turbosyn

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "base/check.hpp"
-#include "graph/max_flow.hpp"
+#include "graph/node_cut.hpp"
 
 namespace turbosyn {
 
@@ -32,52 +32,35 @@ std::optional<std::vector<NodeId>> min_height_cut(const Circuit& c, NodeId root,
     }
   }
 
-  // Node-split flow network. Collapsed nodes (root, label > height_limit)
-  // share the sink; splittable nodes get in->out with capacity 1; cone
-  // leaves (no fanins) attach to the source.
-  MaxFlow flow;
-  const int source = flow.add_node();
-  const int sink = flow.add_node();
-  std::vector<int> in_id(cone.size(), -1);
-  std::vector<int> out_id(cone.size(), -1);
-  std::vector<bool> collapsed(cone.size(), false);
-  for (std::size_t i = 0; i < cone.size(); ++i) {
+  // Node-cut network over the cone: collapsed nodes (root, label >
+  // height_limit) are merged into the sink, every other node has capacity 1,
+  // and cone leaves (no fanins) are fed by the source.
+  const std::size_t n = cone.size();
+  std::vector<std::int32_t> fanin_offset(n + 1, 0);
+  std::vector<std::int32_t> fanins;
+  std::vector<std::int64_t> capacity(n, 1);
+  std::vector<std::uint8_t> flags(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
     const NodeId v = cone[i];
-    collapsed[i] = (v == root) || label[static_cast<std::size_t>(v)] > height_limit;
-    if (collapsed[i]) {
-      in_id[i] = out_id[i] = sink;
-    } else {
-      in_id[i] = flow.add_node();
-      out_id[i] = flow.add_node();
-      flow.add_arc(in_id[i], out_id[i], 1);
+    const auto fanin_edges = c.fanin_edges(v);
+    if (v == root || label[static_cast<std::size_t>(v)] > height_limit) {
+      flags[i] = NodeCut::kSink;
+    } else if (fanin_edges.empty()) {
+      flags[i] = NodeCut::kFromSource;
     }
-  }
-  for (std::size_t i = 0; i < cone.size(); ++i) {
-    const NodeId v = cone[i];
-    const auto fanins = c.fanin_edges(v);
-    if (fanins.empty()) {
-      if (!collapsed[i]) flow.add_arc(source, in_id[i], MaxFlow::kInfinity);
-      // A collapsed leaf (can only be the root as a constant) needs no arc.
-      continue;
-    }
-    for (const EdgeId e : fanins) {
-      const int u = cone_index.at(c.edge(e).from);
-      if (out_id[static_cast<std::size_t>(u)] == sink && in_id[i] == sink) continue;
-      flow.add_arc(out_id[static_cast<std::size_t>(u)], in_id[i], MaxFlow::kInfinity);
-    }
+    for (const EdgeId e : fanin_edges) fanins.push_back(cone_index.at(c.edge(e).from));
+    fanin_offset[i + 1] = static_cast<std::int32_t>(fanins.size());
   }
 
-  const std::int64_t value = flow.compute(source, sink, size_limit);
+  NodeCut flow;
+  const std::int64_t value =
+      flow.run(NodeCut::Network{std::span(fanin_offset).first(n), std::span(fanin_offset).last(n),
+                                fanins, capacity, flags},
+               size_limit);
   if (value > size_limit) return std::nullopt;
 
-  const std::vector<bool> side = flow.min_cut_source_side();
   std::vector<NodeId> cut;
-  for (std::size_t i = 0; i < cone.size(); ++i) {
-    if (collapsed[i]) continue;
-    if (side[static_cast<std::size_t>(in_id[i])] && !side[static_cast<std::size_t>(out_id[i])]) {
-      cut.push_back(cone[i]);
-    }
-  }
+  for (const std::int32_t i : flow.cut()) cut.push_back(cone[static_cast<std::size_t>(i)]);
   std::sort(cut.begin(), cut.end());
   TS_ASSERT(static_cast<std::int64_t>(cut.size()) == value);
   return cut;

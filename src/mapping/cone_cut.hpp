@@ -3,9 +3,10 @@
 //
 // For a root t with fanin labels already fixed, the question "is there a cut
 // of t's fanin cone whose cut nodes all have label <= h and whose size is at
-// most limit?" reduces to a max-flow <= limit test on the node-split cone
-// network: nodes with label > h (and the root) collapse into the sink, every
-// other cone node gets capacity 1, and cone leaves hang off the source.
+// most limit?" reduces to at most limit + 1 augmenting paths on the
+// node-split cone network (graph/node_cut.hpp): nodes with label > h (and the
+// root) collapse into the sink, every other cone node gets capacity 1, and
+// cone leaves hang off the source.
 
 #include <optional>
 #include <span>

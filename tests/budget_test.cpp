@@ -2,9 +2,8 @@
 //
 // The invariants checked here are the anytime contract:
 //   - an unconfigured budget never interferes (kOk, bit-identical results);
-//   - resource ceilings (decomposition attempts, flow augmentations, sweep
-//     caps) degrade nodes to their plain K-cut labels and report
-//     Status::kDegraded — the mapping stays valid and equivalent;
+//   - resource ceilings (decomposition attempts, sweep caps) degrade nodes
+//     to their plain K-cut labels and report Status::kDegraded — the mapping stays valid and equivalent;
 //   - a kOk flow's mapping reaches the phi it reports (exact MDR <= phi);
 //   - deadlines and cancellation stop the search cooperatively and still
 //     return an equivalent best-so-far (or identity-fallback) mapping;
@@ -59,7 +58,6 @@ TEST(RunBudget, DefaultIsUnlimited) {
   EXPECT_FALSE(b.limited());
   EXPECT_EQ(b.check(), Status::kOk);
   EXPECT_FALSE(b.interrupted());
-  EXPECT_EQ(b.flow_augment_budget(), 0);
   // With no attempt ceiling every claim succeeds.
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(b.try_consume_decomp_attempt());
 }
@@ -159,21 +157,6 @@ TEST(Budget, CeilingSpentBySearchStillLetsMappingReachPhi) {
   EXPECT_TRUE(r.degraded_nodes.empty());
   EXPECT_EQ(r.exact_mdr, Rational(1));
   expect_equivalent(c, r.mapped, 64, 27);
-}
-
-TEST(Budget, FlowAugmentCeilingFallsBackToIdentityMapping) {
-  // One augmenting path per cut test makes every K-cut test fail, so no
-  // probe converges: the flow reports the identity-mapping fallback, still
-  // equivalent to the input, with a kDegraded (not kOk) verdict.
-  const Circuit c = figure1_circuit();
-  FlowOptions opt;
-  opt.k = 3;
-  opt.num_threads = 1;
-  opt.budget.set_flow_augment_budget(1);
-  const FlowResult r = run_turbomap(c, opt);
-  EXPECT_EQ(r.status, Status::kDegraded);
-  EXPECT_GT(r.stats.flow_budget_hits, 0);
-  expect_equivalent(c, r.mapped, 64, 23);
 }
 
 TEST(Budget, ExpiredDeadlineReturnsIdentityFallback) {

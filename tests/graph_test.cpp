@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "base/check.hpp"
+#include "base/rng.hpp"
 #include "graph/bellman_ford.hpp"
 #include "graph/digraph.hpp"
-#include "graph/max_flow.hpp"
+#include "graph/node_cut.hpp"
 #include "graph/scc.hpp"
 
 namespace turbosyn {
@@ -118,56 +125,270 @@ TEST(BellmanFord, ZeroCostCycleIsNotPositive) {
   EXPECT_FALSE(result.found);
 }
 
-TEST(MaxFlow, SimpleBipartite) {
-  MaxFlow f(4);
-  // 0 -> {1,2} -> 3 with unit middle capacities.
-  f.add_arc(0, 1, 5);
-  f.add_arc(0, 2, 5);
-  f.add_arc(1, 3, 1);
-  f.add_arc(2, 3, 1);
-  EXPECT_EQ(f.compute(0, 3), 2);
+// A node-cut network built by hand: fanins in CSR form, unit capacities,
+// no flags. The NodeCut::Network view points into it.
+struct TestNet {
+  explicit TestNet(int n) : fanin_lists(static_cast<std::size_t>(n)),
+                            capacity(static_cast<std::size_t>(n), 1),
+                            flags(static_cast<std::size_t>(n), 0) {}
+  void edge(int u, int v) { fanin_lists[static_cast<std::size_t>(v)].push_back(u); }
+  NodeCut::Network view() {
+    begin.clear();
+    end.clear();
+    fanins.clear();
+    for (const auto& list : fanin_lists) {
+      begin.push_back(static_cast<std::int32_t>(fanins.size()));
+      fanins.insert(fanins.end(), list.begin(), list.end());
+      end.push_back(static_cast<std::int32_t>(fanins.size()));
+    }
+    return NodeCut::Network{begin, end, fanins, capacity, flags};
+  }
+  std::vector<std::vector<std::int32_t>> fanin_lists;
+  std::vector<std::int64_t> capacity;
+  std::vector<std::uint8_t> flags;
+  std::vector<std::int32_t> begin, end, fanins;
+};
+
+std::vector<std::int32_t> cut_of(const NodeCut& f) { return {f.cut().begin(), f.cut().end()}; }
+
+TEST(NodeCut, SimpleBipartite) {
+  // Two source-fed unit nodes both feed the sink: two disjoint paths.
+  TestNet t(3);
+  t.flags = {NodeCut::kFromSource, NodeCut::kFromSource, NodeCut::kSink};
+  t.edge(0, 2);
+  t.edge(1, 2);
+  NodeCut f;
+  EXPECT_EQ(f.run(t.view(), 10), 2);
+  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{0, 1}));
+  EXPECT_EQ(f.paths(), 2);
 }
 
-TEST(MaxFlow, RespectsLimitWithEarlyExit) {
-  MaxFlow f(2);
-  for (int i = 0; i < 10; ++i) f.add_arc(0, 1, 1);
-  EXPECT_GT(f.compute(0, 1, 3), 3);  // stops early, reports "exceeds limit"
+TEST(NodeCut, RespectsLimitWithEarlyExit) {
+  TestNet t(11);
+  t.flags.assign(11, NodeCut::kFromSource);
+  t.flags[10] = NodeCut::kSink;
+  for (int i = 0; i < 10; ++i) t.edge(i, 10);
+  NodeCut f;
+  EXPECT_GT(f.run(t.view(), 3), 3);  // stops early, reports "exceeds limit"
+  EXPECT_EQ(f.paths(), 4);           // limit + 1 paths, not 10
 }
 
-TEST(MaxFlow, MinCutSourceSide) {
-  MaxFlow f(4);
-  f.add_arc(0, 1, 10);
-  f.add_arc(1, 2, 1);  // bottleneck
-  f.add_arc(2, 3, 10);
-  EXPECT_EQ(f.compute(0, 3), 1);
-  const auto side = f.min_cut_source_side();
-  EXPECT_TRUE(side[0]);
-  EXPECT_TRUE(side[1]);
-  EXPECT_FALSE(side[2]);
-  EXPECT_FALSE(side[3]);
+TEST(NodeCut, MinCutSourceSide) {
+  // Chain 0 -> 1 -> 2 -> sink with only node 1 cuttable.
+  TestNet t(4);
+  t.capacity = {NodeCut::kUncuttable, 1, NodeCut::kUncuttable, 1};
+  t.flags = {NodeCut::kFromSource, 0, 0, NodeCut::kSink};
+  t.edge(0, 1);
+  t.edge(1, 2);
+  t.edge(2, 3);
+  NodeCut f;
+  EXPECT_EQ(f.run(t.view(), 5), 1);
+  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{1}));
+  // With every node uncuttable no finite cut exists.
+  t.capacity[1] = NodeCut::kUncuttable;
+  EXPECT_GT(f.run(t.view(), 5), 5);
 }
 
-TEST(MaxFlow, NodeSplitCutIdentifiesNodes) {
-  // Diamond: s -> a -> {b, c} -> d -> t, node capacities 1 via splitting:
-  // min node cut should be {a} or {d} with size 1.
-  MaxFlow f;
-  const int s = f.add_node();
-  const int t = f.add_node();
-  const int a_in = f.add_node(), a_out = f.add_node();
-  const int b_in = f.add_node(), b_out = f.add_node();
-  const int c_in = f.add_node(), c_out = f.add_node();
-  const int d_in = f.add_node(), d_out = f.add_node();
-  f.add_arc(a_in, a_out, 1);
-  f.add_arc(b_in, b_out, 1);
-  f.add_arc(c_in, c_out, 1);
-  f.add_arc(d_in, d_out, 1);
-  f.add_arc(s, a_in, MaxFlow::kInfinity);
-  f.add_arc(a_out, b_in, MaxFlow::kInfinity);
-  f.add_arc(a_out, c_in, MaxFlow::kInfinity);
-  f.add_arc(b_out, d_in, MaxFlow::kInfinity);
-  f.add_arc(c_out, d_in, MaxFlow::kInfinity);
-  f.add_arc(d_out, t, MaxFlow::kInfinity);
-  EXPECT_EQ(f.compute(s, t), 1);
+TEST(NodeCut, NodeSplitCutIdentifiesNodes) {
+  // Diamond a -> {b, c} -> d -> sink: {a} and {d} are both minimum cuts;
+  // the one closest to the source is {a}.
+  TestNet t(5);
+  t.flags = {NodeCut::kFromSource, 0, 0, 0, NodeCut::kSink};
+  t.edge(0, 1);
+  t.edge(0, 2);
+  t.edge(1, 3);
+  t.edge(2, 3);
+  t.edge(3, 4);
+  NodeCut f;
+  EXPECT_EQ(f.run(t.view(), 4), 1);
+  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{0}));
+}
+
+TEST(NodeCut, ReroutesFlowBackThroughASaturatedNode) {
+  // The first (shortest) path x1 -> u -> v -> w fills w. The second path
+  // enters w from x2's long chain and must undo u -> v -> w: back from w
+  // to out(v), through v's own arc backwards to in(v), back to out(u), and
+  // out along u's long chain y1..y4.
+  enum { x1, x2, u, v, w, y1, y2, y3, y4, z1, z2, z3, sink, n };
+  TestNet t(n);
+  t.flags[x1] = t.flags[x2] = NodeCut::kFromSource;
+  t.flags[sink] = NodeCut::kSink;
+  for (const auto [from, to] : {std::pair{x1, u}, {u, v}, {v, w}, {w, sink}, {u, y1}, {y1, y2},
+                                {y2, y3}, {y3, y4}, {y4, sink}, {x2, z1}, {z1, z2}, {z2, z3},
+                                {z3, w}}) {
+    t.edge(from, to);
+  }
+  NodeCut f;
+  EXPECT_EQ(f.run(t.view(), 5), 2);
+  EXPECT_EQ(f.paths(), 2);
+  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{x1, x2}));
+}
+
+// Exhaustive oracle. A node set S is a cut iff no path from a source-fed
+// node to a sink avoids S (a path ends at its first sink). Its source side
+// is the set of halves reachable from the source with S's arcs removed:
+// in(v) for every reached v, out(v) for reached v not in S.
+struct Reach {
+  bool separates = true;
+  std::vector<bool> in, out;
+};
+
+Reach reach_avoiding(const TestNet& t, std::uint32_t s_mask) {
+  const std::size_t n = t.capacity.size();
+  std::vector<std::vector<int>> fanouts(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const int u : t.fanin_lists[v]) fanouts[static_cast<std::size_t>(u)].push_back(static_cast<int>(v));
+  }
+  Reach r;
+  r.in.assign(n, false);
+  r.out.assign(n, false);
+  std::vector<int> stack;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (t.flags[v] & NodeCut::kFromSource) {
+      r.in[v] = true;
+      stack.push_back(static_cast<int>(v));
+    }
+  }
+  while (!stack.empty()) {
+    const auto v = static_cast<std::size_t>(stack.back());
+    stack.pop_back();
+    if (t.flags[v] & NodeCut::kSink) {
+      r.separates = false;
+      continue;
+    }
+    if ((s_mask >> v) & 1) continue;
+    r.out[v] = true;
+    for (const int w : fanouts[v]) {
+      if (!r.in[static_cast<std::size_t>(w)]) {
+        r.in[static_cast<std::size_t>(w)] = true;
+        stack.push_back(w);
+      }
+    }
+  }
+  return r;
+}
+
+bool side_subset(const Reach& a, const Reach& b) {
+  for (std::size_t v = 0; v < a.in.size(); ++v) {
+    if ((a.in[v] && !b.in[v]) || (a.out[v] && !b.out[v])) return false;
+  }
+  return true;
+}
+
+// Random DAG on n <= 12 nodes (fanins point to lower indices); the last node
+// and a few others are sinks, fanin-free nodes and a few others are fed by
+// the source, and some nodes are uncuttable. Fanin runs are laid out in a
+// shuffled order in the pool, as ExpandedNetwork's expansion order does.
+TestNet random_net(Rng& rng, int n) {
+  TestNet t(n);
+  for (int v = 1; v < n; ++v) {
+    const int fanins = static_cast<int>(rng.next_below(4));
+    for (int i = 0; i < fanins; ++i) t.edge(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v))), v);
+  }
+  for (int v = 0; v < n; ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    if (v == n - 1 || rng.next_below(8) == 0) {
+      t.flags[i] = NodeCut::kSink;
+    } else if (t.fanin_lists[i].empty() || rng.next_below(8) == 0) {
+      t.flags[i] = NodeCut::kFromSource;
+    }
+    if (rng.next_below(6) == 0) t.capacity[i] = NodeCut::kUncuttable;
+  }
+  return t;
+}
+
+NodeCut::Network shuffled_view(TestNet& t, Rng& rng) {
+  const std::size_t n = t.capacity.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.next_below(i)]);
+  t.begin.assign(n, 0);
+  t.end.assign(n, 0);
+  t.fanins.clear();
+  for (const std::size_t v : order) {
+    t.begin[v] = static_cast<std::int32_t>(t.fanins.size());
+    t.fanins.insert(t.fanins.end(), t.fanin_lists[v].begin(), t.fanin_lists[v].end());
+    t.end[v] = static_cast<std::int32_t>(t.fanins.size());
+  }
+  return NodeCut::Network{t.begin, t.end, t.fanins, t.capacity, t.flags};
+}
+
+TEST(NodeCut, ExhaustiveOracleOnRandomDags) {
+  Rng rng(19);
+  NodeCut f;  // reused across networks of every size
+  int with_cut = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 2 + static_cast<int>(rng.next_below(11));
+    TestNet t = random_net(rng, n);
+    std::uint32_t cuttable = 0;
+    for (int v = 0; v < n; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      if (!(t.flags[i] & NodeCut::kSink) && t.capacity[i] == 1) cuttable |= 1u << v;
+    }
+    // Every cut, its size, and the minimum (kNone: no finite cut exists).
+    constexpr int kNone = 1000;
+    std::vector<std::uint32_t> cuts;
+    int min_size = kNone;
+    for (std::uint32_t s = cuttable;; s = (s - 1) & cuttable) {
+      if (reach_avoiding(t, s).separates) {
+        cuts.push_back(s);
+        min_size = std::min(min_size, std::popcount(s));
+      }
+      if (s == 0) break;
+    }
+    const int limit = static_cast<int>(rng.next_below(5));
+    const std::int64_t value = f.run(shuffled_view(t, rng), limit);
+    EXPECT_LE(f.paths(), limit + 1) << trial;
+    if (min_size > limit) {
+      EXPECT_GT(value, limit) << trial;
+      continue;
+    }
+    ++with_cut;
+    ASSERT_EQ(value, min_size) << trial;
+    std::uint32_t got = 0;
+    for (const std::int32_t v : f.cut()) got |= 1u << v;
+    ASSERT_EQ(std::popcount(got), min_size) << trial;
+    const Reach got_side = reach_avoiding(t, got);
+    ASSERT_TRUE(got_side.separates) << trial;
+    for (const std::uint32_t s : cuts) {
+      if (std::popcount(s) != min_size) continue;
+      EXPECT_TRUE(side_subset(got_side, reach_avoiding(t, s)))
+          << "trial " << trial << ": cut is not the minimum cut closest to the source";
+    }
+
+    // Weighted (low-cost) variant: B per node plus 1 for non-shared nodes,
+    // B = k + 1. The cut must be the (size, #non-shared)-lexicographic
+    // minimum among the cuts of size <= k.
+    const int k = 4;
+    const std::int64_t b = k + 1;
+    std::uint32_t shared = 0;
+    for (int v = 0; v < n; ++v) {
+      if (rng.next_below(2) == 0) shared |= 1u << v;
+    }
+    TestNet weighted = t;
+    for (int v = 0; v < n; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      if (weighted.capacity[i] == 1) weighted.capacity[i] = b + (((shared >> v) & 1) ? 0 : 1);
+    }
+    const auto cost = [&](std::uint32_t s) {
+      return std::pair{std::popcount(s), std::popcount(s & ~shared)};
+    };
+    std::pair<int, int> best{kNone, 0};
+    for (const std::uint32_t s : cuts) {
+      if (std::popcount(s) <= k) best = std::min(best, cost(s));
+    }
+    const std::int64_t weighted_value = f.run(shuffled_view(weighted, rng), (b + 1) * k);
+    if (best.first > k) {
+      EXPECT_GT(weighted_value, (b + 1) * k) << trial;
+      continue;
+    }
+    ASSERT_EQ(weighted_value, b * best.first + best.second) << trial;
+    std::uint32_t weighted_cut = 0;
+    for (const std::int32_t v : f.cut()) weighted_cut |= 1u << v;
+    EXPECT_TRUE(reach_avoiding(t, weighted_cut).separates) << trial;
+    EXPECT_EQ(cost(weighted_cut), best) << trial;
+  }
+  EXPECT_GT(with_cut, 500);  // the random networks exercise both outcomes
 }
 
 }  // namespace

@@ -327,6 +327,29 @@ TEST(FlowCliDeathTest, ThreadsRejectsNonIntegerWithExit2) {
               "--threads expects an integer");
 }
 
+TEST(FlowCliDeathTest, BudgetFlagsRejectMalformedValuesWithExit2) {
+  // "--deadline-ms abc" used to atoll() to a 0 ms deadline (every flow fell
+  // back to the identity mapping), and "--decomp-attempt-budget abc" to 0,
+  // i.e. silently unlimited.
+  const auto parse = [](const char* flag, const char* value) {
+    const char* argv[] = {"prog", flag, value};
+    flow_cli_from_args(3, const_cast<char**>(argv));
+  };
+  for (const char* flag : {"--deadline-ms", "--decomp-attempt-budget"}) {
+    const std::string message = std::string(flag) + " expects an integer";
+    EXPECT_EXIT(parse(flag, "abc"), ::testing::ExitedWithCode(2), message);
+    EXPECT_EXIT(parse(flag, "-5"), ::testing::ExitedWithCode(2), message);
+    EXPECT_EXIT(parse(flag, "10ms"), ::testing::ExitedWithCode(2), message);
+  }
+  // Well-formed values still parse (in a child: parsing installs signal
+  // handlers on the global cancel token).
+  const auto accept = [] {
+    const char* argv[] = {"prog", "--deadline-ms", "250", "--decomp-attempt-budget", "0"};
+    std::exit(flow_cli_from_args(5, const_cast<char**>(argv)).budget.limited() ? 0 : 1);
+  };
+  EXPECT_EXIT(accept(), ::testing::ExitedWithCode(0), "");
+}
+
 // ---------------------------------------------------------------------------
 // Manifest parsing: quoting, diagnostics, stem de-duplication
 
