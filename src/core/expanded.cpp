@@ -239,7 +239,8 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const 
     std::vector<TruthTable> inputs;
     inputs.reserve(static_cast<std::size_t>(fanin_end_[i] - fanin_begin_[i]));
     for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
-      inputs.push_back(self(self, static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])));
+      inputs.push_back(
+          self(self, static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])));
     }
     TruthTable result = inputs.empty()
                             ? circuit_->function(n.id.node).remap(arity, {})

@@ -185,8 +185,7 @@ struct NodeRealization {
 
 /// Recomputes a realization for node v at height limit `height` (typically
 /// the final label, or a relaxed height). Returns nullopt if none exists at
-/// that height (callers then retry at height+1, which always succeeds at
-/// l(v)+... the trivial fanin cut).
+/// that height; at converged labels one always exists at the node's label.
 /// `shared` (optional): predicate marking signals already used as LUT inputs
 /// elsewhere; when given, plain cuts are chosen by the paper's low-cost
 /// K-cut rule (minimum size, then maximum sharing).

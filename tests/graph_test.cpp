@@ -213,9 +213,9 @@ TEST(NodeCut, ReroutesFlowBackThroughASaturatedNode) {
   TestNet t(n);
   t.flags[x1] = t.flags[x2] = NodeCut::kFromSource;
   t.flags[sink] = NodeCut::kSink;
-  for (const auto [from, to] : {std::pair{x1, u}, {u, v}, {v, w}, {w, sink}, {u, y1}, {y1, y2},
-                                {y2, y3}, {y3, y4}, {y4, sink}, {x2, z1}, {z1, z2}, {z2, z3},
-                                {z3, w}}) {
+  for (const auto& [from, to] : {std::pair{x1, u}, {u, v}, {v, w}, {w, sink}, {u, y1}, {y1, y2},
+                                 {y2, y3}, {y3, y4}, {y4, sink}, {x2, z1}, {z1, z2}, {z2, z3},
+                                 {z3, w}}) {
     t.edge(from, to);
   }
   NodeCut f;
@@ -237,7 +237,9 @@ Reach reach_avoiding(const TestNet& t, std::uint32_t s_mask) {
   const std::size_t n = t.capacity.size();
   std::vector<std::vector<int>> fanouts(n);
   for (std::size_t v = 0; v < n; ++v) {
-    for (const int u : t.fanin_lists[v]) fanouts[static_cast<std::size_t>(u)].push_back(static_cast<int>(v));
+    for (const int u : t.fanin_lists[v]) {
+      fanouts[static_cast<std::size_t>(u)].push_back(static_cast<int>(v));
+    }
   }
   Reach r;
   r.in.assign(n, false);
@@ -283,7 +285,9 @@ TestNet random_net(Rng& rng, int n) {
   TestNet t(n);
   for (int v = 1; v < n; ++v) {
     const int fanins = static_cast<int>(rng.next_below(4));
-    for (int i = 0; i < fanins; ++i) t.edge(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v))), v);
+    for (int i = 0; i < fanins; ++i) {
+      t.edge(static_cast<int>(rng.next_below(static_cast<std::uint64_t>(v))), v);
+    }
   }
   for (int v = 0; v < n; ++v) {
     const auto i = static_cast<std::size_t>(v);
