@@ -52,7 +52,7 @@ class NodeCut {
   std::int64_t run(const Network& net, std::int64_t limit);
 
   /// Augmenting paths found by the last run(), the one that crossed the
-  /// limit included. With unit capacities that is the flow value (+1).
+  /// limit included: at most limit + 1, as every path carries >= 1 unit.
   std::int64_t paths() const { return paths_; }
 
   /// After a run() that returned a value <= its limit: the minimum cut
