@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   std::vector<Config> configs;
   {
     Config base{"base (extra=2, span=3, pack)", FlowOptions{}};
-    base.options.num_threads = cli.threads;
     base.options.budget = cli.budget;
     base.options.collect_artifacts = audit;
     base.options.trace = cli.trace();

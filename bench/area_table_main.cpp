@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
 
   const bool audit = cli.audit;
   FlowOptions opt;
-  opt.num_threads = cli.threads;
   opt.budget = cli.budget;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();

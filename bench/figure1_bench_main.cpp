@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   {
     const Circuit c = figure1_circuit();
     FlowOptions opt;
-    opt.num_threads = cli.threads;
     opt.budget = cli.budget;
     opt.k = 3;
     opt.collect_artifacts = audit;
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
   for (const auto& [stages, regs] : {std::pair{4, 2}, {6, 2}, {8, 2}, {9, 3}, {12, 3}}) {
     const Circuit c = ring_circuit(stages, regs);
     FlowOptions opt;
-    opt.num_threads = cli.threads;
     opt.budget = cli.budget;
     opt.collect_artifacts = audit;
     opt.trace = cli.trace();

@@ -194,35 +194,32 @@ void BM_LabelComputationTurboMap(benchmark::State& state) {
 }
 BENCHMARK(BM_LabelComputationTurboMap);
 
-// End-to-end labeling at 1 / 2 / all threads (Arg = num_threads, 0 = every
-// core). Emit machine-readable results with
+// End-to-end labeling: one cold engine, one probe. Emit machine-readable
+// results with
 //   micro_bench --benchmark_filter=BM_Label --benchmark_out=BENCH_labeling.json
 //               --benchmark_out_format=json
 void BM_LabelEngineThreads(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     LabelEngine engine(c, lo);
     benchmark::DoNotOptimize(engine.compute(2));
   }
 }
-BENCHMARK(BM_LabelEngineThreads)->Arg(1)->Arg(2)->Arg(0)->Unit(benchmark::kMillisecond)
+BENCHMARK(BM_LabelEngineThreads)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 
 // The same probe through one warm engine: the φ-search steady state, where
 // graph analysis, decomposition cache and scratch arenas are all amortized.
 void BM_LabelEngineWarmProbe(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
-  LabelOptions lo;
-  lo.num_threads = static_cast<int>(state.range(0));
-  LabelEngine engine(c, lo);
+  LabelEngine engine(c, LabelOptions{});
   (void)engine.compute(3);  // seed the warm-start map
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.compute(2));
   }
 }
-BENCHMARK(BM_LabelEngineWarmProbe)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LabelEngineWarmProbe)->Unit(benchmark::kMillisecond);
 
 // A descending multi-probe suite through one warm engine — the φ-search
 // pattern the cross-φ warm start serves (each probe seeds from the previous
@@ -231,7 +228,6 @@ BENCHMARK(BM_LabelEngineWarmProbe)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond
 void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = 1;
   LabelStats stats;
   for (auto _ : state) {
     LabelEngine engine(c, lo);
@@ -248,20 +244,19 @@ void BM_LabelEngineDescendingProbes(benchmark::State& state) {
 }
 BENCHMARK(BM_LabelEngineDescendingProbes)->Unit(benchmark::kMillisecond);
 
-// Scaling-suite labeling: the large-circuit regime the parallel engine
-// targets (one infeasible + one feasible probe, as a binary search sees).
+// Scaling-suite labeling: the large-circuit regime (one infeasible + one
+// feasible probe, as a binary search sees).
 void BM_LabelEngineScalingCircuit(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(scaling_suite()[0]);
   LabelOptions lo;
-  lo.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     LabelEngine engine(c, lo);
     benchmark::DoNotOptimize(engine.compute(1));
     benchmark::DoNotOptimize(engine.compute(2));
   }
 }
-BENCHMARK(BM_LabelEngineScalingCircuit)->Arg(1)->Arg(2)->Arg(0)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_LabelEngineScalingCircuit)->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()->UseRealTime();
 
 // End-to-end flow benchmarks with the per-stage breakdown attached as
 // counters (stage wall time under "s_<stage>", summed over repeated stages;

@@ -7,7 +7,7 @@
 // and once with the n^2 criterion. The per-circuit speedup in label sweeps
 // and wall-clock time reproduces the claim's regime.
 //
-// Usage: pld_speedup_main [--quick] [--threads N] [--audit]
+// Usage: pld_speedup_main [--quick] [--audit]
 
 #include <chrono>
 #include <cstdlib>
@@ -32,13 +32,12 @@ struct Probe {
   turbosyn::Status status = turbosyn::Status::kOk;
 };
 
-Probe run_probe(const turbosyn::Circuit& c, int phi, bool use_pld, int threads,
+Probe run_probe(const turbosyn::Circuit& c, int phi, bool use_pld,
                 const turbosyn::RunBudget& budget, std::int64_t sweep_budget = 0) {
   using Clock = std::chrono::steady_clock;
   turbosyn::LabelOptions lo;
   lo.k = 5;
   lo.use_pld = use_pld;
-  lo.num_threads = threads;
   lo.sweep_budget = sweep_budget;
   lo.budget = budget;
   const auto start = Clock::now();
@@ -61,7 +60,6 @@ int main(int argc, char** argv) {
 
   const bool audit = cli.audit;
   FlowOptions opt;
-  opt.num_threads = cli.threads;
   opt.budget = cli.budget;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();
@@ -78,13 +76,13 @@ int main(int argc, char** argv) {
       std::cerr << "[pld] " << spec.name << " skipped (phi* = 1, no infeasible probe)\n";
       continue;
     }
-    const Probe with_pld = run_probe(c, tm.phi - 1, /*use_pld=*/true, cli.threads, opt.budget);
+    const Probe with_pld = run_probe(c, tm.phi - 1, /*use_pld=*/true, opt.budget);
     // The n^2 baseline is cut off at 200x the PLD sweep count so large
     // circuits finish; a truncated run makes the reported speedup a lower
     // bound (marked with ">").
     const std::int64_t budget = 200 * std::max<std::int64_t>(1, with_pld.sweeps);
     const Probe without =
-        run_probe(c, tm.phi - 1, /*use_pld=*/false, cli.threads, opt.budget, budget);
+        run_probe(c, tm.phi - 1, /*use_pld=*/false, opt.budget, budget);
     // The label engine distinguishes a sweep-budget stop (kDegraded: no
     // infeasibility certificate) from a genuine divergence certificate (kOk),
     // so truncation is read off the status instead of the sweep count.

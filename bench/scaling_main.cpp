@@ -4,9 +4,8 @@
 // Runs TurboMap and TurboSYN over circuits from 1k to 12k gates and reports
 // wall-clock time, the found ratio and the label-computation volume.
 //
-// Usage: scaling_main [--quick] [--threads N] [--audit]
-//        (--quick stops at 4k gates; --threads bounds the label engine,
-//        0 = all cores, 1 = sequential; --audit re-verifies each result)
+// Usage: scaling_main [--quick] [--audit]
+//        (--quick stops at 4k gates; --audit re-verifies each result)
 
 #include <cstdlib>
 #include <iostream>
@@ -30,7 +29,6 @@ int main(int argc, char** argv) {
 
   const bool audit = cli.audit;
   FlowOptions opt;
-  opt.num_threads = cli.threads;
   opt.budget = cli.budget;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();

@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
 
   const bool audit = cli.audit;
   FlowOptions opt;  // K = 5, PLD on, as in the paper
-  opt.num_threads = cli.threads;
   opt.budget = cli.budget;
   opt.collect_artifacts = audit;
   opt.trace = cli.trace();

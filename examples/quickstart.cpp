@@ -1,8 +1,7 @@
 // Quickstart: parse a BLIF FSM, run the full TurboSYN flow, inspect the
 // result, and write the mapped network back out as BLIF.
 //
-//   $ ./quickstart [--threads N]   (0 = all cores, 1 = sequential)
-//                  [--audit]       (re-verify every invariant of the result)
+//   $ ./quickstart [--audit]       (re-verify every invariant of the result)
 //                  [--trace-json=PATH]  (per-stage/per-probe trace of the run)
 //                  [--cache-dir=PATH]   (reuse flow artifacts across runs)
 //                  [--deadline-ms N] [--decomp-attempt-budget N] ...  (run budgets)
@@ -37,8 +36,7 @@ int main(int argc, char** argv) {
   //    with sequential functional decomposition).
   FlowOptions options;
   options.k = 4;
-  options.num_threads = cli.threads;  // 0 = use every core for the label engine
-  options.budget = cli.budget;        // unlimited unless budget flags were given
+  options.budget = cli.budget;  // unlimited unless budget flags were given
   // Step 5 prints the mapped network, which a cache hit only regenerates for
   // a caller that collects artifacts.
   options.collect_artifacts = true;

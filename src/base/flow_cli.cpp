@@ -66,15 +66,7 @@ FlowCli flow_cli_from_args(int argc, char** argv) {
   FlowCli cli;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--threads" && i + 1 < argc) {
-      // Strict: "--threads abc" used to atoi() to 0 and silently grab every
-      // core, and negative counts were accepted; both are usage errors now.
-      if (!parse_int_strict(argv[++i], 0, 1 << 16, cli.threads)) {
-        std::cerr << "error: --threads expects an integer in [0, " << (1 << 16) << "], got '"
-                  << argv[i] << "' (0 = all cores, 1 = sequential)\n";
-        std::exit(2);
-      }
-    } else if (a == "--audit") {
+    if (a == "--audit") {
       cli.audit = true;
     } else if (a == "--quick") {
       cli.quick = true;
@@ -117,7 +109,7 @@ FlowCli flow_cli_from_args(int argc, char** argv) {
 
 std::string flow_cli_help() {
   std::string help =
-      "[--threads N] (0 = all cores, 1 = sequential) [--audit] [--quick | --full]\n"
+      "[--audit] [--quick | --full]\n"
       "[--trace-json=PATH] (per-stage/per-probe trace of the run)\n"
       "[--cache-dir=PATH] (persistent flow-artifact cache)\n"
       "[--failpoints=SPEC] (deterministic fault injection, e.g. "

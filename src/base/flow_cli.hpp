@@ -5,7 +5,6 @@
 // lived as near-identical loops in eight mains before this header. One call
 // collects them all:
 //
-//   --threads N          label engine parallelism (0 = all cores, 1 = seq)
 //   --audit              re-verify every invariant of each result
 //   --quick / --full     benchmark regime selectors (mains interpret them)
 //   --trace-json=PATH    write a per-stage/per-probe trace of the run(s)
@@ -43,7 +42,6 @@ class FlowCli {
   FlowCli(FlowCli&&) noexcept;
   FlowCli& operator=(FlowCli&&) noexcept;
 
-  int threads = 0;
   bool audit = false;
   bool quick = false;
   bool full = false;
@@ -90,8 +88,8 @@ bool parse_int_strict(std::string_view text, int lo, int hi, int& out);
 /// Scans argv for the flags above (ignoring unrelated arguments), wires the
 /// budget to global_cancel_token(), and installs the SIGINT handler. Call
 /// once at the top of main(). Exits with status 2 (after printing to
-/// stderr) on a malformed value for a recognized flag — "--threads abc"
-/// must never silently run as "--threads 0" (all cores).
+/// stderr) on a malformed value for a recognized flag — "--deadline-ms abc"
+/// must never silently run as a 0 ms deadline.
 FlowCli flow_cli_from_args(int argc, char** argv);
 
 /// Usage blurb for the flags flow_cli_from_args() understands (includes the

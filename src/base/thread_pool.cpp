@@ -41,12 +41,12 @@ void ThreadPool::worker_loop(int id) {
     if (stop_) return;
     seen = job_seq_;
     Job* job = job_;
-    if (id >= job->num_ranges - 1) continue;  // not a participant of this job
-    // Register before releasing the lock: the caller keeps the job (and the
-    // range buffer) alive until active_workers drops back to zero.
+    if (id >= job->workers) continue;  // not a participant of this job
+    // Register before releasing the lock: the caller keeps the job alive
+    // until active_workers drops back to zero.
     ++job->active_workers;
     lock.unlock();
-    const std::size_t completed = run_ranges(*job, id);
+    const std::size_t completed = run_items(*job);
     lock.lock();
     job->remaining -= completed;
     --job->active_workers;
@@ -54,78 +54,47 @@ void ThreadPool::worker_loop(int id) {
   }
 }
 
-std::size_t ThreadPool::run_ranges(Job& job, int lane) {
+std::size_t ThreadPool::run_items(Job& job) {
   const auto& fn = *job.fn;
   std::size_t completed = 0;
-  const auto drain = [&](Range& r) {
-    for (;;) {
-      const std::size_t i = r.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= r.end) break;
-      // Cooperative cancellation: a fired interrupt skips the work but still
-      // claims and counts the item, so the job drains deterministically.
-      if (job.interrupt == nullptr || !job.interrupt->interrupted()) {
-        try {
-          fn(i, lane);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (!job.error) job.error = std::current_exception();
-        }
-      }
-      ++completed;
-    }
-  };
-  drain(job.ranges[static_cast<std::size_t>(lane)]);
-  for (;;) {  // steal from the victim with the most remaining work
-    int victim = -1;
-    std::size_t most_left = 0;
-    for (int r = 0; r < job.num_ranges; ++r) {
-      const Range& range = job.ranges[static_cast<std::size_t>(r)];
-      const std::size_t next = range.next.load(std::memory_order_relaxed);
-      const std::size_t left = next < range.end ? range.end - next : 0;
-      if (left > most_left) {
-        most_left = left;
-        victim = r;
+  for (;;) {
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) break;
+    // Cooperative cancellation: a fired interrupt skips the work but still
+    // claims and counts the item, so the job drains deterministically.
+    if (job.interrupt == nullptr || !job.interrupt->interrupted()) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!job.error) job.error = std::current_exception();
       }
     }
-    if (victim < 0) break;
-    drain(job.ranges[static_cast<std::size_t>(victim)]);
+    ++completed;
   }
   return completed;
 }
 
-void ThreadPool::for_each(std::size_t n,
-                          const std::function<void(std::size_t, int)>& fn, int max_workers,
-                          const RunBudget* interrupt) {
+void ThreadPool::for_each(std::size_t n, const std::function<void(std::size_t)>& fn,
+                          int max_workers, const RunBudget* interrupt) {
   if (n == 0) return;
   std::lock_guard<std::mutex> call_lock(call_mutex_);
   int workers = max_workers <= 0 ? num_workers() : std::min(max_workers, num_workers());
   workers = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(workers), n - 1));
-  const int caller_lane = workers;  // caller takes the lane after the workers
   if (workers == 0) {
     for (std::size_t i = 0; i < n; ++i) {
       if (interrupt != nullptr && interrupt->interrupted()) break;
-      fn(i, caller_lane);
+      fn(i);
     }
     return;
   }
 
-  const int participants = workers + 1;
   Job job;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (participants > ranges_capacity_) {
-      ranges_ = std::make_unique<Range[]>(static_cast<std::size_t>(participants));
-      ranges_capacity_ = participants;
-    }
-    for (int p = 0; p < participants; ++p) {
-      Range& r = ranges_[static_cast<std::size_t>(p)];
-      r.next.store(n * static_cast<std::size_t>(p) / static_cast<std::size_t>(participants),
-                   std::memory_order_relaxed);
-      r.end = n * static_cast<std::size_t>(p + 1) / static_cast<std::size_t>(participants);
-    }
     job.fn = &fn;
-    job.ranges = ranges_.get();
-    job.num_ranges = participants;
+    job.n = n;
+    job.workers = workers;
     job.remaining = n;
     job.interrupt = interrupt;
     job_ = &job;
@@ -133,7 +102,7 @@ void ThreadPool::for_each(std::size_t n,
   }
   work_cv_.notify_all();
 
-  const std::size_t completed = run_ranges(job, caller_lane);
+  const std::size_t completed = run_items(job);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -1,17 +1,12 @@
 #pragma once
-// Work-stealing thread pool for data-parallel loops.
-//
-// The pool targets the label-computation hot path: many independent,
-// similarly-expensive items (one cut test per gate) dispatched every sweep.
-// for_each() partitions the item range into one contiguous chunk per
-// participant; each chunk is drained through an atomic cursor, and a
-// participant that exhausts its own chunk steals from the chunk with the
-// most remaining work. Claiming an item is one relaxed fetch_add, so the
-// scheme is decentralized like a deque-based stealing pool but needs no
-// per-task allocation or locking.
+// Thread pool for a handful of coarse, independent items: the circuits of a
+// batch (service/batch_runner) and the engines of a concurrent portfolio race
+// (core/portfolio). for_each() hands items out through one shared atomic
+// cursor; claiming an item is one relaxed fetch_add, with no per-item
+// allocation or locking.
 //
 // Workers are parked on a condition variable between jobs; the calling
-// thread always participates, so a pool of W workers runs W+1 lanes.
+// thread always participates, so a pool of W workers runs W+1 participants.
 // for_each() calls are serialized (nested/concurrent calls from inside a
 // worker would deadlock and are not supported).
 
@@ -21,7 +16,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -42,17 +36,14 @@ class ThreadPool {
 
   int num_workers() const { return static_cast<int>(threads_.size()); }
 
-  /// Runs fn(item, lane) for every item in [0, n), blocking until all items
-  /// completed. `lane` is the index of the executing participant — unique
-  /// among concurrent executors and always < num_workers() + 1, so callers
-  /// can index per-lane scratch arrays with it. The calling thread
-  /// participates (its lane is the highest in use). `max_workers` (0 = all)
+  /// Runs fn(item) for every item in [0, n), blocking until all items
+  /// completed. The calling thread participates; `max_workers` (0 = all)
   /// bounds how many pool workers join in. The first exception thrown by an
   /// item is rethrown here after every item finished. `interrupt` (optional)
   /// is polled between items: once it reports cancellation or an expired
   /// deadline, the remaining items are skipped (still counted, so the job
   /// drains deterministically and for_each returns promptly).
-  void for_each(std::size_t n, const std::function<void(std::size_t item, int lane)>& fn,
+  void for_each(std::size_t n, const std::function<void(std::size_t item)>& fn,
                 int max_workers = 0, const RunBudget* interrupt = nullptr);
 
   /// Process-wide shared pool, created on first use and sized so that the
@@ -60,35 +51,29 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct alignas(64) Range {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
-
   /// One for_each() invocation; lives on the caller's stack. The caller does
   /// not return until remaining == 0 and active_workers == 0, so workers that
   /// registered under the mutex may use the job without further locking.
   struct Job {
-    const std::function<void(std::size_t, int)>* fn = nullptr;
-    Range* ranges = nullptr;
-    int num_ranges = 0;
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::atomic<std::size_t> next{0};  // the shared item cursor
+    std::size_t n = 0;
+    int workers = 0;            // pool workers that join this job
     std::size_t remaining = 0;  // items not yet completed
-    int active_workers = 0;     // workers currently inside run_ranges()
+    int active_workers = 0;     // workers currently inside run_items()
     std::exception_ptr error;
     const RunBudget* interrupt = nullptr;  // skip items once it fires
   };
 
   void worker_loop(int id);
-  /// Drains own range, then steals; returns the number of items completed.
-  std::size_t run_ranges(Job& job, int lane);
+  /// Claims items until the cursor passes n; returns how many it completed.
+  std::size_t run_items(Job& job);
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  // workers: a new job was published
   std::condition_variable done_cv_;  // caller: the job may have completed
   std::uint64_t job_seq_ = 0;
-  Job* job_ = nullptr;               // guarded by mutex_
-  std::unique_ptr<Range[]> ranges_;  // reused chunk cursors (capacity below)
-  int ranges_capacity_ = 0;
+  Job* job_ = nullptr;  // guarded by mutex_
   bool stop_ = false;
 
   std::mutex call_mutex_;  // serializes for_each()

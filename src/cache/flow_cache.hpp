@@ -106,10 +106,10 @@ struct CacheKey {
 
 /// Canonical key for running `kind` on `c` under `options`. Covers exactly
 /// the options that can change the result (k, cmax, height_span, the
-/// algorithm toggles, expansion limits); excludes num_threads (results are
-/// bit-identical across thread counts by construction), budgets (a budget
-/// that interfered makes the run unstorable; one that did not leaves the
-/// result equal to the unlimited run) and observability knobs.
+/// algorithm toggles, expansion limits); excludes num_threads (ignored),
+/// budgets (a budget that interfered makes the run unstorable; one that did
+/// not leaves the result equal to the unlimited run) and observability
+/// knobs.
 CacheKey make_cache_key(const Circuit& c, const FlowOptions& options, FlowKind kind);
 
 /// Key for racing `engines` (a validated portfolio, core/portfolio.hpp) on

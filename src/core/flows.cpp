@@ -17,7 +17,6 @@ LabelOptions FlowOptions::label_options(bool enable_decomposition) const {
   l.cmax = cmax;
   l.height_span = height_span;
   l.use_pld = use_pld;
-  l.num_threads = num_threads;
   l.budget = budget;  // copies share state: one budget governs the whole flow
   l.expansion = expansion;
   return l;

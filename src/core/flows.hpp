@@ -41,7 +41,10 @@ struct FlowOptions {
   bool dedupe = true;            // structural LUT deduplication
   bool pack = true;              // mpack/flowpack-style packing
   bool pipeline = true;          // post-process with pipelining + retiming
-  int num_threads = 0;           // label engine: 0 = hardware, 1 = sequential
+  /// Ignored: the label engine always sweeps sequentially. Kept only
+  /// because the benchmark harness (synthbench/) still sets it; drop it at
+  /// the next change to the benchmark.
+  int num_threads = 0;
   /// Record the winning labels and per-node realizations in
   /// FlowResult::artifacts so the invariant auditor (verify/audit.hpp) can
   /// independently re-check the run. Off by default: the artifacts hold a

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 
 #include "base/check.hpp"
-#include "base/thread_pool.hpp"
 #include "graph/scc.hpp"
 
 namespace turbosyn {
@@ -243,9 +241,6 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
   cache_.per_node.resize(n);
-  // Prime the circuit's CSR topology cache while still single-threaded: the
-  // lazy rebuild is not thread-safe, and every per-probe path reads it.
-  c.topology();
 
   const Digraph g = c.to_digraph();
   scc_ = strongly_connected_components(g);
@@ -253,106 +248,21 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   // Sweep order: zero-weight topological position. Updates then propagate
   // through a whole combinational stretch in a single sweep, so each sweep
   // advances label information by one register lap around a loop.
-  topo_pos_.assign(n, 0);
-  std::vector<int> level(n, 0);  // zero-weight longest-path depth
-  {
-    const std::vector<NodeId> order =
-        topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      topo_pos_[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
-    }
-    for (const NodeId v : order) {
-      for (const EdgeId e : c.fanin_edges(v)) {
-        const auto& edge = c.edge(e);
-        if (edge.weight == 0) {
-          level[static_cast<std::size_t>(v)] =
-              std::max(level[static_cast<std::size_t>(v)],
-                       level[static_cast<std::size_t>(edge.from)] + 1);
-        }
-      }
-    }
+  std::vector<int> topo_pos(n, 0);
+  const std::vector<NodeId> order =
+      topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    topo_pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
-
-  // Per-component plans. Gates of one zero-weight level never depend on each
-  // other through a zero-weight edge, so they form the parallel batches;
-  // levels run in ascending order, which preserves the sequential engine's
-  // within-sweep propagation along combinational stretches.
-  const int num_comps = static_cast<int>(scc_.components.size());
-  plans_.resize(static_cast<std::size_t>(num_comps));
-  for (int comp = 0; comp < num_comps; ++comp) {
-    CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
-    for (const NodeId v : scc_.components[static_cast<std::size_t>(comp)]) {
-      if (c.is_gate(v) && !c.fanin_edges(v).empty()) plan.gates.push_back(v);
+  gates_.resize(scc_.components.size());
+  for (std::size_t comp = 0; comp < scc_.components.size(); ++comp) {
+    std::vector<NodeId>& gates = gates_[comp];
+    for (const NodeId v : scc_.components[comp]) {
+      if (c.is_gate(v) && !c.fanin_edges(v).empty()) gates.push_back(v);
     }
-    std::sort(plan.gates.begin(), plan.gates.end(), [&](NodeId a, NodeId b) {
-      return topo_pos_[static_cast<std::size_t>(a)] < topo_pos_[static_cast<std::size_t>(b)];
+    std::sort(gates.begin(), gates.end(), [&](NodeId a, NodeId b) {
+      return topo_pos[static_cast<std::size_t>(a)] < topo_pos[static_cast<std::size_t>(b)];
     });
-    plan.batch_gates = plan.gates;
-    std::sort(plan.batch_gates.begin(), plan.batch_gates.end(), [&](NodeId a, NodeId b) {
-      const int la = level[static_cast<std::size_t>(a)];
-      const int lb = level[static_cast<std::size_t>(b)];
-      if (la != lb) return la < lb;
-      return topo_pos_[static_cast<std::size_t>(a)] < topo_pos_[static_cast<std::size_t>(b)];
-    });
-    for (std::size_t i = 0; i < plan.batch_gates.size();) {
-      std::size_t j = i + 1;
-      const int li = level[static_cast<std::size_t>(plan.batch_gates[i])];
-      while (j < plan.batch_gates.size() &&
-             level[static_cast<std::size_t>(plan.batch_gates[j])] == li) {
-        ++j;
-      }
-      plan.batches.push_back(Batch{static_cast<int>(i), static_cast<int>(j)});
-      i = j;
-    }
-  }
-
-  // Condensation wavefronts by longest-path depth: every condensation edge
-  // strictly increases depth, so components of one wave share no path and
-  // all their external fanins converged in earlier waves. Component indices
-  // are topologically ordered, so one ascending pass computes the depths.
-  std::vector<int> depth(static_cast<std::size_t>(num_comps), 0);
-  int max_depth = 0;
-  for (int comp = 0; comp < num_comps; ++comp) {
-    for (const NodeId v : scc_.components[static_cast<std::size_t>(comp)]) {
-      for (const EdgeId e : c.fanin_edges(v)) {
-        const int cu = scc_.component_of[static_cast<std::size_t>(c.edge(e).from)];
-        if (cu != comp) {
-          depth[static_cast<std::size_t>(comp)] =
-              std::max(depth[static_cast<std::size_t>(comp)],
-                       depth[static_cast<std::size_t>(cu)] + 1);
-        }
-      }
-    }
-    max_depth = std::max(max_depth, depth[static_cast<std::size_t>(comp)]);
-  }
-  waves_.assign(static_cast<std::size_t>(max_depth) + 1, {});
-  for (int comp = 0; comp < num_comps; ++comp) {
-    if (!plans_[static_cast<std::size_t>(comp)].gates.empty()) {
-      waves_[static_cast<std::size_t>(depth[static_cast<std::size_t>(comp)])].push_back(comp);
-    }
-  }
-  std::erase_if(waves_, [](const std::vector<int>& w) { return w.empty(); });
-
-  // Effective concurrency and per-lane arenas. num_threads == 1 never touches
-  // the pool (and is the byte-exact legacy sweep order).
-  if (options_.num_threads == 1) {
-    threads_ = 1;
-    caller_lane_ = 0;
-    scratch_.resize(1);
-    lane_stats_.resize(1);
-  } else {
-    ThreadPool& pool = ThreadPool::global();
-    const int lanes = pool.num_workers() + 1;
-    // num_threads == 0 targets the hardware concurrency (so a single-core
-    // host defaults to the sequential path even though the pool always keeps
-    // one worker); an explicit count is honored up to the pool's lanes.
-    const int requested = options_.num_threads <= 0
-                              ? static_cast<int>(std::thread::hardware_concurrency())
-                              : options_.num_threads;
-    threads_ = std::max(1, std::min(requested, lanes));
-    caller_lane_ = std::min(threads_ - 1, pool.num_workers());
-    scratch_.resize(static_cast<std::size_t>(lanes));
-    lane_stats_.resize(static_cast<std::size_t>(lanes));
   }
 }
 
@@ -369,24 +279,15 @@ void LabelStats::accumulate(const LabelStats& from) {
                         from.degraded_nodes.end());
 }
 
-void LabelEngine::merge_worker_stats(LabelStats& into) {
-  for (LabelStats& s : lane_stats_) {
-    into.accumulate(s);
-    s = LabelStats{};
-  }
-}
-
-LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
-                                                              std::vector<int>& labels,
-                                                              LabelStats& stats,
-                                                              CutScratch& scratch,
-                                                              std::int64_t sweep_budget) {
-  const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
+LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vector<int>& labels,
+                                                   LabelStats& stats) {
+  const std::vector<NodeId>& gates = gates_[static_cast<std::size_t>(comp)];
   // PLD: the theorem's 6n bound with n = SCC size. Without PLD: the prior
   // criterion of n^2 iterations with n = circuit size (paper Section 4).
-  const std::int64_t n = static_cast<std::int64_t>(plan.gates.size());
+  const std::int64_t n = static_cast<std::int64_t>(gates.size());
   const std::int64_t total = std::max<std::int64_t>(2, c_.num_gates());
   const std::int64_t criterion_cap = options_.use_pld ? 6 * n + 2 : total * total;
+  const std::int64_t sweep_budget = options_.sweep_budget;
   const bool budget_binds = sweep_budget > 0 && sweep_budget < criterion_cap;
   const std::int64_t cap = budget_binds ? sweep_budget : criterion_cap;
 
@@ -394,9 +295,9 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
   for (std::int64_t sweep = 0;; ++sweep) {
     ++stats.sweeps;
     bool changed = false;
-    for (const NodeId v : plan.gates) {
+    for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch);
+      const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         changed = true;
@@ -409,7 +310,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
       // beyond that certifies divergence regardless of the iteration cap.
       // Kept inside the PLD package so the no-PLD mode stays a faithful
       // n^2-criterion baseline for the ablation benchmark.
-      for (const NodeId v : plan.gates) {
+      for (const NodeId v : gates) {
         if (labels[static_cast<std::size_t>(v)] > c_.num_gates() + 1) {
           return CompOutcome::kInfeasible;
         }
@@ -427,7 +328,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
       if (!options_.enable_decomposition) {
         const bool isolated = scc_isolated(c_.topology(), labels, phi,
                                            scc_.components[static_cast<std::size_t>(comp)],
-                                           scc_.component_of, comp, scratch);
+                                           scc_.component_of, comp, scratch_);
         if (isolated && isolated_last_sweep) return CompOutcome::kInfeasible;  // positive loop
         isolated_last_sweep = isolated;
       }
@@ -439,123 +340,6 @@ LabelEngine::CompOutcome LabelEngine::process_comp_sequential(int comp, int phi,
       return budget_binds ? CompOutcome::kBudgetExhausted : CompOutcome::kInfeasible;
     }
   }
-}
-
-LabelEngine::CompOutcome LabelEngine::process_comp_parallel(int comp, int phi,
-                                                            LabelResult& result) {
-  const CompPlan& plan = plans_[static_cast<std::size_t>(comp)];
-  std::vector<int>& labels = result.labels;
-  const std::int64_t n = static_cast<std::int64_t>(plan.gates.size());
-  const std::int64_t total = std::max<std::int64_t>(2, c_.num_gates());
-  const std::int64_t criterion_cap = options_.use_pld ? 6 * n + 2 : total * total;
-  const bool budget_binds =
-      options_.sweep_budget > 0 && options_.sweep_budget < criterion_cap;
-  const std::int64_t cap = budget_binds ? options_.sweep_budget : criterion_cap;
-
-  ThreadPool& pool = ThreadPool::global();
-  // One level batch: compute every update against the batch-start snapshot
-  // (Jacobi), then apply. The trajectory is therefore independent of thread
-  // count and work-stealing order; the snapshot semantics are kept even for
-  // batches run inline.
-  const auto run_batch = [&](const Batch& b) {
-    const std::size_t bn = static_cast<std::size_t>(b.end - b.begin);
-    if (batch_result_.size() < bn) batch_result_.resize(bn);
-    if (bn < 2 || threads_ == 1) {
-      for (std::size_t i = 0; i < bn; ++i) {
-        batch_result_[i] = label_update(
-            c_, labels, phi, plan.batch_gates[static_cast<std::size_t>(b.begin) + i], options_,
-            lane_stats_[static_cast<std::size_t>(caller_lane_)], &cache_,
-            &scratch_[static_cast<std::size_t>(caller_lane_)]);
-      }
-    } else {
-      pool.for_each(
-          bn,
-          [&](std::size_t i, int lane) {
-            batch_result_[i] = label_update(
-                c_, labels, phi, plan.batch_gates[static_cast<std::size_t>(b.begin) + i],
-                options_, lane_stats_[static_cast<std::size_t>(lane)], &cache_,
-                &scratch_[static_cast<std::size_t>(lane)]);
-          },
-          threads_ - 1, &options_.budget);
-    }
-    // A fired interrupt leaves some batch slots unwritten (the pool skips
-    // their items), so the whole batch is discarded — labels are monotone
-    // lower bounds, dropping in-flight updates is always safe.
-    if (options_.budget.interrupted()) return false;
-    bool changed = false;
-    for (std::size_t i = 0; i < bn; ++i) {
-      const NodeId v = plan.batch_gates[static_cast<std::size_t>(b.begin) + i];
-      if (batch_result_[i] > labels[static_cast<std::size_t>(v)]) {
-        labels[static_cast<std::size_t>(v)] = batch_result_[i];
-        changed = true;
-      }
-    }
-    return changed;
-  };
-
-  bool isolated_last_sweep = false;
-  bool isolated_twice = false;
-  bool converged = false;
-  bool diverged = false;
-  bool interrupted = false;
-  for (std::int64_t sweep = 0; sweep < cap; ++sweep) {
-    ++lane_stats_[static_cast<std::size_t>(caller_lane_)].sweeps;
-    bool changed = false;
-    for (const Batch& b : plan.batches) {
-      if (run_batch(b)) changed = true;
-      if (options_.budget.interrupted()) {
-        interrupted = true;
-        break;
-      }
-    }
-    if (interrupted) break;
-    if (!changed) {
-      converged = true;
-      break;
-    }
-    if (options_.use_pld) {
-      // The divergence certificate is a property of the current labels, not
-      // of the sweep order, so it applies verbatim to the batched trajectory.
-      for (const NodeId v : plan.gates) {
-        if (labels[static_cast<std::size_t>(v)] > c_.num_gates() + 1) {
-          diverged = true;
-          break;
-        }
-      }
-      if (diverged) break;
-      // Isolation is only a divergence signal for the plain K-cut update
-      // (see process_comp_sequential); with decomposition the cap decides.
-      if (!options_.enable_decomposition) {
-        const bool isolated = scc_isolated(c_.topology(), labels, phi,
-                                           scc_.components[static_cast<std::size_t>(comp)],
-                                           scc_.component_of, comp,
-                                           scratch_[static_cast<std::size_t>(caller_lane_)]);
-        if (isolated && isolated_last_sweep) {
-          isolated_twice = true;
-          break;
-        }
-        isolated_last_sweep = isolated;
-      }
-    }
-  }
-  merge_worker_stats(result.stats);
-
-  if (interrupted) return CompOutcome::kInterrupted;
-  if (converged) return CompOutcome::kConverged;
-  if (diverged) return CompOutcome::kInfeasible;
-  if (budget_binds && !isolated_twice) {
-    return CompOutcome::kBudgetExhausted;  // sweep budget, not a certificate
-  }
-  if (!options_.use_pld) {
-    return CompOutcome::kInfeasible;  // the n^2 bound holds for any fair sweep order
-  }
-  // The 6n cap and the isolation criterion are proven for the sequential
-  // sweep order; re-run that exact order from the current labels (valid
-  // lower bounds, so the least fixpoint is unchanged) to settle the verdict.
-  // Feasible components re-converge here in a few sweeps.
-  return process_comp_sequential(comp, phi, labels, result.stats,
-                                 scratch_[static_cast<std::size_t>(caller_lane_)],
-                                 options_.sweep_budget);
 }
 
 LabelResult LabelEngine::compute(int phi) {
@@ -590,10 +374,8 @@ LabelResult LabelEngine::compute(int phi) {
   // pure functions of (cut, effective labels, height), independent of phi
   // and of the label trajectory.
   const bool warm_ok = !options_.enable_decomposition;
-  bool seeded = false;
   if (const auto it = warm_.lower_bound(phi); warm_ok && it != warm_.end()) {
     result.labels = it->second;
-    seeded = true;
   } else {
     result.labels.assign(static_cast<std::size_t>(c_.num_nodes()), 0);
     for (NodeId v = 0; v < c_.num_nodes(); ++v) {
@@ -603,76 +385,12 @@ LabelResult LabelEngine::compute(int phi) {
     }
   }
 
-  // A warm-seeded probe starts next to its fixpoint, where the in-place
-  // sequential sweep settles in fewer updates than the batched Jacobi order
-  // (which only sees a batch's updates after the batch), so it runs
-  // sequentially at any thread count. The least fixpoint is unique, so the
-  // labels do not depend on this choice.
-  if (threads_ == 1 || seeded) {
-    for (int comp = 0; comp < static_cast<int>(scc_.components.size()); ++comp) {
-      if (plans_[static_cast<std::size_t>(comp)].gates.empty()) continue;
-      const CompOutcome out = process_comp_sequential(
-          comp, phi, result.labels, result.stats,
-          scratch_[static_cast<std::size_t>(caller_lane_)], options_.sweep_budget);
-      if (out != CompOutcome::kConverged) {
-        finish(out);
-        return result;
-      }
-    }
-  } else {
-    ThreadPool& pool = ThreadPool::global();
-    // A certified diverging SCC decides the verdict no matter what happened
-    // elsewhere; an interrupt beats a budget-imposed stop for the status.
-    const auto rank = [](CompOutcome o) {
-      switch (o) {
-        case CompOutcome::kInfeasible:
-          return 3;
-        case CompOutcome::kInterrupted:
-          return 2;
-        case CompOutcome::kBudgetExhausted:
-          return 1;
-        case CompOutcome::kConverged:
-          break;
-      }
-      return 0;
-    };
-    for (const std::vector<int>& wave : waves_) {
-      if (wave.size() == 1) {
-        const CompOutcome out = process_comp_parallel(wave[0], phi, result);
-        if (out != CompOutcome::kConverged) {
-          finish(out);
-          return result;
-        }
-        continue;
-      }
-      // Components of one wavefront are mutually independent (no condensation
-      // path connects them), so each runs the sequential inner order on its
-      // own lane: its PLD criteria apply verbatim, every write targets its
-      // own component's labels, and every external read is a frozen earlier
-      // wave. The whole wave runs to completion before feasibility is
-      // checked — no cross-thread aborts, so the outcome is deterministic.
-      // (A fired interrupt skips unstarted components; their slots keep the
-      // kInterrupted initializer.)
-      std::vector<CompOutcome> outcomes(wave.size(), CompOutcome::kInterrupted);
-      pool.for_each(
-          wave.size(),
-          [&](std::size_t i, int lane) {
-            outcomes[i] =
-                process_comp_sequential(wave[i], phi, result.labels,
-                                        lane_stats_[static_cast<std::size_t>(lane)],
-                                        scratch_[static_cast<std::size_t>(lane)],
-                                        options_.sweep_budget);
-          },
-          threads_ - 1, &options_.budget);
-      merge_worker_stats(result.stats);
-      CompOutcome worst = CompOutcome::kConverged;
-      for (const CompOutcome out : outcomes) {
-        if (rank(out) > rank(worst)) worst = out;
-      }
-      if (worst != CompOutcome::kConverged) {
-        finish(worst);
-        return result;
-      }
+  for (int comp = 0; comp < static_cast<int>(gates_.size()); ++comp) {
+    if (gates_[static_cast<std::size_t>(comp)].empty()) continue;
+    const CompOutcome out = process_comp(comp, phi, result.labels, result.stats);
+    if (out != CompOutcome::kConverged) {
+      finish(out);
+      return result;
     }
   }
 

@@ -19,16 +19,11 @@
 // nodes (vs the previous n^2 bound, kept for the ablation benchmark).
 //
 // LabelEngine is the production entry point: one engine amortizes the graph
-// analysis (SCCs, condensation wavefronts, zero-weight levels), shares the
-// decomposition cache across probes, warm-starts each probe from the nearest
-// previously feasible phi, and runs the updates of cold probes in parallel
-// (independent SCCs of a condensation wavefront concurrently; within an SCC,
-// the gates of one zero-weight topological level as a batch). Updates are
-// computed against the batch-start label snapshot and applied afterwards, so
-// the iteration is race-free and its trajectory is identical for every thread
-// count > 1; because labels form a monotone lower-bound iteration with a
-// unique least fixpoint, converged labels are identical to the sequential
-// engine's.
+// analysis (SCCs and the zero-weight sweep order), shares the decomposition
+// cache across probes, and warm-starts each probe from the nearest
+// previously feasible phi. Each SCC, in topological order, is swept in place
+// in zero-weight topological order — the order the 6n PLD bound is proven
+// for.
 
 #include <cstdint>
 #include <map>
@@ -53,9 +48,6 @@ struct LabelOptions {
   /// cap fires the result reports infeasible with Status::kDegraded (a
   /// budget verdict, not an infeasibility certificate).
   std::int64_t sweep_budget = 0;
-  /// Concurrency of the label engine: 0 = hardware concurrency, 1 = the
-  /// sequential legacy sweep order, N > 1 = at most N concurrent updates.
-  int num_threads = 0;
   /// Deadline / cancellation / resource ceilings; default is unlimited, and
   /// an unlimited budget leaves results bit-identical to the budget-free
   /// code. Copies share state, so the same budget governs the whole run.
@@ -108,56 +100,34 @@ struct DecompCache {
   std::vector<std::unordered_map<std::uint64_t, bool>> per_node;
 };
 
-/// Warm-started, parallel label computation for a fixed circuit and options.
-/// Construction precomputes the SCC condensation, its wavefronts and the
-/// zero-weight level batches; compute() may then be called for any sequence
-/// of target ratios. All probes of one engine share the decomposition cache,
-/// and each probe warm-starts from the converged labels of the nearest
-/// previously feasible phi >= the probe (labels are antitone in phi, so
-/// those labels are valid lower bounds that shortcut the iteration).
-/// Warm-seeded probes sweep sequentially; cold probes use the thread pool.
+/// Warm-started label computation for a fixed circuit and options.
+/// Construction precomputes the SCC condensation and each SCC's sweep order;
+/// compute() may then be called for any sequence of target ratios. All
+/// probes of one engine share the decomposition cache, and each probe
+/// warm-starts from the converged labels of the nearest previously feasible
+/// phi >= the probe (labels are antitone in phi, so those labels are valid
+/// lower bounds that shortcut the iteration).
 class LabelEngine {
  public:
   LabelEngine(const Circuit& c, const LabelOptions& options);
 
   /// Runs the label computation for target ratio phi (>= 1). For a fixed
-  /// engine and phi the result is deterministic, and converged labels are
-  /// identical for every num_threads setting.
+  /// engine and phi the result is deterministic.
   LabelResult compute(int phi);
 
  private:
-  struct Batch {
-    int begin = 0;  // range into CompPlan::batch_gates
-    int end = 0;
-  };
-  struct CompPlan {
-    std::vector<NodeId> gates;        // updatable gates, zero-weight topo order
-    std::vector<NodeId> batch_gates;  // same gates, (level, topo position) order
-    std::vector<Batch> batches;       // one per zero-weight level
-  };
-
   /// Verdict of one SCC's iteration. kInfeasible is a divergence certificate
   /// only when no resource ceiling interfered (tracked via LabelStats).
   enum class CompOutcome { kConverged, kInfeasible, kBudgetExhausted, kInterrupted };
 
-  CompOutcome process_comp_sequential(int comp, int phi, std::vector<int>& labels,
-                                      LabelStats& stats, CutScratch& scratch,
-                                      std::int64_t sweep_budget);
-  CompOutcome process_comp_parallel(int comp, int phi, LabelResult& result);
-  void merge_worker_stats(LabelStats& into);
+  CompOutcome process_comp(int comp, int phi, std::vector<int>& labels, LabelStats& stats);
 
   const Circuit& c_;
   LabelOptions options_;
-  int threads_ = 1;       // effective participant count (workers + caller)
-  int caller_lane_ = 0;   // scratch slot the calling thread uses
   DecompCache cache_;
   SccDecomposition scc_;
-  std::vector<int> topo_pos_;
-  std::vector<CompPlan> plans_;          // indexed by component
-  std::vector<std::vector<int>> waves_;  // gate-bearing components per wavefront
-  std::vector<CutScratch> scratch_;      // one per pool lane
-  std::vector<LabelStats> lane_stats_;
-  std::vector<int> batch_result_;        // Jacobi buffer for one level batch
+  std::vector<std::vector<NodeId>> gates_;  // per component: updatable gates, sweep order
+  CutScratch scratch_;
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
 };
 

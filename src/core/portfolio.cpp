@@ -137,10 +137,6 @@ FlowResult run_portfolio(const std::vector<const EngineSpec*>& engines, const Ci
       lane.carved_ms = popt.budget_pool->carve(popt.slice_ms);
       if (lane.carved_ms > 0) opt.budget.tighten_deadline_ms(lane.carved_ms);
     }
-    // Concurrent lanes are the parallelism; a nested for_each would
-    // deadlock the shared pool.
-    if (popt.concurrent && n > 1) opt.num_threads = 1;
-
     // Explicit parent: concurrent lanes run on pool threads, outside the
     // caller's per-thread span stack.
     TraceSpan span(flow_span, "engine:" + lane.spec->name);
@@ -176,7 +172,7 @@ FlowResult run_portfolio(const std::vector<const EngineSpec*>& engines, const Ci
 
   if (popt.concurrent && n > 1) {
     ThreadPool::global().for_each(
-        n, [&](std::size_t item, int) { run_lane(item); }, popt.max_workers);
+        n, [&](std::size_t item) { run_lane(item); }, popt.max_workers);
   } else {
     for (std::size_t i = 0; i < n; ++i) run_lane(i);
   }

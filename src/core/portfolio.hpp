@@ -52,9 +52,7 @@ struct PortfolioOptions {
   /// certificate lets the runner *skip* every dominated engine that has not
   /// started yet, which preserves most of the wall-clock win.
   bool concurrent = true;
-  /// Pool workers to involve (0 = all). Concurrent mode forces each
-  /// engine's own label search to num_threads = 1 — the lanes are the
-  /// parallelism.
+  /// Pool workers to involve (0 = all).
   int max_workers = 0;
   /// Optional wall-clock pool to carve per-engine deadline slices from;
   /// unused slice time is refunded, so the pool meters actual spend. Not

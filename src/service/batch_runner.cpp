@@ -110,8 +110,6 @@ BatchRecord run_job(const BatchJob& job, const BatchOptions& options) {
     // AND the mapper — not just the input bound (the fault fuzzer caught a
     // K=5 flow running on a K=4 job).
     flow_options.k = job.k;
-    // The pool schedules whole circuits; nested for_each would deadlock.
-    flow_options.num_threads = 1;
     // Fresh per-circuit budget slice sharing the batch's cancel token.
     flow_options.budget = RunBudget();
     if (options.per_circuit_deadline_ms > 0) {
@@ -361,7 +359,7 @@ BatchSummary run_batch(const std::vector<BatchJob>& jobs, const BatchOptions& op
   std::atomic<int> retries{0};
   ThreadPool::global().for_each(
       jobs.size(),
-      [&](std::size_t i, int /*lane*/) {
+      [&](std::size_t i) {
         int job_retries = 0;
         BatchRecord record = run_supervised_job(jobs[i], options, &job_retries);
         retries.fetch_add(job_retries, std::memory_order_relaxed);

@@ -2,14 +2,12 @@
 // Batch multi-circuit scheduler: N netlists through the staged flows,
 // concurrently, over the one shared ThreadPool.
 //
-// The batch runner inverts the parallelism axis: instead of one circuit
-// using every core inside the label engine, each circuit-level task runs its
-// flow sequentially (num_threads forced to 1 — the pool does not support
-// nested for_each) and the pool schedules whole circuits across lanes. That
-// is the right shape for serving many small-to-medium workloads: tasks are
-// independent, the flow-artifact cache (src/cache) is shared — so repeated
-// circuits cost one read — and results stream out as JSON-lines records the
-// moment each circuit finishes.
+// Each circuit-level task runs its flow sequentially and the pool schedules
+// whole circuits across its participants. That is the right shape for
+// serving many small-to-medium workloads: tasks are independent, the
+// flow-artifact cache (src/cache) is shared — so repeated circuits cost one
+// read — and results stream out as JSON-lines records the moment each
+// circuit finishes.
 //
 // Budgeting: every circuit gets its own RunBudget slice (an optional
 // per-circuit wall-clock deadline) wired to one shared CancelToken, so a
@@ -78,9 +76,8 @@ std::vector<BatchJob> read_batch_manifest(std::istream& in,
 std::vector<BatchJob> read_batch_manifest_file(const std::string& path);
 
 struct BatchOptions {
-  /// Base options for every flow run. num_threads is overridden to 1 per
-  /// task (circuit-level parallelism replaces label-level parallelism) and
-  /// budget is replaced by the per-circuit slice below.
+  /// Base options for every flow run; budget is replaced by the
+  /// per-circuit slice below.
   FlowOptions flow;
   /// Shared artifact store (nullptr = uncached).
   FlowCache* cache = nullptr;

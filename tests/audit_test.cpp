@@ -74,7 +74,7 @@ TEST(AuditFlow, ReportAndCliHelpersWork) {
   EXPECT_NE(os.str().find("[PASS] mdr"), std::string::npos);
 
   const char* with_flag[] = {const_cast<char*>("prog"), const_cast<char*>("--audit")};
-  const char* without[] = {const_cast<char*>("prog"), const_cast<char*>("--threads")};
+  const char* without[] = {const_cast<char*>("prog"), const_cast<char*>("--quick")};
   EXPECT_TRUE(audit_flag_from_cli(2, const_cast<char**>(with_flag)));
   EXPECT_FALSE(audit_flag_from_cli(2, const_cast<char**>(without)));
 }

@@ -115,7 +115,6 @@ TEST(Budget, AttemptStarvedTurboSynDegradesToPlainCutLabels) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_decomp_attempt_budget(1);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.phi, 2);
@@ -131,7 +130,6 @@ TEST(Budget, DecompAttemptCeilingStillYieldsEquivalentMapping) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_decomp_attempt_budget(1);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_TRUE(r.phi == 1 || r.phi == 2);
@@ -148,7 +146,6 @@ TEST(Budget, CeilingSpentBySearchStillLetsMappingReachPhi) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_decomp_attempt_budget(3);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.phi, 1);
@@ -163,7 +160,6 @@ TEST(Budget, ExpiredDeadlineReturnsIdentityFallback) {
   const Circuit c = figure1_circuit();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_deadline_after_ms(0);
   const FlowResult r = run_turbomap(c, opt);
   EXPECT_EQ(r.status, Status::kDeadlineExceeded);
@@ -177,7 +173,6 @@ TEST(Budget, PreCancelledTokenStopsTurboSynGracefully) {
   token.cancel();
   FlowOptions opt;
   opt.k = 3;
-  opt.num_threads = 1;
   opt.budget.set_cancel_token(&token);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.status, Status::kCancelled);
@@ -185,14 +180,13 @@ TEST(Budget, PreCancelledTokenStopsTurboSynGracefully) {
   expect_equivalent(c, r.mapped, 64, 25);
 }
 
-TEST(Budget, AsyncCancellationDrainsParallelEngine) {
-  // Cancel from another thread mid-run with a parallel label engine: the
-  // flow must terminate promptly and still return a valid, equivalent
-  // mapping (best-so-far or the identity fallback).
+TEST(Budget, AsyncCancellationDrainsFlow) {
+  // Cancel from another thread mid-run: the flow must terminate promptly and
+  // still return a valid, equivalent mapping (best-so-far or the identity
+  // fallback).
   const Circuit c = generate_fsm_circuit(tiny_suite()[0]);
   CancelToken token;
   FlowOptions opt;
-  opt.num_threads = 4;
   opt.budget.set_cancel_token(&token);
   std::thread canceller([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
@@ -216,7 +210,6 @@ TEST(Budget, SweepBudgetVerdictIsNotACertificate) {
   const Circuit c = figure1_circuit();
   LabelOptions lo;
   lo.k = 3;
-  lo.num_threads = 1;
 
   const LabelResult certified = compute_labels(c, 1, lo);
   EXPECT_FALSE(certified.feasible);
@@ -234,7 +227,6 @@ TEST(Budget, UnlimitedBudgetIsBitIdentical) {
   const Circuit c = figure1_circuit();
   FlowOptions plain;
   plain.k = 3;
-  plain.num_threads = 1;
   FlowOptions budgeted = plain;
   budgeted.budget.set_deadline_after_ms(1000L * 3600);  // far-future deadline
   const FlowResult a = run_turbosyn(c, plain);
@@ -256,16 +248,16 @@ TEST(ThreadPoolBudget, CancellationDrainsWithoutRunningRemainingItems) {
   constexpr std::size_t kItems = 100000;
   pool.for_each(
       kItems,
-      [&](std::size_t, int) {
-        // The first executed item cancels; lanes observe the token between
+      [&](std::size_t) {
+        // The first executed item cancels; participants observe the token between
         // items, so almost everything is skipped (but still counted — the
         // call returns normally).
         executed.fetch_add(1, std::memory_order_relaxed);
         token.cancel();
       },
       /*max_workers=*/0, &budget);
-  // Every lane can run at most the item it already claimed before observing
-  // the cancellation.
+  // Every participant can run at most the item it already claimed before
+  // observing the cancellation.
   EXPECT_GE(executed.load(), 1);
   EXPECT_LE(executed.load(), pool.num_workers() + 1);
 }

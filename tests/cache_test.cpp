@@ -54,7 +54,6 @@ std::string summary_fingerprint(const FlowResult& r) {
 FlowOptions small_options() {
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   return opt;
 }
 

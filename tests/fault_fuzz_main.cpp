@@ -343,7 +343,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, const fs::path& 
 
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   opt.collect_artifacts = true;
 
   // Fault-free baseline: the oracle every later phase compares against.

@@ -52,7 +52,6 @@ fs::path test_dir(const std::string& leaf) {
 FlowOptions small_options() {
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   return opt;
 }
 

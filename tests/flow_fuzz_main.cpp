@@ -2,15 +2,13 @@
 // with the invariant auditor as the oracle.
 //
 //   $ flow_fuzz_main [--seeds N | --seeds A..B] [--time-budget SECONDS]
-//                    [--threads N] [--through-cache] [--portfolio]
-//                    [--hot-policy] [--require-all] [--verbose]
+//                    [--through-cache] [--portfolio] [--hot-policy]
+//                    [--require-all] [--verbose]
 //
 // Per seed it generates a small random FSM circuit (workloads/generator),
 // runs TurboMap and TurboSYN, and checks:
 //   - every flow result passes the full stage-by-stage audit
 //     (structure, interface, labels, cuts, MDR, period, equivalence);
-//   - 1-thread and N-thread runs are bit-identical (phi, period and the
-//     BLIF text of the mapped network);
 //   - replaying a run with the same options is bit-identical (every 4th
 //     seed);
 //   - budget-degraded runs (every 3rd seed: a tight decomposition-attempt
@@ -19,10 +17,10 @@
 //     clean — the identity fallback must stay equivalent;
 //   - TurboMap and TurboSYN mappings are pairwise bounded-equivalent;
 //   - warm-start oracle: one LabelEngine driven through each flow's probe
-//     sequence (plain mode from TurboMap, decomposition mode from TurboSYN,
-//     at 1 and 4 threads) returns, at every φ, the same verdict, status and
-//     labels as a fresh compute_labels at that φ, and reproduces the verdict
-//     and label hash the flow's ledger recorded;
+//     sequence (plain mode from TurboMap, decomposition mode from TurboSYN)
+//     returns, at every φ, the same verdict, status and labels as a fresh
+//     compute_labels at that φ, and reproduces the verdict and label hash
+//     the flow's ledger recorded;
 //   - with --through-cache, every seed also replays TurboSYN through a fresh
 //     flow-artifact cache (src/cache): the populate run and the cache-hit run
 //     must both be bit-identical with the uncached run, the hit's probe
@@ -80,7 +78,6 @@ struct FuzzConfig {
   std::uint64_t first_seed = 1;
   std::uint64_t last_seed = 50;
   double time_budget_s = 0.0;  // 0 = unlimited
-  int threads = 2;             // the "N" of the 1-vs-N determinism check
   bool through_cache = false;  // replay every seed through a flow cache
   bool portfolio = false;      // race a rotating engine portfolio per seed
   bool hot_policy = false;     // recency-vs-cost-aware hot-tier oracle
@@ -104,8 +101,6 @@ FuzzConfig parse_args(int argc, char** argv) {
       }
     } else if (a == "--time-budget" && i + 1 < argc) {
       cfg.time_budget_s = std::strtod(argv[++i], nullptr);
-    } else if (a == "--threads" && i + 1 < argc) {
-      cfg.threads = std::atoi(argv[++i]);
     } else if (a == "--through-cache") {
       cfg.through_cache = true;
     } else if (a == "--portfolio") {
@@ -117,7 +112,7 @@ FuzzConfig parse_args(int argc, char** argv) {
     } else if (a == "--verbose") {
       cfg.verbose = true;
     } else {
-      std::cerr << "usage: flow_fuzz_main [--seeds N|A..B] [--time-budget S] [--threads N]"
+      std::cerr << "usage: flow_fuzz_main [--seeds N|A..B] [--time-budget S]"
                    " [--through-cache] [--portfolio] [--hot-policy] [--require-all]"
                    " [--verbose]\n";
       std::exit(2);
@@ -248,31 +243,22 @@ void check_warm_start(SeedOutcome& out, const Circuit& c, const FlowOptions& opt
   for (const ProbeRecord& rec : flow.probes) {
     if (rec.mode == mode && !rec.imported) sequence.push_back(&rec);
   }
-  for (const int threads : {1, 4}) {
-    LabelOptions lopts = opt.label_options(mode == LabelMode::kDecomp);
-    lopts.num_threads = threads;
-    LabelEngine engine(c, lopts);
-    const std::string where = tag + " warm-start oracle (" + std::to_string(threads) + " threads)";
-    for (const ProbeRecord* rec : sequence) {
-      const std::string at = where + " at phi=" + std::to_string(rec->phi);
-      const LabelResult warm = engine.compute(rec->phi);
-      const LabelResult fresh = compute_labels(c, rec->phi, lopts);
-      expect(out, warm.feasible == fresh.feasible, at + ": verdict differs from a fresh run");
-      expect(out, warm.status == fresh.status, at + ": status differs from a fresh run");
-      if (warm.feasible && fresh.feasible) {
-        expect(out, warm.labels == fresh.labels, at + ": labels differ from a fresh run");
-        expect(out, warm.max_po_label == fresh.max_po_label,
-               at + ": max PO label differs from a fresh run");
-      }
-      // The flow ran single-threaded; decomposition labels may legitimately
-      // settle elsewhere under the batched parallel order, so the ledger tie
-      // is checked on the matching thread count.
-      if (threads == opt.num_threads) {
-        expect(out, warm.feasible == rec->feasible, at + ": verdict differs from the ledger");
-        expect(out, !warm.feasible || hash_labels(warm.labels) == rec->label_hash,
-               at + ": labels differ from the ledger's hash");
-      }
+  const LabelOptions lopts = opt.label_options(mode == LabelMode::kDecomp);
+  LabelEngine engine(c, lopts);
+  for (const ProbeRecord* rec : sequence) {
+    const std::string at = tag + " warm-start oracle at phi=" + std::to_string(rec->phi);
+    const LabelResult warm = engine.compute(rec->phi);
+    const LabelResult fresh = compute_labels(c, rec->phi, lopts);
+    expect(out, warm.feasible == fresh.feasible, at + ": verdict differs from a fresh run");
+    expect(out, warm.status == fresh.status, at + ": status differs from a fresh run");
+    if (warm.feasible && fresh.feasible) {
+      expect(out, warm.labels == fresh.labels, at + ": labels differ from a fresh run");
+      expect(out, warm.max_po_label == fresh.max_po_label,
+             at + ": max PO label differs from a fresh run");
     }
+    expect(out, warm.feasible == rec->feasible, at + ": verdict differs from the ledger");
+    expect(out, !warm.feasible || hash_labels(warm.labels) == rec->label_hash,
+           at + ": labels differ from the ledger's hash");
   }
 }
 
@@ -282,7 +268,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
 
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   opt.collect_artifacts = true;
 
   const FlowResult tm = run_turbomap(c, opt);
@@ -291,21 +276,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   audit_into(out, c, ts, opt, "turbosyn", seed, cfg.verbose);
   expect(out, ts.phi <= tm.phi, "turbosyn phi " + std::to_string(ts.phi) +
                                     " worse than turbomap phi " + std::to_string(tm.phi));
-
-  // Thread-count determinism: the parallel label engine must not change the
-  // result, bit for bit.
-  if (cfg.threads != 1) {
-    FlowOptions par = opt;
-    par.num_threads = cfg.threads;
-    const FlowResult tm_par = run_turbomap(c, par);
-    expect(out, fingerprint(tm_par) == fingerprint(tm),
-           "turbomap differs between 1 and " + std::to_string(cfg.threads) + " threads");
-    if (seed % 2 == 0) {
-      const FlowResult ts_par = run_turbosyn(c, par);
-      expect(out, fingerprint(ts_par) == fingerprint(ts),
-             "turbosyn differs between 1 and " + std::to_string(cfg.threads) + " threads");
-    }
-  }
 
   // Replay determinism: same options, same process, same bits.
   if (seed % 4 == 0) {

@@ -195,24 +195,5 @@ TEST(Flows, PldOffGivesSameAnswerAsPldOn) {
   }
 }
 
-// The whole flow — ratio search, warm-started probes and mapping generation —
-// must produce the same mapped network whether the label engine runs
-// sequentially or in parallel.
-TEST(Flows, ParallelFlowMatchesSequentialFlow) {
-  for (int i = 0; i < 3; ++i) {
-    const Circuit c = generate_fsm_circuit(tiny_suite()[static_cast<std::size_t>(i)]);
-    FlowOptions seq;
-    seq.k = 4;
-    seq.num_threads = 1;
-    FlowOptions par = seq;
-    par.num_threads = 4;
-    const FlowResult a = run_turbosyn(c, seq);
-    const FlowResult b = run_turbosyn(c, par);
-    EXPECT_EQ(a.phi, b.phi) << i;
-    EXPECT_EQ(a.luts, b.luts) << i;
-    EXPECT_EQ(write_blif_string(a.mapped), write_blif_string(b.mapped)) << i;
-  }
-}
-
 }  // namespace
 }  // namespace turbosyn

@@ -204,35 +204,6 @@ TEST(Labeling, PoLabelsComputedForClockPeriodMode) {
   EXPECT_GE(r.max_po_label, 1);
 }
 
-// The parallel engine batches updates but computes the same least fixpoint:
-// labels, feasibility and PO labels must match the sequential legacy order
-// bit for bit, for any thread count, with and without decomposition.
-TEST(Labeling, ParallelMatchesSequentialAcrossSuite) {
-  for (const bool decompose : {false, true}) {
-    for (const auto& spec : tiny_suite()) {
-      const Circuit c = generate_fsm_circuit(spec);
-      for (int phi = 1; phi <= 3; ++phi) {
-        LabelOptions seq = turbomap_options(5);
-        seq.enable_decomposition = decompose;
-        seq.num_threads = 1;
-        const LabelResult a = compute_labels(c, phi, seq);
-        for (const int threads : {4, 0}) {
-          LabelOptions par = seq;
-          par.num_threads = threads;
-          const LabelResult b = compute_labels(c, phi, par);
-          ASSERT_EQ(a.feasible, b.feasible)
-              << spec.name << " phi=" << phi << " threads=" << threads;
-          if (a.feasible) {
-            EXPECT_EQ(a.labels, b.labels)
-                << spec.name << " phi=" << phi << " threads=" << threads;
-            EXPECT_EQ(a.max_po_label, b.max_po_label) << spec.name << " phi=" << phi;
-          }
-        }
-      }
-    }
-  }
-}
-
 // Warm starts reuse the converged labels of a higher feasible phi as the
 // initial lower bounds of a lower probe; the least fixpoint is unchanged, so
 // an engine probing downwards must reproduce every cold one-shot result.

@@ -33,7 +33,6 @@ Circuit test_circuit(std::uint64_t seed = 11, int gates = 40) {
 FlowOptions test_options() {
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;  // pinned: the race itself is the only parallelism
   opt.collect_artifacts = true;
   return opt;
 }

@@ -2,7 +2,7 @@
 // the parsing fixes that ride along with it: the line protocol, round-robin
 // admission with per-client caps, budget-pool slicing, live cancellation,
 // the FlowCache hot tier, graceful drain (a real SIGTERM fork drill), plus
-// regressions for strict --threads parsing, quote-aware manifests,
+// regressions for strict flag parsing, quote-aware manifests,
 // duplicate-stem de-duplication, round-trippable seconds, and the shared
 // JSON escaper.
 //
@@ -187,7 +187,6 @@ std::string slow_blif() {
 FlowOptions small_options() {
   FlowOptions opt;
   opt.k = 4;
-  opt.num_threads = 1;
   return opt;
 }
 
@@ -285,7 +284,7 @@ TEST(ServiceDrainDrill, SigtermDrainLosesNoRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict integer parsing (the --threads regression)
+// Strict integer parsing (malformed flag values must not become 0)
 
 TEST(ParseIntStrict, AcceptsOnlyWholeTokensInRange) {
   long long out = -99;
@@ -313,18 +312,6 @@ TEST(ParseIntStrict, AcceptsOnlyWholeTokensInRange) {
   EXPECT_TRUE(parse_int_strict("12", 2, 32, narrow));
   EXPECT_EQ(narrow, 12);
   EXPECT_FALSE(parse_int_strict("33", 2, 32, narrow));
-}
-
-TEST(FlowCliDeathTest, ThreadsRejectsNonIntegerWithExit2) {
-  // "--threads abc" used to atoi() to 0 and silently grab every core.
-  const auto parse = [](const char* value) {
-    const char* argv[] = {"prog", "--threads", value};
-    flow_cli_from_args(3, const_cast<char**>(argv));
-  };
-  EXPECT_EXIT(parse("abc"), ::testing::ExitedWithCode(2),
-              "--threads expects an integer");
-  EXPECT_EXIT(parse("3x"), ::testing::ExitedWithCode(2),
-              "--threads expects an integer");
 }
 
 TEST(FlowCliDeathTest, BudgetFlagsRejectMalformedValuesWithExit2) {
