@@ -224,12 +224,6 @@ std::string EngineSpec::fingerprint() const {
   return out.str();
 }
 
-std::string EngineSpec::quality_key() const {
-  std::ostringstream out;
-  out << label_mode_name(mode) << '/' << (period_objective ? "period" : "mdr");
-  return out.str();
-}
-
 const std::vector<EngineSpec>& engine_registry() {
   static const std::vector<EngineSpec> registry = build_registry();
   return registry;
@@ -258,10 +252,8 @@ std::string engine_list_text() {
 }
 
 bool never_beats(const EngineSpec& weaker, const EngineSpec& stronger) {
-  if (weaker.period_objective != stronger.period_objective) return false;
-  if (weaker.strength < stronger.strength) return true;
-  return weaker.strength == stronger.strength &&
-         weaker.quality_key() == stronger.quality_key();
+  return weaker.shape == EngineSpec::Shape::kSearch && weaker.mode == LabelMode::kPlain &&
+         !weaker.period_objective && stronger.shape == EngineSpec::Shape::kSeededSearch;
 }
 
 bool portfolio_prefers(int phi_a, int strength_a, std::size_t pos_a, int phi_b,

@@ -11,21 +11,20 @@
 // pipeline.
 //
 // The registry is also the soundness basis of portfolio racing
-// (core/portfolio.hpp): each spec carries a dominance `strength`, and
-// never_beats() encodes the domain facts that make first-to-certificate
-// cancellation safe —
+// (core/portfolio.hpp): never_beats() encodes the one dominance fact that
+// holds by construction and makes first-to-certificate cancellation safe —
+// a seeded search (TurboSYN) runs the plain MDR search (TurboMap) as its
+// phase A and scans down from that certificate, so φ(turbosyn) <=
+// φ(turbomap) for a fixed circuit and options. Nothing else is a fact:
+// FlowSYN-s decomposes, so its mapping is not bounded by TurboMap's optimum
+// (at K = 5 it certifies a lower φ than TurboMap on 9 of the 15 Table-1
+// shapes of up to 600 gates, and a lower φ than TurboSYN on bbara), and
+// turbosyn_bisect bisects a non-monotone predicate from the identity bound,
+// so it is bounded by neither TurboMap nor TurboSYN.
 //
-//   - decomposition is strictly label-improving, so for a fixed circuit and
-//     options φ(decomp) <= φ(plain) (TurboSYN never loses to TurboMap);
-//   - TurboMap's φ is minimal over all plain K-LUT mappings, so
-//     φ(plain) <= ceil(MDR(FlowSYN-s mapping)) (a label search never loses
-//     to the search-free baseline);
-//   - two engines with equal strength and equal quality_key() resolve to
-//     the same deterministic computation, hence certify the same φ.
-//
-// A weaker engine may therefore be cancelled the moment a dominating engine
-// finishes with a certificate: the race's outcome is bit-identical to
-// running every engine to completion and picking the best.
+// TurboMap may therefore be cancelled the moment TurboSYN finishes with a
+// certificate: the race's outcome is bit-identical to running every engine
+// to completion and picking the best.
 
 #include <string>
 #include <vector>
@@ -58,10 +57,10 @@ struct EngineSpec {
   /// require max_po_label <= φ, mapgen caps relaxation at the PO labels,
   /// and the timing tail retimes without pipelining.
   bool period_objective = false;
-  /// Dominance rank for sound cancellation: 0 = no search (FlowSYN-s),
-  /// 1 = plain label search (TurboMap), 2 = decomposition search (TurboSYN).
-  /// Strictly higher strength under the same objective can never certify a
-  /// larger φ (see the file comment).
+  /// Selection rank among equal-φ certificates (portfolio_prefers): 0 = no
+  /// search (FlowSYN-s), 1 = plain label search (TurboMap), 2 =
+  /// decomposition search (TurboSYN). Not a dominance order: a lower
+  /// strength may certify a smaller φ (see the file comment).
   int strength = 0;
 
   /// Root trace span. The four original flows keep their historical
@@ -80,11 +79,6 @@ struct EngineSpec {
   /// Canonical text of everything spec-side that can change this engine's
   /// result for a fixed circuit and caller options — cache-key material.
   std::string fingerprint() const;
-
-  /// The quality-relevant part of the fingerprint: the knobs that determine
-  /// the certified φ (label mode and objective). Equal strength + equal
-  /// quality key ⇒ identical certified φ: the basis of tie cancellation.
-  std::string quality_key() const;
 };
 
 /// The built-in engines, in registry order: the four paper flows first
@@ -102,9 +96,9 @@ const EngineSpec& engine_for_kind(FlowKind kind);
 std::string engine_list_text();
 
 /// True when `weaker`'s certified φ can never be smaller than `stronger`'s
-/// on any circuit under shared caller options: same objective, and either
-/// strictly lower strength or equal strength with an equal quality key.
-/// This is the dominance predicate portfolio cancellation and the
+/// on any circuit under shared caller options: `weaker` is the plain MDR
+/// search and `stronger` a seeded search, whose phase A is that same
+/// search. This is the dominance predicate portfolio cancellation and the
 /// "portfolio" audit check both rest on.
 bool never_beats(const EngineSpec& weaker, const EngineSpec& stronger);
 

@@ -43,7 +43,7 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   // Pre-size the per-query scratch to the high-water mark of earlier builds,
   // so a query no larger than any previous one reallocates nothing.
   slack_.reserve(hw_nodes_);
-  bfs_queue_.reserve(hw_nodes_);
+  worklist_.reserve(hw_nodes_);
   fanin_pool_.reserve(hw_nodes_ * 2);
   // O(1) index clear; on epoch wrap-around the stale stamps must be wiped.
   if (++index_epoch_ == 0) {
@@ -122,10 +122,10 @@ void ExpandedNetwork::expand() {
   const int root_idx = intern(SeqCutNode{root_, 0});
   slack_.clear();
   slack_.push_back(0);
-  bfs_queue_.clear();
-  bfs_queue_.push_back(root_idx);
-  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const int i = bfs_queue_[head];
+  worklist_.clear();
+  worklist_.push_back(root_idx);
+  for (std::size_t head = 0; head < worklist_.size(); ++head) {
+    const int i = worklist_[head];
     // Copy the fields used below: intern() may reallocate nodes_.
     const SeqCutNode id = nodes_[static_cast<std::size_t>(i)].id;
     const bool node_allowed = nodes_[static_cast<std::size_t>(i)].allowed;
@@ -154,12 +154,12 @@ void ExpandedNetwork::expand() {
       const int j = intern(child);
       if (num_nodes_ > before) {
         slack_.push_back(child_slack + (nodes_[static_cast<std::size_t>(j)].allowed ? 1 : 0));
-        bfs_queue_.push_back(j);
+        worklist_.push_back(j);
       } else if (child_slack + (nodes_[static_cast<std::size_t>(j)].allowed ? 1 : 0) <
                  slack_[static_cast<std::size_t>(j)]) {
         slack_[static_cast<std::size_t>(j)] =
             child_slack + (nodes_[static_cast<std::size_t>(j)].allowed ? 1 : 0);
-        bfs_queue_.push_back(j);  // better slack may unlock expansion
+        worklist_.push_back(j);  // better slack may unlock expansion
       }
       fanin_pool_.push_back(j);
       if (static_cast<int>(num_nodes_) > options_.node_budget) {
@@ -221,6 +221,36 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_low_cost_cut(
   });
   if (cut.has_value() && static_cast<int>(cut->size()) > size_limit) return std::nullopt;
   return cut;
+}
+
+bool ExpandedNetwork::separates(std::span<const SeqCutNode> cut) {
+  if (!viable_) return false;
+  // flags_: 0 unseen, kMember a cut member, kSeen reached from the root.
+  constexpr std::uint8_t kMember = 1;
+  constexpr std::uint8_t kSeen = 2;
+  flags_.assign(num_nodes_, 0);
+  for (const SeqCutNode& member : cut) {
+    const int i = find_index(pack(member));
+    if (i < 0 || !nodes_[static_cast<std::size_t>(i)].allowed) return false;
+    flags_[static_cast<std::size_t>(i)] = kMember;
+  }
+  // The root (interned first) is the sink: search down from it, stopping at
+  // members. Reaching an unexpanded copy means a source path misses the cut.
+  std::vector<int>& stack = worklist_;
+  stack.assign(1, 0);
+  flags_[0] = kSeen;
+  while (!stack.empty()) {
+    const auto i = static_cast<std::size_t>(stack.back());
+    stack.pop_back();
+    if (!nodes_[i].expanded) return false;
+    for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
+      const auto j = static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)]);
+      if (flags_[j] != 0) continue;
+      flags_[j] = kSeen;
+      stack.push_back(static_cast<int>(j));
+    }
+  }
+  return true;
 }
 
 TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const {

@@ -31,14 +31,17 @@
 // A cut test is a node-cut augmenting-path search (graph/node_cut.hpp) run
 // directly over the expansion's fanin runs: the root is the sink, and PI
 // copies and unexpanded frontier copies hang off the source. It stops after
-// at most size_limit + 1 paths, each one BFS over at most node_budget nodes.
+// at most size_limit + 1 paths, each one depth-first search over at most
+// node_budget nodes. separates() is the flow-free alternative when a
+// candidate cut is already known: one search from the root that stops at
+// the candidate's members.
 //
 // One ExpandedNetwork instance is rebuildable: build() re-targets it to a
 // new (root, height) query while keeping every internal buffer — the node
-// store, the open-addressing (node, w) index, the BFS worklist and the whole
-// augmenting-path state — so the label computation's per-gate cut test
-// allocates nothing in steady state. CutScratch bundles one such instance as
-// the per-thread arena of the parallel label engine.
+// store, the open-addressing (node, w) index, the expansion worklist and the
+// whole augmenting-path state — so the label computation's per-gate cut test
+// allocates nothing in steady state. CutScratch bundles one such instance
+// with the label engine's other reusable buffers.
 
 #include <cstdint>
 #include <functional>
@@ -104,6 +107,15 @@ class ExpandedNetwork {
   std::optional<std::vector<SeqCutNode>> find_low_cost_cut(
       int size_limit, const std::function<bool(const SeqCutNode&)>& shared);
 
+  /// Checks a cut certificate without running the flow: true iff the
+  /// network is viable, every member of `cut` is a copy in this network that
+  /// is allowed at the height limit, and every path from the root down the
+  /// fanins to a source-fed (unexpanded) copy crosses a member. Then `cut`
+  /// bounds the flow by its size, so find_cut(k) succeeds for any
+  /// k >= cut.size(). O(size of the network); a cut kept from an earlier
+  /// query is checked, never trusted.
+  bool separates(std::span<const SeqCutNode> cut);
+
   /// Truth table of the root over the given cut (variable i = cut[i]).
   /// The cut must separate the root in E_v (as returned by find_cut).
   TruthTable cut_function(std::span<const SeqCutNode> cut) const;
@@ -162,13 +174,13 @@ class ExpandedNetwork {
 
   // Reused expansion worklist and cut-test buffers.
   std::vector<int> slack_;
-  std::vector<int> bfs_queue_;
+  std::vector<int> worklist_;
   std::vector<std::int64_t> capacity_;
   std::vector<std::uint8_t> flags_;
   NodeCut cut_;
 };
 
-/// Per-thread scratch arena for the label-computation hot path: a reusable
+/// Scratch arena for the label-computation hot path: a reusable
 /// ExpandedNetwork (node store, hash index, worklists, augmenting-path
 /// state) plus the epoch-cleared buffers of the PLD isolation check. Thread
 /// one through label_update()/realize_node() to make repeated cut tests

@@ -62,8 +62,8 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
                                                  const LabelOptions& options, LabelStats& stats,
                                                  DecompCache* cache, CutScratch* scratch,
                                                  bool existence_only = false) {
-  CutScratch local;
-  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local).net;
+  std::optional<CutScratch> local;
+  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local.emplace()).net;
   bool degraded = false;
   for (int h = 0; h < options.height_span; ++h) {
     net.build(c, labels, phi, v, height - h, options.expansion);
@@ -118,8 +118,8 @@ std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const in
                                             DecompCache* cache,
                                             const std::function<bool(const SeqCutNode&)>* shared,
                                             CutScratch* scratch) {
-  CutScratch local;
-  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local).net;
+  std::optional<CutScratch> local;
+  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local.emplace()).net;
   net.build(c, labels, phi, v, height, options.expansion);
   ++stats.cut_tests;
   auto found = shared != nullptr ? net.find_low_cost_cut(options.k, *shared)
@@ -139,7 +139,7 @@ std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const in
 
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache,
-                 CutScratch* scratch) {
+                 CutScratch* scratch, KCutStore* cuts) {
   ++stats.node_updates;
   const std::int64_t big_l = fanin_bound(c, labels, phi, v);
   const int current = labels[static_cast<std::size_t>(v)];
@@ -149,13 +149,22 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
 
   // Existence-only variant of realize_node: skip LUT function extraction
   // (mapping generation recomputes it once, at the final labels).
-  CutScratch local;
-  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local).net;
+  std::optional<CutScratch> local;
+  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local.emplace()).net;
   net.build(c, labels, phi, v, target, options.expansion);
+  if (cuts != nullptr) {
+    if (const auto last = cuts->get(v); last && net.separates(*last)) {
+      ++stats.cut_reuses;
+      return std::max(current, target);
+    }
+  }
   ++stats.cut_tests;
-  const bool have_cut = net.find_cut(options.k).has_value();
+  const auto cut = net.find_cut(options.k);
   stats.flow_augmentations += net.augmentations();
-  if (have_cut) return std::max(current, target);
+  if (cut) {
+    if (cuts != nullptr) cuts->put(v, *cut);
+    return std::max(current, target);
+  }
   if (options.enable_decomposition &&
       try_decomposition(c, labels, phi, v, target, options, stats, cache, scratch,
                         /*existence_only=*/true)
@@ -237,7 +246,7 @@ bool scc_isolated(const CsrTopology& topo, std::span<const int> labels, int phi,
 }  // namespace
 
 LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
-    : c_(c), options_(options) {
+    : c_(c), options_(options), cuts_(c.num_nodes(), options.k), num_gates_(c.num_gates()) {
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
   cache_.per_node.resize(n);
@@ -270,6 +279,7 @@ void LabelStats::accumulate(const LabelStats& from) {
   sweeps += from.sweeps;
   node_updates += from.node_updates;
   cut_tests += from.cut_tests;
+  cut_reuses += from.cut_reuses;
   decomp_attempts += from.decomp_attempts;
   decomp_successes += from.decomp_successes;
   cache_hits += from.cache_hits;
@@ -285,7 +295,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
   // PLD: the theorem's 6n bound with n = SCC size. Without PLD: the prior
   // criterion of n^2 iterations with n = circuit size (paper Section 4).
   const std::int64_t n = static_cast<std::int64_t>(gates.size());
-  const std::int64_t total = std::max<std::int64_t>(2, c_.num_gates());
+  const std::int64_t total = std::max<std::int64_t>(2, num_gates_);
   const std::int64_t criterion_cap = options_.use_pld ? 6 * n + 2 : total * total;
   const std::int64_t sweep_budget = options_.sweep_budget;
   const bool budget_binds = sweep_budget > 0 && sweep_budget < criterion_cap;
@@ -297,7 +307,8 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
     bool changed = false;
     for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_);
+      const int updated =
+          label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_, &cuts_);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         changed = true;
@@ -311,7 +322,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
       // Kept inside the PLD package so the no-PLD mode stays a faithful
       // n^2-criterion baseline for the ablation benchmark.
       for (const NodeId v : gates) {
-        if (labels[static_cast<std::size_t>(v)] > c_.num_gates() + 1) {
+        if (labels[static_cast<std::size_t>(v)] > num_gates_ + 1) {
           return CompOutcome::kInfeasible;
         }
       }

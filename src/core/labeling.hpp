@@ -25,8 +25,11 @@
 // in zero-weight topological order — the order the 6n PLD bound is proven
 // for.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "base/run_budget.hpp"
@@ -59,6 +62,7 @@ struct LabelStats {
   std::int64_t sweeps = 0;           // per-SCC iterations, summed
   std::int64_t node_updates = 0;     // LabelUpdate invocations
   std::int64_t cut_tests = 0;        // flow-based K-cut existence tests
+  std::int64_t cut_reuses = 0;       // K-cut tests settled by a stored cut, no flow
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
   std::int64_t cache_hits = 0;           // decomposition-memo hits
@@ -100,13 +104,43 @@ struct DecompCache {
   std::vector<std::unordered_map<std::uint64_t, bool>> per_node;
 };
 
+/// Each gate's last flow-found K-cut, kept across sweeps and probes. A cut
+/// that still separates the gate's expanded network at the new height
+/// (ExpandedNetwork::separates) certifies that the K-cut test would
+/// succeed, so label_update() runs the flow only when the stored cut fails
+/// that check. Flat storage: gate v's cut is nodes[v*k, v*k + size[v]),
+/// size[v] = -1 while none is stored.
+struct KCutStore {
+  KCutStore(int num_nodes, int k)
+      : k(k),
+        nodes(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(k)),
+        size(static_cast<std::size_t>(num_nodes), -1) {}
+
+  /// v's stored cut; nullopt while none is stored.
+  std::optional<std::span<const SeqCutNode>> get(NodeId v) const {
+    const int n = size[static_cast<std::size_t>(v)];
+    if (n < 0) return std::nullopt;
+    return std::span(nodes).subspan(static_cast<std::size_t>(v) * k, n);
+  }
+  /// Replaces v's stored cut (at most k nodes).
+  void put(NodeId v, std::span<const SeqCutNode> cut) {
+    std::copy(cut.begin(), cut.end(), nodes.begin() + static_cast<std::ptrdiff_t>(v) * k);
+    size[static_cast<std::size_t>(v)] = static_cast<int>(cut.size());
+  }
+
+  int k;
+  std::vector<SeqCutNode> nodes;
+  std::vector<int> size;
+};
+
 /// Warm-started label computation for a fixed circuit and options.
 /// Construction precomputes the SCC condensation and each SCC's sweep order;
 /// compute() may then be called for any sequence of target ratios. All
 /// probes of one engine share the decomposition cache, and each probe
 /// warm-starts from the converged labels of the nearest previously feasible
 /// phi >= the probe (labels are antitone in phi, so those labels are valid
-/// lower bounds that shortcut the iteration).
+/// lower bounds that shortcut the iteration). Each gate's last flow-found
+/// K-cut is kept too (KCutStore) and re-checked before the next flow.
 class LabelEngine {
  public:
   LabelEngine(const Circuit& c, const LabelOptions& options);
@@ -128,6 +162,8 @@ class LabelEngine {
   SccDecomposition scc_;
   std::vector<std::vector<NodeId>> gates_;  // per component: updatable gates, sweep order
   CutScratch scratch_;
+  KCutStore cuts_;
+  std::int64_t num_gates_ = 0;            // c_.num_gates(), counted once
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
 };
 
@@ -138,10 +174,12 @@ LabelResult compute_labels(const Circuit& c, int phi, const LabelOptions& option
 /// Single label update for node v given current lower bounds (exposed for
 /// tests). Returns the new label (never below labels[v]); does not modify
 /// `labels`. `cache` (optional) memoizes decomposition outcomes across
-/// calls; `scratch` (optional) reuses cut-test buffers across calls.
+/// calls; `scratch` (optional) reuses cut-test buffers across calls;
+/// `cuts` (optional) supplies v's last K-cut, checked before the flow runs,
+/// and records the cut the flow finds. The result does not depend on `cuts`.
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache = nullptr,
-                 CutScratch* scratch = nullptr);
+                 CutScratch* scratch = nullptr, KCutStore* cuts = nullptr);
 
 /// The realization the label computation justifies for a node at its final
 /// label: either a plain K-cut of E_v, or a decomposition over a wide cut.

@@ -12,10 +12,9 @@
 //                              (strength(E) < strength(W) or W is listed
 //                               earlier than E)
 //
-// never_beats() (core/engines.hpp) encodes the dominance facts —
-// decomposition is strictly label-improving, a label search never loses to
-// the search-free baseline, equal strength + equal quality key means an
-// identical certified φ — and the position tie-break keeps the selection
+// never_beats() (core/engines.hpp) encodes the one dominance fact — TurboSYN
+// runs TurboMap's search as its phase A and scans down from it, so it never
+// certifies a larger φ — and the position tie-break keeps the selection
 // deterministic: an engine is only cancelled when the already-finished
 // winner would also be preferred over it by the selection order
 // (portfolio_prefers). Running the race is therefore bit-identical to

@@ -64,14 +64,14 @@ bool NodeCut::find_path(const Network& net) {
     std::fill(seen_.begin(), seen_.end(), 0);
     epoch_ = 1;
   }
-  queue_.clear();
+  stack_.clear();
   const auto visit = [&](std::int32_t to, std::int32_t from, std::int32_t slot) {
     const auto t = static_cast<std::size_t>(to);
     if (seen_[t] == epoch_) return;
     seen_[t] = epoch_;
     parent_[t] = from;
     via_[t] = slot;
-    queue_.push_back(to);
+    stack_.push_back(to);
   };
   for (const std::int32_t v : sources_) {
     if (net.flags[static_cast<std::size_t>(v)] & kSink) {  // source arc straight into the sink
@@ -81,8 +81,9 @@ bool NodeCut::find_path(const Network& net) {
     }
     visit(2 * v, -1, -1);
   }
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const std::int32_t h = queue_[head];
+  while (!stack_.empty()) {
+    const std::int32_t h = stack_.back();
+    stack_.pop_back();
     const auto v = static_cast<std::size_t>(h >> 1);
     if ((h & 1) == 0) {
       // in(v): through v's own arc, or back against flow on a fanin edge.

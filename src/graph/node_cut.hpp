@@ -12,12 +12,15 @@
 // traversed.
 //
 // run() derives the fanout lists from the fanin lists, then augments along
-// shortest residual paths (one BFS each) and stops as soon as the flow
-// exceeds the limit. When it ends at or below the limit, the final, failed
-// search has marked the set reachable from the source in the residual
-// network. That set is the same for every maximum flow, so cut() — the nodes
-// whose in-half is reached and whose out-half is not — is the unique minimum
-// cut closest to the source, whichever paths were found.
+// residual paths, each found by one depth-first search (a LIFO worklist,
+// which heads for the sink instead of sweeping the network level by level),
+// and stops as soon as the flow exceeds the limit. Paths need not be
+// shortest: each carries at least one unit, so there are still at most
+// limit + 1. When it ends at or below the limit, the final, failed search
+// has marked the whole set reachable from the source in the residual
+// network. That set is the same for every maximum flow, so cut() — the
+// nodes whose in-half is reached and whose out-half is not — is the unique
+// minimum cut closest to the source, whichever paths were found.
 //
 // One instance is reusable: every buffer keeps its capacity across runs, so
 // repeated tests on networks no larger than an earlier one allocate nothing.
@@ -60,8 +63,9 @@ class NodeCut {
   std::span<const std::int32_t> cut() const { return cut_; }
 
  private:
-  /// One BFS over the residual network; true iff it reached the sink, in
-  /// which case `parent_`/`via_` hold the path ending at half `sink_hit_`.
+  /// One depth-first search over the residual network; true iff it reached
+  /// the sink, in which case `parent_`/`via_` hold the path ending at half
+  /// `sink_hit_`.
   bool find_path(const Network& net);
   /// Residual capacity of the recorded path.
   std::int64_t bottleneck(const Network& net) const;
@@ -79,7 +83,7 @@ class NodeCut {
   std::uint32_t epoch_ = 0;
   std::vector<std::int32_t> parent_;  // per half: predecessor on the path, -1 = source
   std::vector<std::int32_t> via_;     // per half: fanin slot crossed, -1 = the node's own arc
-  std::vector<std::int32_t> queue_;
+  std::vector<std::int32_t> stack_;
   std::vector<std::int32_t> cut_;
   std::int32_t sink_hit_ = -1;
   std::int64_t paths_ = 0;

@@ -1,13 +1,19 @@
 // Dedicated coverage of the expanded circuit E_v and its partial flow
 // network: register-count bookkeeping, mandatory/allowed classification,
-// frontier handling, node budgets and the low-cost (sharing-aware) cut rule.
+// frontier handling, node budgets, the low-cost (sharing-aware) cut rule and
+// the flow-free cut certificate check (separates).
 
 #include "core/expanded.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "base/check.hpp"
+#include "base/rng.hpp"
 #include "netlist/gates.hpp"
+#include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
 namespace turbosyn {
@@ -156,6 +162,105 @@ TEST(Expanded, CutFunctionComposesAcrossRegisters) {
   if (cut->size() == 1 && (*cut)[0].node == a) {
     EXPECT_EQ(net.cut_function(*cut), tt_buf());  // NOT of NOT
   }
+}
+
+TEST(Expanded, SeparatesRejectsMutatedCertificates) {
+  const Circuit c = figure1_circuit();
+  const NodeId g2 = c.find("g2");
+  std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 2);
+  for (const NodeId pi : c.pis()) labels[static_cast<std::size_t>(pi)] = 0;
+  ExpandedNetwork net(c, labels, 1, g2, 2, ExpandedOptions{});
+  const auto found = net.find_cut(15);
+  ASSERT_TRUE(found.has_value());
+  const std::vector<SeqCutNode> cut = *found;
+  ASSERT_EQ(cut.size(), 5u);  // {g2^1, a, b, c, d}
+  EXPECT_TRUE(net.separates(cut));
+
+  // A dropped member leaves its source path uncovered.
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    std::vector<SeqCutNode> dropped = cut;
+    dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+    EXPECT_FALSE(net.separates(dropped)) << "dropped member " << i;
+  }
+
+  // A member at the wrong register count is another copy (or none at all).
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    std::vector<SeqCutNode> shifted = cut;
+    ++shifted[i].w;
+    EXPECT_FALSE(net.separates(shifted)) << "member " << i << " at w + 1";
+  }
+
+  // The loop copy g2^1 stops being allowed once g2's label rises past the
+  // height limit: the same cut is no certificate in the rebuilt network.
+  const auto loop_member =
+      std::find_if(cut.begin(), cut.end(), [&](const SeqCutNode& n) { return n.node == g2; });
+  ASSERT_NE(loop_member, cut.end());
+  std::vector<int> raised = labels;
+  raised[static_cast<std::size_t>(g2)] = 4;
+  net.build(c, raised, 1, g2, 2, ExpandedOptions{});
+  EXPECT_FALSE(net.separates(cut));
+
+  // An unviable (node-budget) network certifies nothing.
+  ExpandedOptions tiny_budget;
+  tiny_budget.node_budget = 2;
+  net.build(c, labels, 1, g2, 2, tiny_budget);
+  ASSERT_FALSE(net.viable());
+  EXPECT_FALSE(net.separates(cut));
+}
+
+TEST(Expanded, SeparatesOldCutImpliesFindCutAfterLabelsRise) {
+  // The label engine's use of separates: a gate's cut from an earlier sweep,
+  // checked against the network rebuilt after labels rose. Whenever the old
+  // cut still separates, the flow must agree that a K-cut exists.
+  constexpr int kK = 4;
+  Rng rng(2024);
+  int accepted = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    BenchmarkSpec spec;
+    spec.name = "sep" + std::to_string(seed);
+    spec.seed = seed;
+    spec.num_pis = 3;
+    spec.num_pos = 2;
+    spec.num_gates = 20 + static_cast<int>(seed % 5) * 6;
+    spec.feedback = 0.15;
+    spec.max_fanin = 3;
+    const Circuit c = generate_fsm_circuit(spec);
+    const int phi = 1 + static_cast<int>(seed % 3);
+    std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 0);
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (c.is_gate(v) && !c.fanin_edges(v).empty()) {
+        labels[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_in(1, 4));
+      }
+    }
+    ExpandedNetwork net;
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+      const int height = static_cast<int>(rng.next_in(1, 5));
+      net.build(c, labels, phi, v, height, ExpandedOptions{});
+      const auto old_cut = net.find_cut(kK);
+      if (!old_cut) continue;
+      ASSERT_TRUE(net.separates(*old_cut)) << spec.name << " " << c.name(v);
+
+      std::vector<int> risen = labels;
+      for (NodeId u = 0; u < c.num_nodes(); ++u) {
+        if (risen[static_cast<std::size_t>(u)] > 0 && rng.next_bool(0.3)) {
+          risen[static_cast<std::size_t>(u)] += static_cast<int>(rng.next_in(1, 2));
+        }
+      }
+      const int new_height = height + static_cast<int>(rng.next_in(0, 1));
+      net.build(c, risen, phi, v, new_height, ExpandedOptions{});
+      if (net.separates(*old_cut)) {
+        ++accepted;
+        EXPECT_TRUE(net.find_cut(kK).has_value()) << spec.name << " " << c.name(v);
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  // Both verdicts occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -32,7 +32,10 @@
 //     (core/portfolio) in both sequential and concurrent modes: the race
 //     must be bit-identical to the best standalone engine under the shared
 //     selection order, every cancelled row must be certificate-free, and
-//     the result must pass the full audit including the "portfolio" check;
+//     the result must pass the full audit including the "portfolio" check.
+//     Every --portfolio run also races turbomap,turbosyn,flowsyn_s at K = 5
+//     on three fixed circuits where FlowSYN-s alone certifies the smallest
+//     φ (tiny2, tiny6, bbara), which random seeds rarely produce;
 //   - with --hot-policy, every seed replays the same store/hit/evict access
 //     sequence through two fresh caches whose hot tiers are entry-capped
 //     small enough to churn, one under the recency policy and one under
@@ -231,6 +234,50 @@ Circuit mutate_one_gate(const Circuit& c, std::uint64_t seed) {
   return m;
 }
 
+/// Portfolio race vs the "run everything, pick the best" oracle: the race
+/// (sequential and concurrent alike) must be bit-identical to the best
+/// standalone engine under the shared selection order, cancelled rows must
+/// be certificate-free, and the race must audit clean (the "portfolio" check
+/// re-verifies the table).
+void check_portfolio(SeedOutcome& out, const Circuit& c, const FlowOptions& opt,
+                     const std::vector<std::string>& names, std::uint64_t seed, bool verbose) {
+  std::string joined;
+  for (const std::string& n : names) joined += (joined.empty() ? "" : ",") + n;
+  std::vector<const EngineSpec*> engines;
+  const std::string invalid = parse_portfolio(joined, engines);
+  expect(out, invalid.empty(), "portfolio spec rejected: " + invalid);
+
+  std::vector<FlowResult> standalone;
+  for (const EngineSpec* spec : engines) standalone.push_back(run_engine(*spec, c, opt));
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    if (standalone[i].status != Status::kOk) continue;
+    if (!best || portfolio_prefers(standalone[i].phi, engines[i]->strength, i,
+                                   standalone[*best].phi, engines[*best]->strength, *best)) {
+      best = i;
+    }
+  }
+  expect(out, best.has_value(), "portfolio oracle: no standalone engine certified");
+  if (!best) return;
+  PortfolioOptions seq;
+  seq.concurrent = false;
+  const FlowResult race_seq = run_portfolio(engines, c, opt, seq);
+  expect(out, race_seq.engine == engines[*best]->name,
+         "sequential race winner " + race_seq.engine + " != oracle " + engines[*best]->name);
+  expect(out, fingerprint(race_seq) == fingerprint(standalone[*best]),
+         "sequential race differs from the best standalone engine");
+  const FlowResult race_con = run_portfolio(engines, c, opt);
+  expect(out, race_con.engine == engines[*best]->name,
+         "concurrent race winner " + race_con.engine + " != oracle " + engines[*best]->name);
+  expect(out, fingerprint(race_con) == fingerprint(standalone[*best]),
+         "concurrent race differs from the best standalone engine");
+  for (const EngineRun& row : race_con.portfolio) {
+    expect(out, !(row.cancelled && row.certified),
+           "cancelled engine " + row.name + " holds a certificate");
+  }
+  audit_into(out, c, race_con, opt, "portfolio", seed, verbose);
+}
+
 /// Warm-start oracle for one label mode. The engine's cross-φ warm start
 /// (seeding each probe from the nearest feasible φ' >= φ) must never change
 /// a result: driven through the flow's own probe order, every probe has to
@@ -411,11 +458,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
            "hot-policy: recency run reported cost-aware evictions");
   }
 
-  // Portfolio race vs the "run everything, pick the best" oracle: the race
-  // (sequential and concurrent alike) must be bit-identical to the best
-  // standalone engine under the shared selection order, cancelled rows must
-  // be certificate-free, and the race must audit clean (the "portfolio"
-  // check re-verifies the table).
   if (cfg.portfolio) {
     static const std::vector<std::vector<std::string>> kPortfolios = {
         {"turbomap", "turbosyn", "flowsyn_s"},
@@ -423,53 +465,7 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
         {"turbomap", "turbosyn_bisect", "flowsyn_s"},
         {"turbosyn_bisect", "turbosyn"},
     };
-    const std::vector<std::string>& names = kPortfolios[seed % kPortfolios.size()];
-    std::vector<const EngineSpec*> engines;
-    const std::string invalid = parse_portfolio(
-        [&names] {
-          std::string joined;
-          for (const std::string& n : names) {
-            if (!joined.empty()) joined += ',';
-            joined += n;
-          }
-          return joined;
-        }(),
-        engines);
-    expect(out, invalid.empty(), "portfolio spec rejected: " + invalid);
-
-    std::vector<FlowResult> standalone;
-    for (const EngineSpec* spec : engines) standalone.push_back(run_engine(*spec, c, opt));
-    std::optional<std::size_t> best;
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-      if (standalone[i].status != Status::kOk) continue;
-      if (!best || portfolio_prefers(standalone[i].phi, engines[i]->strength, i,
-                                     standalone[*best].phi, engines[*best]->strength,
-                                     *best)) {
-        best = i;
-      }
-    }
-    expect(out, best.has_value(), "portfolio oracle: no standalone engine certified");
-    if (best) {
-      PortfolioOptions seq;
-      seq.concurrent = false;
-      const FlowResult race_seq = run_portfolio(engines, c, opt, seq);
-      expect(out, race_seq.engine == engines[*best]->name,
-             "sequential race winner " + race_seq.engine + " != oracle " +
-                 engines[*best]->name);
-      expect(out, fingerprint(race_seq) == fingerprint(standalone[*best]),
-             "sequential race differs from the best standalone engine");
-      const FlowResult race_con = run_portfolio(engines, c, opt);
-      expect(out, race_con.engine == engines[*best]->name,
-             "concurrent race winner " + race_con.engine + " != oracle " +
-                 engines[*best]->name);
-      expect(out, fingerprint(race_con) == fingerprint(standalone[*best]),
-             "concurrent race differs from the best standalone engine");
-      for (const EngineRun& row : race_con.portfolio) {
-        expect(out, !(row.cancelled && row.certified),
-               "cancelled engine " + row.name + " holds a certificate");
-      }
-      audit_into(out, c, race_con, opt, "portfolio", seed, cfg.verbose);
-    }
+    check_portfolio(out, c, opt, kPortfolios[seed % kPortfolios.size()], seed, cfg.verbose);
   }
 
   // Pairwise: the two mappings of the same input must agree with each other.
@@ -515,6 +511,29 @@ int main(int argc, char** argv) {
   std::uint64_t seeds_failed = 0;
   std::uint64_t checks = 0;
   bool out_of_time = false;
+  bool fixed_failed = false;
+  if (cfg.portfolio) {
+    const std::vector<turbosyn::BenchmarkSpec> tiny = turbosyn::tiny_suite();
+    for (const turbosyn::BenchmarkSpec& spec :
+         {tiny[1], tiny[5], turbosyn::table1_suite()[0]}) {
+      turbosyn::FlowOptions opt;
+      opt.k = 5;
+      opt.collect_artifacts = true;
+      SeedOutcome out;
+      try {
+        check_portfolio(out, turbosyn::generate_fsm_circuit(spec), opt,
+                        {"turbomap", "turbosyn", "flowsyn_s"}, 0, cfg.verbose);
+      } catch (const std::exception& e) {
+        out.failures.push_back(std::string("unhandled exception: ") + e.what());
+      }
+      checks += static_cast<std::uint64_t>(out.checks);
+      if (!out.failures.empty()) {
+        fixed_failed = true;
+        std::cerr << "[flow_fuzz] fixed circuit " << spec.name << " FAILED:\n";
+        for (const std::string& f : out.failures) std::cerr << "  " << f << '\n';
+      }
+    }
+  }
   for (std::uint64_t seed = cfg.first_seed; seed <= cfg.last_seed; ++seed) {
     if (cfg.time_budget_s > 0 && elapsed_s() > cfg.time_budget_s) {
       out_of_time = true;
@@ -547,7 +566,7 @@ int main(int argc, char** argv) {
             << " checks, " << seeds_failed << " failed, "
             << static_cast<int>(elapsed_s()) << "s" << (out_of_time ? " (time budget hit)" : "")
             << '\n';
-  if (seeds_failed > 0) return 1;
+  if (seeds_failed > 0 || fixed_failed) return 1;
   if (cfg.require_all && seeds_run < requested) {
     std::cerr << "[flow_fuzz] --require-all: only " << seeds_run << " of " << requested
               << " seeds ran within the time budget\n";

@@ -205,11 +205,12 @@ TEST(NodeCut, NodeSplitCutIdentifiesNodes) {
 }
 
 TEST(NodeCut, ReroutesFlowBackThroughASaturatedNode) {
-  // The first (shortest) path x1 -> u -> v -> w fills w. The second path
-  // enters w from x2's long chain and must undo u -> v -> w: back from w
-  // to out(v), through v's own arc backwards to in(v), back to out(u), and
-  // out along u's long chain y1..y4.
-  enum { x1, x2, u, v, w, y1, y2, y3, y4, z1, z2, z3, sink, n };
+  // The depth-first search pops the highest-numbered source and fanout
+  // first, so the first path is x1 -> u -> v -> w, which fills w. The
+  // second path enters w from x2's long chain and must undo u -> v -> w:
+  // back from w to out(v), through v's own arc backwards to in(v), back to
+  // out(u), and out along u's long chain y1..y4.
+  enum { x2, x1, y1, y2, y3, y4, u, v, w, z1, z2, z3, sink, n };
   TestNet t(n);
   t.flags[x1] = t.flags[x2] = NodeCut::kFromSource;
   t.flags[sink] = NodeCut::kSink;
@@ -221,7 +222,7 @@ TEST(NodeCut, ReroutesFlowBackThroughASaturatedNode) {
   NodeCut f;
   EXPECT_EQ(f.run(t.view(), 5), 2);
   EXPECT_EQ(f.paths(), 2);
-  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{x1, x2}));
+  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{x2, x1}));
 }
 
 // Exhaustive oracle. A node set S is a cut iff no path from a source-fed

@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "base/check.hpp"
 #include "core/expanded.hpp"
 #include "core/labeling.hpp"
 #include "core/mapgen.hpp"
+#include "graph/scc.hpp"
 #include "netlist/gates.hpp"
 #include "retime/cycle_ratio.hpp"
 #include "workloads/generator.hpp"
@@ -272,6 +277,94 @@ TEST(Labeling, ScratchReuseIsDeterministic) {
   const LabelResult second = engine.compute(2);
   ASSERT_EQ(first.feasible, second.feasible);
   EXPECT_EQ(first.labels, second.labels);
+}
+
+/// Reuse-free reference for one probe: the engine's own sweep (SCCs in
+/// topological order, each swept in zero-weight topological order until no
+/// label changes), with every update a plain label_update call without a
+/// stored cut. Only meaningful at a feasible phi, where the sweep converges.
+struct ReferenceRun {
+  std::vector<int> labels;
+  LabelStats stats;
+};
+
+ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo) {
+  const Digraph g = c.to_digraph();
+  const SccDecomposition scc = strongly_connected_components(g);
+  const std::vector<NodeId> order =
+      topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
+  std::vector<int> pos(static_cast<std::size_t>(c.num_nodes()), 0);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
+  }
+  ReferenceRun ref;
+  ref.labels.assign(static_cast<std::size_t>(c.num_nodes()), 0);
+  for (NodeId v = 0; v < c.num_nodes(); ++v) {
+    if (c.is_gate(v) && !c.fanin_edges(v).empty()) ref.labels[static_cast<std::size_t>(v)] = 1;
+  }
+  DecompCache cache;
+  cache.per_node.resize(static_cast<std::size_t>(c.num_nodes()));
+  for (const std::vector<NodeId>& comp : scc.components) {
+    std::vector<NodeId> gates;
+    for (const NodeId v : comp) {
+      if (c.is_gate(v) && !c.fanin_edges(v).empty()) gates.push_back(v);
+    }
+    std::sort(gates.begin(), gates.end(), [&](NodeId a, NodeId b) {
+      return pos[static_cast<std::size_t>(a)] < pos[static_cast<std::size_t>(b)];
+    });
+    for (bool changed = !gates.empty(); changed;) {
+      changed = false;
+      for (const NodeId v : gates) {
+        const int updated = label_update(c, ref.labels, phi, v, lo, ref.stats, &cache);
+        if (updated > ref.labels[static_cast<std::size_t>(v)]) {
+          ref.labels[static_cast<std::size_t>(v)] = updated;
+          changed = true;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+// The engine settles a gate's K-cut test from its last flow-found cut when
+// that cut still separates E_v (KCutStore). The verdicts must be exactly the
+// flow's, so converged labels equal the reuse-free sweep, every skipped test
+// is counted as a reuse, and the store does get used.
+TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
+  std::vector<BenchmarkSpec> specs = tiny_suite();
+  for (const BenchmarkSpec& spec : table1_suite()) {
+    if (spec.num_gates <= 200) specs.push_back(spec);
+  }
+  for (const bool decomposition : {false, true}) {
+    for (const BenchmarkSpec& spec : specs) {
+      const Circuit c = generate_fsm_circuit(spec);
+      LabelOptions lo = turbomap_options(5);
+      lo.enable_decomposition = decomposition;
+      LabelEngine engine(c, lo);
+      std::int64_t reuses = 0;
+      int feasible_probes = 0;
+      // Ascending probes start cold in both modes, so each feasible probe's
+      // counters line up with the reference sweep's.
+      for (int phi = 1; feasible_probes < 2; ++phi) {
+        const LabelResult r = engine.compute(phi);
+        reuses += r.stats.cut_reuses;
+        if (!r.feasible) continue;
+        ++feasible_probes;
+        const ReferenceRun ref = reference_fixpoint(c, phi, lo);
+        const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap") +
+                               " phi=" + std::to_string(phi);
+        for (NodeId v = 0; v < c.num_nodes(); ++v) {
+          if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+          ASSERT_EQ(r.labels[static_cast<std::size_t>(v)], ref.labels[static_cast<std::size_t>(v)])
+              << at << " " << c.name(v);
+        }
+        EXPECT_EQ(r.stats.node_updates, ref.stats.node_updates) << at;
+        EXPECT_EQ(r.stats.cut_tests + r.stats.cut_reuses, ref.stats.cut_tests) << at;
+        EXPECT_EQ(ref.stats.cut_reuses, 0) << at;
+      }
+      EXPECT_GT(reuses, 0) << spec.name << (decomposition ? " turbosyn" : " turbomap");
+    }
+  }
 }
 
 TEST(Labeling, RejectsUnboundedCircuit) {

@@ -121,8 +121,9 @@ TEST(Portfolio, ConcurrentRaceDeterministicWinner) {
 TEST(Portfolio, SequentialDominanceSkipsDominatedEngines) {
   const Circuit c = test_circuit();
   const FlowOptions opt = test_options();
-  // The strongest engine leads, so its certificate dominates both followers
-  // before they start: provably-lost work is skipped, not run.
+  // TurboSYN leads, so its certificate dominates TurboMap before it starts:
+  // provably-lost work is skipped, not run. Nothing dominates FlowSYN-s,
+  // which decomposes and can certify a smaller φ than either, so it runs.
   const auto engines = engines_of({"turbosyn", "turbomap", "flowsyn_s"});
 
   PortfolioOptions popt;
@@ -132,11 +133,36 @@ TEST(Portfolio, SequentialDominanceSkipsDominatedEngines) {
   EXPECT_EQ(race.engine, "turbosyn");
   EXPECT_TRUE(race.portfolio[0].certified);
   EXPECT_FALSE(race.portfolio[0].cancelled);
-  for (std::size_t i = 1; i < 3; ++i) {
-    EXPECT_TRUE(race.portfolio[i].cancelled) << i;
-    EXPECT_FALSE(race.portfolio[i].certified) << i;
-    EXPECT_EQ(race.portfolio[i].status, Status::kCancelled) << i;
-    EXPECT_EQ(race.portfolio[i].seconds, 0.0) << i;
+  EXPECT_TRUE(race.portfolio[1].cancelled);
+  EXPECT_FALSE(race.portfolio[1].certified);
+  EXPECT_EQ(race.portfolio[1].status, Status::kCancelled);
+  EXPECT_EQ(race.portfolio[1].seconds, 0.0);
+  EXPECT_FALSE(race.portfolio[2].cancelled);
+  EXPECT_TRUE(race.portfolio[2].certified);
+}
+
+TEST(Portfolio, RaceKeepsAWeakerRankedEngineThatCertifiesTheSmallestPhi) {
+  // FlowSYN-s certifies a smaller φ than TurboMap and TurboSYN on these
+  // circuits at K = 5 (tiny2 and tiny6: 1 against 2; bbara: 2 against 3), so
+  // no dominance rule may skip or cancel it.
+  FlowOptions opt = test_options();
+  opt.k = 5;
+  const auto engines = engines_of({"turbomap", "turbosyn", "flowsyn_s"});
+  const std::vector<BenchmarkSpec> tiny = tiny_suite();
+  for (const BenchmarkSpec& spec : {tiny[1], tiny[5], table1_suite()[0]}) {
+    const Circuit c = generate_fsm_circuit(spec);
+    std::vector<FlowResult> standalone;
+    for (const EngineSpec* engine : engines) standalone.push_back(run_engine(*engine, c, opt));
+    const std::size_t best = best_standalone(engines, standalone);
+
+    PortfolioOptions popt;
+    popt.concurrent = false;
+    const FlowResult race = run_portfolio(engines, c, opt, popt);
+    EXPECT_EQ(race.engine, engines[best]->name) << spec.name;
+    EXPECT_EQ(fingerprint(race), fingerprint(standalone[best])) << spec.name;
+    const FlowResult concurrent = run_portfolio(engines, c, opt);
+    EXPECT_EQ(concurrent.engine, engines[best]->name) << spec.name;
+    EXPECT_EQ(fingerprint(concurrent), fingerprint(standalone[best])) << spec.name;
   }
 }
 
