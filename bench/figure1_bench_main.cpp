@@ -10,7 +10,7 @@
 
 #include "base/flow_cli.hpp"
 #include "core/flows.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "retime/howard.hpp"
 #include "verify/audit.hpp"
 #include "workloads/samples.hpp"
 #include "workloads/table.hpp"
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     opt.trace = cli.trace();
     const FlowResult tm = run_turbomap(c, opt);
     const FlowResult ts = run_turbosyn(c, opt);
-    std::cout << "Figure 1 circuit (K=3): input MDR = " << circuit_mdr(c).ratio << '\n';
+    std::cout << "Figure 1 circuit (K=3): input MDR = " << circuit_mdr_howard(c).ratio << '\n';
     std::cout << "  TurboMap : phi = " << tm.phi << ", LUTs = " << tm.luts
               << " (expected phi 2: the 5-input loop function needs two LUTs)\n";
     std::cout << "  TurboSYN : phi = " << ts.phi << ", LUTs = " << ts.luts
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       audits_ok &= audit_and_report(c, ts, opt, ring + ":turbosyn", std::cout);
     }
     table.add_row({std::to_string(stages) + "/" + std::to_string(regs),
-                   circuit_mdr(c).ratio.to_string(), std::to_string(tm.phi),
+                   circuit_mdr_howard(c).ratio.to_string(), std::to_string(tm.phi),
                    std::to_string(ts.phi)});
   }
   std::cout << "Ring sweep (K=5): loop compaction under retiming-aware mapping\n";

@@ -31,7 +31,7 @@
 #include "core/portfolio.hpp"
 #include "decomp/gate_decomp.hpp"
 #include "netlist/blif.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "retime/howard.hpp"
 #include "verify/audit.hpp"
 #include "workloads/samples.hpp"
 
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     }
     const CircuitStats stats = compute_stats(input);
     std::cout << "input: " << stats.gates << " gates, " << stats.ffs << " FFs, MDR "
-              << circuit_mdr(input).ratio << '\n';
+              << circuit_mdr_howard(input).ratio << '\n';
 
     FlowOptions options;
     options.k = k;

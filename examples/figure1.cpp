@@ -9,7 +9,6 @@
 #include "core/flows.hpp"
 #include "core/labeling.hpp"
 #include "netlist/blif.hpp"
-#include "retime/cycle_ratio.hpp"
 #include "workloads/samples.hpp"
 
 int main() {

@@ -11,9 +11,7 @@
 
 #include "base/flow_cli.hpp"
 #include "core/flows.hpp"
-#include "retime/cycle_ratio.hpp"
 #include "retime/pipeline.hpp"
-#include "retime/retiming.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/table.hpp"
 
@@ -42,16 +40,16 @@ int main(int argc, char** argv) {
   std::cout << "period floor under retiming + pipelining = ceil(MDR) = "
             << ts.exact_mdr.ceil() << "\n\n";
 
+  // Pipelining adds registers only at the I/O, so every depth keeps the MDR.
   TextTable table({"pipeline stages", "clock period after retiming", "latency added"});
-  {
-    Circuit plain = ts.mapped;
-    table.add_row({"0", std::to_string(retime_min_period(plain)), "0"});
-  }
+  table.add_row(
+      {"0", std::to_string(retime_without_pipelining(ts.mapped, ts.exact_mdr).period), "0"});
   for (int stages = 1; stages <= 8; stages *= 2) {
     Circuit piped = ts.mapped;
     pipeline_inputs(piped, stages);
     pipeline_outputs(piped, stages);
-    table.add_row({std::to_string(stages), std::to_string(retime_min_period(piped)),
+    table.add_row({std::to_string(stages),
+                   std::to_string(retime_without_pipelining(piped, ts.exact_mdr).period),
                    std::to_string(2 * stages) + " cycles"});
   }
   table.print(std::cout);

@@ -17,7 +17,7 @@
 #include "cache/cached_flow.hpp"
 #include "core/flows.hpp"
 #include "netlist/blif.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "retime/howard.hpp"
 #include "verify/audit.hpp"
 #include "workloads/samples.hpp"
 
@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   const Circuit counter = read_blif_string(counter3_blif());
   const CircuitStats stats = compute_stats(counter);
   std::cout << "input: " << stats.gates << " gates, " << stats.ffs << " FFs, max fanin "
-            << stats.max_fanin << ", input MDR ratio " << circuit_mdr(counter).ratio << "\n\n";
+            << stats.max_fanin << ", input MDR ratio " << circuit_mdr_howard(counter).ratio
+            << "\n\n";
 
   // 2. Map for minimum MDR ratio with TurboSYN (K-LUTs, retiming-aware,
   //    with sequential functional decomposition).

@@ -1,6 +1,6 @@
 #pragma once
-// PipelineRetimeStage: the timing tail — pipelining + retiming, or plain
-// min-period retiming.
+// PipelineRetimeStage: the timing tail — the clock period reached with
+// pipelining + retiming, or with retiming alone, read off longest-path labels.
 
 #include "core/driver.hpp"
 
@@ -9,15 +9,16 @@ namespace turbosyn {
 /// Finalizes FlowResult::mapped and the (period, stages) claim.
 class PipelineRetimeStage final : public Stage {
  public:
+  /// Either way the published network stays un-retimed, so it is
+  /// cycle-accurate equivalent to the input from the all-zero state, and
+  /// FlowResult::retiming holds the label lags that witness the period.
   enum class Kind {
-    /// MDR mode: derive the period and pipeline depth pipelining +
-    /// retiming reach, with a witness retiming, from one label pass (gated
-    /// by FlowOptions::pipeline); the published network stays un-retimed,
-    /// so it is cycle-accurate equivalent to the input from the all-zero
-    /// state.
+    /// MDR mode: the period and pipeline depth pipelining + retiming reach,
+    /// from one label pass (gated by FlowOptions::pipeline).
     kPipelineRetime,
-    /// Clock-period mode: min-period retiming applied in place, no
-    /// pipelining (runs regardless of FlowOptions::pipeline).
+    /// Clock-period mode: the least period retiming alone reaches, by a
+    /// binary search over label passes; no pipelining (runs regardless of
+    /// FlowOptions::pipeline).
     kRetimeOnly,
   };
 

@@ -23,13 +23,14 @@ void pipeline_inputs(Circuit& c, int stages);
 void pipeline_outputs(Circuit& c, int stages);
 
 struct PipelineResult {
-  std::int64_t period = 0;  // max(1, ceil(MDR)): the best period pipelining reaches
-  int stages = 0;           // fewest stages at the PIs and at the POs reaching it
+  std::int64_t period = 0;  // the clock period reached
+  int stages = 0;           // stages at the PIs and at the POs reaching it
   /// Witness: one lag per node, a legal retiming of the circuit pipelined by
   /// `stages` (pipeline_inputs + pipeline_outputs) whose period is `period`.
   /// Every PI and PO has lag 0.
   std::vector<int> retiming;
-  std::int64_t label_rounds = 0;  // Bellman–Ford rounds of the label pass
+  int label_passes = 0;           // periods whose labels were computed
+  std::int64_t label_rounds = 0;  // Bellman–Ford rounds over all passes
 };
 
 /// Minimum clock period under input/output pipelining + retiming, and the
@@ -42,5 +43,12 @@ struct PipelineResult {
 /// s = ceil((L - c) / (2c)) stages (0 when L <= c) over the largest PO label
 /// L is the minimum; the lags ceil(l(v)/c) - 1 - s realize it (DESIGN.md §3).
 PipelineResult pipeline_and_retime(const Circuit& c, const Rational& mdr);
+
+/// Minimum clock period under retiming alone (PIs and POs keep lag 0, no
+/// stages), with the label lags as witness. Period c is reachable exactly
+/// when c >= mdr and the largest PO label L(c) is <= c; L(c) - c strictly
+/// decreases in c, so a binary search over [max(1, ceil(mdr)), clock period]
+/// finds the least such c.
+PipelineResult retime_without_pipelining(const Circuit& c, const Rational& mdr);
 
 }  // namespace turbosyn

@@ -21,17 +21,20 @@
 //                frontier in the expanded (time-unfolded) graph, bounds a
 //                finite cone, is K-feasible, computes exactly the cone
 //                function, and its recomputed height respects the record;
-//   mdr          the mapped network's MDR ratio, recomputed from scratch
-//                by binary search + Bellman–Ford (an engine independent of
-//                the flow's Howard iteration), is <= the certified phi and
-//                equal to the claimed exact value;
+//   mdr          the claimed exact MDR ratio p/q of the mapped network is
+//                <= the certified phi and certified, not recomputed: the
+//                auditor's own longest-path routine (independent of the
+//                flow's Howard iteration and label pass) yields potentials
+//                that no edge violates under cost q·d(v) - p·w(e), proving
+//                MDR <= p/q, and a closed cycle of ratio exactly p/q;
 //   period       the claimed (clock period, pipeline stages) pair is
-//                achievable on an explicitly pipelined copy: the flow's
-//                witness retiming is re-checked edge by edge
-//                (w(e) + r(v) - r(u) >= 0, zero lags on PIs/POs) and its
-//                period recomputed from scratch; up to 1500 nodes the
-//                Leiserson–Saxe FEAS also confirms the pair and proves one
-//                stage fewer infeasible;
+//                achievable and minimal: the flow's witness retiming (required
+//                at every size) is re-checked edge by edge on an explicitly
+//                pipelined copy (w(e) + r(v) - r(u) >= 0, zero lags on
+//                PIs/POs) and its period recomputed from scratch; a PI→PO
+//                path too slow for one stage fewer proves the depth minimal,
+//                and the period is either max(1, ceil(MDR)) or a PI→PO path
+//                too slow for period - 1 proves it minimal;
 //   equivalence  the mapped network is zero-state equivalent to the input
 //                (BDD miter when both are register-free, bounded sequential
 //                co-simulation with warm-up otherwise);
@@ -43,9 +46,10 @@
 //   stage-timing the per-stage wall times are non-negative and sum to at
 //                most the flow's total wall time (5% tolerance).
 //
-// Each stage audit is also exposed on its own so tests can seed deliberate
-// violations (a broken cut, an illegal retiming, a phi-violating loop) and
-// assert the auditor catches them.
+// Each stage audit and each certificate check is also exposed on its own so
+// tests can seed deliberate violations (a broken cut, an illegal retiming, a
+// phi-violating loop, a mutated certificate) and assert the auditor catches
+// them.
 
 #include <cstdint>
 #include <iosfwd>
@@ -79,15 +83,11 @@ struct AuditReport {
 };
 
 struct AuditOptions {
-  /// Bounded sequential equivalence parameters.
+  /// Bounded sequential equivalence parameters. There is no warm-up: every
+  /// flow publishes its mapped network un-retimed, and zero-state-safe cuts
+  /// make it exact from cycle 0.
   int seq_cycles = 160;
   int seq_runs = 3;
-  /// Warm-up cycles ignored before comparing. 0 derives the bound: exactly 0
-  /// for pipeline-mode flows (zero-state-safe cuts make the un-retimed
-  /// mapped network exact from cycle 0), or a transient scaled to the
-  /// deepest register chain for clock-period mode, whose result is retimed
-  /// in place and may legitimately start from a shifted state.
-  int seq_warmup = 0;
   std::uint64_t seq_seed = 7;
   bool check_equivalence = true;  // the most expensive stage
   /// Expanded-cone node ceiling per mapping record; exceeding it fails the
@@ -117,19 +117,54 @@ std::optional<std::string> audit_mapping_record(const Circuit& c, std::span<cons
                                                 int phi, int k, const MappingRecord& record,
                                                 int cone_node_budget = 50000);
 
-/// MDR of `mapped` recomputed from scratch by binary search + Bellman–Ford
-/// (and its critical-cycle witness re-measured edge by edge): must equal
-/// `claimed` and be <= phi.
+// ---- Certificates: each claim is decided by an O(E) check. ----
+
+/// Certificate that p/q is a network's exact MDR ratio: potentials under
+/// which no edge e(u, v) has potential(v) < potential(u) + q·d(v) - p·w(e),
+/// so no cycle's ratio exceeds p/q, and a closed cycle of ratio exactly p/q
+/// (empty when p = 0).
+struct MdrCertificate {
+  std::vector<std::int64_t> potential;
+  std::vector<EdgeId> cycle;
+};
+
+/// Builds the certificate for `mdr` with the auditor's longest-path routine
+/// (every node a source): potentials are the longest-path values and the
+/// cycle is one of tight edges. When `mdr` is not the exact ratio, the
+/// result fails check_mdr_certificate.
+MdrCertificate mdr_certificate(const Circuit& c, const Rational& mdr);
+
+/// Checks the potentials edge by edge and re-measures the cycle.
+std::optional<std::string> check_mdr_certificate(const Circuit& c, const Rational& mdr,
+                                                 const MdrCertificate& cert);
+
+/// A PI→PO path with the largest delay D - period·w (w its registers), from
+/// the auditor's longest-path routine with the PIs as sources; empty if no
+/// PO is reachable or some cycle's ratio exceeds `period`.
+std::vector<EdgeId> slowest_io_path(const Circuit& c, std::int64_t period);
+
+/// Checks that `path` runs edge by edge from a PI to a PO with delay
+/// D > period·(w + 2·stages + 1): it then crosses w + 2·stages registers once
+/// pipelined by `stages`, too few to split it into segments of delay <=
+/// period, which proves `period` out of reach with `stages` stages.
+std::optional<std::string> check_slow_path(const Circuit& c, std::span<const EdgeId> path,
+                                           std::int64_t period, int stages);
+
+// ---- Claim audits built on the certificates. ----
+
+/// The claimed exact MDR of `mapped` is certified (mdr_certificate) and is
+/// <= phi.
 std::optional<std::string> audit_mdr(const Circuit& mapped, int phi, const Rational& claimed);
 
 /// Claimed (period, stages) on `mapped` pipelined by `stages` input/output
-/// register stages. `period` must respect the MDR lower bound. A non-empty
-/// `witness` (one lag per node) must be legal edge by edge and reach
-/// `period`, recomputed from scratch. Up to kExactRetimingLimit nodes FEAS
-/// must also reach `period` with `stages` and fail with `stages` - 1; above
-/// it an empty witness fails the check.
-std::optional<std::string> audit_period(const Circuit& mapped, std::int64_t period, int stages,
-                                        std::span<const int> witness = {});
+/// register stages, against `mdr` (the MDR audit_mdr certifies). `period`
+/// must be >= mdr. The `witness` (one lag per node, required) must be legal
+/// edge by edge and reach `period`, recomputed from scratch. With stages > 0
+/// a slow path must prove stages - 1 too few; unless period is
+/// max(1, ceil(mdr)), a slow path must prove period - 1 out of reach.
+std::optional<std::string> audit_period(const Circuit& mapped, const Rational& mdr,
+                                        std::int64_t period, int stages,
+                                        std::span<const int> witness);
 
 /// Full post-flow audit of `result` for `input`. Stages whose artifacts are
 /// absent (FlowSYN-s, collect_artifacts off, pipelining disabled) report

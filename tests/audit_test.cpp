@@ -8,7 +8,7 @@
 #include "core/flows.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/gates.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "oracle.hpp"
 #include "retime/pipeline.hpp"
 #include "retime/retiming.hpp"
 #include "workloads/generator.hpp"
@@ -43,11 +43,20 @@ TEST(AuditFlow, CleanTurboSynPassesEveryStage) {
 }
 
 TEST(AuditFlow, CleanTurboMapPeriodPassesEveryStage) {
-  const Circuit c = generate_fsm_circuit(tiny_suite()[1]);
+  // Under default options (pipelining on) the clock-period engine keeps its
+  // mapped network un-retimed like every other flow, so the equivalence
+  // check holds from cycle 0.
+  std::vector<BenchmarkSpec> specs = tiny_suite();
+  for (const BenchmarkSpec& spec : table1_suite()) {
+    if (spec.num_gates <= 200) specs.push_back(spec);
+  }
   const FlowOptions opt = audited_options();
-  const FlowResult tm = run_turbomap_period(c, opt);
-  const AuditReport report = audit_flow(c, tm, opt);
-  EXPECT_TRUE(report.passed()) << report.breakdown();
+  for (const BenchmarkSpec& spec : specs) {
+    const Circuit c = generate_fsm_circuit(spec);
+    const FlowResult tm = run_turbomap_period(c, opt);
+    const AuditReport report = audit_flow(c, tm, opt);
+    EXPECT_TRUE(report.passed()) << spec.name << '\n' << report.breakdown();
+  }
 }
 
 TEST(AuditFlow, FlowSynSSkipsLabelStagesButPasses) {
@@ -219,37 +228,62 @@ TEST(AuditRetiming, CatchesNegativeEdgeAndPinnedLag) {
 TEST(AuditMdr, CatchesPhiViolatingLoop) {
   // 3-gate ring with one register: MDR = 3/1. Certifying phi = 2 is a lie.
   const Circuit ring = ring_circuit(3, 1);
-  ASSERT_EQ(circuit_mdr(ring).ratio, Rational(3));
+  ASSERT_EQ(oracle::circuit_mdr(ring).ratio, Rational(3));
   EXPECT_FALSE(audit_mdr(ring, 3, Rational(3)).has_value());
 
   const auto phi_violation = audit_mdr(ring, 2, Rational(3));
   ASSERT_TRUE(phi_violation.has_value());
   EXPECT_NE(phi_violation->find("exceeds"), std::string::npos) << *phi_violation;
 
-  const auto wrong_claim = audit_mdr(ring, 3, Rational(2));
-  ASSERT_TRUE(wrong_claim.has_value());
-  EXPECT_NE(wrong_claim->find("binary search recomputes"), std::string::npos) << *wrong_claim;
+  // Claims on either side of the true ratio have no certificate.
+  const auto too_low = audit_mdr(ring, 3, Rational(2));
+  ASSERT_TRUE(too_low.has_value());
+  EXPECT_NE(too_low->find("violates the potentials"), std::string::npos) << *too_low;
+  const auto too_high = audit_mdr(ring, 4, Rational(7, 2));
+  ASSERT_TRUE(too_high.has_value());
+  EXPECT_NE(too_high->find("no cycle attains"), std::string::npos) << *too_high;
 }
 
 TEST(AuditPeriod, CatchesPeriodBelowMdrBound) {
   const Circuit ring = ring_circuit(3, 1);  // MDR 3: period 1 is impossible
-  const auto failure = audit_period(ring, 1, 0);
+  const auto failure = audit_period(ring, Rational(3), 1, 0, std::vector<int>{});
   ASSERT_TRUE(failure.has_value());
   EXPECT_NE(failure->find("below the MDR lower bound"), std::string::npos) << *failure;
   // Period 3 with no pipelining is achievable (retiming spreads the ring).
-  EXPECT_FALSE(audit_period(ring, 3, 0).has_value());
+  const PipelineResult p = retime_without_pipelining(ring, Rational(3));
+  ASSERT_EQ(p.period, 3);
+  EXPECT_FALSE(audit_period(ring, Rational(3), 3, 0, p.retiming).has_value());
+}
+
+/// One lag less on every node but the PIs and POs: `lags` pipelined by one
+/// stage more. Legal, with no larger period.
+std::vector<int> one_stage_deeper(const Circuit& c, std::vector<int> lags) {
+  for (NodeId v = 0; v < c.num_nodes(); ++v) {
+    if (!c.is_pi(v) && !c.is_po(v)) --lags[static_cast<std::size_t>(v)];
+  }
+  return lags;
 }
 
 TEST(AuditPeriod, ChecksTheWitnessAndMinimality) {
   const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
-  const PipelineResult p = pipeline_and_retime(c, circuit_mdr(c).ratio);
+  const Rational mdr = oracle::circuit_mdr(c).ratio;
+  const PipelineResult p = pipeline_and_retime(c, mdr);
   ASSERT_GT(p.stages, 0);
-  EXPECT_FALSE(audit_period(c, p.period, p.stages, p.retiming).has_value());
+  EXPECT_FALSE(audit_period(c, mdr, p.period, p.stages, p.retiming).has_value());
 
   // One stage more than the minimum is reachable but not minimal.
-  const auto extra = audit_period(c, p.period, p.stages + 1);
+  const std::vector<int> deeper = one_stage_deeper(c, p.retiming);
+  const auto extra = audit_period(c, mdr, p.period, p.stages + 1, deeper);
   ASSERT_TRUE(extra.has_value());
   EXPECT_NE(extra->find("is not the minimum"), std::string::npos) << *extra;
+
+  // Without pipelining, a period above the minimum is reachable but not
+  // minimal either.
+  const PipelineResult plain = retime_without_pipelining(c, mdr);
+  EXPECT_FALSE(audit_period(c, mdr, plain.period, 0, plain.retiming).has_value());
+  const auto slack = audit_period(c, mdr, plain.period + 1, 0, plain.retiming);
+  ASSERT_TRUE(slack.has_value());
+  EXPECT_NE(slack->find("is not the minimum"), std::string::npos) << *slack;
 
   // A witness that drives an edge negative is illegal.
   std::vector<int> illegal = p.retiming;
@@ -259,7 +293,7 @@ TEST(AuditPeriod, ChecksTheWitnessAndMinimality) {
       break;
     }
   }
-  const auto bad_lag = audit_period(c, p.period, p.stages, illegal);
+  const auto bad_lag = audit_period(c, mdr, p.period, p.stages, illegal);
   ASSERT_TRUE(bad_lag.has_value());
   EXPECT_NE(bad_lag->find("negative weight"), std::string::npos) << *bad_lag;
 
@@ -269,9 +303,79 @@ TEST(AuditPeriod, ChecksTheWitnessAndMinimality) {
   pipeline_outputs(piped, p.stages);
   ASSERT_GT(circuit_clock_period(piped), p.period);
   const std::vector<int> zero(static_cast<std::size_t>(c.num_nodes()), 0);
-  const auto slow = audit_period(c, p.period, p.stages, zero);
+  const auto slow = audit_period(c, mdr, p.period, p.stages, zero);
   ASSERT_TRUE(slow.has_value());
   EXPECT_NE(slow->find("above the claimed"), std::string::npos) << *slow;
+}
+
+// ---- Each certificate mutation fails its check. ----
+
+TEST(AuditCertificate, DroppedCycleEdgeFails) {
+  const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
+  const Rational mdr = oracle::circuit_mdr(c).ratio;
+  MdrCertificate cert = mdr_certificate(c, mdr);
+  ASSERT_FALSE(cert.cycle.empty());
+  EXPECT_FALSE(check_mdr_certificate(c, mdr, cert).has_value());
+  cert.cycle.erase(cert.cycle.begin());
+  const auto failure = check_mdr_certificate(c, mdr, cert);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_NE(failure->find("cycle"), std::string::npos) << *failure;
+}
+
+TEST(AuditCertificate, ShiftedPotentialFails) {
+  const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
+  const Rational mdr = oracle::circuit_mdr(c).ratio;
+  const MdrCertificate cert = mdr_certificate(c, mdr);
+  ASSERT_FALSE(cert.cycle.empty());
+  // Every edge of the critical cycle is tight, so moving one of its nodes'
+  // potential either way breaks an edge of the cycle.
+  const NodeId on_cycle = c.edge(cert.cycle[0]).to;
+  for (const int shift : {1, -1}) {
+    MdrCertificate shifted = cert;
+    shifted.potential[static_cast<std::size_t>(on_cycle)] += shift;
+    const auto failure = check_mdr_certificate(c, mdr, shifted);
+    ASSERT_TRUE(failure.has_value()) << shift;
+    EXPECT_NE(failure->find("violates the potentials"), std::string::npos) << *failure;
+  }
+}
+
+TEST(AuditCertificate, ShortenedPathFails) {
+  const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
+  const PipelineResult p = pipeline_and_retime(c, oracle::circuit_mdr(c).ratio);
+  ASSERT_GT(p.stages, 0);
+  const std::vector<EdgeId> path = slowest_io_path(c, p.period);
+  ASSERT_FALSE(path.empty());
+  EXPECT_FALSE(check_slow_path(c, path, p.period, p.stages - 1).has_value());
+  for (const bool drop_first : {true, false}) {
+    std::vector<EdgeId> shorter = path;
+    shorter.erase(drop_first ? shorter.begin() : shorter.end() - 1);
+    const auto failure = check_slow_path(c, shorter, p.period, p.stages - 1);
+    ASSERT_TRUE(failure.has_value()) << drop_first;
+    EXPECT_NE(failure->find("does not run from a PI to a PO"), std::string::npos) << *failure;
+  }
+}
+
+TEST(AuditCertificate, OffByOneWitnessLagFails) {
+  const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
+  const Rational mdr = oracle::circuit_mdr(c).ratio;
+  const PipelineResult p = pipeline_and_retime(c, mdr);
+  ASSERT_FALSE(audit_period(c, mdr, p.period, p.stages, p.retiming).has_value());
+  // Raise the lag at the tail of an edge the witness leaves register-free:
+  // that edge goes negative.
+  Circuit retimed = c;
+  pipeline_inputs(retimed, p.stages);
+  pipeline_outputs(retimed, p.stages);
+  apply_retiming(retimed, p.retiming);
+  EdgeId tight = kNoEdge;
+  for (EdgeId e = 0; e < retimed.num_edges() && tight == kNoEdge; ++e) {
+    if (retimed.edge(e).weight == 0 && c.is_gate(retimed.edge(e).from)) tight = e;
+  }
+  ASSERT_NE(tight, kNoEdge);
+  std::vector<int> off = p.retiming;
+  ++off[static_cast<std::size_t>(c.edge(tight).from)];
+  const auto failure = audit_period(c, mdr, p.period, p.stages, off);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_NE(failure->find("negative weight"), std::string::npos) << *failure;
 }
 
 TEST(AuditFlow, CatchesInequivalentMappedNetwork) {
@@ -294,7 +398,7 @@ TEST(AuditFlow, CatchesInequivalentMappedNetwork) {
 )");
   FlowResult forged;
   forged.mapped = bad;
-  forged.exact_mdr = circuit_mdr(bad).ratio;
+  forged.exact_mdr = oracle::circuit_mdr(bad).ratio;
   forged.phi = 10;  // generous: keep the mdr stage green, isolate equivalence
   forged.period = 0;  // skip the period stage; equivalence is the target
   const AuditReport report = audit_flow(good, forged, FlowOptions{});

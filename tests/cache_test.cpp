@@ -24,18 +24,15 @@
 #include "verify/audit.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
+#include "test_dir.hpp"
 
 namespace turbosyn {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh per-test directory under the gtest temp root.
 fs::path test_dir(const std::string& leaf) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("ts_cache_test_" + leaf);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
+  return unique_test_dir("ts_cache_test_", leaf);
 }
 
 std::string fingerprint(const FlowResult& r) {

@@ -36,6 +36,7 @@
 #include "service/batch_runner.hpp"
 #include "verify/audit.hpp"
 #include "workloads/samples.hpp"
+#include "test_dir.hpp"
 
 namespace turbosyn {
 namespace {
@@ -43,10 +44,7 @@ namespace {
 namespace fs = std::filesystem;
 
 fs::path test_dir(const std::string& leaf) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("ts_fault_test_" + leaf);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
+  return unique_test_dir("ts_fault_test_", leaf);
 }
 
 FlowOptions small_options() {

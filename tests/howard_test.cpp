@@ -1,11 +1,12 @@
-// Howard's algorithm cross-checked against the Bellman–Ford cycle-ratio
-// engine on hand-built circuits and the synthetic suites.
+// Howard's algorithm cross-checked against the binary-search + Bellman–Ford
+// cycle-ratio oracle (oracle.hpp) on hand-built circuits and the synthetic
+// suites.
 
 #include <gtest/gtest.h>
 
 #include "base/check.hpp"
 #include "netlist/gates.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "oracle.hpp"
 #include "retime/howard.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
@@ -54,14 +55,14 @@ class HowardVsBellmanFord : public ::testing::TestWithParam<int> {};
 TEST_P(HowardVsBellmanFord, EnginesAgreeOnSuiteCircuits) {
   const auto specs = tiny_suite();
   const Circuit c = generate_fsm_circuit(specs[static_cast<std::size_t>(GetParam()) % specs.size()]);
-  EXPECT_EQ(howard_of(c).ratio, circuit_mdr(c).ratio);
+  EXPECT_EQ(howard_of(c).ratio, oracle::circuit_mdr(c).ratio);
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, HowardVsBellmanFord, ::testing::Range(0, 6));
 
 TEST(Howard, AgreesOnTable1Circuit) {
   const Circuit c = generate_fsm_circuit(table1_suite()[0]);
-  EXPECT_EQ(howard_of(c).ratio, circuit_mdr(c).ratio);
+  EXPECT_EQ(howard_of(c).ratio, oracle::circuit_mdr(c).ratio);
 }
 
 TEST(Howard, CombinationalLoopThrows) {

@@ -13,7 +13,7 @@
 #include "decomp/gate_decomp.hpp"
 #include "mapping/dedupe.hpp"
 #include "netlist/blif.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "oracle.hpp"
 #include "retime/howard.hpp"
 #include "sim/simulator.hpp"
 #include "verify/equiv.hpp"
@@ -61,7 +61,7 @@ TEST(Integration, LfsrHasFullPeriodStructure) {
   // gate count, FF count and that the state evolves (non-constant output).
   const Circuit c = lfsr_circuit(5, std::vector<int>{2, 3});
   EXPECT_EQ(c.num_gates(), 5);
-  EXPECT_EQ(circuit_mdr(c).ratio, Rational(1));  // every loop edge registered
+  EXPECT_EQ(oracle::circuit_mdr(c).ratio, Rational(1));  // every loop edge registered
   Simulator sim(c);
   std::vector<bool> outs;
   std::vector<bool> inputs = {true, false, false, false, false, false, false, false};
@@ -104,7 +104,7 @@ TEST_P(SampleFlowIntegration, TurboSynOnSamplesEndToEnd) {
     delay[static_cast<std::size_t>(v)] = r.mapped.delay(v);
   }
   EXPECT_EQ(max_cycle_ratio_howard(r.mapped.to_digraph(), delay).ratio,
-            circuit_mdr(r.mapped).ratio);
+            oracle::circuit_mdr(r.mapped).ratio);
 }
 
 INSTANTIATE_TEST_SUITE_P(Samples, SampleFlowIntegration, ::testing::Range(0, 4));

@@ -14,7 +14,7 @@
 #include "core/mapgen.hpp"
 #include "graph/scc.hpp"
 #include "netlist/gates.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "oracle.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
@@ -131,7 +131,7 @@ TEST(Labeling, FeasibilityIsMonotoneInPhiAndK) {
 TEST(Labeling, IdentityMappingRatioIsAlwaysFeasible) {
   for (const auto& spec : tiny_suite()) {
     const Circuit c = generate_fsm_circuit(spec);
-    const int ub = static_cast<int>(std::max<std::int64_t>(1, circuit_mdr(c).ratio.ceil()));
+    const int ub = static_cast<int>(std::max<std::int64_t>(1, oracle::circuit_mdr(c).ratio.ceil()));
     EXPECT_TRUE(compute_labels(c, ub, turbomap_options(5)).feasible) << spec.name;
   }
 }
@@ -198,7 +198,7 @@ TEST(Labeling, MappedMdrNeverExceedsPhiAcrossSuite) {
     LabelStats stats;
     MapGenOptions mopts;
     const Circuit mapped = generate_sequential_mapping(c, r, phi, lo, mopts, stats);
-    EXPECT_LE(circuit_mdr(mapped).ratio, Rational(phi)) << spec.name;
+    EXPECT_LE(oracle::circuit_mdr(mapped).ratio, Rational(phi)) << spec.name;
   }
 }
 

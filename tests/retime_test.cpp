@@ -6,7 +6,8 @@
 #include "base/rng.hpp"
 #include "core/flows.hpp"
 #include "netlist/gates.hpp"
-#include "retime/cycle_ratio.hpp"
+#include "oracle.hpp"
+#include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
 #include "retime/retiming.hpp"
 #include "sim/simulator.hpp"
@@ -39,29 +40,41 @@ TEST(ClockPeriod, LongestCombinationalPath) {
   EXPECT_EQ(circuit_clock_period(pipeline_chain(std::vector<int>{0, 0, 1, 0})), 2);
 }
 
+/// The product's retiming without pipelining: the least period from the
+/// label scan, applied through its witness.
+std::int64_t retime_by_labels(Circuit& c) {
+  const PipelineResult p = retime_without_pipelining(c, circuit_mdr_howard(c).ratio);
+  EXPECT_EQ(p.stages, 0);
+  apply_retiming(c, p.retiming);
+  return p.period;
+}
+
 TEST(Retiming, BalancesAPipeline) {
   // All registers piled at the input: retiming should spread them out.
   Circuit c = pipeline_chain(std::vector<int>{3, 0, 0, 0});
   EXPECT_EQ(circuit_clock_period(c), 3);
-  EXPECT_EQ(retime_min_period(c), 1);
+  Circuit by_oracle = c;
+  EXPECT_EQ(retime_by_labels(c), 1);
   EXPECT_EQ(circuit_clock_period(c), 1);
+  EXPECT_EQ(oracle::retime_min_period(by_oracle), 1);
+  EXPECT_EQ(circuit_clock_period(by_oracle), 1);
 }
 
 TEST(Retiming, PreservesCycleWeights) {
   Circuit c = generate_fsm_circuit(tiny_suite()[1]);
   const Digraph before = c.to_digraph();
-  const auto mdr_before = circuit_mdr(c);
-  retime_min_period(c);
+  const auto mdr_before = oracle::circuit_mdr(c);
+  retime_by_labels(c);
   // Retiming is a potential transformation: every cycle keeps its register
   // count, so the MDR ratio is invariant.
-  EXPECT_EQ(circuit_mdr(c).ratio, mdr_before.ratio);
+  EXPECT_EQ(oracle::circuit_mdr(c).ratio, mdr_before.ratio);
   EXPECT_EQ(c.num_edges(), before.num_edges());
 }
 
 TEST(Retiming, PipelineBehaviorPreservedAfterWarmup) {
   Circuit original = pipeline_chain(std::vector<int>{3, 0, 0, 0});
   Circuit retimed = original;
-  retime_min_period(retimed);
+  retime_by_labels(retimed);
   Rng rng(41);
   const auto stimulus = random_stimulus(rng, 1, 64);
   const auto a = simulate_sequence(original, stimulus);
@@ -74,23 +87,59 @@ TEST(Retiming, PipelineBehaviorPreservedAfterWarmup) {
 TEST(Retiming, InfeasibleBelowMdrBound) {
   // Ring of 4 gates, 2 registers: MDR = 2, so period 1 is impossible under
   // retiming alone.
-  const Circuit c = ring_circuit(4, 2);
+  Circuit c = ring_circuit(4, 2);
   const Digraph g = c.to_digraph();
-  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
-  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
-  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
-  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
-  EXPECT_FALSE(feasible_retiming(g, delay, 1, pinned).has_value());
-  EXPECT_TRUE(feasible_retiming(g, delay, 2, pinned).has_value());
+  const std::vector<int> delay = oracle::circuit_delays(c);
+  const std::vector<NodeId> pinned = oracle::circuit_io(c);
+  EXPECT_FALSE(oracle::feasible_retiming(g, delay, 1, pinned).has_value());
+  EXPECT_TRUE(oracle::feasible_retiming(g, delay, 2, pinned).has_value());
+  EXPECT_EQ(retime_by_labels(c), 2);
 }
 
 TEST(Retiming, MinPeriodNeverExceedsInitialPeriod) {
   for (const auto& spec : tiny_suite()) {
     Circuit c = generate_fsm_circuit(spec);
     const std::int64_t before = circuit_clock_period(c);
-    const std::int64_t after = retime_min_period(c);
+    const std::int64_t after = retime_by_labels(c);
     EXPECT_LE(after, before) << spec.name;
     EXPECT_EQ(after, circuit_clock_period(c)) << spec.name;
+  }
+}
+
+/// turbomap_period's period (the label scan) equals the least period the
+/// W/D oracle finds for the same mapped network, and the flow's witness
+/// reaches it.
+void expect_label_scan_matches_wd(const Circuit& input, const std::string& name) {
+  const FlowResult r = run_turbomap_period(input, FlowOptions{});
+  ASSERT_EQ(r.status, Status::kOk) << name;
+  EXPECT_EQ(r.pipeline_stages, 0) << name;
+  const oracle::RetimeResult wd = oracle::min_period_retiming(
+      r.mapped.to_digraph(), oracle::circuit_delays(r.mapped), oracle::circuit_io(r.mapped));
+  EXPECT_EQ(r.period, wd.period) << name;
+  Circuit retimed = r.mapped;
+  apply_retiming(retimed, r.retiming);
+  EXPECT_EQ(circuit_clock_period(retimed), r.period) << name;
+}
+
+/// Small mapped-network-sized circuits for the W/D oracle.
+BenchmarkSpec oracle_spec(std::uint64_t seed) {
+  BenchmarkSpec spec;
+  spec.name = "oracle" + std::to_string(seed);
+  spec.seed = 9100 + seed;
+  spec.num_pis = 4;
+  spec.num_pos = 3;
+  spec.num_gates = 60;
+  spec.feedback = 0.08;
+  spec.locality = 10;
+  return spec;
+}
+
+TEST(Retiming, LabelScanMatchesWdMinimumOnSuiteCircuits) {
+  std::vector<BenchmarkSpec> specs = tiny_suite();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) specs.push_back(oracle_spec(seed));
+  for (const BenchmarkSpec& spec : table1_suite()) specs.push_back(spec);
+  for (const BenchmarkSpec& spec : specs) {
+    expect_label_scan_matches_wd(generate_fsm_circuit(spec), spec.name);
   }
 }
 
@@ -98,22 +147,21 @@ TEST(Retiming, MinPeriodNeverExceedsInitialPeriod) {
 
 TEST(CycleRatio, AcyclicIsZero) {
   const Circuit c = pipeline_chain(std::vector<int>{1, 0, 1, 0});
-  EXPECT_EQ(circuit_mdr(c).ratio, Rational(0));
-  EXPECT_TRUE(circuit_mdr(c).critical_cycle.empty());
+  EXPECT_EQ(oracle::circuit_mdr(c).ratio, Rational(0));
+  EXPECT_TRUE(oracle::circuit_mdr(c).critical_cycle.empty());
 }
 
 TEST(CycleRatio, RingHasExactRationalRatio) {
-  EXPECT_EQ(circuit_mdr(ring_circuit(5, 2)).ratio, Rational(5, 2));
-  EXPECT_EQ(circuit_mdr(ring_circuit(7, 3)).ratio, Rational(7, 3));
-  EXPECT_EQ(circuit_mdr(ring_circuit(4, 4)).ratio, Rational(1));
+  EXPECT_EQ(oracle::circuit_mdr(ring_circuit(5, 2)).ratio, Rational(5, 2));
+  EXPECT_EQ(oracle::circuit_mdr(ring_circuit(7, 3)).ratio, Rational(7, 3));
+  EXPECT_EQ(oracle::circuit_mdr(ring_circuit(4, 4)).ratio, Rational(1));
 }
 
 TEST(CycleRatio, CriticalCycleAchievesTheRatio) {
   const Circuit c = generate_fsm_circuit(tiny_suite()[3]);
   const Digraph g = c.to_digraph();
-  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
-  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
-  const CycleRatioResult r = max_delay_to_register_ratio(g, delay);
+  const std::vector<int> delay = oracle::circuit_delays(c);
+  const CycleRatioResult r = oracle::max_delay_to_register_ratio(g, delay);
   ASSERT_FALSE(r.critical_cycle.empty());
   std::int64_t d_sum = 0;
   std::int64_t w_sum = 0;
@@ -123,8 +171,8 @@ TEST(CycleRatio, CriticalCycleAchievesTheRatio) {
   }
   EXPECT_EQ(Rational(d_sum, w_sum), r.ratio);
   // Decision procedure agrees on both sides of the ratio.
-  EXPECT_FALSE(has_cycle_above_ratio(g, delay, r.ratio));
-  EXPECT_TRUE(has_cycle_above_ratio(g, delay, r.ratio - Rational(1, 1000)));
+  EXPECT_FALSE(oracle::has_cycle_above_ratio(g, delay, r.ratio));
+  EXPECT_TRUE(oracle::has_cycle_above_ratio(g, delay, r.ratio - Rational(1, 1000)));
 }
 
 TEST(CycleRatio, CombinationalLoopThrows) {
@@ -138,16 +186,10 @@ TEST(CycleRatio, CombinationalLoopThrows) {
   const Circuit::FaninSpec f2[1] = {{g1, 0}};
   c.finish_gate(g2, tt_not(), f2);
   c.add_po("$po:o", {g2, 0});
-  EXPECT_THROW((void)circuit_mdr(c), Error);
+  EXPECT_THROW((void)oracle::circuit_mdr(c), Error);
 }
 
 // ---- pipelining ----
-
-std::vector<NodeId> io_of(const Circuit& c) {
-  std::vector<NodeId> pinned(c.pis().begin(), c.pis().end());
-  pinned.insert(pinned.end(), c.pos().begin(), c.pos().end());
-  return pinned;
-}
 
 Circuit pipelined_copy(const Circuit& c, int stages) {
   Circuit piped = c;
@@ -159,7 +201,7 @@ Circuit pipelined_copy(const Circuit& c, int stages) {
 /// `c` pipelined by the result's stages and retimed by its witness, which
 /// must keep every PI and PO at lag 0 (apply_retiming rejects an illegal one).
 Circuit realize(const Circuit& c, const PipelineResult& p) {
-  for (const NodeId v : io_of(c)) EXPECT_EQ(p.retiming[static_cast<std::size_t>(v)], 0);
+  for (const NodeId v : oracle::circuit_io(c)) EXPECT_EQ(p.retiming[static_cast<std::size_t>(v)], 0);
   Circuit piped = pipelined_copy(c, p.stages);
   apply_retiming(piped, p.retiming);
   return piped;
@@ -169,7 +211,7 @@ TEST(Pipelining, ReachesTheMdrBoundOnPipelines) {
   // Purely feed-forward circuit: MDR = 0, so pipelining reaches period 1.
   // Four gates need three registers on the path: two stages at each end.
   const Circuit c = pipeline_chain(std::vector<int>{0, 0, 0, 0, 0});
-  const PipelineResult p = pipeline_and_retime(c, circuit_mdr(c).ratio);
+  const PipelineResult p = pipeline_and_retime(c, oracle::circuit_mdr(c).ratio);
   EXPECT_EQ(p.period, 1);
   EXPECT_EQ(p.stages, 2);
   EXPECT_EQ(circuit_clock_period(realize(c, p)), 1);
@@ -189,7 +231,7 @@ TEST(Pipelining, StagesShiftOutputsByStages) {
 TEST(Pipelining, SuiteCircuitsReachCeilOfMdr) {
   for (const auto& spec : tiny_suite()) {
     const Circuit c = generate_fsm_circuit(spec);
-    const Rational mdr = circuit_mdr(c).ratio;
+    const Rational mdr = oracle::circuit_mdr(c).ratio;
     const PipelineResult p = pipeline_and_retime(c, mdr);
     EXPECT_EQ(p.period, std::max<std::int64_t>(1, mdr.ceil())) << spec.name;
     EXPECT_EQ(circuit_clock_period(realize(c, p)), p.period) << spec.name;
@@ -199,26 +241,26 @@ TEST(Pipelining, SuiteCircuitsReachCeilOfMdr) {
 // ---- the label formula against Leiserson–Saxe FEAS ----
 
 /// For every period c from max(1, ceil(MDR)) to the un-retimed clock period:
-/// the formula's depth s(c) is feasible under one-shot FEAS on an explicitly
-/// pipelined copy, s(c) - 1 is not, and the witness is legal and meets c.
+/// the formula's depth s(c) is feasible under the W/D oracle's FEAS on an
+/// explicitly pipelined copy, s(c) - 1 is not, and the witness is legal and
+/// meets c.
 void expect_formula_matches_feas(const Circuit& c, const std::string& name) {
-  ASSERT_LE(c.num_nodes(), kExactRetimingLimit) << name;
-  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
-  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
-  const std::vector<NodeId> pinned = io_of(c);
-  const std::int64_t lo = std::max<std::int64_t>(1, circuit_mdr(c).ratio.ceil());
+  const std::vector<int> delay = oracle::circuit_delays(c);
+  const std::vector<NodeId> pinned = oracle::circuit_io(c);
+  const std::int64_t lo = std::max<std::int64_t>(1, oracle::circuit_mdr(c).ratio.ceil());
   const std::int64_t hi = circuit_clock_period(c);
   ASSERT_LE(lo, hi) << name;
   for (std::int64_t period = lo; period <= hi; ++period) {
     const PipelineResult p = pipeline_and_retime(c, Rational(period));
     const std::string at = name + " period " + std::to_string(period);
     ASSERT_EQ(p.period, period) << at;
-    EXPECT_TRUE(feasible_retiming(pipelined_copy(c, p.stages).to_digraph(), delay, period, pinned)
+    EXPECT_TRUE(oracle::feasible_retiming(pipelined_copy(c, p.stages).to_digraph(), delay, period,
+                                          pinned)
                     .has_value())
         << at << " stages " << p.stages;
     if (p.stages > 0) {
-      EXPECT_FALSE(feasible_retiming(pipelined_copy(c, p.stages - 1).to_digraph(), delay, period,
-                                     pinned)
+      EXPECT_FALSE(oracle::feasible_retiming(pipelined_copy(c, p.stages - 1).to_digraph(), delay,
+                                             period, pinned)
                        .has_value())
           << at << " stages " << p.stages - 1;
     }
@@ -237,14 +279,7 @@ TEST(Pipelining, LabelFormulaMatchesFeasOnPipelinedCopies) {
   FlowOptions opt;
   opt.pipeline = false;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    BenchmarkSpec spec;
-    spec.name = "oracle" + std::to_string(seed);
-    spec.seed = 9100 + seed;
-    spec.num_pis = 4;
-    spec.num_pos = 3;
-    spec.num_gates = 60;
-    spec.feedback = 0.08;
-    spec.locality = 10;
+    const BenchmarkSpec spec = oracle_spec(seed);
     expect_formula_matches_feas(run_turbomap(generate_fsm_circuit(spec), opt).mapped, spec.name);
   }
   std::vector<BenchmarkSpec> table1 = table1_suite();
@@ -273,8 +308,9 @@ TEST(Pipelining, PipelinedFlowRunsOneLabelPass) {
   }
 }
 
-TEST(Pipelining, ExactAboveTheWdLimitAndAuditedThroughTheWitness) {
-  // Wide I/O keeps the mapped network above the 1500-node W/D limit.
+TEST(Pipelining, LargeNetworkIsExactAndAuditedThroughTheWitness) {
+  // Wide I/O keeps the mapped network above 1500 nodes: no size limit
+  // applies to the flows or to the audit.
   BenchmarkSpec spec;
   spec.name = "wide_io";
   spec.seed = 4242;
@@ -286,14 +322,26 @@ TEST(Pipelining, ExactAboveTheWdLimitAndAuditedThroughTheWitness) {
   const Circuit c = generate_fsm_circuit(spec);
   FlowOptions opt;
   const FlowResult r = run_turbomap(c, opt);
-  ASSERT_GT(r.mapped.num_nodes(), kExactRetimingLimit);
-  EXPECT_EQ(r.period, std::max<std::int64_t>(1, circuit_mdr(r.mapped).ratio.ceil()));
+  ASSERT_GT(r.mapped.num_nodes(), 1500);
+  EXPECT_EQ(r.period, std::max<std::int64_t>(1, oracle::circuit_mdr(r.mapped).ratio.ceil()));
   const AuditReport report = audit_flow(c, r, opt, AuditOptions{});
   EXPECT_TRUE(report.passed()) << report.breakdown();
-  // Without the witness the audit cannot confirm the claim, and says so.
-  const auto unwitnessed = audit_period(r.mapped, r.period, r.pipeline_stages);
+  // The period audit stands on the witness: without one, or with one lag
+  // moved off a PO, the claim fails.
+  const auto unwitnessed =
+      audit_period(r.mapped, r.exact_mdr, r.period, r.pipeline_stages, std::vector<int>{});
   ASSERT_TRUE(unwitnessed.has_value());
-  EXPECT_NE(unwitnessed->find("no retiming witness"), std::string::npos) << *unwitnessed;
+  EXPECT_NE(unwitnessed->find("witness"), std::string::npos) << *unwitnessed;
+  std::vector<int> moved = r.retiming;
+  moved[static_cast<std::size_t>(r.mapped.pos()[0])] += 1;
+  EXPECT_TRUE(
+      audit_period(r.mapped, r.exact_mdr, r.period, r.pipeline_stages, moved).has_value());
+
+  // The clock-period engine is exact at this size too.
+  const FlowResult period = run_turbomap_period(c, opt);
+  ASSERT_GT(period.mapped.num_nodes(), 1500);
+  const AuditReport period_report = audit_flow(c, period, opt, AuditOptions{});
+  EXPECT_TRUE(period_report.passed()) << period_report.breakdown();
 }
 
 }  // namespace

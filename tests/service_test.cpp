@@ -52,18 +52,15 @@
 #include "service/mapping_server.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
+#include "test_dir.hpp"
 
 namespace turbosyn {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh per-test directory under the gtest temp root.
 fs::path test_dir(const std::string& leaf) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("ts_service_test_" + leaf);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
+  return unique_test_dir("ts_service_test_", leaf);
 }
 
 /// Minimal raw protocol client (the daemon speaks '\n'-terminated lines).
