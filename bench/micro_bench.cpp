@@ -390,44 +390,30 @@ void BM_CacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheHit)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Portfolio race over the registry engines, sequential (Arg 0: engines run
-// in list order, dominated engines are skipped) vs concurrent (Arg 1: lanes
-// race over the shared pool with first-to-certificate cancellation). Emit
-// machine-readable results with
+// Portfolio race over the registry engines: every engine runs once, in list
+// order, and the best certificate ships. Emit machine-readable results with
 //   micro_bench --benchmark_filter=BM_Portfolio
 //               --benchmark_out=BENCH_portfolio.json --benchmark_out_format=json
-// The sequential variant's cancelled_engines / probes counters are
-// deterministic replays and feed the bench gate; the concurrent variant
-// emits only winner-side counters (which losers got far enough to record
-// probes is scheduler-dependent).
+// The probes counter is a deterministic replay and feeds the bench gate.
 void BM_Portfolio(benchmark::State& state) {
-  const bool concurrent = state.range(0) == 1;
   const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
   std::vector<const EngineSpec*> engines;
   const std::string invalid = parse_portfolio("turbomap,turbosyn,flowsyn_s", engines);
   TS_CHECK(invalid.empty(), invalid);
   FlowOptions opt;
-  PortfolioOptions popt;
-  popt.concurrent = concurrent;
   FlowResult r;
   for (auto _ : state) {
-    r = run_portfolio(engines, c, opt, popt);
+    r = run_portfolio(engines, c, opt);
     benchmark::DoNotOptimize(r);
   }
   state.counters["phi"] = benchmark::Counter(static_cast<double>(r.phi));
   const EngineSpec* winner = find_engine(r.engine);
   state.counters["winner_strength"] =
       benchmark::Counter(winner != nullptr ? static_cast<double>(winner->strength) : -1.0);
-  if (!concurrent) {
-    double cancelled = 0.0;
-    for (const EngineRun& row : r.portfolio) cancelled += row.cancelled ? 1.0 : 0.0;
-    state.counters["cancelled_engines"] = benchmark::Counter(cancelled);
-    state.counters["probes"] = benchmark::Counter(static_cast<double>(r.probes.size()));
-  }
+  state.counters["probes"] = benchmark::Counter(static_cast<double>(r.probes.size()));
   state.counters["flow_seconds"] = benchmark::Counter(r.seconds);
 }
-BENCHMARK(BM_Portfolio)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_Portfolio)->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // Batch multi-circuit scheduler, cold (Arg 0: every iteration starts from an
 // empty artifact cache and populates it) vs warm (Arg 1: the cache is

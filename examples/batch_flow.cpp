@@ -43,7 +43,7 @@ void print_summary(const BatchSummary& summary) {
             << " quarantined, " << summary.seconds << " s\n";
   for (const BatchRecord& record : summary.records) {
     std::cout << "  " << record.name << " ["
-              << (record.portfolio.empty() ? flow_kind_name(record.flow) : "portfolio")
+              << (record.engine.empty() ? flow_kind_name(record.flow) : "portfolio")
               << " K=" << record.k << "] ";
     if (record.skipped) {
       std::cout << "skipped\n";

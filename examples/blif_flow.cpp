@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
     const FlowResult result =
         engines.empty()
             ? run_flow_cached(kind, input, options, cache ? &*cache : nullptr, &cache_info)
-            : run_portfolio_cached(engines, input, options, PortfolioOptions{},
-                                   cache ? &*cache : nullptr, &cache_info);
+            : run_portfolio_cached(engines, input, options, cache ? &*cache : nullptr,
+                                   &cache_info);
     if (cache) {
       std::cout << "cache: " << (cache_info.hit ? "hit (probe ledger replayed)"
                                                 : cache_info.stored ? "miss (stored)" : "miss")
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       for (const EngineRun& row : result.portfolio) {
         std::cout << "  " << row.name << ": status " << status_name(row.status)
                   << (row.certified ? ", certified phi " + std::to_string(row.phi) : "")
-                  << (row.cancelled ? ", cancelled" : "") << ", " << row.seconds << " s\n";
+                  << ", " << row.seconds << " s\n";
       }
     }
     std::cout << tag << ": phi = " << result.phi << ", exact MDR = " << result.exact_mdr

@@ -96,15 +96,6 @@ RunBudget RunBudget::fork() const {
   return child;
 }
 
-void RunBudget::tighten_deadline(std::chrono::milliseconds ms) {
-  const auto candidate = std::chrono::steady_clock::now() + ms;
-  State& s = mutable_state();
-  if (!s.has_deadline || candidate < s.deadline) {
-    s.has_deadline = true;
-    s.deadline = candidate;
-  }
-}
-
 // ----------------------------------------------------------------- pool ----
 
 BudgetPool::BudgetPool(std::int64_t total_ms, std::int64_t per_request_ms)

@@ -57,26 +57,11 @@ inline bool is_interrupt(Status s) {
 class CancelToken {
  public:
   void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const noexcept {
-    if (flag_.load(std::memory_order_relaxed)) return true;
-    const CancelToken* parent = parent_.load(std::memory_order_relaxed);
-    return parent != nullptr && parent->cancelled();
-  }
+  bool cancelled() const noexcept { return flag_.load(std::memory_order_relaxed); }
   void reset() noexcept { flag_.store(false, std::memory_order_relaxed); }
-
-  /// Chains this token under `parent` (nullptr unchains): cancelled() then
-  /// also reports true once the parent fires, while cancel() still flips
-  /// only this token. The portfolio runner hangs one per-engine token off
-  /// the flow-level token this way — cancelling one losing engine never
-  /// touches its siblings, but a SIGINT at the flow level stops every
-  /// engine. The parent is not owned and must outlive the chained runs.
-  void chain_to(const CancelToken* parent) noexcept {
-    parent_.store(parent, std::memory_order_relaxed);
-  }
 
  private:
   std::atomic<bool> flag_{false};
-  std::atomic<const CancelToken*> parent_{nullptr};
 };
 static_assert(std::atomic<bool>::is_always_lock_free,
               "CancelToken::cancel must stay async-signal-safe");
@@ -130,16 +115,11 @@ class RunBudget {
   /// An independent child budget: same resource ceilings, same absolute
   /// deadline and same cancel token, but fresh consumption state (the
   /// deadline latch and the decomposition-attempt counter start over). The
-  /// portfolio runner forks one slice per racing engine so a spendthrift
-  /// engine cannot exhaust its siblings' attempt budgets; the parent budget
+  /// portfolio runner forks one per engine so a spendthrift engine cannot
+  /// exhaust the attempt budgets of the engines after it; the parent budget
   /// itself is untouched. Forking an unlimited budget yields an unlimited
   /// budget.
   RunBudget fork() const;
-
-  /// Moves the deadline to min(current deadline, now + ms) — a fork may be
-  /// narrowed to a pool slice but can never outlive its parent's deadline.
-  void tighten_deadline(std::chrono::milliseconds ms);
-  void tighten_deadline_ms(std::int64_t ms) { tighten_deadline(std::chrono::milliseconds(ms)); }
 
  private:
   struct State {
@@ -157,10 +137,10 @@ class RunBudget {
 };
 
 /// Global wall-clock budget that long-lived callers carve per-run slices
-/// from: the mapping daemon slices it per request, the portfolio runner per
-/// racing engine. total_ms == 0 means an unlimited pool (slices are just the
-/// per-request ceiling). Refunding returns a slice's unused portion, so the
-/// pool meters actual spend, not reservations.
+/// from: the mapping daemon slices it per request. total_ms == 0 means an
+/// unlimited pool (slices are just the per-request ceiling). Refunding
+/// returns a slice's unused portion, so the pool meters actual spend, not
+/// reservations.
 class BudgetPool {
  public:
   BudgetPool(std::int64_t total_ms, std::int64_t per_request_ms);

@@ -1,8 +1,7 @@
 #pragma once
 // Thread pool for a handful of coarse, independent items: the circuits of a
-// batch (service/batch_runner) and the engines of a concurrent portfolio race
-// (core/portfolio). for_each() hands items out through one shared atomic
-// cursor; claiming an item is one relaxed fetch_add, with no per-item
+// batch (service/batch_runner). for_each() hands items out through one shared
+// atomic cursor; claiming an item is one relaxed fetch_add, with no per-item
 // allocation or locking.
 //
 // Workers are parked on a condition variable between jobs; the calling

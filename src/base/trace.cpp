@@ -139,24 +139,6 @@ TraceSpan::TraceSpan(TraceSink* sink, std::string name, std::string detail) : si
   t_current_span = this;
 }
 
-TraceSpan::TraceSpan(const TraceSpan& parent, std::string name, std::string detail)
-    : sink_(parent.sink_) {
-  if (sink_ == nullptr) return;
-  start_ = Clock::now();
-  event_.id = sink_->begin_span();
-  event_.name = std::move(name);
-  event_.detail = std::move(detail);
-  event_.start_s = std::chrono::duration<double>(start_ - sink_->epoch_).count();
-  // The parent lives on another thread, but id and depth are written once at
-  // construction (before any lane launches) and never mutated, so reading
-  // them here is race-free. The calling thread's own stack still nests any
-  // further spans under this one.
-  event_.parent = parent.event_.id;
-  event_.depth = parent.event_.depth + 1;
-  outer_ = t_current_span;
-  t_current_span = this;
-}
-
 TraceSpan::~TraceSpan() {
   if (sink_ == nullptr) return;
   event_.seconds = std::chrono::duration<double>(Clock::now() - start_).count();

@@ -4,11 +4,9 @@
 // A TraceSink is an in-memory collector of completed spans. A TraceSpan is an
 // RAII handle that measures the wall time of a scope and attaches named
 // counters; spans nest through a per-thread stack, so a stage span contains
-// the probe spans it ran. Work handed to a thread pool escapes that stack, so
-// spans opened on worker threads take the enclosing span as an explicit
-// parent (the portfolio runner nests each engine lane under the race root
-// this way). The sink serializes to a stable JSON schema (the mains expose it
-// as --trace-json=<path>):
+// the probe spans it ran. Work handed to a thread pool escapes that stack: a
+// span opened on a worker thread starts a new root. The sink serializes to a
+// stable JSON schema (the mains expose it as --trace-json=<path>):
 //
 //   {
 //     "version": 1,
@@ -88,11 +86,6 @@ class TraceSpan {
  public:
   TraceSpan() = default;  // inert
   TraceSpan(TraceSink* sink, std::string name, std::string detail = {});
-  /// Explicit-parent form for spans opened on a different thread than their
-  /// logical parent (e.g. pool lanes). Inherits the parent's sink; the parent
-  /// must stay open for the child's lifetime. An inert parent yields an inert
-  /// child.
-  TraceSpan(const TraceSpan& parent, std::string name, std::string detail = {});
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
   ~TraceSpan();

@@ -178,10 +178,9 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
 
 FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
                                 const Circuit& c, const FlowOptions& options,
-                                const PortfolioOptions& popt, FlowCache* cache,
-                                CacheRunInfo* info) {
+                                FlowCache* cache, CacheRunInfo* info) {
   if (info != nullptr) *info = CacheRunInfo{};
-  if (cache == nullptr) return run_portfolio(engines, c, options, popt);
+  if (cache == nullptr) return run_portfolio(engines, c, options);
 
   const CacheKey key = make_portfolio_cache_key(c, options, engines);
   if (std::optional<CacheEntry> entry = cache->lookup(key);
@@ -206,7 +205,7 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
 
   FlowOptions run_options = options;
   run_options.collect_artifacts = true;
-  FlowResult result = run_portfolio(engines, c, run_options, popt);
+  FlowResult result = run_portfolio(engines, c, run_options);
   const bool stored = cache->store_result(key, result, c);
   if (info != nullptr) info->stored = stored;
   if (!options.collect_artifacts) result.artifacts = FlowArtifacts{};

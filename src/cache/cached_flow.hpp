@@ -38,16 +38,14 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
 /// The key covers the ordered engine list with per-spec fingerprints
 /// (make_portfolio_cache_key). A hit resolves the stored winner against the
 /// requested engines and serves it like run_flow_cached — bit-identical to
-/// re-racing, because the race itself is bit-identical to running every
-/// engine and selecting with the shared comparator. The hit's result carries
-/// FlowResult::engine and the merged engine-tagged ledger but an empty
-/// portfolio table (no race happened, so there is nothing for the
-/// "portfolio" audit to re-verify). A race won by an engine without label
+/// re-racing, because the race runs every engine and selects with the
+/// shared comparator. The hit's result carries FlowResult::engine and the
+/// merged engine-tagged ledger but an empty portfolio table (no race
+/// happened, so there is nothing for the "portfolio" audit to re-verify). A race won by an engine without label
 /// artifacts (FlowSYN-s) is quarantined, never stored.
 FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
                                 const Circuit& c, const FlowOptions& options,
-                                const PortfolioOptions& popt, FlowCache* cache,
-                                CacheRunInfo* info = nullptr);
+                                FlowCache* cache, CacheRunInfo* info = nullptr);
 
 /// The search-stage replacement a cache hit substitutes for UbProbe +
 /// PhiSearch: publishes the cached winning labels and re-records every

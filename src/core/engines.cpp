@@ -251,11 +251,6 @@ std::string engine_list_text() {
   return out.str();
 }
 
-bool never_beats(const EngineSpec& weaker, const EngineSpec& stronger) {
-  return weaker.shape == EngineSpec::Shape::kSearch && weaker.mode == LabelMode::kPlain &&
-         !weaker.period_objective && stronger.shape == EngineSpec::Shape::kSeededSearch;
-}
-
 bool portfolio_prefers(int phi_a, int strength_a, std::size_t pos_a, int phi_b,
                        int strength_b, std::size_t pos_b) {
   if (phi_a != phi_b) return phi_a < phi_b;

@@ -10,21 +10,12 @@
 // so "add another engine" is one registry entry, not another hand-written
 // pipeline.
 //
-// The registry is also the soundness basis of portfolio racing
-// (core/portfolio.hpp): never_beats() encodes the one dominance fact that
-// holds by construction and makes first-to-certificate cancellation safe —
-// a seeded search (TurboSYN) runs the plain MDR search (TurboMap) as its
-// phase A and scans down from that certificate, so φ(turbosyn) <=
-// φ(turbomap) for a fixed circuit and options. Nothing else is a fact:
-// FlowSYN-s decomposes, so its mapping is not bounded by TurboMap's optimum
-// (at K = 5 it certifies a lower φ than TurboMap on 9 of the 15 Table-1
-// shapes of up to 600 gates, and a lower φ than TurboSYN on bbara), and
-// turbosyn_bisect bisects a non-monotone predicate from the identity bound,
-// so it is bounded by neither TurboMap nor TurboSYN.
-//
-// TurboMap may therefore be cancelled the moment TurboSYN finishes with a
-// certificate: the race's outcome is bit-identical to running every engine
-// to completion and picking the best.
+// Portfolio racing (core/portfolio.hpp) runs every listed engine and picks
+// the best under portfolio_prefers(); `strength` only breaks equal-φ ties.
+// It is not a dominance order: FlowSYN-s decomposes, so its mapping is not
+// bounded by TurboMap's optimum (at K = 5 it certifies a lower φ than
+// TurboMap on 9 of the 15 Table-1 shapes of up to 600 gates, and a lower φ
+// than TurboSYN on bbara).
 
 #include <string>
 #include <vector>
@@ -95,13 +86,6 @@ const EngineSpec& engine_for_kind(FlowKind kind);
 /// Human-readable registry listing for --engines-list.
 std::string engine_list_text();
 
-/// True when `weaker`'s certified φ can never be smaller than `stronger`'s
-/// on any circuit under shared caller options: `weaker` is the plain MDR
-/// search and `stronger` a seeded search, whose phase A is that same
-/// search. This is the dominance predicate portfolio cancellation and the
-/// "portfolio" audit check both rest on.
-bool never_beats(const EngineSpec& weaker, const EngineSpec& stronger);
-
 /// The portfolio selection order, shared by the runner, the auditor and the
 /// fuzz oracle: engine a (φ `phi_a`, strength `strength_a`, list position
 /// `pos_a`) is preferred over b when its φ is smaller, or φ ties and its
@@ -111,7 +95,7 @@ bool portfolio_prefers(int phi_a, int strength_a, std::size_t pos_a, int phi_b,
                        int strength_b, std::size_t pos_b);
 
 /// Runs one engine end to end: expands the spec into its stage pipeline and
-/// drives it. The backbone of run_flow() and of every portfolio lane.
+/// drives it. The backbone of run_flow() and of every portfolio run.
 FlowResult run_engine(const EngineSpec& spec, const Circuit& c, const FlowOptions& options);
 
 }  // namespace turbosyn

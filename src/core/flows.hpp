@@ -105,16 +105,13 @@ struct FlowArtifacts {
 
 /// One engine's row in a portfolio run: what it achieved (or where it was
 /// stopped), for the STATS rollups, the trace, and the "portfolio" audit
-/// check. `cancelled` means the race stopped the engine before it finished
-/// exactly — either mid-run (status is then kCancelled) or before it even
-/// started (seconds == 0); a cancelled engine never holds a certificate.
+/// check. Every listed engine runs, so every row is that engine's own run.
 struct EngineRun {
   std::string name;          // registry name
-  int phi = 0;               // the engine's φ (0 when skipped before start)
+  int phi = 0;               // the engine's φ
   Status status = Status::kOk;
   bool certified = false;    // finished with status kOk: an eligible winner
-  bool cancelled = false;    // lost the race (dominated by a finisher)
-  double seconds = 0.0;      // the engine's own wall clock (0 when skipped)
+  double seconds = 0.0;      // the engine's own wall clock
   int luts = 0;
 };
 
@@ -168,8 +165,7 @@ struct FlowResult {
   /// Portfolio provenance. Empty for a standalone flow run. For a portfolio
   /// run, `engine` names the winning engine (the one whose result this is)
   /// and `portfolio` holds one row per raced engine in spec order —
-  /// including the winner — so callers can audit the selection and meter
-  /// the wall time the cancellations saved.
+  /// including the winner — so callers can audit the selection.
   std::string engine;
   std::vector<EngineRun> portfolio;
 };

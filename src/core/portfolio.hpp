@@ -1,31 +1,19 @@
 #pragma once
 // Portfolio racing: run several registry engines on one circuit and keep the
-// best result, cancelling engines that provably cannot win.
+// best result.
 //
-// Racing protocol (DESIGN.md §15). Every engine gets its own FlowDriver,
-// its own fresh ProbeLedger, a forked RunBudget slice and a per-engine
-// CancelToken chained under the flow-level token. The moment an engine
-// finishes *exactly* (status kOk — a certificate), every other engine E
-// that provably cannot beat it is cancelled:
-//
-//   cancel E on winner W  iff  never_beats(E, W)  and
-//                              (strength(E) < strength(W) or W is listed
-//                               earlier than E)
-//
-// never_beats() (core/engines.hpp) encodes the one dominance fact — TurboSYN
-// runs TurboMap's search as its phase A and scans down from it, so it never
-// certifies a larger φ — and the position tie-break keeps the selection
-// deterministic: an engine is only cancelled when the already-finished
-// winner would also be preferred over it by the selection order
-// (portfolio_prefers). Running the race is therefore bit-identical to
-// running every engine to completion and picking the best, which is exactly
-// what the fuzz oracle asserts.
+// Protocol (DESIGN.md §15). Every engine runs once, in list order, with its
+// own FlowDriver, its own fresh ProbeLedger and a fork of the flow budget
+// (same deadline and cancel token, fresh decomposition-attempt counter), so
+// a SIGINT at the flow level stops every engine. No engine is skipped: the
+// race is, by construction, "run every engine to completion and pick the
+// best", which is exactly what the fuzz oracle asserts.
 //
 // Selection. Among engines that finished with a certificate, the winner
-// minimizes (φ, -strength, list position). When no engine certified (global
-// deadline, SIGINT), the fallback is the least-degraded finished result
-// under the same tie-break — still a valid, equivalent network, per the
-// anytime guarantee of every engine.
+// minimizes (φ, -strength, list position) (portfolio_prefers). When no
+// engine certified (global deadline, SIGINT), the fallback is the
+// least-degraded result under the same tie-break — still a valid,
+// equivalent network, per the anytime guarantee of every engine.
 //
 // Ledger merge. The winner's probe records are tagged with its name; every
 // loser's records follow in list order, tagged likewise. Uniqueness is
@@ -35,7 +23,6 @@
 // FlowResult::engine, so a losing engine's degraded probes can never
 // outrank the winner's certificate.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,22 +31,8 @@
 namespace turbosyn {
 
 struct PortfolioOptions {
-  /// Race the engines concurrently over ThreadPool::global(). Top-level
-  /// callers only: for_each does not nest, so contexts already running
-  /// inside a pool lane (the batch scheduler, the daemon's workers) must
-  /// use the sequential mode — engines then run in list order and a
-  /// certificate lets the runner *skip* every dominated engine that has not
-  /// started yet, which preserves most of the wall-clock win.
-  bool concurrent = true;
-  /// Pool workers to involve (0 = all).
-  int max_workers = 0;
-  /// Optional wall-clock pool to carve per-engine deadline slices from;
-  /// unused slice time is refunded, so the pool meters actual spend. Not
-  /// owned. nullptr = each engine simply forks the flow budget.
-  BudgetPool* budget_pool = nullptr;
-  /// Requested slice per engine when budget_pool is set (0 = the pool's
-  /// per-request ceiling).
-  std::int64_t slice_ms = 0;
+  /// Ignored: engines always run in list order. Kept because synthbench sets it (ROADMAP item 5).
+  bool concurrent = false;
 };
 
 /// Parses a comma-separated engine list ("turbosyn,turbomap,flowsyn_s")
@@ -74,12 +47,11 @@ std::string parse_portfolio(const std::string& spec_list,
 /// Same validation for an already-resolved engine list.
 std::string validate_portfolio(const std::vector<const EngineSpec*>& engines);
 
-/// Races the engines on `c` and returns the selected result with merged,
+/// Runs the engines on `c` and returns the selected result with merged,
 /// engine-tagged probes, FlowResult::engine set to the winner and one
 /// EngineRun row per engine in FlowResult::portfolio. The engine list must
 /// validate (TS_CHECK). Trace: a "flow:portfolio" root span with one
-/// "engine:<name>" span per engine, cancelled losers marked with detail
-/// "cancelled" and counter cancelled=1.
+/// "engine:<name>" span per engine.
 FlowResult run_portfolio(const std::vector<const EngineSpec*>& engines, const Circuit& c,
                          const FlowOptions& options, const PortfolioOptions& popt = {});
 

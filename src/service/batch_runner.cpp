@@ -123,19 +123,13 @@ BatchRecord run_job(const BatchJob& job, const BatchOptions& options) {
       std::vector<const EngineSpec*> engines;
       const std::string invalid = parse_portfolio(join_names(job.portfolio), engines);
       if (!invalid.empty()) throw Error(invalid);
-      // A batch task already occupies a pool lane; the race must run its
-      // engines sequentially (dominance still skips provably-lost engines).
-      PortfolioOptions popt;
-      popt.concurrent = false;
-      result = run_portfolio_cached(engines, input, flow_options, popt, options.cache,
-                                    &info);
+      result = run_portfolio_cached(engines, input, flow_options, options.cache, &info);
     } else {
       result = run_flow_cached(job.flow, input, flow_options, options.cache, &info);
     }
     record.ok = true;
     record.cache_hit = info.hit;
     record.engine = result.engine;
-    record.portfolio = result.portfolio;
     record.phi = result.phi;
     record.luts = result.luts;
     record.ffs = result.ffs;

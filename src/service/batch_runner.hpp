@@ -62,9 +62,7 @@ struct BatchJob {
   std::string blif;
   FlowKind flow = FlowKind::kTurboSyn;
   /// Engine names to race instead of `flow` (empty = standalone flow). The
-  /// job runs through run_portfolio_cached in sequential mode — each batch
-  /// task already occupies a pool lane, so the engines run in list order
-  /// with dominance-based skipping instead of concurrent lanes.
+  /// job runs through run_portfolio_cached: every engine in list order.
   std::vector<std::string> portfolio;
   int k = 5;
 };
@@ -116,10 +114,6 @@ struct BatchRecord {
   bool cache_hit = false;
   /// Winning engine of a portfolio job (empty for standalone flows).
   std::string engine;
-  /// The race table of a portfolio job (FlowResult::portfolio): one row per
-  /// engine, for service-level win counts and wall-time-saved rollups.
-  /// Empty for standalone flows and cache-served portfolio hits.
-  std::vector<EngineRun> portfolio;
   int phi = 0;
   int luts = 0;
   std::int64_t ffs = 0;

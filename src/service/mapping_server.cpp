@@ -708,8 +708,8 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
   options.max_attempts = options_.max_attempts;
   options.retry_backoff_ms = options_.retry_backoff_ms;
   options.cancel = ticket.cancel.get();
-  const std::int64_t slice_ms = pool_->carve(request.deadline_ms);
-  options.per_circuit_deadline_ms = slice_ms;
+  const std::int64_t carved = pool_->carve(request.deadline_ms);
+  options.per_circuit_deadline_ms = carved;
 
   // Per-request trace handle: with the ring enabled, this request runs
   // against its own sink so its span tree is retrievable in isolation via
@@ -727,7 +727,7 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
   retries_.fetch_add(retries, std::memory_order_relaxed);
   const auto used_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - start).count();
-  pool_->refund(slice_ms, used_ms);
+  pool_->refund(carved, used_ms);
 
   if (record.quarantined) {
     const std::lock_guard<std::mutex> lock(poison_mu_);
@@ -753,19 +753,6 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
     if (!record.engine.empty()) {
       ++portfolio_runs_;
       ++portfolio_wins_[record.engine];
-      // Wall time saved by sound cancellation: each cancelled engine would
-      // have been allowed to run as long as the slowest finisher did.
-      double slowest_finisher = 0.0;
-      for (const EngineRun& row : record.portfolio) {
-        if (!row.cancelled && row.status != Status::kCancelled) {
-          slowest_finisher = std::max(slowest_finisher, row.seconds);
-        }
-      }
-      for (const EngineRun& row : record.portfolio) {
-        if (!row.cancelled) continue;
-        ++portfolio_cancelled_engines_;
-        portfolio_saved_seconds_ += std::max(0.0, slowest_finisher - row.seconds);
-      }
     }
   }
   if (request_trace != nullptr) store_trace(ticket.seq, *request_trace);
@@ -934,8 +921,6 @@ StatsSnapshot MappingServer::snapshot() const {
   {
     const std::lock_guard<std::mutex> lock(stats_mu_);
     snap.portfolio_runs = portfolio_runs_;
-    snap.portfolio_cancelled_engines = portfolio_cancelled_engines_;
-    snap.portfolio_saved_seconds = portfolio_saved_seconds_;
     snap.portfolio_wins = portfolio_wins_;
     snap.total_probes = total_probes_;
     snap.imported_probes = imported_probes_;
@@ -1016,8 +1001,6 @@ std::string render_stats_json(const StatsSnapshot& snap) {
     s += "}";
   }
   s += ",\"portfolio\":{\"runs\":" + std::to_string(snap.portfolio_runs);
-  s += ",\"cancelled_engines\":" + std::to_string(snap.portfolio_cancelled_engines);
-  s += ",\"cancelled_wall_saved_seconds\":" + json_double(snap.portfolio_saved_seconds);
   s += ",\"wins\":{";
   bool first_win = true;
   for (const auto& [engine, wins] : snap.portfolio_wins) {
@@ -1212,13 +1195,6 @@ std::string render_prometheus(const StatsSnapshot& snap) {
 
   prom_counter(out, "ts_portfolio_runs_total", "Portfolio races finished.",
                snap.portfolio_runs);
-  prom_counter(out, "ts_portfolio_cancelled_engines_total",
-               "Engine lanes cancelled by a sound first certificate.",
-               snap.portfolio_cancelled_engines);
-  prom_family(out, "ts_portfolio_cancelled_wall_saved_seconds_total",
-              "Wall seconds saved by cancelling provably-lost engines.", "counter");
-  prom_sample(out, "ts_portfolio_cancelled_wall_saved_seconds_total",
-              snap.portfolio_saved_seconds);
   prom_family(out, "ts_portfolio_wins_total", "Races won, per engine.", "counter");
   for (const auto& [engine, wins] : snap.portfolio_wins) {
     out += "ts_portfolio_wins_total{engine=\"" + prom_label_escape(engine) + "\"} " +

@@ -17,10 +17,9 @@
 // "portfolio" (a comma-separated engine list, validated against the
 // registry at parse time) races the named engines instead of running one
 // flow; the result record carries the winner in its "engine" field and the
-// STATS aggregate rolls up per-engine win counts plus the wall time saved
-// by cancelling provably-lost engines. "priority":"high" routes the request
-// to its client's high-priority sub-queue (served 3:1 against normal — see
-// AdmissionQueue below); "priority":"normal" is the default.
+// STATS aggregate rolls up per-engine win counts. "priority":"high" routes
+// the request to its client's high-priority sub-queue (served 3:1 against
+// normal — see AdmissionQueue below); "priority":"normal" is the default.
 //   STATS      (or {"op":"stats"})             — one JSON aggregate object
 //   PING       (or {"op":"ping"})              — liveness
 //   CANCEL 7   (or {"op":"cancel","id":7})     — cancel a queued/running map
@@ -126,8 +125,8 @@ struct StatsSnapshot {
   std::string hot_policy;  // "recency" | "cost-aware"
   // Portfolio rollups.
   std::int64_t portfolio_runs = 0;
-  std::int64_t portfolio_cancelled_engines = 0;
-  double portfolio_saved_seconds = 0.0;
+  std::int64_t portfolio_cancelled_engines = 0;  // always 0: synthbench reads it (ROADMAP item 5)
+  double portfolio_saved_seconds = 0.0;          // always 0: synthbench reads it (ROADMAP item 5)
   std::map<std::string, std::int64_t> portfolio_wins;
   // Probe ledger, flow wall time, per-stage rollups.
   std::int64_t total_probes = 0;
@@ -285,10 +284,6 @@ class AdmissionQueue {
   /// Tokens of popped-but-incomplete tickets, for cancel() of running work.
   std::map<std::pair<std::string, std::int64_t>, std::shared_ptr<CancelToken>> running_;
 };
-
-// BudgetPool moved to base/run_budget.hpp (PR 9): the portfolio runner in
-// core carves per-engine slices from the same pool type the daemon carves
-// per-request slices from.
 
 struct MappingServerOptions {
   /// Unix-domain socket path (unlinked and rebound on start). Empty: no
@@ -464,14 +459,9 @@ class MappingServer {
   std::int64_t imported_probes_ = 0;
   double flow_seconds_ = 0.0;
   double hit_flow_seconds_ = 0.0;
-  // Portfolio rollups (guarded by stats_mu_): wins per engine, and wall
-  // time saved by cancelled engines — per cancelled row, the slowest
-  // finisher's seconds minus the row's seconds (how much longer the row
-  // would have been allowed to run had nothing cancelled it).
+  // Portfolio rollups (guarded by stats_mu_): races run and wins per engine.
   std::map<std::string, std::int64_t> portfolio_wins_;
   std::int64_t portfolio_runs_ = 0;
-  std::int64_t portfolio_cancelled_engines_ = 0;
-  double portfolio_saved_seconds_ = 0.0;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};

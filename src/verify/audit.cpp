@@ -823,12 +823,9 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
   }
 
   // portfolio: winner selection re-verified from the race table. The
-  // selected result must be the minimal certified φ among finishers under
-  // the shared selection order (engines.hpp), every cancellation must be
-  // justified by a finished certificate that provably dominates the victim,
-  // and no engine — cancelled or not — may hold an exact feasible probe
-  // below the selected φ (a cancelled engine therefore contributed no
-  // certificate the selection ignored).
+  // selected result must be the minimal certified φ among the engines under
+  // the shared selection order (engines.hpp), and no engine may hold an
+  // exact feasible probe below the selected φ.
   if (result.portfolio.empty()) {
     add("portfolio", AuditStatus::kSkipped, "standalone flow run (no portfolio)");
   } else {
@@ -856,24 +853,18 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
     if (!failure.has_value() && winner_pos == table.size()) {
       failure = "winning engine '" + result.engine + "' is missing from the portfolio table";
     }
-    // Row coherence: certified iff the engine finished exactly; cancelled
-    // rows were interrupted, never exact.
+    // Row coherence: certified iff the engine finished exactly.
     for (std::size_t i = 0; i < table.size() && !failure.has_value(); ++i) {
       const EngineRun& row = table[i];
       if (row.certified != (row.status == Status::kOk)) {
         failure = "engine '" + row.name + "' marked " +
                   (row.certified ? "certified with status " : "uncertified despite status ") +
                   status_name(row.status);
-      } else if (row.cancelled && !is_interrupt(row.status)) {
-        failure = "cancelled engine '" + row.name + "' reports status " +
-                  std::string(status_name(row.status)) + " (expected an interrupt)";
       }
     }
     if (!failure.has_value()) {
       const EngineRun& win = table[winner_pos];
-      if (win.cancelled) {
-        failure = "winning engine '" + result.engine + "' is marked cancelled";
-      } else if (win.phi != result.phi) {
+      if (win.phi != result.phi) {
         failure = "winner row claims phi=" + std::to_string(win.phi) +
                   " but the result carries phi=" + std::to_string(result.phi);
       } else if (win.status != result.status) {
@@ -881,11 +872,11 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
                   " does not match the result's " + status_name(result.status);
       }
     }
-    // Selection minimality among certified finishers.
+    // Selection minimality among certified engines.
     if (!failure.has_value()) {
       std::size_t best = table.size();
       for (std::size_t i = 0; i < table.size(); ++i) {
-        if (!table[i].certified || table[i].cancelled) continue;
+        if (!table[i].certified) continue;
         if (best == table.size() ||
             portfolio_prefers(table[i].phi, specs[i]->strength, i, table[best].phi,
                               specs[best]->strength, best)) {
@@ -897,20 +888,6 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
                   std::to_string(table[winner_pos].phi) + ") is not the preferred certified " +
                   "engine: '" + table[best].name + "' certified phi=" +
                   std::to_string(table[best].phi);
-      }
-    }
-    // Every cancellation justified by a dominating finished certificate.
-    for (std::size_t i = 0; i < table.size() && !failure.has_value(); ++i) {
-      if (!table[i].cancelled) continue;
-      bool justified = false;
-      for (std::size_t j = 0; j < table.size() && !justified; ++j) {
-        justified = table[j].certified && !table[j].cancelled &&
-                    never_beats(*specs[i], *specs[j]) &&
-                    (specs[i]->strength < specs[j]->strength || j < i);
-      }
-      if (!justified) {
-        failure = "engine '" + table[i].name +
-                  "' was cancelled but no finished certificate dominates it";
       }
     }
     // No exact feasible probe below the selected φ, anywhere in the merged

@@ -30,10 +30,10 @@
 //     uncached run's summary (φ, period, stages, LUTs, FFs, exact MDR) over
 //     an all-imported ledger, without regenerating the mapping;
 //   - with --portfolio, every seed also races a rotating engine portfolio
-//     (core/portfolio) in both sequential and concurrent modes: the race
-//     must be bit-identical to the best standalone engine under the shared
-//     selection order, every cancelled row must be certificate-free, and
-//     the result must pass the full audit including the "portfolio" check.
+//     (core/portfolio): the race must be bit-identical to the best
+//     standalone engine under the shared selection order, every row must
+//     match its engine's standalone run, and the result must pass the full
+//     audit including the "portfolio" check.
 //     Every --portfolio run also races turbomap,turbosyn,flowsyn_s at K = 5
 //     on three fixed circuits where FlowSYN-s alone certifies the smallest
 //     φ (tiny2, tiny6, bbara), which random seeds rarely produce;
@@ -236,9 +236,9 @@ Circuit mutate_one_gate(const Circuit& c, std::uint64_t seed) {
 }
 
 /// Portfolio race vs the "run everything, pick the best" oracle: the race
-/// (sequential and concurrent alike) must be bit-identical to the best
-/// standalone engine under the shared selection order, cancelled rows must
-/// be certificate-free, and the race must audit clean (the "portfolio" check
+/// must be bit-identical to the best standalone engine under the shared
+/// selection order, every row must report its engine's standalone (φ,
+/// status, LUTs), and the race must audit clean (the "portfolio" check
 /// re-verifies the table).
 void check_portfolio(SeedOutcome& out, const Circuit& c, const FlowOptions& opt,
                      const std::vector<std::string>& names, std::uint64_t seed, bool verbose) {
@@ -260,23 +260,20 @@ void check_portfolio(SeedOutcome& out, const Circuit& c, const FlowOptions& opt,
   }
   expect(out, best.has_value(), "portfolio oracle: no standalone engine certified");
   if (!best) return;
-  PortfolioOptions seq;
-  seq.concurrent = false;
-  const FlowResult race_seq = run_portfolio(engines, c, opt, seq);
-  expect(out, race_seq.engine == engines[*best]->name,
-         "sequential race winner " + race_seq.engine + " != oracle " + engines[*best]->name);
-  expect(out, fingerprint(race_seq) == fingerprint(standalone[*best]),
-         "sequential race differs from the best standalone engine");
-  const FlowResult race_con = run_portfolio(engines, c, opt);
-  expect(out, race_con.engine == engines[*best]->name,
-         "concurrent race winner " + race_con.engine + " != oracle " + engines[*best]->name);
-  expect(out, fingerprint(race_con) == fingerprint(standalone[*best]),
-         "concurrent race differs from the best standalone engine");
-  for (const EngineRun& row : race_con.portfolio) {
-    expect(out, !(row.cancelled && row.certified),
-           "cancelled engine " + row.name + " holds a certificate");
+  const FlowResult race = run_portfolio(engines, c, opt);
+  expect(out, race.engine == engines[*best]->name,
+         "race winner " + race.engine + " != oracle " + engines[*best]->name);
+  expect(out, fingerprint(race) == fingerprint(standalone[*best]),
+         "race differs from the best standalone engine");
+  expect(out, race.portfolio.size() == engines.size(), "race table has the wrong row count");
+  for (std::size_t i = 0; i < race.portfolio.size() && i < engines.size(); ++i) {
+    const EngineRun& row = race.portfolio[i];
+    expect(out,
+           row.name == engines[i]->name && row.phi == standalone[i].phi &&
+               row.status == standalone[i].status && row.luts == standalone[i].luts,
+           "race row " + row.name + " differs from its standalone run");
   }
-  audit_into(out, c, race_con, opt, "portfolio", seed, verbose);
+  audit_into(out, c, race, opt, "portfolio", seed, verbose);
 }
 
 /// Warm-start oracle for one label mode. The engine's cross-φ warm start

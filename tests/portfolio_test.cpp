@@ -1,6 +1,7 @@
-// Portfolio racing: determinism of the winner, soundness of cancellation,
+// Portfolio racing: every row matches its engine's standalone run, the
+// winner is the best standalone certificate, the no-certificate fallback,
 // merged-ledger structure, and the "portfolio" audit check (including its
-// rejection of seeded wrong-winner and incoherent-row fixtures).
+// rejection of seeded wrong-winner and unknown-engine fixtures).
 
 #include <gtest/gtest.h>
 
@@ -85,66 +86,34 @@ AuditStatus portfolio_check_status(const Circuit& input, const FlowResult& resul
 TEST(Portfolio, SequentialRaceMatchesBestStandalone) {
   const Circuit c = test_circuit();
   const FlowOptions opt = test_options();
-  const auto engines = engines_of({"turbomap", "turbosyn", "flowsyn_s"});
+  // Both orders: nothing is skipped, so TurboMap listed after TurboSYN still
+  // runs and reports its own result.
+  for (const auto& names : {std::vector<std::string>{"turbomap", "turbosyn", "flowsyn_s"},
+                            std::vector<std::string>{"turbosyn", "turbomap", "flowsyn_s"}}) {
+    const auto engines = engines_of(names);
+    std::vector<FlowResult> standalone;
+    for (const EngineSpec* spec : engines) standalone.push_back(run_engine(*spec, c, opt));
+    const std::size_t best = best_standalone(engines, standalone);
 
-  std::vector<FlowResult> standalone;
-  for (const EngineSpec* spec : engines) standalone.push_back(run_engine(*spec, c, opt));
-  const std::size_t best = best_standalone(engines, standalone);
-
-  PortfolioOptions popt;
-  popt.concurrent = false;
-  const FlowResult race = run_portfolio(engines, c, opt, popt);
-  EXPECT_EQ(race.engine, engines[best]->name);
-  EXPECT_EQ(fingerprint(race), fingerprint(standalone[best]));
-  ASSERT_EQ(race.portfolio.size(), engines.size());
-}
-
-TEST(Portfolio, ConcurrentRaceDeterministicWinner) {
-  const Circuit c = test_circuit(23, 48);
-  const FlowOptions opt = test_options();
-  const auto engines = engines_of({"turbomap", "turbosyn", "flowsyn_s"});
-
-  PortfolioOptions seq;
-  seq.concurrent = false;
-  const FlowResult reference = run_portfolio(engines, c, opt, seq);
-
-  // The concurrent race may cancel different losers on different runs, but
-  // the winner and its result are pinned by the dominance rule: bit-identical
-  // to the sequential race, run after run.
-  for (int round = 0; round < 3; ++round) {
     const FlowResult race = run_portfolio(engines, c, opt);
-    EXPECT_EQ(race.engine, reference.engine) << "round " << round;
-    EXPECT_EQ(fingerprint(race), fingerprint(reference)) << "round " << round;
+    EXPECT_EQ(race.engine, engines[best]->name) << names[0];
+    EXPECT_EQ(fingerprint(race), fingerprint(standalone[best])) << names[0];
+    ASSERT_EQ(race.portfolio.size(), engines.size());
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      const EngineRun& row = race.portfolio[i];
+      EXPECT_EQ(row.name, engines[i]->name);
+      EXPECT_EQ(row.phi, standalone[i].phi) << row.name;
+      EXPECT_EQ(row.status, standalone[i].status) << row.name;
+      EXPECT_EQ(row.luts, standalone[i].luts) << row.name;
+      EXPECT_EQ(row.certified, standalone[i].status == Status::kOk) << row.name;
+    }
   }
-}
-
-TEST(Portfolio, SequentialDominanceSkipsDominatedEngines) {
-  const Circuit c = test_circuit();
-  const FlowOptions opt = test_options();
-  // TurboSYN leads, so its certificate dominates TurboMap before it starts:
-  // provably-lost work is skipped, not run. Nothing dominates FlowSYN-s,
-  // which decomposes and can certify a smaller φ than either, so it runs.
-  const auto engines = engines_of({"turbosyn", "turbomap", "flowsyn_s"});
-
-  PortfolioOptions popt;
-  popt.concurrent = false;
-  const FlowResult race = run_portfolio(engines, c, opt, popt);
-  ASSERT_EQ(race.portfolio.size(), 3u);
-  EXPECT_EQ(race.engine, "turbosyn");
-  EXPECT_TRUE(race.portfolio[0].certified);
-  EXPECT_FALSE(race.portfolio[0].cancelled);
-  EXPECT_TRUE(race.portfolio[1].cancelled);
-  EXPECT_FALSE(race.portfolio[1].certified);
-  EXPECT_EQ(race.portfolio[1].status, Status::kCancelled);
-  EXPECT_EQ(race.portfolio[1].seconds, 0.0);
-  EXPECT_FALSE(race.portfolio[2].cancelled);
-  EXPECT_TRUE(race.portfolio[2].certified);
 }
 
 TEST(Portfolio, RaceKeepsAWeakerRankedEngineThatCertifiesTheSmallestPhi) {
   // FlowSYN-s certifies a smaller φ than TurboMap and TurboSYN on these
   // circuits at K = 5 (tiny2 and tiny6: 1 against 2; bbara: 2 against 3), so
-  // no dominance rule may skip or cancel it.
+  // the race must select it over both label searches.
   FlowOptions opt = test_options();
   opt.k = 5;
   const auto engines = engines_of({"turbomap", "turbosyn", "flowsyn_s"});
@@ -155,27 +124,19 @@ TEST(Portfolio, RaceKeepsAWeakerRankedEngineThatCertifiesTheSmallestPhi) {
     for (const EngineSpec* engine : engines) standalone.push_back(run_engine(*engine, c, opt));
     const std::size_t best = best_standalone(engines, standalone);
 
-    PortfolioOptions popt;
-    popt.concurrent = false;
-    const FlowResult race = run_portfolio(engines, c, opt, popt);
+    const FlowResult race = run_portfolio(engines, c, opt);
     EXPECT_EQ(race.engine, engines[best]->name) << spec.name;
     EXPECT_EQ(fingerprint(race), fingerprint(standalone[best])) << spec.name;
-    const FlowResult concurrent = run_portfolio(engines, c, opt);
-    EXPECT_EQ(concurrent.engine, engines[best]->name) << spec.name;
-    EXPECT_EQ(fingerprint(concurrent), fingerprint(standalone[best])) << spec.name;
   }
 }
 
 TEST(Portfolio, MergedLedgerUniqueTaggedAndSound) {
   const Circuit c = test_circuit();
   const FlowOptions opt = test_options();
-  // turbomap leads but cannot cancel the stronger turbosyn: both run, both
-  // ledgers merge.
+  // Both engines run and both ledgers merge.
   const auto engines = engines_of({"turbomap", "turbosyn"});
 
-  PortfolioOptions popt;
-  popt.concurrent = false;
-  const FlowResult race = run_portfolio(engines, c, opt, popt);
+  const FlowResult race = run_portfolio(engines, c, opt);
   EXPECT_EQ(race.engine, "turbosyn");
   EXPECT_TRUE(race.portfolio[0].certified);
   EXPECT_TRUE(race.portfolio[1].certified);
@@ -210,13 +171,50 @@ TEST(Portfolio, AuditPassesCleanRace) {
   EXPECT_EQ(portfolio_check_status(c, race, opt), AuditStatus::kPass);
 }
 
+TEST(Portfolio, CancelledFlowTokenReachesEveryEngineAndFallsBack) {
+  const Circuit c = test_circuit();
+  FlowOptions opt = test_options();
+  CancelToken token;
+  token.cancel();
+  opt.budget.set_cancel_token(&token);
+  const auto engines = engines_of({"turbomap", "turbosyn", "flowsyn_s"});
+
+  // The flow-level token reaches each engine through its budget fork: no
+  // engine certifies, and the least-degraded result under the selection
+  // order ships.
+  const FlowResult race = run_portfolio(engines, c, opt);
+  ASSERT_EQ(race.portfolio.size(), engines.size());
+  std::size_t fallback = 0;
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const EngineRun& row = race.portfolio[i];
+    EXPECT_TRUE(is_interrupt(row.status)) << row.name << ": " << status_name(row.status);
+    EXPECT_FALSE(row.certified) << row.name;
+    const EngineRun& best = race.portfolio[fallback];
+    if (row.status != best.status
+            ? row.status < best.status
+            : portfolio_prefers(row.phi, engines[i]->strength, i, best.phi,
+                                engines[fallback]->strength, fallback)) {
+      fallback = i;
+    }
+  }
+  EXPECT_EQ(race.engine, engines[fallback]->name);
+  EXPECT_EQ(race.status, race.portfolio[fallback].status);
+  EXPECT_EQ(race.phi, race.portfolio[fallback].phi);
+
+  AuditOptions audit;
+  audit.seq_cycles = 96;
+  audit.seq_runs = 2;
+  const AuditReport report = audit_flow(c, race, opt, audit);
+  for (const AuditCheck& check : report.checks) {
+    EXPECT_NE(check.status, AuditStatus::kFail) << check.name << ": " << check.detail;
+  }
+}
+
 TEST(PortfolioAudit, RejectsSeededWrongWinner) {
   const Circuit c = test_circuit();
   const FlowOptions opt = test_options();
   const auto engines = engines_of({"turbomap", "turbosyn"});
-  PortfolioOptions popt;
-  popt.concurrent = false;
-  FlowResult race = run_portfolio(engines, c, opt, popt);
+  FlowResult race = run_portfolio(engines, c, opt);
   ASSERT_EQ(race.engine, "turbosyn");
   EXPECT_EQ(portfolio_check_status(c, race, opt), AuditStatus::kPass);
 
@@ -227,28 +225,11 @@ TEST(PortfolioAudit, RejectsSeededWrongWinner) {
   EXPECT_EQ(portfolio_check_status(c, race, opt), AuditStatus::kFail);
 }
 
-TEST(PortfolioAudit, RejectsIncoherentCancelledRow) {
-  const Circuit c = test_circuit();
-  const FlowOptions opt = test_options();
-  const auto engines = engines_of({"turbosyn", "turbomap", "flowsyn_s"});
-  PortfolioOptions popt;
-  popt.concurrent = false;
-  FlowResult race = run_portfolio(engines, c, opt, popt);
-  ASSERT_TRUE(race.portfolio[1].cancelled);
-
-  // A cancelled row must carry an interrupt status; claiming it finished
-  // cleanly while cancelled is incoherent provenance.
-  race.portfolio[1].status = Status::kOk;
-  EXPECT_EQ(portfolio_check_status(c, race, opt), AuditStatus::kFail);
-}
-
 TEST(PortfolioAudit, RejectsUnknownEngineRow) {
   const Circuit c = test_circuit();
   const FlowOptions opt = test_options();
   const auto engines = engines_of({"turbosyn", "turbomap"});
-  PortfolioOptions popt;
-  popt.concurrent = false;
-  FlowResult race = run_portfolio(engines, c, opt, popt);
+  FlowResult race = run_portfolio(engines, c, opt);
 
   race.portfolio[1].name = "not_in_registry";
   EXPECT_EQ(portfolio_check_status(c, race, opt), AuditStatus::kFail);

@@ -197,9 +197,6 @@ STATS_MAP = {
     'ts_cache_hot_entries': ('cache', 'hot_entries'),
     'ts_cache_hot_bytes': ('cache', 'hot_bytes'),
     'ts_portfolio_runs_total': ('portfolio', 'runs'),
-    'ts_portfolio_cancelled_engines_total': ('portfolio', 'cancelled_engines'),
-    'ts_portfolio_cancelled_wall_saved_seconds_total':
-        ('portfolio', 'cancelled_wall_saved_seconds'),
     'ts_ledger_probes_total': ('ledger', 'probes'),
     'ts_ledger_imported_probes_total': ('ledger', 'imported_probes'),
     'ts_flow_seconds_total': ('flow_seconds',),
