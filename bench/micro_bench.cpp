@@ -362,6 +362,23 @@ void BM_CycleRatio(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleRatio)->Arg(0)->Unit(benchmark::kMillisecond);
 
+// read_blif_string on a written Table-1 shape: Arg 0 is dk16 (about 25 KB,
+// a Table-1-size netlist), Arg 1 is bbara (about 7 KB, the size of a
+// serve_mixed request). bytes_per_second is the reader's rate.
+void BM_ReadBlif(benchmark::State& state) {
+  const std::string shape = state.range(0) == 0 ? "dk16" : "bbara";
+  std::string text;
+  for (const BenchmarkSpec& spec : table1_suite()) {
+    if (spec.name == shape) text = write_blif_string(generate_fsm_circuit(spec));
+  }
+  TS_CHECK(!text.empty(), "BM_ReadBlif: no Table-1 shape named " << shape);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(read_blif_string(text));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ReadBlif)->Arg(0)->Arg(1);
+
 // One flow-cache hit on the first Table-1 shape under TurboMap, from the hot
 // tier: Arg 0 serves the stored summary (what the batch runner and the
 // daemon ask for), Arg 1 collects artifacts and so replays mapgen → pack →

@@ -107,16 +107,22 @@ bool parse_string(Cursor& c, std::string& out) {
   if (!c.consume('"')) return false;
   out.clear();
   while (c.pos < c.text.size()) {
+    // The run up to the next quote, backslash or control character is
+    // copied in one append.
+    std::size_t end = c.pos;
+    while (end < c.text.size() && c.text[end] != '"' && c.text[end] != '\\' &&
+           static_cast<unsigned char>(c.text[end]) >= 0x20) {
+      ++end;
+    }
+    out.append(c.text.substr(c.pos, end - c.pos));
+    c.pos = end;
+    if (c.pos >= c.text.size()) break;
     const char ch = c.text[c.pos++];
     if (ch == '"') return true;
     if (static_cast<unsigned char>(ch) < 0x20) {
       return c.fail("unescaped control character in string");
     }
-    if (ch != '\\') {
-      out += ch;
-      continue;
-    }
-    if (c.pos >= c.text.size()) break;
+    if (c.pos >= c.text.size()) break;  // ch is a '\' that ends the text
     const char esc = c.text[c.pos++];
     switch (esc) {
       case '"': out += '"'; break;

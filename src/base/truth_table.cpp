@@ -16,13 +16,9 @@ void check_arity(int num_vars) {
            "truth table arity " << num_vars << " out of range [0, " << TruthTable::kMaxVars << "]");
 }
 
-// kProjection[v] is the in-word pattern of variable v < 6: bit i is set iff
-// bit v of i is. Every kernel below that acts on a variable inside a word
-// (projection, cofactor, swap, mux) is a shift and a mask by these.
-constexpr std::uint64_t kProjection[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
+// Every kernel below that acts on a variable inside a word (projection,
+// cofactor, swap, mux) is a shift and a mask by these.
+constexpr const auto& kProjection = TruthTable::kProjection;
 
 // Exchanges variables i < j of a table held in `words`, in place. Bits whose
 // i/j assignment is (1, 0) trade places with the matching (0, 1) bits:

@@ -16,6 +16,12 @@ namespace turbosyn {
 class TruthTable {
  public:
   static constexpr int kMaxVars = 16;
+  /// kProjection[v] is the in-word pattern of variable v < 6: bit i is set
+  /// iff bit v of i is.
+  static constexpr std::uint64_t kProjection[6] = {
+      0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+      0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
+  };
 
   /// The 0-variable constant-false function.
   TruthTable() : num_vars_(0), words_(1, 0) {}

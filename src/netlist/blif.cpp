@@ -1,8 +1,12 @@
 #include "netlist/blif.hpp"
 
+#include <deque>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -13,51 +17,66 @@
 namespace turbosyn {
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
-  return tokens;
+/// The characters `istream >> std::string` skips in the classic locale:
+/// ' ', '\t', '\n', '\v', '\f' and '\r'.
+bool is_space(char ch) {
+  const auto u = static_cast<unsigned char>(ch);
+  return u <= ' ' && ((std::uint64_t{0x100003e00} >> u) & 1) != 0;
+}
+
+/// Splits `line` at whitespace into `tokens` (views into `line`).
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (is_space(line[i])) continue;
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) ++i;
+    tokens.push_back(line.substr(start, i - start));
+  }
 }
 
 /// A named signal together with the line of the directive that mentioned it.
 struct SignalRef {
-  std::string name;
+  std::string_view name;
   int line = 0;
 };
 
-/// One .names block: output signal, input signals, cover rows.
+/// One cover row: input plane ('0'/'1'/'-'), output bit and its line.
+struct CoverRow {
+  std::string_view plane;
+  char bit = '1';
+  int line = 0;
+};
+
+/// One .names block: its output, and its inputs and rows as ranges of the
+/// parser's flat `cover_inputs_` and `rows_`.
 struct CoverBlock {
-  std::string output;
-  std::vector<std::string> inputs;
-  struct Row {
-    std::string plane;  // input plane ('0'/'1'/'-')
-    char bit = '1';     // output bit
-    int line = 0;
-  };
-  std::vector<Row> rows;
+  std::string_view output;
+  std::size_t first_input = 0, num_inputs = 0;
+  std::size_t first_row = 0, num_rows = 0;
   int line = 0;  // line of the .names directive
 };
 
 struct LatchDef {
-  std::string input;
-  std::string output;
+  std::string_view input, output;
   int line = 0;
 };
 
 /// Builds a truth table from an SOP cover. All rows must share the output
 /// polarity (as SIS writes them); a '0' output plane complements the OR.
-/// `src` names the input for "source:line:" diagnostics.
-TruthTable cover_to_truth_table(const CoverBlock& block, const std::string& src) {
-  const int arity = static_cast<int>(block.inputs.size());
+/// Each row is one cube ORed in at word level: variables below 6 select
+/// bits inside a word, variables 6 and up select words by index.
+/// `src` names the input for "source:line:" diagnostics; `words` is scratch.
+TruthTable cover_to_truth_table(const CoverBlock& block, std::span<const CoverRow> rows,
+                                const std::string& src, std::vector<std::uint64_t>& words) {
+  const int arity = static_cast<int>(block.num_inputs);
   TS_CHECK(arity <= TruthTable::kMaxVars,
            src << ':' << block.line << ": .names '" << block.output << "' has " << arity
                << " inputs (max " << TruthTable::kMaxVars << ")");
-  TruthTable sum = TruthTable::constant(arity, false);
+  words.assign(arity <= 6 ? 1 : std::size_t{1} << (arity - 6), 0);
   char polarity = '1';
   bool polarity_set = false;
-  for (const auto& row : block.rows) {
+  for (const CoverRow& row : rows) {
     TS_CHECK(static_cast<int>(row.plane.size()) == arity,
              src << ':' << row.line << ": .names '" << block.output
                  << "': cover row width mismatch (" << row.plane.size() << " columns for "
@@ -70,95 +89,104 @@ TruthTable cover_to_truth_table(const CoverBlock& block, const std::string& src)
     }
     TS_CHECK(row.bit == polarity, src << ':' << row.line << ": .names '" << block.output
                                       << "': mixed output polarities");
-    TruthTable product = TruthTable::constant(arity, true);
+    std::uint64_t in_word = ~std::uint64_t{0};
+    std::size_t care = 0;  // word-index bits the cube fixes (variables >= 6)
+    std::size_t value = 0;
     for (int i = 0; i < arity; ++i) {
-      if (row.plane[static_cast<std::size_t>(i)] == '1') {
-        product = product & TruthTable::var(arity, i);
-      } else if (row.plane[static_cast<std::size_t>(i)] == '0') {
-        product = product & ~TruthTable::var(arity, i);
+      const char ch = row.plane[static_cast<std::size_t>(i)];
+      if (ch == '-') continue;
+      TS_CHECK(ch == '0' || ch == '1',
+               src << ':' << row.line << ": invalid cover input character '" << ch << "'");
+      if (i < 6) {
+        in_word &= ch == '1' ? TruthTable::kProjection[i] : ~TruthTable::kProjection[i];
       } else {
-        TS_CHECK(row.plane[static_cast<std::size_t>(i)] == '-',
-                 src << ':' << row.line << ": invalid cover input character '"
-                     << row.plane[static_cast<std::size_t>(i)] << "'");
+        care |= std::size_t{1} << (i - 6);
+        if (ch == '1') value |= std::size_t{1} << (i - 6);
       }
     }
-    sum = sum | product;
+    for (std::size_t k = 0; k < words.size(); ++k) {
+      if ((k & care) == value) words[k] |= in_word;
+    }
   }
   if (!polarity_set) return TruthTable::constant(arity, false);  // empty cover = const 0
-  return polarity == '1' ? sum : ~sum;
+  if (polarity == '0') {
+    for (std::uint64_t& w : words) w = ~w;
+  }
+  return TruthTable::from_words(arity, words);
 }
 
 class BlifParser {
  public:
-  BlifParser(std::istream& in, std::string source) : in_(in), src_(std::move(source)) {}
+  BlifParser(std::string_view text, std::string source) : text_(text), src_(std::move(source)) {}
 
-  Circuit parse() {
-    read_sections();
-    return build();
-  }
+  Circuit parse() { read_sections(); return build(); }
 
  private:
   /// "source:line: " prefix for diagnostics anchored at `line`.
   std::string at(int line) const { return src_ + ':' + std::to_string(line) + ": "; }
 
+  /// The next line of the text without its '\n' (false at the end), with
+  /// any '#' comment cut off.
+  bool next_line(std::string_view& line) {
+    if (pos_ >= text_.size()) return false;
+    const std::size_t nl = text_.find('\n', pos_);
+    line = text_.substr(pos_, nl - pos_);  // to the end if there is no '\n'
+    pos_ = nl == std::string_view::npos ? text_.size() : nl + 1;
+    ++line_no_;
+    line = line.substr(0, line.find('#'));
+    return true;
+  }
+
   void read_sections() {
-    std::string line;
+    std::string_view line;
     std::string pending;
     int pending_start = 0;  // line where the current continuation began
-    int line_no = 0;
     bool done = false;
-    while (!done && std::getline(in_, line)) {
-      ++line_no;
-      // Strip comments and handle '\' continuations.
-      if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
+    while (!done && next_line(line)) {
+      // '\' continuations join into a line the parser owns.
       if (!line.empty() && line.back() == '\\') {
-        if (pending.empty()) pending_start = line_no;
-        line.pop_back();
-        pending += line + ' ';
+        if (pending.empty()) pending_start = line_no_;
+        pending.append(line.substr(0, line.size() - 1)) += ' ';
         continue;
       }
       // A construct is reported at the line it started on.
-      const int at_line = pending.empty() ? line_no : pending_start;
-      line = pending + line;
-      pending.clear();
-      const auto tokens = tokenize(line);
-      if (tokens.empty()) continue;
-      const std::string& head = tokens[0];
+      const int at_line = pending.empty() ? line_no_ : pending_start;
+      if (!pending.empty()) {
+        line = joined_.emplace_back(std::move(pending.append(line)));
+        pending.clear();
+      }
+      tokenize(line, tokens_);
+      if (tokens_.empty()) continue;
+      const std::string_view head = tokens_[0];
       if (head[0] != '.') {
-        TS_CHECK(current_cover_ != nullptr, at(at_line) << "cover row outside a .names block");
-        if (tokens.size() == 1) {
+        TS_CHECK(in_cover_, at(at_line) << "cover row outside a .names block");
+        if (tokens_.size() == 1) {
           // Constant function: single output column.
-          TS_CHECK(current_cover_->inputs.empty(),
+          TS_CHECK(covers_.back().num_inputs == 0,
                    at(at_line) << "cover row missing input plane");
-          current_cover_->rows.push_back({"", tokens[0][0], at_line});
+          rows_.push_back({"", tokens_[0][0], at_line});
         } else {
-          TS_CHECK(tokens.size() == 2, at(at_line) << "cover row must be '<plane> <bit>'");
-          current_cover_->rows.push_back({tokens[0], tokens[1][0], at_line});
+          TS_CHECK(tokens_.size() == 2, at(at_line) << "cover row must be '<plane> <bit>'");
+          rows_.push_back({tokens_[0], tokens_[1][0], at_line});
         }
+        ++covers_.back().num_rows;
         continue;
       }
-      current_cover_ = nullptr;
+      in_cover_ = false;
       if (head == ".model") {
         // Model name ignored (single-model files only).
-      } else if (head == ".inputs") {
-        for (auto it = tokens.begin() + 1; it != tokens.end(); ++it) {
-          inputs_.push_back({*it, at_line});
-        }
-      } else if (head == ".outputs") {
-        for (auto it = tokens.begin() + 1; it != tokens.end(); ++it) {
-          outputs_.push_back({*it, at_line});
-        }
+      } else if (head == ".inputs" || head == ".outputs") {
+        auto& refs = head == ".inputs" ? inputs_ : outputs_;
+        for (std::size_t i = 1; i < tokens_.size(); ++i) refs.push_back({tokens_[i], at_line});
       } else if (head == ".names") {
-        TS_CHECK(tokens.size() >= 2, at(at_line) << ".names requires at least an output");
-        CoverBlock block;
-        block.output = tokens.back();
-        block.inputs.assign(tokens.begin() + 1, tokens.end() - 1);
-        block.line = at_line;
-        covers_.push_back(std::move(block));
-        current_cover_ = &covers_.back();
+        TS_CHECK(tokens_.size() >= 2, at(at_line) << ".names requires at least an output");
+        covers_.push_back({tokens_.back(), cover_inputs_.size(), tokens_.size() - 2,
+                           rows_.size(), 0, at_line});
+        cover_inputs_.insert(cover_inputs_.end(), tokens_.begin() + 1, tokens_.end() - 1);
+        in_cover_ = true;
       } else if (head == ".latch") {
-        TS_CHECK(tokens.size() >= 3, at(at_line) << ".latch requires input and output");
-        latches_.push_back(LatchDef{tokens[1], tokens[2], at_line});
+        TS_CHECK(tokens_.size() >= 3, at(at_line) << ".latch requires input and output");
+        latches_.push_back(LatchDef{tokens_[1], tokens_[2], at_line});
       } else if (head == ".end") {
         done = true;
       } else {
@@ -168,10 +196,9 @@ class BlifParser {
     TS_CHECK(pending.empty(), at(pending_start) << "dangling line continuation at end of file");
     // Nothing but whitespace and comments may follow .end: silently ignoring
     // content there hides concatenated models and truncation artifacts.
-    while (std::getline(in_, line)) {
-      ++line_no;
-      if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-      TS_CHECK(tokenize(line).empty(), at(line_no) << "trailing garbage after .end");
+    while (next_line(line)) {
+      tokenize(line, tokens_);
+      TS_CHECK(tokens_.empty(), at(line_no_) << "trailing garbage after .end");
     }
   }
 
@@ -179,67 +206,80 @@ class BlifParser {
   /// of latches between driver and the named signal (latch chains collapse
   /// into the returned edge weight). `line` anchors diagnostics at the
   /// directive that referenced the signal.
-  Circuit::FaninSpec resolve(const Circuit& c, const std::string& signal, int line) const {
-    std::string target = signal;
+  Circuit::FaninSpec resolve(const Circuit& c, std::string_view signal, int line) const {
+    std::string_view target = signal;
     int weight = 0;
-    while (true) {
-      const auto it = latch_by_output_.find(target);
-      if (it == latch_by_output_.end()) break;
+    auto it = drivers_.find(target);
+    while (it != drivers_.end() && it->second < 0) {
       ++weight;
       TS_CHECK(weight <= static_cast<int>(latches_.size()),
                at(line) << "latch loop without combinational driver at '" << signal << "'");
-      target = it->second->input;
+      target = latches_[static_cast<std::size_t>(~it->second)].input;
+      it = drivers_.find(target);
     }
-    const NodeId v = c.find(target);
+    // A miss may still name a PO added earlier, as Circuit::find would.
+    const NodeId v = it != drivers_.end() ? it->second : c.find(std::string(target));
     TS_CHECK(v != kNoNode, at(line) << "undriven signal '" << target << "'");
     return Circuit::FaninSpec{v, weight};
   }
 
+  /// Claims `name` for one driver (a node id, or ~i for latches_[i]).
+  void drive(std::string_view name, int driver, int line) {
+    TS_CHECK(drivers_.try_emplace(name, driver).second,
+             at(line) << "signal '" << name << "' driven more than once");
+  }
+
   Circuit build() {
     Circuit c;
-    std::unordered_set<std::string> driven;
-    for (const auto& latch : latches_) {
-      TS_CHECK(driven.insert(latch.output).second,
-               at(latch.line) << "signal '" << latch.output << "' driven more than once");
-      latch_by_output_.emplace(latch.output, &latch);
+    c.reserve(static_cast<int>(inputs_.size() + covers_.size() + outputs_.size()),
+              static_cast<int>(cover_inputs_.size() + outputs_.size()));
+    drivers_.reserve(latches_.size() + inputs_.size() + covers_.size());
+    for (std::size_t i = 0; i < latches_.size(); ++i) {
+      drive(latches_[i].output, ~static_cast<int>(i), latches_[i].line);
     }
     for (const SignalRef& in : inputs_) {
-      TS_CHECK(driven.insert(in.name).second,
-               at(in.line) << "signal '" << in.name << "' driven more than once");
-      c.add_pi(in.name);
+      drive(in.name, c.num_nodes(), in.line);
+      c.add_pi(std::string(in.name));
     }
     // Declare all gates first (sequential loops make any bottom-up order
     // impossible), then attach covers and finally the POs.
-    std::vector<NodeId> gate_of(covers_.size());
-    for (std::size_t i = 0; i < covers_.size(); ++i) {
-      TS_CHECK(driven.insert(covers_[i].output).second,
-               at(covers_[i].line)
-                   << "signal '" << covers_[i].output << "' driven more than once");
-      gate_of[i] = c.declare_gate(covers_[i].output);
+    for (const CoverBlock& block : covers_) {
+      drive(block.output, c.num_nodes(), block.line);
+      c.declare_gate(std::string(block.output));
     }
-    for (std::size_t i = 0; i < covers_.size(); ++i) {
-      std::vector<Circuit::FaninSpec> fanins;
-      fanins.reserve(covers_[i].inputs.size());
-      for (const std::string& in : covers_[i].inputs) {
-        fanins.push_back(resolve(c, in, covers_[i].line));
+    std::vector<Circuit::FaninSpec> fanins;
+    std::vector<std::uint64_t> words;
+    NodeId gate = c.num_nodes() - static_cast<NodeId>(covers_.size());
+    for (const CoverBlock& block : covers_) {
+      fanins.clear();
+      for (std::size_t i = 0; i < block.num_inputs; ++i) {
+        fanins.push_back(resolve(c, cover_inputs_[block.first_input + i], block.line));
       }
-      c.finish_gate(gate_of[i], cover_to_truth_table(covers_[i], src_), fanins);
+      const std::span<const CoverRow> rows(rows_.data() + block.first_row, block.num_rows);
+      c.finish_gate(gate++, cover_to_truth_table(block, rows, src_, words), fanins);
     }
     for (const SignalRef& out : outputs_) {
-      c.add_po(std::string(kPoPrefix) + out.name, resolve(c, out.name, out.line));
+      c.add_po(std::string(kPoPrefix).append(out.name), resolve(c, out.name, out.line));
     }
     c.validate();
     return c;
   }
 
-  std::istream& in_;
+  std::string_view text_;
   std::string src_;
+  std::size_t pos_ = 0;  // start of the next line in text_
+  int line_no_ = 0;
+  std::vector<std::string_view> tokens_;  // the current line's tokens
+  std::deque<std::string> joined_;        // continued lines, owned (stable addresses)
   std::vector<SignalRef> inputs_;
   std::vector<SignalRef> outputs_;
   std::vector<CoverBlock> covers_;
+  std::vector<std::string_view> cover_inputs_;
+  std::vector<CoverRow> rows_;
+  bool in_cover_ = false;  // cover rows extend covers_.back()
   std::vector<LatchDef> latches_;
-  CoverBlock* current_cover_ = nullptr;
-  std::unordered_map<std::string, const LatchDef*> latch_by_output_;
+  // Signal name -> its driver: a node id, or ~i for the output of latches_[i].
+  std::unordered_map<std::string_view, int> drivers_;
 };
 
 }  // namespace
@@ -252,12 +292,12 @@ std::string po_display_name(const Circuit& c, NodeId po) {
 }
 
 Circuit read_blif(std::istream& in, const std::string& source_name) {
-  return BlifParser(in, source_name).parse();
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  return read_blif_string(text, source_name);
 }
 
 Circuit read_blif_string(const std::string& text, const std::string& source_name) {
-  std::istringstream is(text);
-  return read_blif(is, source_name);
+  return BlifParser(text, source_name).parse();
 }
 
 Circuit read_blif_file(const std::string& path) {

@@ -7,6 +7,13 @@
 // values are ignored, consistent with the paper's retiming formulation.
 // PO nodes receive an internal "$po:" name prefix so that output names may
 // coincide with internal signal names; the writer strips the prefix.
+//
+// The reader makes one pass over the caller's text and holds views into it:
+// lines and tokens are std::string_views, signal names resolve through one
+// view-keyed table, and only '\' continuation lines are copied (into a
+// buffer the parser owns). Each cover row becomes one cube built at word
+// level. read_blif(istream) and read_blif_file read the whole stream first
+// and then take the same path.
 
 #include <iosfwd>
 #include <string>

@@ -68,6 +68,12 @@ void Circuit::finish_gate(NodeId v, TruthTable func, std::span<const FaninSpec> 
   ++structural_version_;  // the function feeds CsrTopology::kZeroUnsafe
 }
 
+void Circuit::reserve(int nodes, int edges) {
+  nodes_.reserve(static_cast<std::size_t>(nodes));
+  edges_.reserve(static_cast<std::size_t>(edges));
+  by_name_.reserve(static_cast<std::size_t>(nodes));
+}
+
 int Circuit::num_gates() const {
   int n = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
@@ -172,9 +178,26 @@ void Circuit::validate() const {
     }
   }
   // Every cycle must carry at least one flip-flop: the subgraph of weight-0
-  // edges must be acyclic.
-  const Digraph g = to_digraph();
-  topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
+  // edges must be acyclic, so Kahn's order over it reaches every node.
+  std::vector<int> pending(nodes_.size(), 0);
+  for (const Edge& e : edges_) pending[static_cast<std::size_t>(e.to)] += e.weight == 0;
+  std::vector<NodeId> ready;
+  for (NodeId v = 0; v < num_nodes(); ++v) {
+    if (pending[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+  }
+  int reached = 0;
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    ++reached;
+    for (const EdgeId id : fanout_edges(v)) {
+      const Edge& e = edge(id);
+      if (e.weight == 0 && --pending[static_cast<std::size_t>(e.to)] == 0) ready.push_back(e.to);
+    }
+  }
+  // The message topological_order gives: BLIF diagnostics quote it.
+  TS_CHECK(reached == num_nodes(),
+           "topological_order called on a graph with a (non-skipped) cycle");
 }
 
 bool Circuit::is_k_bounded(int k) const { return max_fanin() <= k; }

@@ -74,6 +74,10 @@ class Circuit {
   NodeId declare_gate(const std::string& name);
   void finish_gate(NodeId v, TruthTable func, std::span<const FaninSpec> fanins);
 
+  /// Reserves storage for `nodes` nodes and `edges` edges, so a builder that
+  /// knows its size regrows neither the node table nor the name index.
+  void reserve(int nodes, int edges);
+
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int num_edges() const { return static_cast<int>(edges_.size()); }
   int num_pis() const { return static_cast<int>(pis_.size()); }

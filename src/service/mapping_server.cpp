@@ -99,10 +99,10 @@ ParsedLine parse_protocol_line(const std::string& line) {
   ParsedLine out;
   std::string op;
   bool has_id = false;
-  for (const auto& [key, value] : fields) {
+  for (auto& [key, value] : fields) {
     const auto want_string = [&](std::string* into) -> bool {
       if (value.kind != JsonScalar::Kind::kString) return false;
-      *into = value.text;
+      *into = std::move(value.text);  // the inline BLIF is the bulk of a line
       return true;
     };
     if (key == "op") {
@@ -418,6 +418,12 @@ int bind_tcp_listener(int port, int* bound_port, std::string* error) {
   return fd;
 }
 
+/// The record path of an admitted request: its file path, or for inline
+/// BLIF the "blif:<hash>" poison key computed at admission.
+const std::string& record_path(const AdmissionQueue::Ticket& ticket) {
+  return ticket.request.blif.empty() ? ticket.request.path : ticket.poison_key;
+}
+
 BatchRecord request_shell_record(const MapRequest& request, const std::string& display_path) {
   BatchRecord record;
   record.name = request.client + "#" + std::to_string(request.id);
@@ -558,16 +564,20 @@ void MappingServer::send_reply(const std::shared_ptr<Connection>& conn,
                                const std::string& line) {
   if (conn == nullptr) return;
   const std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (!conn->open || conn->fd < 0) return;
+  send_locked(*conn, line);
+}
+
+void MappingServer::send_locked(Connection& conn, const std::string& line) {
+  if (!conn.open || conn.fd < 0) return;
   std::string framed = line;
   framed += '\n';
   std::size_t sent = 0;
   while (sent < framed.size()) {
     const ssize_t n =
-        ::send(conn->fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
+        ::send(conn.fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      conn->open = false;  // the peer is gone; records still reach the JSONL
+      conn.open = false;  // the peer is gone; records still reach the JSONL
       return;
     }
     sent += static_cast<std::size_t>(n);
@@ -622,50 +632,52 @@ void MappingServer::handle_line(const std::shared_ptr<Connection>& conn,
 
 void MappingServer::handle_map(const std::shared_ptr<Connection>& conn,
                                MapRequest request) {
-  const std::string key = poison_key(request);
+  AdmissionQueue::Ticket ticket;
+  ticket.poison_key = poison_key(request);
+  ticket.request = std::move(request);
+  ticket.connection = conn != nullptr ? conn->id : -1;
   {
     const std::lock_guard<std::mutex> lock(poison_mu_);
-    if (poison_.count(key) > 0) {
+    if (poison_.count(ticket.poison_key) > 0) {
       // Resubmission of a quarantined circuit: answered immediately, never
       // re-run — the whole point of the poison list.
       poison_blocked_.fetch_add(1, std::memory_order_relaxed);
-      BatchRecord record = request_shell_record(
-          request, request.blif.empty() ? request.path : key);
+      BatchRecord record = request_shell_record(ticket.request, record_path(ticket));
       record.status = Status::kFailed;
       record.quarantined = true;
       record.attempts = 0;
       record.error = "circuit is quarantined (failed deterministically in an earlier run)";
-      AdmissionQueue::Ticket shell;
-      shell.request = request;
-      shell.connection = conn != nullptr ? conn->id : -1;
-      emit_record(shell, record);
+      emit_record(ticket, record);
       return;
     }
   }
+  const std::int64_t id = ticket.request.id;
   if (draining_.load(std::memory_order_relaxed)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::string reply = "{\"reply\":\"error\",\"id\":" + std::to_string(request.id) +
+    std::string reply = "{\"reply\":\"error\",\"id\":" + std::to_string(id) +
                         ",\"error\":\"server is draining\"}";
     send_reply(conn, reply);
     return;
   }
-  AdmissionQueue::Ticket ticket;
-  ticket.request = std::move(request);
   ticket.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  ticket.connection = conn != nullptr ? conn->id : -1;
   ticket.cancel = std::make_shared<CancelToken>();
-  const std::int64_t id = ticket.request.id;
-  if (!queue_->push(std::move(ticket))) {
+  // The ack goes out before the result can: a worker may finish a hot-tier
+  // hit before this thread writes "queued", so the connection's write lock
+  // is held from push to ack and the worker's result reply waits for it.
+  std::unique_lock<std::mutex> write_lock;
+  if (conn != nullptr) write_lock = std::unique_lock<std::mutex>(conn->write_mu);
+  const bool admitted = queue_->push(std::move(ticket));
+  std::string reply;
+  if (admitted) {
+    admitted_.fetch_add(1, std::memory_order_relaxed);
+    reply = "{\"reply\":\"queued\",\"id\":" + std::to_string(id) +
+            ",\"queue_depth\":" + std::to_string(queue_->depth()) + "}";
+  } else {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::string reply = "{\"reply\":\"error\",\"id\":" + std::to_string(id) +
-                        ",\"error\":\"admission queue is full\"}";
-    send_reply(conn, reply);
-    return;
+    reply = "{\"reply\":\"error\",\"id\":" + std::to_string(id) +
+            ",\"error\":\"admission queue is full\"}";
   }
-  admitted_.fetch_add(1, std::memory_order_relaxed);
-  std::string reply = "{\"reply\":\"queued\",\"id\":" + std::to_string(id) +
-                      ",\"queue_depth\":" + std::to_string(queue_->depth()) + "}";
-  send_reply(conn, reply);
+  if (conn != nullptr) send_locked(*conn, reply);
 }
 
 void MappingServer::worker_loop() {
@@ -679,14 +691,12 @@ void MappingServer::worker_loop() {
 
 void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
   const MapRequest& request = ticket.request;
-  const std::string key = poison_key(request);
-  const std::string display_path =
-      request.blif.empty() ? request.path : "blif:" + hex64(fnv1a64(request.blif));
+  const std::string& path = record_path(ticket);
 
   if (ticket.cancel->cancelled()) {
     // Cancelled while queued (CANCEL verb or drain): one honest record,
     // zero compute.
-    BatchRecord record = request_shell_record(request, display_path);
+    BatchRecord record = request_shell_record(request, path);
     record.skipped = true;
     record.status = Status::kCancelled;
     cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -696,7 +706,7 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
 
   BatchJob job;
   job.name = request.client + "#" + std::to_string(request.id);
-  job.path = display_path;
+  job.path = path;
   job.blif = request.blif;
   job.flow = request.flow;
   job.portfolio = request.portfolio;
@@ -731,7 +741,7 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
 
   if (record.quarantined) {
     const std::lock_guard<std::mutex> lock(poison_mu_);
-    poison_.insert(key);
+    poison_.insert(ticket.poison_key);
   }
   if (record.skipped || record.status == Status::kCancelled) {
     cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -837,10 +847,7 @@ void MappingServer::request_shutdown() {
   //    stays complete across the drain (the fork drill asserts exactly
   //    this), and connected clients hear why their request ended.
   for (AdmissionQueue::Ticket& ticket : queue_->drain()) {
-    BatchRecord record = request_shell_record(
-        ticket.request, ticket.request.blif.empty()
-                            ? ticket.request.path
-                            : "blif:" + hex64(fnv1a64(ticket.request.blif)));
+    BatchRecord record = request_shell_record(ticket.request, record_path(ticket));
     record.skipped = true;
     record.status = Status::kCancelled;
     cancelled_.fetch_add(1, std::memory_order_relaxed);

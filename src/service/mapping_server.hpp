@@ -210,6 +210,7 @@ class AdmissionQueue {
  public:
   struct Ticket {
     MapRequest request;
+    std::string poison_key;  // MappingServer::poison_key(request), hashed once at admission
     std::uint64_t seq = 0;  // server-wide admission number
     int connection = -1;    // reply target (-1: none, e.g. tests)
     std::shared_ptr<CancelToken> cancel;  // per-request; never null once admitted
@@ -408,6 +409,8 @@ class MappingServer {
   void emit_record(const AdmissionQueue::Ticket& ticket, const BatchRecord& record,
                    bool traced = false);
   void send_reply(const std::shared_ptr<Connection>& conn, const std::string& line);
+  /// send_reply's write, for a caller that already holds conn.write_mu.
+  static void send_locked(Connection& conn, const std::string& line);
   std::shared_ptr<Connection> connection(int id) const;
 
   /// Poison key for a request: the path, or a hash of the inline text.

@@ -1,15 +1,19 @@
 // Randomized malformed-BLIF smoke test: the parser must reject or accept
 // every mutated input cleanly — throw turbosyn::Error with a useful message,
 // or parse successfully — and must never crash, corrupt memory (run this
-// under ASan/UBSan in CI) or hang.
+// under ASan/UBSan in CI) or hang. Every input is also read by the
+// pre-rewrite line-by-line reader (oracle::read_blif_reference); the two
+// must agree on the verdict, the diagnostic, the canonical form and the
+// written BLIF, and any disagreement fails the run.
 //
 //   $ ./blif_fuzz_main [--seconds N] [--seed S]
 //
 // Mutations cover the malformed shapes seen in the wild: truncated files,
 // flipped cover polarities, cover-row width mismatches, unknown directives,
-// duplicated drivers, garbage after .end, random byte edits and line
-// shuffles. Every accepted circuit is additionally validated end-to-end by
-// re-serializing it.
+// duplicated drivers, garbage after .end, random byte edits, line shuffles,
+// CRLF line endings and '\' continuations. The corpus adds covers of 7-11
+// inputs to the embedded samples. Every accepted circuit is additionally
+// validated end-to-end by re-serializing it.
 
 #include <chrono>
 #include <cstdlib>
@@ -20,6 +24,7 @@
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "netlist/blif.hpp"
+#include "oracle.hpp"
 #include "workloads/samples.hpp"
 
 namespace {
@@ -37,7 +42,7 @@ std::string random_token(Rng& rng) {
 std::string mutate(const std::string& base, Rng& rng) {
   std::string s = base;
   if (s.empty()) return random_token(rng);  // fully truncated earlier round
-  const int kind = static_cast<int>(rng.next_below(8));
+  const int kind = static_cast<int>(rng.next_below(10));
   switch (kind) {
     case 0:  // truncate at a random byte (mid-token, mid-line, anywhere)
       s.resize(rng.next_below(s.size() + 1));
@@ -74,6 +79,17 @@ std::string mutate(const std::string& base, Rng& rng) {
       s.insert(rng.next_below(s.size() + 1), "\n" + line + "\n");
       break;
     }
+    case 8: {  // CRLF line endings on some lines
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        if (s[i] == '\n' && rng.next_bool(0.5)) s.insert(i++, 1, '\r');
+      }
+      break;
+    }
+    case 9: {  // break a line with a '\' continuation, sometimes commented
+      const std::size_t pos = s.find(' ', rng.next_below(s.size()));
+      if (pos != std::string::npos) s.insert(pos, rng.next_bool() ? " \\\n" : " \\# c\n");
+      break;
+    }
     default: {  // duplicate a chunk (duplicate drivers / repeated sections)
       const std::size_t from = rng.next_below(s.size());
       const std::size_t len = rng.next_below(s.size() - from + 1);
@@ -96,13 +112,17 @@ int main(int argc, char** argv) {
     if (flag == "--seed") seed = static_cast<std::uint64_t>(std::atoll(argv[i + 1]));
   }
 
-  const std::vector<std::string> corpus = {counter3_blif(), pattern_fsm_blif(),
-                                           traffic_light_blif(), gray_counter_blif()};
   Rng rng(seed);
+  std::vector<std::string> corpus = {counter3_blif(), pattern_fsm_blif(), traffic_light_blif(),
+                                     gray_counter_blif()};
+  for (const int arity : {7, 8, 9, 11}) {
+    corpus.push_back(oracle::random_cover_blif(rng, arity, 4, arity % 2 == 0 ? '0' : '1'));
+  }
   const auto start = std::chrono::steady_clock::now();
   long iterations = 0;
   long accepted = 0;
   long rejected = 0;
+  long disagreements = 0;
   while (std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() <
          seconds) {
     std::string input = corpus[rng.next_below(corpus.size())];
@@ -118,10 +138,19 @@ int main(int argc, char** argv) {
     }
     // Anything else (segfault, unhandled exception type, sanitizer report,
     // hang) fails the harness.
+    if (const std::string diff = oracle::blif_reader_disagreement(input, "<fuzz>");
+        !diff.empty()) {
+      if (++disagreements <= 3) {
+        std::fprintf(stderr, "blif_fuzz: disagreement with the reference reader: %s\n"
+                             "--- input ---\n%s\n--- end ---\n",
+                     diff.c_str(), input.c_str());
+      }
+    }
     ++iterations;
   }
-  std::printf("blif_fuzz: %ld inputs in %.1fs (%ld accepted, %ld rejected), seed %llu\n",
-              iterations, seconds, accepted, rejected,
+  std::printf("blif_fuzz: %ld inputs in %.1fs (%ld accepted, %ld rejected, %ld disagreements),"
+              " seed %llu\n",
+              iterations, seconds, accepted, rejected, disagreements,
               static_cast<unsigned long long>(seed));
-  return iterations > 0 ? 0 : 1;
+  return iterations > 0 && disagreements == 0 ? 0 : 1;
 }

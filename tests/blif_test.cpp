@@ -4,6 +4,7 @@
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
+#include "oracle.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
@@ -153,6 +154,100 @@ b
 .end
 )");
   EXPECT_EQ(c.num_pis(), 2);
+}
+
+/// Both readers on `text`: they must agree on everything, and the verdict
+/// must be `accepted`. Returns read_blif's diagnostic ("" if accepted).
+std::string expect_matches_reference(const std::string& text, bool accepted) {
+  EXPECT_EQ(oracle::blif_reader_disagreement(text), "") << text;
+  try {
+    (void)read_blif_string(text);
+  } catch (const Error& e) {
+    EXPECT_FALSE(accepted) << oracle::diagnostic(e);
+    return oracle::diagnostic(e);
+  }
+  EXPECT_TRUE(accepted) << text;
+  return {};
+}
+
+const char* const kAnd2 = ".model a\n.inputs a b\n.outputs o\n.names a b o\n11 1\n.end\n";
+
+TEST(BlifReader, MatchesReferenceOnWorkloadInputs) {
+  for (const std::string& text :
+       {counter3_blif(), pattern_fsm_blif(), traffic_light_blif(), gray_counter_blif()}) {
+    expect_matches_reference(text, true);
+  }
+  for (const auto& spec : tiny_suite()) {
+    expect_matches_reference(write_blif_string(generate_fsm_circuit(spec)), true);
+  }
+  for (const auto& spec : table1_suite()) {
+    expect_matches_reference(write_blif_string(generate_fsm_circuit(spec)), true);
+  }
+}
+
+TEST(BlifReader, CrlfLineEndingsMatchReference) {
+  std::string crlf;
+  for (const char ch : std::string(kAnd2)) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  expect_matches_reference(crlf, true);
+  // A '\' before "\r\n" is not the last character: no continuation.
+  expect_matches_reference(".model a\r\n.inputs a \\\r\nb\r\n.end\r\n", false);
+}
+
+TEST(BlifReader, MissingTrailingNewlineMatchesReference) {
+  const std::string text = kAnd2;
+  expect_matches_reference(text.substr(0, text.size() - 1), true);
+  expect_matches_reference(".model a\n.inputs a\n.outputs a", true);
+}
+
+TEST(BlifReader, ContinuationEdgesMatchReference) {
+  // A continuation on the last line dangles, with or without a newline.
+  EXPECT_NE(expect_matches_reference(".model a\n.inputs a \\\n", false)
+                .find("<blif>:2: dangling line continuation"),
+            std::string::npos);
+  expect_matches_reference(".model a\n.inputs a \\", false);
+  // A comment after '\' leaves the '\' a token of its own.
+  expect_matches_reference(".model a\n.inputs a \\ # note\nb\n.outputs a\n.end\n", false);
+  // A comment cut right at the '\' still continues.
+  expect_matches_reference(".model a\n.inputs a \\# note\nb\n.outputs a b\n.end\n", true);
+  // The '\' becomes a space: "a\" then "b" are two inputs, not "ab".
+  expect_matches_reference(".model a\n.inputs a\\\nb\n.outputs ab\n.end\n", false);
+  // Joined lines report at the line they started on.
+  expect_matches_reference(".model a\n.inputs a \\\n b\n.names a \\\n b \\\n o\n1- 1\n"
+                           ".outputs o\n.bogus x \\\n y\n.end\n",
+                           false);
+}
+
+TEST(BlifReader, WideCoversMatchReference) {
+  Rng rng(2024);
+  for (int arity = 7; arity <= 16; ++arity) {
+    for (const char polarity : {'1', '0'}) {
+      const int rows = static_cast<int>(rng.next_in(1, 12));
+      expect_matches_reference(oracle::random_cover_blif(rng, arity, rows, polarity), true);
+    }
+  }
+}
+
+TEST(BlifReader, EmptyCoverAndTrailingGarbageMatchReference) {
+  expect_matches_reference(".model a\n.inputs a b\n.outputs o\n.names a b o\n.end\n", true);
+  EXPECT_NE(expect_matches_reference(std::string(kAnd2) + "\n# fine\nleft over\n", false)
+                .find("<blif>:9: trailing garbage after .end"),
+            std::string::npos);
+}
+
+TEST(BlifReader, OutputNamingAnEarlierPoMatchesReference) {
+  // "$po:a" is the internal name of the first output's PO node: the second
+  // output resolves to that PO, which cannot drive anything.
+  expect_matches_reference(".model a\n.inputs a\n.outputs a $po:a\n.end\n", false);
+}
+
+TEST(BlifReader, MoreThanSixteenInputsRejectedLikeReference) {
+  Rng rng(7);
+  const std::string diag =
+      expect_matches_reference(oracle::random_cover_blif(rng, 17, 3, '1'), false);
+  EXPECT_NE(diag.find("<blif>:4: .names 'f' has 17 inputs (max 16)"), std::string::npos) << diag;
 }
 
 TEST(BlifRoundTrip, SamplesSimulateIdentically) {

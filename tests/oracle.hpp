@@ -12,14 +12,22 @@
 //   - feasible_retiming / min_period_retiming: textbook Leiserson–Saxe FEAS
 //     on the W/D matrices (one lexicographic Dijkstra per source), pinned
 //     nodes sharing lag 0, and the OPT1 binary search over periods.
+//   - read_blif_reference: the line-by-line istream BLIF reader (getline,
+//     a token vector per line, one AND per cover literal) that the one-pass
+//     reader in netlist/blif.cpp replaced; blif_reader_disagreement runs
+//     both on one text and compares everything they produce.
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "base/check.hpp"
 #include "base/rational.hpp"
+#include "base/rng.hpp"
 #include "graph/digraph.hpp"
 #include "netlist/circuit.hpp"
 #include "retime/howard.hpp"
@@ -66,5 +74,27 @@ std::vector<NodeId> circuit_io(const Circuit& c);
 /// min_period_retiming on a circuit with its PIs and POs pinned, applied in
 /// place; returns the period.
 std::int64_t retime_min_period(Circuit& c);
+
+/// The pre-rewrite BLIF reader, kept verbatim. Throws turbosyn::Error with
+/// the same "source:line:" diagnostics as read_blif.
+Circuit read_blif_reference(std::istream& in, const std::string& source_name = "<blif>");
+Circuit read_blif_reference(const std::string& text, const std::string& source_name = "<blif>");
+
+/// The message of a turbosyn::Error without its "check failed: <cond> at
+/// <file>:<line> — " prefix, which names the checking source line rather
+/// than the input.
+std::string diagnostic(const Error& e);
+
+/// Reads `text` with read_blif_string and read_blif_reference and compares
+/// the verdict, the diagnostic, canonical_circuit_form and the write_blif
+/// bytes. Empty when the two readers agree on all four; otherwise the first
+/// difference.
+std::string blif_reader_disagreement(const std::string& text,
+                                     const std::string& source_name = "<blif>");
+
+/// A one-gate BLIF model whose .names block has `arity` inputs and `rows`
+/// random cubes with output bit `polarity`; each literal is a don't-care
+/// with probability 1/2.
+std::string random_cover_blif(Rng& rng, int arity, int rows, char polarity);
 
 }  // namespace turbosyn::oracle
