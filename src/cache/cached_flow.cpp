@@ -13,7 +13,6 @@
 #include "core/stages/mapgen_stage.hpp"
 #include "core/stages/pack_stage.hpp"
 #include "core/stages/pipeline_retime_stage.hpp"
-#include "netlist/canonical.hpp"
 
 namespace turbosyn {
 namespace {
@@ -36,8 +35,8 @@ bool entry_fits(const CacheEntry& entry, const Circuit& c) {
 /// the winning probe's label hash so the ledger's certification tie — the
 /// feasible record at (mode, φ) hashes the published labels — still holds
 /// for this parse's node numbering.
-void remap_entry_to_input_order(CacheEntry& entry, const Circuit& c) {
-  const std::vector<NodeId> order = canonical_node_order(c);
+void remap_entry_to_input_order(CacheEntry& entry, const CacheKey& key) {
+  const std::vector<NodeId>& order = key.order;
   std::vector<int> labels(entry.winning_labels.size(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     labels[static_cast<std::size_t>(order[i])] = entry.winning_labels[i];
@@ -155,7 +154,7 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
   const CacheKey key = make_cache_key(c, options, kind);
   if (std::optional<CacheEntry> entry = cache->lookup(key);
       entry.has_value() && entry_fits(*entry, c) && entry->winner.empty()) {
-    remap_entry_to_input_order(*entry, c);
+    remap_entry_to_input_order(*entry, key);
     FlowResult result = serve_hit(std::string("flow:") + flow_kind_name(kind),
                                   kind == FlowKind::kTurboMapPeriod, c, options, *entry);
     if (info != nullptr) info->hit = true;
@@ -169,7 +168,7 @@ FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& o
   FlowOptions run_options = options;
   run_options.collect_artifacts = true;
   FlowResult result = run_flow(kind, c, run_options);
-  const bool stored = cache->store_result(key, result, c);
+  const bool stored = cache->store_result(key, result);
   if (info != nullptr) info->stored = stored;
   if (!options.collect_artifacts) result.artifacts = FlowArtifacts{};
   trace_cache_counters(options.trace, *cache);
@@ -193,7 +192,7 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
       if (spec->name == entry->winner) winner = spec;
     }
     if (winner != nullptr) {
-      remap_entry_to_input_order(*entry, c);
+      remap_entry_to_input_order(*entry, key);
       FlowResult result =
           serve_hit("flow:portfolio", winner->period_objective, c, options, *entry);
       result.engine = entry->winner;
@@ -206,7 +205,7 @@ FlowResult run_portfolio_cached(const std::vector<const EngineSpec*>& engines,
   FlowOptions run_options = options;
   run_options.collect_artifacts = true;
   FlowResult result = run_portfolio(engines, c, run_options);
-  const bool stored = cache->store_result(key, result, c);
+  const bool stored = cache->store_result(key, result);
   if (info != nullptr) info->stored = stored;
   if (!options.collect_artifacts) result.artifacts = FlowArtifacts{};
   trace_cache_counters(options.trace, *cache);

@@ -306,9 +306,11 @@ void append_option_fields(std::ostringstream& os, const FlowOptions& options) {
 
 /// Finishes a key from its options line: full text and hash.
 CacheKey finish_cache_key(const Circuit& c, const std::string& options_line) {
+  CanonicalForm form = canonical_circuit_form(c);
   CacheKey key;
-  key.text = options_line + canonical_circuit_form(c).text;
+  key.text = options_line + form.text;
   key.hash = fnv1a64(key.text);
+  key.order = std::move(form.order);
   return key;
 }
 
@@ -497,7 +499,7 @@ bool FlowCache::storable(const FlowResult& result) {
          result.artifacts.labels.feasible && !result.probes.empty();
 }
 
-CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit& input) {
+CacheEntry FlowCache::entry_from_result(const FlowResult& result, const CacheKey& key) {
   CacheEntry entry;
   entry.winner = result.engine;  // empty for standalone flows
   entry.phi = result.artifacts.phi;
@@ -505,7 +507,7 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const Circuit&
   entry.max_po_label = result.artifacts.labels.max_po_label;
   // Schema v2: labels are persisted in canonical order so they survive
   // parses that assigned different input ids.
-  const std::vector<NodeId> order = canonical_node_order(input);
+  const std::vector<NodeId>& order = key.order;
   const std::vector<int>& by_id = result.artifacts.labels.labels;
   if (by_id.size() == order.size()) {
     entry.winning_labels.resize(order.size());
@@ -586,13 +588,12 @@ std::optional<CacheEntry> FlowCache::lookup(const CacheKey& key) const {
   return std::move(parsed->entry);
 }
 
-bool FlowCache::store_result(const CacheKey& key, const FlowResult& result,
-                             const Circuit& input) {
+bool FlowCache::store_result(const CacheKey& key, const FlowResult& result) {
   if (!storable(result)) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  return store(key, entry_from_result(result, input));
+  return store(key, entry_from_result(result, key));
 }
 
 bool FlowCache::store(const CacheKey& key, const CacheEntry& entry) {

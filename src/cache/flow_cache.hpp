@@ -102,6 +102,9 @@ std::optional<HotPolicy> parse_hot_policy(std::string_view name);
 struct CacheKey {
   std::uint64_t hash = 0;
   std::string text;
+  /// The keyed circuit's canonical node order (CanonicalForm::order): a hit
+  /// remaps the stored labels through it and a store writes them in it.
+  std::vector<NodeId> order;
 };
 
 /// Canonical key for running `kind` on `c` under `options`. Covers exactly
@@ -147,7 +150,7 @@ struct CacheEntry {
   int max_po_label = 0;            // of the winning label vector
   std::vector<CachedProbe> probes; // the full ledger, in record order
   /// Converged labels at `phi`, in CANONICAL node order (schema v2): entry i
-  /// belongs to the node at canonical_node_order(c)[i]. Canonical order is
+  /// belongs to the node at CacheKey::order[i]. Canonical order is
   /// parse-order independent, so a differently-ordered parse of the same
   /// netlist replays correctly. Callers remap to input ids.
   std::vector<int> winning_labels;
@@ -214,16 +217,16 @@ class FlowCache {
 
   /// storable() + entry_from_result() + store() in one step; a quarantined
   /// (unstorable) result counts against rejects(). Returns true iff written.
-  bool store_result(const CacheKey& key, const FlowResult& result, const Circuit& input);
+  bool store_result(const CacheKey& key, const FlowResult& result);
 
   /// True iff `result` may be cached: an exact, uninterrupted run whose
   /// winning labels were collected. Everything else is quarantined.
   static bool storable(const FlowResult& result);
 
   /// Builds the entry for a storable result (artifacts must be valid).
-  /// `input` is the circuit the flow ran on: labels are remapped from input
-  /// ids to canonical order for storage.
-  static CacheEntry entry_from_result(const FlowResult& result, const Circuit& input);
+  /// `key` is the key of the circuit the flow ran on: labels are remapped
+  /// from input ids to its canonical order for storage.
+  static CacheEntry entry_from_result(const FlowResult& result, const CacheKey& key);
 
   /// What one recover() pass cleaned out of the cache directory.
   struct RecoveryStats {

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "base/check.hpp"
-#include "graph/scc.hpp"
 
 namespace turbosyn {
 namespace {
@@ -251,15 +250,13 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
   cache_.per_node.resize(n);
 
-  const Digraph g = c.to_digraph();
-  scc_ = strongly_connected_components(g);
+  scc_ = strongly_connected_components(c);
 
   // Sweep order: zero-weight topological position. Updates then propagate
   // through a whole combinational stretch in a single sweep, so each sweep
   // advances label information by one register lap around a loop.
   std::vector<int> topo_pos(n, 0);
-  const std::vector<NodeId> order =
-      topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
+  const std::vector<NodeId> order = combinational_order(c);
   for (std::size_t i = 0; i < order.size(); ++i) {
     topo_pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }

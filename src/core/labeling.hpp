@@ -35,7 +35,6 @@
 #include "base/run_budget.hpp"
 #include "core/expanded.hpp"
 #include "decomp/roth_karp.hpp"
-#include "graph/scc.hpp"
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "base/check.hpp"
-#include "graph/scc.hpp"
 #include "mapping/cone_cut.hpp"
 #include "sim/cone.hpp"
 
@@ -31,8 +30,7 @@ FlowMapResult flowmap(const Circuit& c, const FlowMapOptions& options) {
   result.nodes.assign(static_cast<std::size_t>(c.num_nodes()), NodeMapping{});
   std::vector<int> label(static_cast<std::size_t>(c.num_nodes()), 0);
 
-  const Digraph g = c.to_digraph();
-  for (const NodeId t : topological_order(g)) {
+  for (const NodeId t : combinational_order(c)) {
     NodeMapping& m = result.nodes[static_cast<std::size_t>(t)];
     if (c.is_pi(t)) continue;
     if (c.is_po(t)) {

@@ -38,16 +38,6 @@ void append_truth_table(std::string& out, const TruthTable& t) {
   out += ' ';
 }
 
-}  // namespace
-
-std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) {
-  for (const char ch : bytes) {
-    state ^= static_cast<unsigned char>(ch);
-    state *= 0x100000001b3ull;
-  }
-  return state;
-}
-
 std::vector<NodeId> canonical_node_order(const Circuit& c) {
   const int n = c.num_nodes();
   std::vector<NodeId> order(static_cast<std::size_t>(n));
@@ -61,13 +51,24 @@ std::vector<NodeId> canonical_node_order(const Circuit& c) {
   return order;
 }
 
+}  // namespace
+
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) {
+  for (const char ch : bytes) {
+    state ^= static_cast<unsigned char>(ch);
+    state *= 0x100000001b3ull;
+  }
+  return state;
+}
+
 CanonicalForm canonical_circuit_form(const Circuit& c) {
   const int n = c.num_nodes();
-  const std::vector<NodeId> order = canonical_node_order(c);
+  CanonicalForm form;
+  form.order = canonical_node_order(c);
+  const std::vector<NodeId>& order = form.order;
   std::vector<int> position(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) position[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
 
-  CanonicalForm form;
   form.text.reserve(static_cast<std::size_t>(n) * 24);
   form.text += "canon 1\n";
   append_int(form.text, n);

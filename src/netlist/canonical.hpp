@@ -33,18 +33,17 @@ std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state = kFnvOffset64
 struct CanonicalForm {
   std::string text;         // order-independent serialization (see above)
   std::uint64_t hash = 0;   // fnv1a64(text)
+  /// The node ordering the text serializes: sorted by (kind rank, name)
+  /// with PIs first, then gates, then POs. order[i] is the input NodeId at
+  /// canonical index i. The flow cache stores per-node payloads (label
+  /// vectors) in this order so they survive parses that assigned different
+  /// input ids.
+  std::vector<NodeId> order;
 };
 
 /// Canonical form of `c`. Insertion-order independent: any circuit with the
 /// same named nodes, functions and weighted connections maps to the same
 /// text regardless of how it was built.
 CanonicalForm canonical_circuit_form(const Circuit& c);
-
-/// The node ordering the canonical form serializes: sorted by (kind rank,
-/// name) with PIs first, then gates, then POs. Position i of the result is
-/// the input NodeId serialized at canonical index i. The flow cache stores
-/// per-node payloads (label vectors) in this order so they survive parses
-/// that assigned different input ids.
-std::vector<NodeId> canonical_node_order(const Circuit& c);
 
 }  // namespace turbosyn

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/check.hpp"
-#include "graph/scc.hpp"
 
 namespace turbosyn {
 
@@ -178,26 +177,8 @@ void Circuit::validate() const {
     }
   }
   // Every cycle must carry at least one flip-flop: the subgraph of weight-0
-  // edges must be acyclic, so Kahn's order over it reaches every node.
-  std::vector<int> pending(nodes_.size(), 0);
-  for (const Edge& e : edges_) pending[static_cast<std::size_t>(e.to)] += e.weight == 0;
-  std::vector<NodeId> ready;
-  for (NodeId v = 0; v < num_nodes(); ++v) {
-    if (pending[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
-  }
-  int reached = 0;
-  while (!ready.empty()) {
-    const NodeId v = ready.back();
-    ready.pop_back();
-    ++reached;
-    for (const EdgeId id : fanout_edges(v)) {
-      const Edge& e = edge(id);
-      if (e.weight == 0 && --pending[static_cast<std::size_t>(e.to)] == 0) ready.push_back(e.to);
-    }
-  }
-  // The message topological_order gives: BLIF diagnostics quote it.
-  TS_CHECK(reached == num_nodes(),
-           "topological_order called on a graph with a (non-skipped) cycle");
+  // edges must be acyclic.
+  (void)combinational_order(*this);
 }
 
 bool Circuit::is_k_bounded(int k) const { return max_fanin() <= k; }
@@ -210,13 +191,6 @@ int Circuit::max_fanin() const {
   return m;
 }
 
-Digraph Circuit::to_digraph() const {
-  Digraph g;
-  g.add_nodes(num_nodes());
-  for (const Edge& e : edges_) g.add_edge(e.from, e.to, e.weight);
-  return g;
-}
-
 CircuitStats compute_stats(const Circuit& c) {
   CircuitStats s;
   s.pis = c.num_pis();
@@ -224,21 +198,126 @@ CircuitStats compute_stats(const Circuit& c) {
   s.gates = c.num_gates();
   s.ffs = c.num_ffs_shared();
   s.max_fanin = c.max_fanin();
-  const Digraph g = c.to_digraph();
-  const SccDecomposition scc = strongly_connected_components(g);
+  const SccDecomposition scc = strongly_connected_components(c);
   for (const auto& comp : scc.components) {
     if (comp.size() > 1) {
       ++s.sccs_with_cycle;
       continue;
     }
-    for (const EdgeId e : g.fanout_edges(comp[0])) {
-      if (g.edge(e).to == comp[0]) {
+    for (const EdgeId e : c.fanout_edges(comp[0])) {
+      if (c.edge(e).to == comp[0]) {
         ++s.sccs_with_cycle;
         break;
       }
     }
   }
   return s;
+}
+
+SccDecomposition strongly_connected_components(const Circuit& c) {
+  const int n = c.num_nodes();
+  SccDecomposition result;
+  result.component_of.assign(static_cast<std::size_t>(n), -1);
+
+  std::vector<int> index(static_cast<std::size_t>(n), -1);
+  std::vector<int> lowlink(static_cast<std::size_t>(n), -1);
+  std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
+  std::vector<NodeId> stack;
+  int next_index = 0;
+
+  // Iterative Tarjan: each frame remembers the node and the position within
+  // its fanout list.
+  struct Frame {
+    NodeId v;
+    std::size_t edge_pos;
+  };
+  std::vector<Frame> frames;
+
+  for (NodeId root = 0; root < n; ++root) {
+    if (index[static_cast<std::size_t>(root)] != -1) continue;
+    frames.push_back({root, 0});
+    index[static_cast<std::size_t>(root)] = lowlink[static_cast<std::size_t>(root)] = next_index++;
+    stack.push_back(root);
+    on_stack[static_cast<std::size_t>(root)] = true;
+
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      const auto outs = c.fanout_edges(f.v);
+      bool descended = false;
+      while (f.edge_pos < outs.size()) {
+        const NodeId w = c.edge(outs[f.edge_pos++]).to;
+        if (index[static_cast<std::size_t>(w)] == -1) {
+          index[static_cast<std::size_t>(w)] = lowlink[static_cast<std::size_t>(w)] = next_index++;
+          stack.push_back(w);
+          on_stack[static_cast<std::size_t>(w)] = true;
+          frames.push_back({w, 0});
+          descended = true;
+          break;
+        }
+        if (on_stack[static_cast<std::size_t>(w)]) {
+          lowlink[static_cast<std::size_t>(f.v)] =
+              std::min(lowlink[static_cast<std::size_t>(f.v)], index[static_cast<std::size_t>(w)]);
+        }
+      }
+      if (descended) continue;
+
+      // f.v is fully explored.
+      const NodeId v = f.v;
+      frames.pop_back();
+      if (!frames.empty()) {
+        const NodeId parent = frames.back().v;
+        lowlink[static_cast<std::size_t>(parent)] =
+            std::min(lowlink[static_cast<std::size_t>(parent)], lowlink[static_cast<std::size_t>(v)]);
+      }
+      if (lowlink[static_cast<std::size_t>(v)] == index[static_cast<std::size_t>(v)]) {
+        std::vector<NodeId> comp;
+        while (true) {
+          const NodeId w = stack.back();
+          stack.pop_back();
+          on_stack[static_cast<std::size_t>(w)] = false;
+          comp.push_back(w);
+          if (w == v) break;
+        }
+        result.components.push_back(std::move(comp));
+      }
+    }
+  }
+
+  // Tarjan emits SCCs in reverse topological order; flip to topological.
+  std::reverse(result.components.begin(), result.components.end());
+  for (std::size_t comp = 0; comp < result.components.size(); ++comp) {
+    for (const NodeId v : result.components[comp]) {
+      result.component_of[static_cast<std::size_t>(v)] = static_cast<int>(comp);
+    }
+  }
+  return result;
+}
+
+std::vector<NodeId> combinational_order(const Circuit& c) {
+  const int n = c.num_nodes();
+  std::vector<int> pending(static_cast<std::size_t>(n), 0);
+  for (EdgeId e = 0; e < c.num_edges(); ++e) {
+    pending[static_cast<std::size_t>(c.edge(e).to)] += c.edge(e).weight == 0;
+  }
+  std::vector<NodeId> order;
+  order.reserve(static_cast<std::size_t>(n));
+  std::vector<NodeId> ready;
+  for (NodeId v = 0; v < n; ++v) {
+    if (pending[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+  }
+  while (!ready.empty()) {
+    const NodeId v = ready.back();
+    ready.pop_back();
+    order.push_back(v);
+    for (const EdgeId id : c.fanout_edges(v)) {
+      const Circuit::Edge& e = c.edge(id);
+      if (e.weight == 0 && --pending[static_cast<std::size_t>(e.to)] == 0) ready.push_back(e.to);
+    }
+  }
+  // BLIF diagnostics quote this message.
+  TS_CHECK(static_cast<int>(order.size()) == n,
+           "topological_order called on a graph with a (non-skipped) cycle");
+  return order;
 }
 
 }  // namespace turbosyn

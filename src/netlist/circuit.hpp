@@ -18,9 +18,13 @@
 #include <vector>
 
 #include "base/truth_table.hpp"
-#include "graph/digraph.hpp"
 
 namespace turbosyn {
+
+using NodeId = std::int32_t;
+using EdgeId = std::int32_t;
+inline constexpr NodeId kNoNode = -1;
+inline constexpr EdgeId kNoEdge = -1;
 
 enum class NodeKind : std::uint8_t { kPi, kPo, kGate };
 
@@ -125,9 +129,6 @@ class Circuit {
   /// Largest gate fanin count.
   int max_fanin() const;
 
-  /// Connectivity as a Digraph with identical node/edge ids.
-  Digraph to_digraph() const;
-
   /// The CSR view of the current structure, built lazily and cached until
   /// the next structural change (add_node/add_edge/set_edge_weight). The
   /// steady-state call is one acquire load plus a version check, so the
@@ -196,5 +197,28 @@ struct CircuitStats {
 };
 
 CircuitStats compute_stats(const Circuit& c);
+
+// ---- Graph routines on the retiming graph itself. ----
+
+struct SccDecomposition {
+  /// component_of[v] = index of v's SCC.
+  std::vector<int> component_of;
+  /// components[i] = nodes of SCC i; component indices are topologically
+  /// ordered: every edge u->v with distinct components goes from a lower
+  /// index to a higher index.
+  std::vector<std::vector<NodeId>> components;
+};
+
+/// Strongly connected components over every edge, registered or not
+/// (iterative Tarjan along the fanout lists). The TurboMap/TurboSYN label
+/// computation processes SCCs in this topological order (Theorem 2 of the
+/// paper relies on it).
+SccDecomposition strongly_connected_components(const Circuit& c);
+
+/// Topological order of the register-free (weight-0) subgraph, by Kahn's
+/// algorithm: nodes start ready in id order, the last ready node goes
+/// first, and fanouts are released in edge-id order. Throws
+/// turbosyn::Error on a combinational loop (a cycle of weight-0 edges).
+std::vector<NodeId> combinational_order(const Circuit& c);
 
 }  // namespace turbosyn

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "base/check.hpp"
-#include "graph/scc.hpp"
 
 namespace turbosyn {
 namespace {
@@ -18,13 +17,13 @@ struct NodeState {
 
 class HowardScc {
  public:
-  HowardScc(const Digraph& g, std::span<const int> delay, std::span<const NodeId> nodes,
-            std::span<const int> component_of, int comp)
-      : g_(g), delay_(delay), nodes_(nodes) {
+  HowardScc(const Circuit& c, std::span<const NodeId> nodes, std::span<const int> component_of,
+            int comp)
+      : c_(c), nodes_(nodes) {
     // Initial policy: first out-edge that stays inside the SCC.
     for (const NodeId v : nodes) {
-      for (const EdgeId e : g.fanout_edges(v)) {
-        if (component_of[static_cast<std::size_t>(g.edge(e).to)] == comp) {
+      for (const EdgeId e : c.fanout_edges(v)) {
+        if (component_of[static_cast<std::size_t>(c.edge(e).to)] == comp) {
           state(v).policy = e;
           break;
         }
@@ -70,7 +69,7 @@ class HowardScc {
       while (color[v] == 0) {
         color[v] = 1;
         path.push_back(v);
-        v = g_.edge(state(v).policy).to;
+        v = c_.edge(state(v).policy).to;
       }
       if (color[v] == 1) {
         // Found a new cycle starting at v within `path`.
@@ -81,8 +80,8 @@ class HowardScc {
         for (auto p = it; p != path.end(); ++p) {
           const EdgeId e = state(*p).policy;
           cycle.push_back(e);
-          val += delay_[static_cast<std::size_t>(g_.edge(e).to)];
-          tau += g_.edge(e).weight;
+          val += c_.delay(c_.edge(e).to);
+          tau += c_.edge(e).weight;
         }
         TS_CHECK(tau > 0 || val == 0,
                  "combinational loop (positive delay, zero registers): ratio unbounded");
@@ -95,10 +94,10 @@ class HowardScc {
         for (std::size_t i = cyc_nodes.size(); i-- > 1;) {
           const NodeId u = cyc_nodes[i];
           const EdgeId e = state(u).policy;
-          const NodeId w = g_.edge(e).to;
+          const NodeId w = c_.edge(e).to;
           state(u).sigma = sigma;
-          state(u).d = Rational(delay_[static_cast<std::size_t>(g_.edge(e).to)]) -
-                       sigma * Rational(g_.edge(e).weight) + state(w).d;
+          state(u).d = Rational(c_.delay(c_.edge(e).to)) -
+                       sigma * Rational(c_.edge(e).weight) + state(w).d;
         }
         for (const NodeId u : cyc_nodes) cycle_of_[u] = cycle;
       }
@@ -107,11 +106,11 @@ class HowardScc {
         const NodeId u = *p;
         if (color[u] == 2) continue;
         const EdgeId e = state(u).policy;
-        const NodeId w = g_.edge(e).to;
+        const NodeId w = c_.edge(e).to;
         if (cycle_of_.count(u) == 0) {
           state(u).sigma = state(w).sigma;
-          state(u).d = Rational(delay_[static_cast<std::size_t>(g_.edge(e).to)]) -
-                       state(u).sigma * Rational(g_.edge(e).weight) + state(w).d;
+          state(u).d = Rational(c_.delay(c_.edge(e).to)) -
+                       state(u).sigma * Rational(c_.edge(e).weight) + state(w).d;
           cycle_of_[u] = cycle_of_.at(w);
         }
         color[u] = 2;
@@ -123,8 +122,8 @@ class HowardScc {
   bool improve() {
     bool changed = false;
     for (const NodeId u : nodes_) {
-      for (const EdgeId e : g_.fanout_edges(u)) {
-        const NodeId v = g_.edge(e).to;
+      for (const EdgeId e : c_.fanout_edges(u)) {
+        const NodeId v = c_.edge(e).to;
         if (states_.count(v) == 0) continue;  // leaves the SCC
         const NodeState& su = state(u);
         const NodeState& sv = state(v);
@@ -132,8 +131,8 @@ class HowardScc {
         if (sv.sigma > su.sigma) {
           better = true;
         } else if (sv.sigma == su.sigma) {
-          const Rational cand = Rational(delay_[static_cast<std::size_t>(v)]) -
-                                su.sigma * Rational(g_.edge(e).weight) + sv.d;
+          const Rational cand = Rational(c_.delay(v)) -
+                                su.sigma * Rational(c_.edge(e).weight) + sv.d;
           if (cand > su.d) better = true;
         }
         if (better && e != su.policy) {
@@ -145,8 +144,7 @@ class HowardScc {
     return changed;
   }
 
-  const Digraph& g_;
-  std::span<const int> delay_;
+  const Circuit& c_;
   std::span<const NodeId> nodes_;
   std::unordered_map<NodeId, NodeState> states_;
   std::unordered_map<NodeId, std::vector<EdgeId>> cycle_of_;
@@ -154,20 +152,19 @@ class HowardScc {
 
 }  // namespace
 
-CycleRatioResult max_cycle_ratio_howard(const Digraph& g, std::span<const int> delay) {
-  TS_CHECK(static_cast<int>(delay.size()) == g.num_nodes(), "one delay per node required");
-  const SccDecomposition scc = strongly_connected_components(g);
+CycleRatioResult circuit_mdr_howard(const Circuit& c) {
+  const SccDecomposition scc = strongly_connected_components(c);
   CycleRatioResult best;
   for (std::size_t comp = 0; comp < scc.components.size(); ++comp) {
     const auto& nodes = scc.components[comp];
     bool has_cycle = nodes.size() > 1;
     if (!has_cycle) {
-      for (const EdgeId e : g.fanout_edges(nodes[0])) {
-        if (g.edge(e).to == nodes[0]) has_cycle = true;
+      for (const EdgeId e : c.fanout_edges(nodes[0])) {
+        if (c.edge(e).to == nodes[0]) has_cycle = true;
       }
     }
     if (!has_cycle) continue;
-    HowardScc howard(g, delay, nodes, scc.component_of, static_cast<int>(comp));
+    HowardScc howard(c, nodes, scc.component_of, static_cast<int>(comp));
     const CycleRatioResult r = howard.run();
     if (r.ratio > best.ratio || best.critical_cycle.empty()) {
       if (!r.critical_cycle.empty() &&
@@ -177,12 +174,6 @@ CycleRatioResult max_cycle_ratio_howard(const Digraph& g, std::span<const int> d
     }
   }
   return best;
-}
-
-CycleRatioResult circuit_mdr_howard(const Circuit& c) {
-  std::vector<int> delay(static_cast<std::size_t>(c.num_nodes()));
-  for (NodeId v = 0; v < c.num_nodes(); ++v) delay[static_cast<std::size_t>(v)] = c.delay(v);
-  return max_cycle_ratio_howard(c.to_digraph(), delay);
 }
 
 }  // namespace turbosyn

@@ -13,11 +13,9 @@
 // We seek the maximum of sum(val)/sum(tau) over cycles with sum(tau) > 0.
 // Combinational loops (sum(tau) == 0 with positive value) are rejected.
 
-#include <span>
 #include <vector>
 
 #include "base/rational.hpp"
-#include "graph/digraph.hpp"
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
@@ -29,11 +27,9 @@ struct CycleRatioResult {
   std::vector<EdgeId> critical_cycle;
 };
 
-/// Exact MDR ratio via Howard's algorithm. Throws turbosyn::Error on a
-/// zero-register positive-delay cycle. Returns ratio 0 for acyclic graphs.
-CycleRatioResult max_cycle_ratio_howard(const Digraph& g, std::span<const int> delay);
-
-/// Convenience for circuits (unit delay model).
+/// Exact MDR ratio of a circuit (unit delay model) via Howard's algorithm.
+/// Throws turbosyn::Error on a zero-register positive-delay cycle. Returns
+/// ratio 0 for acyclic circuits.
 CycleRatioResult circuit_mdr_howard(const Circuit& c);
 
 }  // namespace turbosyn

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "base/check.hpp"
-#include "graph/scc.hpp"
 #include "retime/retiming.hpp"
 
 namespace turbosyn {
@@ -50,7 +49,7 @@ struct Labels {
 /// positive-cost cycle a path gains at most the total delay. Gauss–Seidel
 /// rounds in topological order of the register-free subgraph settle every
 /// register-free path per round.
-Labels label_pass(const Circuit& c, const Digraph& g, std::span<const NodeId> order,
+Labels label_pass(const Circuit& c, std::span<const NodeId> order,
                   std::int64_t period, PipelineResult& stats) {
   const int n = c.num_nodes();
   std::int64_t total_delay = 0;
@@ -69,8 +68,8 @@ Labels label_pass(const Circuit& c, const Digraph& g, std::span<const NodeId> or
     changed = false;
     for (const NodeId v : order) {
       std::int64_t& lv = out.label[static_cast<std::size_t>(v)];
-      for (const EdgeId e : g.fanin_edges(v)) {
-        const Digraph::Edge& edge = g.edge(e);
+      for (const EdgeId e : c.fanin_edges(v)) {
+        const Circuit::Edge& edge = c.edge(e);
         const std::int64_t cand =
             out.label[static_cast<std::size_t>(edge.from)] + c.delay(v) - period * edge.weight;
         if (cand > lv) {
@@ -99,17 +98,12 @@ void set_witness(const Circuit& c, const Labels& labels, PipelineResult& result)
   }
 }
 
-std::vector<NodeId> register_free_order(const Digraph& g) {
-  return topological_order(g, [&](EdgeId e) { return g.edge(e).weight != 0; });
-}
-
 }  // namespace
 
 PipelineResult pipeline_and_retime(const Circuit& c, const Rational& mdr) {
   PipelineResult result;
   result.period = std::max<std::int64_t>(1, mdr.ceil());
-  const Digraph g = c.to_digraph();
-  const Labels labels = label_pass(c, g, register_free_order(g), result.period, result);
+  const Labels labels = label_pass(c, combinational_order(c), result.period, result);
   result.stages = labels.longest <= result.period
                       ? 0
                       : static_cast<int>(ceil_div(labels.longest - result.period, 2 * result.period));
@@ -119,16 +113,15 @@ PipelineResult pipeline_and_retime(const Circuit& c, const Rational& mdr) {
 
 PipelineResult retime_without_pipelining(const Circuit& c, const Rational& mdr) {
   PipelineResult result;
-  const Digraph g = c.to_digraph();
-  const std::vector<NodeId> order = register_free_order(g);
+  const std::vector<NodeId> order = combinational_order(c);
   std::int64_t lo = std::max<std::int64_t>(1, mdr.ceil());
   // The un-retimed period is reachable (all-zero lags), and never below
   // ceil(mdr) once the network has a gate.
   std::int64_t hi = std::max(lo, circuit_clock_period(c));
-  Labels best = label_pass(c, g, order, hi, result);
+  Labels best = label_pass(c, order, hi, result);
   while (lo < hi) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    Labels labels = label_pass(c, g, order, mid, result);
+    Labels labels = label_pass(c, order, mid, result);
     if (labels.longest <= mid) {
       hi = mid;
       best = std::move(labels);

@@ -8,16 +8,13 @@
 #include <cstdint>
 #include <span>
 
-#include "graph/digraph.hpp"
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
 
-/// Longest zero-weight-path delay; throws turbosyn::Error if the zero-weight
-/// subgraph has a cycle (combinational loop).
-std::int64_t clock_period(const Digraph& g, std::span<const int> delay);
-
-/// Convenience for circuits (unit delay model).
+/// Longest zero-weight-path delay under the unit delay model; throws
+/// turbosyn::Error if the zero-weight subgraph has a cycle (combinational
+/// loop).
 std::int64_t circuit_clock_period(const Circuit& c);
 
 /// Applies a retiming in place: w_r(e) = w(e) + r(to) - r(from).

@@ -682,14 +682,13 @@ void MappingServer::handle_map(const std::shared_ptr<Connection>& conn,
 
 void MappingServer::worker_loop() {
   while (std::optional<AdmissionQueue::Ticket> ticket = queue_->pop()) {
-    const std::string client = ticket->request.client;
-    const std::int64_t id = ticket->request.id;
-    run_ticket(std::move(*ticket));
-    queue_->complete(client, id);
+    bool traced = false;
+    const BatchRecord record = run_ticket(*ticket, traced);
+    emit_record(*ticket, record, traced, /*popped=*/true);
   }
 }
 
-void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
+BatchRecord MappingServer::run_ticket(const AdmissionQueue::Ticket& ticket, bool& traced) {
   const MapRequest& request = ticket.request;
   const std::string& path = record_path(ticket);
 
@@ -700,8 +699,7 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
     record.skipped = true;
     record.status = Status::kCancelled;
     cancelled_.fetch_add(1, std::memory_order_relaxed);
-    emit_record(ticket, record);
-    return;
+    return record;
   }
 
   BatchJob job;
@@ -765,8 +763,9 @@ void MappingServer::run_ticket(AdmissionQueue::Ticket ticket) {
       ++portfolio_wins_[record.engine];
     }
   }
-  if (request_trace != nullptr) store_trace(ticket.seq, *request_trace);
-  emit_record(ticket, record, request_trace != nullptr);
+  traced = request_trace != nullptr;
+  if (traced) store_trace(ticket.seq, *request_trace);
+  return record;
 }
 
 void MappingServer::store_trace(std::uint64_t seq, const TraceSink& sink) {
@@ -797,7 +796,7 @@ std::string MappingServer::trace_json(std::uint64_t seq) const {
 }
 
 void MappingServer::emit_record(const AdmissionQueue::Ticket& ticket,
-                                const BatchRecord& record, bool traced) {
+                                const BatchRecord& record, bool traced, bool popped) {
   const std::string body = batch_record_json(record);  // "{...}"
   // The trace handle (when this request ran under the ring) rides in both
   // envelopes: "trace":<seq> is what a client quotes back to /trace/<seq>.
@@ -820,7 +819,13 @@ void MappingServer::emit_record(const AdmissionQueue::Ticket& ticket,
   reply += trace_field;
   reply += ",";
   reply += body.substr(1);
-  send_reply(connection(ticket.connection), reply);
+  const std::shared_ptr<Connection> conn = connection(ticket.connection);
+  // The slot is freed under the write lock: the next ticket of the same
+  // client can then run, but its reply cannot overtake this one.
+  std::unique_lock<std::mutex> write_lock;
+  if (conn != nullptr) write_lock = std::unique_lock<std::mutex>(conn->write_mu);
+  if (popped) queue_->complete(ticket.request.client, ticket.request.id);
+  if (conn != nullptr) send_locked(*conn, reply);
 }
 
 void MappingServer::monitor_loop() {

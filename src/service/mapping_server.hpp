@@ -398,16 +398,20 @@ class MappingServer {
 
   void handle_line(const std::shared_ptr<Connection>& conn, const std::string& line);
   void handle_map(const std::shared_ptr<Connection>& conn, MapRequest request);
-  void run_ticket(AdmissionQueue::Ticket ticket);
+  /// Runs a popped ticket and returns its record; `traced` reports whether
+  /// the request ran under its own trace sink.
+  BatchRecord run_ticket(const AdmissionQueue::Ticket& ticket, bool& traced);
   /// Stores one finished request's trace JSON in the bounded ring (evicting
   /// oldest-first past the entry/byte caps) and rolls its counter totals
   /// into trace_totals_.
   void store_trace(std::uint64_t seq, const TraceSink& sink);
   /// Emits the record to the JSONL stream and, when the connection is still
   /// up, as a "result" reply. `traced` appends "trace":<seq> — the handle a
-  /// client quotes back to /trace/<seq> or --trace-fetch.
+  /// client quotes back to /trace/<seq> or --trace-fetch. A `popped` ticket
+  /// returns its in-flight slot before the reply goes on the wire, so a
+  /// client that has read its result never sees the request still running.
   void emit_record(const AdmissionQueue::Ticket& ticket, const BatchRecord& record,
-                   bool traced = false);
+                   bool traced = false, bool popped = false);
   void send_reply(const std::shared_ptr<Connection>& conn, const std::string& line);
   /// send_reply's write, for a caller that already holds conn.write_mu.
   static void send_locked(Connection& conn, const std::string& line);

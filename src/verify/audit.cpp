@@ -15,6 +15,7 @@
 #include "netlist/blif.hpp"
 #include "retime/pipeline.hpp"
 #include "retime/retiming.hpp"
+#include "sim/simulator.hpp"
 #include "verify/equiv.hpp"
 
 namespace turbosyn {
@@ -739,14 +740,14 @@ AuditReport audit_flow(const Circuit& input, const FlowResult& result,
       } else {
         SequentialCheckOptions sopt;
         sopt.cycles = audit.seq_cycles;
-        sopt.runs = audit.seq_runs;
         sopt.seed = audit.seq_seed;
         if (const auto cex = sequential_counterexample(input, mapped, sopt)) {
           add("equivalence", AuditStatus::kFail,
-              "PO '" + cex->po_name + "' first differs at cycle " + std::to_string(cex->cycle));
+              "PO '" + cex->po_name + "' first differs at cycle " + std::to_string(cex->cycle) +
+                  " (run " + std::to_string(cex->run) + ")");
         } else {
           add("equivalence", AuditStatus::kPass,
-              "bounded co-simulation (" + std::to_string(sopt.runs) + "x" +
+              "bounded co-simulation (" + std::to_string(Simulator::kLanes) + "x" +
                   std::to_string(sopt.cycles) + " cycles)");
         }
       }

@@ -36,8 +36,8 @@
 //                and the period is either max(1, ceil(MDR)) or a PI→PO path
 //                too slow for period - 1 proves it minimal;
 //   equivalence  the mapped network is zero-state equivalent to the input
-//                (BDD miter when both are register-free, bounded sequential
-//                co-simulation with warm-up otherwise);
+//                (BDD miter when both are register-free, otherwise bounded
+//                co-simulation of 64 random runs from cycle 0);
 //   probes       the probe ledger is consistent: no (mode, phi) probed
 //                twice, no probe more degraded than the flow's own status,
 //                the winning phi backed by a feasible record whose label
@@ -83,11 +83,11 @@ struct AuditReport {
 };
 
 struct AuditOptions {
-  /// Bounded sequential equivalence parameters. There is no warm-up: every
-  /// flow publishes its mapped network un-retimed, and zero-state-safe cuts
-  /// make it exact from cycle 0.
+  /// Bounded sequential equivalence parameters: 64 runs (one pass of the
+  /// simulator's lanes) of seq_cycles cycles each. There is no warm-up:
+  /// every flow publishes its mapped network un-retimed, and zero-state-safe
+  /// cuts make it exact from cycle 0.
   int seq_cycles = 160;
-  int seq_runs = 3;
   std::uint64_t seq_seed = 7;
   bool check_equivalence = true;  // the most expensive stage
   /// Expanded-cone node ceiling per mapping record; exceeding it fails the

@@ -1,6 +1,7 @@
 #include "verify/equiv.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -8,7 +9,6 @@
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "bdd/bdd.hpp"
-#include "graph/scc.hpp"
 #include "netlist/blif.hpp"
 #include "sim/simulator.hpp"
 
@@ -20,8 +20,7 @@ namespace {
 std::map<std::string, BddRef> output_bdds(const Circuit& c, BddManager& mgr,
                                           const std::map<std::string, int>& pi_var) {
   std::vector<BddRef> node_bdd(static_cast<std::size_t>(c.num_nodes()), 0);
-  const Digraph g = c.to_digraph();
-  for (const NodeId v : topological_order(g)) {
+  for (const NodeId v : combinational_order(c)) {
     if (c.is_pi(v)) {
       const auto it = pi_var.find(c.name(v));
       TS_CHECK(it != pi_var.end(), "PI '" << c.name(v) << "' missing from the other circuit");
@@ -141,25 +140,21 @@ std::optional<EquivCounterexample> sequential_counterexample(
     }
   }
   Rng rng(options.seed);
-  for (int run = 0; run < options.runs; ++run) {
-    const auto stimulus = random_stimulus(rng, a.num_pis(), options.cycles);
-    auto stimulus_b = stimulus;
-    for (std::size_t t = 0; t < stimulus.size(); ++t) {
-      for (std::size_t i = 0; i < pi_in_b.size(); ++i) {
-        stimulus_b[t][pi_in_b[i]] = stimulus[t][i];
-      }
-    }
-    const auto out_a = simulate_sequence(a, stimulus);
-    const auto out_b = simulate_sequence(b, stimulus_b);
-    for (int t = options.warmup; t < options.cycles; ++t) {
-      for (std::size_t o = 0; o < out_a[static_cast<std::size_t>(t)].size(); ++o) {
-        if (out_a[static_cast<std::size_t>(t)][o] !=
-            out_b[static_cast<std::size_t>(t)][po_in_b[o]]) {
-          EquivCounterexample cex;
-          cex.cycle = static_cast<std::uint64_t>(t);
-          cex.po_name = po_display_name(a, a.pos()[o]);
-          return cex;
-        }
+  const auto stimulus = random_lane_stimulus(rng, a.num_pis(), options.cycles);
+  Simulator sim_a(a);
+  Simulator sim_b(b);
+  std::vector<std::uint64_t> in_b(pi_in_b.size());
+  for (std::size_t t = 0; t < stimulus.size(); ++t) {
+    for (std::size_t i = 0; i < pi_in_b.size(); ++i) in_b[pi_in_b[i]] = stimulus[t][i];
+    const std::span<const std::uint64_t> out_a = sim_a.step_lanes(stimulus[t]);
+    const std::span<const std::uint64_t> out_b = sim_b.step_lanes(in_b);
+    for (std::size_t o = 0; o < out_a.size(); ++o) {
+      if (const std::uint64_t diff = out_a[o] ^ out_b[po_in_b[o]]; diff != 0) {
+        EquivCounterexample cex;
+        cex.cycle = t;
+        cex.run = std::countr_zero(diff);
+        cex.po_name = po_display_name(a, a.pos()[o]);
+        return cex;
       }
     }
   }

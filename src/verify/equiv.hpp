@@ -5,8 +5,8 @@
 //   matched by name, POs by display name). Exact for circuits whose BDDs fit
 //   the node budget — the mapped cones and test circuits here are small.
 // - Sequential: bounded, from the all-zero initial state, by random
-//   co-simulation with an optional warm-up (mapping absorbs registers into
-//   LUTs, which perturbs the initial state as in all retiming literature).
+//   co-simulation of 64 independent runs at once (one per simulator lane),
+//   compared from cycle 0.
 
 #include <cstdint>
 #include <optional>
@@ -25,6 +25,8 @@ struct EquivCounterexample {
   std::vector<bool> assignment;
   /// Sequential: index of the first differing cycle (0 for combinational).
   std::uint64_t cycle = 0;
+  /// Sequential: the lowest run (simulator lane) that differs at that cycle.
+  int run = 0;
   std::string po_name;
 };
 
@@ -36,14 +38,13 @@ std::optional<EquivCounterexample> combinational_counterexample(const Circuit& a
 bool combinationally_equivalent(const Circuit& a, const Circuit& b);
 
 struct SequentialCheckOptions {
-  int cycles = 256;       // simulated cycles per run
-  int runs = 4;           // independent random stimuli
-  int warmup = 0;         // cycles ignored at the start of each run
+  int cycles = 256;  // simulated cycles of each of the 64 runs
   std::uint64_t seed = 1;
 };
 
-/// Bounded sequential check by co-simulation; nullopt when no difference was
-/// found, else the first differing (cycle, PO).
+/// Bounded sequential check by co-simulation of 64 random runs in one pass
+/// (random_lane_stimulus from `seed`); nullopt when no difference was found,
+/// else the first differing (cycle, PO, run).
 std::optional<EquivCounterexample> sequential_counterexample(
     const Circuit& a, const Circuit& b, const SequentialCheckOptions& options = {});
 bool sequentially_equivalent_bounded(const Circuit& a, const Circuit& b,

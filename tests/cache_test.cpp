@@ -147,7 +147,6 @@ TEST(FlowCacheRun, HitIsBitIdenticalWithUncachedAndAuditsClean) {
   for (const ProbeRecord& probe : warm.probes) EXPECT_TRUE(probe.imported);
   AuditOptions audit;
   audit.seq_cycles = 64;
-  audit.seq_runs = 2;
   const AuditReport report = audit_flow(c, warm, opt, audit);
   EXPECT_TRUE(report.passed()) << report.breakdown();
 }
@@ -266,7 +265,6 @@ TEST(FlowCacheRun, ArtifactHitAfterSummaryPopulateReplaysBitIdentically) {
     EXPECT_TRUE(hit.artifacts.valid);
     AuditOptions audit;
     audit.seq_cycles = 64;
-    audit.seq_runs = 2;
     const AuditReport report = audit_flow(c, hit, artifacts, audit);
     EXPECT_TRUE(report.passed()) << flow_kind_name(kind) << '\n' << report.breakdown();
   }
@@ -289,8 +287,8 @@ TEST(FlowCacheHotTier, ResidentSizeIgnoresTheMappedNetwork) {
   FlowCache big_cache(test_dir("hot_size_big").string());
   small_cache.enable_hot_tier(16u << 20);
   big_cache.enable_hot_tier(16u << 20);
-  ASSERT_TRUE(small_cache.store_result(key, result, c));
-  ASSERT_TRUE(big_cache.store_result(key, bigger, c));
+  ASSERT_TRUE(small_cache.store_result(key, result));
+  ASSERT_TRUE(big_cache.store_result(key, bigger));
   EXPECT_EQ(small_cache.hot_entries(), 1);
   EXPECT_GT(small_cache.hot_bytes(), 0);
   EXPECT_EQ(big_cache.hot_bytes(), small_cache.hot_bytes());
@@ -558,7 +556,7 @@ TEST(FlowCacheQuarantine, StorableRejectsInexactRuns) {
   // store() enforces the same rule and counts the reject.
   FlowCache cache(dir.string());
   const CacheKey key = make_cache_key(c, opt, FlowKind::kTurboSyn);
-  EXPECT_FALSE(cache.store(key, FlowCache::entry_from_result(exact, c)) &&
+  EXPECT_FALSE(cache.store(key, FlowCache::entry_from_result(exact, key)) &&
                FlowCache::storable(degraded));
   EXPECT_FALSE(cache.lookup(key).has_value() && !FlowCache::storable(exact));
 }

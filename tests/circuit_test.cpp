@@ -112,18 +112,5 @@ TEST(Circuit, StatsCountsSelfLoops) {
   EXPECT_EQ(compute_stats(c).sccs_with_cycle, 1);
 }
 
-TEST(Circuit, ToDigraphPreservesIdsAndWeights) {
-  Circuit c;
-  const NodeId a = c.add_pi("a");
-  const Circuit::FaninSpec f[1] = {{a, 3}};
-  const NodeId g = c.add_gate("g", tt_buf(), f);
-  c.add_po("$po:o", {g, 0});
-  const Digraph d = c.to_digraph();
-  EXPECT_EQ(d.num_nodes(), c.num_nodes());
-  EXPECT_EQ(d.num_edges(), c.num_edges());
-  EXPECT_EQ(d.edge(0).from, a);
-  EXPECT_EQ(d.edge(0).weight, 3);
-}
-
 }  // namespace
 }  // namespace turbosyn

@@ -9,13 +9,11 @@
 //   - StageMetrics account for the flow's wall time (within tolerance) and
 //     carry the counters the stages emit;
 //   - the TraceSink's span tree is well-formed and its JSON serialization is
-//     valid and consistent with the flow's own timing;
-//   - AuditStage composes into a pipeline and passes on a healthy flow.
+//     valid and consistent with the flow's own timing.
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "base/check.hpp"
@@ -23,27 +21,12 @@
 #include "core/driver.hpp"
 #include "core/flows.hpp"
 #include "core/stages/mapgen_stage.hpp"
-#include "core/stages/pack_stage.hpp"
-#include "core/stages/phi_search.hpp"
-#include "core/stages/pipeline_retime_stage.hpp"
 #include "core/stages/ub_probe.hpp"
-#include "verify/audit_stage.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
 namespace turbosyn {
 namespace {
-
-StageList turbomap_stage_list() {
-  StageList stages;
-  stages.push_back(std::make_unique<UbProbeStage>(UbProbeStage::Kind::kIdentityMdr));
-  stages.push_back(std::make_unique<PhiSearchStage>(PhiSearchStage::Config{}));
-  stages.push_back(std::make_unique<MapGenStage>());
-  stages.push_back(std::make_unique<PackStage>());
-  stages.push_back(
-      std::make_unique<PipelineRetimeStage>(PipelineRetimeStage::Kind::kPipelineRetime));
-  return stages;
-}
 
 Circuit small_fsm() {
   BenchmarkSpec spec;
@@ -273,32 +256,6 @@ TEST(Trace, InertSpansCostNothingAndRecordNothing) {
   EXPECT_EQ(events[1].detail, "detail");
   ASSERT_EQ(events[1].counters.size(), 1u);
   EXPECT_EQ(events[1].counters[0].second, 5);  // accumulated by name
-}
-
-TEST(AuditStage, ComposesIntoPipelineAndPasses) {
-  const Circuit c = small_fsm();
-  FlowOptions opt;
-  opt.collect_artifacts = true;
-  FlowDriver driver(c, opt);
-  StageList stages = turbomap_stage_list();
-  AuditReport report;
-  AuditOptions aopt;
-  aopt.check_equivalence = false;  // keep the in-pipeline audit fast
-  stages.push_back(std::make_unique<AuditStage>(aopt, &report));
-  driver.run(stages);
-  const FlowResult result = driver.finish();
-  EXPECT_TRUE(report.passed()) << report.breakdown();
-  ASSERT_FALSE(report.checks.empty());
-  // The in-pipeline audit sees the ledger (probes check ran, not skipped)…
-  bool probes_checked = false;
-  for (const AuditCheck& check : report.checks) {
-    if (check.name == "probes") probes_checked = check.status == AuditStatus::kPass;
-  }
-  EXPECT_TRUE(probes_checked);
-  // …and the audit itself shows up in the stage timeline.
-  const StageMetric* audit_metric = result.stage_metrics.find("audit");
-  ASSERT_NE(audit_metric, nullptr);
-  EXPECT_EQ(audit_metric->counter("audit_failures"), 0);
 }
 
 }  // namespace

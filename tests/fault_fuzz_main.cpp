@@ -311,7 +311,7 @@ void fuzz_crash(SeedOutcome& out, const Circuit& c, const FlowOptions& opt,
                 const FlowResult& baseline, const fs::path& dir) {
   if (!FlowCache::storable(baseline)) return;  // nothing certified to store
   const CacheKey key = make_cache_key(c, opt, FlowKind::kTurboSyn);
-  const CacheEntry entry = FlowCache::entry_from_result(baseline, c);
+  const CacheEntry entry = FlowCache::entry_from_result(baseline, key);
 
   const pid_t pid = ::fork();
   if (pid < 0) {

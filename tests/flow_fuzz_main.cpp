@@ -157,7 +157,6 @@ void audit_into(SeedOutcome& out, const Circuit& input, const FlowResult& result
                 bool verbose) {
   AuditOptions audit;
   audit.seq_cycles = 128;
-  audit.seq_runs = 2;
   audit.seq_seed = seed;
   const AuditReport report = audit_flow(input, result, opt, audit);
   ++out.checks;
@@ -472,8 +471,6 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   {
     SequentialCheckOptions pairwise;
     pairwise.cycles = 128;
-    pairwise.runs = 2;
-    pairwise.warmup = 32;
     pairwise.seed = seed;
     ++out.checks;
     try {

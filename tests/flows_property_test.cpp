@@ -45,11 +45,9 @@ TEST_P(SuiteFlowProperties, TurboSynInvariantsHold) {
   //    bound relative to what the mapping allows.
   EXPECT_GE(Rational(ts.period), ts.exact_mdr) << spec.name;
 
-  // 5. Behavior preserved (bounded, with absorbed-register warm-up).
+  // 5. Behavior preserved (bounded, from the all-zero state at cycle 0).
   SequentialCheckOptions check;
-  check.warmup = 16;
   check.cycles = 128;
-  check.runs = 2;
   EXPECT_TRUE(sequentially_equivalent_bounded(c, ts.mapped, check)) << spec.name;
   EXPECT_TRUE(sequentially_equivalent_bounded(c, tm.mapped, check)) << spec.name;
 

@@ -1,60 +1,62 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
-#include "graph/digraph.hpp"
 #include "graph/node_cut.hpp"
-#include "graph/scc.hpp"
+#include "netlist/circuit.hpp"
 #include "oracle.hpp"
 
 namespace turbosyn {
 namespace {
 
-Digraph chain(int n) {
-  Digraph g;
-  g.add_nodes(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
+/// Gates g0..g{n-1} joined by `edges` (from, to, weight); each edge becomes
+/// the next fanin of its target, so edge ids follow the targets' ids. A gate
+/// without fanins is a constant.
+Circuit graph_circuit(int n, std::initializer_list<std::array<int, 3>> edges) {
+  Circuit c;
+  for (int v = 0; v < n; ++v) c.declare_gate("g" + std::to_string(v));
+  std::vector<std::vector<Circuit::FaninSpec>> fanins(static_cast<std::size_t>(n));
+  for (const auto& [from, to, weight] : edges) {
+    fanins[static_cast<std::size_t>(to)].push_back({from, weight});
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const auto& f = fanins[static_cast<std::size_t>(v)];
+    c.finish_gate(v, TruthTable::constant(static_cast<int>(f.size()), false), f);
+  }
+  return c;
 }
 
-TEST(Digraph, AdjacencyBookkeeping) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const EdgeId e = g.add_edge(a, b, 3);
-  EXPECT_EQ(g.num_nodes(), 2);
-  EXPECT_EQ(g.num_edges(), 1);
-  EXPECT_EQ(g.edge(e).from, a);
-  EXPECT_EQ(g.edge(e).to, b);
-  EXPECT_EQ(g.weight(e), 3);
-  EXPECT_EQ(g.fanout_count(a), 1);
-  EXPECT_EQ(g.fanin_count(b), 1);
-  EXPECT_THROW(g.add_edge(a, 5), Error);
+EdgeId edge_between(const Circuit& c, NodeId from, NodeId to) {
+  for (const EdgeId e : c.fanout_edges(from)) {
+    if (c.edge(e).to == to) return e;
+  }
+  return kNoEdge;
 }
 
 TEST(Scc, ChainHasSingletonComponentsInTopoOrder) {
-  const Digraph g = chain(5);
-  const SccDecomposition scc = strongly_connected_components(g);
+  const Circuit c = graph_circuit(5, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}, {3, 4, 0}});
+  const SccDecomposition scc = strongly_connected_components(c);
   ASSERT_EQ(scc.components.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(scc.component_of[static_cast<std::size_t>(i)], i);
   }
+  EXPECT_EQ(combinational_order(c), (std::vector<NodeId>{0, 1, 2, 3, 4}));
 }
 
 TEST(Scc, DetectsCycleComponent) {
-  Digraph g;
-  g.add_nodes(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 1);  // cycle {1,2}
-  g.add_edge(2, 3);
-  const SccDecomposition scc = strongly_connected_components(g);
+  // The loop {1, 2} carries a register, as a legal circuit's loops do.
+  const Circuit c = graph_circuit(4, {{0, 1, 0}, {1, 2, 0}, {2, 1, 1}, {2, 3, 0}});
+  c.validate();
+  const SccDecomposition scc = strongly_connected_components(c);
   ASSERT_EQ(scc.components.size(), 3u);
   EXPECT_EQ(scc.component_of[1], scc.component_of[2]);
   // Topological: 0 before {1,2} before 3.
@@ -63,52 +65,51 @@ TEST(Scc, DetectsCycleComponent) {
 }
 
 TEST(Scc, SkipEdgePredicateBreaksCycles) {
-  Digraph g;
-  g.add_nodes(2);
-  g.add_edge(0, 1, 0);
-  const EdgeId back = g.add_edge(1, 0, 1);
-  const SccDecomposition with_all = strongly_connected_components(g);
-  EXPECT_EQ(with_all.components.size(), 1u);
-  const SccDecomposition without =
-      strongly_connected_components(g, [&](EdgeId e) { return e == back; });
-  EXPECT_EQ(without.components.size(), 2u);
+  // A back edge with a register: the components see every edge, so 0 and 1
+  // share one; the combinational order skips registered edges, so the loop
+  // splits at its register and 0 comes first.
+  const Circuit c = graph_circuit(2, {{0, 1, 0}, {1, 0, 1}});
+  EXPECT_EQ(strongly_connected_components(c).components.size(), 1u);
+  EXPECT_EQ(combinational_order(c), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(Topo, OrdersRespectEdges) {
-  Digraph g;
-  g.add_nodes(4);
-  g.add_edge(2, 0);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  const std::vector<NodeId> order = topological_order(g);
-  std::vector<int> pos(4);
-  for (std::size_t i = 0; i < order.size(); ++i) pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
-  EXPECT_LT(pos[2], pos[0]);
-  EXPECT_LT(pos[0], pos[1]);
-  EXPECT_LT(pos[2], pos[3]);
+  const Circuit c = graph_circuit(4, {{2, 0, 0}, {0, 1, 0}, {2, 3, 0}});
+  // Kahn's order: nodes start ready in id order, the last ready node goes
+  // first, and fanouts are released in edge-id order.
+  EXPECT_EQ(combinational_order(c), (std::vector<NodeId>{2, 3, 0, 1}));
 }
 
 TEST(Topo, ThrowsOnCycle) {
-  Digraph g;
-  g.add_nodes(2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  EXPECT_THROW((void)topological_order(g), Error);
+  // A loop of weight-0 edges: both the order and validate() reject it with
+  // the message BLIF diagnostics quote.
+  const Circuit c = graph_circuit(2, {{0, 1, 0}, {1, 0, 0}});
+  const std::string message = "topological_order called on a graph with a (non-skipped) cycle";
+  try {
+    (void)combinational_order(c);
+    ADD_FAILURE() << "combinational_order accepted a weight-0 loop";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+  }
+  try {
+    c.validate();
+    ADD_FAILURE() << "validate accepted a weight-0 loop";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+  }
 }
 
 TEST(BellmanFord, NoPositiveCycleOnDag) {
-  const Digraph g = chain(4);
-  const auto result = oracle::find_positive_cycle(g, [](EdgeId) { return 100; });
+  const Circuit c = graph_circuit(4, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}});
+  const auto result = oracle::find_positive_cycle(c, [](EdgeId) { return 100; });
   EXPECT_FALSE(result.found);
 }
 
 TEST(BellmanFord, FindsPositiveCycleAndItsEdges) {
-  Digraph g;
-  g.add_nodes(3);
-  g.add_edge(0, 1);
-  const EdgeId e1 = g.add_edge(1, 2);
-  const EdgeId e2 = g.add_edge(2, 1);
-  const auto result = oracle::find_positive_cycle(g, [&](EdgeId e) { return e == e1 ? 2 : -1; });
+  const Circuit c = graph_circuit(3, {{0, 1, 0}, {1, 2, 0}, {2, 1, 1}});
+  const EdgeId e1 = edge_between(c, 1, 2);
+  const EdgeId e2 = edge_between(c, 2, 1);
+  const auto result = oracle::find_positive_cycle(c, [&](EdgeId e) { return e == e1 ? 2 : -1; });
   ASSERT_TRUE(result.found);
   // The cycle 1 -> 2 -> 1 has cost 2 - 1 = 1 > 0.
   ASSERT_EQ(result.edges.size(), 2u);
@@ -117,11 +118,8 @@ TEST(BellmanFord, FindsPositiveCycleAndItsEdges) {
 }
 
 TEST(BellmanFord, ZeroCostCycleIsNotPositive) {
-  Digraph g;
-  g.add_nodes(2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  const auto result = oracle::find_positive_cycle(g, [](EdgeId) { return 0; });
+  const Circuit c = graph_circuit(2, {{0, 1, 0}, {1, 0, 1}});
+  const auto result = oracle::find_positive_cycle(c, [](EdgeId) { return 0; });
   EXPECT_FALSE(result.found);
 }
 

@@ -12,7 +12,6 @@
 #include "core/expanded.hpp"
 #include "core/labeling.hpp"
 #include "core/mapgen.hpp"
-#include "graph/scc.hpp"
 #include "netlist/gates.hpp"
 #include "oracle.hpp"
 #include "workloads/generator.hpp"
@@ -289,10 +288,8 @@ struct ReferenceRun {
 };
 
 ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo) {
-  const Digraph g = c.to_digraph();
-  const SccDecomposition scc = strongly_connected_components(g);
-  const std::vector<NodeId> order =
-      topological_order(g, [&](EdgeId e) { return g.edge(e).weight > 0; });
+  const SccDecomposition scc = strongly_connected_components(c);
+  const std::vector<NodeId> order = combinational_order(c);
   std::vector<int> pos(static_cast<std::size_t>(c.num_nodes()), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);

@@ -10,8 +10,10 @@
 //     binary search plus cycle-ratio improvement, each step a positive-cycle
 //     test under the integer cost q·d(v) - p·w(e).
 //   - feasible_retiming / min_period_retiming: textbook Leiserson–Saxe FEAS
-//     on the W/D matrices (one lexicographic Dijkstra per source), pinned
-//     nodes sharing lag 0, and the OPT1 binary search over periods.
+//     on the W/D matrices (one lexicographic Dijkstra per source), the PIs
+//     and POs pinned at lag 0, and the OPT1 binary search over periods.
+//
+// All of them read the circuit's own edge arrays under the unit delay model.
 //   - read_blif_reference: the line-by-line istream BLIF reader (getline,
 //     a token vector per line, one AND per cover literal) that the one-pass
 //     reader in netlist/blif.cpp replaced; blif_reader_disagreement runs
@@ -28,7 +30,6 @@
 #include "base/check.hpp"
 #include "base/rational.hpp"
 #include "base/rng.hpp"
-#include "graph/digraph.hpp"
 #include "netlist/circuit.hpp"
 #include "retime/howard.hpp"
 
@@ -41,34 +42,30 @@ struct PositiveCycle {
 };
 
 /// A cycle whose total cost (sum of cost(e) over its edges) is > 0, if any.
-PositiveCycle find_positive_cycle(const Digraph& g,
+PositiveCycle find_positive_cycle(const Circuit& c,
                                   const std::function<std::int64_t(EdgeId)>& cost);
 
 /// True iff some cycle has delay(C) > ratio * registers(C).
-bool has_cycle_above_ratio(const Digraph& g, std::span<const int> delay, const Rational& ratio);
+bool has_cycle_above_ratio(const Circuit& c, const Rational& ratio);
 
 /// Exact MDR ratio and a critical cycle. Throws turbosyn::Error on a
 /// zero-register cycle with positive delay.
-CycleRatioResult max_delay_to_register_ratio(const Digraph& g, std::span<const int> delay);
 CycleRatioResult circuit_mdr(const Circuit& c);
 
-/// FEAS: a legal retiming (pinned nodes at lag 0) with period <= c, or
-/// nullopt if none exists.
-std::optional<std::vector<int>> feasible_retiming(const Digraph& g, std::span<const int> delay,
-                                                  std::int64_t c, std::span<const NodeId> pinned);
+/// FEAS: a legal retiming (PIs and POs at lag 0) with clock period <=
+/// `period`, or nullopt if none exists.
+std::optional<std::vector<int>> feasible_retiming(const Circuit& c, std::int64_t period);
 
 struct RetimeResult {
   std::int64_t period = 0;
   std::vector<int> r;
 };
 
-/// Least period any legal retiming with the pinned nodes at lag 0 reaches,
+/// Least period any legal retiming with the PIs and POs at lag 0 reaches,
 /// and a retiming reaching it.
-RetimeResult min_period_retiming(const Digraph& g, std::span<const int> delay,
-                                 std::span<const NodeId> pinned);
+RetimeResult min_period_retiming(const Circuit& c);
 
-/// Unit delays and the pinned PIs and POs of a circuit.
-std::vector<int> circuit_delays(const Circuit& c);
+/// The PIs and POs of a circuit: the nodes a retiming keeps at lag 0.
 std::vector<NodeId> circuit_io(const Circuit& c);
 
 /// min_period_retiming on a circuit with its PIs and POs pinned, applied in

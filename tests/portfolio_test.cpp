@@ -165,7 +165,6 @@ TEST(Portfolio, AuditPassesCleanRace) {
 
   AuditOptions audit;
   audit.seq_cycles = 96;
-  audit.seq_runs = 2;
   const AuditReport report = audit_flow(c, race, opt, audit);
   EXPECT_TRUE(report.passed()) << report.breakdown();
   EXPECT_EQ(portfolio_check_status(c, race, opt), AuditStatus::kPass);
@@ -203,7 +202,6 @@ TEST(Portfolio, CancelledFlowTokenReachesEveryEngineAndFallsBack) {
 
   AuditOptions audit;
   audit.seq_cycles = 96;
-  audit.seq_runs = 2;
   const AuditReport report = audit_flow(c, race, opt, audit);
   for (const AuditCheck& check : report.checks) {
     EXPECT_NE(check.status, AuditStatus::kFail) << check.name << ": " << check.detail;

@@ -62,13 +62,13 @@ TEST(Retiming, BalancesAPipeline) {
 
 TEST(Retiming, PreservesCycleWeights) {
   Circuit c = generate_fsm_circuit(tiny_suite()[1]);
-  const Digraph before = c.to_digraph();
+  const int edges_before = c.num_edges();
   const auto mdr_before = oracle::circuit_mdr(c);
   retime_by_labels(c);
   // Retiming is a potential transformation: every cycle keeps its register
   // count, so the MDR ratio is invariant.
   EXPECT_EQ(oracle::circuit_mdr(c).ratio, mdr_before.ratio);
-  EXPECT_EQ(c.num_edges(), before.num_edges());
+  EXPECT_EQ(c.num_edges(), edges_before);
 }
 
 TEST(Retiming, PipelineBehaviorPreservedAfterWarmup) {
@@ -88,11 +88,8 @@ TEST(Retiming, InfeasibleBelowMdrBound) {
   // Ring of 4 gates, 2 registers: MDR = 2, so period 1 is impossible under
   // retiming alone.
   Circuit c = ring_circuit(4, 2);
-  const Digraph g = c.to_digraph();
-  const std::vector<int> delay = oracle::circuit_delays(c);
-  const std::vector<NodeId> pinned = oracle::circuit_io(c);
-  EXPECT_FALSE(oracle::feasible_retiming(g, delay, 1, pinned).has_value());
-  EXPECT_TRUE(oracle::feasible_retiming(g, delay, 2, pinned).has_value());
+  EXPECT_FALSE(oracle::feasible_retiming(c, 1).has_value());
+  EXPECT_TRUE(oracle::feasible_retiming(c, 2).has_value());
   EXPECT_EQ(retime_by_labels(c), 2);
 }
 
@@ -113,8 +110,7 @@ void expect_label_scan_matches_wd(const Circuit& input, const std::string& name)
   const FlowResult r = run_turbomap_period(input, FlowOptions{});
   ASSERT_EQ(r.status, Status::kOk) << name;
   EXPECT_EQ(r.pipeline_stages, 0) << name;
-  const oracle::RetimeResult wd = oracle::min_period_retiming(
-      r.mapped.to_digraph(), oracle::circuit_delays(r.mapped), oracle::circuit_io(r.mapped));
+  const oracle::RetimeResult wd = oracle::min_period_retiming(r.mapped);
   EXPECT_EQ(r.period, wd.period) << name;
   Circuit retimed = r.mapped;
   apply_retiming(retimed, r.retiming);
@@ -159,20 +155,18 @@ TEST(CycleRatio, RingHasExactRationalRatio) {
 
 TEST(CycleRatio, CriticalCycleAchievesTheRatio) {
   const Circuit c = generate_fsm_circuit(tiny_suite()[3]);
-  const Digraph g = c.to_digraph();
-  const std::vector<int> delay = oracle::circuit_delays(c);
-  const CycleRatioResult r = oracle::max_delay_to_register_ratio(g, delay);
+  const CycleRatioResult r = oracle::circuit_mdr(c);
   ASSERT_FALSE(r.critical_cycle.empty());
   std::int64_t d_sum = 0;
   std::int64_t w_sum = 0;
   for (const EdgeId e : r.critical_cycle) {
-    d_sum += delay[static_cast<std::size_t>(g.edge(e).to)];
-    w_sum += g.edge(e).weight;
+    d_sum += c.delay(c.edge(e).to);
+    w_sum += c.edge(e).weight;
   }
   EXPECT_EQ(Rational(d_sum, w_sum), r.ratio);
   // Decision procedure agrees on both sides of the ratio.
-  EXPECT_FALSE(oracle::has_cycle_above_ratio(g, delay, r.ratio));
-  EXPECT_TRUE(oracle::has_cycle_above_ratio(g, delay, r.ratio - Rational(1, 1000)));
+  EXPECT_FALSE(oracle::has_cycle_above_ratio(c, r.ratio));
+  EXPECT_TRUE(oracle::has_cycle_above_ratio(c, r.ratio - Rational(1, 1000)));
 }
 
 TEST(CycleRatio, CombinationalLoopThrows) {
@@ -180,7 +174,7 @@ TEST(CycleRatio, CombinationalLoopThrows) {
   const NodeId a = c.add_pi("a");
   const NodeId g1 = c.declare_gate("g1");
   const NodeId g2 = c.declare_gate("g2");
-  // g1 and g2 form a zero-weight cycle; bypass validate() via to_digraph.
+  // g1 and g2 form a zero-weight cycle; validate() is never called.
   const Circuit::FaninSpec f1[2] = {{a, 0}, {g2, 0}};
   c.finish_gate(g1, tt_and(2), f1);
   const Circuit::FaninSpec f2[1] = {{g1, 0}};
@@ -245,8 +239,6 @@ TEST(Pipelining, SuiteCircuitsReachCeilOfMdr) {
 /// explicitly pipelined copy, s(c) - 1 is not, and the witness is legal and
 /// meets c.
 void expect_formula_matches_feas(const Circuit& c, const std::string& name) {
-  const std::vector<int> delay = oracle::circuit_delays(c);
-  const std::vector<NodeId> pinned = oracle::circuit_io(c);
   const std::int64_t lo = std::max<std::int64_t>(1, oracle::circuit_mdr(c).ratio.ceil());
   const std::int64_t hi = circuit_clock_period(c);
   ASSERT_LE(lo, hi) << name;
@@ -254,14 +246,10 @@ void expect_formula_matches_feas(const Circuit& c, const std::string& name) {
     const PipelineResult p = pipeline_and_retime(c, Rational(period));
     const std::string at = name + " period " + std::to_string(period);
     ASSERT_EQ(p.period, period) << at;
-    EXPECT_TRUE(oracle::feasible_retiming(pipelined_copy(c, p.stages).to_digraph(), delay, period,
-                                          pinned)
-                    .has_value())
+    EXPECT_TRUE(oracle::feasible_retiming(pipelined_copy(c, p.stages), period).has_value())
         << at << " stages " << p.stages;
     if (p.stages > 0) {
-      EXPECT_FALSE(oracle::feasible_retiming(pipelined_copy(c, p.stages - 1).to_digraph(), delay,
-                                             period, pinned)
-                       .has_value())
+      EXPECT_FALSE(oracle::feasible_retiming(pipelined_copy(c, p.stages - 1), period).has_value())
           << at << " stages " << p.stages - 1;
     }
     EXPECT_LE(circuit_clock_period(realize(c, p)), period) << at;

@@ -1002,6 +1002,34 @@ TEST(MappingServerTest, MapMissThenHotTierRepeat) {
   EXPECT_EQ(server.jsonl_faults(), 0);
 }
 
+TEST(MappingServerTest, InFlightSlotIsFreeOnceTheResultIsRead) {
+  // A worker returns the ticket's in-flight slot before its result goes on
+  // the wire, so a client that has read a result never sees the request
+  // still running. After the first miss every request is a hot-tier hit,
+  // whose reply follows the end of its run by microseconds.
+  const fs::path dir = test_dir("slot_free");
+  FlowCache cache((dir / "cache").string());
+  cache.enable_hot_tier(16u << 20);
+  MappingServerOptions options = server_options(dir / "tsd.sock");
+  options.cache = &cache;
+  MappingServer server(std::move(options));
+  server.start();
+
+  TestClient client;
+  ASSERT_TRUE(client.connect_unix((dir / "tsd.sock").string()));
+  const std::string blif = counter3_blif();
+  std::string line;
+  for (int id = 1; id <= 20; ++id) {
+    ASSERT_TRUE(client.send(map_line(id, blif, "ci")));
+    ASSERT_TRUE(read_result_for(client, id, line));
+    EXPECT_EQ(server.snapshot().in_flight, 0) << "after result " << id;
+  }
+
+  server.request_shutdown();
+  server.wait();
+  EXPECT_EQ(server.completed(), 20);
+}
+
 TEST(MappingServerTest, PoisonedResubmissionAnsweredWithoutRerunning) {
   const fs::path dir = test_dir("poison");
   MappingServerOptions options = server_options(dir / "tsd.sock");

@@ -6,6 +6,7 @@
 #include "netlist/blif.hpp"
 #include "netlist/gates.hpp"
 #include "sim/cone.hpp"
+#include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
 namespace turbosyn {
@@ -83,6 +84,43 @@ TEST(Simulator, RejectsWrongInputWidth) {
   const Circuit c = read_blif_string(counter3_blif());
   Simulator sim(c);
   EXPECT_THROW((void)sim.step({true, false}), Error);
+}
+
+/// 64 distinct stimuli in one pass give, lane by lane, exactly what each
+/// stimulus gives when it runs alone in lane 0.
+void expect_lanes_independent(const Circuit& c, std::uint64_t seed, const std::string& name) {
+  constexpr int kCycles = 48;
+  Rng rng(seed);
+  const auto stimulus = random_lane_stimulus(rng, c.num_pis(), kCycles);
+  Simulator sim(c);
+  std::vector<std::vector<std::uint64_t>> lanes_out;
+  lanes_out.reserve(stimulus.size());
+  for (const auto& in : stimulus) {
+    const std::span<const std::uint64_t> out = sim.step_lanes(in);
+    lanes_out.emplace_back(out.begin(), out.end());
+  }
+  for (int lane = 0; lane < Simulator::kLanes; ++lane) {
+    std::vector<std::vector<bool>> alone_in(stimulus.size());
+    for (std::size_t t = 0; t < stimulus.size(); ++t) {
+      for (const std::uint64_t word : stimulus[t]) alone_in[t].push_back(((word >> lane) & 1) != 0);
+    }
+    const auto alone_out = simulate_sequence(c, alone_in);
+    for (std::size_t t = 0; t < stimulus.size(); ++t) {
+      for (std::size_t o = 0; o < alone_out[t].size(); ++o) {
+        ASSERT_EQ(alone_out[t][o], ((lanes_out[t][o] >> lane) & 1) != 0)
+            << name << " lane " << lane << " cycle " << t << " PO " << o;
+      }
+    }
+  }
+}
+
+TEST(Simulator, LanesMatchRunsAloneInLaneZero) {
+  std::vector<BenchmarkSpec> specs = tiny_suite();
+  const std::vector<BenchmarkSpec> table1 = table1_suite();
+  specs.insert(specs.end(), table1.begin(), table1.begin() + 3);
+  for (const BenchmarkSpec& spec : specs) {
+    expect_lanes_independent(generate_fsm_circuit(spec), spec.seed, spec.name);
+  }
 }
 
 // ---- cone_truth_table ----

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "base/check.hpp"
+#include "base/rng.hpp"
 #include "core/flows.hpp"
 #include "mapping/flowmap.hpp"
 #include "mapping/seq_split.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/gates.hpp"
+#include "sim/simulator.hpp"
+#include "verify/audit.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
@@ -125,13 +128,11 @@ TEST(SeqEquiv, IdenticalCircuitsPass) {
   EXPECT_TRUE(sequentially_equivalent_bounded(c, c));
 }
 
-TEST(SeqEquiv, TurboSynMappingPassesAfterWarmup) {
+TEST(SeqEquiv, TurboSynMappingPassesFromCycleZero) {
   const Circuit c = generate_fsm_circuit(tiny_suite()[1]);
   FlowOptions opt;
   const FlowResult ts = run_turbosyn(c, opt);
-  SequentialCheckOptions check;
-  check.warmup = 12;
-  EXPECT_TRUE(sequentially_equivalent_bounded(c, ts.mapped, check));
+  EXPECT_TRUE(sequentially_equivalent_bounded(c, ts.mapped));
 }
 
 TEST(SeqEquiv, FindsInjectedFault) {
@@ -208,6 +209,57 @@ TEST(SeqEquiv, MatchesInputsByNameNotPosition) {
   const Circuit lhs = two_output_fsm(false, false);
   const Circuit rhs = two_output_fsm(false, true);  // PIs declared swapped
   EXPECT_TRUE(sequentially_equivalent_bounded(lhs, rhs));
+}
+
+// A registered AND of ten PIs as two 5-input ANDs under a 2-input root. The
+// broken copy's root is constant 0, so the pair differs only in a cycle after
+// all ten PIs were 1: about one lane-cycle in a thousand.
+Circuit registered_and10(bool broken) {
+  Circuit c;
+  std::vector<Circuit::FaninSpec> low;
+  std::vector<Circuit::FaninSpec> high;
+  for (int i = 0; i < 10; ++i) {
+    (i < 5 ? low : high).push_back({c.add_pi("x" + std::to_string(i)), 0});
+  }
+  const NodeId a = c.add_gate("a", tt_and(5), low);
+  const NodeId b = c.add_gate("b", tt_and(5), high);
+  const Circuit::FaninSpec root_in[2] = {{a, 0}, {b, 0}};
+  const NodeId root = c.add_gate("root", broken ? TruthTable::constant(2, false) : tt_and(2), root_in);
+  c.add_po("$po:z", {root, 1});
+  return c;
+}
+
+TEST(SeqEquiv, CatchesADifferenceOnlyALaterLaneShows) {
+  const Circuit good = registered_and10(false);
+  const Circuit bad = registered_and10(true);
+  SequentialCheckOptions check;
+  check.cycles = 160;
+  check.seed = 7;
+  const auto cex = sequential_counterexample(good, bad, check);
+  ASSERT_TRUE(cex.has_value());
+  EXPECT_GE(cex->run, 1);
+  EXPECT_EQ(cex->po_name, "z");
+
+  // Lane 0 of the same stimulus never tells the pair apart: a check that
+  // compared lane 0 alone would pass them.
+  Rng rng(check.seed);
+  const auto lane0 = random_stimulus(rng, good.num_pis(), check.cycles);
+  EXPECT_EQ(simulate_sequence(good, lane0), simulate_sequence(bad, lane0));
+
+  // The auditor's bounded check (same seed and length) catches it too.
+  FlowResult forged;
+  forged.mapped = bad;
+  forged.phi = 10;    // no loops: keep the mdr stage green
+  forged.period = 0;  // skip the period stage; equivalence is the target
+  AuditOptions audit;
+  audit.seq_cycles = check.cycles;
+  audit.seq_seed = check.seed;
+  const AuditReport report = audit_flow(good, forged, FlowOptions{}, audit);
+  bool equivalence_failed = false;
+  for (const AuditCheck& c : report.checks) {
+    if (c.name == "equivalence") equivalence_failed = c.status == AuditStatus::kFail;
+  }
+  EXPECT_TRUE(equivalence_failed) << report.breakdown();
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "base/rng.hpp"
 #include "mapping/dedupe.hpp"
 #include "netlist/blif.hpp"
-#include "netlist/dot.hpp"
 #include "netlist/gates.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/generator.hpp"
@@ -145,25 +144,6 @@ TEST(Dedupe, SequentialSuiteBehaviorPreserved) {
     const auto stimulus = random_stimulus(rng, c.num_pis(), 64);
     EXPECT_EQ(simulate_sequence(c, stimulus), simulate_sequence(d, stimulus)) << spec.name;
   }
-}
-
-// ---- dot ----
-
-TEST(Dot, EmitsNodesEdgesAndRegisterLabels) {
-  const Circuit c = figure1_circuit();
-  const std::string dot = write_dot_string(c);
-  EXPECT_NE(dot.find("digraph circuit"), std::string::npos);
-  EXPECT_NE(dot.find("shape=triangle"), std::string::npos);     // PIs
-  EXPECT_NE(dot.find("shape=invtriangle"), std::string::npos);  // POs
-  EXPECT_NE(dot.find("label=\"1\" style=bold"), std::string::npos);  // FF edge
-}
-
-TEST(Dot, AnnotationsAppear) {
-  const Circuit c = figure1_circuit();
-  std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 7);
-  DotOptions opt;
-  opt.annotations = labels;
-  EXPECT_NE(write_dot_string(c, opt).find("l=7"), std::string::npos);
 }
 
 // ---- text table ----
