@@ -240,6 +240,12 @@ void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   }
   state.counters["node_updates"] =
       benchmark::Counter(static_cast<double>(stats.node_updates));
+  // How the K-cut tests were settled: by a flow, by a stored cut, or by
+  // stored flow paths. Not in the committed baseline, so reported, not gated.
+  state.counters["cut_tests"] = benchmark::Counter(static_cast<double>(stats.cut_tests));
+  state.counters["cut_reuses"] = benchmark::Counter(static_cast<double>(stats.cut_reuses));
+  state.counters["cut_refutations"] =
+      benchmark::Counter(static_cast<double>(stats.cut_refutations));
 }
 BENCHMARK(BM_LabelEngineDescendingProbes)->Unit(benchmark::kMillisecond);
 

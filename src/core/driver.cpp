@@ -121,6 +121,7 @@ void FlowDriver::run(Stage& stage) {
   add_counter(metric, "labels_computed", after.node_updates - before.node_updates);
   add_counter(metric, "cut_tests", after.cut_tests - before.cut_tests);
   add_counter(metric, "cut_reuses", after.cut_reuses - before.cut_reuses);
+  add_counter(metric, "cut_refutations", after.cut_refutations - before.cut_refutations);
   add_counter(metric, "flow_augmentations",
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
@@ -178,6 +179,7 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("labels_computed", r.stats.node_updates);
   span.counter("cut_tests", r.stats.cut_tests);
   span.counter("cut_reuses", r.stats.cut_reuses);
+  span.counter("cut_refutations", r.stats.cut_refutations);
   span.counter("flow_augmentations", r.stats.flow_augmentations);
   span.counter("decomp_attempts", r.stats.decomp_attempts);
   span.counter("decomp_cache_hits", r.stats.cache_hits);

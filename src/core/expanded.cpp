@@ -38,6 +38,7 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   options_ = options;
   viable_ = true;
   augmentations_ = 0;
+  unit_flow_failed_ = false;
   num_nodes_ = 0;
   fanin_pool_.clear();
   // Pre-size the per-query scratch to the high-water mark of earlier builds,
@@ -173,9 +174,17 @@ void ExpandedNetwork::expand() {
   hw_nodes_ = std::max(hw_nodes_, num_nodes_);
 }
 
+NodeCut::Network ExpandedNetwork::flow_network() const {
+  return NodeCut::Network{std::span(fanin_begin_).first(num_nodes_),
+                          std::span(fanin_end_).first(num_nodes_), fanin_pool_, capacity_,
+                          flags_};
+}
+
 template <class CapacityOf>
 std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64_t value_limit,
                                                                       CapacityOf capacity_of) {
+  augmentations_ = 0;
+  unit_flow_failed_ = false;
   if (!viable_) return std::nullopt;
 
   // The root (interned first) is the sink; PI copies and unexpanded
@@ -189,12 +198,8 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64
     flags_[i] = static_cast<std::uint8_t>((n.expanded ? 0 : NodeCut::kFromSource) |
                                           (i == 0 ? NodeCut::kSink : 0));
   }
-  const std::int64_t value =
-      cut_.run(NodeCut::Network{std::span(fanin_begin_).first(num_nodes_),
-                                std::span(fanin_end_).first(num_nodes_), fanin_pool_,
-                                capacity_, flags_},
-               value_limit);
-  augmentations_ += cut_.paths();
+  const std::int64_t value = cut_.run(flow_network(), value_limit);
+  augmentations_ = cut_.paths();
   if (value > value_limit) return std::nullopt;
 
   std::vector<SeqCutNode> cut;
@@ -207,6 +212,7 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64
 std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut(int size_limit) {
   auto cut = find_cut_impl(size_limit, [](const ExpNode&) { return std::int64_t{1}; });
   TS_ASSERT(!cut.has_value() || static_cast<int>(cut->size()) <= size_limit);
+  unit_flow_failed_ = viable_ && !cut.has_value();
   return cut;
 }
 
@@ -225,30 +231,76 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_low_cost_cut(
 
 bool ExpandedNetwork::separates(std::span<const SeqCutNode> cut) {
   if (!viable_) return false;
-  // flags_: 0 unseen, kMember a cut member, kSeen reached from the root.
+  // mark_: 0 unseen, kMember a cut member, kSeen reached from the root.
   constexpr std::uint8_t kMember = 1;
   constexpr std::uint8_t kSeen = 2;
-  flags_.assign(num_nodes_, 0);
+  mark_.assign(num_nodes_, 0);
   for (const SeqCutNode& member : cut) {
     const int i = find_index(pack(member));
     if (i < 0 || !nodes_[static_cast<std::size_t>(i)].allowed) return false;
-    flags_[static_cast<std::size_t>(i)] = kMember;
+    mark_[static_cast<std::size_t>(i)] = kMember;
   }
   // The root (interned first) is the sink: search down from it, stopping at
   // members. Reaching an unexpanded copy means a source path misses the cut.
   std::vector<int>& stack = worklist_;
   stack.assign(1, 0);
-  flags_[0] = kSeen;
+  mark_[0] = kSeen;
   while (!stack.empty()) {
     const auto i = static_cast<std::size_t>(stack.back());
     stack.pop_back();
     if (!nodes_[i].expanded) return false;
     for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
       const auto j = static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)]);
-      if (flags_[j] != 0) continue;
-      flags_[j] = kSeen;
+      if (mark_[j] != 0) continue;
+      mark_[j] = kSeen;
       stack.push_back(static_cast<int>(j));
     }
+  }
+  return true;
+}
+
+FlowPaths ExpandedNetwork::flow_paths() {
+  path_copies_.clear();
+  path_ends_.clear();
+  if (unit_flow_failed_) {
+    const NodeCut::Paths paths = cut_.flow_paths(flow_network());
+    for (const std::int32_t i : paths.nodes) {
+      path_copies_.push_back(nodes_[static_cast<std::size_t>(i)].id);
+    }
+    path_ends_.assign(paths.ends.begin(), paths.ends.end());
+  }
+  return FlowPaths{path_copies_, path_ends_};
+}
+
+bool ExpandedNetwork::refuted_by(FlowPaths paths, int size_limit) {
+  if (!viable_ || paths.ends.size() < static_cast<std::size_t>(size_limit) + 1) return false;
+  // mark_[i] != 0: allowed copy i already lies on a path (capacity 1).
+  mark_.assign(num_nodes_, 0);
+  std::size_t begin = 0;
+  for (const std::int32_t end_offset : paths.ends) {
+    const auto end = static_cast<std::size_t>(end_offset);
+    if (end <= begin || end > paths.copies.size()) return false;
+    // The root (interned first) is the sink: it starts every path and is
+    // not a capacity of the flow.
+    if (find_index(pack(paths.copies[begin])) != 0) return false;
+    std::size_t prev = 0;
+    for (std::size_t p = begin + 1; p < end; ++p) {
+      const int found = find_index(pack(paths.copies[p]));
+      if (found < 0 || !nodes_[prev].expanded) return false;
+      const auto i = static_cast<std::size_t>(found);
+      bool is_fanin = false;
+      for (std::int32_t s = fanin_begin_[prev]; s < fanin_end_[prev] && !is_fanin; ++s) {
+        is_fanin = fanin_pool_[static_cast<std::size_t>(s)] == found;
+      }
+      if (!is_fanin) return false;
+      if (nodes_[i].allowed) {
+        if (mark_[i] != 0) return false;
+        mark_[i] = 1;
+      }
+      prev = i;
+    }
+    if (nodes_[prev].expanded) return false;  // the path must end at the source
+    begin = end;
   }
   return true;
 }

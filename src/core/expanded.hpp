@@ -34,7 +34,10 @@
 // at most size_limit + 1 paths, each one depth-first search over at most
 // node_budget nodes. separates() is the flow-free alternative when a
 // candidate cut is already known: one search from the root that stops at
-// the candidate's members.
+// the candidate's members. refuted_by() is its dual: a failed test leaves
+// size_limit + 1 units of flow (flow_paths()), and when those unit paths are
+// still a flow in a rebuilt network, max-flow/min-cut duality says the test
+// would fail again.
 //
 // One ExpandedNetwork instance is rebuildable: build() re-targets it to a
 // new (root, height) query while keeping every internal buffer — the node
@@ -65,6 +68,14 @@ struct SeqCutNode {
   }
 };
 
+/// Unit flow paths through E_v. Path p is copies[ends[p - 1], ends[p]) with
+/// ends[-1] = 0: the root first, then at each step a fanin of the copy
+/// before, ending at a source-fed (unexpanded) copy.
+struct FlowPaths {
+  std::span<const SeqCutNode> copies;
+  std::span<const std::int32_t> ends;
+};
+
 struct ExpandedOptions {
   int extra_levels = 2;       // expansion past the first allowed frontier
   int node_budget = 20000;    // max E_v nodes per query
@@ -91,7 +102,8 @@ class ExpandedNetwork {
   /// mandatory, or the node budget was exhausted).
   bool viable() const { return viable_; }
 
-  /// Augmenting paths found by cut queries since the last build().
+  /// Augmenting paths found by the last find_cut()/find_low_cost_cut()
+  /// since build() (0 before the first).
   std::int64_t augmentations() const { return augmentations_; }
 
   /// Minimum cut with all cut nodes allowed at the height limit and size
@@ -116,6 +128,22 @@ class ExpandedNetwork {
   /// query is checked, never trusted.
   bool separates(std::span<const SeqCutNode> cut);
 
+  /// After a find_cut(size_limit) that failed on a viable network: the
+  /// size_limit + 1 units of flow it pushed, as that many unit root-to-source
+  /// paths on which no allowed copy appears twice. Empty after any other
+  /// query. Valid until the next build() or cut query.
+  FlowPaths flow_paths();
+
+  /// Checks a no-cut certificate without running the flow: true iff the
+  /// network is viable, `paths` holds at least size_limit + 1 paths, and in
+  /// this network every copy is interned, each path starts at the root,
+  /// each step goes from an expanded copy to one of its fanins, each path
+  /// ends at a source-fed copy, and no allowed copy other than the root lies
+  /// on two paths. Those paths are then a flow above size_limit, so
+  /// find_cut(size_limit) fails. O(total path length + fanins on the paths);
+  /// paths kept from an earlier query are checked, never trusted.
+  bool refuted_by(FlowPaths paths, int size_limit);
+
   /// Truth table of the root over the given cut (variable i = cut[i]).
   /// The cut must separate the root in E_v (as returned by find_cut).
   TruthTable cut_function(std::span<const SeqCutNode> cut) const;
@@ -139,6 +167,7 @@ class ExpandedNetwork {
   template <class CapacityOf>
   std::optional<std::vector<SeqCutNode>> find_cut_impl(std::int64_t value_limit,
                                                        CapacityOf capacity_of);
+  NodeCut::Network flow_network() const;
 
   const Circuit* circuit_ = nullptr;
   std::span<const int> labels_;
@@ -148,6 +177,7 @@ class ExpandedNetwork {
   ExpandedOptions options_;
   bool viable_ = true;
   std::int64_t augmentations_ = 0;
+  bool unit_flow_failed_ = false;  // the last query was a find_cut() the flow failed
 
   // Node store: slots [0, num_nodes_) are live for the current query; the
   // vectors are never shrunk. Node i's fanins are the contiguous run
@@ -176,7 +206,10 @@ class ExpandedNetwork {
   std::vector<int> slack_;
   std::vector<int> worklist_;
   std::vector<std::int64_t> capacity_;
-  std::vector<std::uint8_t> flags_;
+  std::vector<std::uint8_t> flags_;  // NodeCut flags of the last cut query
+  std::vector<std::uint8_t> mark_;   // separates()/refuted_by() marks
+  std::vector<SeqCutNode> path_copies_;
+  std::vector<std::int32_t> path_ends_;
   NodeCut cut_;
 };
 

@@ -52,20 +52,20 @@ void record_degraded(LabelStats& stats, NodeId v) {
 }
 
 /// Tries resynthesis at min-cut heights `height`, height-1, ... Returns the
-/// realization on success. With `existence_only` (the label iteration), a
-/// memoized success returns an empty realization without re-running the
-/// decomposition, since the iteration only needs the verdict. Mapping
-/// generation, which needs the LUTs, runs with existence_only = false.
+/// realization on success. `net` must hold E_v at `height` (the caller's
+/// K-cut test network), so the first height needs no rebuild. With
+/// `existence_only` (the label iteration), a memoized success returns an
+/// empty realization without re-running the decomposition, since the
+/// iteration only needs the verdict. Mapping generation, which needs the
+/// LUTs, runs with existence_only = false.
 std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<const int> labels,
                                                  int phi, NodeId v, int height,
                                                  const LabelOptions& options, LabelStats& stats,
-                                                 DecompCache* cache, CutScratch* scratch,
+                                                 DecompCache* cache, ExpandedNetwork& net,
                                                  bool existence_only = false) {
-  std::optional<CutScratch> local;
-  ExpandedNetwork& net = (scratch != nullptr ? *scratch : local.emplace()).net;
   bool degraded = false;
   for (int h = 0; h < options.height_span; ++h) {
-    net.build(c, labels, phi, v, height - h, options.expansion);
+    if (h > 0) net.build(c, labels, phi, v, height - h, options.expansion);
     const auto cut = net.find_cut(options.cmax);
     stats.flow_augmentations += net.augmentations();
     if (!cut) break;  // stricter heights only widen the min-cut further
@@ -131,14 +131,14 @@ std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const in
     return r;
   }
   if (options.enable_decomposition) {
-    return try_decomposition(c, labels, phi, v, height, options, stats, cache, scratch);
+    return try_decomposition(c, labels, phi, v, height, options, stats, cache, net);
   }
   return std::nullopt;
 }
 
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache,
-                 CutScratch* scratch, KCutStore* cuts) {
+                 CutScratch* scratch, KCutStore* cuts, FlowPathStore* paths) {
   ++stats.node_updates;
   const std::int64_t big_l = fanin_bound(c, labels, phi, v);
   const int current = labels[static_cast<std::size_t>(v)];
@@ -157,15 +157,22 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
       return std::max(current, target);
     }
   }
-  ++stats.cut_tests;
-  const auto cut = net.find_cut(options.k);
-  stats.flow_augmentations += net.augmentations();
-  if (cut) {
-    if (cuts != nullptr) cuts->put(v, *cut);
-    return std::max(current, target);
+  const std::optional<FlowPaths> last_paths =
+      paths != nullptr ? paths->get(v) : std::nullopt;
+  if (last_paths && net.refuted_by(*last_paths, options.k)) {
+    ++stats.cut_refutations;  // the flow would fail: straight to the fallback
+  } else {
+    ++stats.cut_tests;
+    const auto cut = net.find_cut(options.k);
+    stats.flow_augmentations += net.augmentations();
+    if (cut) {
+      if (cuts != nullptr) cuts->put(v, *cut);
+      return std::max(current, target);
+    }
+    if (paths != nullptr) paths->put(v, net.flow_paths());
   }
   if (options.enable_decomposition &&
-      try_decomposition(c, labels, phi, v, target, options, stats, cache, scratch,
+      try_decomposition(c, labels, phi, v, target, options, stats, cache, net,
                         /*existence_only=*/true)
           .has_value()) {
     return std::max(current, target);
@@ -245,7 +252,11 @@ bool scc_isolated(const CsrTopology& topo, std::span<const int> labels, int phi,
 }  // namespace
 
 LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
-    : c_(c), options_(options), cuts_(c.num_nodes(), options.k), num_gates_(c.num_gates()) {
+    : c_(c),
+      options_(options),
+      cuts_(c.num_nodes(), options.k),
+      paths_(c.num_nodes(), options.k),
+      num_gates_(c.num_gates()) {
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
   cache_.per_node.resize(n);
@@ -277,6 +288,7 @@ void LabelStats::accumulate(const LabelStats& from) {
   node_updates += from.node_updates;
   cut_tests += from.cut_tests;
   cut_reuses += from.cut_reuses;
+  cut_refutations += from.cut_refutations;
   decomp_attempts += from.decomp_attempts;
   decomp_successes += from.decomp_successes;
   cache_hits += from.cache_hits;
@@ -305,7 +317,7 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
     for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
       const int updated =
-          label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_, &cuts_);
+          label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_, &cuts_, &paths_);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         changed = true;

@@ -62,6 +62,7 @@ struct LabelStats {
   std::int64_t node_updates = 0;     // LabelUpdate invocations
   std::int64_t cut_tests = 0;        // flow-based K-cut existence tests
   std::int64_t cut_reuses = 0;       // K-cut tests settled by a stored cut, no flow
+  std::int64_t cut_refutations = 0;  // K-cut tests settled by stored flow paths, no flow
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
   std::int64_t cache_hits = 0;           // decomposition-memo hits
@@ -132,6 +133,53 @@ struct KCutStore {
   std::vector<int> size;
 };
 
+/// Each gate's last failed K-cut test, kept across sweeps and probes as the
+/// K + 1 unit flow paths the flow pushed (ExpandedNetwork::flow_paths). When
+/// they are still a flow in the gate's rebuilt network
+/// (ExpandedNetwork::refuted_by), the K-cut test would fail, so
+/// label_update() skips the flow. Flat storage: gate v's paths are
+/// copies[v*cap, v*cap + n) with n = ends[v*(k+1) + k] (0 while none is
+/// stored), and path p ends at offset ends[v*(k+1) + p].
+struct FlowPathStore {
+  /// 12 copies per path hold nearly every certificate (99.99% of those of
+  /// TurboSYN on the Table-1 shapes; DESIGN.md, "Cut refutation").
+  FlowPathStore(int num_nodes, int k) : FlowPathStore(num_nodes, k, 12 * (k + 1)) {}
+  /// A certificate of more than `cap` copies is not stored.
+  FlowPathStore(int num_nodes, int k, int cap)
+      : k(k),
+        cap(cap),
+        copies(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(cap)),
+        ends(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(k + 1), 0) {}
+
+  /// v's stored paths; nullopt while none are stored.
+  std::optional<FlowPaths> get(NodeId v) const {
+    const auto path_ends = std::span(ends).subspan(static_cast<std::size_t>(v) * (k + 1),
+                                                   static_cast<std::size_t>(k + 1));
+    if (path_ends.back() == 0) return std::nullopt;
+    return FlowPaths{std::span(copies).subspan(static_cast<std::size_t>(v) * cap,
+                                               static_cast<std::size_t>(path_ends.back())),
+                     path_ends};
+  }
+  /// Replaces v's stored paths with `paths` when it holds exactly k + 1
+  /// paths of at most `cap` copies in all; otherwise v keeps none.
+  void put(NodeId v, FlowPaths paths) {
+    const auto first_end = static_cast<std::ptrdiff_t>(v) * (k + 1);
+    if (paths.ends.size() != static_cast<std::size_t>(k + 1) ||
+        paths.copies.size() > static_cast<std::size_t>(cap)) {
+      ends[static_cast<std::size_t>(first_end + k)] = 0;
+      return;
+    }
+    std::copy(paths.copies.begin(), paths.copies.end(),
+              copies.begin() + static_cast<std::ptrdiff_t>(v) * cap);
+    std::copy(paths.ends.begin(), paths.ends.end(), ends.begin() + first_end);
+  }
+
+  int k;
+  int cap;
+  std::vector<SeqCutNode> copies;
+  std::vector<std::int32_t> ends;
+};
+
 /// Warm-started label computation for a fixed circuit and options.
 /// Construction precomputes the SCC condensation and each SCC's sweep order;
 /// compute() may then be called for any sequence of target ratios. All
@@ -139,7 +187,8 @@ struct KCutStore {
 /// warm-starts from the converged labels of the nearest previously feasible
 /// phi >= the probe (labels are antitone in phi, so those labels are valid
 /// lower bounds that shortcut the iteration). Each gate's last flow-found
-/// K-cut is kept too (KCutStore) and re-checked before the next flow.
+/// K-cut (KCutStore) and last failed test's flow paths (FlowPathStore) are
+/// kept too, and re-checked before the next flow.
 class LabelEngine {
  public:
   LabelEngine(const Circuit& c, const LabelOptions& options);
@@ -162,6 +211,7 @@ class LabelEngine {
   std::vector<std::vector<NodeId>> gates_;  // per component: updatable gates, sweep order
   CutScratch scratch_;
   KCutStore cuts_;
+  FlowPathStore paths_;
   std::int64_t num_gates_ = 0;            // c_.num_gates(), counted once
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
 };
@@ -175,10 +225,12 @@ LabelResult compute_labels(const Circuit& c, int phi, const LabelOptions& option
 /// `labels`. `cache` (optional) memoizes decomposition outcomes across
 /// calls; `scratch` (optional) reuses cut-test buffers across calls;
 /// `cuts` (optional) supplies v's last K-cut, checked before the flow runs,
-/// and records the cut the flow finds. The result does not depend on `cuts`.
+/// and records the cut the flow finds; `paths` (optional) does the same for
+/// the flow paths of v's last failed test. The result depends on neither.
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache = nullptr,
-                 CutScratch* scratch = nullptr, KCutStore* cuts = nullptr);
+                 CutScratch* scratch = nullptr, KCutStore* cuts = nullptr,
+                 FlowPathStore* paths = nullptr);
 
 /// The realization the label computation justifies for a node at its final
 /// label: either a plain K-cut of E_v, or a decomposition over a wide cut.

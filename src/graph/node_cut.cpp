@@ -47,8 +47,11 @@ std::int64_t NodeCut::run(const Network& net, std::int64_t limit) {
   while (find_path(net)) {
     ++paths_;
     const std::int64_t amount = bottleneck(net);
+    if (flow + amount > limit) {
+      push(limit + 1 - flow);  // keep exactly limit + 1 units for flow_paths()
+      return limit + 1;
+    }
     flow += amount;
-    if (flow > limit) return flow;
     push(amount);
   }
   for (std::size_t v = 0; v < n; ++v) {
@@ -131,6 +134,10 @@ std::int64_t NodeCut::bottleneck(const Network& net) const {
 }
 
 void NodeCut::push(std::int64_t amount) {
+  if (parent_[static_cast<std::size_t>(sink_hit_)] == -1) {  // a source arc into a sink
+    node_flow_[static_cast<std::size_t>(sink_hit_ >> 1)] += amount;
+    return;
+  }
   for (std::int32_t h = sink_hit_; parent_[static_cast<std::size_t>(h)] != -1;
        h = parent_[static_cast<std::size_t>(h)]) {
     const std::int32_t s = via_[static_cast<std::size_t>(h)];
@@ -141,6 +148,48 @@ void NodeCut::push(std::int64_t amount) {
       edge_flow_[static_cast<std::size_t>(s)] -= signed_amount;
     }
   }
+}
+
+NodeCut::Paths NodeCut::flow_paths(const Network& net) {
+  const std::size_t n = net.capacity.size();
+  path_nodes_.clear();
+  path_ends_.clear();
+  remaining_.assign(edge_flow_.begin(), edge_flow_.end());
+  next_slot_.assign(net.fanin_begin.begin(), net.fanin_begin.end());
+  const auto end_path = [&] {
+    path_ends_.push_back(static_cast<std::int32_t>(path_nodes_.size()));
+  };
+  // Walk each unit down from its sink along fanin edges that still carry
+  // flow. A node that is not source-fed passes on as much flow as enters it,
+  // so the walk finds a carrying fanin until it reaches a source-fed node;
+  // it stops at the first one, and each visit takes one unit of the flow
+  // leaving a node, so no node lies on more paths than its flow.
+  for (std::size_t w = 0; w < n; ++w) {
+    if (!(net.flags[w] & kSink)) continue;
+    for (std::int64_t i = 0; i < node_flow_[w]; ++i) {
+      path_nodes_.push_back(static_cast<std::int32_t>(w));
+      end_path();
+    }
+    for (std::int32_t s = net.fanin_begin[w]; s < net.fanin_end[w]; ++s) {
+      while (remaining_[static_cast<std::size_t>(s)] > 0) {
+        --remaining_[static_cast<std::size_t>(s)];
+        path_nodes_.push_back(static_cast<std::int32_t>(w));
+        std::int32_t u = net.fanins[static_cast<std::size_t>(s)];
+        path_nodes_.push_back(u);
+        while (!(net.flags[static_cast<std::size_t>(u)] & kFromSource)) {
+          std::int32_t& t = next_slot_[static_cast<std::size_t>(u)];
+          const std::int32_t end = net.fanin_end[static_cast<std::size_t>(u)];
+          while (t < end && remaining_[static_cast<std::size_t>(t)] == 0) ++t;
+          TS_ASSERT(t < end);
+          --remaining_[static_cast<std::size_t>(t)];
+          u = net.fanins[static_cast<std::size_t>(t)];
+          path_nodes_.push_back(u);
+        }
+        end_path();
+      }
+    }
+  }
+  return Paths{path_nodes_, path_ends_};
 }
 
 }  // namespace turbosyn

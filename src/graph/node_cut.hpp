@@ -20,7 +20,10 @@
 // has marked the whole set reachable from the source in the residual
 // network. That set is the same for every maximum flow, so cut() — the
 // nodes whose in-half is reached and whose out-half is not — is the unique
-// minimum cut closest to the source, whichever paths were found.
+// minimum cut closest to the source, whichever paths were found. When it
+// ends above the limit, the path that crossed it is pushed only up to
+// limit + 1 units, and flow_paths() splits that flow into limit + 1 unit
+// sink-to-source paths: a certificate that no cut of size <= limit exists.
 //
 // One instance is reusable: every buffer keeps its capacity across runs, so
 // repeated tests on networks no larger than an earlier one allocate nothing.
@@ -49,10 +52,25 @@ class NodeCut {
     std::span<const std::uint8_t> flags;     // per node: kFromSource | kSink
   };
 
-  /// Maximum flow from the source to the sink, or a value > limit as soon as
-  /// the flow exceeds `limit` (which must be below kUncuttable; a path
-  /// through uncuttable nodes alone exceeds any such limit).
+  /// Maximum flow from the source to the sink, or limit + 1 as soon as the
+  /// flow exceeds `limit` (which must be below kUncuttable; a path through
+  /// uncuttable nodes alone exceeds any such limit).
   std::int64_t run(const Network& net, std::int64_t limit);
+
+  /// Unit paths of a flow: path p is nodes[ends[p - 1], ends[p]), with
+  /// ends[-1] = 0.
+  struct Paths {
+    std::span<const std::int32_t> nodes;
+    std::span<const std::int32_t> ends;
+  };
+
+  /// After a run() on `net` that returned a value > its limit: the limit + 1
+  /// units of flow it holds, as limit + 1 unit paths. Each path starts at a
+  /// sink, steps to a fanin of the node before it, and ends at the first
+  /// source-fed node it reaches. A node of capacity c lies on at most c
+  /// paths (the sink that starts a path is not counted). On acyclic fanin
+  /// lists every path is simple. Valid until the next run().
+  Paths flow_paths(const Network& net);
 
   /// Augmenting paths found by the last run(), the one that crossed the
   /// limit included: at most limit + 1, as every path carries >= 1 unit.
@@ -77,6 +95,8 @@ class NodeCut {
   std::vector<std::int32_t> fanout_slot_;    // fanin slots s with fanins[s] = u, by u
   std::vector<std::int32_t> slot_head_;      // node whose fanin list holds slot s
   std::vector<std::int32_t> sources_;
+  // Per node; a sink's entry counts the units sent by a source arc straight
+  // into it (a sink's own arc is never crossed).
   std::vector<std::int64_t> node_flow_;
   std::vector<std::int64_t> edge_flow_;  // per fanin slot
   std::vector<std::uint32_t> seen_;      // per half: epoch stamp of the last visit
@@ -85,6 +105,11 @@ class NodeCut {
   std::vector<std::int32_t> via_;     // per half: fanin slot crossed, -1 = the node's own arc
   std::vector<std::int32_t> stack_;
   std::vector<std::int32_t> cut_;
+  // flow_paths() scratch and result.
+  std::vector<std::int64_t> remaining_;  // per fanin slot: flow not yet on a path
+  std::vector<std::int32_t> next_slot_;  // per node: first slot that may have some
+  std::vector<std::int32_t> path_nodes_;
+  std::vector<std::int32_t> path_ends_;
   std::int32_t sink_hit_ = -1;
   std::int64_t paths_ = 0;
 };

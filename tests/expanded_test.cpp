@@ -1,7 +1,8 @@
 // Dedicated coverage of the expanded circuit E_v and its partial flow
 // network: register-count bookkeeping, mandatory/allowed classification,
 // frontier handling, node budgets, the low-cost (sharing-aware) cut rule and
-// the flow-free cut certificate check (separates).
+// the flow-free certificate checks (separates for a cut, refuted_by for the
+// flow paths of a failed test).
 
 #include "core/expanded.hpp"
 
@@ -253,6 +254,158 @@ TEST(Expanded, SeparatesOldCutImpliesFindCutAfterLabelsRise) {
       if (net.separates(*old_cut)) {
         ++accepted;
         EXPECT_TRUE(net.find_cut(kK).has_value()) << spec.name << " " << c.name(v);
+      } else {
+        ++rejected;
+      }
+    }
+  }
+  // Both verdicts occur, so neither branch is vacuous.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+/// A FlowPaths certificate as one vector per path, editable by the
+/// mutation tests.
+using PathList = std::vector<std::vector<SeqCutNode>>;
+
+PathList path_list(FlowPaths fp) {
+  PathList list;
+  std::size_t begin = 0;
+  for (const std::int32_t end : fp.ends) {
+    list.emplace_back(fp.copies.begin() + static_cast<std::ptrdiff_t>(begin),
+                      fp.copies.begin() + end);
+    begin = static_cast<std::size_t>(end);
+  }
+  return list;
+}
+
+bool refutes(ExpandedNetwork& net, const PathList& list, int size_limit) {
+  std::vector<SeqCutNode> copies;
+  std::vector<std::int32_t> ends;
+  for (const auto& path : list) {
+    copies.insert(copies.end(), path.begin(), path.end());
+    ends.push_back(static_cast<std::int32_t>(copies.size()));
+  }
+  return net.refuted_by(FlowPaths{copies, ends}, size_limit);
+}
+
+TEST(Expanded, RefutedByRejectsMutatedCertificates) {
+  // Figure 1 at g2, H = 2: the minimum cut is {g2^1, a, b, c, d}, so no
+  // 4-cut exists. g1^0 is mandatory (eff + 1 = 3 > 2) and may carry several
+  // paths; every other copy below is allowed. g1^1 lies past the expansion
+  // frontier (extra_levels = 2) and is fed by the source.
+  const Circuit c = figure1_circuit();
+  const NodeId a = c.find("a");
+  const NodeId b = c.find("b");
+  const NodeId cc = c.find("c");
+  const NodeId d = c.find("d");
+  const NodeId g1 = c.find("g1");
+  const NodeId g2 = c.find("g2");
+  std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 2);
+  for (const NodeId pi : c.pis()) labels[static_cast<std::size_t>(pi)] = 0;
+  ExpandedNetwork net(c, labels, 1, g2, 2, ExpandedOptions{});
+  const SeqCutNode root{g2, 0};
+  const PathList certificate{
+      {root, {cc, 0}},
+      {root, {d, 0}},
+      {root, {g1, 0}, {a, 0}},
+      {root, {g1, 0}, {b, 0}},
+      {root, {g1, 0}, {g2, 1}, {g1, 1}},
+  };
+  EXPECT_TRUE(refutes(net, certificate, 4));
+  EXPECT_FALSE(net.find_cut(4).has_value());
+
+  // The flow's own paths are a certificate of the same kind.
+  const PathList from_flow = path_list(net.flow_paths());
+  EXPECT_EQ(from_flow.size(), 5u);
+  EXPECT_TRUE(refutes(net, from_flow, 4));
+
+  PathList shared = certificate;  // c^0, an allowed copy, on two paths
+  shared[1] = shared[0];
+  EXPECT_FALSE(refutes(net, shared, 4));
+
+  PathList missing = certificate;  // g1^5 is no copy of this network
+  missing[4].back() = SeqCutNode{g1, 5};
+  EXPECT_FALSE(refutes(net, missing, 4));
+
+  PathList non_edge = certificate;  // a^0 is a copy, but no fanin of the root
+  non_edge[2] = {root, {a, 0}};
+  EXPECT_FALSE(refutes(net, non_edge, 4));
+
+  PathList wrong_root = certificate;  // g2^1 is a copy, but not the root
+  wrong_root[0].front() = SeqCutNode{g2, 1};
+  EXPECT_FALSE(refutes(net, wrong_root, 4));
+
+  PathList fewer = certificate;  // four paths bound the flow by nothing above 4
+  fewer.pop_back();
+  EXPECT_FALSE(refutes(net, fewer, 4));
+  EXPECT_TRUE(refutes(net, fewer, 3));
+
+  // One more expansion level expands g1^1: the fifth path no longer ends at
+  // the source, until it is extended to one of g1^1's fanins.
+  ExpandedOptions deeper;
+  deeper.extra_levels = 3;
+  net.build(c, labels, 1, g2, 2, deeper);
+  EXPECT_FALSE(refutes(net, certificate, 4));
+  PathList extended = certificate;
+  extended[4].push_back(SeqCutNode{a, 1});
+  EXPECT_TRUE(refutes(net, extended, 4));
+
+  // An unviable (node-budget) network refutes nothing.
+  ExpandedOptions tiny_budget;
+  tiny_budget.node_budget = 2;
+  net.build(c, labels, 1, g2, 2, tiny_budget);
+  ASSERT_FALSE(net.viable());
+  EXPECT_FALSE(refutes(net, certificate, 4));
+}
+
+TEST(Expanded, RefutationImpliesFindCutFails) {
+  // The label engine's use of refuted_by: a gate's flow paths from an
+  // earlier failed test, checked against the network rebuilt after labels
+  // rose. Whenever they still refute, the flow must agree that no K-cut
+  // exists.
+  constexpr int kK = 3;
+  Rng rng(2025);
+  int accepted = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    BenchmarkSpec spec;
+    spec.name = "ref" + std::to_string(seed);
+    spec.seed = seed;
+    spec.num_pis = 3;
+    spec.num_pos = 2;
+    spec.num_gates = 20 + static_cast<int>(seed % 5) * 6;
+    spec.feedback = 0.15;
+    spec.max_fanin = 3;
+    const Circuit c = generate_fsm_circuit(spec);
+    const int phi = 1 + static_cast<int>(seed % 3);
+    std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 0);
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (c.is_gate(v) && !c.fanin_edges(v).empty()) {
+        labels[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_in(1, 4));
+      }
+    }
+    ExpandedNetwork net;
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+      const int height = static_cast<int>(rng.next_in(0, 3));
+      net.build(c, labels, phi, v, height, ExpandedOptions{});
+      if (!net.viable() || net.find_cut(kK).has_value()) continue;
+      const PathList old_paths = path_list(net.flow_paths());
+      ASSERT_EQ(old_paths.size(), static_cast<std::size_t>(kK + 1));
+      ASSERT_TRUE(refutes(net, old_paths, kK)) << spec.name << " " << c.name(v);
+
+      std::vector<int> risen = labels;
+      for (NodeId u = 0; u < c.num_nodes(); ++u) {
+        if (risen[static_cast<std::size_t>(u)] > 0 && rng.next_bool(0.3)) {
+          risen[static_cast<std::size_t>(u)] += static_cast<int>(rng.next_in(1, 2));
+        }
+      }
+      const int new_height = height + static_cast<int>(rng.next_in(0, 1));
+      net.build(c, risen, phi, v, new_height, ExpandedOptions{});
+      if (refutes(net, old_paths, kK)) {
+        ++accepted;
+        EXPECT_FALSE(net.find_cut(kK).has_value()) << spec.name << " " << c.name(v);
       } else {
         ++rejected;
       }

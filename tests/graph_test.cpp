@@ -394,5 +394,58 @@ TEST(NodeCut, ExhaustiveOracleOnRandomDags) {
   EXPECT_GT(with_cut, 500);  // the random networks exercise both outcomes
 }
 
+// The flow a failed run leaves, split by flow_paths(): exactly limit + 1
+// unit paths, each from a sink down fanin edges to its first source-fed
+// node, and no node on more paths than its capacity. On the exhaustive
+// oracle's random networks, with unit and with larger capacities, so paths
+// through uncuttable nodes and pushes of several units are covered.
+TEST(NodeCut, FlowPathsDecomposeTheFlow) {
+  Rng rng(23);
+  NodeCut f;  // reused across networks of every size
+  int failed_runs = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 2 + static_cast<int>(rng.next_below(11));
+    TestNet t = random_net(rng, n);
+    if (rng.next_below(2) == 0) {
+      for (std::int64_t& cap : t.capacity) {
+        if (cap == 1) cap = 1 + static_cast<std::int64_t>(rng.next_below(3));
+      }
+    }
+    const int limit = static_cast<int>(rng.next_below(5));
+    const NodeCut::Network view = shuffled_view(t, rng);
+    const std::int64_t value = f.run(view, limit);
+    if (value <= limit) continue;
+    ++failed_runs;
+    EXPECT_EQ(value, limit + 1) << trial;
+    const NodeCut::Paths paths = f.flow_paths(view);
+    ASSERT_EQ(paths.ends.size(), static_cast<std::size_t>(limit + 1)) << trial;
+    std::vector<std::int64_t> load(static_cast<std::size_t>(n), 0);
+    std::size_t begin = 0;
+    for (const std::int32_t end_offset : paths.ends) {
+      const auto end = static_cast<std::size_t>(end_offset);
+      ASSERT_LT(begin, end) << trial;
+      const auto path = paths.nodes.subspan(begin, end - begin);
+      EXPECT_TRUE(t.flags[static_cast<std::size_t>(path.front())] & NodeCut::kSink) << trial;
+      EXPECT_TRUE(t.flags[static_cast<std::size_t>(path.back())] & NodeCut::kFromSource) << trial;
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        const auto& fanins = t.fanin_lists[static_cast<std::size_t>(path[i - 1])];
+        EXPECT_NE(std::find(fanins.begin(), fanins.end(), path[i]), fanins.end())
+            << "trial " << trial << ": a step that is no fanin edge";
+        const std::uint8_t flags = t.flags[static_cast<std::size_t>(path[i])];
+        EXPECT_FALSE(flags & NodeCut::kSink) << trial;
+        if (i + 1 < path.size()) EXPECT_FALSE(flags & NodeCut::kFromSource) << trial;
+        ++load[static_cast<std::size_t>(path[i])];
+      }
+      begin = end;
+    }
+    EXPECT_EQ(begin, paths.nodes.size()) << trial;
+    for (int v = 0; v < n; ++v) {
+      EXPECT_LE(load[static_cast<std::size_t>(v)], t.capacity[static_cast<std::size_t>(v)])
+          << "trial " << trial << ": node " << v << " over capacity";
+    }
+  }
+  EXPECT_GT(failed_runs, 300);
+}
+
 }  // namespace
 }  // namespace turbosyn

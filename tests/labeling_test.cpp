@@ -281,13 +281,15 @@ TEST(Labeling, ScratchReuseIsDeterministic) {
 /// Reuse-free reference for one probe: the engine's own sweep (SCCs in
 /// topological order, each swept in zero-weight topological order until no
 /// label changes), with every update a plain label_update call without a
-/// stored cut. Only meaningful at a feasible phi, where the sweep converges.
+/// stored cut, and with no stored flow paths unless `paths` is given. Only
+/// meaningful at a feasible phi, where the sweep converges.
 struct ReferenceRun {
   std::vector<int> labels;
   LabelStats stats;
 };
 
-ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo) {
+ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo,
+                                FlowPathStore* paths = nullptr) {
   const SccDecomposition scc = strongly_connected_components(c);
   const std::vector<NodeId> order = combinational_order(c);
   std::vector<int> pos(static_cast<std::size_t>(c.num_nodes()), 0);
@@ -312,7 +314,8 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
     for (bool changed = !gates.empty(); changed;) {
       changed = false;
       for (const NodeId v : gates) {
-        const int updated = label_update(c, ref.labels, phi, v, lo, ref.stats, &cache);
+        const int updated =
+            label_update(c, ref.labels, phi, v, lo, ref.stats, &cache, nullptr, nullptr, paths);
         if (updated > ref.labels[static_cast<std::size_t>(v)]) {
           ref.labels[static_cast<std::size_t>(v)] = updated;
           changed = true;
@@ -324,15 +327,18 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
 }
 
 // The engine settles a gate's K-cut test from its last flow-found cut when
-// that cut still separates E_v (KCutStore). The verdicts must be exactly the
-// flow's, so converged labels equal the reuse-free sweep, every skipped test
-// is counted as a reuse, and the store does get used.
+// that cut still separates E_v (KCutStore), and from its last failed test's
+// flow paths when they are still a flow in E_v (FlowPathStore). The verdicts
+// must be exactly the flow's, so converged labels equal the certificate-free
+// sweep, every skipped test is counted as a reuse or a refutation, and both
+// stores do get used.
 TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   std::vector<BenchmarkSpec> specs = tiny_suite();
   for (const BenchmarkSpec& spec : table1_suite()) {
     if (spec.num_gates <= 200) specs.push_back(spec);
   }
   for (const bool decomposition : {false, true}) {
+    std::int64_t refutations = 0;
     for (const BenchmarkSpec& spec : specs) {
       const Circuit c = generate_fsm_circuit(spec);
       LabelOptions lo = turbomap_options(5);
@@ -345,6 +351,7 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
       for (int phi = 1; feasible_probes < 2; ++phi) {
         const LabelResult r = engine.compute(phi);
         reuses += r.stats.cut_reuses;
+        refutations += r.stats.cut_refutations;
         if (!r.feasible) continue;
         ++feasible_probes;
         const ReferenceRun ref = reference_fixpoint(c, phi, lo);
@@ -356,11 +363,56 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
               << at << " " << c.name(v);
         }
         EXPECT_EQ(r.stats.node_updates, ref.stats.node_updates) << at;
-        EXPECT_EQ(r.stats.cut_tests + r.stats.cut_reuses, ref.stats.cut_tests) << at;
+        EXPECT_EQ(r.stats.cut_tests + r.stats.cut_reuses + r.stats.cut_refutations,
+                  ref.stats.cut_tests)
+            << at;
         EXPECT_EQ(ref.stats.cut_reuses, 0) << at;
+        EXPECT_EQ(ref.stats.cut_refutations, 0) << at;
       }
       EXPECT_GT(reuses, 0) << spec.name << (decomposition ? " turbosyn" : " turbomap");
     }
+    EXPECT_GT(refutations, 0) << (decomposition ? "turbosyn" : "turbomap");
+  }
+}
+
+// A flow-path certificate longer than the store's cap is not kept: with a
+// cap no certificate fits (every path holds the root and a source-fed copy),
+// the sweeps store nothing, refute nothing and run every test as a flow,
+// with the labels of the certificate-free sweep. The default cap does store
+// and refute on the same circuits, with the same labels. Each store is kept
+// across a circuit's probes, as the engine keeps it.
+TEST(Labeling, FlowPathStoreCapStoresNothingAndKeepsLabels) {
+  for (const bool decomposition : {false, true}) {
+    std::int64_t refuted_with_default_cap = 0;
+    for (const BenchmarkSpec& spec : tiny_suite()) {
+      const Circuit c = generate_fsm_circuit(spec);
+      LabelOptions lo = turbomap_options(5);
+      lo.enable_decomposition = decomposition;
+      const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap");
+      LabelEngine engine(c, lo);
+      FlowPathStore tiny(c.num_nodes(), lo.k, /*cap=*/1);
+      FlowPathStore full(c.num_nodes(), lo.k);
+      int feasible_probes = 0;
+      for (int phi = 1; feasible_probes < 2; ++phi) {
+        if (!engine.compute(phi).feasible) continue;  // the reference sweep needs a fixpoint
+        ++feasible_probes;
+        const ReferenceRun free_run = reference_fixpoint(c, phi, lo);
+        const ReferenceRun capped = reference_fixpoint(c, phi, lo, &tiny);
+        const ReferenceRun stored = reference_fixpoint(c, phi, lo, &full);
+        for (NodeId v = 0; v < c.num_nodes(); ++v) {
+          EXPECT_FALSE(tiny.get(v).has_value()) << at << " " << c.name(v);
+        }
+        EXPECT_EQ(capped.stats.cut_refutations, 0) << at;
+        EXPECT_EQ(capped.stats.cut_tests, free_run.stats.cut_tests) << at;
+        EXPECT_EQ(capped.labels, free_run.labels) << at << " phi=" << phi;
+        EXPECT_EQ(stored.labels, free_run.labels) << at << " phi=" << phi;
+        EXPECT_EQ(stored.stats.cut_tests + stored.stats.cut_refutations,
+                  free_run.stats.cut_tests)
+            << at;
+        refuted_with_default_cap += stored.stats.cut_refutations;
+      }
+    }
+    EXPECT_GT(refuted_with_default_cap, 0) << (decomposition ? "turbosyn" : "turbomap");
   }
 }
 
