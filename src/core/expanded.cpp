@@ -261,15 +261,12 @@ bool ExpandedNetwork::separates(std::span<const SeqCutNode> cut) {
 
 FlowPaths ExpandedNetwork::flow_paths() {
   path_copies_.clear();
-  path_ends_.clear();
-  if (unit_flow_failed_) {
-    const NodeCut::Paths paths = cut_.flow_paths(flow_network());
-    for (const std::int32_t i : paths.nodes) {
-      path_copies_.push_back(nodes_[static_cast<std::size_t>(i)].id);
-    }
-    path_ends_.assign(paths.ends.begin(), paths.ends.end());
+  if (!unit_flow_failed_) return {};
+  const NodeCut::Paths paths = cut_.flow_paths(flow_network());
+  for (const std::int32_t i : paths.nodes) {
+    path_copies_.push_back(nodes_[static_cast<std::size_t>(i)].id);
   }
-  return FlowPaths{path_copies_, path_ends_};
+  return FlowPaths{path_copies_, paths.ends};
 }
 
 bool ExpandedNetwork::refuted_by(FlowPaths paths, int size_limit) {

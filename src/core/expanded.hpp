@@ -209,7 +209,6 @@ class ExpandedNetwork {
   std::vector<std::uint8_t> flags_;  // NodeCut flags of the last cut query
   std::vector<std::uint8_t> mark_;   // separates()/refuted_by() marks
   std::vector<SeqCutNode> path_copies_;
-  std::vector<std::int32_t> path_ends_;
   NodeCut cut_;
 };
 

@@ -138,44 +138,45 @@ struct KCutStore {
 /// they are still a flow in the gate's rebuilt network
 /// (ExpandedNetwork::refuted_by), the K-cut test would fail, so
 /// label_update() skips the flow. Flat storage: gate v's paths are
-/// copies[v*cap, v*cap + n) with n = ends[v*(k+1) + k] (0 while none is
-/// stored), and path p ends at offset ends[v*(k+1) + p].
+/// copies[v*cap(), v*cap() + n) with n = ends[v*(k+1) + k] (0 while none
+/// is stored), and path p ends at offset ends[v*(k+1) + p].
 struct FlowPathStore {
-  /// 12 copies per path hold nearly every certificate (99.99% of those of
-  /// TurboSYN on the Table-1 shapes; DESIGN.md, "Cut refutation").
-  FlowPathStore(int num_nodes, int k) : FlowPathStore(num_nodes, k, 12 * (k + 1)) {}
-  /// A certificate of more than `cap` copies is not stored.
-  FlowPathStore(int num_nodes, int k, int cap)
+  /// Copies per path of the store's cap: 12 hold nearly every certificate
+  /// (99.99% of those of TurboSYN on the Table-1 shapes; DESIGN.md, "Cut
+  /// refutation"). At K = 5 the store takes 576 bytes per node.
+  static constexpr int kCopiesPerPath = 12;
+
+  FlowPathStore(int num_nodes, int k)
       : k(k),
-        cap(cap),
-        copies(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(cap)),
+        copies(static_cast<std::size_t>(num_nodes) * cap()),
         ends(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(k + 1), 0) {}
+
+  /// Copies a gate's certificate may hold; a longer one is not stored.
+  std::size_t cap() const { return static_cast<std::size_t>(kCopiesPerPath) * (k + 1); }
 
   /// v's stored paths; nullopt while none are stored.
   std::optional<FlowPaths> get(NodeId v) const {
     const auto path_ends = std::span(ends).subspan(static_cast<std::size_t>(v) * (k + 1),
                                                    static_cast<std::size_t>(k + 1));
     if (path_ends.back() == 0) return std::nullopt;
-    return FlowPaths{std::span(copies).subspan(static_cast<std::size_t>(v) * cap,
+    return FlowPaths{std::span(copies).subspan(static_cast<std::size_t>(v) * cap(),
                                                static_cast<std::size_t>(path_ends.back())),
                      path_ends};
   }
   /// Replaces v's stored paths with `paths` when it holds exactly k + 1
-  /// paths of at most `cap` copies in all; otherwise v keeps none.
+  /// paths of at most cap() copies in all; otherwise v keeps none.
   void put(NodeId v, FlowPaths paths) {
     const auto first_end = static_cast<std::ptrdiff_t>(v) * (k + 1);
-    if (paths.ends.size() != static_cast<std::size_t>(k + 1) ||
-        paths.copies.size() > static_cast<std::size_t>(cap)) {
+    if (paths.ends.size() != static_cast<std::size_t>(k + 1) || paths.copies.size() > cap()) {
       ends[static_cast<std::size_t>(first_end + k)] = 0;
       return;
     }
     std::copy(paths.copies.begin(), paths.copies.end(),
-              copies.begin() + static_cast<std::ptrdiff_t>(v) * cap);
+              copies.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(v) * cap()));
     std::copy(paths.ends.begin(), paths.ends.end(), ends.begin() + first_end);
   }
 
   int k;
-  int cap;
   std::vector<SeqCutNode> copies;
   std::vector<std::int32_t> ends;
 };

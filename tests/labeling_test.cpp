@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/check.hpp"
@@ -375,44 +378,62 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   }
 }
 
-// A flow-path certificate longer than the store's cap is not kept: with a
-// cap no certificate fits (every path holds the root and a source-fed copy),
-// the sweeps store nothing, refute nothing and run every test as a flow,
-// with the labels of the certificate-free sweep. The default cap does store
-// and refute on the same circuits, with the same labels. Each store is kept
-// across a circuit's probes, as the engine keeps it.
+// A flow-path certificate of more than cap() copies is not stored: putting
+// one leaves the gate with none, so its next test runs the flow and gives
+// the label of a test without stored paths. A certificate of cap() copies,
+// and a later valid one, are kept.
 TEST(Labeling, FlowPathStoreCapStoresNothingAndKeepsLabels) {
   for (const bool decomposition : {false, true}) {
-    std::int64_t refuted_with_default_cap = 0;
+    int checked = 0;
     for (const BenchmarkSpec& spec : tiny_suite()) {
       const Circuit c = generate_fsm_circuit(spec);
       LabelOptions lo = turbomap_options(5);
       lo.enable_decomposition = decomposition;
       const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap");
       LabelEngine engine(c, lo);
-      FlowPathStore tiny(c.num_nodes(), lo.k, /*cap=*/1);
-      FlowPathStore full(c.num_nodes(), lo.k);
-      int feasible_probes = 0;
-      for (int phi = 1; feasible_probes < 2; ++phi) {
-        if (!engine.compute(phi).feasible) continue;  // the reference sweep needs a fixpoint
-        ++feasible_probes;
-        const ReferenceRun free_run = reference_fixpoint(c, phi, lo);
-        const ReferenceRun capped = reference_fixpoint(c, phi, lo, &tiny);
-        const ReferenceRun stored = reference_fixpoint(c, phi, lo, &full);
-        for (NodeId v = 0; v < c.num_nodes(); ++v) {
-          EXPECT_FALSE(tiny.get(v).has_value()) << at << " " << c.name(v);
-        }
-        EXPECT_EQ(capped.stats.cut_refutations, 0) << at;
-        EXPECT_EQ(capped.stats.cut_tests, free_run.stats.cut_tests) << at;
-        EXPECT_EQ(capped.labels, free_run.labels) << at << " phi=" << phi;
-        EXPECT_EQ(stored.labels, free_run.labels) << at << " phi=" << phi;
-        EXPECT_EQ(stored.stats.cut_tests + stored.stats.cut_refutations,
-                  free_run.stats.cut_tests)
-            << at;
-        refuted_with_default_cap += stored.stats.cut_refutations;
+      int phi = 1;
+      while (!engine.compute(phi).feasible) ++phi;  // the reference sweep needs a fixpoint
+      FlowPathStore store(c.num_nodes(), lo.k);
+      const ReferenceRun ref = reference_fixpoint(c, phi, lo, &store);
+      for (NodeId v = 0; v < c.num_nodes(); ++v) {
+        const std::optional<FlowPaths> kept = store.get(v);
+        if (!kept) continue;
+        const std::vector<SeqCutNode> copies(kept->copies.begin(), kept->copies.end());
+        const std::vector<std::int32_t> ends(kept->ends.begin(), kept->ends.end());
+        // K + 1 made-up paths of n copies in all.
+        const auto made_up = [&](std::size_t n) {
+          std::vector<std::int32_t> path_ends;
+          for (int p = 1; p <= lo.k + 1; ++p) {
+            path_ends.push_back(static_cast<std::int32_t>(n * p / (lo.k + 1)));
+          }
+          return std::pair(std::vector<SeqCutNode>(n, SeqCutNode{v, 0}), path_ends);
+        };
+        const auto [at_cap, at_cap_ends] = made_up(store.cap());
+        store.put(v, FlowPaths{at_cap, at_cap_ends});
+        ASSERT_TRUE(store.get(v).has_value()) << at << " " << c.name(v);
+        EXPECT_EQ(store.get(v)->copies.size(), store.cap()) << at << " " << c.name(v);
+
+        const auto [over_cap, over_cap_ends] = made_up(store.cap() + 1);
+        store.put(v, FlowPaths{over_cap, over_cap_ends});
+        EXPECT_FALSE(store.get(v).has_value()) << at << " " << c.name(v);
+        LabelStats with_store;
+        LabelStats without;
+        EXPECT_EQ(label_update(c, ref.labels, phi, v, lo, with_store, nullptr, nullptr, nullptr,
+                               &store),
+                  label_update(c, ref.labels, phi, v, lo, without))
+            << at << " " << c.name(v);
+        EXPECT_EQ(with_store.cut_refutations, 0) << at << " " << c.name(v);
+        EXPECT_EQ(with_store.cut_tests, without.cut_tests) << at << " " << c.name(v);
+
+        store.put(v, FlowPaths{copies, ends});
+        const std::optional<FlowPaths> again = store.get(v);
+        ASSERT_TRUE(again.has_value()) << at << " " << c.name(v);
+        EXPECT_TRUE(std::ranges::equal(again->copies, copies)) << at << " " << c.name(v);
+        EXPECT_TRUE(std::ranges::equal(again->ends, ends)) << at << " " << c.name(v);
+        ++checked;
       }
     }
-    EXPECT_GT(refuted_with_default_cap, 0) << (decomposition ? "turbosyn" : "turbomap");
+    EXPECT_GT(checked, 0) << (decomposition ? "turbosyn" : "turbomap");
   }
 }
 
