@@ -102,10 +102,6 @@ void trace_cache_counters(TraceSink* trace, const FlowCache& cache) {
   span.counter("retries", cache.retries());
   span.counter("hot_hits", cache.hot_hits());
   span.counter("hot_evictions", cache.hot_evictions());
-  span.counter("hot_cost_evictions", cache.hot_cost_evictions());
-  // Counters are integral; retained wall time rides as whole milliseconds.
-  span.counter("hot_cost_retained_ms",
-               static_cast<std::int64_t>(cache.hot_cost_retained_seconds() * 1000.0));
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,15 +23,6 @@ namespace {
 std::string hex64(std::uint64_t value) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
-
-/// Round-trippable decimal form of a wall-time value: %.17g reproduces the
-/// exact double on re-parse, so a store → lookup cycle keeps the cost
-/// bit-identical.
-std::string real_token(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   return std::string(buf);
 }
 
@@ -87,21 +77,6 @@ class EntryReader {
     } catch (...) {
       ok_ = false;
       return 0;
-    }
-  }
-
-  /// A non-negative finite real (the schema v5 "cost" field).
-  double real() {
-    const std::string t = token();
-    if (!ok_) return 0.0;
-    try {
-      std::size_t used = 0;
-      const double value = std::stod(t, &used);
-      if (used != t.size() || !(value >= 0.0) || !std::isfinite(value)) ok_ = false;
-      return value;
-    } catch (...) {
-      ok_ = false;
-      return 0.0;
     }
   }
 
@@ -212,8 +187,6 @@ std::optional<ParsedEntry> parse_entry_file(const std::string& path,
   entry.mdr_den = r.integer();  // > 0: a summary hit builds Rational(num, den)
   entry.period = r.integer();
   entry.pipeline_stages = static_cast<int>(r.integer());
-  r.expect("cost");
-  entry.flow_wall_seconds = r.real();
 
   r.expect("probes");
   const std::int64_t num_probes = r.integer();
@@ -338,16 +311,6 @@ CacheKey make_portfolio_cache_key(const Circuit& c, const FlowOptions& options,
   return finish_cache_key(c, os.str());
 }
 
-const char* hot_policy_name(HotPolicy policy) {
-  return policy == HotPolicy::kCostAware ? "cost-aware" : "recency";
-}
-
-std::optional<HotPolicy> parse_hot_policy(std::string_view name) {
-  if (name == "recency") return HotPolicy::kRecency;
-  if (name == "cost-aware") return HotPolicy::kCostAware;
-  return std::nullopt;
-}
-
 FlowCache::FlowCache(std::string dir) : dir_(std::move(dir)) {}
 
 namespace {
@@ -363,37 +326,21 @@ std::size_t hot_entry_size(const std::string& key_text, const CacheEntry& entry)
 
 }  // namespace
 
-void FlowCache::enable_hot_tier(std::size_t max_bytes, std::size_t max_entries) {
+void FlowCache::enable_hot_tier(std::size_t max_bytes) {
   const std::lock_guard<std::mutex> lock(hot_mu_);
   hot_max_bytes_ = max_bytes;
-  hot_max_entries_ = max_entries;
   if (hot_max_bytes_ == 0) {
     hot_index_.clear();
     hot_lru_.clear();
     hot_bytes_now_ = 0;
     return;
   }
-  hot_evict_locked();  // shrinking the caps evicts down immediately
+  hot_evict_locked();  // shrinking the cap evicts down immediately
 }
 
 bool FlowCache::hot_tier_enabled() const {
   const std::lock_guard<std::mutex> lock(hot_mu_);
   return hot_max_bytes_ > 0;
-}
-
-void FlowCache::set_hot_policy(HotPolicy policy) {
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  hot_policy_ = policy;
-}
-
-HotPolicy FlowCache::hot_policy() const {
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  return hot_policy_;
-}
-
-double FlowCache::hot_cost_retained_seconds() const {
-  const std::lock_guard<std::mutex> lock(hot_mu_);
-  return hot_cost_retained_seconds_;
 }
 
 std::int64_t FlowCache::hot_entries() const {
@@ -406,53 +353,12 @@ std::int64_t FlowCache::hot_bytes() const {
   return static_cast<std::int64_t>(hot_bytes_now_);
 }
 
-namespace {
-
-/// The kCostAware eviction score: the entry's probe wall time decayed by a
-/// half-life of `kHotHalfLife` hot-tier accesses since it was last touched.
-/// Purely logical time (access ticks, not wall clock), so the victim
-/// sequence is a deterministic function of the access sequence — which the
-/// fuzz oracle and the eviction-order tests rely on.
-constexpr double kHotHalfLife = 16.0;
-
-double hot_score(double cost, std::uint64_t now, std::uint64_t last_use) {
-  const double age = static_cast<double>(now - last_use);
-  return cost * std::exp2(-age / kHotHalfLife);
-}
-
-}  // namespace
-
 void FlowCache::hot_evict_locked() const {
-  while (!hot_lru_.empty() &&
-         (hot_bytes_now_ > hot_max_bytes_ ||
-          (hot_max_entries_ > 0 && hot_lru_.size() > hot_max_entries_))) {
-    // Recency: the LRU tail. Cost-aware: the minimum decayed-cost score,
-    // ties broken toward the older last_use (and ultimately toward the tail,
-    // which the backward scan's strict `<` guarantees) — so zero-cost
-    // entries degrade to exact LRU order.
-    auto victim_it = std::prev(hot_lru_.end());
-    if (hot_policy_ == HotPolicy::kCostAware && hot_lru_.size() > 1) {
-      double best = hot_score(victim_it->cost, hot_tick_, victim_it->last_use);
-      std::uint64_t best_last = victim_it->last_use;
-      for (auto it = std::prev(victim_it);; --it) {
-        const double score = hot_score(it->cost, hot_tick_, it->last_use);
-        if (score < best || (score == best && it->last_use < best_last)) {
-          best = score;
-          best_last = it->last_use;
-          victim_it = it;
-        }
-        if (it == hot_lru_.begin()) break;
-      }
-      if (std::next(victim_it) != hot_lru_.end()) {
-        // The score spared the LRU tail: count the eviction as cost-driven
-        // and credit the recompute seconds the tail keeps resident.
-        hot_cost_evictions_.fetch_add(1, std::memory_order_relaxed);
-        hot_cost_retained_seconds_ += hot_lru_.back().cost;
-      }
-    }
-    hot_bytes_now_ -= std::min(hot_bytes_now_, victim_it->bytes);
-    hot_index_.erase(victim_it->hash);
-    hot_lru_.erase(victim_it);
+  while (hot_bytes_now_ > hot_max_bytes_ && !hot_lru_.empty()) {
+    const HotEntry& victim = hot_lru_.back();
+    hot_bytes_now_ -= std::min(hot_bytes_now_, victim.bytes);
+    hot_index_.erase(victim.hash);
+    hot_lru_.pop_back();
     hot_evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -466,7 +372,6 @@ std::optional<CacheEntry> FlowCache::hot_lookup(const CacheKey& key) const {
   // degrades to a (disk) miss for the colliding key, never a wrong artifact.
   if (it->second->key_text != key.text) return std::nullopt;
   hot_lru_.splice(hot_lru_.begin(), hot_lru_, it->second);  // bump to MRU
-  it->second->last_use = ++hot_tick_;
   hot_hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->entry;  // a copy: callers remap their copy in place
 }
@@ -483,8 +388,7 @@ void FlowCache::hot_insert(const CacheKey& key, const CacheEntry& entry) const {
     hot_lru_.erase(it->second);
     hot_index_.erase(it);
   }
-  hot_lru_.push_front(HotEntry{key.hash, key.text, entry, bytes,
-                               entry.flow_wall_seconds, ++hot_tick_});
+  hot_lru_.push_front(HotEntry{key.hash, key.text, entry, bytes});
   hot_index_[key.hash] = hot_lru_.begin();
   hot_bytes_now_ += bytes;
   hot_evict_locked();
@@ -542,15 +446,6 @@ CacheEntry FlowCache::entry_from_result(const FlowResult& result, const CacheKey
   entry.mdr_den = result.exact_mdr.den();
   entry.period = result.period;
   entry.pipeline_stages = result.pipeline_stages;
-  // Schema v5 cost: the probe wall time the ledger already recorded — the
-  // compute a later hit saves, and what the cost-aware hot tier scores by.
-  // Imported (replayed) records carry no wall time, so a stored re-run of a
-  // hit keeps cost 0 rather than inventing one.
-  double cost = 0.0;
-  for (const ProbeRecord& rec : result.probes) {
-    if (rec.seconds > 0.0 && std::isfinite(rec.seconds)) cost += rec.seconds;
-  }
-  entry.flow_wall_seconds = cost;
   return entry;
 }
 
@@ -618,7 +513,6 @@ bool FlowCache::store(const CacheKey& key, const CacheEntry& entry) {
      << entry.max_po_label << '\n';
   os << "result " << entry.luts << ' ' << entry.ffs << ' ' << entry.mdr_num << ' '
      << entry.mdr_den << ' ' << entry.period << ' ' << entry.pipeline_stages << '\n';
-  os << "cost " << real_token(entry.flow_wall_seconds) << '\n';
   os << "probes " << entry.probes.size() << '\n';
   for (const CachedProbe& p : entry.probes) {
     os << "p " << engine_token(p.engine) << ' ' << static_cast<int>(p.mode) << ' '

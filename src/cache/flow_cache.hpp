@@ -54,20 +54,10 @@
 // is the dominant hit cost. The tier holds validated CacheEntry copies
 // keyed by hash with the full key text retained, so the collision rule
 // above applies to memory exactly as to disk. It is write-through: store()
-// and disk hits populate it, eviction (byte- and entry-capped) never loses
-// anything the disk doesn't still have.
-//
-// Eviction policy (set_hot_policy, DESIGN.md §16): `kRecency` evicts the
-// least recently used entry (classic LRU). `kCostAware` evicts the entry
-// with the lowest score = flow_wall_seconds × 2^-(age / half-life), where
-// flow_wall_seconds is the wall time the originating run spent in its label
-// probes (summed from the probe ledger, persisted with the entry) and age
-// counts hot-tier accesses since the entry was last touched — so cheap
-// entries leave first and an expensive entry must idle for several
-// half-lives before a cheap-but-fresh one outranks it. The policy decides
-// only WHAT stays resident: a hit serves the identical validated entry
-// either way (and an eviction only demotes to the disk path), so results
-// are bit-identical across policies — only hit rates differ.
+// and disk hits populate it, and its one eviction rule — drop the least
+// recently used entry while the resident bytes exceed the cap (DESIGN.md
+// §14, §16) — never loses anything the disk doesn't still have. Eviction only
+// decides where a hit is served, so results are the same with or without it.
 
 #include <atomic>
 #include <cstddef>
@@ -76,7 +66,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -86,17 +75,6 @@
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
-
-/// Hot-tier eviction policy (see the header comment and DESIGN.md §16).
-enum class HotPolicy {
-  kRecency,    // evict the least recently used entry (LRU)
-  kCostAware,  // evict the lowest flow_wall_seconds × recency-decay score
-};
-
-/// Stable names for flags, STATS, and logs: "recency" / "cost-aware".
-const char* hot_policy_name(HotPolicy policy);
-/// Parses a policy name; nullopt for anything else.
-std::optional<HotPolicy> parse_hot_policy(std::string_view name);
 
 /// Cache key: hash for addressing, full text for the collision check.
 struct CacheKey {
@@ -162,11 +140,6 @@ struct CacheEntry {
   std::int64_t mdr_den = 1;
   std::int64_t period = 0;
   int pipeline_stages = 0;
-  /// Wall time the originating run spent in its label probes (summed from
-  /// the probe ledger, schema v5) — the compute this entry saves on a hit,
-  /// and the cost the kCostAware hot tier scores by. Diagnostics only:
-  /// never affects a hit's result.
-  double flow_wall_seconds = 0.0;
 };
 
 class FlowCache {
@@ -175,14 +148,14 @@ class FlowCache {
   /// are created on the first store.
   explicit FlowCache(std::string dir);
 
-  /// v8: the stored pipeline depth is the minimum for the period, not a
-  /// power of two (v7 keys no longer named a multiplicity engine; v6 dropped
-  /// the mapped BLIF from entries; v5 recorded the probe wall time the
-  /// cost-aware hot tier scores by; v4 named the winning engine and tagged
+  /// v9: no probe wall-time ("cost") line (v8 stored the minimum pipeline
+  /// depth for the period, not a power of two; v7 keys no longer named a
+  /// multiplicity engine; v6 dropped the mapped BLIF from entries; v5
+  /// recorded the probe wall time; v4 named the winning engine and tagged
   /// every probe record with its engine; v3 added the length + checksum
   /// trailer; v2 canonical-order labels). Older entries parse as a schema
   /// mismatch, i.e. a clean miss.
-  static constexpr int kSchemaVersion = 8;
+  static constexpr int kSchemaVersion = 9;
 
   /// The complete, validated entry for `key`, or nullopt (miss). Collision-
   /// checked against key.text; never throws on malformed files. With the hot
@@ -194,22 +167,15 @@ class FlowCache {
   /// In-memory hot tier: keeps recently looked-up / stored entries resident
   /// so a repeated circuit skips the file read, parse, and checksum entirely
   /// (the mapping daemon's steady-state path). LRU eviction from the cold
-  /// end whenever the tier exceeds `max_bytes` (estimated resident size) or
-  /// `max_entries` (0 = no entry-count cap). `max_bytes` == 0 disables the
+  /// end whenever the tier exceeds `max_bytes` (estimated resident size);
+  /// shrinking the cap evicts down at once. `max_bytes` == 0 disables the
   /// tier and drops everything resident. The tier is a pure cache over the
   /// persistent store — eviction never loses data, and every hot entry was
   /// validated through the full parse/checksum path when it entered.
   /// Thread-safe; an entry larger than `max_bytes` on its own is simply
   /// never admitted.
-  void enable_hot_tier(std::size_t max_bytes, std::size_t max_entries = 0);
+  void enable_hot_tier(std::size_t max_bytes);
   bool hot_tier_enabled() const;
-
-  /// Switches the hot tier's eviction policy (default kRecency). Safe to
-  /// call at any time, including mid-run with entries resident: the policy
-  /// only picks eviction victims, so reconfiguration never invalidates a
-  /// resident entry or changes any result.
-  void set_hot_policy(HotPolicy policy);
-  HotPolicy hot_policy() const;
 
   /// Atomically persists `entry` under `key`. Returns false without writing
   /// when the entry is unstorable (see rejects_ below) or the write failed.
@@ -270,16 +236,6 @@ class FlowCache {
   std::int64_t hot_evictions() const {
     return hot_evictions_.load(std::memory_order_relaxed);
   }
-  /// Evictions where the kCostAware score picked a DIFFERENT victim than
-  /// plain LRU would have (a subset of hot_evictions()); zero under
-  /// kRecency.
-  std::int64_t hot_cost_evictions() const {
-    return hot_cost_evictions_.load(std::memory_order_relaxed);
-  }
-  /// Cumulative flow_wall_seconds of the LRU-tail entries the kCostAware
-  /// policy spared on those evictions — the recompute time the policy kept
-  /// resident that recency-only eviction would have dropped.
-  double hot_cost_retained_seconds() const;
   /// Currently resident entries / estimated resident bytes (point-in-time,
   /// not monotonic).
   std::int64_t hot_entries() const;
@@ -287,25 +243,21 @@ class FlowCache {
 
  private:
   /// One resident entry: the full key text rides along for the collision
-  /// check, `bytes` is the admission-time size estimate eviction accounts,
-  /// `cost` and `last_use` feed the kCostAware score (last_use is a logical
-  /// access tick, not wall clock, so eviction order is deterministic for a
-  /// given access sequence).
+  /// check, `bytes` is the admission-time size estimate eviction accounts.
   struct HotEntry {
     std::uint64_t hash = 0;
     std::string key_text;
     CacheEntry entry;
     std::size_t bytes = 0;
-    double cost = 0.0;          // the entry's flow_wall_seconds
-    std::uint64_t last_use = 0; // hot_tick_ at the last lookup/insert
   };
 
   /// Resident copy for `key` (byte-compared), bumping it to the MRU end.
   std::optional<CacheEntry> hot_lookup(const CacheKey& key) const;
-  /// Admits a validated entry, evicting victims past the caps. No-op when
-  /// the tier is disabled or the entry alone exceeds max_bytes.
+  /// Admits a validated entry, evicting LRU entries past the byte cap.
+  /// No-op when the tier is disabled or the entry alone exceeds max_bytes.
   void hot_insert(const CacheKey& key, const CacheEntry& entry) const;
-  /// Evicts per the active policy until the caps hold. Caller holds hot_mu_.
+  /// Pops the LRU tail while the resident bytes exceed the cap. Caller
+  /// holds hot_mu_.
   void hot_evict_locked() const;
 
   std::string dir_;
@@ -315,15 +267,10 @@ class FlowCache {
   mutable std::mutex hot_mu_;
   mutable std::list<HotEntry> hot_lru_;  // front = most recently used
   mutable std::unordered_map<std::uint64_t, std::list<HotEntry>::iterator> hot_index_;
-  std::size_t hot_max_bytes_ = 0;    // 0 = tier disabled
-  std::size_t hot_max_entries_ = 0;  // 0 = no entry-count cap
-  HotPolicy hot_policy_ = HotPolicy::kRecency;
+  std::size_t hot_max_bytes_ = 0;  // 0 = tier disabled
   mutable std::size_t hot_bytes_now_ = 0;
-  mutable std::uint64_t hot_tick_ = 0;  // logical access clock for the decay
-  mutable double hot_cost_retained_seconds_ = 0.0;
   mutable std::atomic<std::int64_t> hot_hits_{0};
   mutable std::atomic<std::int64_t> hot_evictions_{0};
-  mutable std::atomic<std::int64_t> hot_cost_evictions_{0};
   mutable std::atomic<std::int64_t> hits_{0};
   mutable std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> stores_{0};

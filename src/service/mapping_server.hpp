@@ -112,17 +112,14 @@ struct StatsSnapshot {
   std::int64_t cache_misses = 0;
   std::int64_t cache_stores = 0;
   std::int64_t cache_rejects = 0;
-  std::int64_t cache_near_hits = 0;  // always 0: the cache keeps no near-miss index
+  std::int64_t cache_near_hits = 0;  // always 0, not exported: synthbench reads it
   std::int64_t cache_recovered_entries = 0;
   std::int64_t cache_recovered_tmp = 0;
   std::int64_t cache_store_retries = 0;
   std::int64_t hot_hits = 0;
   std::int64_t hot_evictions = 0;
-  std::int64_t hot_cost_evictions = 0;
-  double hot_cost_retained_seconds = 0.0;
   std::int64_t hot_entries = 0;
   std::int64_t hot_bytes = 0;
-  std::string hot_policy;  // "recency" | "cost-aware"
   // Portfolio rollups.
   std::int64_t portfolio_runs = 0;
   std::int64_t portfolio_cancelled_engines = 0;  // always 0: synthbench reads it (ROADMAP item 5)

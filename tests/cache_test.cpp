@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -387,21 +388,28 @@ class FlowCacheEntryFile : public ::testing::Test {
     out << bytes;
   }
 
-  /// The stored entry relabelled as schema `version`, with a valid checksum
-  /// trailer, as a writer of that version would have left it.
-  std::string with_schema(int version) const {
+  /// The stored entry's body (everything before the checksum trailer),
+  /// relabelled as schema `version`.
+  std::string body_as(int version) const {
     const std::string bytes = read_entry();
     const std::string header = "turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion);
     const std::size_t sum = bytes.rfind("\nsum ");
     EXPECT_EQ(bytes.rfind(header, 0), 0u);
     EXPECT_NE(sum, std::string::npos);
-    const std::string body = "turbosyn-cache " + std::to_string(version) +
-                             bytes.substr(header.size(), sum + 1 - header.size());
+    return "turbosyn-cache " + std::to_string(version) +
+           bytes.substr(header.size(), sum + 1 - header.size());
+  }
+
+  /// `body` with a valid checksum trailer, as its writer would have left it.
+  static std::string sealed(const std::string& body) {
     char checksum[17];
     std::snprintf(checksum, sizeof(checksum), "%016llx",
                   static_cast<unsigned long long>(fnv1a64(body)));
     return body + "sum " + std::to_string(body.size()) + ' ' + checksum + '\n';
   }
+
+  /// The stored entry relabelled as schema `version`, checksum intact.
+  std::string with_schema(int version) const { return sealed(body_as(version)); }
 
   fs::path dir_;
   Circuit circuit_;
@@ -445,28 +453,46 @@ TEST_F(FlowCacheEntryFile, SchemaV7EntryIsACleanMiss) {
   // v7 entries could store a power-of-two pipeline depth where the flow now
   // reports the minimum; an intact v7 entry must read as a miss, never serve
   // the stale stage count.
-  ASSERT_EQ(FlowCache::kSchemaVersion, 8);
+  ASSERT_GT(FlowCache::kSchemaVersion, 7);
   write_entry(with_schema(7));
   EXPECT_FALSE(cache_->lookup(key_).has_value());
+}
+
+TEST_F(FlowCacheEntryFile, SchemaV8EntryIsACountedCleanMiss) {
+  // v8 entries carried the probe wall time on a "cost" line after the result
+  // summary. An intact v8 entry must read as a miss that counts as a
+  // recovered entry, and the rerun stores it again without the line.
+  ASSERT_EQ(FlowCache::kSchemaVersion, 9);
+  std::string v8 = body_as(8);
+  const std::size_t probes = v8.find("\nprobes ");
+  ASSERT_NE(probes, std::string::npos);
+  v8.insert(probes + 1, "cost 0.25\n");
+  write_entry(sealed(v8));
+  const std::int64_t misses = cache_->misses();
+  const std::int64_t recovered = cache_->recovered_entries();
+  EXPECT_FALSE(cache_->lookup(key_).has_value());
+  EXPECT_EQ(cache_->misses(), misses + 1);
+  EXPECT_EQ(cache_->recovered_entries(), recovered + 1);
+
+  CacheRunInfo info;
+  (void)run_flow_cached(FlowKind::kTurboSyn, circuit_, options_, cache_.get(), &info);
+  EXPECT_FALSE(info.hit);
+  EXPECT_TRUE(info.stored);
+  const std::string fresh = read_entry();
+  EXPECT_EQ(fresh.rfind("turbosyn-cache 9\n", 0), 0u);
+  EXPECT_EQ(fresh.find("\ncost "), std::string::npos);
+  EXPECT_TRUE(cache_->lookup(key_).has_value());
 }
 
 TEST_F(FlowCacheEntryFile, SchemaV5EntryIsACleanMissThatRepopulates) {
   // Rewrite the stored entry in the v5 layout — a mapped BLIF section before
   // "end" — with a valid checksum trailer, as a v5 writer would have left it.
-  const std::string bytes = read_entry();
-  const std::string header = "turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion);
-  const std::size_t sum = bytes.rfind("\nsum ");
-  ASSERT_EQ(bytes.rfind(header, 0), 0u);
-  ASSERT_NE(sum, std::string::npos);
-  std::string v5 = "turbosyn-cache 5" + bytes.substr(header.size(), sum + 1 - header.size());
+  std::string v5 = body_as(5);
   const std::string end = "end\n";
   ASSERT_TRUE(v5.ends_with(end));
   const std::string blif = ".model mapped\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n";
   v5.insert(v5.size() - end.size(), "blif " + std::to_string(blif.size()) + '\n' + blif + '\n');
-  char checksum[17];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(v5)));
-  write_entry(v5 + "sum " + std::to_string(v5.size()) + ' ' + checksum + '\n');
+  write_entry(sealed(v5));
   EXPECT_FALSE(cache_->lookup(key_).has_value());
 
   // The miss repopulates in the current schema, and the next run hits.
@@ -475,7 +501,7 @@ TEST_F(FlowCacheEntryFile, SchemaV5EntryIsACleanMissThatRepopulates) {
   EXPECT_FALSE(info.hit);
   EXPECT_TRUE(info.stored);
   const std::string fresh = read_entry();
-  EXPECT_EQ(fresh.rfind(header, 0), 0u);
+  EXPECT_EQ(fresh.rfind("turbosyn-cache " + std::to_string(FlowCache::kSchemaVersion), 0), 0u);
   EXPECT_EQ(fresh.find("\nblif "), std::string::npos);
   (void)run_flow_cached(FlowKind::kTurboSyn, circuit_, options_, cache_.get(), &info);
   EXPECT_TRUE(info.hit);
@@ -626,17 +652,17 @@ TEST(FlowCacheConcurrency, RacingWritersAndReadersStaySound) {
 }
 
 TEST(FlowCacheConcurrency, HotTierRacingLookupsStayCoherent) {
-  // Many threads hammering a two-entry hot tier with three circuits: splices
-  // and evictions race, but every result must stay bit-identical to the
-  // single-threaded baseline and the tier must respect its caps throughout.
-  // Rounds alternate summary hits (compared on the summary) and
+  // Many threads hammering a hot tier that holds two of three circuits:
+  // splices and evictions race, but every result must stay bit-identical to
+  // the single-threaded baseline and the tier must respect its cap
+  // throughout. Rounds alternate summary hits (compared on the summary) and
   // artifact-collecting hits (compared on the mapped BLIF too).
   const fs::path dir = test_dir("hot_race");
   FlowOptions opt = small_options();
   FlowOptions artifacts = opt;
   artifacts.collect_artifacts = true;
   FlowCache cache(dir.string());
-  cache.enable_hot_tier(8u << 20, 2);
+  cache.enable_hot_tier(8u << 20);
 
   std::vector<Circuit> circuits;
   circuits.push_back(bounded_sample(counter3_blif()));
@@ -644,11 +670,17 @@ TEST(FlowCacheConcurrency, HotTierRacingLookupsStayCoherent) {
   circuits.push_back(bounded_sample(gray_counter_blif()));
   std::vector<std::string> baseline;
   std::vector<std::string> baseline_summary;
+  std::vector<std::int64_t> entry_bytes;
   for (const Circuit& c : circuits) {
+    const std::int64_t before = cache.hot_bytes();
     const FlowResult cold = run_flow_cached(FlowKind::kTurboSyn, c, opt, &cache);
     baseline.push_back(fingerprint(cold));
     baseline_summary.push_back(summary_fingerprint(cold));
+    entry_bytes.push_back(cache.hot_bytes() - before);
   }
+  // Cap at the two largest entries: any two fit, all three never do.
+  std::sort(entry_bytes.begin(), entry_bytes.end());
+  cache.enable_hot_tier(static_cast<std::size_t>(entry_bytes[1] + entry_bytes[2]));
 
   const int kThreads = 4;
   const int kRounds = 24;
@@ -673,7 +705,7 @@ TEST(FlowCacheConcurrency, HotTierRacingLookupsStayCoherent) {
   for (std::thread& t : threads) t.join();
   EXPECT_GE(cache.hot_hits(), 1);
   EXPECT_LE(cache.hot_entries(), 2);
-  EXPECT_GE(cache.hot_evictions(), 1);  // three circuits through two slots
+  EXPECT_GE(cache.hot_evictions(), 1);  // three circuits through room for two
 }
 
 // ---------------------------------------------------------------------------

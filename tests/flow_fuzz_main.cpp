@@ -2,7 +2,7 @@
 // with the invariant auditor as the oracle.
 //
 //   $ flow_fuzz_main [--seeds N | --seeds A..B] [--time-budget SECONDS]
-//                    [--through-cache] [--portfolio] [--hot-policy]
+//                    [--through-cache] [--portfolio]
 //                    [--require-all] [--verbose]
 //
 // Per seed it generates a small random FSM circuit (workloads/generator),
@@ -28,7 +28,12 @@
 //     ledger must contain only imported records, and the hit must pass the
 //     full audit; a further hit with collect_artifacts off must serve the
 //     uncached run's summary (φ, period, stages, LUTs, FFs, exact MDR) over
-//     an all-imported ledger, without regenerating the mapping;
+//     an all-imported ledger, without regenerating the mapping. The
+//     cache's hot tier is resized per seed from measured entry sizes so that
+//     it holds only one of the seed's TurboSYN and TurboMap entries: the
+//     replay above is a memory hit, the TurboSYN entry is then evicted, and
+//     the replay that follows is a disk re-hit whose re-admission evicts
+//     again — each of those runs must match the uncached run too;
 //   - with --portfolio, every seed also races a rotating engine portfolio
 //     (core/portfolio): the race must be bit-identical to the best
 //     standalone engine under the shared selection order, every row must
@@ -36,15 +41,7 @@
 //     audit including the "portfolio" check.
 //     Every --portfolio run also races turbomap,turbosyn,flowsyn_s at K = 5
 //     on three fixed circuits where FlowSYN-s alone certifies the smallest
-//     φ (tiny2, tiny6, bbara), which random seeds rarely produce;
-//   - with --hot-policy, every seed replays the same store/hit/evict access
-//     sequence through two fresh caches whose hot tiers are entry-capped
-//     small enough to churn, one under the recency policy and one under
-//     cost-aware: every run must be bit-identical across the two policies
-//     (and to the uncached run), hits must still import-only their ledgers,
-//     the hit must pass the full audit, and a summary hit must match the
-//     uncached summary — the eviction policy may change WHAT stays resident,
-//     never a result.
+//     φ (tiny2, tiny6, bbara), which random seeds rarely produce.
 //
 // Exits nonzero on the first failing seed's summary. --time-budget stops
 // early once the budget is spent; with --require-all, not finishing every
@@ -52,6 +49,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -84,7 +82,6 @@ struct FuzzConfig {
   double time_budget_s = 0.0;  // 0 = unlimited
   bool through_cache = false;  // replay every seed through a flow cache
   bool portfolio = false;      // race a rotating engine portfolio per seed
-  bool hot_policy = false;     // recency-vs-cost-aware hot-tier oracle
   bool require_all = false;
   bool verbose = false;
 };
@@ -109,15 +106,13 @@ FuzzConfig parse_args(int argc, char** argv) {
       cfg.through_cache = true;
     } else if (a == "--portfolio") {
       cfg.portfolio = true;
-    } else if (a == "--hot-policy") {
-      cfg.hot_policy = true;
     } else if (a == "--require-all") {
       cfg.require_all = true;
     } else if (a == "--verbose") {
       cfg.verbose = true;
     } else {
       std::cerr << "usage: flow_fuzz_main [--seeds N|A..B] [--time-budget S]"
-                   " [--through-cache] [--portfolio] [--hot-policy] [--require-all]"
+                   " [--through-cache] [--portfolio] [--require-all]"
                    " [--verbose]\n";
       std::exit(2);
     }
@@ -198,40 +193,6 @@ void expect_summary_hit(SeedOutcome& out, const FlowResult& hit, const CacheRunI
          tag + ": summary hit ledger is not the imported uncached ledger");
   expect(out, hit.mapped.num_nodes() == 0 && !hit.artifacts.valid,
          tag + ": summary hit regenerated the mapping");
-}
-
-/// A copy of `c` with one gate's function complemented: the smallest edit —
-/// same interface and wiring, one local logic change.
-Circuit mutate_one_gate(const Circuit& c, std::uint64_t seed) {
-  std::vector<NodeId> gates;
-  for (NodeId v = 0; v < c.num_nodes(); ++v) {
-    if (c.is_gate(v) && !c.fanin_edges(v).empty()) gates.push_back(v);
-  }
-  TS_CHECK(!gates.empty(), "generated circuit has no gates to mutate");
-  const NodeId victim = gates[seed % gates.size()];
-
-  Circuit m;
-  std::vector<NodeId> map(static_cast<std::size_t>(c.num_nodes()), kNoNode);
-  const auto mapped = [&map](NodeId v) -> NodeId& { return map[static_cast<std::size_t>(v)]; };
-  for (const NodeId v : c.pis()) mapped(v) = m.add_pi(c.name(v));
-  for (NodeId v = 0; v < c.num_nodes(); ++v) {
-    if (c.is_gate(v)) mapped(v) = m.declare_gate(c.name(v));
-  }
-  for (NodeId v = 0; v < c.num_nodes(); ++v) {
-    if (!c.is_gate(v)) continue;
-    std::vector<Circuit::FaninSpec> fanins;
-    for (const EdgeId e : c.fanin_edges(v)) {
-      fanins.push_back({mapped(c.edge(e).from), c.edge(e).weight});
-    }
-    const TruthTable& f = c.function(v);
-    m.finish_gate(mapped(v), v == victim ? ~f : f, fanins);
-  }
-  for (const NodeId v : c.pos()) {
-    const EdgeId e = c.fanin_edges(v)[0];
-    m.add_po(c.name(v), {mapped(c.edge(e).from), c.edge(e).weight});
-  }
-  m.validate();
-  return m;
 }
 
 /// Portfolio race vs the "run everything, pick the best" oracle: the race
@@ -357,16 +318,24 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
   // Through-cache replay: populating the flow-artifact cache and replaying
   // the hit must both reproduce the uncached run, bit for bit, and the hit's
   // imported probe ledger must still satisfy the auditor. A hit without
-  // artifacts must serve the same summary.
+  // artifacts must serve the same summary. The hot tier starts empty and
+  // roomy each seed, then shrinks to fit only one of the seed's two entries,
+  // so a memory hit, an eviction and a disk re-hit all happen every seed.
   if (cache != nullptr) {
+    cache->enable_hot_tier(0);  // drop earlier seeds' residents
+    cache->enable_hot_tier(std::size_t{16} << 20);
     CacheRunInfo cold_info;
     const FlowResult cold = run_flow_cached(FlowKind::kTurboSyn, c, opt, cache, &cold_info);
     expect(out, fingerprint(cold) == fingerprint(ts),
            "through-cache: populate run differs from the uncached run");
     expect(out, cold_info.stored || cold_info.hit, "through-cache: populate run not stored");
+    const std::int64_t ts_bytes = cache->hot_bytes();
+    const std::int64_t hot_hits = cache->hot_hits();
     CacheRunInfo warm_info;
     const FlowResult warm = run_flow_cached(FlowKind::kTurboSyn, c, opt, cache, &warm_info);
     expect(out, warm_info.hit, "through-cache: second run missed the cache");
+    expect(out, cache->hot_hits() == hot_hits + 1,
+           "through-cache: second run was not served from the hot tier");
     expect(out, fingerprint(warm) == fingerprint(ts),
            "through-cache: cache-hit run differs from the uncached run");
     expect(out, !warm_info.hit || all_imported(warm),
@@ -380,81 +349,32 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     expect_summary_hit(out, summary, summary_info, ts, "through-cache");
 
     // TurboMap through the same store: its populate run must match too.
-    if (seed % 2 == 0) {
-      const FlowResult tm_cached = run_flow_cached(FlowKind::kTurboMap, c, opt, cache);
-      expect(out, fingerprint(tm_cached) == fingerprint(tm),
-             "through-cache: turbomap populate run differs from the uncached run");
+    const FlowResult tm_cached = run_flow_cached(FlowKind::kTurboMap, c, opt, cache);
+    expect(out, fingerprint(tm_cached) == fingerprint(tm),
+           "through-cache: turbomap populate run differs from the uncached run");
+    const std::int64_t tm_bytes = cache->hot_bytes() - ts_bytes;
+
+    // Room for the larger entry alone: the TurboSYN entry, now the LRU
+    // tail, is evicted, and its replay is a disk re-hit whose re-admission
+    // evicts the TurboMap entry in turn.
+    const std::int64_t evictions = cache->hot_evictions();
+    cache->enable_hot_tier(static_cast<std::size_t>(std::max(ts_bytes, tm_bytes)));
+    expect(out, cache->hot_evictions() == evictions + 1 && cache->hot_entries() == 1,
+           "through-cache: shrinking the hot tier did not evict the TurboSYN entry");
+    CacheRunInfo rehit_info;
+    const std::int64_t hot_hits_before_rehit = cache->hot_hits();
+    const FlowResult rehit = run_flow_cached(FlowKind::kTurboSyn, c, opt, cache, &rehit_info);
+    expect(out, rehit_info.hit && cache->hot_hits() == hot_hits_before_rehit,
+           "through-cache: replay after eviction was not a disk hit");
+    expect(out, fingerprint(rehit) == fingerprint(ts),
+           "through-cache: disk re-hit differs from the uncached run");
+    expect(out, !rehit_info.hit || all_imported(rehit),
+           "through-cache: disk re-hit probe ledger has non-imported records");
+    if (rehit_info.hit) {
+      audit_into(out, c, rehit, opt, "turbosyn/through-cache-rehit", seed, cfg.verbose);
     }
-  }
-
-  // Hot-tier policy invariance: the identical access sequence through two
-  // fresh caches — recency vs cost-aware eviction, tiers capped at two
-  // entries so the three distinct circuits below force eviction churn —
-  // must produce bit-identical results run for run (and match the uncached
-  // baselines), with audit-clean imported ledgers on the hits and the
-  // uncached summary on a hit without artifacts.
-  if (cfg.hot_policy) {
-    const Circuit edited = mutate_one_gate(c, seed);
-    const FlowResult edited_baseline = run_turbosyn(edited, opt);
-
-    struct PolicyRun {
-      std::string populate, populate_tm, populate_edited, hit, hit_edited;
-      bool hit_hit = false, hit_edited_hit = false;
-      std::int64_t hot_cost_evictions = 0;
-    };
-    const HotPolicy policies[] = {HotPolicy::kRecency, HotPolicy::kCostAware};
-    PolicyRun runs[2];
-    for (int p = 0; p < 2; ++p) {
-      const std::filesystem::path dir =
-          std::filesystem::temp_directory_path() /
-          ("turbosyn_fuzz_hotpol." + std::to_string(::getpid()) + "." +
-           std::to_string(seed) + "." + hot_policy_name(policies[p]));
-      std::filesystem::remove_all(dir);
-      FlowCache hot_cache(dir.string());
-      hot_cache.enable_hot_tier(std::size_t{16} << 20, 2);
-      hot_cache.set_hot_policy(policies[p]);
-
-      PolicyRun& r = runs[p];
-      r.populate = fingerprint(run_flow_cached(FlowKind::kTurboSyn, c, opt, &hot_cache));
-      r.populate_tm = fingerprint(run_flow_cached(FlowKind::kTurboMap, c, opt, &hot_cache));
-      r.populate_edited =
-          fingerprint(run_flow_cached(FlowKind::kTurboSyn, edited, opt, &hot_cache));
-      CacheRunInfo hit_info;
-      const FlowResult hit = run_flow_cached(FlowKind::kTurboSyn, c, opt, &hot_cache, &hit_info);
-      r.hit = fingerprint(hit);
-      r.hit_hit = hit_info.hit;
-      CacheRunInfo edited_info;
-      const FlowResult hit_edited =
-          run_flow_cached(FlowKind::kTurboSyn, edited, opt, &hot_cache, &edited_info);
-      r.hit_edited = fingerprint(hit_edited);
-      r.hit_edited_hit = edited_info.hit;
-      r.hot_cost_evictions = hot_cache.hot_cost_evictions();
-
-      const std::string tag = std::string("hot-policy/") + hot_policy_name(policies[p]);
-      expect(out, r.populate == fingerprint(ts), tag + ": populate differs from uncached");
-      expect(out, r.populate_tm == fingerprint(tm),
-             tag + ": turbomap populate differs from uncached");
-      expect(out, r.hit_hit, tag + ": replay of the stored circuit missed");
-      expect(out, r.hit_edited_hit, tag + ": replay of the edited circuit missed");
-      expect(out, !r.hit_hit || all_imported(hit), tag + ": hit ledger has non-imported records");
-      if (r.hit_hit) audit_into(out, c, hit, opt, tag, seed, cfg.verbose);
-      FlowOptions summary_opt = opt;
-      summary_opt.collect_artifacts = false;
-      CacheRunInfo summary_info;
-      const FlowResult summary =
-          run_flow_cached(FlowKind::kTurboSyn, c, summary_opt, &hot_cache, &summary_info);
-      expect_summary_hit(out, summary, summary_info, ts, tag);
-      std::filesystem::remove_all(dir);
-    }
-    expect(out, runs[0].populate_edited == runs[1].populate_edited,
-           "hot-policy: edited populate differs between policies");
-    expect(out, runs[0].hit == runs[1].hit, "hot-policy: hit differs between policies");
-    expect(out, runs[0].hit_edited == runs[1].hit_edited,
-           "hot-policy: edited hit differs between policies");
-    expect(out, runs[0].populate_edited == fingerprint(edited_baseline),
-           "hot-policy: edited populate differs from the cold baseline");
-    expect(out, runs[0].hot_cost_evictions == 0,
-           "hot-policy: recency run reported cost-aware evictions");
+    expect(out, cache->hot_evictions() == evictions + 2 && cache->hot_entries() == 1,
+           "through-cache: re-admitting the TurboSYN entry did not evict the LRU tail");
   }
 
   if (cfg.portfolio) {

@@ -18,6 +18,7 @@
 #include <sys/un.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -684,16 +685,37 @@ TEST(BudgetPoolTest, PoolMetersActualSpendWithRefunds) {
 // ---------------------------------------------------------------------------
 // FlowCache hot tier
 
+/// Hot-tier bytes of each circuit's TurboSYN entry under `opt`, read off
+/// hot_bytes() as the entries enter a scratch cache with a roomy tier.
+std::vector<std::int64_t> hot_entry_bytes(const std::vector<Circuit>& circuits,
+                                          const FlowOptions& opt) {
+  FlowCache scratch(test_dir("hot_sizes").string());
+  scratch.enable_hot_tier(16u << 20);
+  std::vector<std::int64_t> bytes;
+  for (const Circuit& c : circuits) {
+    const std::int64_t before = scratch.hot_bytes();
+    run_flow_cached(FlowKind::kTurboSyn, c, opt, &scratch);
+    bytes.push_back(scratch.hot_bytes() - before);
+  }
+  return bytes;
+}
+
+/// A byte cap that fits any two of three entries but never all three.
+std::size_t two_of_three_cap(std::vector<std::int64_t> bytes) {
+  std::sort(bytes.begin(), bytes.end());
+  return static_cast<std::size_t>(bytes[1] + bytes[2]);
+}
+
 TEST(HotTier, LruEvictionAndDiskFallback) {
   const fs::path dir = test_dir("hot_lru");
-  FlowCache cache(dir.string());
-  cache.enable_hot_tier(16u << 20, 2);  // entry-capped at two
-  EXPECT_TRUE(cache.hot_tier_enabled());
   const FlowOptions opt = small_options();
-
   const Circuit first = bounded_sample(counter3_blif());
   const Circuit second = bounded_sample(traffic_light_blif());
   const Circuit third = bounded_sample(gray_counter_blif());
+
+  FlowCache cache(dir.string());
+  cache.enable_hot_tier(two_of_three_cap(hot_entry_bytes({first, second, third}, opt)));
+  EXPECT_TRUE(cache.hot_tier_enabled());
 
   const FlowResult cold_result = run_flow_cached(FlowKind::kTurboSyn, first, opt, &cache);
   const std::string cold = summary_fingerprint(cold_result);
@@ -742,13 +764,14 @@ TEST(HotTier, ByteCapAndReconfiguration) {
   run_flow_cached(FlowKind::kTurboSyn, bounded_sample(counter3_blif()), opt, &cache);
   EXPECT_EQ(cache.hot_entries(), 0);
 
-  // Widen, fill, then shrink: the shrink evicts immediately.
+  // Widen, fill, then shrink below the two residents: the shrink evicts the
+  // LRU one immediately.
   cache.enable_hot_tier(16u << 20);
   run_flow_cached(FlowKind::kTurboSyn, bounded_sample(counter3_blif()), opt, &cache);
   run_flow_cached(FlowKind::kTurboSyn, bounded_sample(traffic_light_blif()), opt, &cache);
   EXPECT_EQ(cache.hot_entries(), 2);
   const std::int64_t evictions_before = cache.hot_evictions();
-  cache.enable_hot_tier(16u << 20, 1);
+  cache.enable_hot_tier(static_cast<std::size_t>(cache.hot_bytes()) - 1);
   EXPECT_EQ(cache.hot_entries(), 1);
   EXPECT_GT(cache.hot_evictions(), evictions_before);
 
@@ -761,23 +784,10 @@ TEST(HotTier, ByteCapAndReconfiguration) {
   EXPECT_TRUE(info.hit);
 }
 
-// ---------------------------------------------------------------------------
-// Hot-tier eviction policy (cost-aware admission)
-
-TEST(HotPolicyNames, RoundTripAndRejection) {
-  EXPECT_STREQ(hot_policy_name(HotPolicy::kRecency), "recency");
-  EXPECT_STREQ(hot_policy_name(HotPolicy::kCostAware), "cost-aware");
-  EXPECT_EQ(parse_hot_policy("recency"), HotPolicy::kRecency);
-  EXPECT_EQ(parse_hot_policy("cost-aware"), HotPolicy::kCostAware);
-  EXPECT_FALSE(parse_hot_policy("lru").has_value());
-  EXPECT_FALSE(parse_hot_policy("").has_value());
-  EXPECT_FALSE(parse_hot_policy("Cost-Aware").has_value());
-}
-
-/// A synthetic storable entry whose only interesting property is its cost.
-/// Self-consistent enough to survive the full parse/certification path on a
-/// disk lookup (a feasible probe record certifying the winning labels).
-CacheEntry costed_entry(double flow_wall_seconds) {
+/// A synthetic storable entry, self-consistent enough to survive the full
+/// parse/certification path on a disk lookup (a feasible probe record
+/// certifying the winning labels). Every one has the same resident size.
+CacheEntry synthetic_entry() {
   CacheEntry entry;
   entry.phi = 3;
   entry.max_po_label = 1;
@@ -788,7 +798,6 @@ CacheEntry costed_entry(double flow_wall_seconds) {
   probe.label_hash = hash_labels(std::span<const int>(entry.winning_labels));
   probe.max_po_label = entry.max_po_label;
   entry.probes.push_back(probe);
-  entry.flow_wall_seconds = flow_wall_seconds;
   return entry;
 }
 
@@ -799,106 +808,40 @@ CacheKey synthetic_key(std::uint64_t n) {
   return key;
 }
 
-TEST(HotTier, CostAwareSparesExpensiveLruTail) {
-  const fs::path dir = test_dir("hot_cost");
+TEST(HotTier, ByteCappedLruEvictsTheTailAndLookupsBumpIt) {
+  const fs::path dir = test_dir("hot_lru_order");
   FlowCache cache(dir.string());
-  cache.enable_hot_tier(16u << 20, 2);
-  EXPECT_EQ(cache.hot_policy(), HotPolicy::kRecency);
-  cache.set_hot_policy(HotPolicy::kCostAware);
-  EXPECT_EQ(cache.hot_policy(), HotPolicy::kCostAware);
-
-  // Oldest entry is 100000x more expensive than the two cheap ones.
-  const CacheKey expensive = synthetic_key(1);
-  const CacheKey cheap = synthetic_key(2);
-  const CacheKey fresh = synthetic_key(3);
-  ASSERT_TRUE(cache.store(expensive, costed_entry(100.0)));
-  ASSERT_TRUE(cache.store(cheap, costed_entry(0.001)));
+  cache.enable_hot_tier(16u << 20);
+  ASSERT_TRUE(cache.store(synthetic_key(1), synthetic_entry()));
+  const std::int64_t entry_bytes = cache.hot_bytes();
+  ASSERT_GT(entry_bytes, 0);
+  cache.enable_hot_tier(static_cast<std::size_t>(2 * entry_bytes));  // room for two
+  ASSERT_TRUE(cache.store(synthetic_key(2), synthetic_entry()));
   EXPECT_EQ(cache.hot_entries(), 2);
+  EXPECT_EQ(cache.hot_evictions(), 0);
 
-  // The third store must evict: plain LRU would drop `expensive` (the
-  // tail), cost-aware drops `cheap` because its score is vanishing.
-  ASSERT_TRUE(cache.store(fresh, costed_entry(0.001)));
+  // A third store evicts the LRU tail, 1.
+  ASSERT_TRUE(cache.store(synthetic_key(3), synthetic_entry()));
   EXPECT_EQ(cache.hot_entries(), 2);
   EXPECT_EQ(cache.hot_evictions(), 1);
-  EXPECT_EQ(cache.hot_cost_evictions(), 1);
-  EXPECT_DOUBLE_EQ(cache.hot_cost_retained_seconds(), 100.0);
-
-  // `expensive` is still resident (a hot hit); `cheap` fell back to disk.
-  ASSERT_TRUE(cache.lookup(expensive).has_value());
-  EXPECT_EQ(cache.hot_hits(), 1);
-  const std::optional<CacheEntry> demoted = cache.lookup(cheap);
-  ASSERT_TRUE(demoted.has_value());
-  EXPECT_EQ(cache.hot_hits(), 1);  // served from disk, not memory
-  EXPECT_DOUBLE_EQ(demoted->flow_wall_seconds, 0.001);
-}
-
-TEST(HotTier, RecencyPolicyIgnoresCost) {
-  const fs::path dir = test_dir("hot_recency_cost");
-  FlowCache cache(dir.string());
-  cache.enable_hot_tier(16u << 20, 2);  // default policy: recency
-
-  const CacheKey expensive = synthetic_key(1);
-  const CacheKey cheap = synthetic_key(2);
-  const CacheKey fresh = synthetic_key(3);
-  ASSERT_TRUE(cache.store(expensive, costed_entry(100.0)));
-  ASSERT_TRUE(cache.store(cheap, costed_entry(0.001)));
-  ASSERT_TRUE(cache.store(fresh, costed_entry(0.001)));
-
-  // Inverse of the cost-aware case: the expensive-but-old entry is the LRU
-  // tail and leaves first, cost notwithstanding.
-  EXPECT_EQ(cache.hot_evictions(), 1);
-  EXPECT_EQ(cache.hot_cost_evictions(), 0);
-  EXPECT_DOUBLE_EQ(cache.hot_cost_retained_seconds(), 0.0);
-  ASSERT_TRUE(cache.lookup(cheap).has_value());
-  EXPECT_EQ(cache.hot_hits(), 1);
-  ASSERT_TRUE(cache.lookup(expensive).has_value());
-  EXPECT_EQ(cache.hot_hits(), 1);  // evicted: this hit came from disk
-}
-
-TEST(HotTier, ZeroCostDegradesToLruUnderCostAware) {
-  const fs::path dir = test_dir("hot_zero_cost");
-  FlowCache cache(dir.string());
-  cache.enable_hot_tier(16u << 20, 2);
-  cache.set_hot_policy(HotPolicy::kCostAware);
-
-  // All costs equal (zero): the last_use tie-break reduces the score scan
-  // to exact LRU order, so recency and cost-aware behave identically.
-  ASSERT_TRUE(cache.store(synthetic_key(1), costed_entry(0.0)));
-  ASSERT_TRUE(cache.store(synthetic_key(2), costed_entry(0.0)));
-  ASSERT_TRUE(cache.store(synthetic_key(3), costed_entry(0.0)));
-  EXPECT_EQ(cache.hot_evictions(), 1);
-  EXPECT_EQ(cache.hot_cost_evictions(), 0);
   ASSERT_TRUE(cache.lookup(synthetic_key(2)).has_value());
   ASSERT_TRUE(cache.lookup(synthetic_key(3)).has_value());
-  EXPECT_EQ(cache.hot_hits(), 2);  // 2 and 3 stayed; 1 was the LRU victim
-}
+  EXPECT_EQ(cache.hot_hits(), 2);
+  ASSERT_TRUE(cache.lookup(synthetic_key(1)).has_value());
+  EXPECT_EQ(cache.hot_hits(), 2);  // evicted: this hit came from disk
+  // Re-admitting 1 evicted the tail again: 2, the older of the two lookups.
+  EXPECT_EQ(cache.hot_evictions(), 2);
 
-TEST(HotTier, MidRunPolicyReconfigurationKeepsResidents) {
-  const fs::path dir = test_dir("hot_reconfig");
-  FlowCache cache(dir.string());
-  cache.enable_hot_tier(16u << 20, 2);
-
-  const CacheKey expensive = synthetic_key(1);
-  const CacheKey cheap = synthetic_key(2);
-  ASSERT_TRUE(cache.store(expensive, costed_entry(50.0)));
-  ASSERT_TRUE(cache.store(cheap, costed_entry(0.001)));
-
-  // Flip to cost-aware with entries resident: nothing is dropped, and the
-  // next eviction already follows the new policy (sparing the expensive
-  // LRU tail).
-  cache.set_hot_policy(HotPolicy::kCostAware);
-  EXPECT_EQ(cache.hot_entries(), 2);
-  ASSERT_TRUE(cache.store(synthetic_key(3), costed_entry(0.001)));
-  EXPECT_EQ(cache.hot_cost_evictions(), 1);
-  ASSERT_TRUE(cache.lookup(expensive).has_value());
-  EXPECT_EQ(cache.hot_hits(), 1);
-
-  // Flip back mid-run: plain LRU again, cost ignored from here on.
-  cache.set_hot_policy(HotPolicy::kRecency);
-  ASSERT_TRUE(cache.store(synthetic_key(4), costed_entry(0.001)));
-  EXPECT_EQ(cache.hot_cost_evictions(), 1);  // unchanged
-  ASSERT_TRUE(cache.lookup(expensive).has_value());
-  EXPECT_EQ(cache.hot_hits(), 2);  // the recently-hit entry survived as MRU
+  // Residents are now 1 (MRU) and 3 (tail). Bumping 3 makes 1 the tail, so
+  // the next store evicts 1 where it would otherwise have evicted 3.
+  ASSERT_TRUE(cache.lookup(synthetic_key(3)).has_value());
+  EXPECT_EQ(cache.hot_hits(), 3);
+  ASSERT_TRUE(cache.store(synthetic_key(4), synthetic_entry()));
+  EXPECT_EQ(cache.hot_evictions(), 3);
+  ASSERT_TRUE(cache.lookup(synthetic_key(3)).has_value());
+  EXPECT_EQ(cache.hot_hits(), 4);
+  ASSERT_TRUE(cache.lookup(synthetic_key(1)).has_value());
+  EXPECT_EQ(cache.hot_hits(), 4);  // from disk
 }
 
 // ---------------------------------------------------------------------------
@@ -1254,12 +1197,12 @@ TEST(HttpEndpointTest, RoutesMetricsHealthzAndTraces) {
   EXPECT_TRUE(contains(http_body(trace), "\"spans\": [")) << trace;
   EXPECT_TRUE(contains(http_get(port, "/trace/999999"), " 404 "));
 
-  // The exposition carries the request's footprint and the active policy.
+  // The exposition carries the request's footprint, hot tier included.
   const std::string metrics = http_body(http_get(port, "/metrics"));
   EXPECT_TRUE(contains(metrics, "# TYPE ts_server_admitted_total counter")) << metrics;
   EXPECT_TRUE(contains(metrics, "ts_server_admitted_total 1\n")) << metrics;
   EXPECT_TRUE(contains(metrics, "ts_cache_misses_total 1\n")) << metrics;
-  EXPECT_TRUE(contains(metrics, "ts_cache_hot_policy{policy=\"recency\"} 1\n")) << metrics;
+  EXPECT_TRUE(contains(metrics, "ts_cache_hot_hits_total 0\n")) << metrics;
   EXPECT_TRUE(contains(metrics, "ts_trace_ring_stored_total 1\n")) << metrics;
 
   // Bit-for-bit consistency: the scrape, a direct render of the snapshot,

@@ -186,14 +186,11 @@ STATS_MAP = {
     'ts_cache_misses_total': ('cache', 'misses'),
     'ts_cache_stores_total': ('cache', 'stores'),
     'ts_cache_rejects_total': ('cache', 'rejects'),
-    'ts_cache_near_hits_total': ('cache', 'near_hits'),
     'ts_cache_recovered_entries_total': ('cache', 'recovered_entries'),
     'ts_cache_recovered_tmp_total': ('cache', 'recovered_tmp'),
     'ts_cache_store_retries_total': ('cache', 'store_retries'),
     'ts_cache_hot_hits_total': ('cache', 'hot_hits'),
     'ts_cache_hot_evictions_total': ('cache', 'hot_evictions'),
-    'ts_cache_hot_cost_evictions_total': ('cache', 'hot_cost_evictions'),
-    'ts_cache_hot_cost_retained_seconds_total': ('cache', 'hot_cost_retained_seconds'),
     'ts_cache_hot_entries': ('cache', 'hot_entries'),
     'ts_cache_hot_bytes': ('cache', 'hot_bytes'),
     'ts_portfolio_runs_total': ('portfolio', 'runs'),

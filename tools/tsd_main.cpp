@@ -1,8 +1,7 @@
 // tsd — the always-on mapping daemon.
 //
 //   $ ./tsd --socket /tmp/tsd.sock [--tcp-port N] [--workers N]
-//           [--cache-dir PATH] [--hot-mb N] [--hot-entries N]
-//           [--hot-policy recency|cost-aware]
+//           [--cache-dir PATH] [--hot-mb N]
 //           [--max-queue N] [--per-client N]
 //           [--budget-ms N] [--per-request-ms N]
 //           [--jsonl PATH] [--max-attempts N]
@@ -20,8 +19,9 @@
 // opens the observability endpoint: GET /metrics (Prometheus text
 // exposition), GET /healthz (200 while serving, 503 during the drain), and
 // GET /trace/<seq> for per-request trace JSON when --trace-ring N keeps the
-// last N requests' span trees in memory. --hot-policy picks the hot tier's
-// eviction policy (DESIGN.md §16); results are bit-identical either way.
+// last N requests' span trees in memory. --hot-mb N caps the cache's
+// in-memory hot tier at N MiB (0 = no hot tier); it evicts least recently
+// used entries (DESIGN.md §14), and results are the same whatever it holds.
 //
 // Every numeric flag goes through parse_int_strict: a malformed value is a
 // usage error (exit 2), never a silent zero.
@@ -44,8 +44,7 @@ namespace {
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "error: " << message << '\n'
             << "usage: tsd --socket PATH [--tcp-port N] [--workers N]\n"
-               "           [--cache-dir PATH] [--hot-mb N] [--hot-entries N]\n"
-               "           [--hot-policy recency|cost-aware]\n"
+               "           [--cache-dir PATH] [--hot-mb N]\n"
                "           [--max-queue N] [--per-client N]\n"
                "           [--budget-ms N] [--per-request-ms N]\n"
                "           [--jsonl PATH] [--max-attempts N]\n"
@@ -63,14 +62,12 @@ int main(int argc, char** argv) {
   std::string jsonl_path;
   std::string trace_path;
   std::string failpoints;
-  std::string hot_policy_name_arg = "recency";
   int tcp_port = -1;
   int http_port = -1;
   int workers = 2;
   int per_client = 1;
   int max_attempts = 2;
   long long hot_mb = 64;
-  long long hot_entries = 0;
   long long trace_ring = 0;
   long long max_queue = 256;
   long long budget_ms = 0;
@@ -109,12 +106,6 @@ int main(int argc, char** argv) {
     } else if (a == "--trace-ring") {
       int_flag("--trace-ring", i, 0, 1 << 20, &trace_ring);
       ++i;
-    } else if (a == "--hot-policy" && i + 1 < argc) {
-      hot_policy_name_arg = argv[++i];
-      if (!parse_hot_policy(hot_policy_name_arg).has_value()) {
-        usage_error("--hot-policy expects 'recency' or 'cost-aware', got '" +
-                    hot_policy_name_arg + "'");
-      }
     } else if (a == "--workers") {
       int_flag("--workers", i, 1, 1 << 10, &value);
       workers = static_cast<int>(value);
@@ -129,9 +120,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (a == "--hot-mb") {
       int_flag("--hot-mb", i, 0, 1 << 20, &hot_mb);
-      ++i;
-    } else if (a == "--hot-entries") {
-      int_flag("--hot-entries", i, 0, 1 << 30, &hot_entries);
       ++i;
     } else if (a == "--max-queue") {
       int_flag("--max-queue", i, 1, 1 << 20, &max_queue);
@@ -165,11 +153,7 @@ int main(int argc, char** argv) {
         std::cerr << "tsd: cache recovery removed " << recovered.total()
                   << " damaged file(s)\n";
       }
-      if (hot_mb > 0) {
-        cache->enable_hot_tier(static_cast<std::size_t>(hot_mb) << 20,
-                               static_cast<std::size_t>(hot_entries));
-        cache->set_hot_policy(*parse_hot_policy(hot_policy_name_arg));
-      }
+      if (hot_mb > 0) cache->enable_hot_tier(static_cast<std::size_t>(hot_mb) << 20);
     }
     std::unique_ptr<std::ofstream> jsonl;
     if (!jsonl_path.empty()) {
