@@ -844,6 +844,68 @@ TEST(HotTier, ByteCappedLruEvictsTheTailAndLookupsBumpIt) {
   EXPECT_EQ(cache.hot_hits(), 4);  // from disk
 }
 
+TEST(HotTier, RecencyPolicyIgnoresCost) {
+  const fs::path dir = test_dir("hot_recency_cost");
+  FlowCache cache(dir.string());
+  cache.enable_hot_tier(16u << 20);
+
+  // The oldest entry records the costliest search (two refuted probes before
+  // the feasible one); the two newer ones settled on their first probe.
+  CacheEntry costly = synthetic_entry();
+  for (const int phi : {2, 1}) {
+    CachedProbe refuted;
+    refuted.phi = phi;
+    costly.probes.insert(costly.probes.begin(), refuted);
+  }
+  const CacheKey expensive = synthetic_key(1);
+  const CacheKey cheap = synthetic_key(2);
+  const CacheKey fresh = synthetic_key(3);
+  ASSERT_TRUE(cache.store(expensive, costly));
+  const std::int64_t expensive_bytes = cache.hot_bytes();
+  ASSERT_TRUE(cache.store(cheap, synthetic_entry()));
+  const std::int64_t cheap_bytes = cache.hot_bytes() - expensive_bytes;
+  EXPECT_GT(expensive_bytes, cheap_bytes);
+  cache.enable_hot_tier(static_cast<std::size_t>(expensive_bytes + cheap_bytes));
+  EXPECT_EQ(cache.hot_entries(), 2);
+
+  // The third store must evict, and the victim is the LRU tail: the costly
+  // entry leaves first, its search cost notwithstanding.
+  ASSERT_TRUE(cache.store(fresh, synthetic_entry()));
+  EXPECT_EQ(cache.hot_entries(), 2);
+  EXPECT_EQ(cache.hot_evictions(), 1);
+  ASSERT_TRUE(cache.lookup(cheap).has_value());
+  ASSERT_TRUE(cache.lookup(fresh).has_value());
+  EXPECT_EQ(cache.hot_hits(), 2);
+  const std::optional<CacheEntry> demoted = cache.lookup(expensive);
+  ASSERT_TRUE(demoted.has_value());
+  EXPECT_EQ(cache.hot_hits(), 2);  // evicted: this hit came from disk
+  EXPECT_EQ(demoted->probes.size(), 3u);
+}
+
+TEST(HotTier, ZeroCostDegradesToLruUnderCostAware) {
+  const fs::path dir = test_dir("hot_zero_cost");
+  FlowCache cache(dir.string());
+  cache.enable_hot_tier(16u << 20);
+  ASSERT_TRUE(cache.store(synthetic_key(1), synthetic_entry()));
+  const auto two_entries = static_cast<std::size_t>(2 * cache.hot_bytes());
+  cache.enable_hot_tier(two_entries);
+
+  // Entries carry no cost, so equal-sized entries leave in exact LRU order.
+  ASSERT_TRUE(cache.store(synthetic_key(2), synthetic_entry()));
+  ASSERT_TRUE(cache.store(synthetic_key(3), synthetic_entry()));
+  EXPECT_EQ(cache.hot_evictions(), 1);
+
+  // Re-enabling the tier at the same cap keeps the residents and their order.
+  cache.enable_hot_tier(two_entries);
+  EXPECT_EQ(cache.hot_entries(), 2);
+  EXPECT_EQ(cache.hot_evictions(), 1);
+  ASSERT_TRUE(cache.lookup(synthetic_key(2)).has_value());
+  ASSERT_TRUE(cache.lookup(synthetic_key(3)).has_value());
+  EXPECT_EQ(cache.hot_hits(), 2);  // 2 and 3 stayed; 1 was the LRU victim
+  ASSERT_TRUE(cache.lookup(synthetic_key(1)).has_value());
+  EXPECT_EQ(cache.hot_hits(), 2);  // from disk
+}
+
 // ---------------------------------------------------------------------------
 // MappingServer over a real Unix socket
 
