@@ -14,16 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "base/check.hpp"
 #include "base/trace.hpp"
+#include "cache/cached_flow.hpp"
 #include "core/driver.hpp"
+#include "core/engines.hpp"
 #include "core/flows.hpp"
 #include "core/stages/mapgen_stage.hpp"
 #include "core/stages/ub_probe.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
+#include "test_dir.hpp"
 
 namespace turbosyn {
 namespace {
@@ -144,34 +149,75 @@ TEST(FlowDriver, DuplicateProducedArtifactThrows) {
   EXPECT_THROW(driver.run(again), Error);
 }
 
+// The stage timeline of every engine and of a cache hit that replays the
+// mapping: stage names in order, stage wall times that sum to the flow's own,
+// and per-stage label counters that sum to the flow totals.
 TEST(FlowDriver, StageMetricsAccountForFlowTime) {
-  const Circuit c = small_fsm();
+  const std::vector<std::string> search = {"ub-probe", "phi-search", "mapgen", "pack",
+                                           "pipeline-retime"};
+  std::vector<std::string> seeded = search;
+  seeded.insert(seeded.end(), search.begin(), search.end());
+  const Circuit small = small_fsm();
+  const Circuit tiny = tiny_fsm();
   FlowOptions opt;
-  const FlowResult r = run_turbomap(c, opt);
-  ASSERT_EQ(r.stage_metrics.stages.size(), 5u);
-  const char* expected[] = {"ub-probe", "phi-search", "mapgen", "pack", "pipeline-retime"};
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(r.stage_metrics.stages[i].name, expected[i]);
-    EXPECT_GE(r.stage_metrics.stages[i].seconds, 0.0);
+  struct Case {
+    std::string name;
+    FlowResult result;
+    std::vector<std::string> stages;
+  };
+  std::vector<Case> cases;
+  const auto add_engine = [&](const std::string& name, const Circuit& c,
+                              std::vector<std::string> stages) {
+    const EngineSpec* spec = find_engine(name);
+    ASSERT_NE(spec, nullptr) << name;
+    cases.push_back({name, run_engine(*spec, c, opt), std::move(stages)});
+  };
+  add_engine("turbomap", small, search);
+  add_engine("turbosyn", tiny, seeded);
+  add_engine("flowsyn_s", small, {"flowsyn-map", "pack", "pipeline-retime"});
+  add_engine("turbomap_period", small, search);
+  add_engine("turbosyn_bisect", tiny, search);
+
+  FlowCache cache(unique_test_dir("ts_driver_test_", "timeline").string());
+  run_flow_cached(FlowKind::kTurboMap, small, opt, &cache);
+  FlowOptions replay = opt;
+  replay.collect_artifacts = true;
+  CacheRunInfo info;
+  FlowResult hit = run_flow_cached(FlowKind::kTurboMap, small, replay, &cache, &info);
+  ASSERT_TRUE(info.hit);
+  cases.push_back({"cache hit", std::move(hit), {"cached-search", "mapgen", "pack",
+                                                 "pipeline-retime"}});
+
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    const FlowResult& r = k.result;
+    ASSERT_EQ(r.status, Status::kOk);
+    ASSERT_EQ(r.stage_metrics.stages.size(), k.stages.size());
+    for (std::size_t i = 0; i < k.stages.size(); ++i) {
+      EXPECT_EQ(r.stage_metrics.stages[i].name, k.stages[i]);
+      EXPECT_GE(r.stage_metrics.stages[i].seconds, 0.0);
+    }
+    // The stages are the flow: their wall times must sum to the flow's own
+    // (within 5%, plus absolute slack for scheduler noise on tiny runs).
+    const double sum = r.stage_metrics.total_seconds();
+    EXPECT_LE(sum, r.seconds * 1.05 + 2e-3);
+    EXPECT_GE(sum, r.seconds * 0.95 - 2e-3);
+    // Stage counters are deltas of the accumulated stats: summed over the
+    // whole timeline they reproduce the flow totals exactly.
+    std::int64_t label_sum = 0;
+    for (const StageMetric& stage : r.stage_metrics.stages) {
+      label_sum += stage.counter("labels_computed");
+    }
+    EXPECT_EQ(label_sum, r.stats.node_updates);
   }
-  // The stages are the flow: their wall times must sum to the flow's own
-  // (within 5%, plus absolute slack for scheduler noise on tiny runs).
-  const double sum = r.stage_metrics.total_seconds();
-  EXPECT_LE(sum, r.seconds * 1.05 + 2e-3);
-  EXPECT_GE(sum, r.seconds * 0.95 - 2e-3);
+
   // The search stage carries the label-engine counters.
-  const StageMetric* search = r.stage_metrics.find("phi-search");
-  ASSERT_NE(search, nullptr);
-  EXPECT_EQ(search->counter("probes"), static_cast<std::int64_t>(r.probes.size()));
-  EXPECT_GT(search->counter("labels_computed"), 0);
-  EXPECT_EQ(search->counter("no_such_counter"), 0);
-  // Stage counters are deltas of the accumulated stats: summed over the
-  // whole timeline they reproduce the flow totals exactly.
-  std::int64_t label_sum = 0;
-  for (const StageMetric& stage : r.stage_metrics.stages) {
-    label_sum += stage.counter("labels_computed");
-  }
-  EXPECT_EQ(label_sum, r.stats.node_updates);
+  const FlowResult& turbomap = cases.front().result;
+  const StageMetric* search_stage = turbomap.stage_metrics.find("phi-search");
+  ASSERT_NE(search_stage, nullptr);
+  EXPECT_EQ(search_stage->counter("probes"), static_cast<std::int64_t>(turbomap.probes.size()));
+  EXPECT_GT(search_stage->counter("labels_computed"), 0);
+  EXPECT_EQ(search_stage->counter("no_such_counter"), 0);
 }
 
 TEST(FlowDriver, TurboSynConcatenatesPhaseTimelines) {

@@ -144,6 +144,7 @@ const std::vector<SitePolicy>& flow_site_pool() {
       {"driver.stage.mapgen", {"error", "throw"}},
       {"driver.stage.pack", {"error", "throw"}},
       {"driver.stage.pipeline-retime", {"error", "throw"}},
+      {"driver.stage.cached-search", {"error", "throw"}},
   };
   return pool;
 }

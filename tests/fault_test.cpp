@@ -527,12 +527,37 @@ TEST(DriverContainment, StageFaultYieldsFailedResultAndSkipsTheRest) {
   EXPECT_FALSE(FlowCache::storable(result));
 }
 
+/// The run failed at its first stage, and no later stage ran.
+void expect_failed_at_first_stage(const FlowResult& result, const std::string& stage) {
+  EXPECT_EQ(result.status, Status::kFailed);
+  EXPECT_EQ(result.failed_stage, stage);
+  ASSERT_EQ(result.stage_metrics.stages.size(), 1u);
+  EXPECT_EQ(result.stage_metrics.stages[0].name, stage);
+  EXPECT_EQ(result.stage_metrics.stages[0].counter("failed"), 1);
+}
+
 TEST(DriverContainment, GenericStageSiteFailsTheFirstBoundary) {
   const Circuit c = bounded_sample(counter3_blif());
+  {
+    failpoint::Scoped scoped("driver.stage=error*1");
+    expect_failed_at_first_stage(run_turbomap(c, small_options()), "ub-probe");
+  }
+  {
+    failpoint::Scoped scoped("driver.stage=error*1");
+    expect_failed_at_first_stage(run_flowsyn_s(c, small_options()), "flowsyn-map");
+  }
+  {
+    failpoint::Scoped scoped("driver.stage=error*1");
+    expect_failed_at_first_stage(run_turbomap_period(c, small_options()), "ub-probe");
+  }
+  // A cache hit's first boundary is the stage that imports the stored search.
+  FlowCache cache(test_dir("firstboundary").string());
+  run_flow_cached(FlowKind::kTurboMap, c, small_options(), &cache);
   failpoint::Scoped scoped("driver.stage=error*1");
-  const FlowResult result = run_turbomap(c, small_options());
-  EXPECT_EQ(result.status, Status::kFailed);
-  EXPECT_EQ(result.failed_stage, "ub-probe");
+  CacheRunInfo info;
+  expect_failed_at_first_stage(
+      run_flow_cached(FlowKind::kTurboMap, c, small_options(), &cache, &info), "cached-search");
+  EXPECT_TRUE(info.hit);
 }
 
 TEST(DriverContainment, ThrowPolicyIsContainedLikeARealStageDefect) {
