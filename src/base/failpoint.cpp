@@ -246,8 +246,9 @@ std::vector<std::string> known_sites() {
       "cache.entry.read",    // cache/flow_cache.cpp: entry load
       "cache.entry.write",   // cache/flow_cache.cpp: tmp-file body write
       "cache.entry.rename",  // cache/flow_cache.cpp: tmp -> final publish
-      "driver.stage",        // core/driver.cpp: every stage boundary
-                             // (driver.stage.<name> targets one stage)
+      "driver.stage",        // core/driver.cpp: FlowContext::run_stage, every
+                             // stage boundary (driver.stage.<name> targets
+                             // one stage)
       "batch.job",           // service/batch_runner.cpp: per-circuit boundary
       "batch.jsonl.write",   // service/batch_runner.cpp: record emission
   };

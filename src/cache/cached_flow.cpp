@@ -1,18 +1,14 @@
 #include "cache/cached_flow.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/trace.hpp"
-#include "core/stages/mapgen_stage.hpp"
-#include "core/stages/pack_stage.hpp"
-#include "core/stages/pipeline_retime_stage.hpp"
+#include "core/driver.hpp"
 
 namespace turbosyn {
 namespace {
@@ -52,7 +48,34 @@ void remap_entry_to_input_order(CacheEntry& entry, const CacheKey& key) {
   }
 }
 
-/// Serves a hit. The cached-search stage imports the ledger either way (one
+/// The "cached-search" stage body, in place of the upper bound and the φ
+/// search: re-records every cached probe as imported (this run probed
+/// nothing) and returns the cached winning labels at the cached φ.
+LabelResult import_cached_search(FlowContext& ctx, const CacheEntry& entry) {
+  ctx.result.phi = entry.phi;
+  for (const CachedProbe& p : entry.probes) {
+    ProbeRecord rec;
+    rec.engine = p.engine;
+    rec.phi = p.phi;
+    rec.mode = p.mode;
+    rec.outcome = p.outcome;
+    rec.status = p.status;
+    rec.feasible = p.feasible;
+    rec.imported = true;
+    rec.label_hash = p.label_hash;
+    rec.max_po_label = p.max_po_label;
+    ctx.ledger.record(std::move(rec));
+  }
+  ctx.count("imported_probes", static_cast<std::int64_t>(entry.probes.size()));
+  LabelResult labels;
+  labels.feasible = true;
+  labels.labels = entry.winning_labels;
+  labels.max_po_label = entry.max_po_label;
+  labels.status = Status::kOk;
+  return labels;
+}
+
+/// Serves a hit: the cached-search stage imports the ledger either way (one
 /// stage span, one StageMetric). Without artifacts the entry's summary is the
 /// result and `mapped` stays empty; with them mapgen → pack → retime replay
 /// from the labels, bit-identical to the stored run. `period_objective` picks
@@ -62,18 +85,11 @@ FlowResult serve_hit(const std::string& trace_label, bool period_objective,
                      const Circuit& c, const FlowOptions& options, const CacheEntry& entry) {
   const auto start = Clock::now();
   TraceSpan span(options.trace, trace_label + " (cache hit)");
-  FlowDriver driver(c, options);
-  StageList stages;
-  stages.push_back(std::make_unique<CachedSearchStage>(entry));
-  if (options.collect_artifacts) {
-    stages.push_back(std::make_unique<MapGenStage>(/*po_label_limit=*/period_objective));
-    stages.push_back(std::make_unique<PackStage>());
-    stages.push_back(std::make_unique<PipelineRetimeStage>(
-        period_objective ? PipelineRetimeStage::Kind::kRetimeOnly
-                         : PipelineRetimeStage::Kind::kPipelineRetime));
-  }
-  driver.run(stages);
-  FlowResult result = driver.finish();
+  FlowContext ctx(c, options);
+  LabelResult labels;
+  ctx.run_stage("cached-search", [&] { labels = import_cached_search(ctx, entry); });
+  if (options.collect_artifacts) map_pack_retime(ctx, &labels, entry.mode, period_objective);
+  FlowResult result = ctx.finish();
   if (!options.collect_artifacts && result.status == Status::kOk) {
     result.luts = entry.luts;
     result.ffs = entry.ffs;
@@ -105,38 +121,6 @@ void trace_cache_counters(TraceSink* trace, const FlowCache& cache) {
 }
 
 }  // namespace
-
-void CachedSearchStage::run(FlowContext& ctx) {
-  ctx.label_mode = entry_.mode;
-  ctx.result.phi = entry_.phi;
-  // The replay runs no search, but downstream contracts want the bound the
-  // original search ran under: the largest φ the ledger ever saw.
-  int ub = entry_.phi;
-  for (const CachedProbe& p : entry_.probes) ub = std::max(ub, p.phi);
-  ctx.ub = ub;
-
-  ctx.labels = LabelResult{};
-  ctx.labels.feasible = true;
-  ctx.labels.labels = entry_.winning_labels;
-  ctx.labels.max_po_label = entry_.max_po_label;
-  ctx.labels.status = Status::kOk;
-  ctx.have_labels = true;
-
-  for (const CachedProbe& p : entry_.probes) {
-    ProbeRecord rec;
-    rec.engine = p.engine;
-    rec.phi = p.phi;
-    rec.mode = p.mode;
-    rec.outcome = p.outcome;
-    rec.status = p.status;
-    rec.feasible = p.feasible;
-    rec.imported = true;  // provenance: this run probed nothing
-    rec.label_hash = p.label_hash;
-    rec.max_po_label = p.max_po_label;
-    ctx.ledger.record(std::move(rec));
-  }
-  ctx.count("imported_probes", static_cast<std::int64_t>(entry_.probes.size()));
-}
 
 FlowResult run_flow_cached(FlowKind kind, const Circuit& c, const FlowOptions& options,
                            FlowCache* cache, CacheRunInfo* info) {

@@ -31,93 +31,53 @@ void add_counter(StageMetric& metric, const char* name, std::int64_t value) {
 
 }  // namespace
 
-const char* artifact_name(ArtifactId id) {
-  switch (id) {
-    case ArtifactId::kInputCircuit:
-      return "input-circuit";
-    case ArtifactId::kUpperBound:
-      return "upper-bound";
-    case ArtifactId::kWinningLabels:
-      return "winning-labels";
-    case ArtifactId::kMappedNetwork:
-      return "mapped-network";
-    case ArtifactId::kPackedNetwork:
-      return "packed-network";
-    case ArtifactId::kTiming:
-      return "timing";
-  }
-  return "?";
-}
+FlowContext::FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options)
+    : owned_ledger_(std::make_unique<ProbeLedger>()), input(input_circuit),
+      options(flow_options), ledger(*owned_ledger_), trace(flow_options.trace) {}
 
 FlowContext::FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options,
                          ProbeLedger& probe_ledger)
     : input(input_circuit), options(flow_options), ledger(probe_ledger),
       trace(flow_options.trace) {}
 
-bool FlowContext::has(ArtifactId id) const {
-  return (artifacts_ & (1u << static_cast<unsigned>(id))) != 0;
-}
-
-void FlowContext::provide(ArtifactId id) { artifacts_ |= 1u << static_cast<unsigned>(id); }
-
 void FlowContext::count(const char* counter_name, std::int64_t value) {
   if (current_metric_ != nullptr) add_counter(*current_metric_, counter_name, value);
 }
 
-FlowDriver::FlowDriver(const Circuit& c, const FlowOptions& options)
-    : owned_ledger_(std::make_unique<ProbeLedger>()), ctx_(c, options, *owned_ledger_) {
-  ctx_.provide(ArtifactId::kInputCircuit);
-}
-
-FlowDriver::FlowDriver(const Circuit& c, const FlowOptions& options, ProbeLedger& ledger)
-    : ctx_(c, options, ledger) {
-  ctx_.provide(ArtifactId::kInputCircuit);
-}
-
-void FlowDriver::run(Stage& stage) {
-  // Contract violations are programming errors in the flow's stage list and
-  // still throw to the caller; only the stage's own execution is contained.
-  for (const ArtifactId a : stage.consumes()) {
-    TS_CHECK(ctx_.has(a), "stage '" << stage.name() << "' consumes missing artifact '"
-                                    << artifact_name(a) << "'");
-  }
-  for (const ArtifactId a : stage.produces()) {
-    TS_CHECK(!ctx_.has(a), "stage '" << stage.name() << "' would produce artifact '"
-                                     << artifact_name(a) << "' twice");
-  }
+void FlowContext::run_stage(const char* name, const std::function<void()>& body) {
+  // A failed stage leaves its outputs half-made: nothing after it runs.
+  if (result.status == Status::kFailed) return;
   StageMetric metric;
-  metric.name = stage.name();
+  metric.name = name;
   // Snapshot the shared stats so the metric reports this stage's delta.
-  const LabelStats before = ctx_.result.stats;
-  TraceSpan span(ctx_.trace, std::string("stage:") + stage.name());
+  const LabelStats before = result.stats;
+  TraceSpan span(trace, std::string("stage:") + name);
   const auto start = Clock::now();
-  ctx_.current_metric_ = &metric;
-  bool completed = false;
+  current_metric_ = &metric;
   // Containment boundary: a stage that throws — a real defect or an armed
   // "driver.stage" failpoint — is recorded as kFailed with the stage named,
-  // and the driver stops instead of the process dying. A failed run is
-  // never a certificate and never cacheable (FlowCache::storable).
+  // and the flow stops instead of the process dying. A failed run is never
+  // a certificate and never cacheable (FlowCache::storable).
   try {
     if (failpoint::enabled()) {
-      const std::string scoped = std::string("driver.stage.") + stage.name();
+      const std::string scoped = std::string("driver.stage.") + name;
       for (const std::string& site : {scoped, std::string("driver.stage")}) {
         if (failpoint::check(site.c_str()).action == failpoint::Action::kError) {
           throw Error("failpoint " + site);
         }
       }
     }
-    stage.run(ctx_);
-    completed = true;
+    body();
   } catch (const std::exception& e) {
-    ctx_.result.status = combine_status(ctx_.result.status, Status::kFailed);
-    ctx_.result.failed_stage = stage.name();
-    ctx_.result.failure = e.what();
+    result.status = combine_status(result.status, Status::kFailed);
+    result.failed_stage = name;
+    result.failure = e.what();
     span.set_detail(std::string("failed: ") + e.what());
     add_counter(metric, "failed", 1);
   }
-  ctx_.current_metric_ = nullptr;
+  current_metric_ = nullptr;
   metric.seconds = seconds_since(start);
-  const LabelStats& after = ctx_.result.stats;
+  const LabelStats& after = result.stats;
   add_counter(metric, "labels_computed", after.node_updates - before.node_updates);
   add_counter(metric, "cut_tests", after.cut_tests - before.cut_tests);
   add_counter(metric, "cut_reuses", after.cut_reuses - before.cut_reuses);
@@ -126,27 +86,14 @@ void FlowDriver::run(Stage& stage) {
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
   add_counter(metric, "decomp_cache_hits", after.cache_hits - before.cache_hits);
-  for (const auto& [name, value] : metric.counters) span.counter(name, value);
-  // A failed stage provides nothing: downstream consumes-contracts stay
-  // unsatisfied, so even a caller that ignores the status cannot run the
-  // rest of the pipeline on half-initialized artifacts.
-  if (completed) {
-    for (const ArtifactId a : stage.produces()) ctx_.provide(a);
-  }
-  ctx_.result.stage_metrics.stages.push_back(std::move(metric));
+  for (const auto& [counter_name, value] : metric.counters) span.counter(counter_name, value);
+  result.stage_metrics.stages.push_back(std::move(metric));
 }
 
-void FlowDriver::run(const StageList& stages) {
-  for (const auto& stage : stages) {
-    if (ctx_.result.status == Status::kFailed) break;
-    run(*stage);
-  }
-}
-
-FlowResult FlowDriver::finish() {
-  ctx_.result.probes = ctx_.ledger.records();
-  fill_flow_diagnostics(ctx_.result, ctx_.input);
-  return std::move(ctx_.result);
+FlowResult FlowContext::finish() {
+  result.probes = ledger.records();
+  fill_flow_diagnostics(result, input);
+  return std::move(result);
 }
 
 void fill_flow_diagnostics(FlowResult& result, const Circuit& c) {

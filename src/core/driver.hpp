@@ -1,20 +1,20 @@
 #pragma once
-// FlowDriver: the staged pass pipeline behind the public flows.
+// FlowContext: the stage boundary behind the public flows.
 //
-// Each synthesis flow is a declarative list of Stage objects run by one
-// driver loop. A stage declares the typed artifacts it consumes and
-// produces; the driver checks the contract before each stage runs (a
-// mis-ordered list fails loudly, not with a half-initialized context),
-// measures per-stage wall time and counter deltas into
-// FlowResult::stage_metrics, and emits a "stage:<name>" trace span per
-// stage when FlowOptions::trace is set.
+// Each engine (core/engines.cpp) and the cache-hit path
+// (cache/cached_flow.cpp) is straight-line code: it calls
+// FlowContext::run_stage once per step of the paper's flow, in a fixed
+// order, and passes the step's outputs (the upper bound, the winning labels,
+// the mapped network) to the next step as locals. run_stage is the one
+// boundary every stage crosses: the "driver.stage" failpoints, containment
+// of a throw into Status::kFailed, the "stage:<name>" trace span, the wall
+// time and counter deltas of FlowResult::stage_metrics, and skipping every
+// later stage once the run has failed.
 //
-// The FlowContext is the blackboard the stages communicate through: the
-// input circuit and options, the shared ProbeLedger (the no-reprobe scope —
-// multi-phase flows pass one ledger to several drivers), the winning labels
-// of the search stage, the in-flight mapped network, and the FlowResult
-// being assembled. finish() exports the ledger and diagnostics into the
-// result and moves it out.
+// The context also holds the input circuit and options, the shared
+// ProbeLedger (the no-reprobe scope — TurboSYN passes one ledger to both of
+// its phases) and the FlowResult being assembled. finish() exports the
+// ledger and diagnostics into the result and moves it out.
 //
 // Budget checking, cancellation and warm-start policy are uniform across
 // flows because they live in exactly one place each: budgets thread through
@@ -22,30 +22,22 @@
 // probe scheduling consults the ledger, and warm starts stay inside
 // LabelEngine (per search stage) under the ledger's soundness rules.
 
+#include <functional>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "core/flows.hpp"
 
 namespace turbosyn {
 
-/// Typed artifacts a stage may consume/produce. The driver tracks presence
-/// only; the payloads live in FlowContext (labels, mapped, result fields).
-enum class ArtifactId : std::uint8_t {
-  kInputCircuit,   // the circuit under synthesis (provided by the driver)
-  kUpperBound,     // FlowContext::ub — search upper bound on φ / the period
-  kWinningLabels,  // FlowContext::labels/have_labels — search stage ran
-  kMappedNetwork,  // FlowContext::mapped — un-packed LUT network
-  kPackedNetwork,  // FlowContext::mapped — deduped/packed, metrics extracted
-  kTiming,         // FlowResult::period/pipeline_stages/mapped finalized
-};
-const char* artifact_name(ArtifactId id);
-
-/// Shared state of one driver run. Stages read and write it under the
-/// artifact contract the driver enforces.
 class FlowContext {
+  // Declared first: the owning constructor binds `ledger` to it.
+  std::unique_ptr<ProbeLedger> owned_ledger_;
+
  public:
+  /// Context with its own ProbeLedger.
+  FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options);
+  /// Context sharing an external ledger: multi-phase flows (TurboSYN) keep
+  /// one no-reprobe scope across phases. `probe_ledger` must outlive it.
   FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options,
               ProbeLedger& probe_ledger);
 
@@ -55,67 +47,24 @@ class FlowContext {
   TraceSink* trace = nullptr;  // == options.trace
 
   FlowResult result;
-  /// Update rule of the search stage that ran (mirrors the ledger records).
-  LabelMode label_mode = LabelMode::kPlain;
-  /// Search upper bound (kUpperBound artifact).
-  std::optional<int> ub;
-  /// Winning labels of the search stage (kWinningLabels). `have_labels` is
-  /// false when the search was stopped before proving any φ — downstream
-  /// stages then fall back to the identity mapping.
-  LabelResult labels;
-  bool have_labels = false;
-  /// The in-flight mapped network (kMappedNetwork / kPackedNetwork).
-  std::optional<Circuit> mapped;
 
-  bool has(ArtifactId id) const;
+  /// Runs `body` as the stage `name` unless the run has already failed:
+  /// fires the "driver.stage.<name>" and "driver.stage" failpoints, contains
+  /// a throw as kFailed with failed_stage/failure set, times the stage into
+  /// a StageMetric with its LabelStats counter deltas, and emits a
+  /// "stage:<name>" trace span.
+  void run_stage(const char* name, const std::function<void()>& body);
+
   /// Adds a counter onto the currently running stage's metric and its trace
   /// span (no-op between stages or for zero values).
   void count(const char* counter_name, std::int64_t value);
 
- private:
-  friend class FlowDriver;
-  void provide(ArtifactId id);
-
-  unsigned artifacts_ = 0;
-  StageMetric* current_metric_ = nullptr;
-};
-
-/// One pass of a flow pipeline. Stages are small stateless-ish objects
-/// (configuration only); all run state lives in the FlowContext.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual const char* name() const = 0;
-  virtual std::vector<ArtifactId> consumes() const = 0;
-  virtual std::vector<ArtifactId> produces() const = 0;
-  virtual void run(FlowContext& ctx) = 0;
-};
-
-using StageList = std::vector<std::unique_ptr<Stage>>;
-
-class FlowDriver {
- public:
-  /// Driver with its own ProbeLedger.
-  FlowDriver(const Circuit& c, const FlowOptions& options);
-  /// Driver sharing an external ledger: multi-phase flows (TurboSYN) keep
-  /// one no-reprobe scope across phases. `ledger` must outlive the driver.
-  FlowDriver(const Circuit& c, const FlowOptions& options, ProbeLedger& ledger);
-
-  /// Runs one stage: checks its consumes-contract, times it, collects its
-  /// counter deltas into StageMetrics, marks its produces.
-  void run(Stage& stage);
-  /// Runs the stages in order.
-  void run(const StageList& stages);
-
-  FlowContext& context() { return ctx_; }
-
   /// Exports the probe ledger and diagnostics into the result and moves it
-  /// out. The context stays readable (labels, mapped) afterwards.
+  /// out.
   FlowResult finish();
 
  private:
-  std::unique_ptr<ProbeLedger> owned_ledger_;
-  FlowContext ctx_;
+  StageMetric* current_metric_ = nullptr;
 };
 
 /// Derives the user-facing diagnostics (timed_out, deduped degraded node

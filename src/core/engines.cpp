@@ -1,19 +1,23 @@
 #include "core/engines.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "base/check.hpp"
+#include "base/logging.hpp"
 #include "base/trace.hpp"
 #include "core/driver.hpp"
-#include "core/stages/flowsyn_map.hpp"
-#include "core/stages/mapgen_stage.hpp"
-#include "core/stages/pack_stage.hpp"
-#include "core/stages/phi_search.hpp"
-#include "core/stages/pipeline_retime_stage.hpp"
-#include "core/stages/ub_probe.hpp"
+#include "core/mapgen.hpp"
+#include "mapping/dedupe.hpp"
+#include "mapping/flowmap.hpp"
+#include "mapping/pack.hpp"
+#include "mapping/seq_split.hpp"
+#include "retime/howard.hpp"
+#include "retime/pipeline.hpp"
+#include "retime/retiming.hpp"
 
 namespace turbosyn {
 namespace {
@@ -24,50 +28,180 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The plain-label search pipeline (the TurboMap stages): also phase A of
-/// every seeded-search engine, which is why it ignores the spec's mode.
-StageList plain_search_stages() {
-  StageList stages;
-  stages.push_back(std::make_unique<UbProbeStage>(UbProbeStage::Kind::kIdentityMdr));
-  stages.push_back(std::make_unique<PhiSearchStage>(PhiSearchStage::Config{}));
-  stages.push_back(std::make_unique<MapGenStage>());
-  stages.push_back(std::make_unique<PackStage>());
-  stages.push_back(
-      std::make_unique<PipelineRetimeStage>(PipelineRetimeStage::Kind::kPipelineRetime));
-  return stages;
+/// True (and the budget verdict folded into the status) when the budget
+/// fired before the next probe.
+bool interrupted_before_probe(FlowContext& ctx, const LabelOptions& lopts) {
+  if (!lopts.budget.interrupted()) return false;
+  ctx.result.status = combine_status(ctx.result.status, lopts.budget.check());
+  return true;
 }
 
-/// A kSearch spec expanded into its stage list.
-StageList search_stages(const EngineSpec& spec) {
-  StageList stages;
-  stages.push_back(std::make_unique<UbProbeStage>(spec.period_objective
-                                                      ? UbProbeStage::Kind::kClockPeriod
-                                                      : UbProbeStage::Kind::kIdentityMdr));
-  PhiSearchStage::Config cfg;
-  cfg.mode = spec.mode;
-  cfg.period_objective = spec.period_objective;
-  stages.push_back(std::make_unique<PhiSearchStage>(std::move(cfg)));
-  stages.push_back(std::make_unique<MapGenStage>(/*po_label_limit=*/spec.period_objective));
-  stages.push_back(std::make_unique<PackStage>());
-  stages.push_back(std::make_unique<PipelineRetimeStage>(
-      spec.period_objective ? PipelineRetimeStage::Kind::kRetimeOnly
-                            : PipelineRetimeStage::Kind::kPipelineRetime));
-  return stages;
+/// The "pack" stage body: structural LUT deduplication and packing (each
+/// gated by FlowOptions), then the LUT count, register bits and exact MDR of
+/// the packed network. `phi_from_mdr`: flows without a ratio search
+/// (FlowSYN-s) report φ = max(1, ceil(exact MDR)).
+void pack_mapping(FlowContext& ctx, Circuit& mapped, bool phi_from_mdr) {
+  if (ctx.options.dedupe) mapped = dedupe_luts(mapped);
+  if (ctx.options.pack) mapped = pack_luts(mapped, ctx.options.k);
+  FlowResult& result = ctx.result;
+  result.luts = mapped.num_gates();
+  result.ffs = mapped.num_ffs_shared();
+  result.exact_mdr = circuit_mdr_howard(mapped).ratio;
+  if (phi_from_mdr) {
+    // Combinational circuits (MDR 0) report their pipelined period 1.
+    result.phi = static_cast<int>(std::max<std::int64_t>(1, result.exact_mdr.ceil()));
+  }
+  ctx.count("luts", result.luts);
+  ctx.count("ffs", result.ffs);
+}
+
+/// The "pipeline-retime" stage body: publishes `mapped` un-retimed as
+/// FlowResult::mapped (cycle-accurate equivalent to the input from the
+/// all-zero state) with the (period, stages) claim read off longest-path
+/// labels and FlowResult::retiming as its witness. `retime_only`
+/// (clock-period objective): the least period retiming alone reaches, by a
+/// binary search over label passes, regardless of FlowOptions::pipeline;
+/// otherwise the period and depth pipelining + retiming reach, from one
+/// label pass, when FlowOptions::pipeline is set.
+void pipeline_retime(FlowContext& ctx, Circuit& mapped, bool retime_only) {
+  FlowResult& result = ctx.result;
+  // pack_mapping measured the MDR of this very network.
+  if (retime_only || ctx.options.pipeline) {
+    PipelineResult p = retime_only ? retime_without_pipelining(mapped, result.exact_mdr)
+                                   : pipeline_and_retime(mapped, result.exact_mdr);
+    result.period = p.period;
+    result.pipeline_stages = p.stages;
+    result.retiming = std::move(p.retiming);
+    ctx.count("retime_configs", p.label_passes);
+    ctx.count("retime_label_rounds", p.label_rounds);
+    ctx.count("pipeline_stages", p.stages);
+  }
+  result.mapped = std::move(mapped);
+}
+
+/// Bisection for the smallest accepted φ in [1, ub] over one LabelEngine
+/// (all probes share the decomposition cache; plain-mode probes warm-start
+/// from the nearest previously feasible φ). Every probe goes through the
+/// ProbeLedger, so no φ is probed twice. Sets FlowResult::phi and returns
+/// the winning labels; when stopped before proving any φ, returns nullopt
+/// and φ falls back to `ub` (the identity mapping realizes it).
+/// `period_objective`: a probe is accepted only when additionally
+/// max_po_label <= φ (PO labels bound the un-pipelined period).
+std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool period_objective,
+                                      int ub) {
+  const LabelOptions lopts = ctx.options.label_options(mode == LabelMode::kDecomp);
+  LabelEngine engine(ctx.input, lopts);
+  FlowResult& result = ctx.result;
+  std::optional<LabelResult> best;
+  int lo = 1;
+  int hi = ub;
+  while (lo <= hi) {
+    if (interrupted_before_probe(ctx, lopts)) break;
+    const int mid = lo + (hi - lo) / 2;
+    LabelResult r = ledger_probe(ctx, engine, mode, mid);
+    result.stats.accumulate(r.stats);
+    result.status = combine_status(result.status, r.status);
+    TS_DEBUG("phi=" << mid << (r.feasible ? " feasible" : " infeasible")
+                    << " sweeps=" << r.stats.sweeps);
+    if (is_interrupt(r.status)) break;  // labels did not converge: unusable
+    if (r.feasible && (!period_objective || r.max_po_label <= mid)) {
+      best = std::move(r);
+      hi = mid - 1;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  if (!best) {
+    // Only a budget can make the always-realizable upper bound "infeasible".
+    TS_CHECK(result.status != Status::kOk,
+             (period_objective ? "clock-period upper bound was not feasible"
+                               : "upper bound ratio was not feasible"));
+    result.phi = ub;
+    return std::nullopt;
+  }
+  // Bisection invariant: hi + 1 is the smallest accepted φ.
+  result.phi = hi + 1;
+  return best;
+}
+
+/// Descending scan ub-1, ub-2, ... from `seed`, labels already proven
+/// feasible at φ == ub by another search. The seed enters the ledger as an
+/// imported certificate, so ub is never re-probed. Feasibility is monotone
+/// in φ, so this finds bisection's minimum while paying for exactly one
+/// infeasible probe (the divergence certificate), where bisection would run
+/// about half of log2(ub) of them — the dominant cost with decomposition,
+/// whose isolation early-exit is unsound and disabled. An interrupt mid-scan
+/// keeps the last feasible probe as the anytime answer. A degraded feasible
+/// seed is valid: its labels witness feasibility themselves.
+LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult seed) {
+  TS_CHECK(seed.feasible, "descending scan needs a feasible certificate at the upper bound");
+  const LabelOptions lopts = ctx.options.label_options(mode == LabelMode::kDecomp);
+  LabelEngine engine(ctx.input, lopts);
+  FlowResult& result = ctx.result;
+  result.status = combine_status(result.status, seed.status);
+  ProbeRecord seed_rec;
+  seed_rec.phi = ub;
+  seed_rec.mode = mode;
+  seed_rec.outcome = classify_probe(seed);
+  seed_rec.status = seed.status;
+  seed_rec.feasible = true;
+  seed_rec.imported = true;
+  seed_rec.label_hash = hash_labels(seed.labels);
+  seed_rec.max_po_label = seed.max_po_label;
+  ctx.ledger.record(std::move(seed_rec));
+
+  LabelResult labels = std::move(seed);
+  int hi = ub - 1;
+  while (hi >= 1) {
+    if (interrupted_before_probe(ctx, lopts)) break;
+    LabelResult r = ledger_probe(ctx, engine, mode, hi);
+    result.stats.accumulate(r.stats);
+    result.status = combine_status(result.status, r.status);
+    TS_DEBUG("phi=" << hi << (r.feasible ? " feasible" : " infeasible")
+                    << " sweeps=" << r.stats.sweeps);
+    if (!r.feasible) break;  // certificate, budget verdict, or interrupt
+    labels = std::move(r);
+    --hi;
+  }
+  result.phi = hi + 1;
+  return labels;
+}
+
+/// The paper's flow with a bisection search: the upper bound the identity
+/// mapping (one LUT per gate) realizes — ceil(MDR of the input), or the
+/// input's clock period under the clock-period objective — then the φ
+/// search under it, mapgen, pack and the timing tail. Returns the winning
+/// labels (nullopt when the search proved no φ).
+std::optional<LabelResult> bisection_steps(FlowContext& ctx, LabelMode mode,
+                                           bool period_objective) {
+  int ub = 0;
+  ctx.run_stage("ub-probe", [&] {
+    const std::int64_t bound = period_objective ? circuit_clock_period(ctx.input)
+                                                : circuit_mdr_howard(ctx.input).ratio.ceil();
+    ub = static_cast<int>(std::max<std::int64_t>(1, bound));
+    ctx.count("upper_bound", ub);
+  });
+  std::optional<LabelResult> labels;
+  ctx.run_stage("phi-search", [&] { labels = bisect_phi(ctx, mode, period_objective, ub); });
+  map_pack_retime(ctx, labels ? &*labels : nullptr, mode, period_objective);
+  return labels;
 }
 
 FlowResult run_search_engine(const EngineSpec& spec, const Circuit& c,
                              const FlowOptions& options) {
   const auto start = Clock::now();
   TraceSpan span(options.trace, spec.trace_label);
-  FlowDriver driver(c, options);
-  driver.run(search_stages(spec));
-  FlowResult result = driver.finish();
+  FlowContext ctx(c, options);
+  bisection_steps(ctx, spec.mode, spec.period_objective);
+  FlowResult result = ctx.finish();
   result.seconds = seconds_since(start);
   return result;
 }
 
 FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
                                     const FlowOptions& options) {
+  constexpr const char* kPhaseUbSpan = "phase:turbomap-ub";
+  constexpr const char* kPhaseSearchSpan = "phase:turbosyn-search";
   const auto start = Clock::now();
   TraceSpan flow_span(options.trace, spec.trace_label);
   // One no-reprobe scope across both phases: plain-mode probes from phase A
@@ -78,45 +212,33 @@ FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
   // Its labels at UB prove UB feasible for the decomposition search too
   // (every plain K-cut is a valid realization there), so the search below
   // starts from them instead of re-probing phi == UB.
-  FlowDriver ub_driver(c, options, ledger);
+  FlowContext ub_ctx(c, options, ledger);
+  std::optional<LabelResult> ub_labels;
   {
-    TraceSpan phase(options.trace, spec.phase_ub_label);
-    ub_driver.run(plain_search_stages());
+    TraceSpan phase(options.trace, kPhaseUbSpan);
+    ub_labels = bisection_steps(ub_ctx, LabelMode::kPlain, /*period_objective=*/false);
   }
-  const bool have_ub_labels = ub_driver.context().have_labels;
-  auto ub_labels = std::make_shared<LabelResult>(ub_driver.context().labels);
-  FlowResult ub_run = ub_driver.finish();
-  if (ub_run.status == Status::kFailed) {
-    // A contained phase-A failure ends the flow: whatever labels exist were
-    // produced next to a blown stage boundary, so nothing seeds phase B.
-    ub_run.seconds = seconds_since(start);
-    return ub_run;
-  }
-  if (!have_ub_labels) {
-    // The TurboMap stage was stopped before it proved any ratio feasible:
-    // there are no labels to seed the decomposition search, so the anytime
-    // answer is the TurboMap stage's own fallback result.
+  FlowResult ub_run = ub_ctx.finish();
+  // A contained phase-A failure ends the flow: whatever labels exist were
+  // produced next to a blown stage boundary, so nothing seeds phase B. A
+  // TurboMap phase stopped before it proved any ratio has no labels to seed
+  // the decomposition search: its own fallback is the anytime answer.
+  if (ub_run.status == Status::kFailed || !ub_labels) {
     ub_run.seconds = seconds_since(start);
     return ub_run;
   }
 
-  FlowDriver driver(c, options, ledger);
+  FlowContext ctx(c, options, ledger);
   {
-    TraceSpan phase(options.trace, spec.phase_search_label);
-    StageList stages;
-    stages.push_back(std::make_unique<UbProbeStage>(ub_run.phi));
-    PhiSearchStage::Config cfg;
-    cfg.schedule = PhiSearchStage::Schedule::kDescending;
-    cfg.mode = spec.mode;
-    cfg.seed = std::move(ub_labels);
-    stages.push_back(std::make_unique<PhiSearchStage>(std::move(cfg)));
-    stages.push_back(std::make_unique<MapGenStage>());
-    stages.push_back(std::make_unique<PackStage>());
-    stages.push_back(
-        std::make_unique<PipelineRetimeStage>(PipelineRetimeStage::Kind::kPipelineRetime));
-    driver.run(stages);
+    TraceSpan phase(options.trace, kPhaseSearchSpan);
+    const int ub = ub_run.phi;
+    ctx.run_stage("ub-probe", [&] { ctx.count("upper_bound", ub); });
+    LabelResult labels;
+    ctx.run_stage("phi-search",
+                  [&] { labels = descend_phi(ctx, spec.mode, ub, std::move(*ub_labels)); });
+    map_pack_retime(ctx, &labels, spec.mode, /*period_objective=*/false);
   }
-  FlowResult result = driver.finish();
+  FlowResult result = ctx.finish();
   result.stats.accumulate(ub_run.stats);
   result.status = combine_status(result.status, ub_run.status);
   fill_flow_diagnostics(result, c);
@@ -128,22 +250,46 @@ FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
   return result;
 }
 
+/// FlowSYN-s's mapping: cut the circuit at all registers, map each
+/// combinational block with FlowSYN (FlowMap + functional decomposition) and
+/// merge the registers back. No ratio search and no labels.
+Circuit flowsyn_map(FlowContext& ctx) {
+  if (ctx.options.budget.interrupted()) {
+    // Stopped before the combinational mapping even started: the identity
+    // mapping is the anytime answer, as in the ratio searches.
+    ctx.result.status = combine_status(ctx.result.status, ctx.options.budget.check());
+    ctx.count("identity_fallback", 1);
+    return ctx.input;
+  }
+  const SequentialSplit split = split_at_registers(ctx.input);
+  FlowMapOptions fopts;
+  fopts.k = ctx.options.k;
+  fopts.enable_decomposition = true;
+  fopts.cmax = ctx.options.cmax;
+  fopts.min_cut_height_span = ctx.options.height_span;
+  const FlowMapResult mapping = flowmap(split.comb, fopts);
+  const Circuit mapped_comb = generate_mapped_circuit(split.comb, mapping, fopts);
+  Circuit merged = merge_registers(ctx.input, split, mapped_comb);
+  ctx.count("luts", merged.num_gates());
+  return merged;
+}
+
 FlowResult run_no_search_engine(const EngineSpec& spec, const Circuit& c,
                                 const FlowOptions& options) {
   const auto start = Clock::now();
   TraceSpan span(options.trace, spec.trace_label);
-  FlowDriver driver(c, options);
-  StageList stages;
-  stages.push_back(std::make_unique<FlowSynMapStage>());
+  FlowContext ctx(c, options);
+  Circuit mapped;
+  ctx.run_stage("flowsyn-map", [&] { mapped = flowsyn_map(ctx); });
   // No ratio search; phi is the ceiling of the measured MDR.
-  stages.push_back(std::make_unique<PackStage>(/*phi_from_mdr=*/true));
-  // flowmap() itself is not budget-aware; the final budget check reports a
-  // deadline/cancel that fired during it (the mapping is still complete and
-  // valid).
-  stages.push_back(std::make_unique<PipelineRetimeStage>(
-      PipelineRetimeStage::Kind::kPipelineRetime, /*final_budget_check=*/true));
-  driver.run(stages);
-  FlowResult result = driver.finish();
+  ctx.run_stage("pack", [&] { pack_mapping(ctx, mapped, /*phi_from_mdr=*/true); });
+  ctx.run_stage("pipeline-retime", [&] {
+    pipeline_retime(ctx, mapped, /*retime_only=*/false);
+    // flowmap() itself is not budget-aware: report a deadline/cancel that
+    // fired during it (the mapping is still complete and valid).
+    ctx.result.status = combine_status(ctx.result.status, options.budget.check());
+  });
+  FlowResult result = ctx.finish();
   result.seconds = seconds_since(start);
   return result;
 }
@@ -180,8 +326,6 @@ std::vector<EngineSpec> build_registry() {
   turbosyn_spec.mode = LabelMode::kDecomp;
   turbosyn_spec.strength = 2;
   turbosyn_spec.trace_label = "flow:turbosyn";
-  turbosyn_spec.phase_ub_label = "phase:turbomap-ub";
-  turbosyn_spec.phase_search_label = "phase:turbosyn-search";
   specs.push_back(turbosyn_spec);
 
   EngineSpec flowsyn;
@@ -215,6 +359,38 @@ std::vector<EngineSpec> build_registry() {
 }
 
 }  // namespace
+
+void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode,
+                     bool period_objective) {
+  Circuit mapped;
+  ctx.run_stage("mapgen", [&] {
+    if (labels == nullptr) {
+      // Stopped before any probe converged: the identity mapping (one LUT
+      // per gate) is always valid.
+      mapped = ctx.input;
+      ctx.count("identity_fallback", 1);
+      return;
+    }
+    MapGenOptions mopts;
+    mopts.label_relaxation = ctx.options.label_relaxation;
+    mopts.low_cost_cuts = ctx.options.low_cost_cuts;
+    if (period_objective) mopts.po_label_limit = ctx.result.phi;
+    FlowResult& result = ctx.result;
+    mapped = generate_sequential_mapping(
+        ctx.input, *labels, result.phi, ctx.options.label_options(mode == LabelMode::kDecomp),
+        mopts, result.stats, ctx.options.collect_artifacts ? &result.artifacts.records : nullptr);
+    if (ctx.options.collect_artifacts) {
+      result.artifacts.valid = true;
+      result.artifacts.phi = result.phi;
+      result.artifacts.labels = *labels;
+      result.artifacts.mode = mode;
+      result.artifacts.po_limited = period_objective;
+    }
+    ctx.count("luts", mapped.num_gates());
+  });
+  ctx.run_stage("pack", [&] { pack_mapping(ctx, mapped, /*phi_from_mdr=*/false); });
+  ctx.run_stage("pipeline-retime", [&] { pipeline_retime(ctx, mapped, period_objective); });
+}
 
 std::string EngineSpec::fingerprint() const {
   std::ostringstream out;

@@ -6,9 +6,10 @@
 // DAC'97 machinery underneath is shared. An EngineSpec captures exactly those
 // degrees of freedom: the pipeline shape, the label mode, the φ schedule and
 // the objective; every engine runs on the caller's FlowOptions as given.
-// run_engine() expands a spec into the stage list the FlowDriver executes,
-// so "add another engine" is one registry entry, not another hand-written
-// pipeline.
+// run_engine() runs the spec's shape as straight-line stage calls through
+// FlowContext::run_stage (core/driver.hpp) with the spec's mode and
+// objective, so "add another engine" is one registry entry as long as an
+// existing shape fits it.
 //
 // Portfolio racing (core/portfolio.hpp) runs every listed engine and picks
 // the best under portfolio_prefers(); `strength` only breaks equal-φ ties.
@@ -24,8 +25,10 @@
 
 namespace turbosyn {
 
+class FlowContext;
+
 struct EngineSpec {
-  /// Pipeline shape run_engine() expands the spec into.
+  /// Stage sequence run_engine() runs for the spec.
   enum class Shape : std::uint8_t {
     /// UB probe, φ search, mapgen, pack, timing tail (the TurboMap family).
     kSearch,
@@ -57,10 +60,6 @@ struct EngineSpec {
   /// Root trace span. The four original flows keep their historical
   /// spellings ("flow:turbomap", ...); variants use "flow:<name>".
   std::string trace_label;
-  /// kSeededSearch only: the two phase spans ("phase:turbomap-ub",
-  /// "phase:turbosyn-search" for the original TurboSYN).
-  std::string phase_ub_label;
-  std::string phase_search_label;
 
   /// The options this engine runs with: the caller's, unchanged (no engine
   /// overrides a FlowOptions field). Kept so callers that rebuild a winner's
@@ -94,8 +93,19 @@ std::string engine_list_text();
 bool portfolio_prefers(int phi_a, int strength_a, std::size_t pos_a, int phi_b,
                        int strength_b, std::size_t pos_b);
 
-/// Runs one engine end to end: expands the spec into its stage pipeline and
-/// drives it. The backbone of run_flow() and of every portfolio run.
+/// Steps 4–5 of the paper after a label search, as the "mapgen", "pack" and
+/// "pipeline-retime" stages. mapgen generates the K-LUT network from
+/// `labels` at FlowResult::phi (with FlowOptions::collect_artifacts it also
+/// fills FlowArtifacts for the auditor); when the search proved no φ
+/// (`labels` null) the identity mapping — the K-bounded input itself — is
+/// the anytime answer at the φ the search left in the result.
+/// `period_objective` caps relaxation at the PO labels and retimes without
+/// pipelining.
+void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode,
+                     bool period_objective);
+
+/// Runs one engine end to end: the stage sequence of its shape. The
+/// backbone of run_flow() and of every portfolio run.
 FlowResult run_engine(const EngineSpec& spec, const Circuit& c, const FlowOptions& options);
 
 }  // namespace turbosyn

@@ -5,10 +5,9 @@
 
 namespace turbosyn {
 
-// The four public flows are registry entries since PR 9: run_engine()
-// expands an EngineSpec into the stage pipeline the FlowDriver executes
-// (core/engines.cpp), so this file only keeps the FlowOptions plumbing and
-// the FlowKind naming shims.
+// The four public flows are registry entries: run_engine() runs an
+// EngineSpec's stage sequence (core/engines.cpp), so this file only keeps
+// the FlowOptions plumbing and the FlowKind naming shims.
 
 LabelOptions FlowOptions::label_options(bool enable_decomposition) const {
   LabelOptions l;

@@ -3,7 +3,7 @@
 // best result.
 //
 // Protocol (DESIGN.md §15). Every engine runs once, in list order, with its
-// own FlowDriver, its own fresh ProbeLedger and a fork of the flow budget
+// own FlowContext, its own fresh ProbeLedger and a fork of the flow budget
 // (same deadline and cancel token, fresh decomposition-attempt counter), so
 // a SIGINT at the flow level stops every engine. No engine is skipped: the
 // race is, by construction, "run every engine to completion and pick the

@@ -1,13 +1,11 @@
-// FlowDriver / ProbeLedger / trace tests: the stage pipeline's contracts.
+// Stage boundary / ProbeLedger / trace tests: the contracts of a flow run.
 //
 //   - the ProbeLedger guarantees each (mode, phi) is probed at most once per
 //     run (duplicate record() throws; flow results carry a duplicate-free
 //     ledger export);
-//   - the driver enforces the artifact contract: a stage whose consumed
-//     artifact is missing, or whose produced artifact already exists, fails
-//     loudly before running;
-//   - StageMetrics account for the flow's wall time (within tolerance) and
-//     carry the counters the stages emit;
+//   - every engine runs its stages in a fixed order, and StageMetrics
+//     account for the flow's wall time (within tolerance) and carry the
+//     counters the stages emit;
 //   - the TraceSink's span tree is well-formed and its JSON serialization is
 //     valid and consistent with the flow's own timing.
 
@@ -21,11 +19,8 @@
 #include "base/check.hpp"
 #include "base/trace.hpp"
 #include "cache/cached_flow.hpp"
-#include "core/driver.hpp"
 #include "core/engines.hpp"
 #include "core/flows.hpp"
-#include "core/stages/mapgen_stage.hpp"
-#include "core/stages/ub_probe.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 #include "test_dir.hpp"
@@ -128,25 +123,6 @@ TEST(FlowDriver, NoPhiProbedTwicePerRun) {
     EXPECT_EQ(rec.seconds, 0.0);
   }
   EXPECT_EQ(imported, 1);
-}
-
-TEST(FlowDriver, MissingConsumedArtifactThrows) {
-  const Circuit c = small_fsm();
-  FlowOptions opt;
-  FlowDriver driver(c, opt);
-  // MapGen consumes kWinningLabels, which no stage has produced.
-  MapGenStage mapgen;
-  EXPECT_THROW(driver.run(mapgen), Error);
-}
-
-TEST(FlowDriver, DuplicateProducedArtifactThrows) {
-  const Circuit c = small_fsm();
-  FlowOptions opt;
-  FlowDriver driver(c, opt);
-  UbProbeStage ub(UbProbeStage::Kind::kIdentityMdr);
-  driver.run(ub);
-  UbProbeStage again(UbProbeStage::Kind::kClockPeriod);
-  EXPECT_THROW(driver.run(again), Error);
 }
 
 // The stage timeline of every engine and of a cache hit that replays the
