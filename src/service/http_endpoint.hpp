@@ -41,8 +41,8 @@ class HttpEndpoint {
     std::function<std::string(std::uint64_t)> trace;
   };
 
-  /// `port` as in MappingServerOptions::tcp_port: 0 binds an ephemeral
-  /// loopback port (see port()). Nothing is bound until start().
+  /// `port` is the loopback port to bind; 0 binds an ephemeral one (see
+  /// port()). Nothing is bound until start().
   HttpEndpoint(int port, Handlers handlers);
   ~HttpEndpoint();  // stop()
 

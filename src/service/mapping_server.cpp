@@ -1,7 +1,5 @@
 #include "service/mapping_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -11,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <string_view>
 #include <utility>
@@ -122,10 +119,6 @@ ParsedLine parse_protocol_line(const std::string& line) {
       if (!want_string(&out.map.client)) {
         return protocol_error("field 'client': expected a string");
       }
-    } else if (key == "path") {
-      if (!want_string(&out.map.path)) {
-        return protocol_error("field 'path': expected a string");
-      }
     } else if (key == "blif") {
       if (!want_string(&out.map.blif)) {
         return protocol_error("field 'blif': expected a string");
@@ -148,13 +141,6 @@ ParsedLine parse_protocol_line(const std::string& line) {
       }
       out.map.portfolio.clear();
       for (const EngineSpec* spec : engines) out.map.portfolio.push_back(spec->name);
-    } else if (key == "priority") {
-      if (value.kind != JsonScalar::Kind::kString ||
-          (value.text != "high" && value.text != "normal")) {
-        return protocol_error("field 'priority': expected \"high\" or \"normal\", got '" +
-                              value.text + "'");
-      }
-      out.map.high_priority = value.text == "high";
     } else if (key == "k") {
       if (value.kind != JsonScalar::Kind::kNumber ||
           !parse_int_strict(value.text, 2, 32, out.map.k)) {
@@ -176,9 +162,7 @@ ParsedLine parse_protocol_line(const std::string& line) {
   }
 
   if (op == "map") {
-    if (out.map.blif.empty() && out.map.path.empty()) {
-      return protocol_error("map request needs 'blif' (inline netlist) or 'path'");
-    }
+    if (out.map.blif.empty()) return protocol_error("map request needs 'blif' (the netlist)");
     out.kind = ParsedLine::Kind::kMap;
   } else if (op == "stats") {
     out.kind = ParsedLine::Kind::kStats;
@@ -209,10 +193,8 @@ bool AdmissionQueue::push(Ticket ticket) {
     const std::string& client = ticket.request.client;
     auto [it, inserted] = queues_.try_emplace(client);
     if (inserted) round_robin_.push_back(client);
-    const bool high = ticket.request.high_priority;
-    (high ? it->second.high : it->second.normal).push_back(std::move(ticket));
+    it->second.push_back(std::move(ticket));
     ++depth_;
-    if (high) ++high_depth_;
   }
   ready_.notify_one();
   return true;
@@ -229,25 +211,8 @@ std::optional<AdmissionQueue::Ticket> AdmissionQueue::pop() {
       const auto qit = queues_.find(client);
       if (qit == queues_.end() || qit->second.empty()) continue;
       if (in_flight_[client] >= per_client_) continue;
-      // 3:1 weighted round-robin between this client's two bands: the high
-      // sub-queue is served unless it just took three pops in a row while
-      // normal work waited. One band empty hands the turn to the other
-      // (serving high when normal is empty still charges the grant counter,
-      // so a later normal arrival waits at most the remaining grants).
-      ClientQueues& bands = qit->second;
-      const bool serve_high =
-          !bands.high.empty() && (bands.high_grants < 3 || bands.normal.empty());
-      std::deque<Ticket>& band = serve_high ? bands.high : bands.normal;
-      if (serve_high) {
-        ++bands.high_grants;
-        ++high_served_;
-        --high_depth_;
-      } else {
-        bands.high_grants = 0;
-        ++normal_served_;
-      }
-      Ticket ticket = std::move(band.front());
-      band.pop_front();
+      Ticket ticket = std::move(qit->second.front());
+      qit->second.pop_front();
       --depth_;
       ++in_flight_[client];
       running_[{client, ticket.request.id}] = ticket.cancel;
@@ -287,14 +252,11 @@ bool AdmissionQueue::closed() const {
 std::vector<AdmissionQueue::Ticket> AdmissionQueue::drain() {
   std::vector<Ticket> out;
   const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [client, bands] : queues_) {
-    for (Ticket& ticket : bands.high) out.push_back(std::move(ticket));
-    for (Ticket& ticket : bands.normal) out.push_back(std::move(ticket));
-    bands.high.clear();
-    bands.normal.clear();
+  for (auto& [client, tickets] : queues_) {
+    for (Ticket& ticket : tickets) out.push_back(std::move(ticket));
+    tickets.clear();
   }
   depth_ = 0;
-  high_depth_ = 0;
   std::sort(out.begin(), out.end(),
             [](const Ticket& a, const Ticket& b) { return a.seq < b.seq; });
   return out;
@@ -303,15 +265,13 @@ std::vector<AdmissionQueue::Ticket> AdmissionQueue::drain() {
 bool AdmissionQueue::cancel(const std::string& client, std::int64_t id) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (const auto qit = queues_.find(client); qit != queues_.end()) {
-    for (std::deque<Ticket>* band : {&qit->second.high, &qit->second.normal}) {
-      for (Ticket& ticket : *band) {
-        if (ticket.request.id == id) {
-          // The ticket stays queued: the worker that pops it observes the
-          // token and reports cancelled without running, so the admission is
-          // still answered by exactly one record.
-          ticket.cancel->cancel();
-          return true;
-        }
+    for (Ticket& ticket : qit->second) {
+      if (ticket.request.id == id) {
+        // The ticket stays queued: the worker that pops it observes the
+        // token and reports cancelled without running, so the admission is
+        // still answered by exactly one record.
+        ticket.cancel->cancel();
+        return true;
       }
     }
   }
@@ -324,9 +284,8 @@ bool AdmissionQueue::cancel(const std::string& client, std::int64_t id) {
 
 void AdmissionQueue::cancel_all() {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [client, bands] : queues_) {
-    for (Ticket& ticket : bands.high) ticket.cancel->cancel();
-    for (Ticket& ticket : bands.normal) ticket.cancel->cancel();
+  for (auto& [client, tickets] : queues_) {
+    for (Ticket& ticket : tickets) ticket.cancel->cancel();
   }
   for (auto& [key, token] : running_) token->cancel();
 }
@@ -342,23 +301,6 @@ int AdmissionQueue::in_flight() const {
   for (const auto& [client, count] : in_flight_) total += count;
   return total;
 }
-
-std::int64_t AdmissionQueue::high_served() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return high_served_;
-}
-
-std::int64_t AdmissionQueue::normal_served() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return normal_served_;
-}
-
-std::size_t AdmissionQueue::high_depth() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return high_depth_;
-}
-
-// BudgetPool lives in base/run_budget.cpp since PR 9.
 
 // --------------------------------------------------------------- server ----
 
@@ -389,45 +331,13 @@ int bind_unix_listener(const std::string& path, std::string* error) {
   return fd;
 }
 
-/// Binds a TCP loopback listener (port 0 = ephemeral); reports the bound
-/// port through `bound_port`. Returns -1 with `error` set on failure.
-int bind_tcp_listener(int port, int* bound_port, std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket(AF_INET): ") + std::strerror(errno);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 64) != 0) {
-    *error = "bind/listen(127.0.0.1:" + std::to_string(port) +
-             "): " + std::strerror(errno);
-    ::close(fd);
-    return -1;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    *bound_port = ntohs(bound.sin_port);
-  }
-  return fd;
-}
-
-/// The record path of an admitted request: its file path, or for inline
-/// BLIF the "blif:<hash>" poison key computed at admission.
-const std::string& record_path(const AdmissionQueue::Ticket& ticket) {
-  return ticket.request.blif.empty() ? ticket.request.path : ticket.poison_key;
-}
-
-BatchRecord request_shell_record(const MapRequest& request, const std::string& display_path) {
+/// The record of an admitted request that never ran; its path is the
+/// "blif:<hash>" poison key computed at admission.
+BatchRecord request_shell_record(const AdmissionQueue::Ticket& ticket) {
+  const MapRequest& request = ticket.request;
   BatchRecord record;
   record.name = request.client + "#" + std::to_string(request.id);
-  record.path = display_path;
+  record.path = ticket.poison_key;
   record.flow = request.flow;
   record.k = request.k;
   return record;
@@ -449,36 +359,18 @@ MappingServer::~MappingServer() {
 }
 
 std::string MappingServer::poison_key(const MapRequest& request) {
-  if (!request.blif.empty()) return "blif:" + hex64(fnv1a64(request.blif));
-  std::error_code ec;
-  const std::filesystem::path canonical = std::filesystem::weakly_canonical(request.path, ec);
-  return "path:" + (ec ? request.path : canonical.string());
+  return "blif:" + hex64(fnv1a64(request.blif));
 }
 
 std::int64_t MappingServer::jsonl_faults() const { return sink_->faults(); }
 
 void MappingServer::start() {
   TS_CHECK(!started_.exchange(true), "MappingServer::start() called twice");
-  TS_CHECK(!options_.socket_path.empty() || options_.tcp_port >= 0,
-           "MappingServer needs a unix socket path or a TCP port");
+  TS_CHECK(!options_.socket_path.empty(), "MappingServer needs a unix socket path");
   std::string error;
-  if (!options_.socket_path.empty()) {
-    const int fd = bind_unix_listener(options_.socket_path, &error);
-    TS_CHECK(fd >= 0, error);
-    listen_fds_.push_back(fd);
-  }
-  if (options_.tcp_port >= 0) {
-    const int fd = bind_tcp_listener(options_.tcp_port, &tcp_port_bound_, &error);
-    if (fd < 0) {
-      for (const int open_fd : listen_fds_) ::close(open_fd);
-      listen_fds_.clear();
-      throw Error(error);
-    }
-    listen_fds_.push_back(fd);
-  }
-  for (const int fd : listen_fds_) {
-    accept_threads_.emplace_back([this, fd] { accept_loop(fd); });
-  }
+  listen_fd_ = bind_unix_listener(options_.socket_path, &error);
+  TS_CHECK(listen_fd_ >= 0, error);
+  accept_thread_ = std::thread([this] { accept_loop(); });
   const int workers = std::max(1, options_.workers);
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -503,15 +395,13 @@ void MappingServer::start() {
   }
 }
 
-int MappingServer::port() const { return tcp_port_bound_; }
-
 int MappingServer::http_port() const { return http_ != nullptr ? http_->port() : -1; }
 
 bool MappingServer::draining() const { return draining_.load(std::memory_order_relaxed); }
 
-void MappingServer::accept_loop(int listen_fd) {
+void MappingServer::accept_loop() {
   for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed (drain) or fatally broken
@@ -528,7 +418,9 @@ void MappingServer::accept_loop(int listen_fd) {
       conn->default_client = "conn-" + std::to_string(conn->id);
       connections_[conn->id] = conn;
     }
-    conn->reader = std::thread([this, conn] { reader_loop(conn); });
+    // Detached, so a closed connection's thread is released as it exits;
+    // wait() waits for the reader to erase the entry instead of joining.
+    std::thread([this, conn] { reader_loop(conn); }).detach();
   }
 }
 
@@ -554,10 +446,17 @@ void MappingServer::reader_loop(std::shared_ptr<Connection> conn) {
     // request. 64 MiB comfortably fits any realistic inline netlist.
     if (buffer.size() > (std::size_t{64} << 20)) break;
   }
-  const std::lock_guard<std::mutex> lock(conn->write_mu);
-  conn->open = false;
-  ::close(conn->fd);
-  conn->fd = -1;
+  {
+    const std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->open = false;
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  const std::lock_guard<std::mutex> lock(conn_mu_);
+  connections_.erase(conn->id);
+  // Notified under the lock: once wait() sees the map empty it may destroy
+  // the server, and this thread touches no member after unlocking.
+  conn_gone_.notify_all();
 }
 
 void MappingServer::send_reply(const std::shared_ptr<Connection>& conn,
@@ -642,7 +541,7 @@ void MappingServer::handle_map(const std::shared_ptr<Connection>& conn,
       // Resubmission of a quarantined circuit: answered immediately, never
       // re-run — the whole point of the poison list.
       poison_blocked_.fetch_add(1, std::memory_order_relaxed);
-      BatchRecord record = request_shell_record(ticket.request, record_path(ticket));
+      BatchRecord record = request_shell_record(ticket);
       record.status = Status::kFailed;
       record.quarantined = true;
       record.attempts = 0;
@@ -690,12 +589,11 @@ void MappingServer::worker_loop() {
 
 BatchRecord MappingServer::run_ticket(const AdmissionQueue::Ticket& ticket, bool& traced) {
   const MapRequest& request = ticket.request;
-  const std::string& path = record_path(ticket);
 
   if (ticket.cancel->cancelled()) {
     // Cancelled while queued (CANCEL verb or drain): one honest record,
     // zero compute.
-    BatchRecord record = request_shell_record(request, path);
+    BatchRecord record = request_shell_record(ticket);
     record.skipped = true;
     record.status = Status::kCancelled;
     cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -704,7 +602,7 @@ BatchRecord MappingServer::run_ticket(const AdmissionQueue::Ticket& ticket, bool
 
   BatchJob job;
   job.name = request.client + "#" + std::to_string(request.id);
-  job.path = path;
+  job.path = ticket.poison_key;
   job.blif = request.blif;
   job.flow = request.flow;
   job.portfolio = request.portfolio;
@@ -841,9 +739,9 @@ void MappingServer::monitor_loop() {
 void MappingServer::request_shutdown() {
   if (draining_.exchange(true)) return;
   if (!started_.load(std::memory_order_relaxed)) return;
-  // 1. Stop the intake: closed listeners end the accept loops, a closed
+  // 1. Stop the intake: the closed listener ends the accept loop, a closed
   //    queue ends the workers once their current request finishes.
-  for (const int fd : listen_fds_) ::shutdown(fd, SHUT_RDWR);
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   // 2. Cancel everything queued or running — running flows wind down to
   //    best-so-far under their budgets' cancel checks.
   queue_->cancel_all();
@@ -852,7 +750,7 @@ void MappingServer::request_shutdown() {
   //    stays complete across the drain (the fork drill asserts exactly
   //    this), and connected clients hear why their request ended.
   for (AdmissionQueue::Ticket& ticket : queue_->drain()) {
-    BatchRecord record = request_shell_record(ticket.request, record_path(ticket));
+    BatchRecord record = request_shell_record(ticket);
     record.skipped = true;
     record.status = Status::kCancelled;
     cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -863,15 +761,14 @@ void MappingServer::request_shutdown() {
 void MappingServer::wait() {
   if (!started_.load(std::memory_order_relaxed)) return;
   if (drained_.exchange(true)) return;
-  for (std::thread& t : accept_threads_) {
-    if (t.joinable()) t.join();
-  }
+  if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
   if (monitor_.joinable()) monitor_.join();
   // Readers block in read(): shut the sockets down to unblock them, then
-  // join. The fds themselves are closed by each reader as it exits.
+  // wait for each to erase its entry. The fds themselves are closed by each
+  // reader as it exits.
   std::vector<std::shared_ptr<Connection>> conns;
   {
     const std::lock_guard<std::mutex> lock(conn_mu_);
@@ -881,12 +778,15 @@ void MappingServer::wait() {
     const std::lock_guard<std::mutex> lock(conn->write_mu);
     if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
   }
-  for (const auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
+  {
+    std::unique_lock<std::mutex> lock(conn_mu_);
+    conn_gone_.wait(lock, [this] { return connections_.empty(); });
   }
-  for (const int fd : listen_fds_) ::close(fd);
-  listen_fds_.clear();
-  if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    ::unlink(options_.socket_path.c_str());
+  }
   // The HTTP endpoint goes down last: /healthz keeps answering 503 through
   // the whole drain (that flip is what a readiness probe watches for) and
   // /trace stays fetchable until every record has been emitted.
@@ -904,9 +804,10 @@ StatsSnapshot MappingServer::snapshot() const {
   snap.retries = retries_.load(std::memory_order_relaxed);
   snap.queue_depth = static_cast<std::int64_t>(queue_->depth());
   snap.in_flight = queue_->in_flight();
-  snap.high_queued = static_cast<std::int64_t>(queue_->high_depth());
-  snap.high_served = queue_->high_served();
-  snap.normal_served = queue_->normal_served();
+  {
+    const std::lock_guard<std::mutex> lock(conn_mu_);
+    snap.connections = static_cast<std::int64_t>(connections_.size());
+  }
   snap.workers = std::max(1, options_.workers);
   snap.draining = draining();
   snap.jsonl_faults = jsonl_faults();
@@ -979,9 +880,7 @@ std::string render_stats_json(const StatsSnapshot& snap) {
   s += ",\"retries\":" + std::to_string(snap.retries);
   s += ",\"queue_depth\":" + std::to_string(snap.queue_depth);
   s += ",\"in_flight\":" + std::to_string(snap.in_flight);
-  s += ",\"high_queued\":" + std::to_string(snap.high_queued);
-  s += ",\"high_served\":" + std::to_string(snap.high_served);
-  s += ",\"normal_served\":" + std::to_string(snap.normal_served);
+  s += ",\"connections\":" + std::to_string(snap.connections);
   s += ",\"workers\":" + std::to_string(snap.workers);
   s += ",\"draining\":";
   s += snap.draining ? "true" : "false";
@@ -1141,6 +1040,8 @@ std::string render_prometheus(const StatsSnapshot& snap) {
   prom_counter(out, "ts_server_retries_total",
                "Supervised attempt retries across all requests.", snap.retries);
   prom_gauge(out, "ts_server_workers", "Configured worker lanes.", snap.workers);
+  prom_gauge(out, "ts_server_connections", "Open line-protocol connections.",
+             snap.connections);
   prom_gauge(out, "ts_server_draining",
              "1 while the graceful drain is in progress, else 0.",
              snap.draining ? 1 : 0);
@@ -1148,12 +1049,6 @@ std::string render_prometheus(const StatsSnapshot& snap) {
                "JSONL sink write faults absorbed.", snap.jsonl_faults);
   prom_gauge(out, "ts_queue_depth", "Tickets queued, not yet popped.", snap.queue_depth);
   prom_gauge(out, "ts_queue_in_flight", "Tickets popped and running.", snap.in_flight);
-  prom_gauge(out, "ts_queue_high_depth", "Queued high-priority tickets.",
-             snap.high_queued);
-  prom_counter(out, "ts_queue_high_served_total",
-               "Tickets served from high-priority sub-queues.", snap.high_served);
-  prom_counter(out, "ts_queue_normal_served_total",
-               "Tickets served from normal sub-queues.", snap.normal_served);
   prom_gauge(out, "ts_budget_total_ms", "Global budget pool size (0 = unlimited).",
              snap.budget_total_ms);
   prom_gauge(out, "ts_budget_remaining_ms", "Budget pool milliseconds left.",

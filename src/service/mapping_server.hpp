@@ -1,29 +1,27 @@
 #pragma once
-// Always-on mapping daemon: a long-lived server that accepts circuits over a
-// Unix-domain socket (optionally TCP loopback), runs them through the
-// supervised cache-aware flow machinery, and streams results back as
-// line-delimited JSON. One process, one shared FlowCache (with the
-// in-memory hot tier — see cache/flow_cache.hpp), many clients.
+// Always-on mapping daemon: a long-lived server that accepts circuits over
+// one Unix-domain socket, runs them through the supervised cache-aware flow
+// machinery, and streams results back as line-delimited JSON. One process,
+// one shared FlowCache (with the in-memory hot tier — see
+// cache/flow_cache.hpp), many clients.
 //
 // Protocol (DESIGN.md §14). One request per line:
 //
 //   {"op":"map","id":7,"client":"ci","blif":"...","flow":"turbosyn","k":5,
-//    "deadline_ms":2000}                       — map an inline netlist
-//   {"op":"map","id":8,"path":"/x/a.blif"}     — map a file the server reads
-//   {"op":"map","id":9,"path":"/x/a.blif",
-//    "portfolio":"turbosyn,turbomap,flowsyn_s",
-//    "priority":"high"}                        — race engines, jump the line
-//
-// "portfolio" (a comma-separated engine list, validated against the
-// registry at parse time) races the named engines instead of running one
-// flow; the result record carries the winner in its "engine" field and the
-// STATS aggregate rolls up per-engine win counts. "priority":"high" routes
-// the request to its client's high-priority sub-queue (served 3:1 against
-// normal — see AdmissionQueue below); "priority":"normal" is the default.
+//    "deadline_ms":2000}                       — map a netlist
+//   {"op":"map","id":9,"blif":"...",
+//    "portfolio":"turbosyn,turbomap,flowsyn_s"} — race engines
 //   STATS      (or {"op":"stats"})             — one JSON aggregate object
 //   PING       (or {"op":"ping"})              — liveness
 //   CANCEL 7   (or {"op":"cancel","id":7})     — cancel a queued/running map
 //   SHUTDOWN   (or {"op":"shutdown"})          — graceful drain
+//
+// Every map request ships its netlist inline in "blif"; the daemon never
+// reads the client's filesystem. "portfolio" (a comma-separated engine
+// list, validated against the registry at parse time) races the named
+// engines instead of running one flow; the result record carries the
+// winner in its "engine" field and the STATS aggregate rolls up per-engine
+// win counts.
 //
 // Request objects are flat JSON (base/json_util.hpp): strict parsing,
 // numbers validated with parse_int_strict — a malformed field is an "error"
@@ -47,10 +45,10 @@
 //
 // Supervision and poison. Every request runs through run_supervised_job —
 // retries with capped backoff, containment of stage failures — and a
-// request that quarantines registers its circuit (keyed by canonical path,
-// or a content hash for inline netlists) in a poison set: resubmitting the
-// same circuit is answered with an immediate quarantined record instead of
-// burning another max_attempts runs.
+// request that quarantines registers its circuit (keyed by a hash of the
+// netlist text) in a poison set: resubmitting the same circuit is answered
+// with an immediate quarantined record instead of burning another
+// max_attempts runs.
 //
 // Drain. request_shutdown() (the SHUTDOWN verb, or SIGTERM via the external
 // cancel token) stops accepting, cancels running requests (they wind down
@@ -97,9 +95,7 @@ struct StatsSnapshot {
   std::int64_t retries = 0;
   std::int64_t queue_depth = 0;
   std::int64_t in_flight = 0;
-  std::int64_t high_queued = 0;
-  std::int64_t high_served = 0;
-  std::int64_t normal_served = 0;
+  std::int64_t connections = 0;  // open line-protocol connections
   int workers = 1;
   bool draining = false;
   std::int64_t jsonl_faults = 0;
@@ -162,8 +158,7 @@ std::string render_prometheus(const StatsSnapshot& snap);
 struct MapRequest {
   std::int64_t id = 0;     // client-chosen correlation id (>= 0)
   std::string client;      // fairness key; defaults to the connection's id
-  std::string path;        // server-side file, when `blif` is empty
-  std::string blif;        // inline netlist text (preferred for isolation)
+  std::string blif;        // the netlist text (required)
   FlowKind flow = FlowKind::kTurboSyn;
   /// Engine names to race instead of `flow` (the "portfolio" request field,
   /// a comma-separated list validated at parse time). Empty = standalone.
@@ -172,9 +167,6 @@ struct MapRequest {
   /// Requested wall-clock slice; the server caps it to its per-request
   /// ceiling and to what the global pool has left. 0 = server default.
   std::int64_t deadline_ms = 0;
-  /// Two-level scheduling: 'priority':'high' requests go to the client's
-  /// high-priority sub-queue, served 3:1 against its normal sub-queue.
-  bool high_priority = false;
 };
 
 /// One parsed request line: a verb or a protocol error (never throws).
@@ -191,18 +183,13 @@ struct ParsedLine {
 /// embedding the protocol elsewhere.
 ParsedLine parse_protocol_line(const std::string& line);
 
-/// Round-robin admission queue with a per-client in-flight cap and
-/// two-level per-client priorities.
+/// Round-robin admission queue with a per-client in-flight cap.
 ///
-/// push() enqueues under the ticket's client, into its high or normal
-/// sub-queue (MapRequest::high_priority); pop() serves clients in
+/// push() appends to the ticket's client's FIFO; pop() serves clients in
 /// round-robin order, skipping any client at its in-flight cap, and blocks
-/// while nothing is eligible. Within a client, the two sub-queues are
-/// served 3:1 weighted round-robin: up to three high-priority tickets per
-/// normal one, so urgent work jumps the line without starving the backlog.
-/// complete() returns a client's in-flight slot. close() wakes every popper
-/// with nullopt; drain() then removes whatever was still queued so the
-/// caller can emit records for it.
+/// while nothing is eligible. complete() returns a client's in-flight slot.
+/// close() wakes every popper with nullopt; drain() then removes whatever
+/// was still queued so the caller can emit records for it.
 class AdmissionQueue {
  public:
   struct Ticket {
@@ -247,48 +234,27 @@ class AdmissionQueue {
 
   std::size_t depth() const;
   int in_flight() const;
-  /// Tickets served (popped) from high / normal sub-queues so far.
-  std::int64_t high_served() const;
-  std::int64_t normal_served() const;
-  /// Tickets currently queued in high-priority sub-queues.
-  std::size_t high_depth() const;
 
  private:
-  /// One client's two-band state: FIFO sub-queues plus the 3:1 weighted
-  /// round-robin grant counter (how many consecutive high pops this client
-  /// has taken since its last normal pop).
-  struct ClientQueues {
-    std::deque<Ticket> high;
-    std::deque<Ticket> normal;
-    int high_grants = 0;
-    bool empty() const { return high.empty() && normal.empty(); }
-  };
-
   mutable std::mutex mu_;
   std::condition_variable ready_;
   std::size_t max_depth_;
   int per_client_;
   bool closed_ = false;
-  /// Per-client sub-queues; round_robin_ orders the clients and the
-  /// cursor rotates so every pop starts the scan at a different client.
-  std::map<std::string, ClientQueues> queues_;
+  /// Per-client FIFOs; round_robin_ orders the clients and the cursor
+  /// rotates so every pop starts the scan at a different client.
+  std::map<std::string, std::deque<Ticket>> queues_;
   std::vector<std::string> round_robin_;
   std::size_t rr_cursor_ = 0;
   std::map<std::string, int> in_flight_;
   std::size_t depth_ = 0;
-  std::size_t high_depth_ = 0;
-  std::int64_t high_served_ = 0;
-  std::int64_t normal_served_ = 0;
   /// Tokens of popped-but-incomplete tickets, for cancel() of running work.
   std::map<std::pair<std::string, std::int64_t>, std::shared_ptr<CancelToken>> running_;
 };
 
 struct MappingServerOptions {
-  /// Unix-domain socket path (unlinked and rebound on start). Empty: no
-  /// unix listener (tcp_port must then be set).
+  /// Unix-domain socket path (unlinked and rebound on start; required).
   std::string socket_path;
-  /// TCP loopback listener port (-1 = off, 0 = ephemeral; see port()).
-  int tcp_port = -1;
   int workers = 2;
   std::size_t max_queue = 256;
   int per_client_in_flight = 1;
@@ -332,21 +298,18 @@ class MappingServer {
   MappingServer(const MappingServer&) = delete;
   MappingServer& operator=(const MappingServer&) = delete;
 
-  /// Binds the listeners and starts the accept/worker/monitor threads.
-  /// Throws turbosyn::Error when nothing can be bound.
+  /// Binds the socket and starts the accept/worker/monitor threads.
+  /// Throws turbosyn::Error when the socket cannot be bound.
   void start();
 
-  /// Begins the graceful drain (idempotent, any thread): listeners close,
+  /// Begins the graceful drain (idempotent, any thread): the listener closes,
   /// queued requests report cancelled, running requests wind down.
   void request_shutdown();
 
-  /// Blocks until the drain finishes and every thread has joined.
+  /// Blocks until the drain finishes and every thread has exited.
   void wait();
 
   bool draining() const;
-
-  /// Bound TCP port (after start(), when tcp_port was >= 0), else -1.
-  int port() const;
 
   /// Bound HTTP endpoint port (after start(), when http_port was >= 0),
   /// else -1.
@@ -384,11 +347,10 @@ class MappingServer {
     int id = -1;
     std::string default_client;
     std::mutex write_mu;
-    std::thread reader;
     bool open = true;  // guarded by write_mu
   };
 
-  void accept_loop(int listen_fd);
+  void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
   void monitor_loop();
@@ -414,7 +376,7 @@ class MappingServer {
   static void send_locked(Connection& conn, const std::string& line);
   std::shared_ptr<Connection> connection(int id) const;
 
-  /// Poison key for a request: the path, or a hash of the inline text.
+  /// Poison key for a request: "blif:" + a hash of the netlist text.
   static std::string poison_key(const MapRequest& request);
 
   MappingServerOptions options_;
@@ -442,13 +404,15 @@ class MappingServer {
   std::int64_t traces_evicted_ = 0;
   std::map<std::string, std::int64_t> trace_totals_;
 
-  std::vector<int> listen_fds_;
-  int tcp_port_bound_ = -1;
-  std::vector<std::thread> accept_threads_;
+  int listen_fd_ = -1;
+  std::thread accept_thread_;
   std::vector<std::thread> workers_;
   std::thread monitor_;
 
+  // Open connections. Each reader thread is detached and erases its own
+  // entry as it exits; conn_gone_ wakes wait() once the map is empty.
   mutable std::mutex conn_mu_;
+  std::condition_variable conn_gone_;
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
   int next_connection_id_ = 0;
 

@@ -503,8 +503,9 @@ TEST(ProtocolParse, MapObjectFull) {
 }
 
 TEST(ProtocolParse, MapObjectDefaults) {
-  const ParsedLine parsed = parse_protocol_line(R"({"op":"map","id":1,"path":"a.blif"})");
+  const ParsedLine parsed = parse_protocol_line(R"({"op":"map","id":1,"blif":".model a\n"})");
   ASSERT_EQ(parsed.kind, ParsedLine::Kind::kMap) << parsed.error;
+  EXPECT_EQ(parsed.map.blif, ".model a\n");
   EXPECT_EQ(parsed.map.flow, FlowKind::kTurboSyn);
   EXPECT_EQ(parsed.map.k, 5);
   EXPECT_EQ(parsed.map.deadline_ms, 0);
@@ -525,6 +526,10 @@ TEST(ProtocolParse, ErrorsNameTheField) {
       {R"({"op":"map","id":1,"blif":"x","flow":"nope"})", "'flow'"},
       {R"({"op":"map","id":1,"blif":"x","deadline_ms":"soon"})", "'deadline_ms'"},
       {R"({"op":"map","id":1,"blif":"x","bogus":1})", "'bogus'"},
+      // Retired fields are unknown like any other, so an old client hears
+      // which one the daemon no longer takes.
+      {R"({"op":"map","id":1,"blif":"x","priority":"high"})", "'priority'"},
+      {R"({"op":"map","id":1,"blif":"x","path":"a.blif"})", "'path'"},
       {R"({"op":"frobnicate","id":1})", "'op'"},
   };
   for (const Case& c : cases) {
@@ -1145,32 +1150,43 @@ TEST(MappingServerTest, ShutdownVerbDrainsAndRefusesNewWork) {
   EXPECT_EQ(server.admitted(), 0);
 }
 
-TEST(MappingServerTest, TcpLoopbackListener) {
-  MappingServerOptions options;
-  options.tcp_port = 0;  // ephemeral
-  options.workers = 1;
-  options.flow = small_options();
-  MappingServer server(std::move(options));
+TEST(MappingServerTest, StartWithoutABindableSocketThrows) {
+  const fs::path dir = test_dir("start_fails");
+  for (const fs::path& sock : {fs::path(), dir / "missing" / "tsd.sock"}) {
+    MappingServer server(server_options(sock));
+    EXPECT_THROW(server.start(), Error) << sock;
+    // The destructor drains a server that never got a listener.
+  }
+}
+
+TEST(MappingServerTest, ClosedConnectionsAreReleased) {
+  const fs::path dir = test_dir("reap");
+  MappingServer server(server_options(dir / "tsd.sock"));
   server.start();
-  const int port = server.port();
-  ASSERT_GT(port, 0);
+  for (int i = 0; i < 32; ++i) {
+    TestClient client;
+    ASSERT_TRUE(client.connect_unix((dir / "tsd.sock").string()));
+    std::string line;
+    ASSERT_TRUE(client.send("PING"));
+    ASSERT_TRUE(client.read(line));
+    EXPECT_TRUE(contains(line, "\"reply\":\"pong\"")) << line;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.snapshot().connections > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.snapshot().connections, 0);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  // An open connection counts, STATS included.
   TestClient client;
-  client.fd = fd;
+  ASSERT_TRUE(client.connect_unix((dir / "tsd.sock").string()));
   std::string line;
-  ASSERT_TRUE(client.send("PING"));
+  ASSERT_TRUE(client.send("STATS"));
   ASSERT_TRUE(client.read(line));
-  EXPECT_TRUE(contains(line, "\"reply\":\"pong\"")) << line;
-
+  EXPECT_TRUE(contains(line, "\"connections\":1,")) << line;
   server.request_shutdown();
   server.wait();
+  EXPECT_EQ(server.snapshot().connections, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1357,6 +1373,12 @@ TEST(TsClientTool, ExitCodesFollowReplyOutcome) {
 
   EXPECT_EQ(run_ts_client("--ping" + sock, err), 0);
   EXPECT_EQ(run_ts_client("--map " + (dir / "good.blif").string() + sock, err), 0);
+
+  // Retired flags are usage errors like any unknown flag.
+  const std::string good_map = " --map " + (dir / "good.blif").string() + sock;
+  EXPECT_EQ(run_ts_client("--tcp-port 1 --ping", err), 2);
+  EXPECT_EQ(run_ts_client("--priority high" + good_map, err), 2);
+  EXPECT_EQ(run_ts_client("--send-path" + good_map, err), 2);
 
   // A failed result record must exit nonzero with the server's text on
   // stderr — a failed map must fail the calling script.

@@ -22,7 +22,9 @@ decreased — counters only go up.
 With --stats (the JSON body of a STATS reply captured while the daemon is
 idle), the numeric totals exposed on /metrics must equal the corresponding
 STATS fields exactly: both renderings are defined to come from the same
-snapshot structure, so any drift is a bug, not noise.
+snapshot structure, so any drift is a bug, not noise. Every exposed family
+must have a row in STATS_MAP or LABELED_STATS_MAP; a family without one is
+a violation, so a new family cannot go unchecked.
 
 Exit status: 0 clean, 1 on any violation (each printed to stderr), 2 usage.
 Stdlib only — CI runs this on a bare runner.
@@ -163,8 +165,8 @@ def check_monotone(prev_path, cur_path, prev, cur, families):
 
 
 # /metrics family (no labels) -> path into the STATS JSON object. Families
-# whose STATS source is optional (cache block) are simply skipped when the
-# path is absent.
+# whose STATS source is optional (the cache, trace and trace_ring blocks)
+# are simply skipped when the path is absent.
 STATS_MAP = {
     'ts_server_admitted_total': ('server', 'admitted'),
     'ts_server_completed_total': ('server', 'completed'),
@@ -174,12 +176,11 @@ STATS_MAP = {
     'ts_server_poison_blocked_total': ('server', 'poison_blocked'),
     'ts_server_retries_total': ('server', 'retries'),
     'ts_server_workers': ('server', 'workers'),
+    'ts_server_connections': ('server', 'connections'),
+    'ts_server_draining': ('server', 'draining'),
     'ts_server_jsonl_faults_total': ('server', 'jsonl_faults'),
     'ts_queue_depth': ('server', 'queue_depth'),
     'ts_queue_in_flight': ('server', 'in_flight'),
-    'ts_queue_high_depth': ('server', 'high_queued'),
-    'ts_queue_high_served_total': ('server', 'high_served'),
-    'ts_queue_normal_served_total': ('server', 'normal_served'),
     'ts_budget_total_ms': ('budget', 'total_ms'),
     'ts_budget_remaining_ms': ('budget', 'remaining_ms'),
     'ts_cache_hits_total': ('cache', 'hits'),
@@ -198,7 +199,15 @@ STATS_MAP = {
     'ts_ledger_imported_probes_total': ('ledger', 'imported_probes'),
     'ts_flow_seconds_total': ('flow_seconds',),
     'ts_hit_flow_seconds_total': ('hit_flow_seconds',),
+    'ts_trace_ring_stored_total': ('trace_ring', 'stored'),
+    'ts_trace_ring_evicted_total': ('trace_ring', 'evicted'),
+    'ts_trace_ring_entries': ('trace_ring', 'entries'),
+    'ts_trace_ring_bytes': ('trace_ring', 'bytes'),
 }
+
+# The STATS reply is read over a line-protocol connection, which the daemon
+# counts as open; a /metrics scrape comes over HTTP and is not counted.
+STATS_READER_OFFSET = {'ts_server_connections': 1}
 
 # Labeled families: metric -> (label key, path prefix, optional leaf).
 LABELED_STATS_MAP = {
@@ -206,6 +215,7 @@ LABELED_STATS_MAP = {
     'ts_stage_seconds_total': ('stage', ('stages',), 'seconds'),
     'ts_stage_runs_total': ('stage', ('stages',), 'runs'),
     'ts_failpoint_triggers_total': ('site', ('failpoints',), None),
+    'ts_trace_counter_total': ('counter', ('trace',), None),
 }
 
 
@@ -217,9 +227,12 @@ def json_path(obj, path):
     return obj
 
 
-def check_stats(stats_path, series):
+def check_stats(stats_path, families, series):
     with open(stats_path, encoding='utf-8') as handle:
         stats = json.load(handle)
+    for family in families:
+        if family not in STATS_MAP and family not in LABELED_STATS_MAP:
+            violation(f"{family} has no STATS cross-check row")
     for metric, path in STATS_MAP.items():
         expected = json_path(stats, path)
         got = series.get((metric, ()))
@@ -230,7 +243,7 @@ def check_stats(stats_path, series):
         if got is None:
             violation(f"STATS has {'.'.join(path)} but /metrics lacks {metric}")
             continue
-        if float(expected) != got:
+        if float(expected) - STATS_READER_OFFSET.get(metric, 0) != got:
             violation(f"{metric} = {got} but STATS {'.'.join(path)} = {expected}")
     for metric, (label_key, prefix, leaf) in LABELED_STATS_MAP.items():
         table = json_path(stats, prefix)
@@ -281,7 +294,7 @@ def main(argv):
         _, prev_series = parse_exposition(previous)
         check_monotone(previous, scrape, prev_series, series, families)
     if stats is not None:
-        check_stats(stats, series)
+        check_stats(stats, families, series)
 
     if VIOLATIONS:
         print(f"promlint: {len(VIOLATIONS)} violation(s)", file=sys.stderr)

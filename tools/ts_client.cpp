@@ -8,8 +8,7 @@
 //   $ echo 'STATS' | ./ts_client --socket /tmp/tsd.sock --stdin
 //
 // --map reads the BLIF file and ships it inline (the daemon never touches
-// the client's filesystem); --send-path sends the path instead, for a
-// daemon sharing the filesystem. A map invocation prints the "queued" ack
+// the client's filesystem). A map invocation prints the "queued" ack
 // and then blocks for the "result" record; the other verbs print their one
 // reply. --stdin forwards raw protocol lines and prints every reply until
 // EOF. --trace-fetch ID --http-port N pulls /trace/ID from the daemon's
@@ -41,9 +40,8 @@ namespace {
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "error: " << message << '\n'
-            << "usage: ts_client (--socket PATH | --tcp-port N)\n"
-               "         (--map FILE [--send-path] [--flow NAME] [--k N]\n"
-               "            [--portfolio E1,E2,...] [--priority high|normal]\n"
+            << "usage: ts_client --socket PATH\n"
+               "         (--map FILE [--flow NAME] [--k N] [--portfolio E1,E2,...]\n"
                "            [--deadline-ms N] [--id N] [--client NAME]\n"
                "          | --stats | --ping | --cancel ID [--client NAME]\n"
                "          | --shutdown | --stdin)\n"
@@ -187,16 +185,13 @@ int main(int argc, char** argv) {
   std::string map_file;
   std::string flow = "turbosyn";
   std::string portfolio;
-  std::string priority;
   std::string client_name;
-  int tcp_port = -1;
   long long k = 5;
   long long id = 0;
   long long deadline_ms = 0;
   long long cancel_id = -1;
   long long trace_fetch_id = -1;
   int http_port = -1;
-  bool send_path = false;
   bool stats = false, ping = false, shutdown_req = false, stdin_mode = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -207,25 +202,14 @@ int main(int argc, char** argv) {
     };
     if (a == "--socket") {
       socket_path = value();
-    } else if (a == "--tcp-port") {
-      long long port = 0;
-      if (!parse_int_strict(value(), 0, 65535, port)) usage_error("bad --tcp-port");
-      tcp_port = static_cast<int>(port);
     } else if (a == "--map") {
       map_file = value();
-    } else if (a == "--send-path") {
-      send_path = true;
     } else if (a == "--flow") {
       flow = value();
     } else if (a == "--portfolio") {
       // Validated by the daemon against its engine registry; a bad name
       // comes back as an error reply naming the engine.
       portfolio = value();
-    } else if (a == "--priority") {
-      priority = value();
-      if (priority != "high" && priority != "normal") {
-        usage_error("--priority expects 'high' or 'normal'");
-      }
     } else if (a == "--client") {
       client_name = value();
     } else if (a == "--k") {
@@ -269,9 +253,9 @@ int main(int argc, char** argv) {
     if (http_port < 0) usage_error("--trace-fetch needs --http-port");
     return http_fetch(http_port, "/trace/" + std::to_string(trace_fetch_id));
   }
-  if (socket_path.empty() && tcp_port < 0) usage_error("--socket or --tcp-port is required");
+  if (socket_path.empty()) usage_error("--socket is required");
 
-  const int fd = !socket_path.empty() ? connect_unix(socket_path) : connect_tcp(tcp_port);
+  const int fd = connect_unix(socket_path);
   if (fd < 0) {
     std::cerr << "ts_client: cannot connect\n";
     return 1;
@@ -294,22 +278,16 @@ int main(int argc, char** argv) {
       if (!client_name.empty()) request += ",\"client\":" + json_quote(client_name);
       request += ",\"flow\":" + json_quote(flow) + ",\"k\":" + std::to_string(k);
       if (!portfolio.empty()) request += ",\"portfolio\":" + json_quote(portfolio);
-      if (!priority.empty()) request += ",\"priority\":" + json_quote(priority);
       if (deadline_ms > 0) request += ",\"deadline_ms\":" + std::to_string(deadline_ms);
-      if (send_path) {
-        request += ",\"path\":" + json_quote(map_file);
-      } else {
-        std::ifstream in(map_file, std::ios::binary);
-        if (!in) {
-          std::cerr << "ts_client: cannot read " << map_file << '\n';
-          ::close(fd);
-          return 1;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        request += ",\"blif\":" + json_quote(text.str());
+      std::ifstream in(map_file, std::ios::binary);
+      if (!in) {
+        std::cerr << "ts_client: cannot read " << map_file << '\n';
+        ::close(fd);
+        return 1;
       }
-      request += "}";
+      std::ostringstream text;
+      text << in.rdbuf();
+      request += ",\"blif\":" + json_quote(text.str()) + "}";
     } else if (stats) {
       request = "STATS";
     } else if (ping) {

@@ -1,6 +1,6 @@
 // tsd — the always-on mapping daemon.
 //
-//   $ ./tsd --socket /tmp/tsd.sock [--tcp-port N] [--workers N]
+//   $ ./tsd --socket /tmp/tsd.sock [--workers N]
 //           [--cache-dir PATH] [--hot-mb N]
 //           [--max-queue N] [--per-client N]
 //           [--budget-ms N] [--per-request-ms N]
@@ -9,8 +9,7 @@
 //           [--http-port N] [--trace-ring N]
 //
 // Serves the line-delimited JSON mapping protocol (service/mapping_server.hpp)
-// over a Unix-domain socket, optionally also on TCP loopback (--tcp-port 0
-// picks an ephemeral port and prints it). SIGTERM/SIGINT drain gracefully:
+// over one Unix-domain socket. SIGTERM/SIGINT drain gracefully:
 // running requests wind down to best-so-far, queued requests report
 // cancelled, every admitted request still lands in the JSONL stream. A
 // second signal terminates hard, as usual.
@@ -43,7 +42,7 @@ namespace {
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::cerr << "error: " << message << '\n'
-            << "usage: tsd --socket PATH [--tcp-port N] [--workers N]\n"
+            << "usage: tsd --socket PATH [--workers N]\n"
                "           [--cache-dir PATH] [--hot-mb N]\n"
                "           [--max-queue N] [--per-client N]\n"
                "           [--budget-ms N] [--per-request-ms N]\n"
@@ -62,7 +61,6 @@ int main(int argc, char** argv) {
   std::string jsonl_path;
   std::string trace_path;
   std::string failpoints;
-  int tcp_port = -1;
   int http_port = -1;
   int workers = 2;
   int per_client = 1;
@@ -95,10 +93,6 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (a == "--failpoints" && i + 1 < argc) {
       failpoints = argv[++i];
-    } else if (a == "--tcp-port") {
-      int_flag("--tcp-port", i, 0, 65535, &value);
-      tcp_port = static_cast<int>(value);
-      ++i;
     } else if (a == "--http-port") {
       int_flag("--http-port", i, 0, 65535, &value);
       http_port = static_cast<int>(value);
@@ -134,9 +128,7 @@ int main(int argc, char** argv) {
       usage_error("unknown flag '" + a + "'");
     }
   }
-  if (socket_path.empty() && tcp_port < 0) {
-    usage_error("--socket PATH (or --tcp-port N) is required");
-  }
+  if (socket_path.empty()) usage_error("--socket PATH is required");
 
   try {
     if (!failpoint::configure_from_env()) return 2;
@@ -170,7 +162,6 @@ int main(int argc, char** argv) {
 
     MappingServerOptions options;
     options.socket_path = socket_path;
-    options.tcp_port = tcp_port;
     options.workers = workers;
     options.max_queue = static_cast<std::size_t>(max_queue);
     options.per_client_in_flight = per_client;
@@ -186,9 +177,7 @@ int main(int argc, char** argv) {
 
     MappingServer server(std::move(options));
     server.start();
-    std::cout << "tsd: serving";
-    if (!socket_path.empty()) std::cout << " unix:" << socket_path;
-    if (server.port() >= 0) std::cout << " tcp:127.0.0.1:" << server.port();
+    std::cout << "tsd: serving unix:" << socket_path;
     if (server.http_port() >= 0) std::cout << " http:127.0.0.1:" << server.http_port();
     std::cout << " (workers=" << workers << ")" << std::endl;
 
