@@ -5,6 +5,7 @@
 #include "decomp/gate_decomp.hpp"
 #include "decomp/roth_karp.hpp"
 #include "netlist/gates.hpp"
+#include "oracle.hpp"
 #include "sim/simulator.hpp"
 
 namespace turbosyn {
@@ -204,6 +205,61 @@ TEST_P(RothKarpRandomFunctions, AnySuccessIsExactAndKBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RothKarpRandomFunctions, ::testing::Range(0, 25));
+
+// A function over m variables: with probability 1/4 a dense random table,
+// otherwise the last gate of a random network of 2-4 input gates, whose bound
+// sets often have low column multiplicity, so the search takes steps,
+// builds residues and backtracks.
+TruthTable random_network_function(Rng& rng, int m) {
+  if (rng.next_bool(0.25)) return random_tt(rng, m);
+  std::vector<TruthTable> pool;
+  for (int i = 0; i < m; ++i) pool.push_back(TruthTable::var(m, i));
+  const int gates = m + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+  for (int g = 0; g < gates; ++g) {
+    const int r = static_cast<int>(rng.next_in(2, 4));
+    const std::size_t window = std::min<std::size_t>(pool.size(), static_cast<std::size_t>(m));
+    std::vector<TruthTable> inputs;
+    for (int j = 0; j < r; ++j) inputs.push_back(pool[pool.size() - 1 - rng.next_below(window)]);
+    pool.push_back(compose(random_tt(rng, r), inputs));
+  }
+  return pool.back();
+}
+
+TEST(RothKarp, MatchesBitSerialReferenceLutForLut) {
+  Rng rng(4099);
+  int successes = 0;
+  int multi_lut = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const int m = static_cast<int>(rng.next_in(6, 15));
+    const TruthTable f = random_network_function(rng, m);
+    std::vector<int> eff(static_cast<std::size_t>(m));
+    int top = 0;
+    for (auto& e : eff) {
+      e = static_cast<int>(rng.next_in(0, 3));
+      top = std::max(top, e);
+    }
+    const int target = top + static_cast<int>(rng.next_in(1, 3));
+    DecompOptions opt;
+    opt.k = static_cast<int>(rng.next_in(4, 6));
+    const DecompResult got = decompose_for_label(f, eff, target, opt);
+    const DecompResult want = oracle::decompose_for_label_reference(f, eff, target, opt);
+    SCOPED_TRACE("trial " + std::to_string(trial) + " m=" + std::to_string(m) +
+                 " k=" + std::to_string(opt.k) + " target=" + std::to_string(target));
+    ASSERT_EQ(got.success, want.success);
+    ASSERT_EQ(got.achieved_label, want.achieved_label);
+    ASSERT_EQ(got.luts.size(), want.luts.size());
+    for (std::size_t i = 0; i < got.luts.size(); ++i) {
+      EXPECT_EQ(got.luts[i].func, want.luts[i].func) << "LUT " << i;
+      EXPECT_EQ(got.luts[i].fanins, want.luts[i].fanins) << "LUT " << i;
+    }
+    successes += got.success ? 1 : 0;
+    multi_lut += got.luts.size() > 1 ? 1 : 0;
+  }
+  // The sample must exercise real Roth–Karp steps, not only the trivial
+  // single-LUT case and immediate failures.
+  EXPECT_GT(successes, 200);
+  EXPECT_GT(multi_lut, 100);
+}
 
 // ---- gate_decompose ----
 

@@ -14,6 +14,7 @@
 #include "base/check.hpp"
 #include "base/rng.hpp"
 #include "netlist/gates.hpp"
+#include "oracle.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/samples.hpp"
 
@@ -163,6 +164,49 @@ TEST(Expanded, CutFunctionComposesAcrossRegisters) {
   if (cut->size() == 1 && (*cut)[0].node == a) {
     EXPECT_EQ(net.cut_function(*cut), tt_buf());  // NOT of NOT
   }
+}
+
+TEST(Expanded, CutFunctionMatchesReferenceOnWideCuts) {
+  // Min-cuts of up to 15 inputs (up to 512-word tables) on random sequential
+  // circuits, reusing one network across queries as the label engine does.
+  // Each function is checked against the circuit-walking composition.
+  Rng rng(77);
+  int checked = 0;
+  int multi_word = 0;
+  ExpandedNetwork net;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    BenchmarkSpec spec;
+    spec.name = "cf" + std::to_string(seed);
+    spec.seed = seed;
+    spec.num_pis = 6;
+    spec.num_pos = 3;
+    spec.num_gates = 40 + static_cast<int>(seed % 4) * 10;
+    spec.feedback = 0.12;
+    spec.max_fanin = 4;
+    const Circuit c = generate_fsm_circuit(spec);
+    for (int round = 0; round < 3; ++round) {
+      const int phi = 1 + static_cast<int>(rng.next_below(2));
+      std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 0);
+      for (NodeId v = 0; v < c.num_nodes(); ++v) {
+        if (c.is_gate(v) && !c.fanin_edges(v).empty()) {
+          labels[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_in(1, 6));
+        }
+      }
+      for (NodeId v = 0; v < c.num_nodes(); ++v) {
+        if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+        const int height = static_cast<int>(rng.next_in(0, 4));
+        net.build(c, labels, phi, v, height, ExpandedOptions{});
+        const auto cut = net.find_cut(15);
+        if (!cut) continue;
+        ++checked;
+        if (cut->size() > 6) ++multi_word;
+        ASSERT_EQ(net.cut_function(*cut), oracle::cut_function_reference(c, v, *cut))
+            << spec.name << " " << c.name(v) << " cut of " << cut->size();
+      }
+    }
+  }
+  EXPECT_GT(checked, 500);
+  EXPECT_GT(multi_word, 50);
 }
 
 TEST(Expanded, SeparatesRejectsMutatedCertificates) {

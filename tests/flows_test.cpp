@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "base/rng.hpp"
@@ -105,6 +106,27 @@ TEST(Flows, FlowSynSTable1ColumnIsPinned) {
     const FlowResult r = run_flowsyn_s(generate_fsm_circuit(suite[i]), FlowOptions{});
     EXPECT_EQ(r.phi, pins[i].phi) << pins[i].name;
     EXPECT_EQ(r.luts, pins[i].luts) << pins[i].name;
+  }
+}
+
+// TurboSYN's φ and LUT count on the three fastest Table-1 shapes (about
+// 1.5 s together in a Release build). Any change to the decomposition path
+// (cut extraction, its memo, the Roth–Karp step) must leave them unchanged.
+TEST(Flows, TurboSynTable1ShapesArePinned) {
+  struct Pin {
+    const char* name;
+    int phi;
+    int luts;
+  };
+  const Pin pins[] = {{"bbara", 3, 28}, {"bbsse", 2, 168}, {"kirkman", 4, 216}};
+  const std::vector<BenchmarkSpec> suite = table1_suite();
+  for (const Pin& pin : pins) {
+    const auto spec = std::find_if(suite.begin(), suite.end(),
+                                   [&](const BenchmarkSpec& s) { return s.name == pin.name; });
+    ASSERT_NE(spec, suite.end()) << pin.name;
+    const FlowResult r = run_turbosyn(generate_fsm_circuit(*spec), FlowOptions{});
+    EXPECT_EQ(r.phi, pin.phi) << pin.name;
+    EXPECT_EQ(r.luts, pin.luts) << pin.name;
   }
 }
 

@@ -1,6 +1,7 @@
 #include "oracle.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <queue>
 #include <sstream>
@@ -536,6 +537,194 @@ std::string random_cover_blif(Rng& rng, int arity, int rows, char polarity) {
     text += '\n';
   }
   return text + ".end\n";
+}
+
+
+TruthTable cut_function_reference(const Circuit& c, NodeId root,
+                                  std::span<const SeqCutNode> cut) {
+  const int arity = static_cast<int>(cut.size());
+  TS_CHECK(arity <= TruthTable::kMaxVars, "cut too wide for truth-table extraction");
+  const auto key = [](SeqCutNode id) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.node)) << 32) |
+           static_cast<std::uint32_t>(id.w);
+  };
+  std::unordered_map<std::uint64_t, TruthTable> memo;
+  for (int i = 0; i < arity; ++i) {
+    memo.emplace(key(cut[static_cast<std::size_t>(i)]), TruthTable::var(arity, i));
+  }
+  auto eval = [&](auto&& self, SeqCutNode at) -> const TruthTable& {
+    const auto it = memo.find(key(at));
+    if (it != memo.end()) return it->second;
+    TS_CHECK(c.is_gate(at.node), "cut does not cover every path to the root");
+    std::vector<TruthTable> inputs;
+    for (const EdgeId e : c.fanin_edges(at.node)) {
+      const Circuit::Edge& edge = c.edge(e);
+      inputs.push_back(self(self, SeqCutNode{edge.from, at.w + edge.weight}));
+    }
+    TruthTable result = inputs.empty() ? c.function(at.node).remap(arity, {})
+                                       : compose(c.function(at.node), inputs);
+    return memo.emplace(key(at), std::move(result)).first->second;
+  };
+  return eval(eval, SeqCutNode{root, 0});
+}
+
+namespace {
+
+struct RefSignal {
+  int eff;
+  DecompFanin ref;
+};
+
+struct RefClasses {
+  std::vector<std::uint32_t> code_of;
+  std::vector<TruthTable> class_tt;
+};
+
+/// Columns of f for the bound set = its top `bound` variables, numbered by
+/// first appearance with bound variable 0 as the most significant bit.
+RefClasses classify_reference(const TruthTable& f, int bound) {
+  const int free_vars = f.num_vars() - bound;
+  RefClasses out;
+  out.code_of.resize(std::size_t{1} << bound);
+  for (std::uint32_t r = 0; r < out.code_of.size(); ++r) {
+    std::uint32_t a = 0;
+    for (int j = 0; j < bound; ++j) {
+      if ((r >> (bound - 1 - j)) & 1) a |= std::uint32_t{1} << j;
+    }
+    TruthTable column = TruthTable::constant(free_vars, false);
+    for (std::uint32_t y = 0; y < column.num_bits(); ++y) {
+      if (f.bit(y | (a << free_vars))) column.set_bit(y, true);
+    }
+    std::size_t code = 0;
+    while (code < out.class_tt.size() && out.class_tt[code] != column) ++code;
+    if (code == out.class_tt.size()) out.class_tt.push_back(std::move(column));
+    out.code_of[a] = static_cast<std::uint32_t>(code);
+  }
+  return out;
+}
+
+class RefSearch {
+ public:
+  RefSearch(int target_label, const DecompOptions& options)
+      : target_(target_label), options_(options), attempts_left_(options.max_attempts) {}
+
+  bool solve(const TruthTable& f, std::vector<RefSignal> signals, std::vector<DecompLut>& luts) {
+    if (static_cast<int>(signals.size()) <= options_.k) {
+      DecompLut root;
+      root.func = f;
+      achieved_ = 0;
+      for (const RefSignal& s : signals) {
+        root.fanins.push_back(s.ref);
+        achieved_ = std::max(achieved_, s.eff + 1);
+      }
+      if (achieved_ > target_) return false;
+      luts.push_back(std::move(root));
+      return true;
+    }
+    const int m = static_cast<int>(signals.size());
+    std::vector<int> candidates;
+    for (int i = 0; i < m; ++i) {
+      if (signals[static_cast<std::size_t>(i)].eff <= target_ - 2) candidates.push_back(i);
+    }
+    std::stable_sort(candidates.begin(), candidates.end(), [&](int a, int b) {
+      return signals[static_cast<std::size_t>(a)].eff < signals[static_cast<std::size_t>(b)].eff;
+    });
+    for (int b = std::min<int>(options_.k, static_cast<int>(candidates.size())); b >= 2; --b) {
+      for (std::size_t start = 0; start + static_cast<std::size_t>(b) <= candidates.size();
+           ++start) {
+        if (attempts_left_-- <= 0) return false;
+        const std::span<const int> bound(candidates.data() + start, static_cast<std::size_t>(b));
+        if (try_step(f, signals, bound, luts)) return true;
+      }
+    }
+    return false;
+  }
+
+  int achieved() const { return achieved_; }
+
+ private:
+  bool try_step(const TruthTable& f, const std::vector<RefSignal>& signals,
+                std::span<const int> bound, std::vector<DecompLut>& luts) {
+    const int m = static_cast<int>(signals.size());
+    const int b = static_cast<int>(bound.size());
+    const int free_vars = m - b;
+    std::vector<int> var_map(static_cast<std::size_t>(m), -1);
+    for (int j = 0; j < b; ++j) {
+      var_map[static_cast<std::size_t>(bound[static_cast<std::size_t>(j)])] = free_vars + j;
+    }
+    int next = 0;
+    std::vector<int> kept;
+    for (int i = 0; i < m; ++i) {
+      if (var_map[static_cast<std::size_t>(i)] < 0) {
+        var_map[static_cast<std::size_t>(i)] = next++;
+        kept.push_back(i);
+      }
+    }
+    const RefClasses classes = classify_reference(f.remap(m, var_map), b);
+    const std::size_t mu = classes.class_tt.size();
+    const int t = std::max(1, mu == 1 ? 0 : static_cast<int>(std::bit_width(mu - 1)));
+    if (t >= b) return false;
+
+    int eff_bound = 0;
+    for (const int i : bound) {
+      eff_bound = std::max(eff_bound, signals[static_cast<std::size_t>(i)].eff);
+    }
+    const std::size_t luts_mark = luts.size();
+    std::vector<RefSignal> remaining;
+    for (int j = 0; j < t; ++j) {
+      DecompLut lut;
+      lut.func = TruthTable::constant(b, false);
+      for (std::uint32_t a = 0; a < classes.code_of.size(); ++a) {
+        if ((classes.code_of[a] >> j) & 1) lut.func.set_bit(a, true);
+      }
+      for (const int i : bound) lut.fanins.push_back(signals[static_cast<std::size_t>(i)].ref);
+      luts.push_back(std::move(lut));
+      remaining.push_back(
+          RefSignal{eff_bound + 1, DecompFanin::lut(static_cast<int>(luts.size() - 1))});
+    }
+    for (const int i : kept) remaining.push_back(signals[static_cast<std::size_t>(i)]);
+
+    // Residue over (code variables low, kept variables high).
+    const int new_arity = t + free_vars;
+    TruthTable next_f = TruthTable::constant(new_arity, false);
+    const std::uint32_t total = std::uint32_t{1} << new_arity;
+    for (std::uint32_t x = 0; x < total; ++x) {
+      std::uint32_t code = x & ((std::uint32_t{1} << t) - 1);
+      if (code >= mu) code = 0;  // unreachable code: don't care
+      if (classes.class_tt[code].bit(x >> t)) next_f.set_bit(x, true);
+    }
+    if (solve(next_f, std::move(remaining), luts)) return true;
+    luts.resize(luts_mark);
+    return false;
+  }
+
+  int target_;
+  const DecompOptions& options_;
+  int attempts_left_;
+  int achieved_ = 0;
+};
+
+}  // namespace
+
+DecompResult decompose_for_label_reference(const TruthTable& f, std::span<const int> eff_labels,
+                                           int target_label, const DecompOptions& options) {
+  TS_CHECK(static_cast<int>(eff_labels.size()) == f.num_vars(),
+           "one effective label per input required");
+  DecompResult result;
+  TruthTable current = f;
+  std::vector<RefSignal> signals;
+  const std::vector<int> support = f.support();
+  for (const int v : support) {
+    signals.push_back(RefSignal{eff_labels[static_cast<std::size_t>(v)], DecompFanin::input(v)});
+  }
+  for (int v = f.num_vars() - 1; v >= 0; --v) {
+    if (!std::binary_search(support.begin(), support.end(), v)) current = current.drop_var(v);
+  }
+  RefSearch search(target_label, options);
+  result.success = search.solve(current, std::move(signals), result.luts);
+  result.achieved_label = search.achieved();
+  if (!result.success) result.luts.clear();
+  return result;
 }
 
 }  // namespace turbosyn::oracle

@@ -18,6 +18,13 @@
 //     a token vector per line, one AND per cover literal) that the one-pass
 //     reader in netlist/blif.cpp replaced; blif_reader_disagreement runs
 //     both on one text and compares everything they produce.
+//   - cut_function_reference: a cut function composed copy by copy along
+//     the circuit's own fanins (a hash-map memo and one compose() per
+//     copy), the algorithm the arena-based ExpandedNetwork::cut_function
+//     replaced.
+//   - decompose_for_label_reference: the Roth–Karp search with one heap
+//     table per column class and encoder and residue tables built bit by
+//     bit, which the word-level step in decomp/roth_karp.cpp replaced.
 
 #include <cstdint>
 #include <functional>
@@ -30,6 +37,9 @@
 #include "base/check.hpp"
 #include "base/rational.hpp"
 #include "base/rng.hpp"
+#include "base/truth_table.hpp"
+#include "core/expanded.hpp"
+#include "decomp/roth_karp.hpp"
 #include "netlist/circuit.hpp"
 #include "retime/howard.hpp"
 
@@ -93,5 +103,19 @@ std::string blif_reader_disagreement(const std::string& text,
 /// random cubes with output bit `polarity`; each literal is a don't-care
 /// with probability 1/2.
 std::string random_cover_blif(Rng& rng, int arity, int rows, char polarity);
+
+/// The root's function over `cut` (variable i = cut[i]): copy (u, w) of a
+/// gate reads copy (from, w + weight) of each fanin edge, in fanin order,
+/// and the walk stops at cut members. The cut must separate (root, 0) from
+/// every source copy; throws turbosyn::Error when the walk reaches a
+/// source that is not a member.
+TruthTable cut_function_reference(const Circuit& c, NodeId root,
+                                  std::span<const SeqCutNode> cut);
+
+/// decompose_for_label as the bit-serial reference: the same support
+/// restriction, bound-set search and backtracking, with column classes kept
+/// as one table each and the encoder and residue tables filled bit by bit.
+DecompResult decompose_for_label_reference(const TruthTable& f, std::span<const int> eff_labels,
+                                           int target_label, const DecompOptions& options);
 
 }  // namespace turbosyn::oracle
