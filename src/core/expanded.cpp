@@ -1,7 +1,6 @@
 #include "core/expanded.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "base/check.hpp"
 
@@ -302,33 +301,79 @@ bool ExpandedNetwork::refuted_by(FlowPaths paths, int size_limit) {
   return true;
 }
 
-TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) const {
+TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) {
   const int arity = static_cast<int>(cut.size());
   TS_CHECK(arity <= TruthTable::kMaxVars, "cut too wide for truth-table extraction");
-  std::unordered_map<std::uint64_t, TruthTable> memo;
-  for (int i = 0; i < arity; ++i) {
-    memo.emplace(pack(cut[static_cast<std::size_t>(i)]), TruthTable::var(arity, i));
-  }
-  auto eval = [&](auto&& self, std::size_t i) -> const TruthTable& {
-    const ExpNode& n = nodes_[i];
-    const auto it = memo.find(pack(n.id));
-    if (it != memo.end()) return it->second;
-    TS_CHECK(circuit_->is_gate(n.id.node) && n.expanded,
-             "cut does not cover every path to the root");
-    std::vector<TruthTable> inputs;
-    inputs.reserve(static_cast<std::size_t>(fanin_end_[i] - fanin_begin_[i]));
-    for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
-      inputs.push_back(
-          self(self, static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])));
-    }
-    TruthTable result = inputs.empty()
-                            ? circuit_->function(n.id.node).remap(arity, {})
-                            : compose(circuit_->function(n.id.node), inputs);
-    return memo.emplace(pack(n.id), std::move(result)).first->second;
+  const std::size_t words = arity > 6 ? std::size_t{1} << (arity - 6) : 1;
+  // Copy i's table is arena_[slot_[i] * words, + words); slot -1 = not yet
+  // computed. Cut members are the variables, and the walk stops at them.
+  slot_.assign(num_nodes_, -1);
+  arena_.clear();
+  const auto add_slot = [&](std::size_t i) {
+    slot_[i] = static_cast<std::int32_t>(arena_.size() / words);
+    arena_.resize(arena_.size() + words);
+    return arena_.size() - words;
   };
-  const int root_idx = find_index(pack(SeqCutNode{root_, 0}));
-  TS_ASSERT(root_idx >= 0);
-  return eval(eval, static_cast<std::size_t>(root_idx));
+  for (int v = 0; v < arity; ++v) {
+    const int found = find_index(pack(cut[static_cast<std::size_t>(v)]));
+    if (found < 0 || slot_[static_cast<std::size_t>(found)] >= 0) continue;
+    const std::size_t out = add_slot(static_cast<std::size_t>(found));
+    for (std::size_t w = 0; w < words; ++w) {
+      arena_[out + w] = v < 6 ? TruthTable::kProjection[v]
+                              : (((w >> (v - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0);
+    }
+  }
+  // Post-order from the root (interned first): a copy is evaluated once all
+  // its fanins have tables, as the sum of products of its gate's on-set rows
+  // (or of the off-set, complemented, when that is shorter).
+  std::vector<int>& stack = worklist_;
+  stack.assign(1, 0);
+  while (!stack.empty()) {
+    const auto i = static_cast<std::size_t>(stack.back());
+    if (slot_[i] >= 0) {
+      stack.pop_back();
+      continue;
+    }
+    TS_CHECK(circuit_->is_gate(nodes_[i].id.node) && nodes_[i].expanded,
+             "cut does not cover every path to the root");
+    bool ready = true;
+    for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
+      const int j = fanin_pool_[static_cast<std::size_t>(s)];
+      if (slot_[static_cast<std::size_t>(j)] < 0) {
+        stack.push_back(j);
+        ready = false;
+      }
+    }
+    if (!ready) continue;
+    stack.pop_back();
+    const TruthTable& g = circuit_->function(nodes_[i].id.node);
+    const bool complement = g.count_ones() * 2 > g.num_bits();
+    rows_.clear();
+    for (std::uint32_t row = 0; row < g.num_bits(); ++row) {
+      if (g.bit(row) != complement) rows_.push_back(row);
+    }
+    fanin_words_.clear();
+    for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
+      fanin_words_.push_back(static_cast<std::size_t>(
+                                 slot_[static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])]) *
+                             words);
+    }
+    const std::size_t out = add_slot(i);
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t value = 0;
+      for (const std::uint32_t row : rows_) {
+        std::uint64_t product = ~std::uint64_t{0};
+        for (std::size_t j = 0; j < fanin_words_.size(); ++j) {
+          const std::uint64_t in = arena_[fanin_words_[j] + w];
+          product &= ((row >> j) & 1) != 0 ? in : ~in;
+        }
+        value |= product;
+      }
+      arena_[out + w] = complement ? ~value : value;
+    }
+  }
+  return TruthTable::from_words(
+      arity, std::span(arena_).subspan(static_cast<std::size_t>(slot_[0]) * words, words));
 }
 
 }  // namespace turbosyn

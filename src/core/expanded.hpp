@@ -145,8 +145,12 @@ class ExpandedNetwork {
   bool refuted_by(FlowPaths paths, int size_limit);
 
   /// Truth table of the root over the given cut (variable i = cut[i]).
-  /// The cut must separate the root in E_v (as returned by find_cut).
-  TruthTable cut_function(std::span<const SeqCutNode> cut) const;
+  /// The cut must separate the root in E_v (as returned by find_cut). One
+  /// post-order pass over the copies between the root and the cut, each
+  /// evaluated word by word into a reused arena. The result depends only on
+  /// the circuit, the root and the cut: the copies inside a separating cut
+  /// and their fanins are fixed by the circuit's fanins and register counts.
+  TruthTable cut_function(std::span<const SeqCutNode> cut);
 
   int num_expanded_nodes() const { return static_cast<int>(num_nodes_); }
 
@@ -210,11 +214,17 @@ class ExpandedNetwork {
   std::vector<std::uint8_t> mark_;   // separates()/refuted_by() marks
   std::vector<SeqCutNode> path_copies_;
   NodeCut cut_;
+  // cut_function() arena: per-copy slot, the slots' tables back to back, and
+  // the gate rows and fanin table offsets of the copy being evaluated.
+  std::vector<std::int32_t> slot_;
+  std::vector<std::uint64_t> arena_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::size_t> fanin_words_;
 };
 
 /// Scratch arena for the label-computation hot path: a reusable
 /// ExpandedNetwork (node store, hash index, worklists, augmenting-path
-/// state) plus the epoch-cleared buffers of the PLD isolation check. Thread
+/// state, cut-function word arena) plus the epoch-cleared buffers of the PLD isolation check. Thread
 /// one through label_update()/realize_node() to make repeated cut tests
 /// allocation-free; each concurrent thread needs its own instance.
 struct CutScratch {

@@ -24,24 +24,6 @@ std::int64_t fanin_bound(const Circuit& c, std::span<const int> labels, int phi,
   return best;
 }
 
-/// Signature of one decomposition attempt: the cut, the inputs' effective
-/// labels, and the target height fully determine the (deterministic) outcome
-/// of decompose_for_label, so verdicts memoized under this key stay valid
-/// across sweeps and across phi probes of the same engine.
-std::uint64_t attempt_signature(std::span<const SeqCutNode> cut, std::span<const int> eff,
-                                int height) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(height);
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  for (std::size_t i = 0; i < cut.size(); ++i) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(cut[i].node)) << 32 |
-        static_cast<std::uint32_t>(cut[i].w));
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(eff[i])));
-  }
-  return h;
-}
-
 /// Records v as degraded (fell back to its plain K-cut label under a
 /// resource ceiling). Consecutive duplicates are skipped; full deduping
 /// happens when the run's diagnostics are assembled.
@@ -73,16 +55,13 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
     for (std::size_t i = 0; i < cut->size(); ++i) {
       eff[i] = labels[static_cast<std::size_t>((*cut)[i].node)] - phi * (*cut)[i].w;
     }
-    std::unordered_map<std::uint64_t, bool>* memo = nullptr;
-    std::uint64_t key = 0;
-    if (cache != nullptr) {
-      memo = &cache->per_node[static_cast<std::size_t>(v)];
-      key = attempt_signature(*cut, eff, height);
-      if (const auto it = memo->find(key); it != memo->end()) {
-        ++stats.cache_hits;
-        if (!it->second) continue;  // this exact attempt already failed
-        if (existence_only) return NodeRealization{};
-      }
+    int entry = cache != nullptr ? cache->find(v, *cut) : -1;
+    const std::optional<bool> known =
+        entry >= 0 ? cache->verdict(entry, eff, height) : std::nullopt;
+    if (known) {
+      ++stats.cache_hits;
+      if (!*known) continue;  // this exact attempt already failed
+      if (existence_only) return NodeRealization{};
     }
     // The attempt ceiling meters the label iteration only. Mapping generation
     // re-derives the realizations that justified the converged labels; were
@@ -94,9 +73,22 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
       break;  // the ceiling is per-run: further heights would be refused too
     }
     ++stats.decomp_attempts;
-    const TruthTable f = net.cut_function(*cut);
-    DecompResult d = decompose_for_label(f, eff, height, DecompOptions{.k = options.k});
-    if (memo != nullptr) memo->emplace(key, d.success);
+    // Each (gate, cut) function is extracted once per memo (DecompCache).
+    SupportFunction fn;
+    if (cache == nullptr) {
+      fn = restrict_to_support(net.cut_function(*cut));
+      ++stats.cut_functions;
+    } else {
+      if (entry < 0) {
+        entry = cache->insert(v, *cut, net.cut_function(*cut));
+        ++stats.cut_functions;
+      }
+      const std::span<const int> support = cache->support(entry);
+      fn = SupportFunction{cache->function(entry), {support.begin(), support.end()}};
+    }
+    DecompResult d =
+        decompose_on_support(fn.func, fn.support, eff, height, DecompOptions{.k = options.k});
+    if (entry >= 0 && !known) cache->record(entry, eff, height, d.success);
     if (d.success) {
       ++stats.decomp_successes;
       NodeRealization r;
@@ -110,6 +102,110 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
 }
 
 }  // namespace
+
+std::uint64_t DecompCache::hash_of(NodeId v, std::span<const SeqCutNode> cut) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint32_t>(v);
+  for (const SeqCutNode& n : cut) {
+    h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(n.node)) << 32 |
+          static_cast<std::uint32_t>(n.w)) +
+         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  return h ^ (h >> 33);
+}
+
+bool DecompCache::matches(const Entry& e, NodeId v, std::span<const SeqCutNode> cut) const {
+  return e.gate == v && e.cut_size == cut.size() &&
+         std::equal(cut.begin(), cut.end(), cuts_.begin() + e.cut_begin);
+}
+
+int DecompCache::find(NodeId v, std::span<const SeqCutNode> cut) const {
+  if (index_.empty()) return -1;
+  const std::uint64_t h = hash_of(v, cut);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const std::int32_t e = index_[i];
+    if (e < 0) return -1;
+    const Entry& entry = entries_[static_cast<std::size_t>(e)];
+    if (entry.hash == h && matches(entry, v, cut)) return e;
+  }
+}
+
+void DecompCache::index_insert(std::int32_t e) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = entries_[static_cast<std::size_t>(e)].hash & mask;
+  while (index_[i] >= 0) i = (i + 1) & mask;
+  index_[i] = e;
+}
+
+int DecompCache::insert(NodeId v, std::span<const SeqCutNode> cut, const TruthTable& f) {
+  TS_ASSERT(static_cast<std::size_t>(f.num_vars()) == cut.size());
+  const SupportFunction reduced = restrict_to_support(f);
+  Entry e;
+  e.gate = v;
+  e.hash = hash_of(v, cut);
+  e.cut_begin = static_cast<std::uint32_t>(cuts_.size());
+  e.cut_size = static_cast<std::uint32_t>(cut.size());
+  e.support_begin = static_cast<std::uint32_t>(supports_.size());
+  e.support_size = static_cast<std::uint32_t>(reduced.support.size());
+  e.words_begin = static_cast<std::uint32_t>(words_.size());
+  cuts_.insert(cuts_.end(), cut.begin(), cut.end());
+  supports_.insert(supports_.end(), reduced.support.begin(), reduced.support.end());
+  words_.insert(words_.end(), reduced.func.words().begin(), reduced.func.words().end());
+  const auto id = static_cast<std::int32_t>(entries_.size());
+  entries_.push_back(e);
+  // Keep the index at most half full; rebuild it from the entries on growth.
+  if (entries_.size() * 2 > index_.size()) {
+    index_.assign(std::max<std::size_t>(64, index_.size() * 2), -1);
+    for (std::int32_t i = 0; i < static_cast<std::int32_t>(entries_.size()); ++i) index_insert(i);
+  } else {
+    index_insert(id);
+  }
+  return id;
+}
+
+TruthTable DecompCache::function(int e) const {
+  const Entry& entry = entries_[static_cast<std::size_t>(e)];
+  const int vars = static_cast<int>(entry.support_size);
+  const std::size_t words = vars > 6 ? std::size_t{1} << (vars - 6) : 1;
+  return TruthTable::from_words(vars, std::span(words_).subspan(entry.words_begin, words));
+}
+
+std::span<const int> DecompCache::support(int e) const {
+  const Entry& entry = entries_[static_cast<std::size_t>(e)];
+  return std::span(supports_).subspan(entry.support_begin, entry.support_size);
+}
+
+std::optional<bool> DecompCache::verdict(int e, std::span<const int> eff, int height) const {
+  const Entry& entry = entries_[static_cast<std::size_t>(e)];
+  TS_ASSERT(eff.size() == entry.cut_size);
+  for (std::int32_t i = entry.last_verdict; i >= 0;) {
+    const Verdict& known = verdicts_[static_cast<std::size_t>(i)];
+    if (known.height == height &&
+        std::equal(eff.begin(), eff.end(), effs_.begin() + known.eff_begin)) {
+      return known.success;
+    }
+    i = known.prev;
+  }
+  return std::nullopt;
+}
+
+void DecompCache::record(int e, std::span<const int> eff, int height, bool success) {
+  Entry& entry = entries_[static_cast<std::size_t>(e)];
+  TS_ASSERT(eff.size() == entry.cut_size);
+  verdicts_.push_back(Verdict{height, success, static_cast<std::uint32_t>(effs_.size()),
+                              entry.last_verdict});
+  effs_.insert(effs_.end(), eff.begin(), eff.end());
+  entry.last_verdict = static_cast<std::int32_t>(verdicts_.size() - 1);
+}
+
+std::size_t DecompCache::bytes() const {
+  return entries_.capacity() * sizeof(Entry) + cuts_.capacity() * sizeof(SeqCutNode) +
+         supports_.capacity() * sizeof(int) + words_.capacity() * sizeof(std::uint64_t) +
+         verdicts_.capacity() * sizeof(Verdict) + effs_.capacity() * sizeof(int) +
+         index_.capacity() * sizeof(std::int32_t);
+}
 
 std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const int> labels,
                                             int phi, NodeId v, int height,
@@ -259,7 +355,6 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
       num_gates_(c.num_gates()) {
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
-  cache_.per_node.resize(n);
 
   scc_ = strongly_connected_components(c);
 
@@ -292,6 +387,7 @@ void LabelStats::accumulate(const LabelStats& from) {
   decomp_attempts += from.decomp_attempts;
   decomp_successes += from.decomp_successes;
   cache_hits += from.cache_hits;
+  cut_functions += from.cut_functions;
   flow_augmentations += from.flow_augmentations;
   decomp_budget_hits += from.decomp_budget_hits;
   degraded_nodes.insert(degraded_nodes.end(), from.degraded_nodes.begin(),

@@ -66,6 +66,7 @@ struct LabelStats {
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
   std::int64_t cache_hits = 0;           // decomposition-memo hits
+  std::int64_t cut_functions = 0;        // (gate, cut) functions extracted for attempts
   // Augmenting paths across all cut tests (NodeCut::paths): at most
   // size_limit + 1 per unit-capacity test; a low-cost (weighted) path may
   // push more than one unit.
@@ -97,11 +98,76 @@ struct LabelResult {
   LabelStats stats;
 };
 
-/// Memoizes decomposition attempt outcomes across sweeps: the result of
-/// "decompose the min-cut of E_v at this height" only depends on the cut and
-/// its inputs' labels, which repeat heavily between iterations.
-struct DecompCache {
-  std::vector<std::unordered_map<std::uint64_t, bool>> per_node;
+/// The decomposition memo of one LabelEngine, shared by all its probes: one
+/// entry per (gate, exact cut) holding the cut function reduced to its
+/// support, plus every decomposition verdict reached on that function.
+///
+/// The function is structural. On a cut that separates the root, every copy
+/// between the root and the cut is expanded, an expanded copy's fanins are
+/// the circuit's fanins with register counts added, and the zero-state rule
+/// depends only on (node, w); labels, phi and the height limit decide which
+/// cut is found, never the function over a given cut. A verdict of
+/// decompose_on_support is a pure function of that function, the cut's
+/// effective labels and the target height, so (effective labels, height) is
+/// its exact key within the entry.
+///
+/// Storage is flat: entries, cut members, supports, function words,
+/// verdicts and their effective labels live in one vector each, and an
+/// open-addressing index finds an entry by comparing the stored gate and
+/// cut, never by a bare hash.
+class DecompCache {
+ public:
+  /// The entry of (v, cut), or -1 when absent.
+  int find(NodeId v, std::span<const SeqCutNode> cut) const;
+  /// Adds (v, cut) with its cut function `f` (variable i = cut[i]), stored
+  /// reduced to its support; returns the new entry.
+  int insert(NodeId v, std::span<const SeqCutNode> cut, const TruthTable& f);
+
+  /// Entry e's cut function over its support, and that support (ascending
+  /// cut positions).
+  TruthTable function(int e) const;
+  std::span<const int> support(int e) const;
+
+  /// The recorded verdict of decomposing entry e with effective labels
+  /// `eff` (one per cut member) at target `height`; nullopt if none is.
+  std::optional<bool> verdict(int e, std::span<const int> eff, int height) const;
+  /// Records a verdict not recorded before.
+  void record(int e, std::span<const int> eff, int height, bool success);
+
+  std::size_t num_entries() const { return entries_.size(); }
+  std::size_t num_verdicts() const { return verdicts_.size(); }
+  /// Bytes the memo's storage holds (vector capacities).
+  std::size_t bytes() const;
+
+ private:
+  struct Entry {
+    NodeId gate = kNoNode;
+    std::uint64_t hash = 0;
+    std::uint32_t cut_begin = 0;  // cuts_[cut_begin, + cut_size)
+    std::uint32_t cut_size = 0;
+    std::uint32_t support_begin = 0;  // supports_[support_begin, + support_size)
+    std::uint32_t support_size = 0;
+    std::uint32_t words_begin = 0;  // words_[words_begin, + words for support_size vars)
+    std::int32_t last_verdict = -1;  // newest verdict; each links to the one before
+  };
+  struct Verdict {
+    std::int32_t height = 0;
+    bool success = false;
+    std::uint32_t eff_begin = 0;  // effs_[eff_begin, + the entry's cut_size)
+    std::int32_t prev = -1;
+  };
+
+  static std::uint64_t hash_of(NodeId v, std::span<const SeqCutNode> cut);
+  bool matches(const Entry& e, NodeId v, std::span<const SeqCutNode> cut) const;
+  void index_insert(std::int32_t e);
+
+  std::vector<Entry> entries_;
+  std::vector<SeqCutNode> cuts_;
+  std::vector<int> supports_;
+  std::vector<std::uint64_t> words_;
+  std::vector<Verdict> verdicts_;
+  std::vector<int> effs_;
+  std::vector<std::int32_t> index_;  // entry per slot, -1 empty; size a power of 2
 };
 
 /// Each gate's last flow-found K-cut, kept across sweeps and probes. A cut
@@ -197,6 +263,9 @@ class LabelEngine {
   /// Runs the label computation for target ratio phi (>= 1). For a fixed
   /// engine and phi the result is deterministic.
   LabelResult compute(int phi);
+
+  /// The decomposition memo every probe shares (empty for TurboMap).
+  const DecompCache& decomp_cache() const { return cache_; }
 
  private:
   /// Verdict of one SCC's iteration. kInfeasible is a divergence certificate

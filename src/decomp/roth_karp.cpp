@@ -35,13 +35,15 @@ ColumnClasses classify_columns(const TruthTable& f, int bound) {
   TS_CHECK(bound >= 0 && bound <= f.num_vars(), "bound set larger than the function");
   const int free_vars = f.num_vars() - bound;
   const std::span<const std::uint64_t> words = f.words();
+  ColumnClasses out;
+  out.free_vars = free_vars;
   // Whole words per column when F >= 6; otherwise one 2^F-bit field.
-  const std::size_t per_column = free_vars >= 6 ? std::size_t{1} << (free_vars - 6) : 1;
+  const std::size_t per_column = out.column_words();
   const std::uint64_t field_mask =
       free_vars >= 6 ? ~std::uint64_t{0} : (std::uint64_t{1} << (1u << free_vars)) - 1;
-  ColumnClasses out;
   out.code_of.resize(std::size_t{1} << bound);
   std::uint64_t field = 0;
+  std::size_t classes = 0;
   for (std::uint32_t r = 0; r < out.code_of.size(); ++r) {
     const std::uint32_t a = visit_order_assignment(r, bound);
     std::span<const std::uint64_t> column;
@@ -53,12 +55,10 @@ ColumnClasses classify_columns(const TruthTable& f, int bound) {
       column = std::span<const std::uint64_t>(&field, 1);
     }
     std::size_t code = 0;
-    while (code < out.class_tt.size() &&
-           !std::ranges::equal(out.class_tt[code].words(), column)) {
-      ++code;
-    }
-    if (code == out.class_tt.size()) {
-      out.class_tt.push_back(TruthTable::from_words(free_vars, column));
+    while (code < classes && !std::ranges::equal(out.column(code), column)) ++code;
+    if (code == classes) {
+      out.columns.insert(out.columns.end(), column.begin(), column.end());
+      ++classes;
     }
     out.code_of[a] = static_cast<std::uint32_t>(code);
   }
@@ -139,19 +139,26 @@ class DecompSearch {
     const int t = std::max(1, ceil_log2(classes.multiplicity()));
     if (t >= b) return false;  // no compression from this bound set
 
-    // Encoder LUTs e_0..e_{t-1} over the bound signals.
+    // Encoder LUTs e_0..e_{t-1} over the bound signals: bit a of e_j is bit
+    // j of a's class code, gathered into words.
     int eff_bound = 0;
     for (const int i : bound) {
       eff_bound = std::max(eff_bound, signals[static_cast<std::size_t>(i)].eff);
+    }
+    const std::size_t encoder_words = b > 6 ? std::size_t{1} << (b - 6) : 1;
+    words_.assign(encoder_words * static_cast<std::size_t>(t), 0);
+    for (std::uint32_t a = 0; a < classes.code_of.size(); ++a) {
+      for (int j = 0; j < t; ++j) {
+        words_[static_cast<std::size_t>(j) * encoder_words + (a >> 6)] |=
+            static_cast<std::uint64_t>((classes.code_of[a] >> j) & 1) << (a & 63);
+      }
     }
     const std::size_t luts_mark = luts.size();
     std::vector<Signal> remaining;
     for (int j = 0; j < t; ++j) {
       DecompLut lut;
-      lut.func = TruthTable::constant(b, false);
-      for (std::uint32_t a = 0; a < classes.code_of.size(); ++a) {
-        if ((classes.code_of[a] >> j) & 1) lut.func.set_bit(a, true);
-      }
+      lut.func = TruthTable::from_words(
+          b, std::span(words_).subspan(static_cast<std::size_t>(j) * encoder_words, encoder_words));
       for (const int i : bound) lut.fanins.push_back(signals[static_cast<std::size_t>(i)].ref);
       luts.push_back(std::move(lut));
       remaining.push_back(
@@ -159,16 +166,28 @@ class DecompSearch {
     }
     for (const int i : kept) remaining.push_back(signals[static_cast<std::size_t>(i)]);
 
-    // New function over (code vars, kept vars).
+    // Residue over (code variables low, kept variables high): stack the class
+    // columns with the code on the top t variables (code c >= mu is an
+    // unreachable don't care and reads class 0), then one remap moves the
+    // code variables below the kept ones.
     const int new_arity = t + free_vars;
-    TruthTable next_f = TruthTable::constant(new_arity, false);
-    const std::uint32_t total = std::uint32_t{1} << new_arity;
-    for (std::uint32_t x = 0; x < total; ++x) {
-      std::uint32_t code = x & ((std::uint32_t{1} << t) - 1);
-      if (code >= classes.multiplicity()) code = 0;  // unreachable code: don't care
-      const std::uint32_t kept_bits = x >> t;
-      if (classes.class_tt[code].bit(kept_bits)) next_f.set_bit(x, true);
+    const std::size_t per_column = classes.column_words();
+    words_.assign(new_arity > 6 ? std::size_t{1} << (new_arity - 6) : 1, 0);
+    for (std::size_t code = 0; code < (std::size_t{1} << t); ++code) {
+      const std::span<const std::uint64_t> column =
+          classes.column(code < classes.multiplicity() ? code : 0);
+      if (free_vars >= 6) {
+        std::ranges::copy(column, words_.begin() + static_cast<std::ptrdiff_t>(code * per_column));
+      } else {
+        const std::size_t first_bit = code << free_vars;
+        words_[first_bit >> 6] |= column[0] << (first_bit & 63);
+      }
     }
+    std::vector<int> code_low(static_cast<std::size_t>(new_arity));
+    for (int i = 0; i < free_vars; ++i) code_low[static_cast<std::size_t>(i)] = t + i;
+    for (int j = 0; j < t; ++j) code_low[static_cast<std::size_t>(free_vars + j)] = j;
+    const TruthTable next_f =
+        TruthTable::from_words(new_arity, words_).remap(new_arity, code_low);
 
     if (solve(next_f, std::move(remaining), luts)) return true;
     luts.resize(luts_mark);  // undo this step's encoders and backtrack
@@ -179,39 +198,48 @@ class DecompSearch {
   const DecompOptions& options_;
   int attempts_left_;
   int achieved_ = 0;
+  std::vector<std::uint64_t> words_;  // encoder and residue words of one step
 };
 
 }  // namespace
 
-DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
-                                 int target_label, const DecompOptions& options) {
-  TS_CHECK(options.k >= 2, "LUT size must be at least 2");
-  TS_CHECK(static_cast<int>(eff_labels.size()) == f.num_vars(),
-           "one effective label per input required");
-
-  DecompResult result;
-
-  // Restrict to the support: min-cuts can include inputs the cut function
-  // does not actually depend on.
-  TruthTable current = f;
-  std::vector<Signal> signals;
-  {
-    const std::vector<int> support = current.support();
-    for (const int v : support) {
-      signals.push_back(Signal{eff_labels[static_cast<std::size_t>(v)], DecompFanin::input(v)});
-    }
-    for (int v = f.num_vars() - 1; v >= 0; --v) {
-      if (!std::binary_search(support.begin(), support.end(), v)) {
-        current = current.drop_var(v);
-      }
+SupportFunction restrict_to_support(const TruthTable& f) {
+  SupportFunction out{f, f.support()};
+  for (int v = f.num_vars() - 1; v >= 0; --v) {
+    if (!std::binary_search(out.support.begin(), out.support.end(), v)) {
+      out.func = out.func.drop_var(v);
     }
   }
+  return out;
+}
 
+DecompResult decompose_on_support(const TruthTable& func, std::span<const int> support,
+                                  std::span<const int> eff_labels, int target_label,
+                                  const DecompOptions& options) {
+  TS_CHECK(options.k >= 2, "LUT size must be at least 2");
+  TS_CHECK(static_cast<std::size_t>(func.num_vars()) == support.size(),
+           "one support input per variable required");
+  std::vector<Signal> signals;
+  signals.reserve(support.size());
+  for (const int v : support) {
+    TS_CHECK(v >= 0 && static_cast<std::size_t>(v) < eff_labels.size(),
+             "support input " << v << " has no effective label");
+    signals.push_back(Signal{eff_labels[static_cast<std::size_t>(v)], DecompFanin::input(v)});
+  }
+  DecompResult result;
   DecompSearch search(target_label, options);
-  result.success = search.solve(current, std::move(signals), result.luts);
+  result.success = search.solve(func, std::move(signals), result.luts);
   result.achieved_label = search.achieved();
   if (!result.success) result.luts.clear();
   return result;
+}
+
+DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
+                                 int target_label, const DecompOptions& options) {
+  TS_CHECK(static_cast<int>(eff_labels.size()) == f.num_vars(),
+           "one effective label per input required");
+  const SupportFunction reduced = restrict_to_support(f);
+  return decompose_on_support(reduced.func, reduced.support, eff_labels, target_label, options);
 }
 
 bool evaluate_decomposition(const DecompResult& result, std::uint32_t assignment) {

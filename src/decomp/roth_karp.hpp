@@ -63,8 +63,26 @@ struct DecompOptions {
 
 /// Attempts to realize f as a DAG of K-LUTs meeting `target_label`.
 /// eff_labels[i] is the effective label of input variable i of f.
+/// Equivalent to decompose_on_support(restrict_to_support(f), ...).
 DecompResult decompose_for_label(const TruthTable& f, std::span<const int> eff_labels,
                                  int target_label, const DecompOptions& options);
+
+/// A function restricted to its support: min-cuts can include inputs the
+/// cut function does not depend on, and the search never sees them.
+struct SupportFunction {
+  TruthTable func;           // variable i of func is input support[i]
+  std::vector<int> support;  // ascending input indices
+};
+
+SupportFunction restrict_to_support(const TruthTable& f);
+
+/// decompose_for_label on a function already restricted to its support:
+/// `func` is over support.size() variables, variable i is original input
+/// support[i], and eff_labels is indexed by the original inputs. LUT fanins
+/// name original inputs.
+DecompResult decompose_on_support(const TruthTable& func, std::span<const int> support,
+                                  std::span<const int> eff_labels, int target_label,
+                                  const DecompOptions& options);
 
 /// The column classes of one Roth–Karp step. The bound set occupies the top
 /// `bound` variables of f (bound variable j is variable F + j, F = the number
@@ -76,11 +94,25 @@ struct ColumnClasses {
   /// visited with bound variable 0 as the most significant bit — the DFS
   /// order of an OBDD built bound-set-first.
   std::vector<std::uint32_t> code_of;
-  /// One table per class over the F free variables: the column itself.
-  std::vector<TruthTable> class_tt;
+  /// Number of free variables F.
+  int free_vars = 0;
+  /// The class columns back to back, column_words() words each: class c is
+  /// the column of its first bound assignment. Below 6 free variables a
+  /// column is the low 2^F bits of one word, the rest zero.
+  std::vector<std::uint64_t> columns;
 
+  std::size_t column_words() const {
+    return free_vars >= 6 ? std::size_t{1} << (free_vars - 6) : 1;
+  }
+  std::span<const std::uint64_t> column(std::size_t code) const {
+    return std::span(columns).subspan(code * column_words(), column_words());
+  }
+  /// Class `code` as a table over the F free variables.
+  TruthTable class_table(std::size_t code) const {
+    return TruthTable::from_words(free_vars, column(code));
+  }
   /// The column multiplicity mu.
-  std::size_t multiplicity() const { return class_tt.size(); }
+  std::size_t multiplicity() const { return columns.size() / column_words(); }
 };
 
 /// Classifies the columns of f for the bound set = its top `bound` variables.

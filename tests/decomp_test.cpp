@@ -27,8 +27,8 @@ TEST(ColumnMultiplicity, KnownValues) {
   const ColumnClasses classes = classify_columns(f, 2);
   EXPECT_EQ(classes.multiplicity(), 2u);
   EXPECT_EQ(classes.code_of, (std::vector<std::uint32_t>{0, 0, 0, 1}));
-  EXPECT_EQ(classes.class_tt[0], TruthTable::var(1, 0));
-  EXPECT_EQ(classes.class_tt[1], TruthTable::constant(1, true));
+  EXPECT_EQ(classes.class_table(0), TruthTable::var(1, 0));
+  EXPECT_EQ(classes.class_table(1), TruthTable::constant(1, true));
   // s ? a : b with bound set {a, b}: the columns over the select are
   // 0, s, !s and 1, all distinct.
   const TruthTable mux = tt_mux();  // variables: select, then the two data inputs
@@ -64,8 +64,8 @@ void expect_definitional(const ColumnClasses& classes, const TruthTable& f, int 
     const std::uint32_t code = classes.code_of[a];
     if (code < next_code) continue;
     ASSERT_EQ(code, next_code) << "class numbered out of first-appearance order";
-    ASSERT_LT(code, classes.class_tt.size());
-    const TruthTable& table = classes.class_tt[code];
+    ASSERT_LT(code, classes.multiplicity());
+    const TruthTable table = classes.class_table(code);
     ASSERT_EQ(table.num_vars(), f.num_vars() - bound);
     const std::vector<bool> column = column_of(f, bound, a);
     for (std::uint32_t y = 0; y < column.size(); ++y) {

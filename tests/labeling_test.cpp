@@ -305,7 +305,6 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
     if (c.is_gate(v) && !c.fanin_edges(v).empty()) ref.labels[static_cast<std::size_t>(v)] = 1;
   }
   DecompCache cache;
-  cache.per_node.resize(static_cast<std::size_t>(c.num_nodes()));
   for (const std::vector<NodeId>& comp : scc.components) {
     std::vector<NodeId> gates;
     for (const NodeId v : comp) {
