@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the engineering-critical kernels:
 // truth-table composition, remap and cofactor, BDD construction from and
 // back to truth tables, column multiplicity, the node-cut K-cut test,
-// Roth–Karp decomposition, the expanded-circuit build and the sequential
-// simulator. These are the inner loops that the per-sweep
-// label computation cost (and hence every table) rests on.
+// Roth–Karp decomposition, the expanded-circuit build, cut-function
+// extraction and the sequential simulator. These are the inner loops that
+// the per-sweep label computation cost (and hence every table) rests on.
 //
 // BM_Flow* additionally time the four public flows end to end and attach
 // the per-stage StageMetrics breakdown as counters; see the comment above
@@ -34,6 +34,7 @@
 #include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
 #include "netlist/blif.hpp"
+#include "netlist/gates.hpp"
 #include "service/batch_runner.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/generator.hpp"
@@ -183,6 +184,49 @@ void BM_ExpandedNetworkBuildAndCut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExpandedNetworkBuildAndCut);
+
+// One cut-function extraction over a cut of `arity` inputs (tables of up
+// to 512 words): a cone of three layers of random 2-input gates, each gate
+// reading two neighbours of the layer below, then a reduction tree to one
+// root. Gates are mandatory at the height limit, so the cut is the PIs.
+void BM_CutFunction(benchmark::State& state) {
+  const int arity = static_cast<int>(state.range(0));
+  Rng rng(9);
+  const TruthTable kinds[] = {tt_and(2), tt_or(2), tt_xor(2), tt_nand(2)};
+  Circuit c;
+  std::vector<NodeId> layer;
+  for (int i = 0; i < arity; ++i) layer.push_back(c.add_pi("i" + std::to_string(i)));
+  int gates = 0;
+  const auto add_gate = [&](NodeId a, NodeId b) {
+    const Circuit::FaninSpec fanins[2] = {{a, 0}, {b, 0}};
+    return c.add_gate("g" + std::to_string(gates++), kinds[rng.next_below(4)], fanins);
+  };
+  for (int level = 0; level < 3; ++level) {
+    std::vector<NodeId> next;
+    for (std::size_t i = 0; i < layer.size(); ++i) {
+      next.push_back(add_gate(layer[i], layer[(i + 1) % layer.size()]));
+    }
+    layer = std::move(next);
+  }
+  while (layer.size() > 1) {
+    std::vector<NodeId> next;
+    for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
+      next.push_back(add_gate(layer[i], layer[i + 1]));
+    }
+    if (layer.size() % 2 == 1) next.push_back(layer.back());
+    layer = std::move(next);
+  }
+  c.add_po("$po:o", {layer[0], 0});
+  std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 100);
+  for (const NodeId pi : c.pis()) labels[static_cast<std::size_t>(pi)] = 0;
+  ExpandedNetwork net(c, labels, 1, layer[0], 1, ExpandedOptions{});
+  const auto cut = net.find_cut(arity);
+  TS_CHECK(cut && static_cast<int>(cut->size()) == arity, "the PIs must form the cut");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.cut_function(*cut));
+  }
+}
+BENCHMARK(BM_CutFunction)->Arg(5)->Arg(10)->Arg(15);
 
 void BM_LabelComputationTurboMap(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(tiny_suite()[2]);

@@ -354,22 +354,36 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) {
     }
     fanin_words_.clear();
     for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
-      fanin_words_.push_back(static_cast<std::size_t>(
-                                 slot_[static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)])]) *
-                             words);
+      const auto j = static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)]);
+      fanin_words_.push_back(static_cast<std::size_t>(slot_[j]) * words);
     }
     const std::size_t out = add_slot(i);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t value = 0;
+    std::uint64_t* value = arena_.data() + out;
+    if (words == 1) {  // up to 6 cut inputs: one word, no product buffer
+      std::uint64_t sum = 0;
       for (const std::uint32_t row : rows_) {
         std::uint64_t product = ~std::uint64_t{0};
         for (std::size_t j = 0; j < fanin_words_.size(); ++j) {
-          const std::uint64_t in = arena_[fanin_words_[j] + w];
-          product &= ((row >> j) & 1) != 0 ? in : ~in;
+          product &= arena_[fanin_words_[j]] ^ (((row >> j) & 1) != 0 ? 0 : ~std::uint64_t{0});
         }
-        value |= product;
+        sum |= product;
       }
-      arena_[out + w] = complement ? ~value : value;
+      *value = complement ? ~sum : sum;
+      continue;
+    }
+    std::fill(value, value + words, 0);
+    product_.resize(words);
+    for (const std::uint32_t row : rows_) {
+      std::fill(product_.begin(), product_.end(), ~std::uint64_t{0});
+      for (std::size_t j = 0; j < fanin_words_.size(); ++j) {
+        const std::uint64_t* in = arena_.data() + fanin_words_[j];
+        const std::uint64_t flip = ((row >> j) & 1) != 0 ? 0 : ~std::uint64_t{0};
+        for (std::size_t w = 0; w < words; ++w) product_[w] &= in[w] ^ flip;
+      }
+      for (std::size_t w = 0; w < words; ++w) value[w] |= product_[w];
+    }
+    if (complement) {
+      for (std::size_t w = 0; w < words; ++w) value[w] = ~value[w];
     }
   }
   return TruthTable::from_words(

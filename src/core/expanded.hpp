@@ -214,12 +214,14 @@ class ExpandedNetwork {
   std::vector<std::uint8_t> mark_;   // separates()/refuted_by() marks
   std::vector<SeqCutNode> path_copies_;
   NodeCut cut_;
-  // cut_function() arena: per-copy slot, the slots' tables back to back, and
-  // the gate rows and fanin table offsets of the copy being evaluated.
+  // cut_function() arena: per-copy slot, the slots' tables back to back,
+  // and the gate rows, fanin table offsets and one product term of the copy
+  // being evaluated.
   std::vector<std::int32_t> slot_;
   std::vector<std::uint64_t> arena_;
   std::vector<std::uint32_t> rows_;
   std::vector<std::size_t> fanin_words_;
+  std::vector<std::uint64_t> product_;
 };
 
 /// Scratch arena for the label-computation hot path: a reusable

@@ -1,6 +1,7 @@
 #include "verify/audit.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -33,6 +34,29 @@ std::string seq_node_name(const Circuit& c, const SeqCutNode& n) {
   std::ostringstream os;
   os << '\'' << c.name(n.node) << "'^" << n.w;
   return os.str();
+}
+
+/// 64 assignments of a function at once: bit j of the result is f at the
+/// row whose bit i is bit j of inputs[i]. A Shannon fold over f's rows,
+/// top variable first; `rows` is scratch.
+std::uint64_t evaluate_word(const TruthTable& f, std::span<const std::uint64_t> inputs,
+                            std::vector<std::uint64_t>& rows) {
+  rows.resize(f.num_bits());
+  for (std::uint32_t row = 0; row < rows.size(); ++row) {
+    rows[row] = ((f.word(row >> 6) >> (row & 63)) & 1) != 0 ? ~std::uint64_t{0} : 0;
+  }
+  for (int i = f.num_vars() - 1; i >= 0; --i) {
+    const std::size_t half = std::size_t{1} << i;
+    const std::uint64_t x = inputs[static_cast<std::size_t>(i)];
+    for (std::size_t r = 0; r < half; ++r) rows[r] = (rows[r] & ~x) | (rows[r + half] & x);
+  }
+  return rows[0];
+}
+
+/// Cut input p over the assignments of word w: bit j is bit p of 64 w + j.
+std::uint64_t assignment_word(int p, std::size_t w) {
+  if (p < 6) return TruthTable::kProjection[p];
+  return ((w >> (p - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0;
 }
 
 /// Fanin bound L(v) = max over fanin edges e(u,v) of l(u) - phi*w(e),
@@ -415,31 +439,48 @@ std::optional<std::string> audit_mapping_record(const Circuit& c, std::span<cons
   }
 
   // Functional equality: the realization (single LUT or decomposition DAG)
-  // must compute exactly the cone's composition for every cut assignment.
-  std::vector<std::uint8_t> value(cone.size(), 0);
-  const std::uint32_t num_assignments = std::uint32_t{1} << cut.size();
-  for (std::uint32_t m = 0; m < num_assignments; ++m) {
+  // must compute exactly the cone's composition for every cut assignment,
+  // 64 assignments per word (bit j of word w is assignment 64 w + j).
+  const int arity = static_cast<int>(cut.size());
+  const std::size_t num_words = arity > 6 ? std::size_t{1} << (arity - 6) : 1;
+  const std::uint64_t live =
+      arity >= 6 ? ~std::uint64_t{0} : (std::uint64_t{1} << (1u << arity)) - 1;
+  std::vector<std::uint64_t> value(cone.size(), 0);
+  std::vector<std::uint64_t> lut_value(rec.real.decomp ? rec.real.decomp->luts.size() : 0, 0);
+  std::vector<std::uint64_t> inputs;
+  std::vector<std::uint64_t> rows;
+  for (std::size_t w = 0; w < num_words; ++w) {
     for (const int idx : order) {
       const ConeNode& n = cone[static_cast<std::size_t>(idx)];
       if (n.cut_pos >= 0) {
-        value[static_cast<std::size_t>(idx)] =
-            static_cast<std::uint8_t>((m >> n.cut_pos) & 1u);
+        value[static_cast<std::size_t>(idx)] = assignment_word(n.cut_pos, w);
         continue;
       }
-      const TruthTable& f = c.function(n.at.node);
-      std::uint32_t row = 0;
-      for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-        row |= static_cast<std::uint32_t>(value[static_cast<std::size_t>(n.fanins[i])]) << i;
-      }
-      value[static_cast<std::size_t>(idx)] = f.bit(row) ? 1 : 0;
+      inputs.clear();
+      for (const int fanin : n.fanins) inputs.push_back(value[static_cast<std::size_t>(fanin)]);
+      value[static_cast<std::size_t>(idx)] = evaluate_word(c.function(n.at.node), inputs, rows);
     }
-    const bool cone_value = value[0] != 0;
-    const bool lut_value = rec.real.decomp.has_value()
-                               ? evaluate_decomposition(*rec.real.decomp, m)
-                               : rec.real.func.bit(m);
-    if (cone_value != lut_value) {
+    std::uint64_t realized = 0;
+    if (rec.real.decomp.has_value()) {
+      const auto& luts = rec.real.decomp->luts;
+      for (std::size_t j = 0; j < luts.size(); ++j) {
+        inputs.clear();
+        for (const DecompFanin& fin : luts[j].fanins) {
+          inputs.push_back(fin.kind == DecompFanin::Kind::kInput
+                               ? assignment_word(fin.index, w)
+                               : lut_value[static_cast<std::size_t>(fin.index)]);
+        }
+        lut_value[j] = evaluate_word(luts[j].func, inputs, rows);
+      }
+      realized = lut_value.back();
+    } else {
+      inputs.clear();
+      for (int p = 0; p < arity; ++p) inputs.push_back(assignment_word(p, w));
+      realized = evaluate_word(rec.real.func, inputs, rows);
+    }
+    if (const std::uint64_t differ = (value[0] ^ realized) & live; differ != 0) {
       return "realization at root '" + c.name(root) + "' disagrees with its cone on cut assignment " +
-             std::to_string(m);
+             std::to_string(w * 64 + static_cast<std::size_t>(std::countr_zero(differ)));
     }
   }
 

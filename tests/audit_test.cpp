@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "base/check.hpp"
+#include "base/rng.hpp"
+#include "decomp/roth_karp.hpp"
 #include "core/flows.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/gates.hpp"
@@ -142,6 +145,55 @@ TEST(AuditMappingRecord, CatchesDroppedCutElement) {
     return;
   }
   GTEST_SKIP() << "no multi-input record in this mapping";
+}
+
+// One flipped LUT bit anywhere in a realization: the audit must report the
+// first cut assignment where the realization and its cone differ, or pass
+// when the bit is an unreachable row. The expected assignment comes from
+// evaluating the broken and the original realization one assignment at a
+// time.
+TEST(AuditMappingRecord, CatchesFlippedLutBitAtTheFirstDifferingAssignment) {
+  Rng rng(61);
+  int caught = 0;
+  int wide = 0;
+  for (const BenchmarkSpec& spec : tiny_suite()) {
+    const Circuit c = generate_fsm_circuit(spec);
+    const FlowOptions opt = audited_options();
+    const FlowResult ts = run_turbosyn(c, opt);
+    ASSERT_TRUE(ts.artifacts.valid);
+    const auto& art = ts.artifacts;
+    for (const MappingRecord& rec : art.records) {
+      MappingRecord broken = rec;
+      TruthTable* flipped = &broken.real.func;
+      if (broken.real.decomp.has_value()) {
+        auto& luts = broken.real.decomp->luts;
+        flipped = &luts[rng.next_below(luts.size())].func;
+      }
+      const auto row = static_cast<std::uint32_t>(rng.next_below(flipped->num_bits()));
+      flipped->set_bit(row, !flipped->bit(row));
+      const auto realized = [](const MappingRecord& r, std::uint32_t m) {
+        return r.real.decomp.has_value() ? evaluate_decomposition(*r.real.decomp, m)
+                                         : r.real.func.bit(m);
+      };
+      std::optional<std::uint32_t> first;
+      for (std::uint32_t m = 0; m < (std::uint32_t{1} << rec.real.cut.size()) && !first; ++m) {
+        if (realized(broken, m) != realized(rec, m)) first = m;
+      }
+      const auto failure =
+          audit_mapping_record(c, art.labels.labels, art.phi, opt.k, broken);
+      if (!first) {
+        EXPECT_FALSE(failure.has_value()) << *failure;
+        continue;
+      }
+      ASSERT_TRUE(failure.has_value()) << spec.name << " " << c.name(rec.root);
+      EXPECT_NE(failure->find("on cut assignment " + std::to_string(*first)), std::string::npos)
+          << *failure;
+      ++caught;
+      if (rec.real.cut.size() > 6) ++wide;
+    }
+  }
+  EXPECT_GT(caught, 50);
+  EXPECT_GT(wide, 0);
 }
 
 TEST(AuditMappingRecord, CatchesShiftedCutRegisterCount) {

@@ -284,7 +284,8 @@ TEST(Labeling, ScratchReuseIsDeterministic) {
 /// Reuse-free reference for one probe: the engine's own sweep (SCCs in
 /// topological order, each swept in zero-weight topological order until no
 /// label changes), with every update a plain label_update call without a
-/// stored cut, and with no stored flow paths unless `paths` is given. Only
+/// stored cut, with no stored flow paths unless `paths` is given, and with
+/// a decomposition memo unless `memo` is false. Only
 /// meaningful at a feasible phi, where the sweep converges.
 struct ReferenceRun {
   std::vector<int> labels;
@@ -292,7 +293,7 @@ struct ReferenceRun {
 };
 
 ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo,
-                                FlowPathStore* paths = nullptr) {
+                                FlowPathStore* paths = nullptr, bool memo = true) {
   const SccDecomposition scc = strongly_connected_components(c);
   const std::vector<NodeId> order = combinational_order(c);
   std::vector<int> pos(static_cast<std::size_t>(c.num_nodes()), 0);
@@ -317,7 +318,8 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
       changed = false;
       for (const NodeId v : gates) {
         const int updated =
-            label_update(c, ref.labels, phi, v, lo, ref.stats, &cache, nullptr, nullptr, paths);
+            label_update(c, ref.labels, phi, v, lo, ref.stats, memo ? &cache : nullptr, nullptr,
+                         nullptr, paths);
         if (updated > ref.labels[static_cast<std::size_t>(v)]) {
           ref.labels[static_cast<std::size_t>(v)] = updated;
           changed = true;
@@ -375,6 +377,85 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
     }
     EXPECT_GT(refutations, 0) << (decomposition ? "turbosyn" : "turbomap");
   }
+}
+
+// The decomposition memo keeps one entry per (gate, exact cut): a lookup
+// compares the stored gate and cut, a repeated pair is extracted once, and
+// the entry holds the function reduced to its support.
+TEST(Labeling, DecompCacheStoresEachGateCutOnce) {
+  const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
+  const std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 0);
+  ExpandedNetwork net;
+  DecompCache cache;
+  int stored = 0;
+  for (NodeId v = 0; v < c.num_nodes() && stored < 20; ++v) {
+    if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+    net.build(c, labels, 1, v, 1, ExpandedOptions{});
+    const auto cut = net.find_cut(15);
+    if (!cut) continue;
+    ASSERT_EQ(cache.find(v, *cut), -1);
+    const TruthTable f = net.cut_function(*cut);
+    const int e = cache.insert(v, *cut, f);
+    ++stored;
+    EXPECT_EQ(cache.find(v, *cut), e);
+    const SupportFunction reduced = restrict_to_support(f);
+    EXPECT_EQ(cache.function(e), reduced.func);
+    EXPECT_TRUE(std::ranges::equal(cache.support(e), reduced.support));
+    // Another gate, or one register count off, is another pair.
+    EXPECT_EQ(cache.find(v + 1, *cut), -1);
+    std::vector<SeqCutNode> shifted = *cut;
+    ++shifted.back().w;
+    EXPECT_EQ(cache.find(v, shifted), -1);
+    // Verdicts are keyed by the exact effective labels and height.
+    std::vector<int> eff(cut->size(), 0);
+    EXPECT_FALSE(cache.verdict(e, eff, 2).has_value());
+    cache.record(e, eff, 2, true);
+    EXPECT_EQ(cache.verdict(e, eff, 2), std::optional<bool>(true));
+    EXPECT_FALSE(cache.verdict(e, eff, 3).has_value());
+    eff.back() = 1;
+    EXPECT_FALSE(cache.verdict(e, eff, 2).has_value());
+  }
+  EXPECT_EQ(static_cast<int>(cache.num_entries()), stored);
+  EXPECT_GT(stored, 5);
+}
+
+// An engine extracts each (gate, cut) function once across all its probes,
+// far fewer times than it attempts decompositions, and the memo changes no
+// label: a memo-free sweep, which extracts on every attempt, converges to
+// the same labels and makes one attempt for each attempt or memo hit.
+TEST(Labeling, DecompCacheExtractsOnceAndKeepsLabels) {
+  std::int64_t attempts = 0;
+  std::int64_t extracted = 0;
+  for (const BenchmarkSpec& spec : tiny_suite()) {
+    const Circuit c = generate_fsm_circuit(spec);
+    LabelOptions lo = turbomap_options(5);
+    lo.enable_decomposition = true;
+    LabelEngine engine(c, lo);
+    LabelStats total;
+    int phi = 1;
+    for (;; ++phi) {
+      const LabelResult r = engine.compute(phi);
+      total.accumulate(r.stats);
+      if (r.feasible) break;
+    }
+    EXPECT_EQ(total.cut_functions, static_cast<std::int64_t>(engine.decomp_cache().num_entries()))
+        << spec.name;
+    attempts += total.decomp_attempts;
+    extracted += total.cut_functions;
+
+    const ReferenceRun with = reference_fixpoint(c, phi, lo);
+    const ReferenceRun without = reference_fixpoint(c, phi, lo, nullptr, /*memo=*/false);
+    const std::string at = spec.name + " phi=" + std::to_string(phi);
+    EXPECT_EQ(with.labels, without.labels) << at;
+    EXPECT_EQ(without.stats.cache_hits, 0) << at;
+    EXPECT_EQ(without.stats.cut_functions, without.stats.decomp_attempts) << at;
+    EXPECT_EQ(without.stats.decomp_attempts,
+              with.stats.decomp_attempts + with.stats.cache_hits)
+        << at;
+    EXPECT_LE(with.stats.cut_functions, with.stats.decomp_attempts) << at;
+  }
+  EXPECT_GT(attempts, 0);
+  EXPECT_LT(2 * extracted, attempts);
 }
 
 // A flow-path certificate of more than cap() copies is not stored: putting
