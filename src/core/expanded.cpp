@@ -301,33 +301,63 @@ bool ExpandedNetwork::refuted_by(FlowPaths paths, int size_limit) {
   return true;
 }
 
+template <std::size_t B>
+void ExpandedNetwork::evaluate_cone() {
+  // The steps are evaluated over blocks of B table words. Step s keeps its
+  // block at arena_[s * B], so the arena holds a few words per cone copy
+  // however wide the cut.
+  arena_.resize(cone_.size() * B);
+  const std::uint64_t* root = arena_.data() + static_cast<std::size_t>(slot_[0]) * B;
+  for (std::size_t first = 0; first < root_words_.size(); first += B) {
+    for (std::size_t s = 0; s < cone_.size(); ++s) {
+      const ConeStep& step = cone_[s];
+      std::uint64_t* value = arena_.data() + s * B;
+      if (step.var >= 0) {
+        for (std::size_t b = 0; b < B; ++b) {
+          value[b] = step.var < 6 ? TruthTable::kProjection[step.var]
+                     : (((first + b) >> (step.var - 6)) & 1) != 0 ? ~std::uint64_t{0}
+                                                                 : 0;
+        }
+        continue;
+      }
+      std::uint64_t sum[B] = {};
+      for (std::uint32_t r = step.rows_begin; r < step.rows_end; ++r) {
+        const std::uint32_t row = cone_rows_[r];
+        std::uint64_t product[B];
+        std::fill_n(product, B, ~std::uint64_t{0});
+        for (std::uint32_t f = step.fanins_begin; f < step.fanins_end; ++f) {
+          const std::uint64_t* in = arena_.data() + static_cast<std::size_t>(cone_fanins_[f]) * B;
+          const std::uint64_t flip =
+              ((row >> (f - step.fanins_begin)) & 1) != 0 ? 0 : ~std::uint64_t{0};
+          for (std::size_t b = 0; b < B; ++b) product[b] &= in[b] ^ flip;
+        }
+        for (std::size_t b = 0; b < B; ++b) sum[b] |= product[b];
+      }
+      const std::uint64_t flip = step.complement ? ~std::uint64_t{0} : 0;
+      for (std::size_t b = 0; b < B; ++b) value[b] = sum[b] ^ flip;
+    }
+    std::copy_n(root, B, root_words_.begin() + static_cast<std::ptrdiff_t>(first));
+  }
+}
+
 TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) {
   const int arity = static_cast<int>(cut.size());
   TS_CHECK(arity <= TruthTable::kMaxVars, "cut too wide for truth-table extraction");
-  const std::size_t words = arity > 6 ? std::size_t{1} << (arity - 6) : 1;
-  // Copy i's table is arena_[slot_[i] * words, + words); slot -1 = not yet
-  // computed. Cut members are the variables, and the walk stops at them.
+  // The cone in post-order: cut members first (the variables; the walk
+  // stops at them), then each copy between them and the root once all its
+  // fanins are placed. slot_[i] is copy i's step, -1 while unplaced.
   slot_.assign(num_nodes_, -1);
-  arena_.clear();
-  const auto add_slot = [&](std::size_t i) {
-    slot_[i] = static_cast<std::int32_t>(arena_.size() / words);
-    arena_.resize(arena_.size() + words);
-    return arena_.size() - words;
-  };
+  cone_.clear();
+  cone_rows_.clear();
+  cone_fanins_.clear();
   for (int v = 0; v < arity; ++v) {
     const int found = find_index(pack(cut[static_cast<std::size_t>(v)]));
     if (found < 0 || slot_[static_cast<std::size_t>(found)] >= 0) continue;
-    const std::size_t out = add_slot(static_cast<std::size_t>(found));
-    for (std::size_t w = 0; w < words; ++w) {
-      arena_[out + w] = v < 6 ? TruthTable::kProjection[v]
-                              : (((w >> (v - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0);
-    }
+    slot_[static_cast<std::size_t>(found)] = static_cast<std::int32_t>(cone_.size());
+    cone_.push_back(ConeStep{.var = v});
   }
-  // Post-order from the root (interned first): a copy is evaluated once all
-  // its fanins have tables, as the sum of products of its gate's on-set rows
-  // (or of the off-set, complemented, when that is shorter).
   std::vector<int>& stack = worklist_;
-  stack.assign(1, 0);
+  stack.assign(1, 0);  // the root, interned first
   while (!stack.empty()) {
     const auto i = static_cast<std::size_t>(stack.back());
     if (slot_[i] >= 0) {
@@ -346,48 +376,38 @@ TruthTable ExpandedNetwork::cut_function(std::span<const SeqCutNode> cut) {
     }
     if (!ready) continue;
     stack.pop_back();
+    // A gate is the sum of products of its on-set rows, or of its off-set
+    // rows complemented when that set is smaller.
     const TruthTable& g = circuit_->function(nodes_[i].id.node);
-    const bool complement = g.count_ones() * 2 > g.num_bits();
-    rows_.clear();
+    ConeStep step;
+    step.complement = g.count_ones() * 2 > g.num_bits();
+    step.rows_begin = static_cast<std::uint32_t>(cone_rows_.size());
     for (std::uint32_t row = 0; row < g.num_bits(); ++row) {
-      if (g.bit(row) != complement) rows_.push_back(row);
+      if (g.bit(row) != step.complement) cone_rows_.push_back(row);
     }
-    fanin_words_.clear();
+    step.rows_end = static_cast<std::uint32_t>(cone_rows_.size());
+    step.fanins_begin = static_cast<std::uint32_t>(cone_fanins_.size());
     for (std::int32_t s = fanin_begin_[i]; s < fanin_end_[i]; ++s) {
       const auto j = static_cast<std::size_t>(fanin_pool_[static_cast<std::size_t>(s)]);
-      fanin_words_.push_back(static_cast<std::size_t>(slot_[j]) * words);
+      cone_fanins_.push_back(slot_[j]);
     }
-    const std::size_t out = add_slot(i);
-    std::uint64_t* value = arena_.data() + out;
-    if (words == 1) {  // up to 6 cut inputs: one word, no product buffer
-      std::uint64_t sum = 0;
-      for (const std::uint32_t row : rows_) {
-        std::uint64_t product = ~std::uint64_t{0};
-        for (std::size_t j = 0; j < fanin_words_.size(); ++j) {
-          product &= arena_[fanin_words_[j]] ^ (((row >> j) & 1) != 0 ? 0 : ~std::uint64_t{0});
-        }
-        sum |= product;
-      }
-      *value = complement ? ~sum : sum;
-      continue;
-    }
-    std::fill(value, value + words, 0);
-    product_.resize(words);
-    for (const std::uint32_t row : rows_) {
-      std::fill(product_.begin(), product_.end(), ~std::uint64_t{0});
-      for (std::size_t j = 0; j < fanin_words_.size(); ++j) {
-        const std::uint64_t* in = arena_.data() + fanin_words_[j];
-        const std::uint64_t flip = ((row >> j) & 1) != 0 ? 0 : ~std::uint64_t{0};
-        for (std::size_t w = 0; w < words; ++w) product_[w] &= in[w] ^ flip;
-      }
-      for (std::size_t w = 0; w < words; ++w) value[w] |= product_[w];
-    }
-    if (complement) {
-      for (std::size_t w = 0; w < words; ++w) value[w] = ~value[w];
-    }
+    step.fanins_end = static_cast<std::uint32_t>(cone_fanins_.size());
+    slot_[i] = static_cast<std::int32_t>(cone_.size());
+    cone_.push_back(step);
   }
-  return TruthTable::from_words(
-      arity, std::span(arena_).subspan(static_cast<std::size_t>(slot_[0]) * words, words));
+
+  const std::size_t words = arity > 6 ? std::size_t{1} << (arity - 6) : 1;
+  root_words_.resize(words);
+  // Blocks of kBlockWords words, or the whole table when it is smaller
+  // (word counts are powers of two).
+  switch (words) {
+    case 1: evaluate_cone<1>(); break;
+    case 2: evaluate_cone<2>(); break;
+    case 4: evaluate_cone<4>(); break;
+    case 8: evaluate_cone<8>(); break;
+    default: evaluate_cone<kBlockWords>(); break;
+  }
+  return TruthTable::from_words(arity, root_words_);
 }
 
 }  // namespace turbosyn

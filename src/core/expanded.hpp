@@ -146,8 +146,9 @@ class ExpandedNetwork {
 
   /// Truth table of the root over the given cut (variable i = cut[i]).
   /// The cut must separate the root in E_v (as returned by find_cut). One
-  /// post-order pass over the copies between the root and the cut, each
-  /// evaluated word by word into a reused arena. The result depends only on
+  /// post-order pass lists the copies between the root and the cut; they
+  /// are then evaluated word-parallel, a block of table words at a time,
+  /// into a reused arena. The result depends only on
   /// the circuit, the root and the cut: the copies inside a separating cut
   /// and their fanins are fixed by the circuit's fanins and register counts.
   TruthTable cut_function(std::span<const SeqCutNode> cut);
@@ -172,6 +173,9 @@ class ExpandedNetwork {
   std::optional<std::vector<SeqCutNode>> find_cut_impl(std::int64_t value_limit,
                                                        CapacityOf capacity_of);
   NodeCut::Network flow_network() const;
+  /// cut_function()'s evaluation of cone_ into root_words_, B words a pass.
+  template <std::size_t B>
+  void evaluate_cone();
 
   const Circuit* circuit_ = nullptr;
   std::span<const int> labels_;
@@ -214,14 +218,24 @@ class ExpandedNetwork {
   std::vector<std::uint8_t> mark_;   // separates()/refuted_by() marks
   std::vector<SeqCutNode> path_copies_;
   NodeCut cut_;
-  // cut_function() arena: per-copy slot, the slots' tables back to back,
-  // and the gate rows, fanin table offsets and one product term of the copy
-  // being evaluated.
+  // cut_function(): the cone as post-order steps (slot_[i] = copy i's step,
+  // -1 when outside the cone), their gate rows and fanin steps in flat
+  // pools, the word arena the steps are evaluated into, and the root table.
+  struct ConeStep {
+    int var = -1;             // >= 0: the cut variable this copy is
+    bool complement = false;  // rows are the off-set: complement the sum
+    std::uint32_t rows_begin = 0;  // cone_rows_[rows_begin, rows_end)
+    std::uint32_t rows_end = 0;
+    std::uint32_t fanins_begin = 0;  // cone_fanins_[fanins_begin, fanins_end)
+    std::uint32_t fanins_end = 0;
+  };
+  static constexpr std::size_t kBlockWords = 16;
   std::vector<std::int32_t> slot_;
+  std::vector<ConeStep> cone_;
+  std::vector<std::uint32_t> cone_rows_;
+  std::vector<std::int32_t> cone_fanins_;
   std::vector<std::uint64_t> arena_;
-  std::vector<std::uint32_t> rows_;
-  std::vector<std::size_t> fanin_words_;
-  std::vector<std::uint64_t> product_;
+  std::vector<std::uint64_t> root_words_;
 };
 
 /// Scratch arena for the label-computation hot path: a reusable
