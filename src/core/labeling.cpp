@@ -83,8 +83,7 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
         entry = cache->insert(v, *cut, net.cut_function(*cut));
         ++stats.cut_functions;
       }
-      const std::span<const int> support = cache->support(entry);
-      fn = SupportFunction{cache->function(entry), {support.begin(), support.end()}};
+      fn = cache->function(entry);
     }
     DecompResult d =
         decompose_on_support(fn.func, fn.support, eff, height, DecompOptions{.k = options.k});
@@ -165,16 +164,14 @@ int DecompCache::insert(NodeId v, std::span<const SeqCutNode> cut, const TruthTa
   return id;
 }
 
-TruthTable DecompCache::function(int e) const {
+SupportFunction DecompCache::function(int e) const {
   const Entry& entry = entries_[static_cast<std::size_t>(e)];
   const int vars = static_cast<int>(entry.support_size);
   const std::size_t words = vars > 6 ? std::size_t{1} << (vars - 6) : 1;
-  return TruthTable::from_words(vars, std::span(words_).subspan(entry.words_begin, words));
-}
-
-std::span<const int> DecompCache::support(int e) const {
-  const Entry& entry = entries_[static_cast<std::size_t>(e)];
-  return std::span(supports_).subspan(entry.support_begin, entry.support_size);
+  const auto support = std::span(supports_).subspan(entry.support_begin, entry.support_size);
+  return SupportFunction{
+      TruthTable::from_words(vars, std::span(words_).subspan(entry.words_begin, words)),
+      {support.begin(), support.end()}};
 }
 
 std::optional<bool> DecompCache::verdict(int e, std::span<const int> eff, int height) const {
@@ -198,13 +195,6 @@ void DecompCache::record(int e, std::span<const int> eff, int height, bool succe
                               entry.last_verdict});
   effs_.insert(effs_.end(), eff.begin(), eff.end());
   entry.last_verdict = static_cast<std::int32_t>(verdicts_.size() - 1);
-}
-
-std::size_t DecompCache::bytes() const {
-  return entries_.capacity() * sizeof(Entry) + cuts_.capacity() * sizeof(SeqCutNode) +
-         supports_.capacity() * sizeof(int) + words_.capacity() * sizeof(std::uint64_t) +
-         verdicts_.capacity() * sizeof(Verdict) + effs_.capacity() * sizeof(int) +
-         index_.capacity() * sizeof(std::int32_t);
 }
 
 std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const int> labels,

@@ -125,8 +125,7 @@ class DecompCache {
 
   /// Entry e's cut function over its support, and that support (ascending
   /// cut positions).
-  TruthTable function(int e) const;
-  std::span<const int> support(int e) const;
+  SupportFunction function(int e) const;
 
   /// The recorded verdict of decomposing entry e with effective labels
   /// `eff` (one per cut member) at target `height`; nullopt if none is.
@@ -135,9 +134,6 @@ class DecompCache {
   void record(int e, std::span<const int> eff, int height, bool success);
 
   std::size_t num_entries() const { return entries_.size(); }
-  std::size_t num_verdicts() const { return verdicts_.size(); }
-  /// Bytes the memo's storage holds (vector capacities).
-  std::size_t bytes() const;
 
  private:
   struct Entry {

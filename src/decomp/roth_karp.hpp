@@ -107,10 +107,6 @@ struct ColumnClasses {
   std::span<const std::uint64_t> column(std::size_t code) const {
     return std::span(columns).subspan(code * column_words(), column_words());
   }
-  /// Class `code` as a table over the F free variables.
-  TruthTable class_table(std::size_t code) const {
-    return TruthTable::from_words(free_vars, column(code));
-  }
   /// The column multiplicity mu.
   std::size_t multiplicity() const { return columns.size() / column_words(); }
 };

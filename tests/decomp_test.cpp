@@ -27,8 +27,8 @@ TEST(ColumnMultiplicity, KnownValues) {
   const ColumnClasses classes = classify_columns(f, 2);
   EXPECT_EQ(classes.multiplicity(), 2u);
   EXPECT_EQ(classes.code_of, (std::vector<std::uint32_t>{0, 0, 0, 1}));
-  EXPECT_EQ(classes.class_table(0), TruthTable::var(1, 0));
-  EXPECT_EQ(classes.class_table(1), TruthTable::constant(1, true));
+  EXPECT_EQ(TruthTable::from_words(1, classes.column(0)), TruthTable::var(1, 0));
+  EXPECT_EQ(TruthTable::from_words(1, classes.column(1)), TruthTable::constant(1, true));
   // s ? a : b with bound set {a, b}: the columns over the select are
   // 0, s, !s and 1, all distinct.
   const TruthTable mux = tt_mux();  // variables: select, then the two data inputs
@@ -65,7 +65,7 @@ void expect_definitional(const ColumnClasses& classes, const TruthTable& f, int 
     if (code < next_code) continue;
     ASSERT_EQ(code, next_code) << "class numbered out of first-appearance order";
     ASSERT_LT(code, classes.multiplicity());
-    const TruthTable table = classes.class_table(code);
+    const TruthTable table = TruthTable::from_words(classes.free_vars, classes.column(code));
     ASSERT_EQ(table.num_vars(), f.num_vars() - bound);
     const std::vector<bool> column = column_of(f, bound, a);
     for (std::uint32_t y = 0; y < column.size(); ++y) {

@@ -399,8 +399,9 @@ TEST(Labeling, DecompCacheStoresEachGateCutOnce) {
     ++stored;
     EXPECT_EQ(cache.find(v, *cut), e);
     const SupportFunction reduced = restrict_to_support(f);
-    EXPECT_EQ(cache.function(e), reduced.func);
-    EXPECT_TRUE(std::ranges::equal(cache.support(e), reduced.support));
+    const SupportFunction stored = cache.function(e);
+    EXPECT_EQ(stored.func, reduced.func);
+    EXPECT_EQ(stored.support, reduced.support);
     // Another gate, or one register count off, is another pair.
     EXPECT_EQ(cache.find(v + 1, *cut), -1);
     std::vector<SeqCutNode> shifted = *cut;
