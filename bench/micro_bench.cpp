@@ -226,7 +226,7 @@ void BM_CutFunction(benchmark::State& state) {
     benchmark::DoNotOptimize(net.cut_function(*cut));
   }
 }
-BENCHMARK(BM_CutFunction)->Arg(5)->Arg(10)->Arg(15);
+BENCHMARK(BM_CutFunction)->Arg(5)->Arg(8)->Arg(10)->Arg(15);
 
 void BM_LabelComputationTurboMap(benchmark::State& state) {
   const Circuit c = generate_fsm_circuit(tiny_suite()[2]);

@@ -55,9 +55,12 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
     for (std::size_t i = 0; i < cut->size(); ++i) {
       eff[i] = labels[static_cast<std::size_t>((*cut)[i].node)] - phi * (*cut)[i].w;
     }
-    int entry = cache != nullptr ? cache->find(v, *cut) : -1;
-    const std::optional<bool> known =
-        entry >= 0 ? cache->verdict(entry, eff, height) : std::nullopt;
+    DecompCache::Entry* entry = nullptr;
+    if (cache != nullptr) {
+      const auto it = cache->entries.find({v, *cut});
+      if (it != cache->entries.end()) entry = &it->second;
+    }
+    const std::optional<bool> known = entry != nullptr ? entry->verdict(eff, height) : std::nullopt;
     if (known) {
       ++stats.cache_hits;
       if (!*known) continue;  // this exact attempt already failed
@@ -73,21 +76,21 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
       break;  // the ceiling is per-run: further heights would be refused too
     }
     ++stats.decomp_attempts;
-    // Each (gate, cut) function is extracted once per memo (DecompCache).
-    SupportFunction fn;
+    const DecompOptions decomp{.k = options.k};
+    DecompResult d;
     if (cache == nullptr) {
-      fn = restrict_to_support(net.cut_function(*cut));
       ++stats.cut_functions;
+      d = decompose_for_label(net.cut_function(*cut), eff, height, decomp);
     } else {
-      if (entry < 0) {
-        entry = cache->insert(v, *cut, net.cut_function(*cut));
+      // Each (gate, cut) function is extracted once per memo.
+      if (entry == nullptr) {
         ++stats.cut_functions;
+        entry = &cache->entries[{v, *cut}];
+        entry->function = restrict_to_support(net.cut_function(*cut));
       }
-      fn = cache->function(entry);
+      d = decompose_on_support(entry->function.func, entry->function.support, eff, height, decomp);
+      if (!known) entry->record(eff, height, d.success);
     }
-    DecompResult d =
-        decompose_on_support(fn.func, fn.support, eff, height, DecompOptions{.k = options.k});
-    if (entry >= 0 && !known) cache->record(entry, eff, height, d.success);
     if (d.success) {
       ++stats.decomp_successes;
       NodeRealization r;
@@ -102,99 +105,21 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
 
 }  // namespace
 
-std::uint64_t DecompCache::hash_of(NodeId v, std::span<const SeqCutNode> cut) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<std::uint32_t>(v);
-  for (const SeqCutNode& n : cut) {
-    h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(n.node)) << 32 |
-          static_cast<std::uint32_t>(n.w)) +
-         0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  return h ^ (h >> 33);
-}
-
-bool DecompCache::matches(const Entry& e, NodeId v, std::span<const SeqCutNode> cut) const {
-  return e.gate == v && e.cut_size == cut.size() &&
-         std::equal(cut.begin(), cut.end(), cuts_.begin() + e.cut_begin);
-}
-
-int DecompCache::find(NodeId v, std::span<const SeqCutNode> cut) const {
-  if (index_.empty()) return -1;
-  const std::uint64_t h = hash_of(v, cut);
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-    const std::int32_t e = index_[i];
-    if (e < 0) return -1;
-    const Entry& entry = entries_[static_cast<std::size_t>(e)];
-    if (entry.hash == h && matches(entry, v, cut)) return e;
-  }
-}
-
-void DecompCache::index_insert(std::int32_t e) {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = entries_[static_cast<std::size_t>(e)].hash & mask;
-  while (index_[i] >= 0) i = (i + 1) & mask;
-  index_[i] = e;
-}
-
-int DecompCache::insert(NodeId v, std::span<const SeqCutNode> cut, const TruthTable& f) {
-  TS_ASSERT(static_cast<std::size_t>(f.num_vars()) == cut.size());
-  const SupportFunction reduced = restrict_to_support(f);
-  Entry e;
-  e.gate = v;
-  e.hash = hash_of(v, cut);
-  e.cut_begin = static_cast<std::uint32_t>(cuts_.size());
-  e.cut_size = static_cast<std::uint32_t>(cut.size());
-  e.support_begin = static_cast<std::uint32_t>(supports_.size());
-  e.support_size = static_cast<std::uint32_t>(reduced.support.size());
-  e.words_begin = static_cast<std::uint32_t>(words_.size());
-  cuts_.insert(cuts_.end(), cut.begin(), cut.end());
-  supports_.insert(supports_.end(), reduced.support.begin(), reduced.support.end());
-  words_.insert(words_.end(), reduced.func.words().begin(), reduced.func.words().end());
-  const auto id = static_cast<std::int32_t>(entries_.size());
-  entries_.push_back(e);
-  // Keep the index at most half full; rebuild it from the entries on growth.
-  if (entries_.size() * 2 > index_.size()) {
-    index_.assign(std::max<std::size_t>(64, index_.size() * 2), -1);
-    for (std::int32_t i = 0; i < static_cast<std::int32_t>(entries_.size()); ++i) index_insert(i);
-  } else {
-    index_insert(id);
-  }
-  return id;
-}
-
-SupportFunction DecompCache::function(int e) const {
-  const Entry& entry = entries_[static_cast<std::size_t>(e)];
-  const int vars = static_cast<int>(entry.support_size);
-  const std::size_t words = vars > 6 ? std::size_t{1} << (vars - 6) : 1;
-  const auto support = std::span(supports_).subspan(entry.support_begin, entry.support_size);
-  return SupportFunction{
-      TruthTable::from_words(vars, std::span(words_).subspan(entry.words_begin, words)),
-      {support.begin(), support.end()}};
-}
-
-std::optional<bool> DecompCache::verdict(int e, std::span<const int> eff, int height) const {
-  const Entry& entry = entries_[static_cast<std::size_t>(e)];
-  TS_ASSERT(eff.size() == entry.cut_size);
-  for (std::int32_t i = entry.last_verdict; i >= 0;) {
-    const Verdict& known = verdicts_[static_cast<std::size_t>(i)];
-    if (known.height == height &&
-        std::equal(eff.begin(), eff.end(), effs_.begin() + known.eff_begin)) {
-      return known.success;
+std::optional<bool> DecompCache::Entry::verdict(std::span<const int> eff, int height) const {
+  const std::size_t stride = eff.size() + 1;
+  for (std::size_t i = 0; i < success.size(); ++i) {
+    const auto key = std::span(keys).subspan(i * stride, stride);
+    if (key.back() == height && std::ranges::equal(key.first(eff.size()), eff)) {
+      return success[i];
     }
-    i = known.prev;
   }
   return std::nullopt;
 }
 
-void DecompCache::record(int e, std::span<const int> eff, int height, bool success) {
-  Entry& entry = entries_[static_cast<std::size_t>(e)];
-  TS_ASSERT(eff.size() == entry.cut_size);
-  verdicts_.push_back(Verdict{height, success, static_cast<std::uint32_t>(effs_.size()),
-                              entry.last_verdict});
-  effs_.insert(effs_.end(), eff.begin(), eff.end());
-  entry.last_verdict = static_cast<std::int32_t>(verdicts_.size() - 1);
+void DecompCache::Entry::record(std::span<const int> eff, int height, bool outcome) {
+  keys.insert(keys.end(), eff.begin(), eff.end());
+  keys.push_back(height);
+  success.push_back(outcome);
 }
 
 std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const int> labels,

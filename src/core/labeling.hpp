@@ -110,60 +110,21 @@ struct LabelResult {
 /// decompose_on_support is a pure function of that function, the cut's
 /// effective labels and the target height, so (effective labels, height) is
 /// its exact key within the entry.
-///
-/// Storage is flat: entries, cut members, supports, function words,
-/// verdicts and their effective labels live in one vector each, and an
-/// open-addressing index finds an entry by comparing the stored gate and
-/// cut, never by a bare hash.
-class DecompCache {
- public:
-  /// The entry of (v, cut), or -1 when absent.
-  int find(NodeId v, std::span<const SeqCutNode> cut) const;
-  /// Adds (v, cut) with its cut function `f` (variable i = cut[i]), stored
-  /// reduced to its support; returns the new entry.
-  int insert(NodeId v, std::span<const SeqCutNode> cut, const TruthTable& f);
-
-  /// Entry e's cut function over its support, and that support (ascending
-  /// cut positions).
-  SupportFunction function(int e) const;
-
-  /// The recorded verdict of decomposing entry e with effective labels
-  /// `eff` (one per cut member) at target `height`; nullopt if none is.
-  std::optional<bool> verdict(int e, std::span<const int> eff, int height) const;
-  /// Records a verdict not recorded before.
-  void record(int e, std::span<const int> eff, int height, bool success);
-
-  std::size_t num_entries() const { return entries_.size(); }
-
- private:
+struct DecompCache {
   struct Entry {
-    NodeId gate = kNoNode;
-    std::uint64_t hash = 0;
-    std::uint32_t cut_begin = 0;  // cuts_[cut_begin, + cut_size)
-    std::uint32_t cut_size = 0;
-    std::uint32_t support_begin = 0;  // supports_[support_begin, + support_size)
-    std::uint32_t support_size = 0;
-    std::uint32_t words_begin = 0;  // words_[words_begin, + words for support_size vars)
-    std::int32_t last_verdict = -1;  // newest verdict; each links to the one before
-  };
-  struct Verdict {
-    std::int32_t height = 0;
-    bool success = false;
-    std::uint32_t eff_begin = 0;  // effs_[eff_begin, + the entry's cut_size)
-    std::int32_t prev = -1;
-  };
+    SupportFunction function;  // support indices are cut positions
+    // Verdict i: keys[i * (n + 1), + n) are the effective labels of the n
+    // cut members, keys[i * (n + 1) + n] is the target height, and
+    // success[i] is the outcome.
+    std::vector<int> keys;
+    std::vector<bool> success;
 
-  static std::uint64_t hash_of(NodeId v, std::span<const SeqCutNode> cut);
-  bool matches(const Entry& e, NodeId v, std::span<const SeqCutNode> cut) const;
-  void index_insert(std::int32_t e);
-
-  std::vector<Entry> entries_;
-  std::vector<SeqCutNode> cuts_;
-  std::vector<int> supports_;
-  std::vector<std::uint64_t> words_;
-  std::vector<Verdict> verdicts_;
-  std::vector<int> effs_;
-  std::vector<std::int32_t> index_;  // entry per slot, -1 empty; size a power of 2
+    /// The recorded verdict for effective labels `eff` at target `height`,
+    /// or nullopt if none is.
+    std::optional<bool> verdict(std::span<const int> eff, int height) const;
+    void record(std::span<const int> eff, int height, bool outcome);
+  };
+  std::map<std::pair<NodeId, std::vector<SeqCutNode>>, Entry> entries;
 };
 
 /// Each gate's last flow-found K-cut, kept across sweeps and probes. A cut

@@ -379,45 +379,39 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   }
 }
 
-// The decomposition memo keeps one entry per (gate, exact cut): a lookup
-// compares the stored gate and cut, a repeated pair is extracted once, and
-// the entry holds the function reduced to its support.
+// A memo entry answers only the exact (effective labels, height) it
+// recorded. A sweep repeated at the same labels over a filled memo extracts
+// no function and makes no attempt: every attempt of the first sweep, and
+// every memo hit, is a memo hit of the second.
 TEST(Labeling, DecompCacheStoresEachGateCutOnce) {
+  DecompCache::Entry entry;
+  entry.record(std::vector{0, 2, 1}, 2, true);
+  EXPECT_EQ(entry.verdict(std::vector{0, 2, 1}, 2), std::optional<bool>(true));
+  EXPECT_FALSE(entry.verdict(std::vector{0, 2, 1}, 3).has_value());
+  EXPECT_FALSE(entry.verdict(std::vector{0, 2, 2}, 2).has_value());
+
   const Circuit c = generate_fsm_circuit(tiny_suite()[2]);
-  const std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 0);
-  ExpandedNetwork net;
+  LabelOptions lo = turbomap_options(5);
+  lo.enable_decomposition = true;
+  const ReferenceRun ref = reference_fixpoint(c, 2, lo);
   DecompCache cache;
-  int stored = 0;
-  for (NodeId v = 0; v < c.num_nodes() && stored < 20; ++v) {
-    if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
-    net.build(c, labels, 1, v, 1, ExpandedOptions{});
-    const auto cut = net.find_cut(15);
-    if (!cut) continue;
-    ASSERT_EQ(cache.find(v, *cut), -1);
-    const TruthTable f = net.cut_function(*cut);
-    const int e = cache.insert(v, *cut, f);
-    ++stored;
-    EXPECT_EQ(cache.find(v, *cut), e);
-    const SupportFunction reduced = restrict_to_support(f);
-    const SupportFunction stored = cache.function(e);
-    EXPECT_EQ(stored.func, reduced.func);
-    EXPECT_EQ(stored.support, reduced.support);
-    // Another gate, or one register count off, is another pair.
-    EXPECT_EQ(cache.find(v + 1, *cut), -1);
-    std::vector<SeqCutNode> shifted = *cut;
-    ++shifted.back().w;
-    EXPECT_EQ(cache.find(v, shifted), -1);
-    // Verdicts are keyed by the exact effective labels and height.
-    std::vector<int> eff(cut->size(), 0);
-    EXPECT_FALSE(cache.verdict(e, eff, 2).has_value());
-    cache.record(e, eff, 2, true);
-    EXPECT_EQ(cache.verdict(e, eff, 2), std::optional<bool>(true));
-    EXPECT_FALSE(cache.verdict(e, eff, 3).has_value());
-    eff.back() = 1;
-    EXPECT_FALSE(cache.verdict(e, eff, 2).has_value());
+  LabelStats first;
+  LabelStats second;
+  for (LabelStats* stats : {&first, &second}) {
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+      (void)label_update(c, ref.labels, 2, v, lo, *stats, &cache);
+    }
   }
-  EXPECT_EQ(static_cast<int>(cache.num_entries()), stored);
-  EXPECT_GT(stored, 5);
+  EXPECT_GT(first.decomp_attempts, 0);
+  EXPECT_EQ(first.cut_functions, static_cast<std::int64_t>(cache.entries.size()));
+  EXPECT_EQ(second.cut_functions, 0);
+  EXPECT_EQ(second.decomp_attempts, 0);
+  EXPECT_EQ(second.cache_hits, first.decomp_attempts + first.cache_hits);
+  for (const auto& [key, stored] : cache.entries) {
+    EXPECT_FALSE(stored.success.empty());
+    EXPECT_LE(stored.function.support.size(), key.second.size());
+  }
 }
 
 // An engine extracts each (gate, cut) function once across all its probes,
@@ -439,7 +433,7 @@ TEST(Labeling, DecompCacheExtractsOnceAndKeepsLabels) {
       total.accumulate(r.stats);
       if (r.feasible) break;
     }
-    EXPECT_EQ(total.cut_functions, static_cast<std::int64_t>(engine.decomp_cache().num_entries()))
+    EXPECT_EQ(total.cut_functions, static_cast<std::int64_t>(engine.decomp_cache().entries.size()))
         << spec.name;
     attempts += total.decomp_attempts;
     extracted += total.cut_functions;
