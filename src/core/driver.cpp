@@ -85,7 +85,6 @@ void FlowContext::run_stage(const char* name, const std::function<void()>& body)
   add_counter(metric, "flow_augmentations",
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
-  add_counter(metric, "decomp_cache_hits", after.cache_hits - before.cache_hits);
   add_counter(metric, "cut_functions", after.cut_functions - before.cut_functions);
   for (const auto& [counter_name, value] : metric.counters) span.counter(counter_name, value);
   result.stage_metrics.stages.push_back(std::move(metric));
@@ -130,7 +129,6 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("cut_refutations", r.stats.cut_refutations);
   span.counter("flow_augmentations", r.stats.flow_augmentations);
   span.counter("decomp_attempts", r.stats.decomp_attempts);
-  span.counter("decomp_cache_hits", r.stats.cache_hits);
   span.counter("cut_functions", r.stats.cut_functions);
   ctx.ledger.record(std::move(rec));
   ctx.count("probes", 1);

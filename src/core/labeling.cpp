@@ -35,62 +35,44 @@ void record_degraded(LabelStats& stats, NodeId v) {
 
 /// Tries resynthesis at min-cut heights `height`, height-1, ... Returns the
 /// realization on success. `net` must hold E_v at `height` (the caller's
-/// K-cut test network), so the first height needs no rebuild. With
-/// `existence_only` (the label iteration), a memoized success returns an
-/// empty realization without re-running the decomposition, since the
-/// iteration only needs the verdict. Mapping generation, which needs the
-/// LUTs, runs with existence_only = false.
+/// K-cut test network), so the first height needs no rebuild. Each (gate,
+/// cut) function is extracted once per memo; a null `cache` stands for a
+/// memo local to this call. With `metered` (the label iteration) every
+/// attempt counts against the decomposition-attempt budget.
 std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<const int> labels,
                                                  int phi, NodeId v, int height,
                                                  const LabelOptions& options, LabelStats& stats,
                                                  DecompCache* cache, ExpandedNetwork& net,
-                                                 bool existence_only = false) {
+                                                 bool metered = false) {
+  std::optional<DecompCache> local;
+  DecompCache& memo = cache != nullptr ? *cache : local.emplace();
   bool degraded = false;
   for (int h = 0; h < options.height_span; ++h) {
     if (h > 0) net.build(c, labels, phi, v, height - h, options.expansion);
     const auto cut = net.find_cut(options.cmax);
     stats.flow_augmentations += net.augmentations();
     if (!cut) break;  // stricter heights only widen the min-cut further
-    std::vector<int> eff(cut->size());
-    for (std::size_t i = 0; i < cut->size(); ++i) {
-      eff[i] = labels[static_cast<std::size_t>((*cut)[i].node)] - phi * (*cut)[i].w;
-    }
-    DecompCache::Entry* entry = nullptr;
-    if (cache != nullptr) {
-      const auto it = cache->entries.find({v, *cut});
-      if (it != cache->entries.end()) entry = &it->second;
-    }
-    const std::optional<bool> known = entry != nullptr ? entry->verdict(eff, height) : std::nullopt;
-    if (known) {
-      ++stats.cache_hits;
-      if (!*known) continue;  // this exact attempt already failed
-      if (existence_only) return NodeRealization{};
-    }
     // The attempt ceiling meters the label iteration only. Mapping generation
     // re-derives the realizations that justified the converged labels; were
     // it metered too, a ceiling spent by the search would leave it unable to
     // rebuild them, and the mapping would miss the phi the search proved.
-    if (existence_only && !options.budget.try_consume_decomp_attempt()) {
+    if (metered && !options.budget.try_consume_decomp_attempt()) {
       ++stats.decomp_budget_hits;
       degraded = true;
       break;  // the ceiling is per-run: further heights would be refused too
     }
     ++stats.decomp_attempts;
-    const DecompOptions decomp{.k = options.k};
-    DecompResult d;
-    if (cache == nullptr) {
-      ++stats.cut_functions;
-      d = decompose_for_label(net.cut_function(*cut), eff, height, decomp);
-    } else {
-      // Each (gate, cut) function is extracted once per memo.
-      if (entry == nullptr) {
-        ++stats.cut_functions;
-        entry = &cache->entries[{v, *cut}];
-        entry->function = restrict_to_support(net.cut_function(*cut));
-      }
-      d = decompose_on_support(entry->function.func, entry->function.support, eff, height, decomp);
-      if (!known) entry->record(eff, height, d.success);
+    std::vector<int> eff(cut->size());
+    for (std::size_t i = 0; i < cut->size(); ++i) {
+      eff[i] = labels[static_cast<std::size_t>((*cut)[i].node)] - phi * (*cut)[i].w;
     }
+    auto [it, fresh] = memo.entries.try_emplace({v, *cut});
+    if (fresh) {
+      ++stats.cut_functions;
+      it->second = restrict_to_support(net.cut_function(*cut));
+    }
+    DecompResult d = decompose_on_support(it->second.func, it->second.support, eff, height,
+                                          DecompOptions{.k = options.k});
     if (d.success) {
       ++stats.decomp_successes;
       NodeRealization r;
@@ -104,23 +86,6 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
 }
 
 }  // namespace
-
-std::optional<bool> DecompCache::Entry::verdict(std::span<const int> eff, int height) const {
-  const std::size_t stride = eff.size() + 1;
-  for (std::size_t i = 0; i < success.size(); ++i) {
-    const auto key = std::span(keys).subspan(i * stride, stride);
-    if (key.back() == height && std::ranges::equal(key.first(eff.size()), eff)) {
-      return success[i];
-    }
-  }
-  return std::nullopt;
-}
-
-void DecompCache::Entry::record(std::span<const int> eff, int height, bool outcome) {
-  keys.insert(keys.end(), eff.begin(), eff.end());
-  keys.push_back(height);
-  success.push_back(outcome);
-}
 
 std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const int> labels,
                                             int phi, NodeId v, int height,
@@ -184,7 +149,7 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
   }
   if (options.enable_decomposition &&
       try_decomposition(c, labels, phi, v, target, options, stats, cache, net,
-                        /*existence_only=*/true)
+                        /*metered=*/true)
           .has_value()) {
     return std::max(current, target);
   }
@@ -301,7 +266,6 @@ void LabelStats::accumulate(const LabelStats& from) {
   cut_refutations += from.cut_refutations;
   decomp_attempts += from.decomp_attempts;
   decomp_successes += from.decomp_successes;
-  cache_hits += from.cache_hits;
   cut_functions += from.cut_functions;
   flow_augmentations += from.flow_augmentations;
   decomp_budget_hits += from.decomp_budget_hits;
@@ -401,9 +365,8 @@ LabelResult LabelEngine::compute(int phi) {
   // sensitive and can settle on a different (still valid) fixpoint than a
   // cold start would. Different fixpoints pick different cuts, and mapped
   // results must be reproducible run to run — so decomposition probes always
-  // start cold. They still share the decomposition memo: its verdicts are
-  // pure functions of (cut, effective labels, height), independent of phi
-  // and of the label trajectory.
+  // start cold. They still share the decomposition memo: a (gate, cut)
+  // function is structural, independent of phi and of the label trajectory.
   const bool warm_ok = !options_.enable_decomposition;
   if (const auto it = warm_.lower_bound(phi); warm_ok && it != warm_.end()) {
     result.labels = it->second;

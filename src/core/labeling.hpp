@@ -65,8 +65,7 @@ struct LabelStats {
   std::int64_t cut_refutations = 0;  // K-cut tests settled by stored flow paths, no flow
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
-  std::int64_t cache_hits = 0;           // decomposition-memo hits
-  std::int64_t cut_functions = 0;        // (gate, cut) functions extracted for attempts
+  std::int64_t cut_functions = 0;    // (gate, cut) functions extracted for attempts
   // Augmenting paths across all cut tests (NodeCut::paths): at most
   // size_limit + 1 per unit-capacity test; a low-cost (weighted) path may
   // push more than one unit.
@@ -98,33 +97,18 @@ struct LabelResult {
   LabelStats stats;
 };
 
-/// The decomposition memo of one LabelEngine, shared by all its probes: one
-/// entry per (gate, exact cut) holding the cut function reduced to its
-/// support, plus every decomposition verdict reached on that function.
+/// The decomposition memo: one entry per (gate, exact cut) holding the cut
+/// function reduced to its support (support indices are cut positions).
+/// A LabelEngine's memo is shared by all its probes; mapping generation
+/// keeps its own.
 ///
 /// The function is structural. On a cut that separates the root, every copy
 /// between the root and the cut is expanded, an expanded copy's fanins are
 /// the circuit's fanins with register counts added, and the zero-state rule
 /// depends only on (node, w); labels, phi and the height limit decide which
-/// cut is found, never the function over a given cut. A verdict of
-/// decompose_on_support is a pure function of that function, the cut's
-/// effective labels and the target height, so (effective labels, height) is
-/// its exact key within the entry.
+/// cut is found, never the function over a given cut.
 struct DecompCache {
-  struct Entry {
-    SupportFunction function;  // support indices are cut positions
-    // Verdict i: keys[i * (n + 1), + n) are the effective labels of the n
-    // cut members, keys[i * (n + 1) + n] is the target height, and
-    // success[i] is the outcome.
-    std::vector<int> keys;
-    std::vector<bool> success;
-
-    /// The recorded verdict for effective labels `eff` at target `height`,
-    /// or nullopt if none is.
-    std::optional<bool> verdict(std::span<const int> eff, int height) const;
-    void record(std::span<const int> eff, int height, bool outcome);
-  };
-  std::map<std::pair<NodeId, std::vector<SeqCutNode>>, Entry> entries;
+  std::map<std::pair<NodeId, std::vector<SeqCutNode>>, SupportFunction> entries;
 };
 
 /// Each gate's last flow-found K-cut, kept across sweeps and probes. A cut
@@ -249,8 +233,8 @@ LabelResult compute_labels(const Circuit& c, int phi, const LabelOptions& option
 
 /// Single label update for node v given current lower bounds (exposed for
 /// tests). Returns the new label (never below labels[v]); does not modify
-/// `labels`. `cache` (optional) memoizes decomposition outcomes across
-/// calls; `scratch` (optional) reuses cut-test buffers across calls;
+/// `labels`. `cache` (optional) keeps (gate, cut) functions across calls;
+/// `scratch` (optional) reuses cut-test buffers across calls;
 /// `cuts` (optional) supplies v's last K-cut, checked before the flow runs,
 /// and records the cut the flow finds; `paths` (optional) does the same for
 /// the flow paths of v's last failed test. The result depends on neither.
@@ -272,6 +256,7 @@ struct NodeRealization {
 /// Recomputes a realization for node v at height limit `height` (typically
 /// the final label, or a relaxed height). Returns nullopt if none exists at
 /// that height; at converged labels one always exists at the node's label.
+/// `cache` (optional) keeps (gate, cut) functions across calls.
 /// `shared` (optional): predicate marking signals already used as LUT inputs
 /// elsewhere; when given, plain cuts are chosen by the paper's low-cost
 /// K-cut rule (minimum size, then maximum sharing).

@@ -103,7 +103,7 @@ class Generator {
                                 static_cast<std::uint32_t>(n.w)) != 0;
     };
     const int height = labels_.labels[static_cast<std::size_t>(v)];
-    auto real = realize_node(c_, labels_.labels, phi_, v, height, lopts_, stats_, nullptr,
+    auto real = realize_node(c_, labels_.labels, phi_, v, height, lopts_, stats_, &cache_,
                              opts_.low_cost_cuts ? &shared : nullptr, &scratch_);
     TS_CHECK(real.has_value(), "converged labels must be realizable at node '" << c_.name(v)
                                                                                << "'");
@@ -169,7 +169,7 @@ class Generator {
         if (it == allowed.end()) continue;  // only POs use it (no cut uses)
         const int a = it->second;
         if (a <= chosen_.at(v).height) continue;
-        if (auto real = realize_node(c_, labels_.labels, phi_, v, a, plain, stats_, nullptr,
+        if (auto real = realize_node(c_, labels_.labels, phi_, v, a, plain, stats_, &cache_,
                                      nullptr, &scratch_)) {
           install(v, std::move(*real), a);
         }
@@ -293,6 +293,7 @@ class Generator {
   LabelStats& stats_;
 
   CutScratch scratch_;  // reused cut-test buffers across realizations
+  DecompCache cache_;   // (gate, cut) functions across realizations
 
   std::unordered_map<NodeId, Chosen> chosen_;
   std::unordered_set<NodeId> pending_;

@@ -140,13 +140,21 @@ TEST(Budget, DecompAttemptCeilingStillYieldsEquivalentMapping) {
 }
 
 TEST(Budget, CeilingSpentBySearchStillLetsMappingReachPhi) {
-  // Three attempts are exactly what the search needs to prove ratio 1, so
+  // Four attempts are exactly what the search needs to prove ratio 1, so
   // none are left when mapping generation rebuilds the proven realization.
   // That rebuild is not metered: the mapping reaches phi 1 and the run is kOk.
+  // One attempt fewer and the search cannot prove ratio 1.
   const Circuit c = figure1_circuit();
+  FlowOptions short_opt;
+  short_opt.k = 3;
+  short_opt.budget.set_decomp_attempt_budget(3);
+  const FlowResult short_run = run_turbosyn(c, short_opt);
+  EXPECT_EQ(short_run.phi, 2);
+  EXPECT_EQ(short_run.status, Status::kDegraded);
+
   FlowOptions opt;
   opt.k = 3;
-  opt.budget.set_decomp_attempt_budget(3);
+  opt.budget.set_decomp_attempt_budget(4);
   const FlowResult r = run_turbosyn(c, opt);
   EXPECT_EQ(r.phi, 1);
   EXPECT_EQ(r.status, Status::kOk);
