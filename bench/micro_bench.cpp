@@ -290,8 +290,40 @@ void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   state.counters["cut_reuses"] = benchmark::Counter(static_cast<double>(stats.cut_reuses));
   state.counters["cut_refutations"] =
       benchmark::Counter(static_cast<double>(stats.cut_refutations));
+  state.counters["flow_augmentations"] =
+      benchmark::Counter(static_cast<double>(stats.flow_augmentations));
 }
 BENCHMARK(BM_LabelEngineDescendingProbes)->Unit(benchmark::kMillisecond);
+
+// The TurboSYN twin: descending decomposition probes through one engine, as
+// the paper's flow scans down from the TurboMap bound. Each probe starts
+// cold but shares the decomposition memo and the stored cuts and flow
+// paths. Augmenting paths count the cut tests' flow work, the K-cut tests'
+// and the Cmax resynthesis cuts' together.
+void BM_LabelEngineDecompProbes(benchmark::State& state) {
+  const Circuit c = generate_fsm_circuit(table1_suite()[0]);
+  LabelOptions lo;
+  lo.enable_decomposition = true;
+  LabelStats stats;
+  for (auto _ : state) {
+    LabelEngine engine(c, lo);
+    stats = LabelStats{};
+    for (int phi = 12; phi >= 1; --phi) {
+      const LabelResult r = engine.compute(phi);
+      stats.accumulate(r.stats);
+      benchmark::DoNotOptimize(&r);
+      if (!r.feasible) break;
+    }
+  }
+  state.counters["node_updates"] =
+      benchmark::Counter(static_cast<double>(stats.node_updates));
+  state.counters["cut_tests"] = benchmark::Counter(static_cast<double>(stats.cut_tests));
+  state.counters["flow_augmentations"] =
+      benchmark::Counter(static_cast<double>(stats.flow_augmentations));
+  state.counters["decomp_attempts"] =
+      benchmark::Counter(static_cast<double>(stats.decomp_attempts));
+}
+BENCHMARK(BM_LabelEngineDecompProbes)->Unit(benchmark::kMillisecond);
 
 // Scaling-suite labeling: the large-circuit regime (one infeasible + one
 // feasible probe, as a binary search sees).

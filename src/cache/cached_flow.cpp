@@ -88,7 +88,10 @@ FlowResult serve_hit(const std::string& trace_label, bool period_objective,
   FlowContext ctx(c, options);
   LabelResult labels;
   ctx.run_stage("cached-search", [&] { labels = import_cached_search(ctx, entry); });
-  if (options.collect_artifacts) map_pack_retime(ctx, &labels, entry.mode, period_objective);
+  if (options.collect_artifacts) {
+    DecompCache memo;  // no search ran here: mapgen extracts its own functions
+    map_pack_retime(ctx, &labels, entry.mode, period_objective, memo);
+  }
   FlowResult result = ctx.finish();
   if (!options.collect_artifacts && result.status == Status::kOk) {
     result.luts = entry.luts;

@@ -86,6 +86,8 @@ void FlowContext::run_stage(const char* name, const std::function<void()>& body)
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
   add_counter(metric, "cut_functions", after.cut_functions - before.cut_functions);
+  add_counter(metric, "infeasible_scc_updates",
+              after.infeasible_scc_updates - before.infeasible_scc_updates);
   for (const auto& [counter_name, value] : metric.counters) span.counter(counter_name, value);
   result.stage_metrics.stages.push_back(std::move(metric));
 }
@@ -130,6 +132,7 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("flow_augmentations", r.stats.flow_augmentations);
   span.counter("decomp_attempts", r.stats.decomp_attempts);
   span.counter("cut_functions", r.stats.cut_functions);
+  span.counter("infeasible_scc_updates", r.stats.infeasible_scc_updates);
   ctx.ledger.record(std::move(rec));
   ctx.count("probes", 1);
   return r;

@@ -86,9 +86,10 @@ void pipeline_retime(FlowContext& ctx, Circuit& mapped, bool retime_only) {
 /// the winning labels; when stopped before proving any φ, returns nullopt
 /// and φ falls back to `ub` (the identity mapping realizes it).
 /// `period_objective`: a probe is accepted only when additionally
-/// max_po_label <= φ (PO labels bound the un-pipelined period).
+/// max_po_label <= φ (PO labels bound the un-pipelined period). `memo`
+/// receives the engine's decomposition memo for mapping generation.
 std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool period_objective,
-                                      int ub) {
+                                      int ub, DecompCache& memo) {
   const LabelOptions lopts = ctx.options.label_options(mode == LabelMode::kDecomp);
   LabelEngine engine(ctx.input, lopts);
   FlowResult& result = ctx.result;
@@ -111,6 +112,7 @@ std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool per
       lo = mid + 1;
     }
   }
+  memo = engine.take_decomp_cache();
   if (!best) {
     // Only a budget can make the always-realizable upper bound "infeasible".
     TS_CHECK(result.status != Status::kOk,
@@ -132,8 +134,10 @@ std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool per
 /// about half of log2(ub) of them — the dominant cost with decomposition,
 /// whose isolation early-exit is unsound and disabled. An interrupt mid-scan
 /// keeps the last feasible probe as the anytime answer. A degraded feasible
-/// seed is valid: its labels witness feasibility themselves.
-LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult seed) {
+/// seed is valid: its labels witness feasibility themselves. `memo`
+/// receives the engine's decomposition memo for mapping generation.
+LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult seed,
+                        DecompCache& memo) {
   TS_CHECK(seed.feasible, "descending scan needs a feasible certificate at the upper bound");
   const LabelOptions lopts = ctx.options.label_options(mode == LabelMode::kDecomp);
   LabelEngine engine(ctx.input, lopts);
@@ -163,6 +167,7 @@ LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult se
     labels = std::move(r);
     --hi;
   }
+  memo = engine.take_decomp_cache();
   result.phi = hi + 1;
   return labels;
 }
@@ -182,8 +187,10 @@ std::optional<LabelResult> bisection_steps(FlowContext& ctx, LabelMode mode,
     ctx.count("upper_bound", ub);
   });
   std::optional<LabelResult> labels;
-  ctx.run_stage("phi-search", [&] { labels = bisect_phi(ctx, mode, period_objective, ub); });
-  map_pack_retime(ctx, labels ? &*labels : nullptr, mode, period_objective);
+  DecompCache memo;
+  ctx.run_stage("phi-search",
+                [&] { labels = bisect_phi(ctx, mode, period_objective, ub, memo); });
+  map_pack_retime(ctx, labels ? &*labels : nullptr, mode, period_objective, memo);
   return labels;
 }
 
@@ -234,9 +241,11 @@ FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
     const int ub = ub_run.phi;
     ctx.run_stage("ub-probe", [&] { ctx.count("upper_bound", ub); });
     LabelResult labels;
-    ctx.run_stage("phi-search",
-                  [&] { labels = descend_phi(ctx, spec.mode, ub, std::move(*ub_labels)); });
-    map_pack_retime(ctx, &labels, spec.mode, /*period_objective=*/false);
+    DecompCache memo;
+    ctx.run_stage("phi-search", [&] {
+      labels = descend_phi(ctx, spec.mode, ub, std::move(*ub_labels), memo);
+    });
+    map_pack_retime(ctx, &labels, spec.mode, /*period_objective=*/false, memo);
   }
   FlowResult result = ctx.finish();
   result.stats.accumulate(ub_run.stats);
@@ -361,7 +370,7 @@ std::vector<EngineSpec> build_registry() {
 }  // namespace
 
 void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode,
-                     bool period_objective) {
+                     bool period_objective, DecompCache& memo) {
   Circuit mapped;
   ctx.run_stage("mapgen", [&] {
     if (labels == nullptr) {
@@ -378,7 +387,8 @@ void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode
     FlowResult& result = ctx.result;
     mapped = generate_sequential_mapping(
         ctx.input, *labels, result.phi, ctx.options.label_options(mode == LabelMode::kDecomp),
-        mopts, result.stats, ctx.options.collect_artifacts ? &result.artifacts.records : nullptr);
+        mopts, result.stats, ctx.options.collect_artifacts ? &result.artifacts.records : nullptr,
+        &memo);
     if (ctx.options.collect_artifacts) {
       result.artifacts.valid = true;
       result.artifacts.phi = result.phi;

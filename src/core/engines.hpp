@@ -100,9 +100,10 @@ bool portfolio_prefers(int phi_a, int strength_a, std::size_t pos_a, int phi_b,
 /// (`labels` null) the identity mapping — the K-bounded input itself — is
 /// the anytime answer at the φ the search left in the result.
 /// `period_objective` caps relaxation at the PO labels and retimes without
-/// pipelining.
+/// pipelining. `memo` is the decomposition memo mapgen reads and fills: the
+/// label search's own, or an empty one when no search ran here.
 void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode,
-                     bool period_objective);
+                     bool period_objective, DecompCache& memo);
 
 /// Runs one engine end to end: the stage sequence of its shape. The
 /// backbone of run_flow() and of every portfolio run.

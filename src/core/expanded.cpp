@@ -38,6 +38,7 @@ void ExpandedNetwork::build(const Circuit& c, std::span<const int> labels, int p
   viable_ = true;
   augmentations_ = 0;
   unit_flow_failed_ = false;
+  unit_flow_ = UnitFlow::kNone;
   num_nodes_ = 0;
   fanin_pool_.clear();
   // Pre-size the per-query scratch to the high-water mark of earlier builds,
@@ -180,12 +181,7 @@ NodeCut::Network ExpandedNetwork::flow_network() const {
 }
 
 template <class CapacityOf>
-std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64_t value_limit,
-                                                                      CapacityOf capacity_of) {
-  augmentations_ = 0;
-  unit_flow_failed_ = false;
-  if (!viable_) return std::nullopt;
-
+void ExpandedNetwork::set_capacities(CapacityOf capacity_of) {
   // The root (interned first) is the sink; PI copies and unexpanded
   // frontier copies feed from the source. An expanded constant gate has no
   // fanins and no source arc: it is free inside the LUT.
@@ -197,10 +193,12 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64
     flags_[i] = static_cast<std::uint8_t>((n.expanded ? 0 : NodeCut::kFromSource) |
                                           (i == 0 ? NodeCut::kSink : 0));
   }
-  const std::int64_t value = cut_.run(flow_network(), value_limit);
+}
+
+std::optional<std::vector<SeqCutNode>> ExpandedNetwork::read_cut(std::int64_t value,
+                                                                 std::int64_t value_limit) {
   augmentations_ = cut_.paths();
   if (value > value_limit) return std::nullopt;
-
   std::vector<SeqCutNode> cut;
   cut.reserve(cut_.cut().size());
   for (const std::int32_t i : cut_.cut()) cut.push_back(nodes_[static_cast<std::size_t>(i)].id);
@@ -209,21 +207,45 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut_impl(std::int64
 }
 
 std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut(int size_limit) {
-  auto cut = find_cut_impl(size_limit, [](const ExpNode&) { return std::int64_t{1}; });
+  augmentations_ = 0;
+  unit_flow_failed_ = false;
+  if (!viable_) return std::nullopt;
+  // Start from the unit flow this build already has when there is one no
+  // larger than limit + 1 units: the flow of the last find_cut(), or the
+  // paths refuted_by() accepted. Any starting flow ends at the same value
+  // and the same cut closest to the source.
+  const auto units_fit = [&](std::int64_t units) { return units <= size_limit + std::int64_t{1}; };
+  std::int64_t value = 0;
+  if (unit_flow_ == UnitFlow::kHeld && units_fit(cut_.flow())) {
+    value = cut_.resume(flow_network(), size_limit);
+  } else {
+    set_capacities([](const ExpNode&) { return std::int64_t{1}; });
+    const NodeCut::Network net = flow_network();
+    const bool seeded =
+        unit_flow_ == UnitFlow::kSeed && units_fit(static_cast<std::int64_t>(seed_ends_.size()));
+    cut_.seed(net, seeded ? NodeCut::Paths{seed_nodes_, seed_ends_} : NodeCut::Paths{});
+    value = cut_.resume(net, size_limit);
+  }
+  unit_flow_ = UnitFlow::kHeld;
+  unit_flow_failed_ = value > size_limit;
+  auto cut = read_cut(value, size_limit);
   TS_ASSERT(!cut.has_value() || static_cast<int>(cut->size()) <= size_limit);
-  unit_flow_failed_ = viable_ && !cut.has_value();
   return cut;
 }
 
 std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_low_cost_cut(
     int size_limit, const std::function<bool(const SeqCutNode&)>& shared) {
+  augmentations_ = 0;
+  unit_flow_failed_ = false;
+  unit_flow_ = UnitFlow::kNone;  // the weighted flow is no unit flow
+  if (!viable_) return std::nullopt;
   // Capacity B per node plus 1 for non-shared nodes, with B > size_limit:
   // the min cut is lexicographically (size, #non-shared)-minimal, and a cut
   // of size <= size_limit exists iff max-flow <= (B+1)*size_limit.
   const std::int64_t b = size_limit + 1;
-  auto cut = find_cut_impl((b + 1) * size_limit, [&](const ExpNode& n) {
-    return b + (shared(n.id) ? 0 : 1);
-  });
+  set_capacities([&](const ExpNode& n) { return b + (shared(n.id) ? 0 : 1); });
+  const std::int64_t value_limit = (b + 1) * size_limit;
+  auto cut = read_cut(cut_.run(flow_network(), value_limit), value_limit);
   if (cut.has_value() && static_cast<int>(cut->size()) > size_limit) return std::nullopt;
   return cut;
 }
@@ -269,36 +291,58 @@ FlowPaths ExpandedNetwork::flow_paths() {
 }
 
 bool ExpandedNetwork::refuted_by(FlowPaths paths, int size_limit) {
-  if (!viable_ || paths.ends.size() < static_cast<std::size_t>(size_limit) + 1) return false;
-  // mark_[i] != 0: allowed copy i already lies on a path (capacity 1).
+  seed_nodes_.clear();
+  seed_ends_.clear();
+  unit_flow_ = UnitFlow::kSeed;
+  if (!viable_) return false;
+  const auto wanted = static_cast<std::size_t>(size_limit) + 1;
+  // mark_[i] != 0: allowed copy i lies on an accepted path or earlier on
+  // the path being checked (capacity 1).
   mark_.assign(num_nodes_, 0);
-  std::size_t begin = 0;
-  for (const std::int32_t end_offset : paths.ends) {
-    const auto end = static_cast<std::size_t>(end_offset);
-    if (end <= begin || end > paths.copies.size()) return false;
+  // Checks one path, appending its copies to seed_nodes_ and marking its
+  // allowed ones; false at the first copy that is no flow in this network,
+  // before that copy is appended.
+  const auto check = [&](std::span<const SeqCutNode> path) {
     // The root (interned first) is the sink: it starts every path and is
     // not a capacity of the flow.
-    if (find_index(pack(paths.copies[begin])) != 0) return false;
+    if (find_index(pack(path.front())) != 0) return false;
+    seed_nodes_.push_back(0);
     std::size_t prev = 0;
-    for (std::size_t p = begin + 1; p < end; ++p) {
-      const int found = find_index(pack(paths.copies[p]));
+    for (const SeqCutNode& copy : path.subspan(1)) {
+      const int found = find_index(pack(copy));
       if (found < 0 || !nodes_[prev].expanded) return false;
-      const auto i = static_cast<std::size_t>(found);
       bool is_fanin = false;
       for (std::int32_t s = fanin_begin_[prev]; s < fanin_end_[prev] && !is_fanin; ++s) {
         is_fanin = fanin_pool_[static_cast<std::size_t>(s)] == found;
       }
       if (!is_fanin) return false;
+      const auto i = static_cast<std::size_t>(found);
       if (nodes_[i].allowed) {
         if (mark_[i] != 0) return false;
         mark_[i] = 1;
       }
+      seed_nodes_.push_back(found);
       prev = i;
     }
-    if (nodes_[prev].expanded) return false;  // the path must end at the source
+    return !nodes_[prev].expanded;  // the path must end at the source
+  };
+  std::size_t begin = 0;
+  for (const std::int32_t end_offset : paths.ends) {
+    const auto end = static_cast<std::size_t>(end_offset);
+    if (seed_ends_.size() == wanted || end <= begin || end > paths.copies.size()) break;
+    const std::size_t first = seed_nodes_.size();
+    if (check(paths.copies.subspan(begin, end - begin))) {
+      seed_ends_.push_back(static_cast<std::int32_t>(seed_nodes_.size()));
+    } else {
+      // Every mark on the rejected path's copies is its own: free them.
+      for (std::size_t k = first; k < seed_nodes_.size(); ++k) {
+        mark_[static_cast<std::size_t>(seed_nodes_[k])] = 0;
+      }
+      seed_nodes_.resize(first);
+    }
     begin = end;
   }
-  return true;
+  return seed_ends_.size() == wanted;
 }
 
 template <std::size_t B>

@@ -35,9 +35,18 @@
 // node_budget nodes. separates() is the flow-free alternative when a
 // candidate cut is already known: one search from the root that stops at
 // the candidate's members. refuted_by() is its dual: a failed test leaves
-// size_limit + 1 units of flow (flow_paths()), and when those unit paths are
-// still a flow in a rebuilt network, max-flow/min-cut duality says the test
-// would fail again.
+// size_limit + 1 units of flow (flow_paths()), and when that many of those
+// unit paths are still a flow in a rebuilt network, max-flow/min-cut
+// duality says the test would fail again.
+//
+// Within one build the unit-capacity flow carries forward. find_cut()
+// starts from the flow its build already has: the paths refuted_by()
+// accepted, or the flow of the last find_cut(), so TurboSYN's Cmax
+// resynthesis cut at the K-cut test's height goes on from the test's K + 1
+// units. The cut closest to the source is the same for every maximum flow,
+// so the cut found does not depend on where the flow started; only
+// augmentations() does. find_low_cost_cut() (weighted capacities) always
+// starts from zero.
 //
 // One ExpandedNetwork instance is rebuildable: build() re-targets it to a
 // new (root, height) query while keeping every internal buffer — the node
@@ -103,11 +112,15 @@ class ExpandedNetwork {
   bool viable() const { return viable_; }
 
   /// Augmenting paths found by the last find_cut()/find_low_cost_cut()
-  /// since build() (0 before the first).
+  /// since build() (0 before the first), beyond the flow it started from.
   std::int64_t augmentations() const { return augmentations_; }
 
   /// Minimum cut with all cut nodes allowed at the height limit and size
-  /// <= size_limit; nullopt if none (or !viable()). Sorted, deterministic.
+  /// <= size_limit; nullopt if none (or !viable()). Sorted, deterministic:
+  /// the cut is the one closest to the source, whichever flow the search
+  /// starts from. It starts from the unit flow this build holds when that
+  /// is at most size_limit + 1 units: the flow of the last find_cut(), or
+  /// else the paths the last refuted_by() accepted; otherwise from zero.
   std::optional<std::vector<SeqCutNode>> find_cut(int size_limit);
 
   /// The paper's low-cost K-cut (Step 2): among all cuts of minimum size,
@@ -129,19 +142,22 @@ class ExpandedNetwork {
   bool separates(std::span<const SeqCutNode> cut);
 
   /// After a find_cut(size_limit) that failed on a viable network: the
-  /// size_limit + 1 units of flow it pushed, as that many unit root-to-source
-  /// paths on which no allowed copy appears twice. Empty after any other
-  /// query. Valid until the next build() or cut query.
+  /// size_limit + 1 units of flow it ended with, as that many unit
+  /// root-to-source paths on which no allowed copy appears twice. Empty
+  /// after any other query. Valid until the next build() or cut query.
   FlowPaths flow_paths();
 
-  /// Checks a no-cut certificate without running the flow: true iff the
-  /// network is viable, `paths` holds at least size_limit + 1 paths, and in
-  /// this network every copy is interned, each path starts at the root,
-  /// each step goes from an expanded copy to one of its fanins, each path
-  /// ends at a source-fed copy, and no allowed copy other than the root lies
-  /// on two paths. Those paths are then a flow above size_limit, so
-  /// find_cut(size_limit) fails. O(total path length + fanins on the paths);
-  /// paths kept from an earlier query are checked, never trusted.
+  /// Checks a no-cut certificate without running the flow, and keeps what
+  /// still holds as the start of the next find_cut(). A path is accepted
+  /// when in this network every copy on it is interned, it starts at the
+  /// root, each step goes from an expanded copy to one of its fanins, it
+  /// ends at a source-fed copy, and no allowed copy on it other than the
+  /// root lies on a path accepted before. True iff the network is viable
+  /// and size_limit + 1 paths were accepted (checking stops there): they
+  /// are a flow above size_limit, so find_cut(size_limit) fails. Either way
+  /// the accepted paths replace the flow the next find_cut() on this build
+  /// starts from. O(total path length + fanins on the paths); paths kept
+  /// from an earlier query are checked, never trusted.
   bool refuted_by(FlowPaths paths, int size_limit);
 
   /// Truth table of the root over the given cut (variable i = cut[i]).
@@ -167,11 +183,13 @@ class ExpandedNetwork {
   void index_grow();
   bool allowed(SeqCutNode id) const;
   void expand();
-  /// Shared cut test: capacity_of(node) for allowed nodes, acceptance
-  /// threshold `value_limit` on the flow.
+  /// Fills the flow network's capacities (capacity_of(node) for allowed
+  /// nodes, kUncuttable for the rest) and flags.
   template <class CapacityOf>
-  std::optional<std::vector<SeqCutNode>> find_cut_impl(std::int64_t value_limit,
-                                                       CapacityOf capacity_of);
+  void set_capacities(CapacityOf capacity_of);
+  /// The cut of the flow that ended at `value`, when that is within
+  /// `value_limit`, as sorted copies; records the augmentations.
+  std::optional<std::vector<SeqCutNode>> read_cut(std::int64_t value, std::int64_t value_limit);
   NodeCut::Network flow_network() const;
   /// cut_function()'s evaluation of cone_ into root_words_, B words a pass.
   template <std::size_t B>
@@ -186,6 +204,13 @@ class ExpandedNetwork {
   bool viable_ = true;
   std::int64_t augmentations_ = 0;
   bool unit_flow_failed_ = false;  // the last query was a find_cut() the flow failed
+  // The unit-capacity flow this build already has: none, the paths the last
+  // refuted_by() accepted (seed_nodes_/seed_ends_, in NodeCut's node
+  // indices), or the flow cut_ holds since the last find_cut().
+  enum class UnitFlow : std::uint8_t { kNone, kSeed, kHeld };
+  UnitFlow unit_flow_ = UnitFlow::kNone;
+  std::vector<std::int32_t> seed_nodes_;
+  std::vector<std::int32_t> seed_ends_;
 
   // Node store: slots [0, num_nodes_) are live for the current query; the
   // vectors are never shrunk. Node i's fanins are the contiguous run

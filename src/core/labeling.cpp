@@ -35,7 +35,9 @@ void record_degraded(LabelStats& stats, NodeId v) {
 
 /// Tries resynthesis at min-cut heights `height`, height-1, ... Returns the
 /// realization on success. `net` must hold E_v at `height` (the caller's
-/// K-cut test network), so the first height needs no rebuild. Each (gate,
+/// K-cut test network), so the first height needs no rebuild and its Cmax
+/// cut starts from the unit flow the K-cut test left (or from the stored
+/// paths that refuted it) instead of from zero. Each (gate,
 /// cut) function is extracted once per memo; a null `cache` stands for a
 /// memo local to this call. With `metered` (the label iteration) every
 /// attempt counts against the decomposition-attempt budget.
@@ -135,6 +137,8 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
   }
   const std::optional<FlowPaths> last_paths =
       paths != nullptr ? paths->get(v) : std::nullopt;
+  // The stored paths still valid in this build seed its next flow: the
+  // K-cut test when fewer than K + 1 remain, else the Cmax cut below.
   if (last_paths && net.refuted_by(*last_paths, options.k)) {
     ++stats.cut_refutations;  // the flow would fail: straight to the fallback
   } else {
@@ -261,6 +265,7 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
 void LabelStats::accumulate(const LabelStats& from) {
   sweeps += from.sweeps;
   node_updates += from.node_updates;
+  infeasible_scc_updates += from.infeasible_scc_updates;
   cut_tests += from.cut_tests;
   cut_reuses += from.cut_reuses;
   cut_refutations += from.cut_refutations;
@@ -381,7 +386,11 @@ LabelResult LabelEngine::compute(int phi) {
 
   for (int comp = 0; comp < static_cast<int>(gates_.size()); ++comp) {
     if (gates_[static_cast<std::size_t>(comp)].empty()) continue;
+    const std::int64_t updates_before = result.stats.node_updates;
     const CompOutcome out = process_comp(comp, phi, result.labels, result.stats);
+    if (out == CompOutcome::kInfeasible) {
+      result.stats.infeasible_scc_updates += result.stats.node_updates - updates_before;
+    }
     if (out != CompOutcome::kConverged) {
       finish(out);
       return result;

@@ -30,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/run_budget.hpp"
@@ -60,6 +61,9 @@ struct LabelOptions {
 struct LabelStats {
   std::int64_t sweeps = 0;           // per-SCC iterations, summed
   std::int64_t node_updates = 0;     // LabelUpdate invocations
+  // node_updates spent in SCCs whose iteration ended infeasible (the work
+  // of proving divergence).
+  std::int64_t infeasible_scc_updates = 0;
   std::int64_t cut_tests = 0;        // flow-based K-cut existence tests
   std::int64_t cut_reuses = 0;       // K-cut tests settled by a stored cut, no flow
   std::int64_t cut_refutations = 0;  // K-cut tests settled by stored flow paths, no flow
@@ -99,8 +103,8 @@ struct LabelResult {
 
 /// The decomposition memo: one entry per (gate, exact cut) holding the cut
 /// function reduced to its support (support indices are cut positions).
-/// A LabelEngine's memo is shared by all its probes; mapping generation
-/// keeps its own.
+/// A LabelEngine's memo is shared by all its probes and then handed to
+/// mapping generation.
 ///
 /// The function is structural. On a cut that separates the root, every copy
 /// between the root and the cut is expanded, an expanded copy's fanins are
@@ -207,6 +211,10 @@ class LabelEngine {
 
   /// The decomposition memo every probe shares (empty for TurboMap).
   const DecompCache& decomp_cache() const { return cache_; }
+
+  /// Hands the memo over (to mapping generation, whose realizations read
+  /// the same structural functions), leaving this engine's empty.
+  DecompCache take_decomp_cache() { return std::exchange(cache_, {}); }
 
  private:
   /// Verdict of one SCC's iteration. kInfeasible is a divergence certificate

@@ -48,13 +48,14 @@ class Generator {
  public:
   Generator(const Circuit& c, const LabelResult& labels, int phi,
             const LabelOptions& label_options, const MapGenOptions& options, LabelStats& stats,
-            std::vector<MappingRecord>* records)
+            std::vector<MappingRecord>* records, DecompCache* cache)
       : c_(c),
         labels_(labels),
         phi_(phi),
         lopts_(label_options),
         opts_(options),
         stats_(stats),
+        cache_(cache != nullptr ? *cache : local_cache_),
         records_(records) {}
 
   Circuit run() {
@@ -292,8 +293,9 @@ class Generator {
   const MapGenOptions& opts_;
   LabelStats& stats_;
 
-  CutScratch scratch_;  // reused cut-test buffers across realizations
-  DecompCache cache_;   // (gate, cut) functions across realizations
+  CutScratch scratch_;       // reused cut-test buffers across realizations
+  DecompCache local_cache_;  // the memo when the caller passes none
+  DecompCache& cache_;       // (gate, cut) functions across realizations
 
   std::unordered_map<NodeId, Chosen> chosen_;
   std::unordered_set<NodeId> pending_;
@@ -307,9 +309,9 @@ class Generator {
 Circuit generate_sequential_mapping(const Circuit& c, const LabelResult& labels, int phi,
                                     const LabelOptions& label_options,
                                     const MapGenOptions& options, LabelStats& stats,
-                                    std::vector<MappingRecord>* records) {
+                                    std::vector<MappingRecord>* records, DecompCache* cache) {
   TS_CHECK(labels.feasible, "mapping generation requires converged labels");
-  return Generator(c, labels, phi, label_options, options, stats, records).run();
+  return Generator(c, labels, phi, label_options, options, stats, records, cache).run();
 }
 
 }  // namespace turbosyn

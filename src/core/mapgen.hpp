@@ -47,10 +47,14 @@ struct MapGenOptions {
 /// PI/PO names are preserved; LUT nodes take the name of the original node
 /// they are rooted at (encoder LUTs get a "$e<i>" suffix). When `records` is
 /// non-null it receives one MappingRecord per realized (live) node, in
-/// input-circuit node order.
+/// input-circuit node order. `cache` (optional) is the decomposition memo
+/// the realizations read and fill, typically the label search's own
+/// (LabelEngine::take_decomp_cache); a null `cache` stands for a memo local
+/// to this call.
 Circuit generate_sequential_mapping(const Circuit& c, const LabelResult& labels, int phi,
                                     const LabelOptions& label_options,
                                     const MapGenOptions& options, LabelStats& stats,
-                                    std::vector<MappingRecord>* records = nullptr);
+                                    std::vector<MappingRecord>* records = nullptr,
+                                    DecompCache* cache = nullptr);
 
 }  // namespace turbosyn

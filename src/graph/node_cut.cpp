@@ -6,12 +6,10 @@
 
 namespace turbosyn {
 
-std::int64_t NodeCut::run(const Network& net, std::int64_t limit) {
+void NodeCut::reset(const Network& net) {
   const std::size_t n = net.capacity.size();
   TS_CHECK(net.fanin_begin.size() == n && net.fanin_end.size() == n && net.flags.size() == n,
            "node cut network arrays disagree on the node count");
-  paths_ = 0;
-  cut_.clear();
 
   // Fanout lists by counting sort: counts land at fanout_offset_[u + 2], so
   // after the prefix sum and one fill pass [offset[u], offset[u + 1]) is u's
@@ -42,16 +40,59 @@ std::int64_t NodeCut::run(const Network& net, std::int64_t limit) {
   if (seen_.size() < 2 * n) seen_.resize(2 * n, 0);
   parent_.resize(2 * n);
   via_.resize(2 * n);
+  next_.resize(2 * n);
+  flow_ = 0;
+}
 
-  std::int64_t flow = 0;
+std::int64_t NodeCut::run(const Network& net, std::int64_t limit) {
+  reset(net);
+  return resume(net, limit);
+}
+
+void NodeCut::seed(const Network& net, Paths paths) {
+  reset(net);
+  // One unit per path: each step from a node down to its fanin u carries it
+  // along that fanin slot and through u's own arc.
+  std::size_t begin = 0;
+  for (const std::int32_t end_offset : paths.ends) {
+    const auto end = static_cast<std::size_t>(end_offset);
+    TS_ASSERT(begin < end && end <= paths.nodes.size());
+    auto prev = static_cast<std::size_t>(paths.nodes[begin]);
+    TS_ASSERT(net.flags[prev] & kSink);
+    if (end - begin == 1) ++node_flow_[prev];  // a source arc straight into the sink
+    for (std::size_t i = begin + 1; i < end; ++i) {
+      const std::int32_t u = paths.nodes[i];
+      std::int32_t s = net.fanin_begin[prev];
+      while (s < net.fanin_end[prev] && net.fanins[static_cast<std::size_t>(s)] != u) ++s;
+      TS_ASSERT(s < net.fanin_end[prev]);
+      prev = static_cast<std::size_t>(u);
+      TS_ASSERT(!(net.flags[prev] & kSink));
+      ++edge_flow_[static_cast<std::size_t>(s)];
+      ++node_flow_[prev];
+      TS_ASSERT(node_flow_[prev] <= net.capacity[prev]);
+    }
+    TS_ASSERT(net.flags[prev] & kFromSource);
+    begin = end;
+  }
+  flow_ = static_cast<std::int64_t>(paths.ends.size());
+}
+
+std::int64_t NodeCut::resume(const Network& net, std::int64_t limit) {
+  const std::size_t n = net.capacity.size();
+  TS_ASSERT(node_flow_.size() == n && edge_flow_.size() == net.fanins.size());
+  TS_ASSERT(flow_ <= limit + 1);
+  paths_ = 0;
+  cut_.clear();
+  if (flow_ > limit) return limit + 1;
   while (find_path(net)) {
     ++paths_;
     const std::int64_t amount = bottleneck(net);
-    if (flow + amount > limit) {
-      push(limit + 1 - flow);  // keep exactly limit + 1 units for flow_paths()
-      return limit + 1;
+    if (flow_ + amount > limit) {
+      push(limit + 1 - flow_);  // keep exactly limit + 1 units for flow_paths()
+      flow_ = limit + 1;
+      return flow_;
     }
-    flow += amount;
+    flow_ += amount;
     push(amount);
   }
   for (std::size_t v = 0; v < n; ++v) {
@@ -59,7 +100,7 @@ std::int64_t NodeCut::run(const Network& net, std::int64_t limit) {
       cut_.push_back(static_cast<std::int32_t>(v));
     }
   }
-  return flow;
+  return flow_;
 }
 
 bool NodeCut::find_path(const Network& net) {
@@ -67,49 +108,75 @@ bool NodeCut::find_path(const Network& net) {
     std::fill(seen_.begin(), seen_.end(), 0);
     epoch_ = 1;
   }
-  stack_.clear();
-  const auto visit = [&](std::int32_t to, std::int32_t from, std::int32_t slot) {
-    const auto t = static_cast<std::size_t>(to);
-    if (seen_[t] == epoch_) return;
-    seen_[t] = epoch_;
-    parent_[t] = from;
-    via_[t] = slot;
-    stack_.push_back(to);
-  };
   for (const std::int32_t v : sources_) {
-    if (net.flags[static_cast<std::size_t>(v)] & kSink) {  // source arc straight into the sink
+    const auto vs = static_cast<std::size_t>(v);
+    if (net.flags[vs] & kSink) {  // source arc straight into the sink
       sink_hit_ = 2 * v;
       parent_[static_cast<std::size_t>(sink_hit_)] = -1;
       return true;
     }
-    visit(2 * v, -1, -1);
-  }
-  while (!stack_.empty()) {
-    const std::int32_t h = stack_.back();
-    stack_.pop_back();
-    const auto v = static_cast<std::size_t>(h >> 1);
-    if ((h & 1) == 0) {
-      // in(v): through v's own arc, or back against flow on a fanin edge.
-      if (node_flow_[v] < net.capacity[v]) visit(h + 1, h, -1);
-      for (std::int32_t s = net.fanin_begin[v]; s < net.fanin_end[v]; ++s) {
-        if (edge_flow_[static_cast<std::size_t>(s)] > 0) {
-          visit(2 * net.fanins[static_cast<std::size_t>(s)] + 1, h, s);
+    if (seen_[2 * vs] == epoch_) continue;
+    seen_[2 * vs] = epoch_;
+    parent_[2 * vs] = -1;
+    via_[2 * vs] = -1;
+    next_[2 * vs] = -1;
+    stack_.assign(1, 2 * v);
+    while (!stack_.empty()) {
+      const std::int32_t h = stack_.back();
+      const auto hs = static_cast<std::size_t>(h);
+      const auto u = static_cast<std::size_t>(h >> 1);
+      std::int32_t& k = next_[hs];
+      std::int32_t to = -1;
+      std::int32_t slot = -1;
+      if ((h & 1) == 0) {
+        // in(u): through u's own arc, or back against flow on a fanin edge.
+        if (k < 0) {
+          k = net.fanin_begin[u];
+          if (node_flow_[u] < net.capacity[u] && seen_[hs + 1] != epoch_) to = h + 1;
+        }
+        while (to < 0 && k < net.fanin_end[u]) {
+          const std::int32_t s = k++;
+          if (edge_flow_[static_cast<std::size_t>(s)] == 0) continue;
+          const std::int32_t t = 2 * net.fanins[static_cast<std::size_t>(s)] + 1;
+          if (seen_[static_cast<std::size_t>(t)] != epoch_) {
+            to = t;
+            slot = s;
+          }
+        }
+      } else {
+        // out(u): forward along a fanout edge, then back against u's own
+        // flow (position end + 1 means both are spent).
+        if (k < 0) k = fanout_offset_[u];
+        const std::int32_t end = fanout_offset_[u + 1];
+        while (to < 0 && k < end) {
+          const std::int32_t s = fanout_slot_[static_cast<std::size_t>(k++)];
+          const std::int32_t w = slot_head_[static_cast<std::size_t>(s)];
+          if (net.flags[static_cast<std::size_t>(w)] & kSink) {
+            sink_hit_ = 2 * w;
+            parent_[static_cast<std::size_t>(sink_hit_)] = h;
+            via_[static_cast<std::size_t>(sink_hit_)] = s;
+            return true;
+          }
+          if (seen_[static_cast<std::size_t>(2 * w)] != epoch_) {
+            to = 2 * w;
+            slot = s;
+          }
+        }
+        if (to < 0 && k == end) {
+          ++k;
+          if (node_flow_[u] > 0 && seen_[hs - 1] != epoch_) to = h - 1;
         }
       }
-    } else {
-      // out(v): back against v's own flow, or forward along a fanout edge.
-      if (node_flow_[v] > 0) visit(h - 1, h, -1);
-      for (std::int32_t k = fanout_offset_[v]; k < fanout_offset_[v + 1]; ++k) {
-        const std::int32_t s = fanout_slot_[static_cast<std::size_t>(k)];
-        const std::int32_t w = slot_head_[static_cast<std::size_t>(s)];
-        if (net.flags[static_cast<std::size_t>(w)] & kSink) {
-          sink_hit_ = 2 * w;
-          parent_[static_cast<std::size_t>(sink_hit_)] = h;
-          via_[static_cast<std::size_t>(sink_hit_)] = s;
-          return true;
-        }
-        visit(2 * w, h, s);
+      if (to < 0) {
+        stack_.pop_back();
+        continue;
       }
+      const auto ts = static_cast<std::size_t>(to);
+      seen_[ts] = epoch_;
+      parent_[ts] = h;
+      via_[ts] = slot;
+      next_[ts] = -1;
+      stack_.push_back(to);
     }
   }
   return false;

@@ -12,9 +12,10 @@
 // traversed.
 //
 // run() derives the fanout lists from the fanin lists, then augments along
-// residual paths, each found by one depth-first search (a LIFO worklist,
-// which heads for the sink instead of sweeping the network level by level),
-// and stops as soon as the flow exceeds the limit. Paths need not be
+// residual paths, each found by one depth-first search that takes one
+// residual arc at a time (each half-node keeps its place in its arc list,
+// so a search that heads straight for the sink touches little else), and
+// stops as soon as the flow exceeds the limit. Paths need not be
 // shortest: each carries at least one unit, so there are still at most
 // limit + 1. When it ends at or below the limit, the final, failed search
 // has marked the whole set reachable from the source in the residual
@@ -24,6 +25,15 @@
 // ends above the limit, the path that crossed it is pushed only up to
 // limit + 1 units, and flow_paths() splits that flow into limit + 1 unit
 // sink-to-source paths: a certificate that no cut of size <= limit exists.
+//
+// The flow need not start from zero. resume() keeps augmenting the flow the
+// instance holds on the same network, so a test that failed at one limit
+// continues to a larger one without re-finding its units; seed() replaces
+// the held flow by given unit paths (a failed test's flow_paths(), checked
+// again on a rebuilt network) before resume() goes on from them. A search
+// from any starting flow ends at a maximum flow, and the cut read off its
+// last failed search is again the one closest to the source: the value and
+// the cut equal a cold run()'s, and only the number of paths differs.
 //
 // One instance is reusable: every buffer keeps its capacity across runs, so
 // repeated tests on networks no larger than an earlier one allocate nothing.
@@ -52,11 +62,6 @@ class NodeCut {
     std::span<const std::uint8_t> flags;     // per node: kFromSource | kSink
   };
 
-  /// Maximum flow from the source to the sink, or limit + 1 as soon as the
-  /// flow exceeds `limit` (which must be below kUncuttable; a path through
-  /// uncuttable nodes alone exceeds any such limit).
-  std::int64_t run(const Network& net, std::int64_t limit);
-
   /// Unit paths of a flow: path p is nodes[ends[p - 1], ends[p]), with
   /// ends[-1] = 0.
   struct Paths {
@@ -64,23 +69,48 @@ class NodeCut {
     std::span<const std::int32_t> ends;
   };
 
-  /// After a run() on `net` that returned a value > its limit: the limit + 1
-  /// units of flow it holds, as limit + 1 unit paths. Each path starts at a
+  /// Maximum flow from the source to the sink, or limit + 1 as soon as the
+  /// flow exceeds `limit` (which must be below kUncuttable; a path through
+  /// uncuttable nodes alone exceeds any such limit). The same as seed(net,
+  /// {}) followed by resume(net, limit).
+  std::int64_t run(const Network& net, std::int64_t limit);
+
+  /// Replaces the held flow by one unit along each of `paths`, in the form
+  /// flow_paths() returns: a sink first, then at each step a fanin of the
+  /// node before, ending at a source-fed node, with no node on more paths
+  /// than its capacity. flow() is then the number of paths.
+  void seed(const Network& net, Paths paths);
+
+  /// Continues augmenting the held flow (of the last run() or seed() on
+  /// `net`, with the same fanins, capacities and flags) and returns as
+  /// run() does: the maximum flow, or limit + 1 once the flow exceeds
+  /// `limit`. Requires flow() <= limit + 1; at flow() == limit + 1 no
+  /// search runs.
+  std::int64_t resume(const Network& net, std::int64_t limit);
+
+  /// Units of the held flow.
+  std::int64_t flow() const { return flow_; }
+
+  /// After a run() or resume() on `net` that returned a value > its limit:
+  /// the limit + 1 units of flow it holds, as limit + 1 unit paths. Each path starts at a
   /// sink, steps to a fanin of the node before it, and ends at the first
   /// source-fed node it reaches. A node of capacity c lies on at most c
   /// paths (the sink that starts a path is not counted). On acyclic fanin
   /// lists every path is simple. Valid until the next run().
   Paths flow_paths(const Network& net);
 
-  /// Augmenting paths found by the last run(), the one that crossed the
-  /// limit included: at most limit + 1, as every path carries >= 1 unit.
+  /// Augmenting paths found by the last run() or resume(), the one that
+  /// crossed the limit included: at most limit + 1 - (the flow it started
+  /// from), as every path carries >= 1 unit.
   std::int64_t paths() const { return paths_; }
 
-  /// After a run() that returned a value <= its limit: the minimum cut
-  /// closest to the source, as ascending node indices.
+  /// After a run() or resume() that returned a value <= its limit: the
+  /// minimum cut closest to the source, as ascending node indices.
   std::span<const std::int32_t> cut() const { return cut_; }
 
  private:
+  /// Derives the fanout lists of `net` and clears the flow.
+  void reset(const Network& net);
   /// One depth-first search over the residual network; true iff it reached
   /// the sink, in which case `parent_`/`via_` hold the path ending at half
   /// `sink_hit_`.
@@ -103,7 +133,8 @@ class NodeCut {
   std::uint32_t epoch_ = 0;
   std::vector<std::int32_t> parent_;  // per half: predecessor on the path, -1 = source
   std::vector<std::int32_t> via_;     // per half: fanin slot crossed, -1 = the node's own arc
-  std::vector<std::int32_t> stack_;
+  std::vector<std::int32_t> next_;    // per half: the search's place in its arc list
+  std::vector<std::int32_t> stack_;   // the search's current path of halves
   std::vector<std::int32_t> cut_;
   // flow_paths() scratch and result.
   std::vector<std::int64_t> remaining_;  // per fanin slot: flow not yet on a path
@@ -111,6 +142,7 @@ class NodeCut {
   std::vector<std::int32_t> path_nodes_;
   std::vector<std::int32_t> path_ends_;
   std::int32_t sink_hit_ = -1;
+  std::int64_t flow_ = 0;
   std::int64_t paths_ = 0;
 };
 

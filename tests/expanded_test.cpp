@@ -403,12 +403,80 @@ TEST(Expanded, RefutedByRejectsMutatedCertificates) {
   EXPECT_FALSE(refutes(net, certificate, 4));
 }
 
+// refuted_by() accepts each stored path that is still a flow, and the paths
+// it accepts seed the next cut test on the same build. On Figure 1 every
+// mutated certificate above keeps four of its five paths: the 4-cut test
+// then needs one augmenting path to fail, its flow paths refute again, and
+// the Cmax test resumes from those five units to the cold build's cut.
+TEST(Expanded, AcceptedPathsSeedTheNextCutTest) {
+  const Circuit c = figure1_circuit();
+  const NodeId a = c.find("a");
+  const NodeId b = c.find("b");
+  const NodeId cc = c.find("c");
+  const NodeId d = c.find("d");
+  const NodeId g1 = c.find("g1");
+  const NodeId g2 = c.find("g2");
+  std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 2);
+  for (const NodeId pi : c.pis()) labels[static_cast<std::size_t>(pi)] = 0;
+  constexpr int kCmax = 15;
+  ExpandedNetwork cold(c, labels, 1, g2, 2, ExpandedOptions{});
+  const auto cold_cut = cold.find_cut(kCmax);
+  ASSERT_TRUE(cold_cut.has_value());
+  EXPECT_EQ(cold_cut->size(), 5u);
+  EXPECT_EQ(cold.augmentations(), 5);
+
+  const SeqCutNode root{g2, 0};
+  const PathList certificate{
+      {root, {cc, 0}},
+      {root, {d, 0}},
+      {root, {g1, 0}, {a, 0}},
+      {root, {g1, 0}, {b, 0}},
+      {root, {g1, 0}, {g2, 1}, {g1, 1}},
+  };
+  std::vector<PathList> mutated(5, certificate);
+  mutated[0][1] = mutated[0][0];                   // c^0 on two paths
+  mutated[1][4].back() = SeqCutNode{g1, 5};        // no copy of this network
+  mutated[2][2] = {root, {a, 0}};                  // no fanin edge
+  mutated[3][0].front() = SeqCutNode{g2, 1};       // not the root
+  mutated[4].pop_back();                           // four paths
+  ExpandedNetwork net;
+  for (std::size_t i = 0; i < mutated.size(); ++i) {
+    net.build(c, labels, 1, g2, 2, ExpandedOptions{});
+    EXPECT_FALSE(refutes(net, mutated[i], 4)) << i;
+    EXPECT_FALSE(net.find_cut(4).has_value()) << i;
+    EXPECT_EQ(net.augmentations(), 1) << i;
+    EXPECT_TRUE(refutes(net, path_list(net.flow_paths()), 4)) << i;
+    EXPECT_EQ(net.find_cut(kCmax), cold_cut) << i;
+    EXPECT_EQ(net.augmentations(), 0) << i;
+  }
+
+  // A path rejected after it reached an allowed copy leaves that copy free
+  // for the paths after it.
+  PathList detour = certificate;
+  detour.insert(detour.begin(), {root, {cc, 0}, {a, 0}});  // c^0 has no fanins
+  net.build(c, labels, 1, g2, 2, ExpandedOptions{});
+  EXPECT_TRUE(refutes(net, detour, 4));
+
+  // A refuted test leaves its K + 1 accepted paths as the Cmax test's start.
+  net.build(c, labels, 1, g2, 2, ExpandedOptions{});
+  EXPECT_TRUE(refutes(net, certificate, 4));
+  EXPECT_EQ(net.find_cut(kCmax), cold_cut);
+  EXPECT_EQ(net.augmentations(), 0);
+  // A weighted (low-cost) test starts cold, and so does the next unit test.
+  net.build(c, labels, 1, g2, 2, ExpandedOptions{});
+  EXPECT_TRUE(refutes(net, certificate, 4));
+  EXPECT_FALSE(net.find_low_cost_cut(4, [](const SeqCutNode&) { return true; }).has_value());
+  EXPECT_EQ(net.find_cut(kCmax), cold_cut);
+  EXPECT_EQ(net.augmentations(), 5);
+}
+
 TEST(Expanded, RefutationImpliesFindCutFails) {
   // The label engine's use of refuted_by: a gate's flow paths from an
   // earlier failed test, checked against the network rebuilt after labels
   // rose. Whenever they still refute, the flow must agree that no K-cut
   // exists.
   constexpr int kK = 3;
+  constexpr int kCmax = 15;
   Rng rng(2025);
   int accepted = 0;
   int rejected = 0;
@@ -447,12 +515,19 @@ TEST(Expanded, RefutationImpliesFindCutFails) {
       }
       const int new_height = height + static_cast<int>(rng.next_in(0, 1));
       net.build(c, risen, phi, v, new_height, ExpandedOptions{});
+      ExpandedNetwork cold(c, risen, phi, v, new_height, ExpandedOptions{});
       if (refutes(net, old_paths, kK)) {
         ++accepted;
         EXPECT_FALSE(net.find_cut(kK).has_value()) << spec.name << " " << c.name(v);
       } else {
+        // The paths still valid seed the test: its verdict and cut are the
+        // cold build's.
         ++rejected;
+        EXPECT_EQ(net.find_cut(kK), cold.find_cut(kK)) << spec.name << " " << c.name(v);
+        EXPECT_LE(net.augmentations(), cold.augmentations()) << spec.name << " " << c.name(v);
       }
+      // Either way the wider test resumes to the cold build's cut.
+      EXPECT_EQ(net.find_cut(kCmax), cold.find_cut(kCmax)) << spec.name << " " << c.name(v);
     }
   }
   // Both verdicts occur, so neither branch is vacuous.

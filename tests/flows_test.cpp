@@ -130,27 +130,26 @@ TEST(Flows, TurboSynTable1ShapesArePinned) {
   }
 }
 
-// Mapping generation keeps one decomposition memo across its realizations,
-// so a (gate, cut) it tries to resynthesize twice is extracted once: over
-// these circuits the mapgen stages extract strictly fewer functions than
-// they attempt decompositions.
+// The φ search hands its engine's decomposition memo to mapping generation.
+// Mapgen realizes each gate at its converged label, where the search's last
+// sweep already ran the same cut tests and resynthesis attempts, so over
+// these circuits the mapgen stages attempt decompositions yet extract no
+// function of their own.
 TEST(Flows, TurboSynMapgenExtractsEachGateCutOnce) {
   std::vector<BenchmarkSpec> specs = tiny_suite();
   for (const BenchmarkSpec& spec : table1_suite()) {
     if (spec.num_gates <= 250) specs.push_back(spec);
   }
   std::int64_t attempts = 0;
-  std::int64_t extracted = 0;
   for (const BenchmarkSpec& spec : specs) {
     const FlowResult r = run_turbosyn(generate_fsm_circuit(spec), FlowOptions{});
     for (const StageMetric& stage : r.stage_metrics.stages) {
       if (stage.name != "mapgen") continue;
-      EXPECT_LE(stage.counter("cut_functions"), stage.counter("decomp_attempts")) << spec.name;
+      EXPECT_EQ(stage.counter("cut_functions"), 0) << spec.name;
       attempts += stage.counter("decomp_attempts");
-      extracted += stage.counter("cut_functions");
     }
   }
-  EXPECT_LT(extracted, attempts);
+  EXPECT_GT(attempts, 0);
 }
 
 class TinySuiteFlows : public ::testing::TestWithParam<int> {};

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -203,12 +204,12 @@ TEST(NodeCut, NodeSplitCutIdentifiesNodes) {
 }
 
 TEST(NodeCut, ReroutesFlowBackThroughASaturatedNode) {
-  // The depth-first search pops the highest-numbered source and fanout
-  // first, so the first path is x1 -> u -> v -> w, which fills w. The
-  // second path enters w from x2's long chain and must undo u -> v -> w:
-  // back from w to out(v), through v's own arc backwards to in(v), back to
-  // out(u), and out along u's long chain y1..y4.
-  enum { x2, x1, y1, y2, y3, y4, u, v, w, z1, z2, z3, sink, n };
+  // The depth-first search starts at the lowest-numbered source and takes
+  // fanouts in node order, so the first path is x1 -> u -> v -> w, which
+  // fills w. The second path enters w from x2's long chain and must undo
+  // u -> v -> w: back from w to out(v), through v's own arc backwards to
+  // in(v), back to out(u), and out along u's long chain y1..y4.
+  enum { x1, x2, u, v, w, y1, y2, y3, y4, z1, z2, z3, sink, n };
   TestNet t(n);
   t.flags[x1] = t.flags[x2] = NodeCut::kFromSource;
   t.flags[sink] = NodeCut::kSink;
@@ -220,7 +221,7 @@ TEST(NodeCut, ReroutesFlowBackThroughASaturatedNode) {
   NodeCut f;
   EXPECT_EQ(f.run(t.view(), 5), 2);
   EXPECT_EQ(f.paths(), 2);
-  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{x2, x1}));
+  EXPECT_EQ(cut_of(f), (std::vector<std::int32_t>{x1, x2}));
 }
 
 // Exhaustive oracle. A node set S is a cut iff no path from a source-fed
@@ -445,6 +446,90 @@ TEST(NodeCut, FlowPathsDecomposeTheFlow) {
     }
   }
   EXPECT_GT(failed_runs, 300);
+}
+
+// Random layered network: layer 0 is fed by the source, every node of a
+// later layer takes fanins from the layers below it (mostly the one right
+// below), and the last node is the one sink, fed by the top layer. Layer-0
+// nodes have unit capacity, so every augmenting path carries one unit, and
+// some nodes above are uncuttable, as mandatory copies are in E_v.
+TestNet random_layered_net(Rng& rng) {
+  const int layers = 2 + static_cast<int>(rng.next_below(4));
+  std::vector<std::vector<int>> layer(static_cast<std::size_t>(layers));
+  int n = 0;
+  for (auto& nodes : layer) {
+    const int width = 3 + static_cast<int>(rng.next_below(14));
+    for (int i = 0; i < width; ++i) nodes.push_back(n++);
+  }
+  const int sink = n++;
+  TestNet t(n);
+  for (const int v : layer[0]) t.flags[static_cast<std::size_t>(v)] = NodeCut::kFromSource;
+  t.flags[static_cast<std::size_t>(sink)] = NodeCut::kSink;
+  for (std::size_t l = 1; l < layer.size(); ++l) {
+    for (const int v : layer[l]) {
+      const int fanins = 1 + static_cast<int>(rng.next_below(3));
+      for (int i = 0; i < fanins; ++i) {
+        const std::size_t from = rng.next_below(4) == 0 ? rng.next_below(l) : l - 1;
+        const auto& below = layer[from];
+        t.edge(below[rng.next_below(below.size())], v);
+      }
+      if (rng.next_below(5) == 0) t.capacity[static_cast<std::size_t>(v)] = NodeCut::kUncuttable;
+    }
+  }
+  for (const int v : layer.back()) t.edge(v, sink);
+  return t;
+}
+
+// A flow need not start from zero. After run(K) fails, resume(Cmax) goes on
+// from its K + 1 units; seed() starts from some of the unit paths that run
+// left. Either way the value and the cut are the cold run(Cmax)'s (the
+// minimum cut closest to the source does not depend on the flow), and the
+// warm flow finds exactly the paths the cold one found beyond its start.
+TEST(NodeCut, ResumedAndSeededFlowsMatchTheColdRun) {
+  constexpr int kK = 5;
+  constexpr int kCmax = 15;
+  Rng rng(31);
+  NodeCut cold;
+  NodeCut warm;  // reused across networks, as the label engine reuses its own
+  int resumed = 0;
+  int with_cut = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    TestNet t = random_layered_net(rng);
+    const NodeCut::Network view = shuffled_view(t, rng);
+    const std::int64_t value = cold.run(view, kCmax);
+    const std::vector<std::int32_t> cold_cut = cut_of(cold);
+
+    if (warm.run(view, kK) <= kK) {
+      // The K-cut test succeeded: its flow is already maximum.
+      EXPECT_EQ(warm.resume(view, kCmax), value) << trial;
+      EXPECT_EQ(warm.paths(), 0) << trial;
+      EXPECT_EQ(cut_of(warm), cold_cut) << trial;
+      continue;
+    }
+    ++resumed;
+    if (value <= kCmax) ++with_cut;
+    const NodeCut::Paths unit_paths = warm.flow_paths(view);
+    ASSERT_EQ(unit_paths.ends.size(), static_cast<std::size_t>(kK + 1)) << trial;
+    const std::vector<std::int32_t> nodes(unit_paths.nodes.begin(), unit_paths.nodes.end());
+    const std::vector<std::int32_t> ends(unit_paths.ends.begin(), unit_paths.ends.end());
+    ASSERT_EQ(warm.resume(view, kCmax), value) << trial;
+    EXPECT_EQ(cut_of(warm), cold_cut) << trial;
+    EXPECT_EQ(warm.paths(), cold.paths() - (kK + 1)) << trial;
+    EXPECT_EQ(warm.flow(), value) << trial;
+
+    // Seed from the first m of those paths (m = 0 is the cold run).
+    const std::size_t m = rng.next_below(kK + 2);
+    const std::size_t seed_nodes = m == 0 ? 0 : static_cast<std::size_t>(ends[m - 1]);
+    warm.seed(view, NodeCut::Paths{std::span(nodes).first(seed_nodes),
+                                   std::span(ends).first(m)});
+    EXPECT_EQ(warm.flow(), static_cast<std::int64_t>(m)) << trial;
+    ASSERT_EQ(warm.resume(view, kCmax), value) << trial;
+    EXPECT_EQ(cut_of(warm), cold_cut) << trial;
+    EXPECT_EQ(warm.paths(), cold.paths() - static_cast<std::int64_t>(m)) << trial;
+  }
+  // Most K-cut tests fail, and the wider Cmax test then finds a cut.
+  EXPECT_GT(resumed, 750);
+  EXPECT_GT(with_cut, 300);
 }
 
 }  // namespace

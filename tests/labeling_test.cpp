@@ -90,10 +90,10 @@ TEST(Labeling, SingleLutLoopConvergesAtRatio1) {
   EXPECT_EQ(r.labels[static_cast<std::size_t>(g)], 1);
 }
 
-TEST(Labeling, RingFeasibilityTracksLutCapacity) {
-  // Ring with a *distinct* enable per stage (the shared-enable ring of
-  // ring_circuit collapses under XOR cancellation): covering two stages
-  // needs 3 distinct inputs, so ratio 1 is feasible at K=3 but not at K=2.
+/// Ring with a *distinct* enable per stage (the shared-enable ring of
+/// ring_circuit collapses under XOR cancellation): covering two stages needs
+/// 3 distinct inputs, so ratio 1 is feasible at K=3 but not at K=2.
+Circuit distinct_enable_ring() {
   Circuit c;
   std::vector<NodeId> en;
   for (int i = 0; i < 4; ++i) en.push_back(c.add_pi("en" + std::to_string(i)));
@@ -107,9 +107,53 @@ TEST(Labeling, RingFeasibilityTracksLutCapacity) {
   }
   c.add_po("$po:q", {ring[0], 0});
   c.validate();
+  return c;
+}
+
+TEST(Labeling, RingFeasibilityTracksLutCapacity) {
+  const Circuit c = distinct_enable_ring();
   EXPECT_TRUE(compute_labels(c, 1, turbomap_options(3)).feasible);
   EXPECT_FALSE(compute_labels(c, 1, turbomap_options(2)).feasible);
   EXPECT_TRUE(compute_labels(c, 2, turbomap_options(2)).feasible);
+}
+
+// infeasible_scc_updates counts the label updates of the SCCs whose
+// iteration proved divergence: none on a feasible probe, and on an
+// infeasible one at least the diverging SCC's first sweep, never more than
+// the probe's updates.
+TEST(Labeling, InfeasibleSccUpdatesCountTheDivergenceWork) {
+  const Circuit ring = distinct_enable_ring();
+  const LabelResult feasible = compute_labels(ring, 1, turbomap_options(3));
+  ASSERT_TRUE(feasible.feasible);
+  EXPECT_EQ(feasible.stats.infeasible_scc_updates, 0);
+  const LabelResult infeasible = compute_labels(ring, 1, turbomap_options(2));
+  ASSERT_FALSE(infeasible.feasible);
+  ASSERT_EQ(infeasible.status, Status::kOk);
+  EXPECT_GE(infeasible.stats.infeasible_scc_updates, 4);  // one sweep over the ring
+  EXPECT_LE(infeasible.stats.infeasible_scc_updates, infeasible.stats.node_updates);
+
+  for (const bool decomposition : {false, true}) {
+    int infeasible_probes = 0;
+    for (const BenchmarkSpec& spec : tiny_suite()) {
+      const Circuit c = generate_fsm_circuit(spec);
+      LabelOptions lo = turbomap_options(5);
+      lo.enable_decomposition = decomposition;
+      LabelEngine engine(c, lo);
+      for (int phi = 1;; ++phi) {
+        const LabelResult r = engine.compute(phi);
+        const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap") +
+                               " phi=" + std::to_string(phi);
+        if (r.feasible) {
+          EXPECT_EQ(r.stats.infeasible_scc_updates, 0) << at;
+          break;
+        }
+        ++infeasible_probes;
+        EXPECT_GE(r.stats.infeasible_scc_updates, 1) << at;
+        EXPECT_LE(r.stats.infeasible_scc_updates, r.stats.node_updates) << at;
+      }
+    }
+    EXPECT_GT(infeasible_probes, 0) << (decomposition ? "turbosyn" : "turbomap");
+  }
 }
 
 TEST(Labeling, FeasibilityIsMonotoneInPhiAndK) {
@@ -336,7 +380,9 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
 // flow paths when they are still a flow in E_v (FlowPathStore). The verdicts
 // must be exactly the flow's, so converged labels equal the certificate-free
 // sweep, every skipped test is counted as a reuse or a refutation, and both
-// stores do get used.
+// stores do get used. With decomposition the stored paths also seed the flows
+// they do not settle, so the engine finds fewer augmenting paths than the
+// reference sweep.
 TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   std::vector<BenchmarkSpec> specs = tiny_suite();
   for (const BenchmarkSpec& spec : table1_suite()) {
@@ -344,6 +390,8 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   }
   for (const bool decomposition : {false, true}) {
     std::int64_t refutations = 0;
+    std::int64_t engine_paths = 0;
+    std::int64_t reference_paths = 0;
     for (const BenchmarkSpec& spec : specs) {
       const Circuit c = generate_fsm_circuit(spec);
       LabelOptions lo = turbomap_options(5);
@@ -373,10 +421,13 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
             << at;
         EXPECT_EQ(ref.stats.cut_reuses, 0) << at;
         EXPECT_EQ(ref.stats.cut_refutations, 0) << at;
+        engine_paths += r.stats.flow_augmentations;
+        reference_paths += ref.stats.flow_augmentations;
       }
       EXPECT_GT(reuses, 0) << spec.name << (decomposition ? " turbosyn" : " turbomap");
     }
     EXPECT_GT(refutations, 0) << (decomposition ? "turbosyn" : "turbomap");
+    if (decomposition) EXPECT_LT(engine_paths, reference_paths);
   }
 }
 
