@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <ostream>
 #include <random>
 
 #include "base/rng.hpp"
@@ -109,26 +111,43 @@ TEST(Flows, FlowSynSTable1ColumnIsPinned) {
   }
 }
 
-// TurboSYN's φ and LUT count on the three fastest Table-1 shapes (about
-// 1.5 s together in a Release build). Any change to the decomposition path
-// (cut extraction, its memo, the Roth–Karp step) must leave them unchanged.
-TEST(Flows, TurboSynTable1ShapesArePinned) {
-  struct Pin {
-    const char* name;
-    int phi;
-    int luts;
-  };
-  const Pin pins[] = {{"bbara", 3, 28}, {"bbsse", 2, 168}, {"kirkman", 4, 216}};
+// TurboSYN's φ and LUT count on every Table-1 shape at K = 5, one ctest
+// entry per shape (about 20 s together in a Release build). The φ column is
+// EXPERIMENTS.md's Table-1 "TurboSYN φ" column. Any change to the
+// decomposition path (cut extraction, its memo, the Roth–Karp step) or to
+// the flow's search schedule must leave every row unchanged.
+struct TurboSynPin {
+  const char* name;
+  int phi;
+  int luts;
+};
+
+const TurboSynPin kTurboSynTable1Column[] = {
+    {"bbara", 3, 28},   {"bbsse", 2, 168},  {"cse", 5, 250},    {"dk16", 4, 163},
+    {"keyb", 4, 258},   {"kirkman", 4, 216}, {"planet", 4, 622}, {"pma", 4, 294},
+    {"s1", 4, 417},     {"sand", 4, 540},   {"scf", 4, 978},    {"styr", 6, 480},
+    {"s298", 4, 87},    {"s400", 3, 102},   {"s526", 4, 171},   {"s953", 4, 441},
+};
+
+// ctest names each instance after the printed value: .../PhiAndLutsArePinned/bbara.
+void PrintTo(const TurboSynPin& pin, std::ostream* os) { *os << pin.name; }
+
+class TurboSynTable1Column : public ::testing::TestWithParam<TurboSynPin> {};
+
+TEST_P(TurboSynTable1Column, PhiAndLutsArePinned) {
+  const TurboSynPin& pin = GetParam();
   const std::vector<BenchmarkSpec> suite = table1_suite();
-  for (const Pin& pin : pins) {
-    const auto spec = std::find_if(suite.begin(), suite.end(),
-                                   [&](const BenchmarkSpec& s) { return s.name == pin.name; });
-    ASSERT_NE(spec, suite.end()) << pin.name;
-    const FlowResult r = run_turbosyn(generate_fsm_circuit(*spec), FlowOptions{});
-    EXPECT_EQ(r.phi, pin.phi) << pin.name;
-    EXPECT_EQ(r.luts, pin.luts) << pin.name;
-  }
+  ASSERT_EQ(suite.size(), std::size(kTurboSynTable1Column));
+  const auto spec = std::find_if(suite.begin(), suite.end(),
+                                 [&](const BenchmarkSpec& s) { return s.name == pin.name; });
+  ASSERT_NE(spec, suite.end()) << pin.name;
+  const FlowResult r = run_turbosyn(generate_fsm_circuit(*spec), FlowOptions{});
+  EXPECT_EQ(r.phi, pin.phi);
+  EXPECT_EQ(r.luts, pin.luts);
 }
+
+INSTANTIATE_TEST_SUITE_P(Table1, TurboSynTable1Column,
+                         ::testing::ValuesIn(kTurboSynTable1Column));
 
 // The φ search hands its engine's decomposition memo to mapping generation.
 // Mapgen realizes each gate at its converged label, where the search's last
