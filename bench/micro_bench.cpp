@@ -341,7 +341,9 @@ BENCHMARK(BM_LabelEngineScalingCircuit)->Unit(benchmark::kMillisecond)
 
 // End-to-end flow benchmarks with the per-stage breakdown attached as
 // counters (stage wall time under "s_<stage>", summed over repeated stages;
-// plus the probe count and the flow's own wall time share). Emit
+// plus the probe count and the flow's own wall time share). The stage and
+// cut-test counts are deterministic, so the CI gate's counter check fails
+// if a flow gains a stage (say, a second mapping tail). Emit
 // machine-readable results with
 //   micro_bench --benchmark_filter=BM_Flow --benchmark_out=BENCH_flow.json
 //               --benchmark_out_format=json
@@ -351,7 +353,10 @@ void set_flow_counters(benchmark::State& state, const FlowResult& r) {
   for (const auto& [name, secs] : seconds) {
     state.counters["s_" + name] = benchmark::Counter(secs);
   }
+  state.counters["stages"] =
+      benchmark::Counter(static_cast<double>(r.stage_metrics.stages.size()));
   state.counters["probes"] = benchmark::Counter(static_cast<double>(r.probes.size()));
+  state.counters["cut_tests"] = benchmark::Counter(static_cast<double>(r.stats.cut_tests));
   state.counters["phi"] = benchmark::Counter(static_cast<double>(r.phi));
   state.counters["labels_computed"] =
       benchmark::Counter(static_cast<double>(r.stats.node_updates));

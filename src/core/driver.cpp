@@ -32,13 +32,7 @@ void add_counter(StageMetric& metric, const char* name, std::int64_t value) {
 }  // namespace
 
 FlowContext::FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options)
-    : owned_ledger_(std::make_unique<ProbeLedger>()), input(input_circuit),
-      options(flow_options), ledger(*owned_ledger_), trace(flow_options.trace) {}
-
-FlowContext::FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options,
-                         ProbeLedger& probe_ledger)
-    : input(input_circuit), options(flow_options), ledger(probe_ledger),
-      trace(flow_options.trace) {}
+    : input(input_circuit), options(flow_options), trace(flow_options.trace) {}
 
 void FlowContext::count(const char* counter_name, std::int64_t value) {
   if (current_metric_ != nullptr) add_counter(*current_metric_, counter_name, value);
@@ -94,18 +88,13 @@ void FlowContext::run_stage(const char* name, const std::function<void()>& body)
 
 FlowResult FlowContext::finish() {
   result.probes = ledger.records();
-  fill_flow_diagnostics(result, input);
-  return std::move(result);
-}
-
-void fill_flow_diagnostics(FlowResult& result, const Circuit& c) {
   result.timed_out = is_interrupt(result.status);
   std::vector<NodeId> nodes = result.stats.degraded_nodes;
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  result.degraded_nodes.clear();
   result.degraded_nodes.reserve(nodes.size());
-  for (const NodeId v : nodes) result.degraded_nodes.push_back(c.name(v));
+  for (const NodeId v : nodes) result.degraded_nodes.push_back(input.name(v));
+  return std::move(result);
 }
 
 LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, int phi) {

@@ -11,10 +11,11 @@
 // time and counter deltas of FlowResult::stage_metrics, and skipping every
 // later stage once the run has failed.
 //
-// The context also holds the input circuit and options, the shared
-// ProbeLedger (the no-reprobe scope — TurboSYN passes one ledger to both of
-// its phases) and the FlowResult being assembled. finish() exports the
-// ledger and diagnostics into the result and moves it out.
+// The context also holds the input circuit and options, the run's
+// ProbeLedger (the no-reprobe scope: TurboSYN's TurboMap search and its
+// decomposition scan record into the same one) and the FlowResult being
+// assembled. finish() exports the ledger and diagnostics into the result and
+// moves it out.
 //
 // Budget checking, cancellation and warm-start policy are uniform across
 // flows because they live in exactly one place each: budgets thread through
@@ -23,27 +24,18 @@
 // LabelEngine (per search stage) under the ledger's soundness rules.
 
 #include <functional>
-#include <memory>
 
 #include "core/flows.hpp"
 
 namespace turbosyn {
 
 class FlowContext {
-  // Declared first: the owning constructor binds `ledger` to it.
-  std::unique_ptr<ProbeLedger> owned_ledger_;
-
  public:
-  /// Context with its own ProbeLedger.
   FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options);
-  /// Context sharing an external ledger: multi-phase flows (TurboSYN) keep
-  /// one no-reprobe scope across phases. `probe_ledger` must outlive it.
-  FlowContext(const Circuit& input_circuit, const FlowOptions& flow_options,
-              ProbeLedger& probe_ledger);
 
   const Circuit& input;
   const FlowOptions& options;
-  ProbeLedger& ledger;
+  ProbeLedger ledger;  // the no-reprobe scope of the run
   TraceSink* trace = nullptr;  // == options.trace
 
   FlowResult result;
@@ -59,18 +51,14 @@ class FlowContext {
   /// span (no-op between stages or for zero values).
   void count(const char* counter_name, std::int64_t value);
 
-  /// Exports the probe ledger and diagnostics into the result and moves it
-  /// out.
+  /// Exports the probe ledger into the result, derives the user-facing
+  /// diagnostics (timed_out, deduped degraded node names) from the
+  /// accumulated status and stats, and moves the result out.
   FlowResult finish();
 
  private:
   StageMetric* current_metric_ = nullptr;
 };
-
-/// Derives the user-facing diagnostics (timed_out, deduped degraded node
-/// names) from the accumulated status/stats. Idempotent; multi-phase flows
-/// re-run it after merging phase stats.
-void fill_flow_diagnostics(FlowResult& result, const Circuit& c);
 
 /// Runs one label probe through the ledger: asserts (mode, φ) was not
 /// probed before, computes, records outcome/hash/stats/wall time, emits a

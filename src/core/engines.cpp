@@ -172,13 +172,14 @@ LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult se
   return labels;
 }
 
-/// The paper's flow with a bisection search: the upper bound the identity
-/// mapping (one LUT per gate) realizes — ceil(MDR of the input), or the
-/// input's clock period under the clock-period objective — then the φ
-/// search under it, mapgen, pack and the timing tail. Returns the winning
-/// labels (nullopt when the search proved no φ).
-std::optional<LabelResult> bisection_steps(FlowContext& ctx, LabelMode mode,
-                                           bool period_objective) {
+/// The upper bound and the φ search: the bound the identity mapping (one
+/// LUT per gate) realizes — ceil(MDR of the input), or the input's clock
+/// period under the clock-period objective — as the "ub-probe" stage, then
+/// the bisection under it as the "phi-search" stage. Returns the winning
+/// labels (nullopt when the search proved no φ); `memo` receives the search
+/// engine's decomposition memo.
+std::optional<LabelResult> bisection_search(FlowContext& ctx, LabelMode mode,
+                                            bool period_objective, DecompCache& memo) {
   int ub = 0;
   ctx.run_stage("ub-probe", [&] {
     const std::int64_t bound = period_objective ? circuit_clock_period(ctx.input)
@@ -187,10 +188,8 @@ std::optional<LabelResult> bisection_steps(FlowContext& ctx, LabelMode mode,
     ctx.count("upper_bound", ub);
   });
   std::optional<LabelResult> labels;
-  DecompCache memo;
   ctx.run_stage("phi-search",
                 [&] { labels = bisect_phi(ctx, mode, period_objective, ub, memo); });
-  map_pack_retime(ctx, labels ? &*labels : nullptr, mode, period_objective, memo);
   return labels;
 }
 
@@ -199,7 +198,10 @@ FlowResult run_search_engine(const EngineSpec& spec, const Circuit& c,
   const auto start = Clock::now();
   TraceSpan span(options.trace, spec.trace_label);
   FlowContext ctx(c, options);
-  bisection_steps(ctx, spec.mode, spec.period_objective);
+  DecompCache memo;
+  const std::optional<LabelResult> labels =
+      bisection_search(ctx, spec.mode, spec.period_objective, memo);
+  map_pack_retime(ctx, labels ? &*labels : nullptr, spec.mode, spec.period_objective, memo);
   FlowResult result = ctx.finish();
   result.seconds = seconds_since(start);
   return result;
@@ -207,54 +209,33 @@ FlowResult run_search_engine(const EngineSpec& spec, const Circuit& c,
 
 FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
                                     const FlowOptions& options) {
-  constexpr const char* kPhaseUbSpan = "phase:turbomap-ub";
-  constexpr const char* kPhaseSearchSpan = "phase:turbosyn-search";
   const auto start = Clock::now();
   TraceSpan flow_span(options.trace, spec.trace_label);
-  // One no-reprobe scope across both phases: plain-mode probes from phase A
-  // and `spec.mode` probes from phase B share the ledger.
-  ProbeLedger ledger;
-
-  // Step 1 of the paper's pseudo-code: TurboMap provides the upper bound UB.
-  // Its labels at UB prove UB feasible for the decomposition search too
-  // (every plain K-cut is a valid realization there), so the search below
-  // starts from them instead of re-probing phi == UB.
-  FlowContext ub_ctx(c, options, ledger);
-  std::optional<LabelResult> ub_labels;
+  FlowContext ctx(c, options);
+  DecompCache memo;
+  // Step 1 of the paper's pseudo-code: TurboMap's search provides the upper
+  // bound UB. Its labels at UB prove UB feasible for the decomposition search
+  // too (every plain K-cut is a valid realization there), so the scan below
+  // starts from them instead of re-probing φ == UB.
+  std::optional<LabelResult> labels;
   {
-    TraceSpan phase(options.trace, kPhaseUbSpan);
-    ub_labels = bisection_steps(ub_ctx, LabelMode::kPlain, /*period_objective=*/false);
+    TraceSpan phase(options.trace, "phase:turbomap-ub");
+    labels = bisection_search(ctx, LabelMode::kPlain, /*period_objective=*/false, memo);
   }
-  FlowResult ub_run = ub_ctx.finish();
-  // A contained phase-A failure ends the flow: whatever labels exist were
-  // produced next to a blown stage boundary, so nothing seeds phase B. A
-  // TurboMap phase stopped before it proved any ratio has no labels to seed
-  // the decomposition search: its own fallback is the anytime answer.
-  if (ub_run.status == Status::kFailed || !ub_labels) {
-    ub_run.seconds = seconds_since(start);
-    return ub_run;
-  }
-
-  FlowContext ctx(c, options, ledger);
   {
-    TraceSpan phase(options.trace, kPhaseSearchSpan);
-    const int ub = ub_run.phi;
-    ctx.run_stage("ub-probe", [&] { ctx.count("upper_bound", ub); });
-    LabelResult labels;
-    DecompCache memo;
-    ctx.run_stage("phi-search", [&] {
-      labels = descend_phi(ctx, spec.mode, ub, std::move(*ub_labels), memo);
-    });
-    map_pack_retime(ctx, &labels, spec.mode, /*period_objective=*/false, memo);
+    TraceSpan phase(options.trace, "phase:turbosyn-search");
+    // A TurboMap search stopped before it proved any ratio has no labels to
+    // seed the scan: the identity mapping at UB is the anytime answer.
+    if (labels) {
+      const int ub = ctx.result.phi;
+      ctx.run_stage("phi-search", [&] {
+        labels = descend_phi(ctx, spec.mode, ub, std::move(*labels), memo);
+      });
+    }
+    map_pack_retime(ctx, labels ? &*labels : nullptr, spec.mode, /*period_objective=*/false,
+                    memo);
   }
   FlowResult result = ctx.finish();
-  result.stats.accumulate(ub_run.stats);
-  result.status = combine_status(result.status, ub_run.status);
-  fill_flow_diagnostics(result, c);
-  // One timeline: the TurboMap phase's stages first, then the search phase's.
-  result.stage_metrics.stages.insert(result.stage_metrics.stages.begin(),
-                                     ub_run.stage_metrics.stages.begin(),
-                                     ub_run.stage_metrics.stages.end());
   result.seconds = seconds_since(start);
   return result;
 }

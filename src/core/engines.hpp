@@ -32,9 +32,10 @@ struct EngineSpec {
   enum class Shape : std::uint8_t {
     /// UB probe, φ search, mapgen, pack, timing tail (the TurboMap family).
     kSearch,
-    /// Two phases sharing one ledger: a plain kSearch pass provides the
-    /// upper bound and seed labels, then a descending scan in `mode` runs
-    /// from that imported certificate (TurboSYN).
+    /// UB probe and plain φ bisection (TurboMap's search: the upper bound
+    /// and seed labels), then a descending scan in `mode` from that
+    /// imported certificate, then one mapgen, pack and timing tail
+    /// (TurboSYN).
     kSeededSearch,
     /// Direct mapping with no ratio search; φ is measured after packing
     /// (FlowSYN-s).

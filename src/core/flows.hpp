@@ -4,8 +4,9 @@
 //  - turbomap():  label computation without resynthesis, binary search on the
 //                 integer MDR ratio (the TurboMap algorithm run in MDR mode,
 //                 as the paper does when combining it with PLD).
-//  - turbosyn():  the paper's contribution — TurboMap's upper bound, then
-//                 binary search with sequential functional decomposition.
+//  - turbosyn():  the paper's contribution — TurboMap's search gives the
+//                 upper bound and seed labels, then a descending scan with
+//                 sequential functional decomposition, then one mapping.
 //  - flowsyn_s(): the strongest prior baseline — cut at all FFs, map each
 //                 combinational block with FlowSYN, merge the FFs back.
 //  - turbomap_period(): the original ICCD'96 TurboMap objective — minimum
@@ -66,7 +67,8 @@ struct FlowOptions {
 
 /// Wall time and counters of one pipeline stage of a flow run. Counters are
 /// stage-local deltas (labels computed, cut tests, flow augmentations,
-/// decomposition attempts/cache hits, retime configurations, ...).
+/// decomposition attempts, cut-function extractions, retime configurations,
+/// ...).
 struct StageMetric {
   std::string name;
   double seconds = 0.0;
@@ -75,8 +77,8 @@ struct StageMetric {
   std::int64_t counter(const std::string& counter_name) const;
 };
 
-/// Per-stage breakdown of a flow run, in execution order. Multi-phase flows
-/// (TurboSYN) concatenate their phases into one timeline.
+/// Per-stage breakdown of a flow run, in execution order. TurboSYN's two
+/// searches are two "phi-search" stages in its one timeline.
 struct StageMetrics {
   std::vector<StageMetric> stages;
   double total_seconds() const;
@@ -130,7 +132,7 @@ struct FlowResult {
   /// POs whose clock period is `period` (PIs and POs at lag 0). Empty when no
   /// period was claimed, and on a cache hit served without artifacts.
   std::vector<int> retiming;
-  LabelStats stats;          // accumulated across the binary search
+  LabelStats stats;          // accumulated over every stage of the run
   double seconds = 0.0;      // wall-clock of the whole flow
   /// kOk: exact run. kDegraded: a resource ceiling altered the computation;
   /// `mapped` is still a valid, equivalent network but `phi`/`period` may be

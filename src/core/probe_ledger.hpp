@@ -10,8 +10,8 @@
 //   1. No φ is ever label-probed twice per mode per run. record() rejects
 //      duplicate (mode, φ) keys outright, so a mis-wired probe schedule
 //      fails loudly instead of silently re-deriving (and re-paying for) a
-//      known verdict. Multi-phase flows (TurboSYN) share one ledger across
-//      their drivers, making the rule hold across phases too.
+//      known verdict. TurboSYN's TurboMap search and its decomposition scan
+//      record into the run's one ledger, so the rule holds across phases.
 //   2. A degraded probe is never a certificate. An infeasible verdict under
 //      a resource ceiling is recorded as kDegraded, not kInfeasible, so
 //      minimality claims can only rest on genuine divergence certificates

@@ -569,12 +569,18 @@ TEST(DriverContainment, ThrowPolicyIsContainedLikeARealStageDefect) {
   EXPECT_EQ(result.failed_stage, "phi-search");
 }
 
+// The first phi-search is TurboMap's bisection: its failure skips the
+// decomposition scan and the mapping tail, so no decomposition probe runs.
 TEST(DriverContainment, TurboSynPhaseAFailureEndsTheFlow) {
   const Circuit c = bounded_sample(gray_counter_blif());
-  failpoint::Scoped scoped("driver.stage.mapgen=error*1");
+  failpoint::Scoped scoped("driver.stage.phi-search=error*1");
   const FlowResult result = run_turbosyn(c, small_options());
   EXPECT_EQ(result.status, Status::kFailed);
-  EXPECT_EQ(result.failed_stage, "mapgen");
+  EXPECT_EQ(result.failed_stage, "phi-search");
+  ASSERT_EQ(result.stage_metrics.stages.size(), 2u);
+  EXPECT_EQ(result.stage_metrics.stages[0].name, "ub-probe");
+  EXPECT_EQ(result.stage_metrics.stages[1].name, "phi-search");
+  for (const ProbeRecord& rec : result.probes) EXPECT_NE(rec.mode, LabelMode::kDecomp);
 }
 
 TEST(DriverContainment, AuditReportsContainmentAndSkipsProductChecks) {
