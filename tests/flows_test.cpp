@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <ostream>
 #include <random>
+#include <string>
 
 #include "base/rng.hpp"
 #include "core/flows.hpp"
@@ -148,6 +150,114 @@ TEST_P(TurboSynTable1Column, PhiAndLutsArePinned) {
 
 INSTANTIATE_TEST_SUITE_P(Table1, TurboSynTable1Column,
                          ::testing::ValuesIn(kTurboSynTable1Column));
+
+// The mapping tail (mapping generation, dedupe, packing, the exact MDR and
+// pipeline-retime) pinned bit for bit: an FNV-1a hash of the mapped BLIF
+// text (node order, names and functions, encoder LUTs `<name>$e<i>`
+// included), the LUT and register counts, the exact MDR, the claimed
+// (period, stages) and a hash of the witness retiming. TurboMap runs on the
+// 16 Table-1 shapes, FlowSYN-s and TurboSYN on the tiny suite (K = 5).
+struct TailPin {
+  const char* name;
+  std::uint64_t blif_hash;
+  int luts;
+  std::int64_t ffs;
+  std::int64_t mdr_num;
+  std::int64_t mdr_den;
+  std::int64_t period;
+  int stages;
+  std::uint64_t retiming_hash;
+};
+
+const TailPin kTurboMapTable1Tail[] = {
+    {"bbara", 0x1551dc5cd1e10a8dull, 50, 17, 6, 1, 6, 1, 0x7811b764cd7c86abull},
+    {"bbsse", 0xc11c758a968f16beull, 98, 22, 5, 1, 5, 1, 0xb21a4777fc13c203ull},
+    {"cse", 0xf13b41500915940cull, 179, 38, 10, 1, 10, 1, 0xf4311ca79885891aull},
+    {"dk16", 0x725cda6fcad319e8ull, 190, 35, 7, 1, 7, 2, 0x026dd44228089504ull},
+    {"keyb", 0x38bbc7431a5987b0ull, 158, 29, 9, 1, 9, 2, 0x2a24719b622557beull},
+    {"kirkman", 0x44af3823c378fb99ull, 155, 29, 10, 1, 10, 2, 0xc715c88e01bbd5d5ull},
+    {"planet", 0xf4eabc2b24667d7full, 423, 52, 7, 1, 7, 4, 0xf7bcc951c9a2036bull},
+    {"pma", 0x6bae2782485e5e93ull, 197, 40, 8, 1, 8, 2, 0x7d5357184846f53full},
+    {"s1", 0x19bfba2116ae728cull, 271, 46, 8, 1, 8, 2, 0xb499f7e50ac328deull},
+    {"sand", 0xa263f428ad751d89ull, 396, 52, 7, 1, 7, 4, 0x13be09003f345dc1ull},
+    {"scf", 0xa7f505060b156bd3ull, 607, 86, 9, 1, 9, 4, 0x4cf32a3ba3a28f36ull},
+    {"styr", 0x219ce01442f80699ull, 320, 65, 10, 1, 10, 2, 0x245f16170fa2c9cdull},
+    {"s298", 0xca223dbb50953300ull, 72, 27, 6, 1, 6, 1, 0xfabb3e646613ec47ull},
+    {"s400", 0x4341f6d943caced8ull, 100, 42, 6, 1, 6, 1, 0xf16a3febb4bc0190ull},
+    {"s526", 0x562a92005451cd49ull, 128, 45, 7, 1, 7, 1, 0x20472c71e0e11c75ull},
+    {"s953", 0x4af2a49725aad8e2ull, 293, 67, 7, 1, 7, 3, 0xeb5c0d37ed1e8192ull},
+};
+
+const TailPin kFlowSynSTinyTail[] = {
+    {"tiny1", 0xf3313e56d8f5a64full, 1, 0, 0, 1, 1, 0, 0x2372b1cdc33e7e23ull},
+    {"tiny2", 0x1dfae101c78aac9bull, 1, 1, 1, 1, 1, 0, 0xa860cfee3d3ccf6cull},
+    {"tiny3", 0x29b34c80e5fa633full, 6, 5, 2, 1, 2, 0, 0x495e751306503c32ull},
+    {"tiny4", 0x70379347879c822aull, 20, 11, 3, 1, 3, 0, 0x516bc006137b88ffull},
+    {"tiny5", 0x4356e4fbbb136536ull, 19, 10, 2, 1, 2, 0, 0xb248ebff9341fd03ull},
+    {"tiny6", 0x4098fddad94b18ddull, 0, 1, 0, 1, 1, 0, 0x3bc7adf8fcd7b8cfull},
+};
+
+const TailPin kTurboSynTinyTail[] = {
+    {"tiny1", 0xbefb3654b904bbaaull, 4, 3, 1, 1, 1, 1, 0xc25374f525a56627ull},
+    {"tiny2", 0xe9928a8cf48210c9ull, 1, 1, 1, 1, 1, 0, 0xd33f1b983f87f6f4ull},
+    {"tiny3", 0x669b147c90488e23ull, 8, 7, 2, 1, 2, 0, 0xe684ddcedb7b54efull},
+    {"tiny4", 0x03a9b62cf652022dull, 35, 15, 2, 1, 2, 1, 0xa9ab38eaba60d73cull},
+    {"tiny5", 0x0887917b0510bcb5ull, 25, 12, 2, 1, 2, 0, 0xa745d04dc01d806full},
+    {"tiny6", 0xf36bc323448705f5ull, 5, 5, 2, 1, 2, 0, 0x4cdf320bf67f9e31ull},
+};
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+void expect_tail_matches(const TailPin& pin, const FlowResult& r) {
+  EXPECT_EQ(fnv1a(write_blif_string(r.mapped)), pin.blif_hash) << pin.name;
+  EXPECT_EQ(r.luts, pin.luts) << pin.name;
+  EXPECT_EQ(r.ffs, pin.ffs) << pin.name;
+  EXPECT_EQ(r.exact_mdr, Rational(pin.mdr_num, pin.mdr_den)) << pin.name;
+  EXPECT_EQ(r.period, pin.period) << pin.name;
+  EXPECT_EQ(r.pipeline_stages, pin.stages) << pin.name;
+  std::string lags;
+  for (const int lag : r.retiming) lags += std::to_string(lag) + ',';
+  EXPECT_EQ(fnv1a(lags), pin.retiming_hash) << pin.name;
+}
+
+BenchmarkSpec spec_named(const std::vector<BenchmarkSpec>& suite, const char* name) {
+  const auto it = std::find_if(suite.begin(), suite.end(),
+                               [&](const BenchmarkSpec& s) { return s.name == name; });
+  EXPECT_NE(it, suite.end()) << name;
+  return it == suite.end() ? BenchmarkSpec{} : *it;
+}
+
+void PrintTo(const TailPin& pin, std::ostream* os) { *os << pin.name; }
+
+class TurboMapTable1Tail : public ::testing::TestWithParam<TailPin> {};
+class FlowSynSTinyTail : public ::testing::TestWithParam<TailPin> {};
+class TurboSynTinyTail : public ::testing::TestWithParam<TailPin> {};
+
+TEST_P(TurboMapTable1Tail, MappedNetworkIsPinned) {
+  const BenchmarkSpec spec = spec_named(table1_suite(), GetParam().name);
+  expect_tail_matches(GetParam(), run_turbomap(generate_fsm_circuit(spec), FlowOptions{}));
+}
+
+TEST_P(FlowSynSTinyTail, MappedNetworkIsPinned) {
+  const BenchmarkSpec spec = spec_named(tiny_suite(), GetParam().name);
+  expect_tail_matches(GetParam(), run_flowsyn_s(generate_fsm_circuit(spec), FlowOptions{}));
+}
+
+TEST_P(TurboSynTinyTail, MappedNetworkIsPinned) {
+  const BenchmarkSpec spec = spec_named(tiny_suite(), GetParam().name);
+  expect_tail_matches(GetParam(), run_turbosyn(generate_fsm_circuit(spec), FlowOptions{}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, TurboMapTable1Tail, ::testing::ValuesIn(kTurboMapTable1Tail));
+INSTANTIATE_TEST_SUITE_P(Tiny, FlowSynSTinyTail, ::testing::ValuesIn(kFlowSynSTinyTail));
+INSTANTIATE_TEST_SUITE_P(Tiny, TurboSynTinyTail, ::testing::ValuesIn(kTurboSynTinyTail));
 
 // The φ search hands its engine's decomposition memo to mapping generation.
 // Mapgen realizes each gate at its converged label, where the search's last
