@@ -31,6 +31,7 @@
 #include "core/portfolio.hpp"
 #include "decomp/roth_karp.hpp"
 #include "graph/node_cut.hpp"
+#include "mapping/lut_network.hpp"
 #include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
 #include "netlist/blif.hpp"
@@ -411,16 +412,41 @@ void BM_FlowTurboMapPeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTurboMapPeriod)->Unit(benchmark::kMillisecond);
 
-/// The largest Table-1 shape (scf) after TurboMap, un-pipelined.
-Circuit largest_table1_mapped() {
+/// The largest Table-1 shape (scf) after TurboMap, un-pipelined; `raw`
+/// skips dedupe and packing (mapping generation's own LUT list).
+Circuit largest_table1_mapped(bool raw = false) {
   const std::vector<BenchmarkSpec> suite = table1_suite();
   const BenchmarkSpec& spec = *std::max_element(
       suite.begin(), suite.end(),
       [](const BenchmarkSpec& a, const BenchmarkSpec& b) { return a.num_gates < b.num_gates; });
   FlowOptions opt;
   opt.pipeline = false;
+  opt.dedupe = !raw;
+  opt.pack = !raw;
   return run_turbomap(generate_fsm_circuit(spec), opt).mapped;
 }
+
+// The mapping tail after mapping generation on the same network: dedupe and
+// packing on a copy of the raw LUT list, the one named Circuit build, and
+// Howard's MDR of the result (the "pack" stage of a TurboMap flow).
+void BM_MappingTail(benchmark::State& state) {
+  const Circuit raw = largest_table1_mapped(/*raw=*/true);
+  const LutNetwork net = LutNetwork::from_circuit(raw);
+  Rational ratio;
+  int luts = 0;
+  for (auto _ : state) {
+    LutNetwork tail = net;
+    dedupe_luts(tail);
+    pack_luts(tail, 5);
+    const Circuit mapped = tail.to_circuit();
+    ratio = circuit_mdr_howard(mapped).ratio;
+    luts = mapped.num_gates();
+    benchmark::DoNotOptimize(ratio);
+  }
+  state.counters["luts_before"] = benchmark::Counter(raw.num_gates());
+  state.counters["luts"] = benchmark::Counter(luts);
+}
+BENCHMARK(BM_MappingTail)->Unit(benchmark::kMillisecond);
 
 // The pipeline + retime tail alone on the largest Table-1 shape after
 // TurboMap: one longest-path label pass per iteration.

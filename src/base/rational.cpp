@@ -7,11 +7,6 @@
 #include "base/check.hpp"
 
 namespace turbosyn {
-namespace {
-
-using Int128 = __int128;
-
-}  // namespace
 
 Rational::Rational(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
   TS_CHECK(den != 0, "rational with zero denominator");
@@ -36,48 +31,14 @@ std::int64_t Rational::floor() const {
   return -(((-num_) + den_ - 1) / den_);
 }
 
-double Rational::to_double() const {
-  return static_cast<double>(num_) / static_cast<double>(den_);
-}
-
 std::string Rational::to_string() const {
   std::ostringstream os;
   os << *this;
   return os.str();
 }
 
-Rational Rational::operator+(const Rational& o) const {
-  const Int128 n = Int128(num_) * o.den_ + Int128(o.num_) * den_;
-  const Int128 d = Int128(den_) * o.den_;
-  TS_ASSERT(n <= INT64_MAX && n >= INT64_MIN && d <= INT64_MAX);
-  return Rational(static_cast<std::int64_t>(n), static_cast<std::int64_t>(d));
-}
-
-Rational Rational::operator-(const Rational& o) const { return *this + (-o); }
-
-Rational Rational::operator*(const Rational& o) const {
-  const Int128 n = Int128(num_) * o.num_;
-  const Int128 d = Int128(den_) * o.den_;
-  TS_ASSERT(n <= INT64_MAX && n >= INT64_MIN && d <= INT64_MAX);
-  return Rational(static_cast<std::int64_t>(n), static_cast<std::int64_t>(d));
-}
-
-Rational Rational::operator/(const Rational& o) const {
-  TS_CHECK(o.num_ != 0, "division of rational by zero");
-  return *this * Rational(o.den_, o.num_);
-}
-
 bool Rational::operator<(const Rational& o) const {
-  return Int128(num_) * o.den_ < Int128(o.num_) * den_;
-}
-
-Rational Rational::mediant(const Rational& a, const Rational& b) {
-  // Same overflow guard as operator+/operator*: the mediant drives the
-  // cycle-ratio search, where silent wraparound would corrupt the interval.
-  const Int128 n = Int128(a.num_) + b.num_;
-  const Int128 d = Int128(a.den_) + b.den_;
-  TS_ASSERT(n <= INT64_MAX && n >= INT64_MIN && d <= INT64_MAX);
-  return Rational(static_cast<std::int64_t>(n), static_cast<std::int64_t>(d));
+  return static_cast<__int128>(num_) * o.den_ < static_cast<__int128>(o.num_) * den_;
 }
 
 std::ostream& operator<<(std::ostream& os, const Rational& r) {

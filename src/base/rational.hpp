@@ -1,10 +1,11 @@
 #pragma once
-// Exact rational arithmetic on 64-bit integers.
+// Exact rational numbers on 64-bit integers.
 //
 // Used to report exact maximum delay-to-register (MDR) ratios: the ratio of
-// a cycle is delay(C)/weight(C) with both terms bounded by circuit size, so
-// 64-bit numerators/denominators never overflow for the circuit sizes this
-// library targets. Comparisons cross-multiply in 128 bits.
+// a cycle is delay(C)/weight(C) with both terms bounded by circuit size.
+// Howard's solver (retime/howard.hpp) computes on integer pairs and builds
+// one Rational from the winning cycle. Comparisons cross-multiply in 128
+// bits.
 
 #include <cstdint>
 #include <iosfwd>
@@ -28,14 +29,7 @@ class Rational {
   std::int64_t ceil() const;
   /// Largest integer <= this.
   std::int64_t floor() const;
-  double to_double() const;
   std::string to_string() const;
-
-  Rational operator+(const Rational& o) const;
-  Rational operator-(const Rational& o) const;
-  Rational operator*(const Rational& o) const;
-  Rational operator/(const Rational& o) const;
-  Rational operator-() const { return Rational(-num_, den_); }
 
   bool operator==(const Rational& o) const { return num_ == o.num_ && den_ == o.den_; }
   bool operator!=(const Rational& o) const { return !(*this == o); }
@@ -43,9 +37,6 @@ class Rational {
   bool operator>(const Rational& o) const { return o < *this; }
   bool operator<=(const Rational& o) const { return !(o < *this); }
   bool operator>=(const Rational& o) const { return !(*this < o); }
-
-  /// The mediant (num1+num2)/(den1+den2); lies strictly between distinct operands.
-  static Rational mediant(const Rational& a, const Rational& b);
 
  private:
   std::int64_t num_ = 0;

@@ -11,9 +11,8 @@
 #include "base/trace.hpp"
 #include "core/driver.hpp"
 #include "core/mapgen.hpp"
-#include "mapping/dedupe.hpp"
 #include "mapping/flowmap.hpp"
-#include "mapping/pack.hpp"
+#include "mapping/lut_network.hpp"
 #include "mapping/seq_split.hpp"
 #include "retime/howard.hpp"
 #include "retime/pipeline.hpp"
@@ -36,13 +35,15 @@ bool interrupted_before_probe(FlowContext& ctx, const LabelOptions& lopts) {
   return true;
 }
 
-/// The "pack" stage body: structural LUT deduplication and packing (each
-/// gated by FlowOptions), then the LUT count, register bits and exact MDR of
-/// the packed network. `phi_from_mdr`: flows without a ratio search
-/// (FlowSYN-s) report φ = max(1, ceil(exact MDR)).
-void pack_mapping(FlowContext& ctx, Circuit& mapped, bool phi_from_mdr) {
-  if (ctx.options.dedupe) mapped = dedupe_luts(mapped);
-  if (ctx.options.pack) mapped = pack_luts(mapped, ctx.options.k);
+/// The "pack" stage body: structural LUT deduplication and packing on the
+/// LUT list (each gated by FlowOptions), the one named build of the mapped
+/// network, then its LUT count, register bits and exact MDR.
+/// `phi_from_mdr`: flows without a ratio search (FlowSYN-s) report
+/// φ = max(1, ceil(exact MDR)).
+Circuit pack_mapping(FlowContext& ctx, LutNetwork& net, bool phi_from_mdr) {
+  if (ctx.options.dedupe) dedupe_luts(net);
+  if (ctx.options.pack) pack_luts(net, ctx.options.k);
+  Circuit mapped = net.to_circuit();
   FlowResult& result = ctx.result;
   result.luts = mapped.num_gates();
   result.ffs = mapped.num_ffs_shared();
@@ -53,6 +54,7 @@ void pack_mapping(FlowContext& ctx, Circuit& mapped, bool phi_from_mdr) {
   }
   ctx.count("luts", result.luts);
   ctx.count("ffs", result.ffs);
+  return mapped;
 }
 
 /// The "pipeline-retime" stage body: publishes `mapped` un-retimed as
@@ -269,10 +271,15 @@ FlowResult run_no_search_engine(const EngineSpec& spec, const Circuit& c,
   const auto start = Clock::now();
   TraceSpan span(options.trace, spec.trace_label);
   FlowContext ctx(c, options);
-  Circuit mapped;
-  ctx.run_stage("flowsyn-map", [&] { mapped = flowsyn_map(ctx); });
+  Circuit comb_mapped;  // names the LUT list
+  LutNetwork net;
+  ctx.run_stage("flowsyn-map", [&] {
+    comb_mapped = flowsyn_map(ctx);
+    net = LutNetwork::from_circuit(comb_mapped);
+  });
   // No ratio search; phi is the ceiling of the measured MDR.
-  ctx.run_stage("pack", [&] { pack_mapping(ctx, mapped, /*phi_from_mdr=*/true); });
+  Circuit mapped;
+  ctx.run_stage("pack", [&] { mapped = pack_mapping(ctx, net, /*phi_from_mdr=*/true); });
   ctx.run_stage("pipeline-retime", [&] {
     pipeline_retime(ctx, mapped, /*retime_only=*/false);
     // flowmap() itself is not budget-aware: report a deadline/cancel that
@@ -352,12 +359,12 @@ std::vector<EngineSpec> build_registry() {
 
 void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode,
                      bool period_objective, DecompCache& memo) {
-  Circuit mapped;
+  LutNetwork net;
   ctx.run_stage("mapgen", [&] {
     if (labels == nullptr) {
       // Stopped before any probe converged: the identity mapping (one LUT
       // per gate) is always valid.
-      mapped = ctx.input;
+      net = LutNetwork::from_circuit(ctx.input);
       ctx.count("identity_fallback", 1);
       return;
     }
@@ -366,7 +373,7 @@ void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode
     mopts.low_cost_cuts = ctx.options.low_cost_cuts;
     if (period_objective) mopts.po_label_limit = ctx.result.phi;
     FlowResult& result = ctx.result;
-    mapped = generate_sequential_mapping(
+    net = generate_sequential_mapping(
         ctx.input, *labels, result.phi, ctx.options.label_options(mode == LabelMode::kDecomp),
         mopts, result.stats, ctx.options.collect_artifacts ? &result.artifacts.records : nullptr,
         &memo);
@@ -377,9 +384,10 @@ void map_pack_retime(FlowContext& ctx, const LabelResult* labels, LabelMode mode
       result.artifacts.mode = mode;
       result.artifacts.po_limited = period_objective;
     }
-    ctx.count("luts", mapped.num_gates());
+    ctx.count("luts", net.num_luts());
   });
-  ctx.run_stage("pack", [&] { pack_mapping(ctx, mapped, /*phi_from_mdr=*/false); });
+  Circuit mapped;
+  ctx.run_stage("pack", [&] { mapped = pack_mapping(ctx, net, /*phi_from_mdr=*/false); });
   ctx.run_stage("pipeline-retime", [&] { pipeline_retime(ctx, mapped, period_objective); });
 }
 

@@ -4,7 +4,7 @@
 #include <deque>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "base/check.hpp"
 
@@ -56,9 +56,11 @@ class Generator {
         opts_(options),
         stats_(stats),
         cache_(cache != nullptr ? *cache : local_cache_),
+        pending_(static_cast<std::size_t>(c.num_nodes()), 0),
+        used_w_(static_cast<std::size_t>(c.num_nodes())),
         records_(records) {}
 
-  Circuit run() {
+  LutNetwork run() {
     // Pass 1: realize every transitively needed node at its final label.
     for (const NodeId po : c_.pos()) {
       request(c_.edge(c_.fanin_edges(po)[0]).from);
@@ -75,8 +77,8 @@ class Generator {
 
   void request(NodeId v) {
     if (!is_mappable(v)) return;  // PIs and constants need no realization
-    if (chosen_.count(v) || pending_.count(v)) return;
-    pending_.insert(v);
+    if (chosen_.count(v) || pending_[static_cast<std::size_t>(v)]) return;
+    pending_[static_cast<std::size_t>(v)] = 1;
     queue_.push_back(v);
   }
 
@@ -84,55 +86,44 @@ class Generator {
     while (!queue_.empty()) {
       const NodeId v = queue_.front();
       queue_.pop_front();
-      pending_.erase(v);
-      if (chosen_.count(v)) continue;
-      BaseReal base = base_realization(v);
-      install(v, std::move(base.real), base.height);
+      pending_[static_cast<std::size_t>(v)] = 0;
+      if (!chosen_.count(v)) install_base(v);
     }
   }
 
-  struct BaseReal {
-    NodeRealization real;
-    int height = 0;
-  };
-
-  BaseReal base_realization(NodeId v) {
+  /// Realizes v at its own label and installs it.
+  void install_base(NodeId v) {
     const std::function<bool(const SeqCutNode&)> shared = [this](const SeqCutNode& n) {
-      return used_inputs_.count((static_cast<std::uint64_t>(
-                                     static_cast<std::uint32_t>(n.node))
-                                 << 24) |
-                                static_cast<std::uint32_t>(n.w)) != 0;
+      return std::ranges::count(used_w_[static_cast<std::size_t>(n.node)], n.w) != 0;
     };
     const int height = labels_.labels[static_cast<std::size_t>(v)];
     auto real = realize_node(c_, labels_.labels, phi_, v, height, lopts_, stats_, &cache_,
                              opts_.low_cost_cuts ? &shared : nullptr, &scratch_);
     TS_CHECK(real.has_value(), "converged labels must be realizable at node '" << c_.name(v)
                                                                                << "'");
-    return BaseReal{std::move(*real), height};
+    install(v, std::move(*real), height);
   }
 
   void install(NodeId v, NodeRealization real, int height) {
-    Chosen ch;
-    ch.input_depth = compute_input_depths(real);
-    ch.real = std::move(real);
-    ch.height = height;
-    for (const SeqCutNode& in : ch.real.cut) {
+    for (const SeqCutNode& in : real.cut) {
       request(in.node);
-      used_inputs_.insert(
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(in.node)) << 24) |
-          static_cast<std::uint32_t>(in.w));
+      auto& used = used_w_[static_cast<std::size_t>(in.node)];
+      if (std::ranges::count(used, in.w) == 0) used.push_back(in.w);
     }
-    chosen_[v] = std::move(ch);
+    std::vector<int> depth = compute_input_depths(real);
+    chosen_[v] = Chosen{std::move(real), height, std::move(depth)};
   }
 
   /// Heights the consumers allow: A(x) = min over uses (x, w) at depth d in a
-  /// consumer realized at height H of (H - d + phi*w). POs contribute only
-  /// under a clock-period limit.
-  std::unordered_map<NodeId, int> allowed_heights() const {
-    std::unordered_map<NodeId, int> allowed;
+  /// consumer realized at height H of (H - d + phi*w), per node; INT_MAX
+  /// where nothing constrains x. POs contribute only under a clock-period
+  /// limit.
+  std::vector<int> allowed_heights() const {
+    std::vector<int> allowed(static_cast<std::size_t>(c_.num_nodes()),
+                             std::numeric_limits<int>::max());
     const auto tighten = [&](NodeId x, int bound) {
-      const auto [it, inserted] = allowed.emplace(x, bound);
-      if (!inserted) it->second = std::min(it->second, bound);
+      int& a = allowed[static_cast<std::size_t>(x)];
+      a = std::min(a, bound);
     };
     for (const auto& [v, ch] : chosen_) {
       (void)v;
@@ -166,10 +157,9 @@ class Generator {
     {
       const auto allowed = allowed_heights();
       for (const NodeId v : targets) {
-        const auto it = allowed.find(v);
-        if (it == allowed.end()) continue;  // only POs use it (no cut uses)
-        const int a = it->second;
-        if (a <= chosen_.at(v).height) continue;
+        // Unconstrained: only POs use it (no cut uses).
+        const int a = allowed[static_cast<std::size_t>(v)];
+        if (a == std::numeric_limits<int>::max() || a <= chosen_.at(v).height) continue;
         if (auto real = realize_node(c_, labels_.labels, phi_, v, a, plain, stats_, &cache_,
                                      nullptr, &scratch_)) {
           install(v, std::move(*real), a);
@@ -183,11 +173,8 @@ class Generator {
       const auto allowed = allowed_heights();
       bool reverted = false;
       for (auto& [v, ch] : chosen_) {
-        const auto it = allowed.find(v);
-        const int a = it == allowed.end() ? std::numeric_limits<int>::max() : it->second;
-        if (ch.height > a) {
-          BaseReal base = base_realization(v);
-          install(v, std::move(base.real), base.height);
+        if (ch.height > allowed[static_cast<std::size_t>(v)]) {
+          install_base(v);
           reverted = true;
         }
       }
@@ -200,90 +187,90 @@ class Generator {
       (void)ch;
       all.push_back(v);
     }
-    for (const NodeId v : all) {
-      BaseReal base = base_realization(v);
-      install(v, std::move(base.real), base.height);
-    }
+    for (const NodeId v : all) install_base(v);
     drain_queue();
   }
 
-  Circuit emit() {
+  LutNetwork emit() {
     // Prune to the closure actually reachable from the POs (relaxation may
-    // have orphaned nodes), then declare + finish.
-    std::unordered_set<NodeId> live;
-    std::deque<NodeId> bfs;
-    for (const NodeId po : c_.pos()) {
-      const NodeId d = c_.edge(c_.fanin_edges(po)[0]).from;
-      if (live.insert(d).second) bfs.push_back(d);
-    }
-    while (!bfs.empty()) {
-      const NodeId v = bfs.front();
-      bfs.pop_front();
+    // have orphaned nodes).
+    std::vector<char> live(static_cast<std::size_t>(c_.num_nodes()), 0);
+    std::vector<NodeId> stack;
+    const auto mark = [&](NodeId v) {
+      if (!live[static_cast<std::size_t>(v)]) {
+        live[static_cast<std::size_t>(v)] = 1;
+        stack.push_back(v);
+      }
+    };
+    for (const NodeId po : c_.pos()) mark(c_.edge(c_.fanin_edges(po)[0]).from);
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
       if (!is_mappable(v)) continue;
-      for (const SeqCutNode& in : chosen_.at(v).real.cut) {
-        if (live.insert(in.node).second) bfs.push_back(in.node);
-      }
+      for (const SeqCutNode& in : chosen_.at(v).real.cut) mark(in.node);
     }
 
-    if (records_ != nullptr) {
-      records_->clear();
-      for (NodeId v = 0; v < c_.num_nodes(); ++v) {
-        if (!live.count(v) || !is_mappable(v)) continue;
-        const Chosen& ch = chosen_.at(v);
-        records_->push_back(MappingRecord{v, ch.height, ch.real});
-      }
+    // Roots and constants take the live nodes' order; encoder LUTs follow.
+    using Fanin = LutNetwork::Fanin;
+    LutNetwork net;
+    net.source = &c_;
+    std::vector<std::int32_t> ref(static_cast<std::size_t>(c_.num_nodes()), 0);
+    for (std::size_t i = 0; i < c_.pis().size(); ++i) {
+      ref[static_cast<std::size_t>(c_.pis()[i])] = ~static_cast<std::int32_t>(i);
     }
-
-    Circuit out;
-    std::unordered_map<NodeId, NodeId> to_out;
-    for (const NodeId pi : c_.pis()) to_out[pi] = out.add_pi(c_.name(pi));
     for (NodeId v = 0; v < c_.num_nodes(); ++v) {
-      if (!live.count(v)) continue;
-      if (c_.is_gate(v) && !is_mappable(v)) {
-        // Constant: emit directly.
-        to_out[v] = out.add_gate(c_.name(v), c_.function(v), {});
-      } else if (is_mappable(v)) {
-        to_out[v] = out.declare_gate(c_.name(v));
-      }
+      if (!live[static_cast<std::size_t>(v)] || !c_.is_gate(v)) continue;
+      ref[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(net.luts.size());
+      net.luts.push_back({is_mappable(v) ? TruthTable() : c_.function(v), {}, v});
     }
     int fresh = 0;
+    std::vector<Fanin> inputs;
     for (NodeId v = 0; v < c_.num_nodes(); ++v) {
-      if (!live.count(v) || !is_mappable(v)) continue;
+      if (!live[static_cast<std::size_t>(v)] || !is_mappable(v)) continue;
       const Chosen& ch = chosen_.at(v);
-      std::vector<Circuit::FaninSpec> inputs;
+      inputs.clear();
       for (const SeqCutNode& in : ch.real.cut) {
-        inputs.push_back({to_out.at(in.node), in.w});
+        inputs.push_back({ref[static_cast<std::size_t>(in.node)], in.w});
       }
+      const auto root = static_cast<std::size_t>(ref[static_cast<std::size_t>(v)]);
       if (!ch.real.decomp.has_value()) {
-        out.finish_gate(to_out.at(v), ch.real.func, inputs);
+        net.luts[root].func = ch.real.func;
+        net.luts[root].fanins = inputs;
         continue;
       }
+      // Decomposition LUT j < last becomes LUT `first + j`; the last is v's.
       const auto& luts = ch.real.decomp->luts;
-      std::vector<NodeId> lut_node(luts.size(), kNoNode);
+      const auto first = static_cast<std::int32_t>(net.luts.size());
       for (std::size_t j = 0; j < luts.size(); ++j) {
-        std::vector<Circuit::FaninSpec> fanins;
+        LutNetwork::Lut lut{luts[j].func, {}, v, fresh};
         for (const DecompFanin& fin : luts[j].fanins) {
-          if (fin.kind == DecompFanin::Kind::kInput) {
-            fanins.push_back(inputs[static_cast<std::size_t>(fin.index)]);
-          } else {
-            fanins.push_back({lut_node[static_cast<std::size_t>(fin.index)], 0});
-          }
+          lut.fanins.push_back(fin.kind == DecompFanin::Kind::kInput
+                                   ? inputs[static_cast<std::size_t>(fin.index)]
+                                   : Fanin{first + fin.index, 0});
         }
-        if (j + 1 == luts.size()) {
-          out.finish_gate(to_out.at(v), luts[j].func, fanins);
-          lut_node[j] = to_out.at(v);
+        if (j + 1 < luts.size()) {
+          ++fresh;
+          net.luts.push_back(std::move(lut));
         } else {
-          lut_node[j] = out.add_gate(c_.name(v) + "$e" + std::to_string(fresh++),
-                                     luts[j].func, fanins);
+          net.luts[root].func = std::move(lut.func);
+          net.luts[root].fanins = std::move(lut.fanins);
         }
       }
     }
     for (const NodeId po : c_.pos()) {
       const auto& e = c_.edge(c_.fanin_edges(po)[0]);
-      out.add_po(c_.name(po), {to_out.at(e.from), e.weight});
+      net.pos.push_back({ref[static_cast<std::size_t>(e.from)], e.weight});
     }
-    out.validate();
-    return out;
+
+    if (records_ != nullptr) {
+      records_->clear();
+      for (NodeId v = 0; v < c_.num_nodes(); ++v) {
+        if (!live[static_cast<std::size_t>(v)] || !is_mappable(v)) continue;
+        Chosen& ch = chosen_.at(v);
+        records_->push_back(MappingRecord{v, ch.height, std::move(ch.real)});
+      }
+    }
+    return net;
   }
 
   const Circuit& c_;
@@ -298,18 +285,20 @@ class Generator {
   DecompCache& cache_;       // (gate, cut) functions across realizations
 
   std::unordered_map<NodeId, Chosen> chosen_;
-  std::unordered_set<NodeId> pending_;
-  std::unordered_set<std::uint64_t> used_inputs_;  // packed (node, w) signals
+  // chosen_ stays a hash map: the revert pass realizes nodes in its
+  // iteration order, and the low-cost cuts read the inputs used so far.
+  std::vector<char> pending_;              // per node: queued
+  std::vector<std::vector<int>> used_w_;   // per node: register counts used as LUT inputs
   std::deque<NodeId> queue_;
   std::vector<MappingRecord>* records_;  // optional audit artifacts
 };
 
 }  // namespace
 
-Circuit generate_sequential_mapping(const Circuit& c, const LabelResult& labels, int phi,
-                                    const LabelOptions& label_options,
-                                    const MapGenOptions& options, LabelStats& stats,
-                                    std::vector<MappingRecord>* records, DecompCache* cache) {
+LutNetwork generate_sequential_mapping(const Circuit& c, const LabelResult& labels, int phi,
+                                       const LabelOptions& label_options,
+                                       const MapGenOptions& options, LabelStats& stats,
+                                       std::vector<MappingRecord>* records, DecompCache* cache) {
   TS_CHECK(labels.feasible, "mapping generation requires converged labels");
   return Generator(c, labels, phi, label_options, options, stats, records, cache).run();
 }

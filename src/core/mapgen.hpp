@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/labeling.hpp"
+#include "mapping/lut_network.hpp"
 #include "netlist/circuit.hpp"
 
 namespace turbosyn {
@@ -43,18 +44,18 @@ struct MapGenOptions {
   std::optional<int> po_label_limit;
 };
 
-/// Generates the mapped LUT circuit for converged `labels` at ratio phi.
-/// PI/PO names are preserved; LUT nodes take the name of the original node
-/// they are rooted at (encoder LUTs get a "$e<i>" suffix). When `records` is
-/// non-null it receives one MappingRecord per realized (live) node, in
-/// input-circuit node order. `cache` (optional) is the decomposition memo
+/// Generates the mapped LUT list for converged `labels` at ratio phi, with
+/// `c` as its source of names (it must outlive the list): roots and
+/// constants in node order, then the encoder LUTs, "<root>$e<i>" in order.
+/// When `records` is non-null it receives one MappingRecord per realized
+/// (live) node, in input-circuit node order. `cache` (optional) is the decomposition memo
 /// the realizations read and fill, typically the label search's own
 /// (LabelEngine::take_decomp_cache); a null `cache` stands for a memo local
 /// to this call.
-Circuit generate_sequential_mapping(const Circuit& c, const LabelResult& labels, int phi,
-                                    const LabelOptions& label_options,
-                                    const MapGenOptions& options, LabelStats& stats,
-                                    std::vector<MappingRecord>* records = nullptr,
-                                    DecompCache* cache = nullptr);
+LutNetwork generate_sequential_mapping(const Circuit& c, const LabelResult& labels, int phi,
+                                       const LabelOptions& label_options,
+                                       const MapGenOptions& options, LabelStats& stats,
+                                       std::vector<MappingRecord>* records = nullptr,
+                                       DecompCache* cache = nullptr);
 
 }  // namespace turbosyn

@@ -1,6 +1,7 @@
 #include "retime/howard.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "base/check.hpp"
@@ -8,53 +9,82 @@
 namespace turbosyn {
 namespace {
 
+/// A cycle ratio val/tau in lowest terms (0/1 for a zero-register cycle).
+/// Reduced pairs are equal exactly when the ratios are, so two nodes with
+/// equal ratios keep their potentials over one denominator, tau.
+struct Ratio {
+  std::int64_t val = 0;
+  std::int64_t tau = 1;
+  bool operator==(const Ratio&) const = default;
+  bool operator>(const Ratio& o) const {
+    return static_cast<__int128>(val) * o.tau > static_cast<__int128>(o.val) * tau;
+  }
+};
+
+/// An edge inside the SCC, by its ends' positions in the SCC's node list.
+struct Arc {
+  std::int32_t to = 0;
+  std::int32_t val = 0;  // delay of the head
+  std::int32_t tau = 0;  // registers
+  EdgeId edge = kNoEdge;
+};
+
 /// Policy iteration over one SCC. Node state lives in flat arrays indexed by
-/// the node's position in the SCC's node list (`position`).
+/// the node's position in the SCC's node list; node i's out-arcs are
+/// arcs_[first_[i], first_[i + 1]).
 class HowardScc {
  public:
   HowardScc(const Circuit& c, std::span<const NodeId> nodes, std::span<const int> component_of,
-            std::span<const int> position, int comp)
-      : c_(c),
-        nodes_(nodes),
-        component_of_(component_of),
-        position_(position),
-        comp_(comp),
-        policy_(nodes.size(), kNoEdge),
+            std::span<const int> position)
+      : policy_(nodes.size()),
         sigma_(nodes.size()),
         d_(nodes.size()),
         cycle_of_(nodes.size(), -1),
         color_(nodes.size(), 0) {
-    // Initial policy: first out-edge that stays inside the SCC.
+    const int comp = component_of[static_cast<std::size_t>(nodes[0])];
+    __int128 delay = 0;
+    __int128 registers = 0;
+    first_.push_back(0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
+      delay += c.delay(nodes[i]);
       for (const EdgeId e : c.fanout_edges(nodes[i])) {
-        if (inside(c.edge(e).to)) {
-          policy_[i] = e;
-          break;
-        }
+        const Circuit::Edge& edge = c.edge(e);
+        const auto to = static_cast<std::size_t>(edge.to);
+        if (component_of[to] != comp) continue;  // leaves the SCC
+        arcs_.push_back({position[to], c.delay(edge.to), edge.weight, e});
+        registers += edge.weight;
       }
-      TS_ASSERT(policy_[i] != kNoEdge);  // SCC nodes have internal successors
+      // Initial policy: the first arc. SCC nodes have internal successors.
+      TS_ASSERT(arcs_.size() > first_.back());
+      policy_[i] = first_.back();
+      first_.push_back(arcs_.size());
     }
+    // The overflow bound of howard.hpp's comment.
+    TS_CHECK(4 * delay * registers < (__int128{1} << 63),
+             "SCC too large for 64-bit cycle-ratio potentials");
   }
 
   /// Runs policy iteration; returns the best cycle found.
   CycleRatioResult run() {
     // Policy iteration converges in finitely many steps; the guard is a
     // safety net far above anything observed.
-    const int max_rounds = 50 + 10 * static_cast<int>(nodes_.size());
+    const int max_rounds = 50 + 10 * static_cast<int>(policy_.size());
     for (int round = 0; round < max_rounds; ++round) {
       evaluate();
       if (!improve()) break;
     }
-    CycleRatioResult best;
+    Ratio ratio;
     int best_cycle = -1;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (cycle_of_[i] >= 0 && (best_cycle < 0 || sigma_[i] > best.ratio)) {
-        best.ratio = sigma_[i];
+    for (std::size_t i = 0; i < policy_.size(); ++i) {
+      if (cycle_of_[i] >= 0 && (best_cycle < 0 || sigma_[i] > ratio)) {
+        ratio = sigma_[i];
         best_cycle = cycle_of_[i];
       }
     }
+    CycleRatioResult best;
     if (best_cycle >= 0) {
       const auto id = static_cast<std::size_t>(best_cycle);
+      best.ratio = Rational(ratio.val, ratio.tau);
       best.critical_cycle.assign(cycle_edges_.begin() + cycle_begin_[id],
                                  cycle_edges_.begin() + cycle_begin_[id + 1]);
     }
@@ -62,15 +92,14 @@ class HowardScc {
   }
 
  private:
-  bool inside(NodeId v) const { return component_of_[static_cast<std::size_t>(v)] == comp_; }
-  /// Position of the head of the policy edge of the node at position i.
+  /// Position of the head of the policy arc of the node at position i.
   std::size_t successor(std::size_t i) const {
-    return static_cast<std::size_t>(position_[static_cast<std::size_t>(c_.edge(policy_[i]).to)]);
+    return static_cast<std::size_t>(arcs_[policy_[i]].to);
   }
-  /// d(u) for policy edge e = u->w: val(e) - sigma(u)*tau(e) + d(w).
-  Rational potential(std::size_t u, std::size_t w) const {
-    const Circuit::Edge& e = c_.edge(policy_[u]);
-    return Rational(c_.delay(e.to)) - sigma_[u] * Rational(e.weight) + d_[w];
+  /// d(u) for arc a = u->w with d(w) over sigma(u)'s denominator:
+  /// val(a) - sigma(u)*tau(a) + d(w), scaled by that denominator.
+  std::int64_t potential(std::size_t u, const Arc& a, std::int64_t d_w) const {
+    return a.val * sigma_[u].tau - sigma_[u].val * a.tau + d_w;
   }
 
   /// Finds policy cycles, their ratios, and node potentials.
@@ -79,7 +108,7 @@ class HowardScc {
     cycle_begin_.assign(1, 0);
     std::fill(cycle_of_.begin(), cycle_of_.end(), -1);
     std::fill(color_.begin(), color_.end(), 0);  // 0 unseen, 1 on the path, 2 done
-    for (std::size_t start = 0; start < nodes_.size(); ++start) {
+    for (std::size_t start = 0; start < policy_.size(); ++start) {
       if (color_[start] != 0) continue;
       // Walk the functional graph until a visited node.
       path_.clear();
@@ -97,22 +126,23 @@ class HowardScc {
         std::int64_t val = 0;
         std::int64_t tau = 0;
         for (std::size_t p = first; p < path_.size(); ++p) {
-          const EdgeId e = policy_[path_[p]];
-          cycle_edges_.push_back(e);
-          val += c_.delay(c_.edge(e).to);
-          tau += c_.edge(e).weight;
+          const Arc& a = arcs_[policy_[path_[p]]];
+          cycle_edges_.push_back(a.edge);
+          val += a.val;
+          tau += a.tau;
         }
         cycle_begin_.push_back(cycle_edges_.size());
         TS_CHECK(tau > 0 || val == 0,
                  "combinational loop (positive delay, zero registers): ratio unbounded");
-        const Rational sigma = tau > 0 ? Rational(val, tau) : Rational(0);
+        const std::int64_t g = std::gcd(val, tau);
+        const Ratio sigma = tau > 0 ? Ratio{val / g, tau / g} : Ratio{};
         // Anchor the cycle: d(v) = 0, then propagate backwards around it.
         sigma_[v] = sigma;
-        d_[v] = Rational(0);
+        d_[v] = 0;
         for (std::size_t p = path_.size(); p-- > first + 1;) {
           const std::size_t u = path_[p];
           sigma_[u] = sigma;
-          d_[u] = potential(u, successor(u));
+          d_[u] = potential(u, arcs_[policy_[u]], d_[successor(u)]);
         }
         for (std::size_t p = first; p < path_.size(); ++p) cycle_of_[path_[p]] = id;
       }
@@ -123,7 +153,7 @@ class HowardScc {
         if (cycle_of_[u] < 0) {
           const std::size_t w = successor(u);
           sigma_[u] = sigma_[w];
-          d_[u] = potential(u, w);
+          d_[u] = potential(u, arcs_[policy_[u]], d_[w]);
           cycle_of_[u] = cycle_of_[w];
         }
         color_[u] = 2;
@@ -134,21 +164,13 @@ class HowardScc {
   /// One improvement sweep; true if any policy changed.
   bool improve() {
     bool changed = false;
-    for (std::size_t u = 0; u < nodes_.size(); ++u) {
-      for (const EdgeId e : c_.fanout_edges(nodes_[u])) {
-        const NodeId to = c_.edge(e).to;
-        if (!inside(to)) continue;  // leaves the SCC
-        const auto v = static_cast<std::size_t>(position_[static_cast<std::size_t>(to)]);
-        bool better = false;
-        if (sigma_[v] > sigma_[u]) {
-          better = true;
-        } else if (sigma_[v] == sigma_[u]) {
-          const Rational cand = Rational(c_.delay(to)) -
-                                sigma_[u] * Rational(c_.edge(e).weight) + d_[v];
-          if (cand > d_[u]) better = true;
-        }
-        if (better && e != policy_[u]) {
-          policy_[u] = e;
+    for (std::size_t u = 0; u < policy_.size(); ++u) {
+      for (std::size_t a = first_[u]; a < first_[u + 1]; ++a) {
+        const auto v = static_cast<std::size_t>(arcs_[a].to);
+        const bool better = sigma_[v] > sigma_[u] ||
+                            (sigma_[v] == sigma_[u] && potential(u, arcs_[a], d_[v]) > d_[u]);
+        if (better && a != policy_[u]) {
+          policy_[u] = a;
           changed = true;
         }
       }
@@ -156,16 +178,13 @@ class HowardScc {
     return changed;
   }
 
-  const Circuit& c_;
-  std::span<const NodeId> nodes_;
-  std::span<const int> component_of_;
-  std::span<const int> position_;  // per circuit node: its index in its SCC
-  int comp_;
+  std::vector<Arc> arcs_;
+  std::vector<std::size_t> first_;
   // Per SCC position.
-  std::vector<EdgeId> policy_;   // chosen out-edge (stays inside the SCC)
-  std::vector<Rational> sigma_;  // ratio of the node's policy cycle
-  std::vector<Rational> d_;      // potential relative to the cycle
-  std::vector<int> cycle_of_;    // id of the policy cycle the node drains into
+  std::vector<std::size_t> policy_;  // chosen out-arc
+  std::vector<Ratio> sigma_;         // ratio of the node's policy cycle
+  std::vector<std::int64_t> d_;      // potential relative to the cycle, over sigma's tau
+  std::vector<int> cycle_of_;        // id of the policy cycle the node drains into
   std::vector<std::uint8_t> color_;
   std::vector<std::size_t> path_;
   // Policy cycle `id` is cycle_edges_[cycle_begin_[id], cycle_begin_[id + 1]).
@@ -184,22 +203,13 @@ CycleRatioResult circuit_mdr_howard(const Circuit& c) {
     }
   }
   CycleRatioResult best;
-  for (std::size_t comp = 0; comp < scc.components.size(); ++comp) {
-    const auto& nodes = scc.components[comp];
-    bool has_cycle = nodes.size() > 1;
-    if (!has_cycle) {
-      for (const EdgeId e : c.fanout_edges(nodes[0])) {
-        if (c.edge(e).to == nodes[0]) has_cycle = true;
-      }
-    }
-    if (!has_cycle) continue;
-    HowardScc howard(c, nodes, scc.component_of, position, static_cast<int>(comp));
-    const CycleRatioResult r = howard.run();
-    if (r.ratio > best.ratio || best.critical_cycle.empty()) {
-      if (!r.critical_cycle.empty() &&
-          (best.critical_cycle.empty() || r.ratio > best.ratio)) {
-        best = r;
-      }
+  for (const auto& nodes : scc.components) {
+    // A single node lies on a cycle only through a self-loop.
+    const auto self_loop = [&](EdgeId e) { return c.edge(e).to == nodes[0]; };
+    if (nodes.size() == 1 && std::ranges::none_of(c.fanout_edges(nodes[0]), self_loop)) continue;
+    const CycleRatioResult r = HowardScc(c, nodes, scc.component_of, position).run();
+    if (!r.critical_cycle.empty() && (best.critical_cycle.empty() || r.ratio > best.ratio)) {
+      best = r;
     }
   }
   return best;

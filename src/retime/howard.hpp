@@ -12,6 +12,17 @@
 // Formulation: edge value val(e) = delay(head(e)), edge time tau(e) = w(e).
 // We seek the maximum of sum(val)/sum(tau) over cycles with sum(tau) > 0.
 // Combinational loops (sum(tau) == 0 with positive value) are rejected.
+//
+// Arithmetic is integer. A policy cycle's ratio sigma is the pair
+// (val, tau) in lowest terms, and ratios compare by cross-multiplying in
+// 128 bits. A node's potential d is stored as d * tau, an int64 numerator
+// over its sigma's denominator; nodes with equal ratios hold equal reduced
+// pairs, so their potentials compare directly. Overflow: let D be the
+// delay and W the register count summed over an SCC. val <= D and
+// tau <= W. A potential sums val(e)*tau - val*tau(e) along a simple path
+// of the SCC, so |d * tau| <= 2DW, and an improvement candidate adds one
+// edge, at most 2DW more. The solver checks 4DW < 2^63 per SCC and throws
+// turbosyn::Error otherwise. Only the winning pair becomes a Rational.
 
 #include <vector>
 

@@ -28,7 +28,7 @@ TEST_P(SuiteFlowProperties, TurboSynInvariantsHold) {
 
   // 1. phi ordering: resynthesis never hurts; both within the input bound.
   EXPECT_LE(ts.phi, tm.phi) << spec.name;
-  EXPECT_LE(Rational(tm.phi), oracle::circuit_mdr(c).ratio + Rational(1)) << spec.name;
+  EXPECT_LE(Rational(tm.phi - 1), oracle::circuit_mdr(c).ratio) << spec.name;
 
   // 2. The mapped networks honor their reported ratios exactly.
   EXPECT_LE(tm.exact_mdr, Rational(tm.phi)) << spec.name;

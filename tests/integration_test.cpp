@@ -11,7 +11,7 @@
 #include "base/rng.hpp"
 #include "core/flows.hpp"
 #include "decomp/gate_decomp.hpp"
-#include "mapping/dedupe.hpp"
+#include "mapping/lut_network.hpp"
 #include "netlist/blif.hpp"
 #include "oracle.hpp"
 #include "retime/howard.hpp"
@@ -108,7 +108,9 @@ TEST(Integration, DedupeAfterMappingNeverBreaksEquivalence) {
   opt.k = 5;
   opt.dedupe = false;  // get the raw mapping, dedupe explicitly
   const FlowResult r = run_turbosyn(c, opt);
-  const Circuit deduped = dedupe_luts(r.mapped);
+  LutNetwork net = LutNetwork::from_circuit(r.mapped);
+  dedupe_luts(net);
+  const Circuit deduped = net.to_circuit();
   EXPECT_LE(deduped.num_gates(), r.mapped.num_gates());
   Rng rng(23);
   const auto stimulus = random_stimulus(rng, c.num_pis(), 64);

@@ -243,7 +243,7 @@ TEST(Labeling, MappedMdrNeverExceedsPhiAcrossSuite) {
     while (!r.feasible) r = compute_labels(c, ++phi, lo);
     LabelStats stats;
     MapGenOptions mopts;
-    const Circuit mapped = generate_sequential_mapping(c, r, phi, lo, mopts, stats);
+    const Circuit mapped = generate_sequential_mapping(c, r, phi, lo, mopts, stats).to_circuit();
     EXPECT_LE(oracle::circuit_mdr(mapped).ratio, Rational(phi)) << spec.name;
   }
 }

@@ -4,7 +4,7 @@
 #include "base/rng.hpp"
 #include "mapping/cone_cut.hpp"
 #include "mapping/flowmap.hpp"
-#include "mapping/pack.hpp"
+#include "mapping/lut_network.hpp"
 #include "mapping/seq_split.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/gates.hpp"
@@ -15,6 +15,15 @@
 
 namespace turbosyn {
 namespace {
+
+/// pack_luts on the LUT list of `c`, built back into a Circuit; `merges`
+/// (optional) receives pack_luts' merge count.
+Circuit packed_circuit(const Circuit& c, int k, int* merges = nullptr) {
+  LutNetwork net = LutNetwork::from_circuit(c);
+  const int n = pack_luts(net, k);
+  if (merges != nullptr) *merges = n;
+  return net.to_circuit();
+}
 
 /// Random combinational K-bounded DAG for property tests.
 Circuit random_dag(Rng& rng, int gates, int pis, int max_fanin) {
@@ -220,10 +229,9 @@ TEST(Pack, MergesSingleFanoutChains) {
   const Circuit::FaninSpec f2[1] = {{g1, 0}};
   const NodeId g2 = c.add_gate("g2", tt_not(), f2);
   c.add_po("$po:o", {g2, 0});
-  PackStats stats;
-  const Circuit packed = pack_luts(c, 4, &stats);
-  EXPECT_EQ(stats.luts_before, 2);
-  EXPECT_EQ(stats.luts_after, 1);
+  const Circuit packed = packed_circuit(c, 4);
+  EXPECT_EQ(c.num_gates(), 2);
+  EXPECT_EQ(packed.num_gates(), 1);
   const NodeId root = packed.find("g2");
   ASSERT_NE(root, kNoNode);
   EXPECT_EQ(packed.function(root), tt_nand(2));
@@ -240,18 +248,17 @@ TEST(Pack, RespectsKAndFanoutConstraints) {
   const NodeId g3 = c.add_gate("g3", tt_not(), f3);
   c.add_po("$po:o2", {g2, 0});
   c.add_po("$po:o3", {g3, 0});
-  PackStats stats;
-  const Circuit packed = pack_luts(c, 4, &stats);
+  int merges = -1;
+  const Circuit packed = packed_circuit(c, 4, &merges);
   // g1 has two fanouts: nothing merges.
-  EXPECT_EQ(stats.merges, 0);
+  EXPECT_EQ(merges, 0);
   EXPECT_EQ(packed.num_gates(), 3);
 }
 
 TEST(Pack, SequentialCircuitsKeepBehavior) {
   for (const auto& spec : tiny_suite()) {
     const Circuit c = generate_fsm_circuit(spec);
-    PackStats stats;
-    const Circuit packed = pack_luts(c, 6, &stats);
+    const Circuit packed = packed_circuit(c, 6);
     EXPECT_LE(packed.num_gates(), c.num_gates()) << spec.name;
     EXPECT_TRUE(packed.is_k_bounded(6));
     Rng rng(spec.seed + 13);

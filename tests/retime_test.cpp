@@ -166,7 +166,8 @@ TEST(CycleRatio, CriticalCycleAchievesTheRatio) {
   EXPECT_EQ(Rational(d_sum, w_sum), r.ratio);
   // Decision procedure agrees on both sides of the ratio.
   EXPECT_FALSE(oracle::has_cycle_above_ratio(c, r.ratio));
-  EXPECT_TRUE(oracle::has_cycle_above_ratio(c, r.ratio - Rational(1, 1000)));
+  const Rational below(r.ratio.num() * 1000 - r.ratio.den(), r.ratio.den() * 1000);
+  EXPECT_TRUE(oracle::has_cycle_above_ratio(c, below));  // ratio - 1/1000
 }
 
 TEST(CycleRatio, CombinationalLoopThrows) {
