@@ -284,11 +284,11 @@ class Generator {
   DecompCache local_cache_;  // the memo when the caller passes none
   DecompCache& cache_;       // (gate, cut) functions across realizations
 
+  // A hash map, not a per-node vector: the revert pass realizes nodes in its
+  // iteration order, and each low-cost cut reads the inputs used before it.
   std::unordered_map<NodeId, Chosen> chosen_;
-  // chosen_ stays a hash map: the revert pass realizes nodes in its
-  // iteration order, and the low-cost cuts read the inputs used so far.
-  std::vector<char> pending_;              // per node: queued
-  std::vector<std::vector<int>> used_w_;   // per node: register counts used as LUT inputs
+  std::vector<char> pending_;             // per node: queued
+  std::vector<std::vector<int>> used_w_;  // per node: register counts used as LUT inputs
   std::deque<NodeId> queue_;
   std::vector<MappingRecord>* records_;  // optional audit artifacts
 };
