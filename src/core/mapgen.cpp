@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "base/check.hpp"
@@ -56,6 +56,7 @@ class Generator {
         opts_(options),
         stats_(stats),
         cache_(cache != nullptr ? *cache : local_cache_),
+        chosen_(static_cast<std::size_t>(c.num_nodes())),
         pending_(static_cast<std::size_t>(c.num_nodes()), 0),
         used_w_(static_cast<std::size_t>(c.num_nodes())),
         records_(records) {}
@@ -74,10 +75,12 @@ class Generator {
 
  private:
   bool is_mappable(NodeId v) const { return c_.is_gate(v) && !c_.fanin_edges(v).empty(); }
+  bool chosen(NodeId v) const { return chosen_[static_cast<std::size_t>(v)].has_value(); }
+  Chosen& at(NodeId v) { return *chosen_[static_cast<std::size_t>(v)]; }
 
   void request(NodeId v) {
     if (!is_mappable(v)) return;  // PIs and constants need no realization
-    if (chosen_.count(v) || pending_[static_cast<std::size_t>(v)]) return;
+    if (chosen(v) || pending_[static_cast<std::size_t>(v)]) return;
     pending_[static_cast<std::size_t>(v)] = 1;
     queue_.push_back(v);
   }
@@ -87,7 +90,7 @@ class Generator {
       const NodeId v = queue_.front();
       queue_.pop_front();
       pending_[static_cast<std::size_t>(v)] = 0;
-      if (!chosen_.count(v)) install_base(v);
+      if (!chosen(v)) install_base(v);
     }
   }
 
@@ -111,7 +114,7 @@ class Generator {
       if (std::ranges::count(used, in.w) == 0) used.push_back(in.w);
     }
     std::vector<int> depth = compute_input_depths(real);
-    chosen_[v] = Chosen{std::move(real), height, std::move(depth)};
+    chosen_[static_cast<std::size_t>(v)] = Chosen{std::move(real), height, std::move(depth)};
   }
 
   /// Heights the consumers allow: A(x) = min over uses (x, w) at depth d in a
@@ -125,12 +128,12 @@ class Generator {
       int& a = allowed[static_cast<std::size_t>(x)];
       a = std::min(a, bound);
     };
-    for (const auto& [v, ch] : chosen_) {
-      (void)v;
-      for (std::size_t i = 0; i < ch.real.cut.size(); ++i) {
-        const SeqCutNode& in = ch.real.cut[i];
+    for (const std::optional<Chosen>& ch : chosen_) {
+      if (!ch.has_value()) continue;
+      for (std::size_t i = 0; i < ch->real.cut.size(); ++i) {
+        const SeqCutNode& in = ch->real.cut[i];
         if (!is_mappable(in.node)) continue;
-        tighten(in.node, ch.height - ch.input_depth[i] + phi_ * in.w);
+        tighten(in.node, ch->height - ch->input_depth[i] + phi_ * in.w);
       }
     }
     if (opts_.po_label_limit.has_value()) {
@@ -150,16 +153,15 @@ class Generator {
     LabelOptions plain = lopts_;
     plain.enable_decomposition = false;
     std::vector<NodeId> targets;
-    for (const auto& [v, ch] : chosen_) {
-      if (ch.real.decomp.has_value()) targets.push_back(v);
+    for (NodeId v = 0; v < c_.num_nodes(); ++v) {
+      if (chosen(v) && at(v).real.decomp.has_value()) targets.push_back(v);
     }
-    std::sort(targets.begin(), targets.end());
     {
       const auto allowed = allowed_heights();
       for (const NodeId v : targets) {
         // Unconstrained: only POs use it (no cut uses).
         const int a = allowed[static_cast<std::size_t>(v)];
-        if (a == std::numeric_limits<int>::max() || a <= chosen_.at(v).height) continue;
+        if (a == std::numeric_limits<int>::max() || a <= at(v).height) continue;
         if (auto real = realize_node(c_, labels_.labels, phi_, v, a, plain, stats_, &cache_,
                                      nullptr, &scratch_)) {
           install(v, std::move(*real), a);
@@ -172,8 +174,8 @@ class Generator {
     for (int round = 0; round < 8; ++round) {
       const auto allowed = allowed_heights();
       bool reverted = false;
-      for (auto& [v, ch] : chosen_) {
-        if (ch.height > allowed[static_cast<std::size_t>(v)]) {
+      for (NodeId v = 0; v < c_.num_nodes(); ++v) {
+        if (chosen(v) && at(v).height > allowed[static_cast<std::size_t>(v)]) {
           install_base(v);
           reverted = true;
         }
@@ -182,12 +184,9 @@ class Generator {
       if (!reverted) return;
     }
     // Safety net: give up on relaxation entirely.
-    std::vector<NodeId> all;
-    for (const auto& [v, ch] : chosen_) {
-      (void)ch;
-      all.push_back(v);
+    for (NodeId v = 0; v < c_.num_nodes(); ++v) {
+      if (chosen(v)) install_base(v);
     }
-    for (const NodeId v : all) install_base(v);
     drain_queue();
   }
 
@@ -207,7 +206,7 @@ class Generator {
       const NodeId v = stack.back();
       stack.pop_back();
       if (!is_mappable(v)) continue;
-      for (const SeqCutNode& in : chosen_.at(v).real.cut) mark(in.node);
+      for (const SeqCutNode& in : at(v).real.cut) mark(in.node);
     }
 
     // Roots and constants take the live nodes' order; encoder LUTs follow.
@@ -227,7 +226,7 @@ class Generator {
     std::vector<Fanin> inputs;
     for (NodeId v = 0; v < c_.num_nodes(); ++v) {
       if (!live[static_cast<std::size_t>(v)] || !is_mappable(v)) continue;
-      const Chosen& ch = chosen_.at(v);
+      const Chosen& ch = at(v);
       inputs.clear();
       for (const SeqCutNode& in : ch.real.cut) {
         inputs.push_back({ref[static_cast<std::size_t>(in.node)], in.w});
@@ -266,7 +265,7 @@ class Generator {
       records_->clear();
       for (NodeId v = 0; v < c_.num_nodes(); ++v) {
         if (!live[static_cast<std::size_t>(v)] || !is_mappable(v)) continue;
-        Chosen& ch = chosen_.at(v);
+        Chosen& ch = at(v);
         records_->push_back(MappingRecord{v, ch.height, std::move(ch.real)});
       }
     }
@@ -284,9 +283,7 @@ class Generator {
   DecompCache local_cache_;  // the memo when the caller passes none
   DecompCache& cache_;       // (gate, cut) functions across realizations
 
-  // A hash map, not a per-node vector: the revert pass realizes nodes in its
-  // iteration order, and each low-cost cut reads the inputs used before it.
-  std::unordered_map<NodeId, Chosen> chosen_;
+  std::vector<std::optional<Chosen>> chosen_;  // per node: its realization
   std::vector<char> pending_;             // per node: queued
   std::vector<std::vector<int>> used_w_;  // per node: register counts used as LUT inputs
   std::deque<NodeId> queue_;
