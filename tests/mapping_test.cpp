@@ -255,6 +255,29 @@ TEST(Pack, RespectsKAndFanoutConstraints) {
   EXPECT_EQ(packed.num_gates(), 3);
 }
 
+// Dedupe leaves LUTs that read one signal on two slots. A merge must read
+// such a repeated fanin, in the consumer or the producer, as one variable.
+TEST(Pack, MergesAcrossRepeatedFanins) {
+  Circuit c;
+  const NodeId a = c.add_pi("a");
+  const NodeId b = c.add_pi("b");
+  const Circuit::FaninSpec fp[3] = {{a, 0}, {b, 0}, {a, 0}};
+  const NodeId p = c.add_gate("p", tt_maj3(), fp);  // maj(a, b, a) = a
+  const Circuit::FaninSpec fq[3] = {{p, 0}, {b, 0}, {b, 0}};
+  const NodeId q = c.add_gate("q", tt_xor(3), fq);  // p ^ b ^ b = p
+  c.add_po("$po:o", {q, 0});
+  int merges = 0;
+  const Circuit packed = packed_circuit(c, 2, &merges);
+  EXPECT_EQ(merges, 1);
+  ASSERT_EQ(packed.num_gates(), 1);
+  const NodeId root = packed.find("q");
+  ASSERT_NE(root, kNoNode);
+  EXPECT_EQ(packed.fanin_edges(root).size(), 2u);  // {b, a}, each once
+  Rng rng(5);
+  const auto stimulus = random_stimulus(rng, 2, 16);
+  EXPECT_EQ(simulate_sequence(c, stimulus), simulate_sequence(packed, stimulus));
+}
+
 TEST(Pack, SequentialCircuitsKeepBehavior) {
   for (const auto& spec : tiny_suite()) {
     const Circuit c = generate_fsm_circuit(spec);
