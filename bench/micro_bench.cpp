@@ -568,7 +568,7 @@ void BM_BatchFlow(benchmark::State& state) {
   }
   const fs::path cache_dir = dir / (warm ? "cache_warm" : "cache_cold");
   BatchOptions options;
-  options.num_workers = 1;  // deterministic single-lane schedule
+  options.num_workers = 1;  // two lanes: the caller plus one helper thread
   std::optional<FlowCache> cache;  // outlives the loop so counters are readable
   BatchSummary summary;
   if (warm) {

@@ -1,4 +1,4 @@
-// Batch multi-circuit scheduler over the shared thread pool:
+// Batch multi-circuit scheduler, whole circuits across cores:
 //
 //   $ ./batch_flow manifest.txt [--jsonl PATH] [--workers N]
 //                  [--per-circuit-deadline-ms N]
@@ -10,10 +10,11 @@
 // turbosyn) or a comma-separated engine list ("turbosyn,turbomap") raced as
 // a sequential portfolio, and K defaults to 5; `#` comments and blank lines
 // are ignored.
-// Each circuit runs its flow sequentially while the pool schedules whole
-// circuits across cores; one JSONL record streams out per circuit as it
-// finishes. Ctrl-C drains the batch cooperatively: running circuits return
-// best-so-far mappings, queued circuits are skipped.
+// Each circuit runs its flow sequentially while run_batch's lanes (the
+// caller plus up to --workers helper threads) claim whole circuits; one
+// JSONL record streams out per circuit as it finishes. Ctrl-C drains the
+// batch cooperatively: running circuits return best-so-far mappings, queued
+// circuits are skipped.
 //
 // With no manifest, a demo batch of the embedded sample circuits is written
 // to a temporary directory and run twice — cold, then warm through the

@@ -343,15 +343,6 @@ std::vector<EngineSpec> build_registry() {
   period.trace_label = "flow:turbomap-period";
   specs.push_back(period);
 
-  EngineSpec ts_bisect;
-  ts_bisect.name = "turbosyn_bisect";
-  ts_bisect.summary = "single-phase decomposition bisection from the identity bound";
-  ts_bisect.shape = EngineSpec::Shape::kSearch;
-  ts_bisect.mode = LabelMode::kDecomp;
-  ts_bisect.strength = 2;
-  ts_bisect.trace_label = "flow:turbosyn_bisect";
-  specs.push_back(ts_bisect);
-
   return specs;
 }
 

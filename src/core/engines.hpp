@@ -1,7 +1,7 @@
 #pragma once
 // Engine registry: every synthesis flow as a data-driven EngineSpec.
 //
-// The four paper flows (and the one-phase TurboSYN variant) differ only in
+// The four paper flows differ only in
 // which probe schedule, label-update rule and timing tail they run — the
 // DAC'97 machinery underneath is shared. An EngineSpec captures exactly those
 // degrees of freedom: the pipeline shape, the label mode, the φ schedule and
@@ -58,8 +58,8 @@ struct EngineSpec {
   /// strength may certify a smaller φ (see the file comment).
   int strength = 0;
 
-  /// Root trace span. The four original flows keep their historical
-  /// spellings ("flow:turbomap", ...); variants use "flow:<name>".
+  /// Root trace span, in the flows' historical spellings ("flow:turbomap",
+  /// "flow:flowsyn-s", ...).
   std::string trace_label;
 
   /// The options this engine runs with: the caller's, unchanged (no engine
@@ -72,9 +72,8 @@ struct EngineSpec {
   std::string fingerprint() const;
 };
 
-/// The built-in engines, in registry order: the four paper flows first
-/// (turbomap, turbosyn, flowsyn_s, turbomap_period), then the one-phase
-/// variant turbosyn_bisect.
+/// The built-in engines, in registry order: the four paper flows
+/// (turbomap, turbosyn, flowsyn_s, turbomap_period).
 const std::vector<EngineSpec>& engine_registry();
 
 /// Lookup by CLI name; nullptr when unknown.

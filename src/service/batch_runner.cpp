@@ -16,7 +16,6 @@
 #include "base/failpoint.hpp"
 #include "base/flow_cli.hpp"
 #include "base/json_util.hpp"
-#include "base/thread_pool.hpp"
 #include "base/trace.hpp"
 #include "decomp/gate_decomp.hpp"
 #include "netlist/blif.hpp"
@@ -83,6 +82,18 @@ std::vector<std::string> split_manifest_fields(const std::string& line,
     fields.push_back(std::move(field));
   }
   return fields;
+}
+
+/// Helper threads run_batch starts beside the calling thread: one per job
+/// after the first, at most hardware_concurrency - 1 (but at least one, so
+/// a single-core host runs the same two-lane code), and at most
+/// `num_workers` when that is positive.
+std::size_t helper_lanes(std::size_t jobs, int num_workers) {
+  if (jobs <= 1) return 0;
+  std::size_t helpers = static_cast<std::size_t>(
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1));
+  if (num_workers > 0) helpers = std::min(helpers, static_cast<std::size_t>(num_workers));
+  return std::min(helpers, jobs - 1);
 }
 
 /// One circuit attempt: parse, K-bound, run the (cache-aware) flow. Every
@@ -335,7 +346,7 @@ BatchSummary run_batch(const std::vector<BatchJob>& jobs, const BatchOptions& op
   const auto start = Clock::now();
   BatchSummary summary;
   summary.records.resize(jobs.size());
-  // Tasks the interrupt skips keep this initializer; finished tasks
+  // Jobs claimed after a cancel keep this initializer; finished jobs
   // overwrite it with their real record.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     summary.records[i].name = jobs[i].name;
@@ -346,26 +357,38 @@ BatchSummary run_batch(const std::vector<BatchJob>& jobs, const BatchOptions& op
     summary.records[i].status = Status::kCancelled;
   }
 
-  RunBudget batch_interrupt;
-  if (options.cancel != nullptr) batch_interrupt.set_cancel_token(options.cancel);
-
   JsonlSink sink(jsonl);
   std::atomic<int> retries{0};
-  ThreadPool::global().for_each(
-      jobs.size(),
-      [&](std::size_t i) {
-        int job_retries = 0;
-        BatchRecord record = run_supervised_job(jobs[i], options, &job_retries);
-        retries.fetch_add(job_retries, std::memory_order_relaxed);
-        // Incremental flush: every record hits the sink (and the OS) the
-        // moment its circuit settles, so a later crash loses at most the
-        // in-flight line. A sink fault (disk full, injected
-        // "batch.jsonl.write" error) is absorbed — the record stays in the
-        // summary and the batch keeps going.
-        if (sink.attached()) sink.write(batch_record_json(record));
-        summary.records[i] = std::move(record);
-      },
-      options.num_workers, options.cancel != nullptr ? &batch_interrupt : nullptr);
+  std::atomic<std::size_t> next{0};
+  // One lane: claims job indices from the shared cursor until it passes the
+  // end. Once the batch's cancel token fires, a claimed job keeps its skipped
+  // record, so the batch drains without running the rest. Nothing a lane
+  // calls throws: run_supervised_job contains every job fault and the sink
+  // absorbs its own.
+  const auto lane = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= jobs.size()) return;
+      if (options.cancel != nullptr && options.cancel->cancelled()) continue;
+      int job_retries = 0;
+      BatchRecord record = run_supervised_job(jobs[i], options, &job_retries);
+      retries.fetch_add(job_retries, std::memory_order_relaxed);
+      // Incremental flush: every record hits the sink (and the OS) the
+      // moment its circuit settles, so a later crash loses at most the
+      // in-flight line. A sink fault (disk full, injected
+      // "batch.jsonl.write" error) is absorbed — the record stays in the
+      // summary and the batch keeps going.
+      if (sink.attached()) sink.write(batch_record_json(record));
+      summary.records[i] = std::move(record);
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;  // joined when this scope closes
+    for (std::size_t h = helper_lanes(jobs.size(), options.num_workers); h > 0; --h) {
+      helpers.emplace_back(lane);
+    }
+    lane();
+  }
 
   for (const BatchRecord& record : summary.records) {
     if (record.skipped) {
@@ -386,7 +409,7 @@ BatchSummary run_batch(const std::vector<BatchJob>& jobs, const BatchOptions& op
   summary.seconds = seconds_since(start);
 
   // Observability (DESIGN.md §13): the supervision outcome into the trace
-  // stream. Emitted after the pool joins, so the counters are settled.
+  // stream. Emitted after the lanes join, so the counters are settled.
   if (options.flow.trace != nullptr) {
     TraceSpan span(options.flow.trace, "batch:summary");
     span.counter("completed", summary.completed);

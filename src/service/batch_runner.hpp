@@ -1,9 +1,10 @@
 #pragma once
 // Batch multi-circuit scheduler: N netlists through the staged flows,
-// concurrently, over the one shared ThreadPool.
+// concurrently, on lanes run_batch starts and joins itself.
 //
-// Each circuit-level task runs its flow sequentially and the pool schedules
-// whole circuits across its participants. That is the right shape for
+// Each circuit-level task runs its flow sequentially; the calling thread and
+// its helper threads claim whole circuits from one shared atomic cursor and
+// the helpers are joined before run_batch returns. That is the right shape for
 // serving many small-to-medium workloads: tasks are independent, the
 // flow-artifact cache (src/cache) is shared — so repeated circuits cost one
 // read — and results stream out as JSON-lines records the moment each
@@ -79,8 +80,9 @@ struct BatchOptions {
   FlowOptions flow;
   /// Shared artifact store (nullptr = uncached).
   FlowCache* cache = nullptr;
-  /// Circuit-level concurrency: how many pool lanes may run batch tasks
-  /// (0 = all). The calling thread participates.
+  /// Circuit-level concurrency: at most this many helper threads run batch
+  /// tasks beside the calling thread (0 = no limit). run_batch starts
+  /// min(num_workers, max(1, hardware_concurrency - 1), jobs - 1) helpers.
   int num_workers = 0;
   /// Per-circuit wall-clock deadline (0 = none). Each task gets a fresh
   /// RunBudget with this deadline, so one pathological circuit degrades to
@@ -189,7 +191,8 @@ struct BatchSummary {
   double seconds = 0.0;  // batch wall time
 };
 
-/// Runs every job over the shared pool. `jsonl` (optional) receives one
+/// Runs every job on the calling thread plus the helper threads
+/// BatchOptions::num_workers allows. `jsonl` (optional) receives one
 /// batch_record_json line per circuit, in completion order, as each
 /// finishes; the summary keeps manifest order.
 BatchSummary run_batch(const std::vector<BatchJob>& jobs, const BatchOptions& options,

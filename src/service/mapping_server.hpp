@@ -38,10 +38,9 @@
 // configurable global BudgetPool — the daemon can promise "at most N
 // core-seconds per window" and unused slice time is refunded.
 //
-// The server owns its worker threads rather than using ThreadPool::for_each:
-// for_each is a barrier construct (one caller, one task set, join at the
-// end), while a daemon needs lanes that outlive any one request and block on
-// an empty queue. See DESIGN.md §14.
+// The server owns long-lived worker threads, unlike run_batch, whose lanes
+// serve one task set and are joined when it ends: a daemon needs lanes that
+// outlive any one request and block on an empty queue. See DESIGN.md §14.
 //
 // Supervision and poison. Every request runs through run_supervised_job —
 // retries with capped backoff, containment of stage failures — and a

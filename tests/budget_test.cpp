@@ -12,13 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "base/rng.hpp"
 #include "base/run_budget.hpp"
-#include "base/thread_pool.hpp"
 #include "core/flows.hpp"
 #include "core/labeling.hpp"
 #include "netlist/blif.hpp"
@@ -245,29 +243,6 @@ TEST(Budget, UnlimitedBudgetIsBitIdentical) {
   EXPECT_EQ(b.status, Status::kOk);
   expect_ok_reaches_phi(b);
   EXPECT_EQ(write_blif_string(a.mapped), write_blif_string(b.mapped));
-}
-
-TEST(ThreadPoolBudget, CancellationDrainsWithoutRunningRemainingItems) {
-  ThreadPool pool(3);
-  CancelToken token;
-  RunBudget budget;
-  budget.set_cancel_token(&token);
-  std::atomic<int> executed{0};
-  constexpr std::size_t kItems = 100000;
-  pool.for_each(
-      kItems,
-      [&](std::size_t) {
-        // The first executed item cancels; participants observe the token between
-        // items, so almost everything is skipped (but still counted — the
-        // call returns normally).
-        executed.fetch_add(1, std::memory_order_relaxed);
-        token.cancel();
-      },
-      /*max_workers=*/0, &budget);
-  // Every participant can run at most the item it already claimed before
-  // observing the cancellation.
-  EXPECT_GE(executed.load(), 1);
-  EXPECT_LE(executed.load(), pool.num_workers() + 1);
 }
 
 }  // namespace

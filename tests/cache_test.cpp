@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "base/check.hpp"
+#include "base/failpoint.hpp"
 #include "base/trace.hpp"
 #include "cache/cached_flow.hpp"
 #include "cache/flow_cache.hpp"
@@ -800,16 +801,21 @@ TEST(BatchRunner, RunsAManifestThroughTheSharedCache) {
   EXPECT_NE(error_record.find("\"ok\":false"), std::string::npos);
 }
 
-TEST(BatchRunner, CancelSkipsQueuedJobs) {
-  const fs::path dir = test_dir("cancel");
-  const fs::path blif_path = dir / "counter.blif";
+/// `n` copies of one small counter circuit as batch jobs.
+std::vector<BatchJob> counter_jobs(const std::string& dir_name, std::size_t n) {
+  const fs::path blif_path = test_dir(dir_name) / "counter.blif";
   std::ofstream(blif_path) << counter3_blif();
-  std::vector<BatchJob> jobs(8);
+  std::vector<BatchJob> jobs(n);
   for (auto& job : jobs) {
     job.name = "counter";
     job.path = blif_path.string();
     job.k = 4;
   }
+  return jobs;
+}
+
+TEST(BatchRunner, CancelSkipsQueuedJobs) {
+  const std::vector<BatchJob> jobs = counter_jobs("cancel", 8);
   CancelToken cancel;
   cancel.cancel();  // already cancelled: every job is skipped
   BatchOptions options;
@@ -821,6 +827,64 @@ TEST(BatchRunner, CancelSkipsQueuedJobs) {
     EXPECT_TRUE(record.skipped);
     EXPECT_EQ(record.status, Status::kCancelled);
   }
+}
+
+/// A string stream whose first write cancels `token`.
+class CancellingBuf : public std::stringbuf {
+ public:
+  explicit CancellingBuf(CancelToken& token) : token_(token) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    token_.cancel();
+    return std::stringbuf::xsputn(s, n);
+  }
+
+ private:
+  CancelToken& token_;
+};
+
+TEST(BatchRunner, CancelMidBatchSkipsEveryJobClaimedAfterIt) {
+  const std::vector<BatchJob> jobs = counter_jobs("midcancel", 8);
+  CancelToken cancel;
+  CancellingBuf buf(cancel);
+  std::ostream jsonl(&buf);
+  BatchOptions options;
+  options.cancel = &cancel;
+  options.num_workers = 1;  // two lanes
+  const BatchSummary summary = run_batch(jobs, options, &jsonl);
+  // The first record written cancels the batch; by then each lane has
+  // started at most one job, and every job claimed afterwards is skipped.
+  const int ran = static_cast<int>(jobs.size()) - summary.skipped;
+  EXPECT_GE(ran, 1);
+  EXPECT_LE(ran, 2);
+  EXPECT_EQ(summary.completed + summary.failed + summary.skipped,
+            static_cast<int>(jobs.size()));
+  for (const BatchRecord& record : summary.records) {
+    if (record.skipped) {
+      EXPECT_EQ(record.status, Status::kCancelled);
+    }
+  }
+}
+
+TEST(BatchRunner, NumWorkersBoundsTheLanes) {
+  const std::vector<BatchJob> jobs = counter_jobs("lanes", 6);
+  BatchOptions options;
+  options.num_workers = 1;  // two lanes share six 40 ms jobs: >= 3 rounds
+  failpoint::Scoped scoped("batch.job=delay:40");
+  const BatchSummary summary = run_batch(jobs, options);
+  EXPECT_EQ(summary.completed, 6);
+  EXPECT_EQ(failpoint::triggers("batch.job"), 6);
+  EXPECT_GE(summary.seconds, 0.12);
+}
+
+TEST(BatchRunner, EmptyBatchReturnsAnEmptySummary) {
+  std::ostringstream jsonl;
+  const BatchSummary summary = run_batch({}, BatchOptions{}, &jsonl);
+  EXPECT_TRUE(summary.records.empty());
+  EXPECT_EQ(summary.completed + summary.failed + summary.skipped, 0);
+  EXPECT_TRUE(summary.poisoned.empty());
+  EXPECT_TRUE(jsonl.str().empty());
 }
 
 }  // namespace

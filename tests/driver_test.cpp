@@ -154,7 +154,6 @@ TEST(FlowDriver, StageMetricsAccountForFlowTime) {
   add_engine("turbosyn", tiny, seeded);
   add_engine("flowsyn_s", small, {"flowsyn-map", "pack", "pipeline-retime"});
   add_engine("turbomap_period", small, search);
-  add_engine("turbosyn_bisect", tiny, search);
 
   FlowCache cache(unique_test_dir("ts_driver_test_", "timeline").string());
   run_flow_cached(FlowKind::kTurboMap, small, opt, &cache);

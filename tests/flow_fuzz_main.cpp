@@ -381,8 +381,10 @@ SeedOutcome run_seed(std::uint64_t seed, const FuzzConfig& cfg, FlowCache* cache
     static const std::vector<std::vector<std::string>> kPortfolios = {
         {"turbomap", "turbosyn", "flowsyn_s"},
         {"turbosyn", "turbomap"},
-        {"turbomap", "turbosyn_bisect", "flowsyn_s"},
-        {"turbosyn_bisect", "turbosyn"},
+        {"flowsyn_s", "turbosyn", "turbomap"},
+        // The clock-period objective races alone: portfolios never mix it
+        // with the MDR engines, whose φ values it cannot be compared with.
+        {"turbomap_period"},
     };
     check_portfolio(out, c, opt, kPortfolios[seed % kPortfolios.size()], seed, cfg.verbose);
   }
