@@ -285,12 +285,15 @@ void BM_LabelEngineDescendingProbes(benchmark::State& state) {
   }
   state.counters["node_updates"] =
       benchmark::Counter(static_cast<double>(stats.node_updates));
-  // How the K-cut tests were settled: by a flow, by a stored cut, or by
-  // stored flow paths. Not in the committed baseline, so reported, not gated.
+  // How the K-cut tests were settled: by a flow, by a stored cut, by stored
+  // flow paths, or by the gate's last network. Not in the committed
+  // baseline, so reported, not gated.
   state.counters["cut_tests"] = benchmark::Counter(static_cast<double>(stats.cut_tests));
   state.counters["cut_reuses"] = benchmark::Counter(static_cast<double>(stats.cut_reuses));
   state.counters["cut_refutations"] =
       benchmark::Counter(static_cast<double>(stats.cut_refutations));
+  state.counters["network_reuses"] =
+      benchmark::Counter(static_cast<double>(stats.network_reuses));
   state.counters["flow_augmentations"] =
       benchmark::Counter(static_cast<double>(stats.flow_augmentations));
 }
@@ -323,6 +326,9 @@ void BM_LabelEngineDecompProbes(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(stats.flow_augmentations));
   state.counters["decomp_attempts"] =
       benchmark::Counter(static_cast<double>(stats.decomp_attempts));
+  // Not in the committed baseline: reported, not gated.
+  state.counters["network_reuses"] =
+      benchmark::Counter(static_cast<double>(stats.network_reuses));
 }
 BENCHMARK(BM_LabelEngineDecompProbes)->Unit(benchmark::kMillisecond);
 

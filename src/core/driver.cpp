@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -76,6 +77,7 @@ void FlowContext::run_stage(const char* name, const std::function<void()>& body)
   add_counter(metric, "cut_tests", after.cut_tests - before.cut_tests);
   add_counter(metric, "cut_reuses", after.cut_reuses - before.cut_reuses);
   add_counter(metric, "cut_refutations", after.cut_refutations - before.cut_refutations);
+  add_counter(metric, "network_reuses", after.network_reuses - before.network_reuses);
   add_counter(metric, "flow_augmentations",
               after.flow_augmentations - before.flow_augmentations);
   add_counter(metric, "decomp_attempts", after.decomp_attempts - before.decomp_attempts);
@@ -84,6 +86,13 @@ void FlowContext::run_stage(const char* name, const std::function<void()>& body)
               after.infeasible_scc_updates - before.infeasible_scc_updates);
   for (const auto& [counter_name, value] : metric.counters) span.counter(counter_name, value);
   result.stage_metrics.stages.push_back(std::move(metric));
+}
+
+const std::shared_ptr<const SccDecomposition>& FlowContext::input_sccs() {
+  if (input_sccs_ == nullptr) {
+    input_sccs_ = std::make_shared<const SccDecomposition>(strongly_connected_components(input));
+  }
+  return input_sccs_;
 }
 
 FlowResult FlowContext::finish() {
@@ -118,6 +127,7 @@ LabelResult ledger_probe(FlowContext& ctx, LabelEngine& engine, LabelMode mode, 
   span.counter("cut_tests", r.stats.cut_tests);
   span.counter("cut_reuses", r.stats.cut_reuses);
   span.counter("cut_refutations", r.stats.cut_refutations);
+  span.counter("network_reuses", r.stats.network_reuses);
   span.counter("flow_augmentations", r.stats.flow_augmentations);
   span.counter("decomp_attempts", r.stats.decomp_attempts);
   span.counter("cut_functions", r.stats.cut_functions);

@@ -24,6 +24,7 @@
 // LabelEngine (per search stage) under the ledger's soundness rules.
 
 #include <functional>
+#include <memory>
 
 #include "core/flows.hpp"
 
@@ -51,6 +52,10 @@ class FlowContext {
   /// span (no-op between stages or for zero values).
   void count(const char* counter_name, std::int64_t value);
 
+  /// The input's SCCs, decomposed on first use and shared by the run's
+  /// consumers: Howard's upper bound and every LabelEngine.
+  const std::shared_ptr<const SccDecomposition>& input_sccs();
+
   /// Exports the probe ledger into the result, derives the user-facing
   /// diagnostics (timed_out, deduped degraded node names) from the
   /// accumulated status and stats, and moves the result out.
@@ -58,6 +63,7 @@ class FlowContext {
 
  private:
   StageMetric* current_metric_ = nullptr;
+  std::shared_ptr<const SccDecomposition> input_sccs_;
 };
 
 /// Runs one label probe through the ledger: asserts (mode, φ) was not

@@ -81,19 +81,16 @@ void pipeline_retime(FlowContext& ctx, Circuit& mapped, bool retime_only) {
   result.mapped = std::move(mapped);
 }
 
-/// Bisection for the smallest accepted φ in [1, ub] over one LabelEngine
-/// (all probes share the decomposition cache; plain-mode probes warm-start
-/// from the nearest previously feasible φ). Every probe goes through the
-/// ProbeLedger, so no φ is probed twice. Sets FlowResult::phi and returns
-/// the winning labels; when stopped before proving any φ, returns nullopt
-/// and φ falls back to `ub` (the identity mapping realizes it).
-/// `period_objective`: a probe is accepted only when additionally
-/// max_po_label <= φ (PO labels bound the un-pipelined period). `memo`
-/// receives the engine's decomposition memo for mapping generation.
-std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool period_objective,
-                                      int ub, DecompCache& memo) {
-  const LabelOptions lopts = ctx.options.label_options(mode == LabelMode::kDecomp);
-  LabelEngine engine(ctx.input, lopts);
+/// Plain-label bisection for the smallest accepted φ in [1, ub] over one
+/// LabelEngine (probes warm-start from the nearest previously feasible φ).
+/// Every probe goes through the ProbeLedger, so no φ is probed twice. Sets
+/// FlowResult::phi and returns the winning labels; when stopped before
+/// proving any φ, returns nullopt and φ falls back to `ub` (the identity
+/// mapping realizes it). `period_objective`: a probe is accepted only when
+/// additionally max_po_label <= φ (PO labels bound the un-pipelined period).
+std::optional<LabelResult> bisect_phi(FlowContext& ctx, bool period_objective, int ub) {
+  const LabelOptions lopts = ctx.options.label_options(/*enable_decomposition=*/false);
+  LabelEngine engine(ctx.input, lopts, ctx.input_sccs());
   FlowResult& result = ctx.result;
   std::optional<LabelResult> best;
   int lo = 1;
@@ -101,7 +98,7 @@ std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool per
   while (lo <= hi) {
     if (interrupted_before_probe(ctx, lopts)) break;
     const int mid = lo + (hi - lo) / 2;
-    LabelResult r = ledger_probe(ctx, engine, mode, mid);
+    LabelResult r = ledger_probe(ctx, engine, LabelMode::kPlain, mid);
     result.stats.accumulate(r.stats);
     result.status = combine_status(result.status, r.status);
     TS_DEBUG("phi=" << mid << (r.feasible ? " feasible" : " infeasible")
@@ -114,7 +111,6 @@ std::optional<LabelResult> bisect_phi(FlowContext& ctx, LabelMode mode, bool per
       lo = mid + 1;
     }
   }
-  memo = engine.take_decomp_cache();
   if (!best) {
     // Only a budget can make the always-realizable upper bound "infeasible".
     TS_CHECK(result.status != Status::kOk,
@@ -142,7 +138,7 @@ LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult se
                         DecompCache& memo) {
   TS_CHECK(seed.feasible, "descending scan needs a feasible certificate at the upper bound");
   const LabelOptions lopts = ctx.options.label_options(mode == LabelMode::kDecomp);
-  LabelEngine engine(ctx.input, lopts);
+  LabelEngine engine(ctx.input, lopts, ctx.input_sccs());
   FlowResult& result = ctx.result;
   result.status = combine_status(result.status, seed.status);
   ProbeRecord seed_rec;
@@ -174,24 +170,22 @@ LabelResult descend_phi(FlowContext& ctx, LabelMode mode, int ub, LabelResult se
   return labels;
 }
 
-/// The upper bound and the φ search: the bound the identity mapping (one
-/// LUT per gate) realizes — ceil(MDR of the input), or the input's clock
-/// period under the clock-period objective — as the "ub-probe" stage, then
-/// the bisection under it as the "phi-search" stage. Returns the winning
-/// labels (nullopt when the search proved no φ); `memo` receives the search
-/// engine's decomposition memo.
-std::optional<LabelResult> bisection_search(FlowContext& ctx, LabelMode mode,
-                                            bool period_objective, DecompCache& memo) {
+/// The upper bound and the plain φ search: the bound the identity mapping
+/// (one LUT per gate) realizes — ceil(MDR of the input), or the input's
+/// clock period under the clock-period objective — as the "ub-probe" stage,
+/// then the bisection under it as the "phi-search" stage. Returns the
+/// winning labels (nullopt when the search proved no φ).
+std::optional<LabelResult> bisection_search(FlowContext& ctx, bool period_objective) {
   int ub = 0;
   ctx.run_stage("ub-probe", [&] {
-    const std::int64_t bound = period_objective ? circuit_clock_period(ctx.input)
-                                                : circuit_mdr_howard(ctx.input).ratio.ceil();
+    const std::int64_t bound =
+        period_objective ? circuit_clock_period(ctx.input)
+                         : circuit_mdr_howard(ctx.input, *ctx.input_sccs()).ratio.ceil();
     ub = static_cast<int>(std::max<std::int64_t>(1, bound));
     ctx.count("upper_bound", ub);
   });
   std::optional<LabelResult> labels;
-  ctx.run_stage("phi-search",
-                [&] { labels = bisect_phi(ctx, mode, period_objective, ub, memo); });
+  ctx.run_stage("phi-search", [&] { labels = bisect_phi(ctx, period_objective, ub); });
   return labels;
 }
 
@@ -199,10 +193,10 @@ FlowResult run_search_engine(const EngineSpec& spec, const Circuit& c,
                              const FlowOptions& options) {
   const auto start = Clock::now();
   TraceSpan span(options.trace, spec.trace_label);
+  TS_CHECK(spec.mode == LabelMode::kPlain, "a search engine bisects plain labels");
   FlowContext ctx(c, options);
-  DecompCache memo;
-  const std::optional<LabelResult> labels =
-      bisection_search(ctx, spec.mode, spec.period_objective, memo);
+  const std::optional<LabelResult> labels = bisection_search(ctx, spec.period_objective);
+  DecompCache memo;  // plain labels decompose nothing
   map_pack_retime(ctx, labels ? &*labels : nullptr, spec.mode, spec.period_objective, memo);
   FlowResult result = ctx.finish();
   result.seconds = seconds_since(start);
@@ -214,7 +208,6 @@ FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
   const auto start = Clock::now();
   TraceSpan flow_span(options.trace, spec.trace_label);
   FlowContext ctx(c, options);
-  DecompCache memo;
   // Step 1 of the paper's pseudo-code: TurboMap's search provides the upper
   // bound UB. Its labels at UB prove UB feasible for the decomposition search
   // too (every plain K-cut is a valid realization there), so the scan below
@@ -222,12 +215,14 @@ FlowResult run_seeded_search_engine(const EngineSpec& spec, const Circuit& c,
   std::optional<LabelResult> labels;
   {
     TraceSpan phase(options.trace, "phase:turbomap-ub");
-    labels = bisection_search(ctx, LabelMode::kPlain, /*period_objective=*/false, memo);
+    labels = bisection_search(ctx, /*period_objective=*/false);
   }
   {
     TraceSpan phase(options.trace, "phase:turbosyn-search");
     // A TurboMap search stopped before it proved any ratio has no labels to
-    // seed the scan: the identity mapping at UB is the anytime answer.
+    // seed the scan: the identity mapping at UB is the anytime answer, and
+    // the memo stays empty.
+    DecompCache memo;
     if (labels) {
       const int ub = ctx.result.phi;
       ctx.run_stage("phi-search", [&] {

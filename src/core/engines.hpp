@@ -30,7 +30,8 @@ class FlowContext;
 struct EngineSpec {
   /// Stage sequence run_engine() runs for the spec.
   enum class Shape : std::uint8_t {
-    /// UB probe, φ search, mapgen, pack, timing tail (the TurboMap family).
+    /// UB probe, plain φ bisection, mapgen, pack, timing tail (the
+    /// TurboMap family; `mode` is kPlain).
     kSearch,
     /// UB probe and plain φ bisection (TurboMap's search: the upper bound
     /// and seed labels), then a descending scan in `mode` from that

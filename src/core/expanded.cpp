@@ -105,7 +105,7 @@ int ExpandedNetwork::intern(SeqCutNode id) {
     fanin_begin_.emplace_back();
     fanin_end_.emplace_back();
   }
-  ExpNode& n = nodes_[num_nodes_];
+  Copy& n = nodes_[num_nodes_];
   n.id = id;
   n.allowed = allowed(id);
   n.expanded = false;
@@ -188,7 +188,7 @@ void ExpandedNetwork::set_capacities(CapacityOf capacity_of) {
   capacity_.resize(num_nodes_);
   flags_.resize(num_nodes_);
   for (std::size_t i = 0; i < num_nodes_; ++i) {
-    const ExpNode& n = nodes_[i];
+    const Copy& n = nodes_[i];
     capacity_[i] = n.allowed ? capacity_of(n) : NodeCut::kUncuttable;
     flags_[i] = static_cast<std::uint8_t>((n.expanded ? 0 : NodeCut::kFromSource) |
                                           (i == 0 ? NodeCut::kSink : 0));
@@ -219,7 +219,7 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_cut(int size_limit)
   if (unit_flow_ == UnitFlow::kHeld && units_fit(cut_.flow())) {
     value = cut_.resume(flow_network(), size_limit);
   } else {
-    set_capacities([](const ExpNode&) { return std::int64_t{1}; });
+    set_capacities([](const Copy&) { return std::int64_t{1}; });
     const NodeCut::Network net = flow_network();
     const bool seeded =
         unit_flow_ == UnitFlow::kSeed && units_fit(static_cast<std::int64_t>(seed_ends_.size()));
@@ -243,7 +243,7 @@ std::optional<std::vector<SeqCutNode>> ExpandedNetwork::find_low_cost_cut(
   // the min cut is lexicographically (size, #non-shared)-minimal, and a cut
   // of size <= size_limit exists iff max-flow <= (B+1)*size_limit.
   const std::int64_t b = size_limit + 1;
-  set_capacities([&](const ExpNode& n) { return b + (shared(n.id) ? 0 : 1); });
+  set_capacities([&](const Copy& n) { return b + (shared(n.id) ? 0 : 1); });
   const std::int64_t value_limit = (b + 1) * size_limit;
   auto cut = read_cut(cut_.run(flow_network(), value_limit), value_limit);
   if (cut.has_value() && static_cast<int>(cut->size()) > size_limit) return std::nullopt;

@@ -54,6 +54,11 @@
 // whole augmenting-path state — so the label computation's per-gate cut test
 // allocates nothing in steady state. CutScratch bundles one such instance
 // with the label engine's other reusable buffers.
+//
+// A build reads the labels, phi and the height limit only through each
+// copy's allowed flag (see copies()), so the label engine skips a rebuild
+// whose non-root flags match the gate's last build and takes that build's
+// verdict (NetworkRecordStore, core/labeling.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -171,13 +176,25 @@ class ExpandedNetwork {
 
   int num_expanded_nodes() const { return static_cast<int>(num_nodes_); }
 
- private:
-  struct ExpNode {
+  /// A copy of the current build.
+  struct Copy {
     SeqCutNode id;
     bool allowed = false;   // may be a cut node
     bool expanded = false;  // fanins materialized
   };
 
+  /// The node store of the current build, read-only: every interned copy in
+  /// build order, the root first. The build reads labels, phi and the
+  /// height limit only through allowed(), once per copy as it is interned,
+  /// and the root's own flag changes nothing (the root is always expanded,
+  /// and it is the sink, whose capacity no path crosses). So a build at
+  /// other labels in which every non-root copy listed here keeps its
+  /// allowed flag makes the same copies, fanin runs, capacities and source
+  /// flags: the same network and the same K-cut verdict. NetworkRecordStore
+  /// (core/labeling.hpp) keeps this list per gate.
+  std::span<const Copy> copies() const { return std::span(nodes_).first(num_nodes_); }
+
+ private:
   int intern(SeqCutNode id);
   int find_index(std::uint64_t key) const;  // -1 if absent
   void index_grow();
@@ -216,7 +233,7 @@ class ExpandedNetwork {
   // vectors are never shrunk. Node i's fanins are the contiguous run
   // fanin_pool_[fanin_begin_[i], fanin_end_[i]): nodes expand one at a
   // time, so each node's child indices land in one run of the flat pool.
-  std::vector<ExpNode> nodes_;
+  std::vector<Copy> nodes_;
   std::vector<std::int32_t> fanin_begin_;
   std::vector<std::int32_t> fanin_end_;
   std::size_t num_nodes_ = 0;

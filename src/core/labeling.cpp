@@ -87,6 +87,37 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
   return std::nullopt;
 }
 
+/// The K-cut test on `net`, E_v at its height: settled by v's stored cut
+/// when it still separates the network, by v's stored flow paths when they
+/// are still a flow above K, else by the flow, whose cut or paths are then
+/// stored. True iff a K-cut exists.
+bool k_cut_test(ExpandedNetwork& net, NodeId v, const LabelOptions& options, LabelStats& stats,
+                KCutStore* cuts, FlowPathStore* paths) {
+  if (cuts != nullptr) {
+    if (const auto last = cuts->get(v); last && net.separates(*last)) {
+      ++stats.cut_reuses;
+      return true;
+    }
+  }
+  const std::optional<FlowPaths> last_paths =
+      paths != nullptr ? paths->get(v) : std::nullopt;
+  // The stored paths still valid in this build seed its next flow: the
+  // K-cut test when fewer than K + 1 remain, else the Cmax cut after it.
+  if (last_paths && net.refuted_by(*last_paths, options.k)) {
+    ++stats.cut_refutations;  // the flow would fail
+    return false;
+  }
+  ++stats.cut_tests;
+  const auto cut = net.find_cut(options.k);
+  stats.flow_augmentations += net.augmentations();
+  if (cut) {
+    if (cuts != nullptr) cuts->put(v, *cut);
+    return true;
+  }
+  if (paths != nullptr) paths->put(v, net.flow_paths());
+  return false;
+}
+
 }  // namespace
 
 std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const int> labels,
@@ -116,7 +147,9 @@ std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const in
 
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache,
-                 CutScratch* scratch, KCutStore* cuts, FlowPathStore* paths) {
+                 CutScratch* scratch, KCutStore* cuts, FlowPathStore* paths,
+                 NetworkRecordStore* records) {
+  using Verdict = NetworkRecordStore::Verdict;
   ++stats.node_updates;
   const std::int64_t big_l = fanin_bound(c, labels, phi, v);
   const int current = labels[static_cast<std::size_t>(v)];
@@ -124,33 +157,30 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
   const int target = static_cast<int>(big_l);
   if (current >= target + 1) return current;  // cannot improve past L(v)+1
 
+  // v's last network again: its verdict stands. A failed test still needs
+  // the network for decomposition, so that mode trusts only a found cut.
+  if (records != nullptr) {
+    const Verdict last = records->verdict(v);
+    const bool trusted =
+        last == Verdict::kCut || (last == Verdict::kNoCut && !options.enable_decomposition);
+    if (trusted && records->matches(v, labels, phi, target)) {
+      ++stats.network_reuses;
+      return std::max(current, last == Verdict::kCut ? target : target + 1);
+    }
+  }
+
   // Existence-only variant of realize_node: skip LUT function extraction
   // (mapping generation recomputes it once, at the final labels).
   std::optional<CutScratch> local;
   ExpandedNetwork& net = (scratch != nullptr ? *scratch : local.emplace()).net;
   net.build(c, labels, phi, v, target, options.expansion);
-  if (cuts != nullptr) {
-    if (const auto last = cuts->get(v); last && net.separates(*last)) {
-      ++stats.cut_reuses;
-      return std::max(current, target);
-    }
+  const bool found = k_cut_test(net, v, options, stats, cuts, paths);
+  if (records != nullptr) {
+    // Recorded before decomposition rebuilds the network at other heights.
+    const bool certified = found ? cuts != nullptr : paths != nullptr && paths->get(v).has_value();
+    records->put(v, net, !certified ? Verdict::kNone : found ? Verdict::kCut : Verdict::kNoCut);
   }
-  const std::optional<FlowPaths> last_paths =
-      paths != nullptr ? paths->get(v) : std::nullopt;
-  // The stored paths still valid in this build seed its next flow: the
-  // K-cut test when fewer than K + 1 remain, else the Cmax cut below.
-  if (last_paths && net.refuted_by(*last_paths, options.k)) {
-    ++stats.cut_refutations;  // the flow would fail: straight to the fallback
-  } else {
-    ++stats.cut_tests;
-    const auto cut = net.find_cut(options.k);
-    stats.flow_augmentations += net.augmentations();
-    if (cut) {
-      if (cuts != nullptr) cuts->put(v, *cut);
-      return std::max(current, target);
-    }
-    if (paths != nullptr) paths->put(v, net.flow_paths());
-  }
+  if (found) return std::max(current, target);
   if (options.enable_decomposition &&
       try_decomposition(c, labels, phi, v, target, options, stats, cache, net,
                         /*metered=*/true)
@@ -231,16 +261,21 @@ bool scc_isolated(const CsrTopology& topo, std::span<const int> labels, int phi,
 
 }  // namespace
 
-LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
+LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options,
+                         std::shared_ptr<const SccDecomposition> scc, bool network_records)
     : c_(c),
       options_(options),
+      scc_(std::move(scc)),
       cuts_(c.num_nodes(), options.k),
       paths_(c.num_nodes(), options.k),
       num_gates_(c.num_gates()) {
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
 
-  scc_ = strongly_connected_components(c);
+  if (scc_ == nullptr) {
+    scc_ = std::make_shared<const SccDecomposition>(strongly_connected_components(c));
+  }
+  if (network_records) records_.emplace(c.num_nodes());
 
   // Sweep order: zero-weight topological position. Updates then propagate
   // through a whole combinational stretch in a single sweep, so each sweep
@@ -250,10 +285,10 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options)
   for (std::size_t i = 0; i < order.size(); ++i) {
     topo_pos[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
   }
-  gates_.resize(scc_.components.size());
-  for (std::size_t comp = 0; comp < scc_.components.size(); ++comp) {
+  gates_.resize(scc_->components.size());
+  for (std::size_t comp = 0; comp < scc_->components.size(); ++comp) {
     std::vector<NodeId>& gates = gates_[comp];
-    for (const NodeId v : scc_.components[comp]) {
+    for (const NodeId v : scc_->components[comp]) {
       if (c.is_gate(v) && !c.fanin_edges(v).empty()) gates.push_back(v);
     }
     std::sort(gates.begin(), gates.end(), [&](NodeId a, NodeId b) {
@@ -269,6 +304,7 @@ void LabelStats::accumulate(const LabelStats& from) {
   cut_tests += from.cut_tests;
   cut_reuses += from.cut_reuses;
   cut_refutations += from.cut_refutations;
+  network_reuses += from.network_reuses;
   decomp_attempts += from.decomp_attempts;
   decomp_successes += from.decomp_successes;
   cut_functions += from.cut_functions;
@@ -296,8 +332,8 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
     bool changed = false;
     for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      const int updated =
-          label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_, &cuts_, &paths_);
+      const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_,
+                                       &cuts_, &paths_, records_ ? &*records_ : nullptr);
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         changed = true;
@@ -327,8 +363,8 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
       // (observed on bbsse at phi=2). With decomposition the 6n cap decides.
       if (!options_.enable_decomposition) {
         const bool isolated = scc_isolated(c_.topology(), labels, phi,
-                                           scc_.components[static_cast<std::size_t>(comp)],
-                                           scc_.component_of, comp, scratch_);
+                                           scc_->components[static_cast<std::size_t>(comp)],
+                                           scc_->component_of, comp, scratch_);
         if (isolated && isolated_last_sweep) return CompOutcome::kInfeasible;  // positive loop
         isolated_last_sweep = isolated;
       }

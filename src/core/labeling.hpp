@@ -23,11 +23,16 @@
 // cache across probes, and warm-starts each probe from the nearest
 // previously feasible phi. Each SCC, in topological order, is swept in place
 // in zero-weight topological order — the order the 6n PLD bound is proven
-// for.
+// for. Per gate it keeps the certificates of its last K-cut test (the cut,
+// or the flow paths of a failure) and a record of the network that test
+// ran on; an update whose network would be the same takes the recorded
+// verdict without building it, and one whose stored certificate still
+// holds skips the flow.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -67,6 +72,7 @@ struct LabelStats {
   std::int64_t cut_tests = 0;        // flow-based K-cut existence tests
   std::int64_t cut_reuses = 0;       // K-cut tests settled by a stored cut, no flow
   std::int64_t cut_refutations = 0;  // K-cut tests settled by stored flow paths, no flow
+  std::int64_t network_reuses = 0;   // K-cut tests settled by a network record, no build
   std::int64_t decomp_attempts = 0;  // resynthesis attempts
   std::int64_t decomp_successes = 0;
   std::int64_t cut_functions = 0;    // (gate, cut) functions extracted for attempts
@@ -192,6 +198,55 @@ struct FlowPathStore {
   std::vector<std::int32_t> ends;
 };
 
+/// Each gate's last expanded network (ExpandedNetwork::copies), kept across
+/// sweeps and probes: its non-root copies in build order, whether each was
+/// allowed, and the K-cut verdict. When every recorded copy keeps its flag
+/// under the current labels, phi and height limit, build() would make the
+/// recorded network again and the K-cut test would give the recorded
+/// verdict, so label_update() builds nothing (DESIGN.md, "Network
+/// records"). A record is trusted, not checked: one store serves one
+/// circuit, one K and one ExpandedOptions. Each gate's copies sit in a
+/// vector of its own, as large as its largest record so far.
+struct NetworkRecordStore {
+  /// Non-root copies a record may hold; a larger network is not recorded.
+  /// 48 hold nearly every reusable build of the Table-1 shapes (DESIGN.md,
+  /// "Network records").
+  static constexpr std::size_t kCopies = 48;
+  enum class Verdict : std::uint8_t { kNone, kCut, kNoCut };
+  struct Record {
+    std::vector<ExpandedNetwork::Copy> copies;
+    Verdict verdict = Verdict::kNone;  // kNone: no record
+  };
+
+  explicit NetworkRecordStore(int num_nodes) : records(static_cast<std::size_t>(num_nodes)) {}
+
+  Verdict verdict(NodeId v) const { return records[static_cast<std::size_t>(v)].verdict; }
+
+  /// True iff v has a record and every recorded copy u^w keeps its flag
+  /// l(u) - phi*w + 1 <= height.
+  bool matches(NodeId v, std::span<const int> labels, int phi, int height) const {
+    const Record& record = records[static_cast<std::size_t>(v)];
+    if (record.verdict == Verdict::kNone) return false;
+    for (const ExpandedNetwork::Copy& copy : record.copies) {
+      const std::int64_t eff =
+          static_cast<std::int64_t>(labels[static_cast<std::size_t>(copy.id.node)]) -
+          static_cast<std::int64_t>(phi) * copy.id.w;
+      if ((eff + 1 <= height) != copy.allowed) return false;
+    }
+    return true;
+  }
+  /// Records `net`, built for root v, with verdict `found`; kNone, or a
+  /// network of more than kCopies non-root copies, leaves v with none.
+  void put(NodeId v, const ExpandedNetwork& net, Verdict found) {
+    Record& record = records[static_cast<std::size_t>(v)];
+    const std::span<const ExpandedNetwork::Copy> built = net.copies().subspan(1);
+    record.verdict = built.size() > kCopies ? Verdict::kNone : found;
+    if (record.verdict != Verdict::kNone) record.copies.assign(built.begin(), built.end());
+  }
+
+  std::vector<Record> records;
+};
+
 /// Warm-started label computation for a fixed circuit and options.
 /// Construction precomputes the SCC condensation and each SCC's sweep order;
 /// compute() may then be called for any sequence of target ratios. All
@@ -200,10 +255,17 @@ struct FlowPathStore {
 /// phi >= the probe (labels are antitone in phi, so those labels are valid
 /// lower bounds that shortcut the iteration). Each gate's last flow-found
 /// K-cut (KCutStore) and last failed test's flow paths (FlowPathStore) are
-/// kept too, and re-checked before the next flow.
+/// kept too, and re-checked before the next flow, and so is its last built
+/// network (NetworkRecordStore), matched before the next build.
 class LabelEngine {
  public:
-  LabelEngine(const Circuit& c, const LabelOptions& options);
+  /// `scc`: the circuit's SCCs when the caller already has them (a flow
+  /// shares one decomposition of its input); null computes them here.
+  /// `network_records` false settles every update without a
+  /// NetworkRecordStore, the record-free sweep the tests compare against.
+  LabelEngine(const Circuit& c, const LabelOptions& options,
+              std::shared_ptr<const SccDecomposition> scc = nullptr,
+              bool network_records = true);
 
   /// Runs the label computation for target ratio phi (>= 1). For a fixed
   /// engine and phi the result is deterministic.
@@ -226,11 +288,12 @@ class LabelEngine {
   const Circuit& c_;
   LabelOptions options_;
   DecompCache cache_;
-  SccDecomposition scc_;
+  std::shared_ptr<const SccDecomposition> scc_;
   std::vector<std::vector<NodeId>> gates_;  // per component: updatable gates, sweep order
   CutScratch scratch_;
   KCutStore cuts_;
   FlowPathStore paths_;
+  std::optional<NetworkRecordStore> records_;  // empty when records are off
   std::int64_t num_gates_ = 0;            // c_.num_gates(), counted once
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
 };
@@ -245,11 +308,15 @@ LabelResult compute_labels(const Circuit& c, int phi, const LabelOptions& option
 /// `scratch` (optional) reuses cut-test buffers across calls;
 /// `cuts` (optional) supplies v's last K-cut, checked before the flow runs,
 /// and records the cut the flow finds; `paths` (optional) does the same for
-/// the flow paths of v's last failed test. The result depends on neither.
+/// the flow paths of v's last failed test. `records` (optional) supplies
+/// v's last network, matched before the build, and records this one; a
+/// verdict is recorded only when `cuts` or `paths` holds its certificate,
+/// so a record settles exactly the updates those stores would settle
+/// without a flow. The result depends on none of them.
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache = nullptr,
                  CutScratch* scratch = nullptr, KCutStore* cuts = nullptr,
-                 FlowPathStore* paths = nullptr);
+                 FlowPathStore* paths = nullptr, NetworkRecordStore* records = nullptr);
 
 /// The realization the label computation justifies for a node at its final
 /// label: either a plain K-cut of E_v, or a decomposition over a wide cut.

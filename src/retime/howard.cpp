@@ -195,7 +195,10 @@ class HowardScc {
 }  // namespace
 
 CycleRatioResult circuit_mdr_howard(const Circuit& c) {
-  const SccDecomposition scc = strongly_connected_components(c);
+  return circuit_mdr_howard(c, strongly_connected_components(c));
+}
+
+CycleRatioResult circuit_mdr_howard(const Circuit& c, const SccDecomposition& scc) {
   std::vector<int> position(static_cast<std::size_t>(c.num_nodes()), 0);
   for (const auto& nodes : scc.components) {
     for (std::size_t i = 0; i < nodes.size(); ++i) {

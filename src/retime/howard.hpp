@@ -43,4 +43,8 @@ struct CycleRatioResult {
 /// ratio 0 for acyclic circuits.
 CycleRatioResult circuit_mdr_howard(const Circuit& c);
 
+/// The same, over `scc`, the circuit's strongly_connected_components(), for
+/// a caller that already has them.
+CycleRatioResult circuit_mdr_howard(const Circuit& c, const SccDecomposition& scc);
+
 }  // namespace turbosyn

@@ -2,17 +2,20 @@
 // network: register-count bookkeeping, mandatory/allowed classification,
 // frontier handling, node budgets, the low-cost (sharing-aware) cut rule and
 // the flow-free certificate checks (separates for a cut, refuted_by for the
-// flow paths of a failed test).
+// flow paths of a failed test), and the premise of the label engine's
+// network records (a build is fixed by its non-root copies' allowed flags).
 
 #include "core/expanded.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "base/check.hpp"
 #include "base/rng.hpp"
+#include "core/labeling.hpp"
 #include "netlist/gates.hpp"
 #include "oracle.hpp"
 #include "workloads/generator.hpp"
@@ -533,6 +536,137 @@ TEST(Expanded, RefutationImpliesFindCutFails) {
   // Both verdicts occur, so neither branch is vacuous.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+TEST(Expanded, UnchangedNonRootFlagsGiveTheSameNetworkAndVerdict) {
+  // The premise of NetworkRecordStore: a build at other labels in which
+  // every non-root copy of an earlier build keeps its allowed flag makes the
+  // same copies, flags and K-cut verdict, whatever the root's own flag.
+  // The store matches such labels, and a flip of any one non-root copy's
+  // flag breaks the match. A network over the store's cap is not recorded.
+  constexpr int kK = 4;
+  Rng rng(2026);
+  int same_network = 0;
+  int root_flips = 0;
+  int single_flips = 0;
+  int too_large = 0;
+  int verdicts[2] = {0, 0};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    BenchmarkSpec spec;
+    spec.name = "rec" + std::to_string(seed);
+    spec.seed = seed;
+    spec.num_pis = 3;
+    spec.num_pos = 2;
+    spec.num_gates = 20 + static_cast<int>(seed % 5) * 6;
+    spec.feedback = 0.15;
+    spec.max_fanin = 3;
+    const Circuit c = generate_fsm_circuit(spec);
+    const int phi = 1 + static_cast<int>(seed % 3);
+    std::vector<int> labels(static_cast<std::size_t>(c.num_nodes()), 0);
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (c.is_gate(v) && !c.fanin_edges(v).empty()) {
+        labels[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_in(1, 4));
+      }
+    }
+    NetworkRecordStore store(c.num_nodes());
+    ExpandedNetwork first;
+    ExpandedNetwork second;
+    for (NodeId v = 0; v < c.num_nodes(); ++v) {
+      if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+      const std::string at = spec.name + " " + c.name(v);
+      const int height = static_cast<int>(rng.next_in(1, 5));
+      first.build(c, labels, phi, v, height, ExpandedOptions{});
+      if (!first.viable()) continue;
+      const std::vector<ExpandedNetwork::Copy> copies(first.copies().begin(),
+                                                      first.copies().end());
+      const auto cut = first.find_cut(kK);
+      ++verdicts[cut ? 1 : 0];
+      using Verdict = NetworkRecordStore::Verdict;
+      store.put(v, first, cut ? Verdict::kCut : Verdict::kNoCut);
+      if (copies.size() > NetworkRecordStore::kCopies + 1) {
+        EXPECT_FALSE(store.matches(v, labels, phi, height)) << at;  // too large to record
+        ++too_large;
+        continue;
+      }
+      ASSERT_TRUE(store.matches(v, labels, phi, height)) << at;
+
+      // Per node of a non-root copy u^w, the labels that keep each such
+      // copy's flag: l <= height - 1 + phi*w while allowed, above otherwise.
+      const auto lowest = std::numeric_limits<std::int64_t>::min();
+      const auto highest = std::numeric_limits<std::int64_t>::max();
+      std::vector<std::pair<std::int64_t, std::int64_t>> keep(
+          static_cast<std::size_t>(c.num_nodes()), {lowest, highest});
+      for (std::size_t i = 1; i < copies.size(); ++i) {
+        const SeqCutNode id = copies[i].id;
+        const std::int64_t edge = height - 1 + std::int64_t{phi} * id.w;
+        auto& [lo, hi] = keep[static_cast<std::size_t>(id.node)];
+        if (copies[i].allowed) {
+          hi = std::min(hi, edge);
+        } else {
+          lo = std::max(lo, edge + 1);
+        }
+      }
+      // Other labels: every gate moves within its interval (or anywhere
+      // when it has no copy), sources stay 0; the root keeps its flag first,
+      // then flips it when its interval allows.
+      for (const bool flip_root : {false, true}) {
+        std::vector<int> moved = labels;
+        for (NodeId u = 0; u < c.num_nodes(); ++u) {
+          if (c.is_source(u) || c.is_po(u)) continue;
+          auto [lo, hi] = keep[static_cast<std::size_t>(u)];
+          const int now = labels[static_cast<std::size_t>(u)];
+          if (u == v) {
+            if (copies[0].allowed != flip_root) {
+              hi = std::min<std::int64_t>(hi, height - 1);  // root allowed
+            } else {
+              lo = std::max<std::int64_t>(lo, height);  // root not allowed
+            }
+          }
+          lo = std::max<std::int64_t>(lo, std::max(1, now - 2));
+          hi = std::min<std::int64_t>(hi, now + 2);
+          if (lo > hi) {
+            if (u == v) moved[static_cast<std::size_t>(u)] = -1;  // no such root label
+            continue;
+          }
+          moved[static_cast<std::size_t>(u)] = static_cast<int>(rng.next_in(lo, hi));
+        }
+        if (moved[static_cast<std::size_t>(v)] < 0) continue;
+        second.build(c, moved, phi, v, height, ExpandedOptions{});
+        const std::span<const ExpandedNetwork::Copy> rebuilt = second.copies();
+        ASSERT_EQ(rebuilt.size(), copies.size()) << at;
+        for (std::size_t i = 0; i < copies.size(); ++i) {
+          EXPECT_EQ(rebuilt[i].id, copies[i].id) << at << " copy " << i;
+          EXPECT_EQ(rebuilt[i].expanded, copies[i].expanded) << at << " copy " << i;
+          if (i > 0) EXPECT_EQ(rebuilt[i].allowed, copies[i].allowed) << at << " copy " << i;
+        }
+        EXPECT_EQ(rebuilt[0].allowed != copies[0].allowed, flip_root) << at;
+        EXPECT_EQ(second.find_cut(kK), cut) << at;
+        EXPECT_TRUE(store.matches(v, moved, phi, height)) << at;
+        ++(flip_root ? root_flips : same_network);
+      }
+
+      // Flipping one non-root copy's flag (its node's label crosses that
+      // copy's edge; sources must stay 0) breaks the match.
+      for (std::size_t i = 1; i < copies.size(); ++i) {
+        const SeqCutNode id = copies[i].id;
+        if (c.is_source(id.node)) continue;
+        const std::int64_t edge = height - 1 + std::int64_t{phi} * id.w;
+        const std::int64_t crossed = copies[i].allowed ? edge + 1 : edge;
+        if (crossed < 1) continue;
+        std::vector<int> flipped = labels;
+        flipped[static_cast<std::size_t>(id.node)] = static_cast<int>(crossed);
+        EXPECT_FALSE(store.matches(v, flipped, phi, height)) << at << " copy " << i;
+        ++single_flips;
+      }
+    }
+  }
+  // Every branch occurs, so none is vacuous.
+  EXPECT_GT(same_network, 0);
+  EXPECT_GT(root_flips, 0);
+  EXPECT_GT(single_flips, 0);
+  EXPECT_GT(too_large, 0);
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
 }
 
 }  // namespace

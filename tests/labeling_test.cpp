@@ -328,17 +328,18 @@ TEST(Labeling, ScratchReuseIsDeterministic) {
 /// Reuse-free reference for one probe: the engine's own sweep (SCCs in
 /// topological order, each swept in zero-weight topological order until no
 /// label changes), with every update a plain label_update call without a
-/// stored cut, with no stored flow paths unless `paths` is given, and with
-/// one decomposition memo across the sweep unless `memo` is false (then
-/// each update keeps its own). Only meaningful at a feasible phi, where the
-/// sweep converges.
+/// network record, with no stored flow paths unless `paths` is given, with
+/// no stored cut unless `cuts` is given, and with one decomposition memo
+/// across the sweep unless `memo` is false (then each update keeps its
+/// own). Only meaningful at a feasible phi, where the sweep converges.
 struct ReferenceRun {
   std::vector<int> labels;
   LabelStats stats;
 };
 
 ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo,
-                                FlowPathStore* paths = nullptr, bool memo = true) {
+                                FlowPathStore* paths = nullptr, bool memo = true,
+                                KCutStore* cuts = nullptr) {
   const SccDecomposition scc = strongly_connected_components(c);
   const std::vector<NodeId> order = combinational_order(c);
   std::vector<int> pos(static_cast<std::size_t>(c.num_nodes()), 0);
@@ -364,7 +365,7 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
       for (const NodeId v : gates) {
         const int updated =
             label_update(c, ref.labels, phi, v, lo, ref.stats, memo ? &cache : nullptr, nullptr,
-                         nullptr, paths);
+                         cuts, paths);
         if (updated > ref.labels[static_cast<std::size_t>(v)]) {
           ref.labels[static_cast<std::size_t>(v)] = updated;
           changed = true;
@@ -376,13 +377,17 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
 }
 
 // The engine settles a gate's K-cut test from its last flow-found cut when
-// that cut still separates E_v (KCutStore), and from its last failed test's
-// flow paths when they are still a flow in E_v (FlowPathStore). The verdicts
-// must be exactly the flow's, so converged labels equal the certificate-free
-// sweep, every skipped test is counted as a reuse or a refutation, and both
-// stores do get used. With decomposition the stored paths also seed the flows
-// they do not settle, so the engine finds fewer augmenting paths than the
-// reference sweep.
+// that cut still separates E_v (KCutStore), from its last failed test's
+// flow paths when they are still a flow in E_v (FlowPathStore), and from its
+// last network's verdict when no copy changed its allowed flag
+// (NetworkRecordStore). The verdicts must be exactly the flow's, so
+// converged labels equal the certificate-free sweep, every skipped test is
+// counted as a reuse, a refutation or a network reuse, and both stores do
+// get used. The records absorb every stored-cut reuse on some circuits, so
+// the stores' use is counted on a sweep with the stores and no records.
+// With decomposition the stored paths also seed the flows they do not
+// settle, so the engine finds fewer augmenting paths than the reference
+// sweep.
 TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   std::vector<BenchmarkSpec> specs = tiny_suite();
   for (const BenchmarkSpec& spec : table1_suite()) {
@@ -397,17 +402,20 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
       LabelOptions lo = turbomap_options(5);
       lo.enable_decomposition = decomposition;
       LabelEngine engine(c, lo);
+      KCutStore cuts(c.num_nodes(), lo.k);
+      FlowPathStore paths(c.num_nodes(), lo.k);
       std::int64_t reuses = 0;
       int feasible_probes = 0;
       // Ascending probes start cold in both modes, so each feasible probe's
       // counters line up with the reference sweep's.
       for (int phi = 1; feasible_probes < 2; ++phi) {
         const LabelResult r = engine.compute(phi);
-        reuses += r.stats.cut_reuses;
         refutations += r.stats.cut_refutations;
         if (!r.feasible) continue;
         ++feasible_probes;
         const ReferenceRun ref = reference_fixpoint(c, phi, lo);
+        const ReferenceRun stored = reference_fixpoint(c, phi, lo, &paths, true, &cuts);
+        reuses += stored.stats.cut_reuses;
         const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap") +
                                " phi=" + std::to_string(phi);
         for (NodeId v = 0; v < c.num_nodes(); ++v) {
@@ -415,12 +423,19 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
           ASSERT_EQ(r.labels[static_cast<std::size_t>(v)], ref.labels[static_cast<std::size_t>(v)])
               << at << " " << c.name(v);
         }
+        EXPECT_EQ(stored.labels, ref.labels) << at;
         EXPECT_EQ(r.stats.node_updates, ref.stats.node_updates) << at;
-        EXPECT_EQ(r.stats.cut_tests + r.stats.cut_reuses + r.stats.cut_refutations,
+        EXPECT_EQ(r.stats.cut_tests + r.stats.cut_reuses + r.stats.cut_refutations +
+                      r.stats.network_reuses,
+                  ref.stats.cut_tests)
+            << at;
+        EXPECT_EQ(stored.stats.cut_tests + stored.stats.cut_reuses +
+                      stored.stats.cut_refutations,
                   ref.stats.cut_tests)
             << at;
         EXPECT_EQ(ref.stats.cut_reuses, 0) << at;
         EXPECT_EQ(ref.stats.cut_refutations, 0) << at;
+        EXPECT_EQ(ref.stats.network_reuses, 0) << at;
         engine_paths += r.stats.flow_augmentations;
         reference_paths += ref.stats.flow_augmentations;
       }
@@ -428,6 +443,66 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
     }
     EXPECT_GT(refutations, 0) << (decomposition ? "turbosyn" : "turbomap");
     if (decomposition) EXPECT_LT(engine_paths, reference_paths);
+  }
+}
+
+// A network record settles only updates whose verdict a stored cut or
+// stored flow paths would also settle without a flow, so an engine with
+// records runs the same flows as one without: at every probe, ascending or
+// descending in phi, both reach the same feasibility, status and labels,
+// with the same cut tests, augmenting paths and decomposition attempts, and
+// each network reuse stands for one stored-cut reuse or refutation.
+TEST(Labeling, NetworkRecordsKeepEveryProbeAndItsFlows) {
+  std::vector<BenchmarkSpec> specs = tiny_suite();
+  for (const BenchmarkSpec& spec : table1_suite()) {
+    if (spec.num_gates <= 200) specs.push_back(spec);
+  }
+  for (const bool decomposition : {false, true}) {
+    std::int64_t network_reuses = 0;
+    for (const BenchmarkSpec& spec : specs) {
+      const Circuit c = generate_fsm_circuit(spec);
+      LabelOptions lo = turbomap_options(5);
+      lo.enable_decomposition = decomposition;
+      // Returns the probe's feasibility with records.
+      const auto compare = [&](LabelEngine& with, LabelEngine& without, int phi,
+                               const char* order) {
+        const LabelResult a = with.compute(phi);
+        const LabelResult b = without.compute(phi);
+        const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap") +
+                               " phi=" + std::to_string(phi) + " " + order;
+        EXPECT_EQ(a.feasible, b.feasible) << at;
+        EXPECT_EQ(a.status, b.status) << at;
+        EXPECT_EQ(a.labels, b.labels) << at;
+        EXPECT_EQ(a.stats.node_updates, b.stats.node_updates) << at;
+        EXPECT_EQ(a.stats.cut_tests, b.stats.cut_tests) << at;
+        EXPECT_EQ(a.stats.flow_augmentations, b.stats.flow_augmentations) << at;
+        EXPECT_EQ(a.stats.decomp_attempts, b.stats.decomp_attempts) << at;
+        EXPECT_EQ(a.stats.cut_reuses + a.stats.cut_refutations + a.stats.network_reuses,
+                  b.stats.cut_reuses + b.stats.cut_refutations)
+            << at;
+        EXPECT_EQ(b.stats.network_reuses, 0) << at;
+        network_reuses += a.stats.network_reuses;
+        return a.feasible;
+      };
+      // Ascending from 1 to one past the first feasible phi, then
+      // descending from two above it to one below it.
+      int first_feasible = 0;
+      {
+        LabelEngine with(c, lo);
+        LabelEngine without(c, lo, nullptr, /*network_records=*/false);
+        for (int phi = 1; first_feasible == 0 || phi <= first_feasible + 1; ++phi) {
+          if (compare(with, without, phi, "ascending") && first_feasible == 0) {
+            first_feasible = phi;
+          }
+        }
+      }
+      LabelEngine with(c, lo);
+      LabelEngine without(c, lo, nullptr, /*network_records=*/false);
+      for (int phi = first_feasible + 2; phi >= std::max(1, first_feasible - 1); --phi) {
+        compare(with, without, phi, "descending");
+      }
+    }
+    if (!decomposition) EXPECT_GT(network_reuses, 0);
   }
 }
 
