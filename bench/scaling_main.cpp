@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
   const FlowCli cli = flow_cli_from_args(argc, argv);
   std::vector<BenchmarkSpec> suite = scaling_suite();
   if (cli.quick) suite.resize(3);
-  // TurboSYN on the largest circuits takes tens of minutes; by default it
-  // runs up to 4k gates (TurboMap covers the full range), --full runs all.
-  const int ts_gate_limit = cli.full ? 1 << 30 : 4000;
 
   const bool audit = cli.audit;
   FlowOptions opt;
@@ -39,13 +36,6 @@ int main(int argc, char** argv) {
     const CircuitStats st = compute_stats(c);
     const FlowResult tm = run_turbomap(c, opt);
     if (audit) audits_ok &= audit_and_report(c, tm, opt, spec.name + ":turbomap", std::cout);
-    if (spec.num_gates > ts_gate_limit) {
-      table.add_row({spec.name, std::to_string(st.gates), std::to_string(st.ffs),
-                     std::to_string(tm.phi), format_double(tm.seconds), "-", "-", "-"});
-      std::cerr << "[scaling] " << spec.name << ": TM " << format_double(tm.seconds)
-                << "s (TS skipped, use --full)\n";
-      continue;
-    }
     const FlowResult ts = run_turbosyn(c, opt);
     if (audit) audits_ok &= audit_and_report(c, ts, opt, spec.name + ":turbosyn", std::cout);
     table.add_row({spec.name, std::to_string(st.gates), std::to_string(st.ffs),

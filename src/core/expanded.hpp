@@ -58,7 +58,7 @@
 // A build reads the labels, phi and the height limit only through each
 // copy's allowed flag (see copies()), so the label engine skips a rebuild
 // whose non-root flags match the gate's last build and takes that build's
-// verdict (NetworkRecordStore, core/labeling.hpp).
+// verdict (GateRecord, core/labeling.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -190,7 +190,7 @@ class ExpandedNetwork {
   /// and it is the sink, whose capacity no path crosses). So a build at
   /// other labels in which every non-root copy listed here keeps its
   /// allowed flag makes the same copies, fanin runs, capacities and source
-  /// flags: the same network and the same K-cut verdict. NetworkRecordStore
+  /// flags: the same network and the same K-cut verdict. GateRecord
   /// (core/labeling.hpp) keeps this list per gate.
   std::span<const Copy> copies() const { return std::span(nodes_).first(num_nodes_); }
 

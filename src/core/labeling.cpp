@@ -87,35 +87,35 @@ std::optional<NodeRealization> try_decomposition(const Circuit& c, std::span<con
   return std::nullopt;
 }
 
-/// The K-cut test on `net`, E_v at its height: settled by v's stored cut
-/// when it still separates the network, by v's stored flow paths when they
-/// are still a flow above K, else by the flow, whose cut or paths are then
-/// stored. True iff a K-cut exists.
-bool k_cut_test(ExpandedNetwork& net, NodeId v, const LabelOptions& options, LabelStats& stats,
-                KCutStore* cuts, FlowPathStore* paths) {
-  if (cuts != nullptr) {
-    if (const auto last = cuts->get(v); last && net.separates(*last)) {
+/// The K-cut test on `net`, E_v at its height: settled by the record's
+/// stored cut when it still separates the network, by its stored flow
+/// paths when they are still a flow above K, else by the flow, whose cut or
+/// paths the record then stores. True iff a K-cut exists.
+bool k_cut_test(ExpandedNetwork& net, const LabelOptions& options, LabelStats& stats,
+                GateRecord* record) {
+  if (record != nullptr) {
+    if (const auto last = record->cut(); last && net.separates(*last)) {
       ++stats.cut_reuses;
       return true;
     }
-  }
-  const std::optional<FlowPaths> last_paths =
-      paths != nullptr ? paths->get(v) : std::nullopt;
-  // The stored paths still valid in this build seed its next flow: the
-  // K-cut test when fewer than K + 1 remain, else the Cmax cut after it.
-  if (last_paths && net.refuted_by(*last_paths, options.k)) {
-    ++stats.cut_refutations;  // the flow would fail
-    return false;
+    // The stored paths still valid in this build seed its next flow: the
+    // K-cut test when fewer than K + 1 remain, else the Cmax cut after it.
+    if (const auto paths = record->paths(); paths && net.refuted_by(*paths, options.k)) {
+      ++stats.cut_refutations;  // the flow would fail
+      return false;
+    }
   }
   ++stats.cut_tests;
   const auto cut = net.find_cut(options.k);
   stats.flow_augmentations += net.augmentations();
-  if (cut) {
-    if (cuts != nullptr) cuts->put(v, *cut);
-    return true;
+  if (record != nullptr) {
+    if (cut) {
+      record->keep_cut(*cut);
+    } else {
+      record->keep_paths(net.flow_paths(), options.k);
+    }
   }
-  if (paths != nullptr) paths->put(v, net.flow_paths());
-  return false;
+  return cut.has_value();
 }
 
 }  // namespace
@@ -147,9 +147,8 @@ std::optional<NodeRealization> realize_node(const Circuit& c, std::span<const in
 
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache,
-                 CutScratch* scratch, KCutStore* cuts, FlowPathStore* paths,
-                 NetworkRecordStore* records) {
-  using Verdict = NetworkRecordStore::Verdict;
+                 CutScratch* scratch, GateRecord* record) {
+  using Verdict = GateRecord::Verdict;
   ++stats.node_updates;
   const std::int64_t big_l = fanin_bound(c, labels, phi, v);
   const int current = labels[static_cast<std::size_t>(v)];
@@ -159,11 +158,11 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
 
   // v's last network again: its verdict stands. A failed test still needs
   // the network for decomposition, so that mode trusts only a found cut.
-  if (records != nullptr) {
-    const Verdict last = records->verdict(v);
+  if (record != nullptr) {
+    const Verdict last = record->verdict();
     const bool trusted =
         last == Verdict::kCut || (last == Verdict::kNoCut && !options.enable_decomposition);
-    if (trusted && records->matches(v, labels, phi, target)) {
+    if (trusted && record->matches(labels, phi, target)) {
       ++stats.network_reuses;
       return std::max(current, last == Verdict::kCut ? target : target + 1);
     }
@@ -174,12 +173,9 @@ int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId 
   std::optional<CutScratch> local;
   ExpandedNetwork& net = (scratch != nullptr ? *scratch : local.emplace()).net;
   net.build(c, labels, phi, v, target, options.expansion);
-  const bool found = k_cut_test(net, v, options, stats, cuts, paths);
-  if (records != nullptr) {
-    // Recorded before decomposition rebuilds the network at other heights.
-    const bool certified = found ? cuts != nullptr : paths != nullptr && paths->get(v).has_value();
-    records->put(v, net, !certified ? Verdict::kNone : found ? Verdict::kCut : Verdict::kNoCut);
-  }
+  const bool found = k_cut_test(net, options, stats, record);
+  // Recorded before decomposition rebuilds the network at other heights.
+  if (record != nullptr) record->keep_network(net, found);
   if (found) return std::max(current, target);
   if (options.enable_decomposition &&
       try_decomposition(c, labels, phi, v, target, options, stats, cache, net,
@@ -266,8 +262,8 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options,
     : c_(c),
       options_(options),
       scc_(std::move(scc)),
-      cuts_(c.num_nodes(), options.k),
-      paths_(c.num_nodes(), options.k),
+      records_(static_cast<std::size_t>(c.num_nodes())),
+      network_records_(network_records),
       num_gates_(c.num_gates()) {
   TS_CHECK(c.is_k_bounded(options.k), "label computation requires a k-bounded circuit");
   const std::size_t n = static_cast<std::size_t>(c.num_nodes());
@@ -275,7 +271,6 @@ LabelEngine::LabelEngine(const Circuit& c, const LabelOptions& options,
   if (scc_ == nullptr) {
     scc_ = std::make_shared<const SccDecomposition>(strongly_connected_components(c));
   }
-  if (network_records) records_.emplace(c.num_nodes());
 
   // Sweep order: zero-weight topological position. Updates then propagate
   // through a whole combinational stretch in a single sweep, so each sweep
@@ -332,8 +327,10 @@ LabelEngine::CompOutcome LabelEngine::process_comp(int comp, int phi, std::vecto
     bool changed = false;
     for (const NodeId v : gates) {
       if (options_.budget.interrupted()) return CompOutcome::kInterrupted;
-      const int updated = label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_,
-                                       &cuts_, &paths_, records_ ? &*records_ : nullptr);
+      GateRecord& record = records_[static_cast<std::size_t>(v)];
+      const int updated =
+          label_update(c_, labels, phi, v, options_, stats, &cache_, &scratch_, &record);
+      if (!network_records_) record.forget_network();
       if (updated > labels[static_cast<std::size_t>(v)]) {
         labels[static_cast<std::size_t>(v)] = updated;
         changed = true;

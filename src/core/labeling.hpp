@@ -20,14 +20,14 @@
 //
 // LabelEngine is the production entry point: one engine amortizes the graph
 // analysis (SCCs and the zero-weight sweep order), shares the decomposition
-// cache across probes, and warm-starts each probe from the nearest
-// previously feasible phi. Each SCC, in topological order, is swept in place
-// in zero-weight topological order — the order the 6n PLD bound is proven
-// for. Per gate it keeps the certificates of its last K-cut test (the cut,
-// or the flow paths of a failure) and a record of the network that test
-// ran on; an update whose network would be the same takes the recorded
-// verdict without building it, and one whose stored certificate still
-// holds skips the flow.
+// cache across probes, and warm-starts each plain (TurboMap) probe from the
+// nearest previously feasible phi; decomposition probes start cold. Each
+// SCC, in topological order, is swept in place in zero-weight topological
+// order — the order the 6n PLD bound is proven for. Each gate keeps one
+// GateRecord: its last flow-found cut, its last failed test's flow paths,
+// and the network its last K-cut test ran on with that test's verdict. An
+// update whose network would be the same takes the recorded verdict without
+// building it, and one whose stored cut or paths still hold skips the flow.
 
 #include <algorithm>
 #include <cstdint>
@@ -121,113 +121,41 @@ struct DecompCache {
   std::map<std::pair<NodeId, std::vector<SeqCutNode>>, SupportFunction> entries;
 };
 
-/// Each gate's last flow-found K-cut, kept across sweeps and probes. A cut
-/// that still separates the gate's expanded network at the new height
-/// (ExpandedNetwork::separates) certifies that the K-cut test would
-/// succeed, so label_update() runs the flow only when the stored cut fails
-/// that check. Flat storage: gate v's cut is nodes[v*k, v*k + size[v]),
-/// size[v] = -1 while none is stored.
-struct KCutStore {
-  KCutStore(int num_nodes, int k)
-      : k(k),
-        nodes(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(k)),
-        size(static_cast<std::size_t>(num_nodes), -1) {}
-
-  /// v's stored cut; nullopt while none is stored.
-  std::optional<std::span<const SeqCutNode>> get(NodeId v) const {
-    const int n = size[static_cast<std::size_t>(v)];
-    if (n < 0) return std::nullopt;
-    return std::span(nodes).subspan(static_cast<std::size_t>(v) * k, n);
-  }
-  /// Replaces v's stored cut (at most k nodes).
-  void put(NodeId v, std::span<const SeqCutNode> cut) {
-    std::copy(cut.begin(), cut.end(), nodes.begin() + static_cast<std::ptrdiff_t>(v) * k);
-    size[static_cast<std::size_t>(v)] = static_cast<int>(cut.size());
-  }
-
-  int k;
-  std::vector<SeqCutNode> nodes;
-  std::vector<int> size;
-};
-
-/// Each gate's last failed K-cut test, kept across sweeps and probes as the
-/// K + 1 unit flow paths the flow pushed (ExpandedNetwork::flow_paths). When
-/// they are still a flow in the gate's rebuilt network
-/// (ExpandedNetwork::refuted_by), the K-cut test would fail, so
-/// label_update() skips the flow. Flat storage: gate v's paths are
-/// copies[v*cap(), v*cap() + n) with n = ends[v*(k+1) + k] (0 while none
-/// is stored), and path p ends at offset ends[v*(k+1) + p].
-struct FlowPathStore {
-  /// Copies per path of the store's cap: 12 hold nearly every certificate
-  /// (99.99% of those of TurboSYN on the Table-1 shapes; DESIGN.md, "Cut
-  /// refutation"). At K = 5 the store takes 576 bytes per node.
-  static constexpr int kCopiesPerPath = 12;
-
-  FlowPathStore(int num_nodes, int k)
-      : k(k),
-        copies(static_cast<std::size_t>(num_nodes) * cap()),
-        ends(static_cast<std::size_t>(num_nodes) * static_cast<std::size_t>(k + 1), 0) {}
-
-  /// Copies a gate's certificate may hold; a longer one is not stored.
-  std::size_t cap() const { return static_cast<std::size_t>(kCopiesPerPath) * (k + 1); }
-
-  /// v's stored paths; nullopt while none are stored.
-  std::optional<FlowPaths> get(NodeId v) const {
-    const auto path_ends = std::span(ends).subspan(static_cast<std::size_t>(v) * (k + 1),
-                                                   static_cast<std::size_t>(k + 1));
-    if (path_ends.back() == 0) return std::nullopt;
-    return FlowPaths{std::span(copies).subspan(static_cast<std::size_t>(v) * cap(),
-                                               static_cast<std::size_t>(path_ends.back())),
-                     path_ends};
-  }
-  /// Replaces v's stored paths with `paths` when it holds exactly k + 1
-  /// paths of at most cap() copies in all; otherwise v keeps none.
-  void put(NodeId v, FlowPaths paths) {
-    const auto first_end = static_cast<std::ptrdiff_t>(v) * (k + 1);
-    if (paths.ends.size() != static_cast<std::size_t>(k + 1) || paths.copies.size() > cap()) {
-      ends[static_cast<std::size_t>(first_end + k)] = 0;
-      return;
-    }
-    std::copy(paths.copies.begin(), paths.copies.end(),
-              copies.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(v) * cap()));
-    std::copy(paths.ends.begin(), paths.ends.end(), ends.begin() + first_end);
-  }
-
-  int k;
-  std::vector<SeqCutNode> copies;
-  std::vector<std::int32_t> ends;
-};
-
-/// Each gate's last expanded network (ExpandedNetwork::copies), kept across
-/// sweeps and probes: its non-root copies in build order, whether each was
-/// allowed, and the K-cut verdict. When every recorded copy keeps its flag
-/// under the current labels, phi and height limit, build() would make the
-/// recorded network again and the K-cut test would give the recorded
-/// verdict, so label_update() builds nothing (DESIGN.md, "Network
-/// records"). A record is trusted, not checked: one store serves one
-/// circuit, one K and one ExpandedOptions. Each gate's copies sit in a
-/// vector of its own, as large as its largest record so far.
-struct NetworkRecordStore {
-  /// Non-root copies a record may hold; a larger network is not recorded.
-  /// 48 hold nearly every reusable build of the Table-1 shapes (DESIGN.md,
-  /// "Network records").
+/// One gate's certificates, kept across sweeps and probes (DESIGN.md §7,
+/// "Gate records"): its last flow-found K-cut, its last failed test's K + 1
+/// unit flow paths (ExpandedNetwork::flow_paths), and the last network its
+/// K-cut test ran on (ExpandedNetwork::copies: the non-root copies in build
+/// order with their allowed flags) with that test's verdict. A stored cut
+/// that still separates the rebuilt network (ExpandedNetwork::separates)
+/// settles the test as passed, stored paths that are still a flow in it
+/// (ExpandedNetwork::refuted_by) settle it as failed, and a rebuild whose
+/// every recorded copy keeps its flag would make the recorded network
+/// again, so its verdict stands and nothing is built. A verdict is kept
+/// only with its certificate: kCut means the cut slot holds the cut that
+/// passed that test, kNoCut that the paths slot holds the paths that failed
+/// it, so a network settles exactly the tests its certificate would settle
+/// without a flow. Both certificate slots are kept: a failed test leaves the
+/// cut, a passed one the paths. Each slot is a vector as large as the
+/// gate's largest certificate so far. A record is trusted, not checked: it
+/// serves one circuit, one K and one ExpandedOptions.
+class GateRecord {
+ public:
+  /// Non-root copies a recorded network may hold; a larger one is not
+  /// recorded. 48 hold nearly every reusable build of the Table-1 shapes.
   static constexpr std::size_t kCopies = 48;
+  /// Copies per path the paths slot may hold: 12 hold nearly every
+  /// certificate (99.99% of those of TurboSYN on the Table-1 shapes).
+  static constexpr std::size_t kCopiesPerPath = 12;
   enum class Verdict : std::uint8_t { kNone, kCut, kNoCut };
-  struct Record {
-    std::vector<ExpandedNetwork::Copy> copies;
-    Verdict verdict = Verdict::kNone;  // kNone: no record
-  };
 
-  explicit NetworkRecordStore(int num_nodes) : records(static_cast<std::size_t>(num_nodes)) {}
+  /// The recorded network's verdict; kNone while no network is recorded.
+  Verdict verdict() const { return verdict_; }
 
-  Verdict verdict(NodeId v) const { return records[static_cast<std::size_t>(v)].verdict; }
-
-  /// True iff v has a record and every recorded copy u^w keeps its flag
-  /// l(u) - phi*w + 1 <= height.
-  bool matches(NodeId v, std::span<const int> labels, int phi, int height) const {
-    const Record& record = records[static_cast<std::size_t>(v)];
-    if (record.verdict == Verdict::kNone) return false;
-    for (const ExpandedNetwork::Copy& copy : record.copies) {
+  /// True iff a network is recorded and every recorded copy u^w keeps its
+  /// flag l(u) - phi*w + 1 <= height.
+  bool matches(std::span<const int> labels, int phi, int height) const {
+    if (verdict_ == Verdict::kNone) return false;
+    for (const ExpandedNetwork::Copy& copy : copies_) {
       const std::int64_t eff =
           static_cast<std::int64_t>(labels[static_cast<std::size_t>(copy.id.node)]) -
           static_cast<std::int64_t>(phi) * copy.id.w;
@@ -235,34 +163,78 @@ struct NetworkRecordStore {
     }
     return true;
   }
-  /// Records `net`, built for root v, with verdict `found`; kNone, or a
-  /// network of more than kCopies non-root copies, leaves v with none.
-  void put(NodeId v, const ExpandedNetwork& net, Verdict found) {
-    Record& record = records[static_cast<std::size_t>(v)];
+
+  /// Records `net` after the K-cut test on it, which passed iff `found`:
+  /// kCut when it passed (the cut slot then holds its cut), kNoCut when it
+  /// failed and the paths slot holds its paths, else, or when `net` has
+  /// more than kCopies non-root copies, no network.
+  void keep_network(const ExpandedNetwork& net, bool found) {
     const std::span<const ExpandedNetwork::Copy> built = net.copies().subspan(1);
-    record.verdict = built.size() > kCopies ? Verdict::kNone : found;
-    if (record.verdict != Verdict::kNone) record.copies.assign(built.begin(), built.end());
+    verdict_ = built.size() > kCopies ? Verdict::kNone
+               : found                ? Verdict::kCut
+               : !path_ends_.empty()  ? Verdict::kNoCut
+                                      : Verdict::kNone;
+    if (verdict_ != Verdict::kNone) copies_.assign(built.begin(), built.end());
+  }
+  /// Drops the recorded network and keeps both certificates.
+  void forget_network() { verdict_ = Verdict::kNone; }
+
+  /// The stored cut; nullopt while none is stored.
+  std::optional<std::span<const SeqCutNode>> cut() const {
+    if (!has_cut_) return std::nullopt;
+    return std::span(cut_);
+  }
+  /// Replaces the stored cut.
+  void keep_cut(std::span<const SeqCutNode> cut) {
+    cut_.assign(cut.begin(), cut.end());
+    has_cut_ = true;
   }
 
-  std::vector<Record> records;
+  /// The stored flow paths; nullopt while none are stored.
+  std::optional<FlowPaths> paths() const {
+    if (path_ends_.empty()) return std::nullopt;
+    return FlowPaths{path_copies_, path_ends_};
+  }
+  /// Replaces the stored paths with `paths` when it holds exactly k + 1
+  /// paths of at most kCopiesPerPath * (k + 1) copies in all; otherwise the
+  /// gate keeps none.
+  void keep_paths(FlowPaths paths, int k) {
+    const auto num_paths = static_cast<std::size_t>(k + 1);
+    if (paths.ends.size() != num_paths || paths.copies.size() > kCopiesPerPath * num_paths) {
+      path_copies_.clear();
+      path_ends_.clear();
+      return;
+    }
+    path_copies_.assign(paths.copies.begin(), paths.copies.end());
+    path_ends_.assign(paths.ends.begin(), paths.ends.end());
+  }
+
+ private:
+  std::vector<ExpandedNetwork::Copy> copies_;  // the recorded network's non-root copies
+  std::vector<SeqCutNode> cut_;
+  std::vector<SeqCutNode> path_copies_;
+  std::vector<std::int32_t> path_ends_;  // empty while no paths are stored
+  bool has_cut_ = false;
+  Verdict verdict_ = Verdict::kNone;
 };
 
 /// Warm-started label computation for a fixed circuit and options.
 /// Construction precomputes the SCC condensation and each SCC's sweep order;
 /// compute() may then be called for any sequence of target ratios. All
-/// probes of one engine share the decomposition cache, and each probe
+/// probes of one engine share the decomposition cache, and each plain probe
 /// warm-starts from the converged labels of the nearest previously feasible
 /// phi >= the probe (labels are antitone in phi, so those labels are valid
-/// lower bounds that shortcut the iteration). Each gate's last flow-found
-/// K-cut (KCutStore) and last failed test's flow paths (FlowPathStore) are
-/// kept too, and re-checked before the next flow, and so is its last built
-/// network (NetworkRecordStore), matched before the next build.
+/// lower bounds that shortcut the iteration); decomposition probes start
+/// cold (see compute()). Each gate keeps a GateRecord:
+/// its last built network is matched before the next build, and its stored
+/// cut and flow paths are re-checked before the next flow.
 class LabelEngine {
  public:
   /// `scc`: the circuit's SCCs when the caller already has them (a flow
   /// shares one decomposition of its input); null computes them here.
-  /// `network_records` false settles every update without a
-  /// NetworkRecordStore, the record-free sweep the tests compare against.
+  /// `network_records` false drops each gate's recorded network after its
+  /// update and keeps its certificates: the sweep without network records
+  /// the tests compare against.
   LabelEngine(const Circuit& c, const LabelOptions& options,
               std::shared_ptr<const SccDecomposition> scc = nullptr,
               bool network_records = true);
@@ -291,9 +263,8 @@ class LabelEngine {
   std::shared_ptr<const SccDecomposition> scc_;
   std::vector<std::vector<NodeId>> gates_;  // per component: updatable gates, sweep order
   CutScratch scratch_;
-  KCutStore cuts_;
-  FlowPathStore paths_;
-  std::optional<NetworkRecordStore> records_;  // empty when records are off
+  std::vector<GateRecord> records_;  // per node; only gates' are used
+  bool network_records_ = true;
   std::int64_t num_gates_ = 0;            // c_.num_gates(), counted once
   std::map<int, std::vector<int>> warm_;  // feasible phi -> converged labels
 };
@@ -306,17 +277,13 @@ LabelResult compute_labels(const Circuit& c, int phi, const LabelOptions& option
 /// tests). Returns the new label (never below labels[v]); does not modify
 /// `labels`. `cache` (optional) keeps (gate, cut) functions across calls;
 /// `scratch` (optional) reuses cut-test buffers across calls;
-/// `cuts` (optional) supplies v's last K-cut, checked before the flow runs,
-/// and records the cut the flow finds; `paths` (optional) does the same for
-/// the flow paths of v's last failed test. `records` (optional) supplies
-/// v's last network, matched before the build, and records this one; a
-/// verdict is recorded only when `cuts` or `paths` holds its certificate,
-/// so a record settles exactly the updates those stores would settle
-/// without a flow. The result depends on none of them.
+/// `record` (optional) is v's GateRecord: its network is matched before the
+/// build, its cut and then its paths are checked before the flow, and the
+/// update leaves in it the network it built with its verdict and the cut or
+/// paths the flow found. The result does not depend on it.
 int label_update(const Circuit& c, std::span<const int> labels, int phi, NodeId v,
                  const LabelOptions& options, LabelStats& stats, DecompCache* cache = nullptr,
-                 CutScratch* scratch = nullptr, KCutStore* cuts = nullptr,
-                 FlowPathStore* paths = nullptr, NetworkRecordStore* records = nullptr);
+                 CutScratch* scratch = nullptr, GateRecord* record = nullptr);
 
 /// The realization the label computation justifies for a node at its final
 /// label: either a plain K-cut of E_v, or a decomposition over a wide cut.

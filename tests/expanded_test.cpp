@@ -539,11 +539,12 @@ TEST(Expanded, RefutationImpliesFindCutFails) {
 }
 
 TEST(Expanded, UnchangedNonRootFlagsGiveTheSameNetworkAndVerdict) {
-  // The premise of NetworkRecordStore: a build at other labels in which
+  // The premise of a GateRecord's network: a build at other labels in which
   // every non-root copy of an earlier build keeps its allowed flag makes the
   // same copies, flags and K-cut verdict, whatever the root's own flag.
-  // The store matches such labels, and a flip of any one non-root copy's
-  // flag breaks the match. A network over the store's cap is not recorded.
+  // The record matches such labels, and a flip of any one non-root copy's
+  // flag breaks the match. A network over the record's cap, or a failure
+  // whose paths the record does not hold, is not recorded.
   constexpr int kK = 4;
   Rng rng(2026);
   int same_network = 0;
@@ -568,7 +569,6 @@ TEST(Expanded, UnchangedNonRootFlagsGiveTheSameNetworkAndVerdict) {
         labels[static_cast<std::size_t>(v)] = static_cast<int>(rng.next_in(1, 4));
       }
     }
-    NetworkRecordStore store(c.num_nodes());
     ExpandedNetwork first;
     ExpandedNetwork second;
     for (NodeId v = 0; v < c.num_nodes(); ++v) {
@@ -581,14 +581,21 @@ TEST(Expanded, UnchangedNonRootFlagsGiveTheSameNetworkAndVerdict) {
                                                       first.copies().end());
       const auto cut = first.find_cut(kK);
       ++verdicts[cut ? 1 : 0];
-      using Verdict = NetworkRecordStore::Verdict;
-      store.put(v, first, cut ? Verdict::kCut : Verdict::kNoCut);
-      if (copies.size() > NetworkRecordStore::kCopies + 1) {
-        EXPECT_FALSE(store.matches(v, labels, phi, height)) << at;  // too large to record
-        ++too_large;
+      GateRecord record;
+      if (cut) {
+        record.keep_cut(*cut);
+      } else {
+        record.keep_paths(first.flow_paths(), kK);
+      }
+      record.keep_network(first, cut.has_value());
+      if (copies.size() > GateRecord::kCopies + 1 || !(cut || record.paths())) {
+        EXPECT_FALSE(record.matches(labels, phi, height)) << at;  // not recorded
+        too_large += copies.size() > GateRecord::kCopies + 1 ? 1 : 0;
         continue;
       }
-      ASSERT_TRUE(store.matches(v, labels, phi, height)) << at;
+      ASSERT_TRUE(record.matches(labels, phi, height)) << at;
+      EXPECT_EQ(record.verdict(), cut ? GateRecord::Verdict::kCut : GateRecord::Verdict::kNoCut)
+          << at;
 
       // Per node of a non-root copy u^w, the labels that keep each such
       // copy's flag: l <= height - 1 + phi*w while allowed, above otherwise.
@@ -641,7 +648,7 @@ TEST(Expanded, UnchangedNonRootFlagsGiveTheSameNetworkAndVerdict) {
         }
         EXPECT_EQ(rebuilt[0].allowed != copies[0].allowed, flip_root) << at;
         EXPECT_EQ(second.find_cut(kK), cut) << at;
-        EXPECT_TRUE(store.matches(v, moved, phi, height)) << at;
+        EXPECT_TRUE(record.matches(moved, phi, height)) << at;
         ++(flip_root ? root_flips : same_network);
       }
 
@@ -655,7 +662,7 @@ TEST(Expanded, UnchangedNonRootFlagsGiveTheSameNetworkAndVerdict) {
         if (crossed < 1) continue;
         std::vector<int> flipped = labels;
         flipped[static_cast<std::size_t>(id.node)] = static_cast<int>(crossed);
-        EXPECT_FALSE(store.matches(v, flipped, phi, height)) << at << " copy " << i;
+        EXPECT_FALSE(record.matches(flipped, phi, height)) << at << " copy " << i;
         ++single_flips;
       }
     }

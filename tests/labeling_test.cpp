@@ -327,19 +327,44 @@ TEST(Labeling, ScratchReuseIsDeterministic) {
 
 /// Reuse-free reference for one probe: the engine's own sweep (SCCs in
 /// topological order, each swept in zero-weight topological order until no
-/// label changes), with every update a plain label_update call without a
-/// network record, with no stored flow paths unless `paths` is given, with
-/// no stored cut unless `cuts` is given, and with one decomposition memo
-/// across the sweep unless `memo` is false (then each update keeps its
-/// own). Only meaningful at a feasible phi, where the sweep converges.
+/// label changes), with every update a plain label_update call, with one
+/// decomposition memo across the sweep unless `memo` is false (then each
+/// update keeps its own), and without gate records unless `records` is
+/// given. Given records keep their certificates and never a network (each
+/// update's recorded network is forgotten), and every update checks that
+/// its test changed at most one certificate slot. There is no isolation
+/// exit and no 6n cap: an SCC stops when it converges, which makes the
+/// probe feasible, or once a label exceeds num_gates + 1, which makes it
+/// infeasible. That bound is proven for the plain update only (a feasible
+/// fixpoint has l(v) <= the delay of a path, at most num_gates; see
+/// LabelEngine::process_comp); with decomposition an infeasible verdict
+/// here only ends the sweep.
 struct ReferenceRun {
+  bool feasible = true;
   std::vector<int> labels;
   LabelStats stats;
+  // Updates that ran a flow while the gate held both a cut and paths.
+  std::int64_t flows_with_both_slots = 0;
 };
 
+/// A gate record's certificates, copied out.
+struct Slots {
+  std::optional<std::vector<SeqCutNode>> cut;
+  std::optional<std::pair<std::vector<SeqCutNode>, std::vector<std::int32_t>>> paths;
+};
+
+Slots slots_of(const GateRecord& record) {
+  Slots slots;
+  if (const auto cut = record.cut()) slots.cut.emplace(cut->begin(), cut->end());
+  if (const auto paths = record.paths()) {
+    slots.paths.emplace(std::vector<SeqCutNode>(paths->copies.begin(), paths->copies.end()),
+                        std::vector<std::int32_t>(paths->ends.begin(), paths->ends.end()));
+  }
+  return slots;
+}
+
 ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& lo,
-                                FlowPathStore* paths = nullptr, bool memo = true,
-                                KCutStore* cuts = nullptr) {
+                                std::vector<GateRecord>* records = nullptr, bool memo = true) {
   const SccDecomposition scc = strongly_connected_components(c);
   const std::vector<NodeId> order = combinational_order(c);
   std::vector<int> pos(static_cast<std::size_t>(c.num_nodes()), 0);
@@ -351,6 +376,7 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
   for (NodeId v = 0; v < c.num_nodes(); ++v) {
     if (c.is_gate(v) && !c.fanin_edges(v).empty()) ref.labels[static_cast<std::size_t>(v)] = 1;
   }
+  const std::int64_t bound = std::int64_t{c.num_gates()} + 1;
   DecompCache cache;
   for (const std::vector<NodeId>& comp : scc.components) {
     std::vector<NodeId> gates;
@@ -363,12 +389,30 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
     for (bool changed = !gates.empty(); changed;) {
       changed = false;
       for (const NodeId v : gates) {
-        const int updated =
-            label_update(c, ref.labels, phi, v, lo, ref.stats, memo ? &cache : nullptr, nullptr,
-                         cuts, paths);
+        GateRecord* record = records != nullptr ? &(*records)[static_cast<std::size_t>(v)] : nullptr;
+        const Slots before = record != nullptr ? slots_of(*record) : Slots{};
+        const std::int64_t flows_before = ref.stats.cut_tests;
+        const int updated = label_update(c, ref.labels, phi, v, lo, ref.stats,
+                                         memo ? &cache : nullptr, nullptr, record);
+        if (record != nullptr) {
+          record->forget_network();
+          // A passed test writes the cut slot, a failed one the paths slot;
+          // neither touches the other.
+          const Slots after = slots_of(*record);
+          EXPECT_TRUE(after.cut == before.cut || after.paths == before.paths) << c.name(v);
+          if (before.cut && before.paths && ref.stats.cut_tests > flows_before) {
+            ++ref.flows_with_both_slots;
+          }
+        }
         if (updated > ref.labels[static_cast<std::size_t>(v)]) {
           ref.labels[static_cast<std::size_t>(v)] = updated;
           changed = true;
+        }
+      }
+      for (const NodeId v : gates) {
+        if (ref.labels[static_cast<std::size_t>(v)] > bound) {
+          ref.feasible = false;
+          return ref;
         }
       }
     }
@@ -376,23 +420,26 @@ ReferenceRun reference_fixpoint(const Circuit& c, int phi, const LabelOptions& l
   return ref;
 }
 
-// The engine settles a gate's K-cut test from its last flow-found cut when
-// that cut still separates E_v (KCutStore), from its last failed test's
-// flow paths when they are still a flow in E_v (FlowPathStore), and from its
-// last network's verdict when no copy changed its allowed flag
-// (NetworkRecordStore). The verdicts must be exactly the flow's, so
-// converged labels equal the certificate-free sweep, every skipped test is
-// counted as a reuse, a refutation or a network reuse, and both stores do
-// get used. The records absorb every stored-cut reuse on some circuits, so
-// the stores' use is counted on a sweep with the stores and no records.
-// With decomposition the stored paths also seed the flows they do not
-// settle, so the engine finds fewer augmenting paths than the reference
-// sweep.
+// The engine settles a gate's K-cut test from its gate record: from the
+// last flow-found cut when that cut still separates E_v, from the last
+// failed test's flow paths when they are still a flow in E_v, and from the
+// last network's verdict when no copy changed its allowed flag. The
+// verdicts must be exactly the flow's, so converged labels equal the
+// certificate-free sweep, every skipped test is counted as a reuse, a
+// refutation or a network reuse, and both certificates do get used. The
+// networks absorb every stored-cut reuse on some circuits, so the
+// certificates' use is counted on a sweep with records that keep no
+// network. That sweep also checks that a test leaves the certificate slot
+// it does not write alone, and flows run on gates that hold both a cut and
+// paths. With decomposition the stored paths also seed the flows they do
+// not settle, so the engine finds fewer augmenting paths than the
+// reference sweep.
 TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
   std::vector<BenchmarkSpec> specs = tiny_suite();
   for (const BenchmarkSpec& spec : table1_suite()) {
     if (spec.num_gates <= 200) specs.push_back(spec);
   }
+  std::int64_t flows_with_both_slots = 0;  // only TurboSYN's sweeps have them
   for (const bool decomposition : {false, true}) {
     std::int64_t refutations = 0;
     std::int64_t engine_paths = 0;
@@ -402,8 +449,7 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
       LabelOptions lo = turbomap_options(5);
       lo.enable_decomposition = decomposition;
       LabelEngine engine(c, lo);
-      KCutStore cuts(c.num_nodes(), lo.k);
-      FlowPathStore paths(c.num_nodes(), lo.k);
+      std::vector<GateRecord> records(static_cast<std::size_t>(c.num_nodes()));
       std::int64_t reuses = 0;
       int feasible_probes = 0;
       // Ascending probes start cold in both modes, so each feasible probe's
@@ -414,8 +460,10 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
         if (!r.feasible) continue;
         ++feasible_probes;
         const ReferenceRun ref = reference_fixpoint(c, phi, lo);
-        const ReferenceRun stored = reference_fixpoint(c, phi, lo, &paths, true, &cuts);
+        const ReferenceRun stored = reference_fixpoint(c, phi, lo, &records);
+        ASSERT_TRUE(ref.feasible && stored.feasible);
         reuses += stored.stats.cut_reuses;
+        flows_with_both_slots += stored.flows_with_both_slots;
         const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap") +
                                " phi=" + std::to_string(phi);
         for (NodeId v = 0; v < c.num_nodes(); ++v) {
@@ -444,11 +492,12 @@ TEST(Labeling, CutReuseMatchesReuseFreeFixpoint) {
     EXPECT_GT(refutations, 0) << (decomposition ? "turbosyn" : "turbomap");
     if (decomposition) EXPECT_LT(engine_paths, reference_paths);
   }
+  EXPECT_GT(flows_with_both_slots, 0);
 }
 
-// A network record settles only updates whose verdict a stored cut or
-// stored flow paths would also settle without a flow, so an engine with
-// records runs the same flows as one without: at every probe, ascending or
+// A recorded network settles only updates whose verdict the record's
+// stored cut or stored flow paths would also settle without a flow, so an
+// engine with network records runs the same flows as one without: at every probe, ascending or
 // descending in phi, both reach the same feasibility, status and labels,
 // with the same cut tests, augmenting paths and decomposition attempts, and
 // each network reuse stands for one stored-cut reuse or refutation.
@@ -574,11 +623,11 @@ TEST(Labeling, DecompCacheExtractsOnceAndKeepsLabels) {
   EXPECT_LT(2 * extracted, attempts);
 }
 
-// A flow-path certificate of more than cap() copies is not stored: putting
-// one leaves the gate with none, so its next test runs the flow and gives
-// the label of a test without stored paths. A certificate of cap() copies,
-// and a later valid one, are kept.
-TEST(Labeling, FlowPathStoreCapStoresNothingAndKeepsLabels) {
+// A flow-path certificate of more than kCopiesPerPath * (K + 1) copies is
+// not stored: keeping one leaves the gate with no paths, so its next test
+// runs the flow and gives the label of a test without stored paths. A
+// certificate of exactly that many copies, and a later valid one, are kept.
+TEST(Labeling, GateRecordPathCapStoresNothingAndKeepsLabels) {
   for (const bool decomposition : {false, true}) {
     int checked = 0;
     for (const BenchmarkSpec& spec : tiny_suite()) {
@@ -586,13 +635,14 @@ TEST(Labeling, FlowPathStoreCapStoresNothingAndKeepsLabels) {
       LabelOptions lo = turbomap_options(5);
       lo.enable_decomposition = decomposition;
       const std::string at = spec.name + (decomposition ? " turbosyn" : " turbomap");
+      const std::size_t cap = GateRecord::kCopiesPerPath * static_cast<std::size_t>(lo.k + 1);
       LabelEngine engine(c, lo);
       int phi = 1;
       while (!engine.compute(phi).feasible) ++phi;  // the reference sweep needs a fixpoint
-      FlowPathStore store(c.num_nodes(), lo.k);
-      const ReferenceRun ref = reference_fixpoint(c, phi, lo, &store);
+      std::vector<GateRecord> records(static_cast<std::size_t>(c.num_nodes()));
+      const ReferenceRun ref = reference_fixpoint(c, phi, lo, &records);
       for (NodeId v = 0; v < c.num_nodes(); ++v) {
-        const std::optional<FlowPaths> kept = store.get(v);
+        const std::optional<FlowPaths> kept = records[static_cast<std::size_t>(v)].paths();
         if (!kept) continue;
         const std::vector<SeqCutNode> copies(kept->copies.begin(), kept->copies.end());
         const std::vector<std::int32_t> ends(kept->ends.begin(), kept->ends.end());
@@ -604,25 +654,27 @@ TEST(Labeling, FlowPathStoreCapStoresNothingAndKeepsLabels) {
           }
           return std::pair(std::vector<SeqCutNode>(n, SeqCutNode{v, 0}), path_ends);
         };
-        const auto [at_cap, at_cap_ends] = made_up(store.cap());
-        store.put(v, FlowPaths{at_cap, at_cap_ends});
-        ASSERT_TRUE(store.get(v).has_value()) << at << " " << c.name(v);
-        EXPECT_EQ(store.get(v)->copies.size(), store.cap()) << at << " " << c.name(v);
+        // A record holding these paths only, so no cut or network settles
+        // the test below.
+        GateRecord record;
+        const auto [at_cap, at_cap_ends] = made_up(cap);
+        record.keep_paths(FlowPaths{at_cap, at_cap_ends}, lo.k);
+        ASSERT_TRUE(record.paths().has_value()) << at << " " << c.name(v);
+        EXPECT_EQ(record.paths()->copies.size(), cap) << at << " " << c.name(v);
 
-        const auto [over_cap, over_cap_ends] = made_up(store.cap() + 1);
-        store.put(v, FlowPaths{over_cap, over_cap_ends});
-        EXPECT_FALSE(store.get(v).has_value()) << at << " " << c.name(v);
-        LabelStats with_store;
+        const auto [over_cap, over_cap_ends] = made_up(cap + 1);
+        record.keep_paths(FlowPaths{over_cap, over_cap_ends}, lo.k);
+        EXPECT_FALSE(record.paths().has_value()) << at << " " << c.name(v);
+        LabelStats with_record;
         LabelStats without;
-        EXPECT_EQ(label_update(c, ref.labels, phi, v, lo, with_store, nullptr, nullptr, nullptr,
-                               &store),
+        EXPECT_EQ(label_update(c, ref.labels, phi, v, lo, with_record, nullptr, nullptr, &record),
                   label_update(c, ref.labels, phi, v, lo, without))
             << at << " " << c.name(v);
-        EXPECT_EQ(with_store.cut_refutations, 0) << at << " " << c.name(v);
-        EXPECT_EQ(with_store.cut_tests, without.cut_tests) << at << " " << c.name(v);
+        EXPECT_EQ(with_record.cut_refutations, 0) << at << " " << c.name(v);
+        EXPECT_EQ(with_record.cut_tests, without.cut_tests) << at << " " << c.name(v);
 
-        store.put(v, FlowPaths{copies, ends});
-        const std::optional<FlowPaths> again = store.get(v);
+        record.keep_paths(FlowPaths{copies, ends}, lo.k);
+        const std::optional<FlowPaths> again = record.paths();
         ASSERT_TRUE(again.has_value()) << at << " " << c.name(v);
         EXPECT_TRUE(std::ranges::equal(again->copies, copies)) << at << " " << c.name(v);
         EXPECT_TRUE(std::ranges::equal(again->ends, ends)) << at << " " << c.name(v);
@@ -631,6 +683,47 @@ TEST(Labeling, FlowPathStoreCapStoresNothingAndKeepsLabels) {
     }
     EXPECT_GT(checked, 0) << (decomposition ? "turbosyn" : "turbomap");
   }
+}
+
+// The engine's infeasible verdicts come from its shortcuts: network
+// records, stored cuts and flow paths, warm starts, PLD isolation and the
+// 6n cap. The reference sweep has none of them and stops only at the
+// num_gates + 1 bound, so in plain mode the two must agree on feasibility
+// at the engine's minimum phi and one below it, with the engine probing
+// ascending (cold starts, certificates from lower phi) or descending (warm
+// starts and certificates from higher phi).
+TEST(Labeling, PlainRejectionsMatchTheReferenceSweep) {
+  std::vector<BenchmarkSpec> specs = tiny_suite();
+  for (const BenchmarkSpec& spec : table1_suite()) {
+    if (spec.num_gates <= 200) specs.push_back(spec);
+  }
+  int rejections = 0;
+  for (const BenchmarkSpec& spec : specs) {
+    const Circuit c = generate_fsm_circuit(spec);
+    const LabelOptions lo = turbomap_options(5);
+    LabelEngine ascending(c, lo);
+    int min_phi = 1;
+    while (!ascending.compute(min_phi).feasible) ++min_phi;
+    LabelEngine descending(c, lo);
+    for (int phi = min_phi + 2; phi >= std::max(1, min_phi - 1); --phi) {
+      const LabelResult r = descending.compute(phi);
+      if (phi > min_phi) continue;
+      const std::string at = spec.name + " phi=" + std::to_string(phi);
+      const ReferenceRun ref = reference_fixpoint(c, phi, lo);
+      EXPECT_EQ(r.feasible, phi == min_phi) << at;
+      EXPECT_EQ(ref.feasible, phi == min_phi) << at;
+      if (!ref.feasible) {
+        ++rejections;
+        continue;
+      }
+      for (NodeId v = 0; v < c.num_nodes(); ++v) {
+        if (!c.is_gate(v) || c.fanin_edges(v).empty()) continue;
+        EXPECT_EQ(r.labels[static_cast<std::size_t>(v)], ref.labels[static_cast<std::size_t>(v)])
+            << at << " " << c.name(v);
+      }
+    }
+  }
+  EXPECT_GT(rejections, 0);
 }
 
 TEST(Labeling, RejectsUnboundedCircuit) {
